@@ -48,6 +48,7 @@ from .balls import (
     sample_members,
     scaling_identity,
     smaller_scale_witness,
+    smaller_scale_witnesses,
     translate_identity,
 )
 from .topology import (

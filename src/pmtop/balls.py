@@ -150,43 +150,71 @@ def sample_around(ball: Ball, rng: np.random.Generator, count: int,
 # ---------------------------------------------------------------------------
 
 
+def smaller_scale_witnesses(space: PMSpace, sigma: np.ndarray, scale: np.ndarray,
+                            level: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Smaller-scale witnesses for a batch of lanes, one bisection for all.
+
+    Lane i is a ball with the given scale and level and a member whose
+    offset from the center has modular value sigma[i] (1-D arrays,
+    broadcast together).  Each lane bisects the monotone predicate
+    kernel(s, sigma) > 1 - level over (0, scale] and stops on its own at
+    float granularity, within WITNESS_BISECTION_STEPS steps.  Its witness
+    is the midpoint of the maximal feasible subinterval, away from both
+    boundaries.
+
+    Returns (t_star, reasons): reasons[i] is None when t_star[i] is a
+    witness in (0, scale[i]), else the diagnostic, with t_star[i] NaN.  No
+    interior feasible scale down to scale * 2**-60 is a left-continuity
+    violation at the scale.  Raises ValueError when a lane is not a ball
+    member.
+    """
+    sigma, scale, level = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (sigma, scale, level)))
+    cut = 1.0 - level
+    if not np.all(space.kernel(scale, sigma) > cut + EPS_STRICT):
+        raise ValueError("witness requires a ball member")
+    lo = np.zeros(scale.shape)
+    hi = scale.copy()
+    live = np.ones(scale.shape, dtype=bool)
+    for _ in range(WITNESS_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        live &= ~((mid <= lo) | (mid >= hi))  # float granularity ends a lane
+        if not np.any(live):
+            break
+        up = space.kernel(mid, sigma) > cut
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+    t_star = 0.5 * (hi + scale)
+    held = space.kernel(t_star, sigma) > cut
+    reasons: list[str | None] = []
+    for i in range(len(scale)):
+        if hi[i] >= scale[i]:  # no interior feasible scale was ever probed
+            reasons.append(
+                "no scale in (0, t) keeps membership at resolution t*2^-60: "
+                f"mu jumps at t={float(scale[i])} (left-continuity violation), "
+                f"sigma={float(sigma[i])}")
+        elif not held[i]:  # monotone predicate makes this unreachable
+            reasons.append(f"witness midpoint {float(t_star[i])} infeasible")
+        else:
+            reasons.append(None)
+    t_star[[r is not None for r in reasons]] = np.nan
+    return t_star, reasons
+
+
 def smaller_scale_witness(ball: Ball, y: Vector) -> float:
     """A scale t* in (0, t) with mu_{x-y}(t*) > 1 - alpha, given y in the ball.
 
-    Bisection on the monotone membership predicate over (0, t]; returns
-    the midpoint of the maximal feasible subinterval, which keeps the
-    witness away from both boundaries.  When no interior feasible scale
-    exists down to the search resolution (t * 2**-60), the underlying
-    distribution function is not left-continuous at t and the failure is
-    reported as such.
+    A batch of one lane of smaller_scale_witnesses: the midpoint of the
+    maximal feasible subinterval of (0, t).  Raises ValueError when y is
+    not a member and InfeasibleConstruction, reporting a left-continuity
+    violation at t, when no interior feasible scale exists.
     """
     y = as_vector(y, ball.space.dim)
-    if not contains(ball, y):
-        raise ValueError("witness requires a ball member")
-    sig = ball.space.sigma1(ball.center - y)
-    cut = 1.0 - ball.level
-
-    def feasible(s: float) -> bool:
-        return float(ball.space.kernel(np.asarray(s, dtype=float), sig)) > cut
-
-    lo, hi = 0.0, ball.scale
-    for _ in range(WITNESS_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float granularity reached
-            break
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    if hi >= ball.scale:  # no interior feasible scale was ever probed
-        raise InfeasibleConstruction(
-            "no scale in (0, t) keeps membership at resolution t*2^-60: "
-            f"mu jumps at t={ball.scale} (left-continuity violation), "
-            f"sigma={sig}")
-    t_star = 0.5 * (hi + ball.scale)
-    if not feasible(t_star):  # monotone predicate makes this unreachable
-        raise InfeasibleConstruction(f"witness midpoint {t_star} infeasible")
-    return t_star
+    t_star, reasons = smaller_scale_witnesses(
+        ball.space, [ball.space.sigma1(ball.center - y)], [ball.scale], [ball.level])
+    if reasons[0] is not None:
+        raise InfeasibleConstruction(reasons[0])
+    return float(t_star[0])
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def _ball_from(op_ball: dict[str, Any], space: PMSpace, where: str) -> _balls.Ba
 
 
 def canonical_line(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def exit_code_from_records(records: list[dict[str, Any]]) -> int:

@@ -87,11 +87,12 @@ class SampleBudget:
         if self.n_vectors < 1 or self.n_scalar_pairs < 1:
             raise ValueError("sample counts must be >= 1")
         grid = tuple(float(t) for t in self.t_grid)
-        if not grid or any(t <= 0 for t in grid) or list(grid) != sorted(grid):
-            raise ValueError("t_grid must be a sorted list of positive reals")
+        if (not grid or any(not 0 < t < np.inf for t in grid)
+                or list(grid) != sorted(grid)):
+            raise ValueError("t_grid must be a sorted list of positive finite reals")
         object.__setattr__(self, "t_grid", grid)
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be a positive finite real")
         if self.vector_law != "standard_normal":
             raise ValueError(f"unsupported vector_law {self.vector_law!r}")
 
@@ -152,11 +153,17 @@ class CheckReport:
 
 
 def _make_report(name: str, violations: list[dict[str, Any]], samples: int,
-                 seed: int, notes: dict[str, Any] | None = None) -> CheckReport:
+                 seed: int, notes: dict[str, Any] | None = None,
+                 n_violations: int | None = None) -> CheckReport:
+    """Report keeping the first MAX_STORED_VIOLATIONS records.  n_violations
+    is the full count when the caller built only the records kept; it
+    defaults to len(violations)."""
+    if n_violations is None:
+        n_violations = len(violations)
     stored = violations[:MAX_STORED_VIOLATIONS]
-    return CheckReport(name=name, passed=not violations, violations=stored,
+    return CheckReport(name=name, passed=n_violations == 0, violations=stored,
                        samples_run=samples, seed=seed,
-                       n_violations=len(violations), notes=notes or {})
+                       n_violations=n_violations, notes=notes or {})
 
 
 def check_rng(seed: int, label: str, shard: int = 0) -> np.random.Generator:

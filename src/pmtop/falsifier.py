@@ -314,9 +314,8 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     feasible scale, which is the failure this predicate looks for.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_boundary")
-    eligible = 0
-    violations = []
     y = np.zeros(space.dim)
+    xs, sigmas, levels = [], [], []
     for _ in range(count):
         x = rng.standard_normal(space.dim)
         sig = space.sigma1(x)
@@ -326,16 +325,20 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
         ball = _balls.Ball(space, x, level, sig)
         if not _balls.contains(ball, y):
             continue
-        eligible += 1
-        try:
-            t_star = _balls.smaller_scale_witness(ball, y)
-            if not (0.0 < t_star < ball.scale):
-                violations.append({"x": x.tolist(), "y": y.tolist(),
-                                   "t_star": t_star})
-        except InfeasibleConstruction as exc:
+        xs.append(x)
+        sigmas.append(sig)
+        levels.append(level)
+    # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
+    t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, sigmas, levels)
+    violations = []
+    for i, x in enumerate(xs):
+        if reasons[i] is not None:
             violations.append({"x": x.tolist(), "y": y.tolist(),
-                               "reason": str(exc)})
-    rec = {"eligible": eligible, "trials": count,
+                               "reason": reasons[i]})
+        elif not (0.0 < t_star[i] < sigmas[i]):
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "t_star": float(t_star[i])})
+    rec = {"eligible": len(xs), "trials": count,
            "violations": violations[:20], "violation_count": len(violations)}
     return PredicateResult(outcome="fail" if violations else "pass", record=rec)
 
@@ -343,8 +346,7 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
 def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                             count: int) -> PredicateResult:
     rng = check_rng(budget.rng_seed, "scale_witness_random")
-    violations = []
-    done = 0
+    pairs, lanes = [], []
     for _ in range(count):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.2, 0.9))
@@ -354,15 +356,19 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
             y = _balls.sample_members(ball, rng, 1, band=budget.epsilon)[0]
         except VerificationError:
             continue
-        done += 1
-        try:
-            t_star = _balls.smaller_scale_witness(ball, y)
-            m = space.kernel(np.asarray(t_star), space.sigma1(x - y))
-            if not (0.0 < t_star < scale and float(m) > 1.0 - level):
-                violations.append({"x": x.tolist(), "y": y.tolist(), "t_star": t_star})
-        except InfeasibleConstruction as exc:
-            violations.append({"x": x.tolist(), "y": y.tolist(), "reason": str(exc)})
-    rec = {"pairs": done, "violations": violations[:20],
+        pairs.append((x, y))
+        lanes.append((space.sigma1(x - y), scale, level))
+    sigmas, scales, levels = np.asarray(lanes, dtype=float).reshape(-1, 3).T
+    t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, scales, levels)
+    held = space.kernel(t_star, sigmas) > 1.0 - levels
+    violations = []
+    for i, (x, y) in enumerate(pairs):
+        if reasons[i] is not None:
+            violations.append({"x": x.tolist(), "y": y.tolist(), "reason": reasons[i]})
+        elif not (0.0 < t_star[i] < scales[i] and held[i]):
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "t_star": float(t_star[i])})
+    rec = {"pairs": len(pairs), "violations": violations[:20],
            "violation_count": len(violations)}
     return PredicateResult(outcome="fail" if violations else "pass", record=rec)
 

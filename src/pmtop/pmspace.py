@@ -36,6 +36,7 @@ from .distfn import (
     EPS_STRICT,
     JUMP_FLOOR,
     LEFT_PROBES,
+    MAX_STORED_VIOLATIONS,
     CheckReport,
     DistributionFunction,
     Floored,
@@ -396,8 +397,11 @@ def sample_scalars(rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _collect(mask: np.ndarray, build) -> list[dict[str, Any]]:
-    return [build(int(i)) for i in np.nonzero(mask)[0]]
+def _collect(mask: np.ndarray, build) -> tuple[list[dict[str, Any]], int]:
+    """Records for the first MAX_STORED_VIOLATIONS flagged samples, which is
+    all a report keeps, and the count of every flagged sample."""
+    idx = np.flatnonzero(mask)
+    return [build(int(i)) for i in idx[:MAX_STORED_VIOLATIONS]], int(idx.size)
 
 
 def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
@@ -423,8 +427,9 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
     # PM1: value at zero vanishes for every sampled x.
     v0 = space.kernel(np.asarray(0.0), S_x)
     bad = np.abs(v0) > eps
-    pm1 = _make_report("pm1", _collect(bad, lambda i: {
-        "x": X[i].tolist(), "mu_at_0": float(v0[i])}), n, seed)
+    viol, count = _collect(bad, lambda i: {
+        "x": X[i].tolist(), "mu_at_0": float(v0[i])})
+    pm1 = _make_report("pm1", viol, n, seed, n_violations=count)
 
     # PM2 forward: the zero vector's distribution is exactly 1 on t > 0.
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
@@ -440,19 +445,21 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
         M_ext = space.kernel(ext[None, :], S_x[stuck][:, None])
         still = np.all(M_ext >= 1.0 - eps, axis=1)
         stuck[np.nonzero(stuck)[0]] = still
-    pm2_viol = _collect(stuck, lambda i: {
+    pm2_viol, count = _collect(stuck, lambda i: {
         "x": X[i].tolist(), "min_mu": float(np.min(M[i]))})
     if fwd_bad:
         pm2_viol.insert(0, {"x": space.zero().tolist(),
                             "min_mu": float(np.min(mu0))})
-    pm2 = _make_report("pm2", pm2_viol, n + 1, seed)
+        count += 1
+    pm2 = _make_report("pm2", pm2_viol, n + 1, seed, n_violations=count)
 
     # PM3: symmetry of the modular.
     M_neg = space.mu_matrix(-X, grid)
     asym = np.max(np.abs(M_neg - M), axis=1)
     bad = asym > eps
-    pm3 = _make_report("pm3", _collect(bad, lambda i: {
-        "x": X[i].tolist(), "max_gap": float(asym[i])}), n, seed)
+    viol, count = _collect(bad, lambda i: {
+        "x": X[i].tolist(), "max_gap": float(asym[i])})
+    pm3 = _make_report("pm3", viol, n, seed, n_violations=count)
 
     # PM4 over sampled pairs, weights, and probe (s, t) pairs.
     Y = sample_vectors(rng, n, space.dim)
@@ -480,7 +487,8 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
                 "s": float(probe_s[i, j]), "t": float(probe_t[i, j]),
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    pm4 = _make_report("pm4", _collect(bad, pm4_record), n * probe_s.shape[1], seed)
+    viol, count = _collect(bad, pm4_record)
+    pm4 = _make_report("pm4", viol, n * probe_s.shape[1], seed, n_violations=count)
 
     parts = {"pm1": pm1, "pm2": pm2, "pm3": pm3, "pm4": pm4}
     all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
@@ -509,7 +517,7 @@ def delta2_violations(space: PMSpace, c: float, budget: SampleBudget,
         return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    return _collect(bad, rec)
+    return [rec(int(i)) for i in np.flatnonzero(bad)]
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
@@ -530,8 +538,13 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
         raise ValueError("candidates must be positive")
     rng = check_rng(budget.rng_seed, "delta2")
     X = sample_vectors(rng, budget.n_vectors, space.dim)
+    grid = budget.grid_array()
+    lhs = space.mu_matrix(2.0 * X, grid)
+    S = space.sigma(X)[:, None]
     for c in sorted(c_candidates):
-        if not delta2_violations(space, c, budget, X=X):
+        # The inequality of delta2_violations, tested for emptiness only.
+        rhs = space.kernel(grid[None, :] / c, S)
+        if not np.any(np.max(rhs - lhs, axis=1) > budget.epsilon):
             return float(c)
     return None
 
@@ -560,8 +573,9 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
         return {"x": X[i].tolist(), "a": float(a[i]), "t": float(grid[j]),
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    return _make_report("beta_homogeneous", _collect(bad, rec), n,
-                        budget.rng_seed, notes={"beta": beta})
+    viol, count = _collect(bad, rec)
+    return _make_report("beta_homogeneous", viol, n, budget.rng_seed,
+                        notes={"beta": beta}, n_violations=count)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +614,7 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
     grid = np.asarray(sorted(set([1e-5, 1e-4] + list(budget.t_grid) + [1e4, 1e5])))
     V = space.kernel(grid[None, :], S)
     violations: list[dict[str, Any]] = []
+    count = 0
 
     # Continuity clause: localize steep rises, then shrink the probe step.
     rise = V[:, 1:] - V[:, :-1]
@@ -621,9 +636,9 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
         g_wide = (space.kernel(tau + d_wide, s_flag)
                   - space.kernel(np.maximum(tau - d_wide, 0.0), s_flag))
         jumpy = (g_small > eps) & (g_small >= 0.5 * g_wide)
-        for k in np.nonzero(jumpy)[0]:
-            violations.append({"clause": "continuity", "x": X[idx_i[k]].tolist(),
-                               "at": float(tau[k]), "gap": float(g_small[k])})
+        violations, count = _collect(jumpy, lambda k: {
+            "clause": "continuity", "x": X[idx_i[k]].tolist(),
+            "at": float(tau[k]), "gap": float(g_small[k])})
 
     # Strict clause on the transition band.
     interior = (V > eps) & (V < 1.0 - eps)
@@ -631,9 +646,13 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
     flat = pair_ok & ~(V[:, 1:] > V[:, :-1] + EPS_STRICT)
     notes["strict_pairs"] = int(np.sum(pair_ok))
     notes["strict_vacuous"] = bool(np.sum(pair_ok) == 0)
-    for i, j in zip(*np.nonzero(flat)):
+    flat_i, flat_j = np.nonzero(flat)
+    room = MAX_STORED_VIOLATIONS - len(violations)
+    for i, j in zip(flat_i[:room], flat_j[:room]):
         violations.append({"clause": "strict", "x": X[i].tolist(),
                            "t1": float(grid[j]), "t2": float(grid[j + 1]),
                            "f1": float(V[i, j]), "f2": float(V[i, j + 1])})
+    count += flat_i.size
 
-    return _make_report("space_regularity", violations, n, seed, notes=notes)
+    return _make_report("space_regularity", violations, n, seed, notes=notes,
+                        n_violations=count)

@@ -66,6 +66,19 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
     assert cli.main(["witness-separate", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("budget", [{"t_grid": [1e-3, float("inf")]},
+                                    {"epsilon": float("inf")}])
+def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
+    # json.dumps writes Infinity, which json.load accepts; the budget must not.
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["budget"].update(budget)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["check-axioms", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_negative_dimension_is_a_config_error(tmp_path):
     cfg = json.loads(json.dumps(RATIONAL))
     cfg["instance"]["dim"] = -3
