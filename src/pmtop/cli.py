@@ -23,19 +23,13 @@ Config schema (unknown fields are rejected at every level):
       "operation": { ... subcommand-specific parameters ... },
       "out": "report.ndjson"
     }
-
-PM_TOPOLOGY_THREADS caps the worker pool used for independent checks
-within one subcommand; results merge in submission order, so the thread
-count never changes the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 import numpy as np
@@ -46,9 +40,7 @@ from . import falsifier as _fals
 from . import topology as _topo
 from .distfn import SampleBudget, default_t_grid
 from .pmspace import (
-    InfeasibleConstruction,
     PMSpace,
-    VerificationError,
     check_axioms,
     check_beta_homogeneous,
     check_delta2_declared,
@@ -173,35 +165,28 @@ def exit_code_from_records(records: list[dict[str, Any]]) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PM_TOPOLOGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_ordered(tasks: list[Callable[[], dict[str, Any]]]) -> list[dict[str, Any]]:
-    """Run independent record builders, preserving submission order."""
-    workers = min(_thread_count(), max(len(tasks), 1))
-    if workers == 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
-def _witness_record(name: str, build: Callable[[], Any]) -> dict[str, Any]:
-    try:
-        witness = build()
-    except InfeasibleConstruction as exc:
-        return {"check": name, "verdict": "infeasible", "reason": str(exc)}
-    except (VerificationError, ValueError) as exc:
-        return {"check": name, "verdict": "infeasible",
-                "reason": f"precondition: {exc}"}
-    rec = witness.to_record()
-    rec["check"] = name
-    rec["verdict"] = "pass" if witness.evidence.passed else "fail"
+def _record(name: str, result: _fals.PredicateResult) -> dict[str, Any]:
+    """One report line for a predicate outcome.  The outcome is
+    authoritative: fields embedded in the record must not shadow it."""
+    rec = {"check": name, "verdict": result.outcome}
+    rec.update({k: v for k, v in result.record.items()
+                if k not in ("check", "verdict")})
     return rec
+
+
+def _witness(name: str, build: Callable[[], Any]) -> dict[str, Any]:
+    """Report line for a witness construction, through the registry's guard."""
+    return _record(name, _fals._guard(lambda: _fals._witness_predicate(build())))
+
+
+def _mutated(space: PMSpace, op: dict[str, Any], seed: int) -> PMSpace:
+    """The space with operation.mutation applied, if the operation names one."""
+    if "mutation" not in op:
+        return space
+    try:
+        return _fals.apply_mutation(space, op["mutation"], seed)
+    except ValueError as exc:
+        raise ConfigError(f"operation.mutation: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +196,7 @@ def _witness_record(name: str, build: Callable[[], Any]) -> dict[str, Any]:
 
 def _h_check_axioms(space, budget, cfg):
     op = _operation(cfg, {"mutation"}, "check-axioms")
-    if "mutation" in op:
-        if op["mutation"] not in _fals.MUTATION_KINDS:
-            raise ConfigError(f"unknown mutation {op['mutation']!r}")
-        space = _fals.apply_mutation(space, op["mutation"], budget.rng_seed)
-    rep = check_axioms(space, budget)
+    rep = check_axioms(_mutated(space, op, budget.rng_seed), budget)
     records = [dict(part.to_record(), check=name)
                for name, part in rep.parts.items()]
     records.append({"check": "axioms", "verdict": "pass" if rep.passed else "fail",
@@ -257,21 +238,19 @@ def _h_ball_identities(space, budget, cfg):
     scale2 = float(op.get("scale2", 2.0))
     rng = np.random.default_rng(budget.rng_seed)
     x = rng.standard_normal(space.dim)
-    tasks = [
-        lambda: _balls.translate_identity(space, x, level, scale, budget).to_record(),
-        lambda: _balls.monotone_in_scale(space, level, scale, scale2, budget).to_record(),
-        lambda: _balls.monotone_in_level(space, level, level2, scale, budget).to_record(),
+    records = [
+        _balls.translate_identity(space, x, level, scale, budget).to_record(),
+        _balls.monotone_in_scale(space, level, scale, scale2, budget).to_record(),
+        _balls.monotone_in_level(space, level, level2, scale, budget).to_record(),
     ]
     if space.declared_beta is not None:
         beta = space.declared_beta
         ball0 = _balls.Ball(space, space.zero(), level, scale)
-        tasks += [
-            lambda: _balls.scaling_identity(space, beta, level, scale2, budget).to_record(),
-            lambda: _balls.is_balanced_sampled(ball0, budget).to_record(),
-            lambda: _balls.is_convex_sampled(ball0, budget).to_record(),
+        return records + [
+            _balls.scaling_identity(space, beta, level, scale2, budget).to_record(),
+            _balls.is_balanced_sampled(ball0, budget).to_record(),
+            _balls.is_convex_sampled(ball0, budget).to_record(),
         ]
-        return _run_ordered(tasks)
-    records = _run_ordered(tasks)
     for name in ("scaling_identity", "balanced", "convex"):
         records.append({"check": name, "verdict": "infeasible",
                         "reason": "no declared homogeneity exponent"})
@@ -290,8 +269,7 @@ def _h_witness_refine(space, budget, cfg):
             return [{"check": "refine_ball", "verdict": "infeasible",
                      "reason": "no feasible refinement input found"}]
         outer, z = got
-    return [_witness_record("refine_ball",
-                            lambda: _topo.refine_ball(space, outer, z, budget))]
+    return [_witness("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
 
 
 def _h_witness_separate(space, budget, cfg):
@@ -300,14 +278,12 @@ def _h_witness_separate(space, budget, cfg):
     rng = np.random.default_rng(budget.rng_seed)
     x = _point(op, "x", space, rng.standard_normal(space.dim))
     if variant == "homogeneous":
-        return [_witness_record("homogeneous_separation",
-                                lambda: _topo.homogeneous_separation_witness(
-                                    space, x, budget))]
+        return [_witness("homogeneous_separation",
+                         lambda: _topo.homogeneous_separation_witness(space, x, budget))]
     if variant != "doubling":
         raise ConfigError(f"unknown separation variant {variant!r}")
     y = _point(op, "y", space, rng.standard_normal(space.dim))
-    return [_witness_record("separation",
-                            lambda: _topo.separation_witness(space, x, y, budget))]
+    return [_witness("separation", lambda: _topo.separation_witness(space, x, y, budget))]
 
 
 def _h_witness_continuity(space, budget, cfg):
@@ -316,15 +292,12 @@ def _h_witness_continuity(space, budget, cfg):
               if "target" in op
               else _balls.Ball(space, space.zero(), 0.5, 1.0))
     scalar = float(op.get("scalar", 2.0))
-    tasks = [
-        lambda: _witness_record("addition_continuity",
-                                lambda: _topo.addition_continuity_witness(
-                                    space, target, budget)),
-        lambda: _witness_record("scalar_continuity",
-                                lambda: _topo.scalar_continuity_witness(
-                                    space, target, scalar, budget)),
+    return [
+        _witness("addition_continuity",
+                 lambda: _topo.addition_continuity_witness(space, target, budget)),
+        _witness("scalar_continuity",
+                 lambda: _topo.scalar_continuity_witness(space, target, scalar, budget)),
     ]
-    return _run_ordered(tasks)
 
 
 def _h_check_convergence(space, budget, cfg):
@@ -347,40 +320,36 @@ def _h_check_convergence(space, budget, cfg):
     balls = _conv.local_base(space, seq.candidate_limit, depth=depth)
     topo_v = _conv.check_topological_convergence(space, seq, balls=balls,
                                                  n_max=n_max)
-    agree = mu_v.converges == topo_v.converges
+    equivalence = {"check": "convergence_equivalence", "seed": budget.rng_seed,
+                   "verdict": "pass" if mu_v.converges == topo_v.converges else "fail",
+                   "mu_converges": mu_v.converges,
+                   "topological_converges": topo_v.converges}
+    if topo_v.vacuous:
+        equivalence["verdict"] = "infeasible"
+        equivalence["reason"] = (f"local base of depth {depth} is empty, so the "
+                                 "topological verdict is vacuous")
     return [
         {"check": "mu_convergence", "verdict": "pass", "seed": budget.rng_seed,
          **mu_v.to_record()},
         {"check": "topological_convergence", "verdict": "pass",
          "seed": budget.rng_seed, **topo_v.to_record()},
-        {"check": "convergence_equivalence", "seed": budget.rng_seed,
-         "verdict": "pass" if agree else "fail",
-         "mu_converges": mu_v.converges,
-         "topological_converges": topo_v.converges},
+        equivalence,
     ]
 
 
 def _h_falsify(space, budget, cfg):
     op = _operation(cfg, {"mutation", "predicates"}, "falsify")
-    mutation = op.get("mutation")
-    if mutation is not None:
-        if mutation not in _fals.MUTATION_KINDS:
-            raise ConfigError(f"unknown mutation {mutation!r}")
-        space = _fals.apply_mutation(space, mutation, budget.rng_seed)
+    space = _mutated(space, op, budget.rng_seed)
     predicates = op.get("predicates")
-    if predicates is not None and not isinstance(predicates, list):
-        raise ConfigError("operation.predicates must be a list")
+    if predicates is not None:
+        if not isinstance(predicates, list) or not predicates:
+            raise ConfigError("operation.predicates must be a non-empty list")
+        unknown = [name for name in predicates if name not in _fals.PREDICATE_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown predicates in operation.predicates: {unknown}")
     run = _fals.run_registry(space, budget, predicates=predicates,
-                             instance=_fals.instance_config(space, mutation))
-    records = []
-    for name, result in run.results.items():
-        rec = {"check": name, "verdict": result.outcome, "seed": run.seed}
-        # the registry outcome is authoritative; embedded report fields
-        # must not shadow it
-        rec.update({k: v for k, v in result.record.items()
-                    if k not in ("check", "verdict")})
-        records.append(rec)
-    return records
+                             instance=_fals.instance_config(space, op.get("mutation")))
+    return [_record(name, result) for name, result in run.results.items()]
 
 
 HANDLERS = {

@@ -407,78 +407,70 @@ def check_left_continuity(f: DistributionFunction, t: float,
                         notes={"probes": [[d, g] for d, g in zip(deltas, gaps)]})
 
 
-def _locate_steep_point(f: DistributionFunction, lo: float, hi: float,
-                        steps: int = 48) -> float:
-    """Bisect a rising interval of a non-decreasing f toward the point
-    where f crosses the midpoint of its values at the interval ends."""
-    mid_val = 0.5 * (f(lo) + f(hi))
-    a, b = lo, hi
-    for _ in range(steps):
-        m = 0.5 * (a + b)
-        if f(m) >= mid_val:
-            b = m
-        else:
-            a = m
-    return 0.5 * (a + b)
+def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
+    """Both clauses of the transition-regularity check over a batch of
+    non-decreasing functions, given their values V (one row per function)
+    on the grid and evaluate(t, rows), the values of functions rows at t.
 
-
-def _jump_at(f: DistributionFunction, tau: float) -> tuple[float, float]:
-    """Two-sided gaps at tau for the smallest and largest probe steps."""
-    d_small = LEFT_PROBES[-1]
-    d_wide = LEFT_PROBES[0]
-    g_small = float(f(tau + d_small) - f(max(tau - d_small, 0.0)))
-    g_wide = float(f(tau + d_wide) - f(max(tau - d_wide, 0.0)))
-    return g_small, g_wide
-
-
-def check_transition_regularity(f: DistributionFunction,
-                                budget: SampleBudget) -> CheckReport:
-    """Continuity plus strict increase across the transition band.
-
-    Two clauses, reported separately:
-
-    continuity   scan adjacent grid pairs (with a few sub- and super-grid
-                 probe points); where the rise exceeds JUMP_FLOOR, bisect
-                 to the steep point and compare the two-sided gap at the
+    continuity   where a grid pair rises by more than JUMP_FLOOR, bisect to
+                 the steep point and compare the two-sided gap at the
                  smallest probe step against the gap at the widest.  A
                  genuine jump keeps the gap as the step shrinks; a steep
                  continuous rise does not.
     strict       on grid pairs whose values both lie strictly inside
                  (0, 1), require f(t2) > f(t1) + EPS_STRICT.
 
+    Returns (rows, at, gap) of the jumps found, (rows, cols) of the grid
+    pairs (cols, cols + 1) that break the strict clause, and the number of
+    pairs the strict clause applies to.
+    """
+    rows, cols = np.nonzero(V[:, 1:] - V[:, :-1] > JUMP_FLOOR)
+    jumps = (rows, np.zeros(0), np.zeros(0))
+    if rows.size:
+        lo, hi = grid[cols], grid[cols + 1]
+        target = 0.5 * (V[rows, cols] + V[rows, cols + 1])
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            up = evaluate(mid, rows) >= target
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        tau = 0.5 * (lo + hi)
+        d_small, d_wide = LEFT_PROBES[-1], LEFT_PROBES[0]
+        g_small = (evaluate(tau + d_small, rows)
+                   - evaluate(np.maximum(tau - d_small, 0.0), rows))
+        g_wide = (evaluate(tau + d_wide, rows)
+                  - evaluate(np.maximum(tau - d_wide, 0.0), rows))
+        jumpy = (g_small > eps) & (g_small >= 0.5 * g_wide)
+        jumps = (rows[jumpy], tau[jumpy], g_small[jumpy])
+    interior = (V > eps) & (V < 1.0 - eps)
+    pair_ok = interior[:, :-1] & interior[:, 1:]
+    flat = pair_ok & ~(V[:, 1:] > V[:, :-1] + EPS_STRICT)
+    return jumps, np.nonzero(flat), int(np.sum(pair_ok))
+
+
+def _regularity_grid(t_grid: tuple[float, ...]) -> np.ndarray:
+    """The budget grid with sub- and super-grid probe points added."""
+    return np.asarray(sorted(set([1e-5, 1e-4] + list(t_grid) + [1e4, 1e5])))
+
+
+def check_transition_regularity(f: DistributionFunction,
+                                budget: SampleBudget) -> CheckReport:
+    """Continuity plus strict increase across the transition band, the two
+    clauses of _regularity_scan, reported separately.
+
     If no grid pair qualifies for the strict clause it is vacuous; the
     report flags this rather than guessing an intent.
     """
-    grid = sorted(set([1e-5, 1e-4] + list(budget.t_grid) + [1e4, 1e5]))
-    ts = np.asarray(grid, dtype=float)
+    ts = _regularity_grid(budget.t_grid)
     vals = f.eval_many(ts)
-    violations: list[dict[str, Any]] = []
-
-    continuity_ok = True
-    for i in range(len(ts) - 1):
-        rise = float(vals[i + 1] - vals[i])
-        if rise <= JUMP_FLOOR:
-            continue
-        tau = _locate_steep_point(f, float(ts[i]), float(ts[i + 1]))
-        g_small, g_wide = _jump_at(f, tau)
-        if g_small > budget.epsilon and g_small >= 0.5 * g_wide:
-            continuity_ok = False
-            violations.append({"clause": "continuity", "at": tau,
-                               "gap": g_small})
-
-    interior = (vals > budget.epsilon) & (vals < 1.0 - budget.epsilon)
-    strict_pairs = 0
-    strict_ok = True
-    for i in range(len(ts) - 1):
-        if interior[i] and interior[i + 1]:
-            strict_pairs += 1
-            if not vals[i + 1] > vals[i] + EPS_STRICT:
-                strict_ok = False
-                violations.append({"clause": "strict",
-                                   "t1": float(ts[i]), "f1": float(vals[i]),
-                                   "t2": float(ts[i + 1]), "f2": float(vals[i + 1])})
-
-    notes = {"continuity_ok": continuity_ok, "strict_ok": strict_ok,
+    (_, at, gap), (_, flat), strict_pairs = _regularity_scan(
+        lambda t, rows: f.eval_many(t), vals[None, :], ts, budget.epsilon)
+    violations: list[dict[str, Any]] = [
+        {"clause": "continuity", "at": float(a), "gap": float(g)}
+        for a, g in zip(at, gap)]
+    violations += [{"clause": "strict", "t1": float(ts[j]), "f1": float(vals[j]),
+                    "t2": float(ts[j + 1]), "f2": float(vals[j + 1])} for j in flat]
+    notes = {"continuity_ok": at.size == 0, "strict_ok": flat.size == 0,
              "strict_pairs": strict_pairs, "strict_vacuous": strict_pairs == 0}
-    return _make_report("transition_regularity", violations, len(grid),
+    return _make_report("transition_regularity", violations, len(ts),
                         budget.rng_seed, notes=notes)

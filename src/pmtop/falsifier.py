@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -393,11 +394,178 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
     return None
 
 
-def _witness_predicate(build: Callable[[], Any]) -> PredicateResult:
-    witness = build()
-    evidence: CheckReport = witness.evidence
-    out = "pass" if evidence.passed else "fail"
-    return PredicateResult(outcome=out, record=witness.to_record())
+def _witness_predicate(witness: Any) -> PredicateResult:
+    return PredicateResult(outcome="pass" if witness.evidence.passed else "fail",
+                           record=witness.to_record())
+
+
+@dataclass
+class _Inputs:
+    """What the registry's builders share: small caps both sample counts at
+    400, rng is the registry_inputs stream, and the axiom report is computed
+    once, on first use."""
+
+    space: PMSpace
+    budget: SampleBudget
+    small: SampleBudget
+    rng: np.random.Generator
+
+    @cached_property
+    def axioms(self) -> CheckReport:
+        return check_axioms(self.space, self.budget)
+
+
+def _unit_ball(space: PMSpace) -> _balls.Ball:
+    return _balls.Ball(space, space.zero(), 0.5, 1.0)
+
+
+def _membership(inp: _Inputs) -> PredicateResult:
+    space, budget = inp.space, inp.budget
+    X = sample_vectors(check_rng(budget.rng_seed, "membership_pts"),
+                       min(budget.n_vectors, 50), space.dim)
+    points = np.vstack([np.zeros((1, space.dim)), X])
+    bad: list[dict[str, Any]] = []
+    for row in points:
+        rep = _distfn.check_delta_membership(mu(space, row), budget)
+        if not rep.passed:
+            bad.append({"x": row.tolist(), "violations": rep.violations[:3]})
+    return PredicateResult(outcome="fail" if bad else "pass",
+                           record={"points": len(points), "violations": bad[:10],
+                                   "violation_count": len(bad)})
+
+
+def _delta2_estimate(inp: _Inputs) -> PredicateResult:
+    found = find_delta2_constant(inp.space, replace(
+        inp.budget, n_vectors=min(inp.budget.n_vectors, 2000)))
+    return PredicateResult(outcome="pass", record={"estimated_c": found})
+
+
+def _regularity(inp: _Inputs) -> PredicateResult:
+    # A probe, not a requirement: valid spaces may lack the property, so
+    # the outcome stays "pass" and the finding is data.
+    rep = check_space_regularity(inp.space, inp.budget, max_points=64)
+    rec = rep.to_record()
+    rec.pop("verdict", None)
+    return PredicateResult(outcome="pass", record={"property_holds": rep.passed, **rec})
+
+
+def _refine(inp: _Inputs) -> PredicateResult:
+    got = _feasible_refinement_input(inp.space, inp.rng)
+    if got is None:
+        return PredicateResult(outcome="infeasible",
+                               record={"reason": "no feasible refinement input found"})
+    outer, z = got
+    return _witness_predicate(_topo.refine_ball(inp.space, outer, z, inp.small,
+                                                samples=50))
+
+
+def _separation(inp: _Inputs) -> PredicateResult:
+    x = inp.rng.standard_normal(inp.space.dim)
+    y = inp.rng.standard_normal(inp.space.dim)
+    return _witness_predicate(_topo.separation_witness(inp.space, x, y, inp.small,
+                                                       samples=50))
+
+
+def _local_base(inp: _Inputs) -> PredicateResult:
+    space, rng = inp.space, inp.rng
+    x = rng.standard_normal(space.dim)
+    outer = _balls.Ball(space, x, float(rng.uniform(0.3, 0.9)),
+                        float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))))
+    n = _topo.local_base_containment(space, x, outer, inp.small, samples=50)
+    return PredicateResult(outcome="pass", record={"n": n})
+
+
+def _intersection(inp: _Inputs) -> PredicateResult:
+    space, rng = inp.space, inp.rng
+    infeasible = PredicateResult(outcome="infeasible",
+                                 record={"reason": "no feasible intersection input"})
+    got = _feasible_refinement_input(space, rng)
+    if got is None:
+        return infeasible
+    outer, z = got
+    other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
+                        min(outer.level * 1.2, 0.9), outer.scale * 1.3)
+    anchor = float(space.kernel(np.asarray(other.scale / space.declared_c),
+                                space.sigma1(other.center - z)))
+    if not (_balls.contains(other, z) and anchor > 1.0 - other.level + 1e-6):
+        return infeasible
+    return _witness_predicate(_topo.basis_intersection_witness(
+        space, outer, other, z, inp.small, samples=50))
+
+
+def _convergence_equiv(inp: _Inputs) -> PredicateResult:
+    space = inp.space
+    v = inp.rng.standard_normal(space.dim)
+    if not np.any(v != 0.0):
+        v = np.ones(space.dim)
+    v = _rescale_to_sigma(space, v, 0.3)
+    grid = ((0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
+            else (0.5, 5.0, 50.0, 500.0))
+    rows = []
+    ok = True
+    for kind, expect in (("harmonic", True), ("constant_offset", False)):
+        seq = _conv.SequenceSpec(kind=kind, base=space.zero(), direction=v)
+        mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid)
+        topo_v = _conv.check_topological_convergence(space, seq)
+        ok &= mu_v.converges == topo_v.converges == expect
+        rows.append({"kind": kind, "mu": mu_v.converges,
+                     "topological": topo_v.converges, "expected": expect})
+    return PredicateResult(outcome="pass" if ok else "fail", record={"cases": rows})
+
+
+# The registry: (name, the declaration it needs, builder).  The order is the
+# report contract: builders draw from the shared registry_inputs stream in
+# this order, and the CLI emits falsify records in it.  Builders look module
+# globals up when they run, so a rebinding (a tracer, a test double) is seen.
+PREDICATES: tuple[tuple[str, str | None, Callable[[_Inputs], PredicateResult]], ...] = (
+    ("pm1", None, lambda inp: _from_report(inp.axioms.parts["pm1"])),
+    ("pm2", None, lambda inp: _from_report(inp.axioms.parts["pm2"])),
+    ("pm3", None, lambda inp: _from_report(inp.axioms.parts["pm3"])),
+    ("pm4", None, lambda inp: _from_report(inp.axioms.parts["pm4"])),
+    ("delta_membership", None, _membership),
+    ("delta2_declared", "declared_c", lambda inp: _from_report(
+        check_delta2_declared(inp.space, inp.budget))),
+    ("delta2_estimate", None, _delta2_estimate),
+    ("beta_declared", "declared_beta", lambda inp: _from_report(
+        check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget))),
+    ("regularity", None, _regularity),
+    ("translate_identity", None, lambda inp: _from_report(_balls.translate_identity(
+        inp.space, inp.rng.standard_normal(inp.space.dim), 0.5, 1.0, inp.small))),
+    ("monotone_in_scale", None, lambda inp: _from_report(
+        _balls.monotone_in_scale(inp.space, 0.5, 0.7, 1.9, inp.small))),
+    ("monotone_in_level", None, lambda inp: _from_report(
+        _balls.monotone_in_level(inp.space, 0.3, 0.6, 1.3, inp.small))),
+    ("scaling_identity", "declared_beta", lambda inp: _from_report(
+        _balls.scaling_identity(inp.space, inp.space.declared_beta, 0.5, 1.7,
+                                inp.small))),
+    ("balanced", "declared_beta", lambda inp: _from_report(
+        _balls.is_balanced_sampled(_unit_ball(inp.space), inp.small))),
+    ("convex", "declared_beta", lambda inp: _from_report(
+        _balls.is_convex_sampled(_unit_ball(inp.space), inp.small))),
+    ("scale_witness_random", None,
+     lambda inp: _random_scale_witnesses(inp.space, inp.budget, 100)),
+    ("scale_witness_boundary", None,
+     lambda inp: _boundary_pairs(inp.space, inp.budget, 100)),
+    ("refine_ball", "declared_c", _refine),
+    ("separation", "declared_c", _separation),
+    ("local_base", None, _local_base),
+    ("basis_intersection", "declared_c", _intersection),
+    ("homogeneous_separation", "declared_beta", lambda inp: _witness_predicate(
+        _topo.homogeneous_separation_witness(
+            inp.space, inp.rng.standard_normal(inp.space.dim), inp.small, samples=50))),
+    ("addition_continuity", "declared_beta", lambda inp: _witness_predicate(
+        _topo.addition_continuity_witness(inp.space, _unit_ball(inp.space), inp.small,
+                                          samples=50))),
+    ("scalar_continuity", "declared_beta", lambda inp: _witness_predicate(
+        _topo.scalar_continuity_witness(inp.space, _unit_ball(inp.space),
+                                        float(inp.rng.uniform(-2.0, 2.0)), inp.small,
+                                        samples=50))),
+    ("convergence_equiv", None, _convergence_equiv),
+)
+PREDICATE_NAMES = tuple(name for name, _, _ in PREDICATES)
+
+_UNDECLARED = {"declared_c": "no declared doubling constant",
+               "declared_beta": "no declared exponent"}
 
 
 def run_registry(space: PMSpace, budget: SampleBudget,
@@ -408,204 +576,24 @@ def run_registry(space: PMSpace, budget: SampleBudget,
     Sample counts for the auxiliary predicates are derived from the
     budget but capped so a registry pass stays desk-scale; axiom checks
     run at the full budget.  A predicates subset restricts execution
-    (used for detection experiments over many seeds).
+    (used for detection experiments over many seeds); a name outside
+    PREDICATES raises ValueError.
     """
-    eps = budget.epsilon
+    unknown = [name for name in predicates or [] if name not in PREDICATE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown predicates {unknown}")
     small = replace(budget, n_vectors=min(budget.n_vectors, 400),
                     n_scalar_pairs=min(budget.n_scalar_pairs, 400))
-    rng = check_rng(budget.rng_seed, "registry_inputs")
-    wants = (lambda name: predicates is None or name in predicates)
+    inp = _Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"))
     results: dict[str, PredicateResult] = {}
-
-    if any(wants(p) for p in ("pm1", "pm2", "pm3", "pm4")):
-        axioms = check_axioms(space, budget)
-        for name, part in axioms.parts.items():
-            if wants(name):
-                results[name] = _from_report(part)
-
-    if wants("delta_membership"):
-        def _membership() -> PredicateResult:
-            X = sample_vectors(check_rng(budget.rng_seed, "membership_pts"),
-                               min(budget.n_vectors, 50), space.dim)
-            bad: list[dict[str, Any]] = []
-            checked = 0
-            for row in np.vstack([np.zeros((1, space.dim)), X]):
-                rep = _distfn.check_delta_membership(mu(space, row), budget)
-                checked += 1
-                if not rep.passed:
-                    bad.append({"x": row.tolist(),
-                                "violations": rep.violations[:3]})
-            return PredicateResult(outcome="fail" if bad else "pass",
-                                   record={"points": checked, "violations": bad[:10],
-                                           "violation_count": len(bad)})
-        results["delta_membership"] = _guard(_membership)
-
-    if wants("delta2_declared"):
-        if space.declared_c is None:
-            results["delta2_declared"] = PredicateResult(
-                outcome="infeasible", record={"reason": "no declared doubling constant"})
-        else:
-            results["delta2_declared"] = _guard(
-                lambda: _from_report(check_delta2_declared(space, budget)))
-
-    if wants("delta2_estimate"):
-        def _estimate() -> PredicateResult:
-            found = find_delta2_constant(space, replace(
-                budget, n_vectors=min(budget.n_vectors, 2000)))
-            return PredicateResult(outcome="pass",
-                                   record={"estimated_c": found})
-        results["delta2_estimate"] = _guard(_estimate)
-
-    if wants("beta_declared"):
-        if space.declared_beta is None:
-            results["beta_declared"] = PredicateResult(
-                outcome="infeasible", record={"reason": "no declared exponent"})
-        else:
-            results["beta_declared"] = _guard(lambda: _from_report(
-                check_beta_homogeneous(space, space.declared_beta, budget)))
-
-    if wants("regularity"):
-        def _regularity() -> PredicateResult:
-            # A probe, not a requirement: valid spaces may lack the
-            # property, so the outcome stays "pass" and the finding is data.
-            rep = check_space_regularity(space, budget, max_points=64)
-            rec = rep.to_record()
-            rec.pop("verdict", None)
-            return PredicateResult(outcome="pass",
-                                   record={"property_holds": rep.passed, **rec})
-        results["regularity"] = _guard(_regularity)
-
-    if wants("translate_identity"):
-        results["translate_identity"] = _guard(lambda: _from_report(
-            _balls.translate_identity(space, rng.standard_normal(space.dim),
-                                      0.5, 1.0, small)))
-    if wants("monotone_in_scale"):
-        results["monotone_in_scale"] = _guard(lambda: _from_report(
-            _balls.monotone_in_scale(space, 0.5, 0.7, 1.9, small)))
-    if wants("monotone_in_level"):
-        results["monotone_in_level"] = _guard(lambda: _from_report(
-            _balls.monotone_in_level(space, 0.3, 0.6, 1.3, small)))
-
-    beta_ok = space.declared_beta is not None
-    for name, call in (
-        ("scaling_identity", lambda: _from_report(_balls.scaling_identity(
-            space, space.declared_beta, 0.5, 1.7, small))),
-        ("balanced", lambda: _from_report(_balls.is_balanced_sampled(
-            _balls.Ball(space, space.zero(), 0.5, 1.0), small))),
-        ("convex", lambda: _from_report(_balls.is_convex_sampled(
-            _balls.Ball(space, space.zero(), 0.5, 1.0), small))),
-    ):
-        if not wants(name):
+    for name, needs, build in PREDICATES:
+        if predicates is not None and name not in predicates:
             continue
-        if not beta_ok:
-            results[name] = PredicateResult(
-                outcome="infeasible", record={"reason": "no declared exponent"})
+        if needs is not None and getattr(space, needs) is None:
+            results[name] = PredicateResult(outcome="infeasible",
+                                            record={"reason": _UNDECLARED[needs]})
         else:
-            results[name] = _guard(call)
-
-    if wants("scale_witness_random"):
-        results["scale_witness_random"] = _guard(
-            lambda: _random_scale_witnesses(space, budget, 100))
-    if wants("scale_witness_boundary"):
-        results["scale_witness_boundary"] = _guard(
-            lambda: _boundary_pairs(space, budget, 100))
-
-    c_ok = space.declared_c is not None
-    if wants("refine_ball"):
-        def _refine() -> PredicateResult:
-            got = _feasible_refinement_input(space, rng)
-            if got is None:
-                return PredicateResult(outcome="infeasible",
-                                       record={"reason": "no feasible refinement input found"})
-            outer, z = got
-            return _witness_predicate(lambda: _topo.refine_ball(
-                space, outer, z, small, samples=50))
-        results["refine_ball"] = (_guard(_refine) if c_ok else PredicateResult(
-            outcome="infeasible", record={"reason": "no declared doubling constant"}))
-
-    if wants("separation"):
-        def _separation() -> PredicateResult:
-            x = rng.standard_normal(space.dim)
-            y = rng.standard_normal(space.dim)
-            return _witness_predicate(lambda: _topo.separation_witness(
-                space, x, y, small, samples=50))
-        results["separation"] = (_guard(_separation) if c_ok else PredicateResult(
-            outcome="infeasible", record={"reason": "no declared doubling constant"}))
-
-    if wants("local_base"):
-        def _local() -> PredicateResult:
-            x = rng.standard_normal(space.dim)
-            outer = _balls.Ball(space, x, float(rng.uniform(0.3, 0.9)),
-                                float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))))
-            n = _topo.local_base_containment(space, x, outer, small, samples=50)
-            return PredicateResult(outcome="pass", record={"n": n})
-        results["local_base"] = _guard(_local)
-
-    if wants("basis_intersection"):
-        def _intersection() -> PredicateResult:
-            got = _feasible_refinement_input(space, rng)
-            if got is None:
-                return PredicateResult(outcome="infeasible",
-                                       record={"reason": "no feasible intersection input"})
-            outer, z = got
-            other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
-                                min(outer.level * 1.2, 0.9), outer.scale * 1.3)
-            anchor = float(space.kernel(
-                np.asarray(other.scale / space.declared_c),
-                space.sigma1(other.center - z)))
-            if not (_balls.contains(other, z)
-                    and anchor > 1.0 - other.level + 1e-6):
-                return PredicateResult(outcome="infeasible",
-                                       record={"reason": "no feasible intersection input"})
-            return _witness_predicate(lambda: _topo.basis_intersection_witness(
-                space, outer, other, z, small, samples=50))
-        results["basis_intersection"] = (_guard(_intersection) if c_ok
-                                         else PredicateResult(outcome="infeasible",
-                                                              record={"reason": "no declared doubling constant"}))
-
-    for name, need_beta, call in (
-        ("homogeneous_separation", True, lambda: _witness_predicate(
-            lambda: _topo.homogeneous_separation_witness(
-                space, rng.standard_normal(space.dim), small, samples=50))),
-        ("addition_continuity", True, lambda: _witness_predicate(
-            lambda: _topo.addition_continuity_witness(
-                space, _balls.Ball(space, space.zero(), 0.5, 1.0), small,
-                samples=50))),
-        ("scalar_continuity", True, lambda: _witness_predicate(
-            lambda: _topo.scalar_continuity_witness(
-                space, _balls.Ball(space, space.zero(), 0.5, 1.0),
-                float(rng.uniform(-2.0, 2.0)), small, samples=50))),
-    ):
-        if not wants(name):
-            continue
-        if need_beta and not beta_ok:
-            results[name] = PredicateResult(
-                outcome="infeasible", record={"reason": "no declared exponent"})
-        else:
-            results[name] = _guard(call)
-
-    if wants("convergence_equiv"):
-        def _equiv() -> PredicateResult:
-            v = rng.standard_normal(space.dim)
-            if not np.any(v != 0.0):
-                v = np.ones(space.dim)
-            v = _rescale_to_sigma(space, v, 0.3)
-            grid = ((0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
-                    else (0.5, 5.0, 50.0, 500.0))
-            rows = []
-            ok = True
-            for kind, expect in (("harmonic", True), ("constant_offset", False)):
-                seq = _conv.SequenceSpec(kind=kind, base=space.zero(), direction=v)
-                mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid)
-                topo_v = _conv.check_topological_convergence(space, seq)
-                agree = mu_v.converges == topo_v.converges == expect
-                ok &= agree
-                rows.append({"kind": kind, "mu": mu_v.converges,
-                             "topological": topo_v.converges, "expected": expect})
-            return PredicateResult(outcome="pass" if ok else "fail",
-                                   record={"cases": rows})
-        results["convergence_equiv"] = _guard(_equiv)
-
+            results[name] = _guard(lambda: build(inp))
     return FalsifierRun(seed=budget.rng_seed,
                         instance=instance or space.to_config(),
                         budget=budget.to_config(), results=results)

@@ -33,9 +33,6 @@ from typing import Any
 import numpy as np
 
 from .distfn import (
-    EPS_STRICT,
-    JUMP_FLOOR,
-    LEFT_PROBES,
     MAX_STORED_VIOLATIONS,
     CheckReport,
     DistributionFunction,
@@ -45,6 +42,8 @@ from .distfn import (
     Step,
     StepClosed,
     _make_report,
+    _regularity_grid,
+    _regularity_scan,
     check_rng,
 )
 
@@ -397,11 +396,12 @@ def sample_scalars(rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _collect(mask: np.ndarray, build) -> tuple[list[dict[str, Any]], int]:
-    """Records for the first MAX_STORED_VIOLATIONS flagged samples, which is
-    all a report keeps, and the count of every flagged sample."""
+def _collect(mask: np.ndarray, build, limit: int | None = MAX_STORED_VIOLATIONS,
+             ) -> tuple[list[dict[str, Any]], int]:
+    """Records for the first limit flagged samples (by default all a report
+    keeps; None for every one), and the count of every flagged sample."""
     idx = np.flatnonzero(mask)
-    return [build(int(i)) for i in idx[:MAX_STORED_VIOLATIONS]], int(idx.size)
+    return [build(int(i)) for i in idx[:limit]], int(idx.size)
 
 
 def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
@@ -499,34 +499,53 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
     return rep
 
 
-def delta2_violations(space: PMSpace, c: float, budget: SampleBudget,
-                      X: np.ndarray | None = None) -> list[dict[str, Any]]:
-    """Samples where mu_{2x}(t) < mu_x(t/c) - eps."""
-    rng = check_rng(budget.rng_seed, "delta2")
+def _delta2_broken(space: PMSpace, c: float, grid: np.ndarray, lhs: np.ndarray,
+                   S: np.ndarray, eps: float,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over samples x
+    and the grid, from lhs = mu_{2x}(grid) and S = sigma(x) as a column:
+    (samples that break it, rhs, rhs - lhs)."""
+    rhs = space.kernel(grid[None, :] / c, S)
+    gap = rhs - lhs
+    return np.max(gap, axis=1) > eps, rhs, gap
+
+
+def _delta2_records(space: PMSpace, c: float, budget: SampleBudget,
+                    X: np.ndarray | None = None,
+                    limit: int | None = MAX_STORED_VIOLATIONS,
+                    ) -> tuple[list[dict[str, Any]], int]:
+    """Records for the first limit samples that break the doubling
+    inequality, and the count of all of them."""
     if X is None:
-        X = sample_vectors(rng, budget.n_vectors, space.dim)
+        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                           space.dim)
     grid = budget.grid_array()
     lhs = space.mu_matrix(2.0 * X, grid)
-    rhs = space.kernel(grid[None, :] / c, space.sigma(X)[:, None])
-    gap = rhs - lhs
-    worst = np.max(gap, axis=1)
-    bad = worst > budget.epsilon
+    bad, rhs, gap = _delta2_broken(space, c, grid, lhs, space.sigma(X)[:, None],
+                                   budget.epsilon)
 
     def rec(i: int) -> dict[str, Any]:
         j = int(np.argmax(gap[i]))
         return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    return [rec(int(i)) for i in np.flatnonzero(bad)]
+    return _collect(bad, rec, limit)
+
+
+def delta2_violations(space: PMSpace, c: float, budget: SampleBudget,
+                      X: np.ndarray | None = None) -> list[dict[str, Any]]:
+    """Samples where mu_{2x}(t) < mu_x(t/c) - eps."""
+    return _delta2_records(space, c, budget, X, limit=None)[0]
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
     """Verify the declared doubling constant against samples."""
     if space.declared_c is None:
         raise ValueError("space declares no doubling constant")
-    viol = delta2_violations(space, space.declared_c, budget)
+    viol, count = _delta2_records(space, space.declared_c, budget)
     return _make_report("delta2_declared", viol, budget.n_vectors,
-                        budget.rng_seed, notes={"c": space.declared_c})
+                        budget.rng_seed, notes={"c": space.declared_c},
+                        n_violations=count)
 
 
 def find_delta2_constant(space: PMSpace, budget: SampleBudget,
@@ -536,15 +555,15 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
     samples; None when every candidate fails."""
     if not c_candidates or any(c <= 0 for c in c_candidates):
         raise ValueError("candidates must be positive")
-    rng = check_rng(budget.rng_seed, "delta2")
-    X = sample_vectors(rng, budget.n_vectors, space.dim)
+    X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                       space.dim)
     grid = budget.grid_array()
     lhs = space.mu_matrix(2.0 * X, grid)
     S = space.sigma(X)[:, None]
     for c in sorted(c_candidates):
-        # The inequality of delta2_violations, tested for emptiness only.
-        rhs = space.kernel(grid[None, :] / c, S)
-        if not np.any(np.max(rhs - lhs, axis=1) > budget.epsilon):
+        # Keep only the verdict: holding rhs or gap into the next candidate
+        # would add one (n_vectors, grid) array to peak memory.
+        if not np.any(_delta2_broken(space, c, grid, lhs, S, budget.epsilon)[0]):
             return float(c)
     return None
 
@@ -589,8 +608,8 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
     """Apply the continuity / strict-increase check to mu_x for sampled
     nonzero x (or for the provided points) and aggregate.
 
-    The scan mirrors distfn.check_transition_regularity but runs on the
-    kernel over a whole batch of sigma values at once.
+    The scan is distfn.check_transition_regularity's, run on the kernel
+    over a whole batch of sigma values at once.
     """
     seed = budget.rng_seed
     eps = budget.epsilon
@@ -610,49 +629,20 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
         rep.notes["vacuous"] = True
         return rep
 
-    S = space.sigma(X)[:, None]
-    grid = np.asarray(sorted(set([1e-5, 1e-4] + list(budget.t_grid) + [1e4, 1e5])))
-    V = space.kernel(grid[None, :], S)
-    violations: list[dict[str, Any]] = []
-    count = 0
-
-    # Continuity clause: localize steep rises, then shrink the probe step.
-    rise = V[:, 1:] - V[:, :-1]
-    idx_i, idx_j = np.nonzero(rise > JUMP_FLOOR)
-    if idx_i.size:
-        lo = grid[idx_j].copy()
-        hi = grid[idx_j + 1].copy()
-        s_flag = S[idx_i, 0]
-        target = 0.5 * (V[idx_i, idx_j] + V[idx_i, idx_j + 1])
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            up = space.kernel(mid, s_flag) >= target
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-        tau = 0.5 * (lo + hi)
-        d_small, d_wide = LEFT_PROBES[-1], LEFT_PROBES[0]
-        g_small = (space.kernel(tau + d_small, s_flag)
-                   - space.kernel(np.maximum(tau - d_small, 0.0), s_flag))
-        g_wide = (space.kernel(tau + d_wide, s_flag)
-                  - space.kernel(np.maximum(tau - d_wide, 0.0), s_flag))
-        jumpy = (g_small > eps) & (g_small >= 0.5 * g_wide)
-        violations, count = _collect(jumpy, lambda k: {
-            "clause": "continuity", "x": X[idx_i[k]].tolist(),
-            "at": float(tau[k]), "gap": float(g_small[k])})
-
-    # Strict clause on the transition band.
-    interior = (V > eps) & (V < 1.0 - eps)
-    pair_ok = interior[:, :-1] & interior[:, 1:]
-    flat = pair_ok & ~(V[:, 1:] > V[:, :-1] + EPS_STRICT)
-    notes["strict_pairs"] = int(np.sum(pair_ok))
-    notes["strict_vacuous"] = bool(np.sum(pair_ok) == 0)
-    flat_i, flat_j = np.nonzero(flat)
+    S = space.sigma(X)
+    grid = _regularity_grid(budget.t_grid)
+    V = space.kernel(grid[None, :], S[:, None])
+    (jump_i, at, gap), (flat_i, flat_j), strict_pairs = _regularity_scan(
+        lambda t, rows: space.kernel(t, S[rows]), V, grid, eps)
+    violations: list[dict[str, Any]] = [
+        {"clause": "continuity", "x": X[i].tolist(), "at": float(t), "gap": float(g)}
+        for i, t, g in zip(jump_i[:MAX_STORED_VIOLATIONS], at, gap)]
     room = MAX_STORED_VIOLATIONS - len(violations)
-    for i, j in zip(flat_i[:room], flat_j[:room]):
-        violations.append({"clause": "strict", "x": X[i].tolist(),
-                           "t1": float(grid[j]), "t2": float(grid[j + 1]),
-                           "f1": float(V[i, j]), "f2": float(V[i, j + 1])})
-    count += flat_i.size
-
+    violations += [{"clause": "strict", "x": X[i].tolist(),
+                    "t1": float(grid[j]), "t2": float(grid[j + 1]),
+                    "f1": float(V[i, j]), "f2": float(V[i, j + 1])}
+                   for i, j in zip(flat_i[:room], flat_j[:room])]
+    notes["strict_pairs"] = strict_pairs
+    notes["strict_vacuous"] = strict_pairs == 0
     return _make_report("space_regularity", violations, n, seed, notes=notes,
-                        n_violations=count)
+                        n_violations=jump_i.size + flat_i.size)

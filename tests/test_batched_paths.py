@@ -188,3 +188,11 @@ def test_axiom_reports_count_every_violation_but_keep_fifty():
     assert len(pm1.violations) == 50
     X = sample_vectors(check_rng(0, "axioms"), 400, 2)
     assert [v["x"] for v in pm1.violations] == X[:50].tolist()
+
+    # The declared doubling constant: counted in full, the first 50 kept,
+    # equal to the head of the full violation list.
+    space = F.generate_instance(0, "rational_from", "break_delta2_declaration")
+    budget = p.SampleBudget(n_vectors=10_000, n_scalar_pairs=10_000, rng_seed=0)
+    rep = p.check_delta2_declared(space, budget)
+    assert rep.n_violations == 9_999 and not rep.passed
+    assert rep.violations == delta2_violations(space, space.declared_c, budget)[:50]

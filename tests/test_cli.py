@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import pmtop.falsifier as F
 from pmtop import cli
 
 
@@ -77,6 +78,48 @@ def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     assert cli.main(["check-axioms", "--config", path, "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("predicates", [["pm5"], [], ["pm1", "pm5"], "pm1"])
+def test_vacuous_or_unknown_predicate_list_is_a_config_error(tmp_path, capsys,
+                                                             predicates):
+    # An unknown name or an empty list would select no predicate and pass
+    # vacuously with exit 0.
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["operation"] = {"predicates": predicates}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["falsify", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "predicates" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "falsify"])
+def test_mutation_that_does_not_apply_is_a_config_error(tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["operation"] = {"mutation": "break_left_continuity"}
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "left-continuity mutation applies to the step family" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "constant_offset"])
+def test_empty_local_base_makes_convergence_equivalence_infeasible(tmp_path, capsys,
+                                                                   kind):
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    cfg["operation"] = {"sequence": {"kind": kind, "base": [0.0], "direction": [0.3]},
+                        "local_base_depth": 1}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["check-convergence", "--config", path]) == 2
+    by_check = {r["check"]: r for r in (
+        json.loads(l) for l in capsys.readouterr().out.splitlines())}
+    assert by_check["topological_convergence"]["vacuous"] is True
+    equivalence = by_check["convergence_equivalence"]
+    assert equivalence["verdict"] == "infeasible"
+    assert "vacuous" in equivalence["reason"]
 
 
 def test_negative_dimension_is_a_config_error(tmp_path):
@@ -218,14 +261,12 @@ def test_falsify_on_valid_step_instance_reports_probe_findings_as_data(tmp_path)
     assert all(r["verdict"] != "fail" for r in by_check.values())
 
 
-def test_thread_count_does_not_change_reports(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, HOMOGENEOUS)
-    out1, out2 = str(tmp_path / "one.ndjson"), str(tmp_path / "four.ndjson")
-    monkeypatch.delenv("PM_TOPOLOGY_THREADS", raising=False)
-    assert cli.main(["ball-identities", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setenv("PM_TOPOLOGY_THREADS", "4")
-    assert cli.main(["ball-identities", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+def test_falsify_records_follow_the_predicate_table(tmp_path):
+    path = write_config(tmp_path, HOMOGENEOUS)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["falsify", "--config", path, "--out", str(out)]) == 0
+    checks = [json.loads(l)["check"] for l in out.read_text().splitlines()]
+    assert checks == list(F.PREDICATE_NAMES)
 
 
 def test_module_entrypoint_runs_as_subprocess(tmp_path):

@@ -112,6 +112,45 @@ def test_registry_subset_runs_only_requested_predicates():
     assert set(run.results) == {"pm3"}
 
 
+def test_registry_rejects_an_unknown_predicate():
+    inst = F.generate_instance(2, "rational_from", None)
+    with pytest.raises(ValueError, match="pm5"):
+        p.run_registry(inst, BUDGET, predicates=["pm3", "pm5"])
+
+
+def test_registry_follows_the_table_and_computes_the_axioms_once(monkeypatch):
+    # Builders look check_axioms up when they run, so the counting double is
+    # seen; the four axiom predicates share one report.
+    calls = []
+
+    def counting(space, budget):
+        calls.append(budget.rng_seed)
+        return p.check_axioms(space, budget)
+
+    monkeypatch.setattr(F, "check_axioms", counting)
+    inst = F.generate_instance(2, "rational_from", None)
+    small = replace(BUDGET, n_vectors=300, n_scalar_pairs=300)
+    run = p.run_registry(inst, small)
+    assert list(run.results) == list(F.PREDICATE_NAMES)
+    assert calls == [small.rng_seed]
+    run = p.run_registry(inst, small, predicates=["separation", "pm4", "pm2"])
+    assert list(run.results) == ["pm2", "pm4", "separation"]
+    assert len(calls) == 2
+
+
+def test_missing_declarations_make_exactly_the_dependent_predicates_infeasible():
+    inst = replace(F.generate_instance(2, "rational_from", None),
+                   declared_c=None, declared_beta=None)
+    run = p.run_registry(inst, BUDGET)
+    reasons = {"declared_c": "no declared doubling constant",
+               "declared_beta": "no declared exponent"}
+    undeclared = {name: {"reason": reasons[need]}
+                  for name, need, _ in F.PREDICATES if need is not None}
+    assert {name: r.record for name, r in run.results.items()
+            if r.record.get("reason") in reasons.values()} == undeclared
+    assert all(run.results[name].outcome == "infeasible" for name in undeclared)
+
+
 def test_registry_never_crashes_on_any_mutation():
     for mutation in p.MUTATION_KINDS:
         inst = F.generate_instance(4, F.MUTATION_FAMILY[mutation], mutation)
