@@ -127,6 +127,65 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
         f"member sampler starved for ball level={ball.level} scale={ball.scale}")
 
 
+def member_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws sample_members(ball, rng, 1, band) makes through its first
+    candidate batch: the 256-row calibration probe, then 64 candidates."""
+    return rng.standard_normal((256, dim)), rng.standard_normal((64, dim))
+
+
+def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
+                        scales: np.ndarray, probes: np.ndarray, first: np.ndarray,
+                        band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """sample_members(ball, rng, 1, band) for a batch of balls, one per lane,
+    from draws made beforehand with member_draws.
+
+    Lane i is the ball (centers[i], levels[i], scales[i]) with the probe
+    probes[i] and the first candidate batch first[i].  The calibration (the
+    oracle seed, then the x2/x0.5 acceptance search, each lane stopping on
+    its own) and the first batch run for all lanes at once, with the float
+    operations of _calibrated_scale and contains_many in their order, so a
+    lane gives the scalar path's bits.  Returns (rows, hit): rows[i] is the
+    member the scalar path returns when hit[i].  A lane whose first batch
+    keeps nothing is left to the caller; the scalar path would go on to
+    draw more batches from the stream.
+    """
+    levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
+    n, dim = centers.shape
+    cut = (1.0 - levels)[:, None]
+
+    def mu(lanes: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # mu_of_offsets for the candidates Y[j] of lane lanes[j].
+        off = centers[lanes, None, :] - Y
+        S = space.sigma(off.reshape(-1, dim)).reshape(off.shape[:2])
+        return space.kernel(scales[lanes, None], S)
+
+    s = np.ones(n)
+    try:
+        thr = oracle_threshold(space, levels, scales)
+        med = np.median(space.sigma(probes.reshape(-1, dim)).reshape(n, -1), axis=1)
+        pos = med > 0
+        s[pos] = np.maximum(thr[pos] / med[pos], 1e-12)
+    except ValueError:
+        pass
+    live = np.arange(n)
+    for _ in range(80):
+        Y = centers[live, None, :] + s[live, None, None] * probes[live]
+        acc = np.mean(mu(live, Y) > cut[live] + EPS_STRICT, axis=1)
+        up, down = acc > 0.8, acc < 0.2
+        s[live[up]] *= 2.0
+        s[live[down]] *= 0.5
+        live = live[up | down]
+        if not live.size:
+            break
+    lanes = np.arange(n)
+    Y = centers[:, None, :] + s[:, None, None] * first
+    m = mu(lanes, Y)
+    keep = m > cut + EPS_STRICT
+    if band > 0:
+        keep &= ~(np.abs(m - cut) <= band)
+    return Y[lanes, np.argmax(keep, axis=1)], np.any(keep, axis=1)
+
+
 def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
     """Sample a mixed in/out cloud around the ball for boolean comparisons."""

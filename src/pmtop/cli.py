@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Callable
 
@@ -40,6 +41,7 @@ from . import falsifier as _fals
 from . import topology as _topo
 from .distfn import SampleBudget, default_t_grid
 from .pmspace import (
+    InfeasibleConstruction,
     PMSpace,
     check_axioms,
     check_beta_homogeneous,
@@ -96,7 +98,13 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
     grid = cfg.get("t_grid")
     if isinstance(grid, dict):
         _reject_unknown(grid, {"min", "max", "count"}, "budget.t_grid")
-        cfg["t_grid"] = default_t_grid(grid["min"], grid["max"], int(grid["count"]))
+        missing = sorted({"min", "max", "count"} - set(grid))
+        if missing:
+            raise ConfigError(f"budget.t_grid is missing {missing}")
+        try:
+            cfg["t_grid"] = default_t_grid(grid["min"], grid["max"], int(grid["count"]))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"invalid budget.t_grid: {exc}") from exc
     if args.t_grid is not None:
         try:
             lo, hi, count = args.t_grid.split(",")
@@ -122,6 +130,36 @@ def _operation(cfg: dict[str, Any], allowed: set[str], command: str) -> dict[str
         raise ConfigError("operation must be an object")
     _reject_unknown(op, allowed, f"operation ({command})")
     return op
+
+
+def _number(value: Any, where: str, need: str,
+            ok: Callable[[Any], bool] = lambda v: True, integer: bool = False) -> Any:
+    """value as a finite number (an int when integer is set; a bool is
+    neither) that passes ok, else a ConfigError naming where."""
+    typed = (isinstance(value, int if integer else (int, float))
+             and not isinstance(value, bool))
+    try:
+        good = typed and math.isfinite(value) and ok(value)
+    except OverflowError:  # an integer too large for a float
+        good = False
+    if not good:
+        raise ConfigError(f"{where} must be {need}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _op_number(op: dict[str, Any], key: str, default: Any, need: str,
+               ok: Callable[[Any], bool] = lambda v: True, integer: bool = False) -> Any:
+    """operation[key], or the default when it is absent, through _number."""
+    return _number(op.get(key, default), f"operation.{key}", need, ok, integer)
+
+
+def _op_numbers(op: dict[str, Any], key: str, need: str,
+                ok: Callable[[Any], bool] = lambda v: True) -> tuple[float, ...]:
+    """operation[key] as a list of numbers, each through _number."""
+    values = op[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"operation.{key} must be a list")
+    return tuple(_number(v, f"each entry of operation.{key}", need, ok) for v in values)
 
 
 def _point(op: dict[str, Any], key: str, space: PMSpace,
@@ -206,7 +244,8 @@ def _h_check_axioms(space, budget, cfg):
 
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
-    candidates = tuple(float(c) for c in op.get("candidates", ())) or None
+    candidates = (_op_numbers(op, "candidates", "a positive number", lambda c: c > 0)
+                  if "candidates" in op else ())
     kwargs = {"c_candidates": candidates} if candidates else {}
     found = find_delta2_constant(space, budget, **kwargs)
     records = [{"check": "delta2_estimate", "seed": budget.rng_seed,
@@ -219,10 +258,13 @@ def _h_check_delta2(space, budget, cfg):
 
 def _h_check_homogeneous(space, budget, cfg):
     op = _operation(cfg, {"beta"}, "check-homogeneous")
-    beta = op.get("beta", space.declared_beta)
-    if beta is None:
+    if "beta" in op:
+        beta = _op_number(op, "beta", None, "a number in (0, 1]", lambda b: 0 < b <= 1)
+    elif space.declared_beta is not None:
+        beta = float(space.declared_beta)
+    else:
         raise ConfigError("check-homogeneous needs operation.beta or a declared exponent")
-    return [check_beta_homogeneous(space, float(beta), budget).to_record()]
+    return [check_beta_homogeneous(space, beta, budget).to_record()]
 
 
 def _h_check_regularity(space, budget, cfg):
@@ -232,10 +274,15 @@ def _h_check_regularity(space, budget, cfg):
 
 def _h_ball_identities(space, budget, cfg):
     op = _operation(cfg, {"level", "scale", "level2", "scale2"}, "ball-identities")
-    level = float(op.get("level", 0.4))
-    scale = float(op.get("scale", 1.0))
-    level2 = float(op.get("level2", 0.7))
-    scale2 = float(op.get("scale2", 2.0))
+    unit = ("a number in (0, 1)", lambda a: 0 < a < 1)
+    positive = ("a positive number", lambda t: t > 0)
+    level = _op_number(op, "level", 0.4, *unit)
+    scale = _op_number(op, "scale", 1.0, *positive)
+    level2 = _op_number(op, "level2", 0.7, *unit)
+    scale2 = _op_number(op, "scale2", 2.0, *positive)
+    if level2 < level or scale2 < scale:
+        raise ConfigError("operation.level2 and operation.scale2 must not be below "
+                          "operation.level and operation.scale")
     rng = np.random.default_rng(budget.rng_seed)
     x = rng.standard_normal(space.dim)
     records = [
@@ -262,14 +309,17 @@ def _h_witness_refine(space, budget, cfg):
     if "outer" in op:
         outer = _ball_from(op["outer"], space, "operation.outer")
         z = _point(op, "z", space, outer.center)
-    else:
-        rng = np.random.default_rng(budget.rng_seed)
-        got = _fals._feasible_refinement_input(space, rng)
+        return [_witness("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
+
+    def searched():
+        # The input search needs the declared doubling constant, so it runs
+        # inside the guard, where a missing one is a precondition failure.
+        got = _fals._feasible_refinement_input(space, np.random.default_rng(budget.rng_seed))
         if got is None:
-            return [{"check": "refine_ball", "verdict": "infeasible",
-                     "reason": "no feasible refinement input found"}]
-        outer, z = got
-    return [_witness("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
+            raise InfeasibleConstruction("no feasible refinement input found")
+        return _topo.refine_ball(space, *got, budget)
+
+    return [_witness("refine_ball", searched)]
 
 
 def _h_witness_separate(space, budget, cfg):
@@ -291,7 +341,7 @@ def _h_witness_continuity(space, budget, cfg):
     target = (_ball_from(op["target"], space, "operation.target")
               if "target" in op
               else _balls.Ball(space, space.zero(), 0.5, 1.0))
-    scalar = float(op.get("scalar", 2.0))
+    scalar = _op_number(op, "scalar", 2.0, "a finite number")
     return [
         _witness("addition_continuity",
                  lambda: _topo.addition_continuity_witness(space, target, budget)),
@@ -306,15 +356,22 @@ def _h_check_convergence(space, budget, cfg):
     if "sequence" not in op:
         raise ConfigError("check-convergence needs operation.sequence")
     seq_cfg = op["sequence"]
+    if not isinstance(seq_cfg, dict):
+        raise ConfigError("operation.sequence must be an object")
     _reject_unknown(seq_cfg, {"kind", "base", "direction", "ratio",
                               "candidate_limit"}, "operation.sequence")
     try:
         seq = _conv.SequenceSpec.from_config(seq_cfg)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid sequence: {exc}") from exc
-    n_max = int(op.get("n_max", _conv.N_MAX))
-    grid = tuple(float(t) for t in op["t_grid"]) if "t_grid" in op else None
-    depth = int(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH))
+    n_max = _op_number(op, "n_max", _conv.N_MAX, "an integer >= 1", lambda n: n >= 1,
+                       integer=True)
+    grid = (_op_numbers(op, "t_grid", "a positive number", lambda t: t > 0)
+            if "t_grid" in op else None)
+    if grid == ():
+        raise ConfigError("operation.t_grid must not be empty")
+    depth = _op_number(op, "local_base_depth", _conv.LOCAL_BASE_DEPTH, "an integer",
+                       integer=True)
 
     mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
     balls = _conv.local_base(space, seq.candidate_limit, depth=depth)

@@ -84,8 +84,14 @@ class SampleBudget:
     vector_law: str = "standard_normal"
 
     def __post_init__(self) -> None:
+        counts = (self.n_vectors, self.n_scalar_pairs, self.rng_seed)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in counts):
+            raise ValueError("sample counts and rng_seed must be integers")
         if self.n_vectors < 1 or self.n_scalar_pairs < 1:
             raise ValueError("sample counts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         grid = tuple(float(t) for t in self.t_grid)
         if (not grid or any(not 0 < t < np.inf for t in grid)
                 or list(grid) != sorted(grid)):

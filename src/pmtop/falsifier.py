@@ -46,7 +46,7 @@ import numpy as np
 from . import balls as _balls
 from . import convergence as _conv
 from . import topology as _topo
-from .distfn import CheckReport, SampleBudget, check_rng
+from .distfn import EPS_STRICT, CheckReport, SampleBudget, check_rng
 from .pmspace import (
     ClosedStepFrom,
     FlooredMap,
@@ -313,23 +313,43 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     (strict membership fails at the boundary) or yields a witness; a
     right-continuous jump accepts the pair and then has no interior
     feasible scale, which is the failure this predicate looks for.
+
+    A trial draws u, then its level only when sigma(u) > 1e-9.  The trials
+    are drawn ahead and tested as one batch; a trial that should have
+    skipped its level draw rewinds the stream to just after its u, and the
+    trials after it are drawn again.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_boundary")
+
+    def draw_x() -> np.ndarray:
+        return rng.standard_normal(space.dim)
+
+    def draw_level() -> float:
+        return float(rng.uniform(0.6, 0.9))
+
     y = np.zeros(space.dim)
     xs, sigmas, levels = [], [], []
-    for _ in range(count):
-        x = rng.standard_normal(space.dim)
-        sig = space.sigma1(x)
-        if not sig > 1e-9:
-            continue
-        level = float(rng.uniform(0.6, 0.9))
-        ball = _balls.Ball(space, x, level, sig)
-        if not _balls.contains(ball, y):
-            continue
-        xs.append(x)
-        sigmas.append(sig)
-        levels.append(level)
-    # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        draws = [(draw_x(), draw_level()) for _ in range(done, count)]
+        X = np.asarray([x for x, _ in draws])
+        lv = np.asarray([level for _, level in draws])
+        S = space.sigma(X)
+        k = next(iter(np.flatnonzero(~(S > 1e-9))), len(draws))
+        # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
+        inside = space.kernel(S[:k], S[:k]) > (1.0 - lv[:k]) + EPS_STRICT
+        xs.extend(X[:k][inside])
+        sigmas.extend(S[:k][inside])
+        levels.extend(lv[:k][inside])
+        if k == len(draws):
+            break
+        rng.bit_generator.state = state
+        for _ in range(k):
+            draw_x()
+            draw_level()
+        draw_x()
+        done += k + 1
     t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, sigmas, levels)
     violations = []
     for i, x in enumerate(xs):
@@ -346,30 +366,68 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
 
 def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                             count: int) -> PredicateResult:
+    """Scale witnesses for random balls, each with one sampled member.
+
+    A trial draws its center, level and scale, then its member through
+    sample_members.  The trials are drawn ahead and sampled as one batch
+    of lanes (balls.sample_member_lanes); a lane whose first candidate
+    batch keeps nothing rewinds the stream to just before its probe, the
+    scalar sampler finishes that trial, and the trials after it are drawn
+    again.
+    """
     rng = check_rng(budget.rng_seed, "scale_witness_random")
-    pairs, lanes = [], []
-    for _ in range(count):
+
+    def ball_draws() -> tuple[np.ndarray, float, float]:
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.2, 0.9))
         scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        ball = _balls.Ball(space, x, level, scale)
+        return x, level, scale
+
+    xs, ys, scales, levels = [], [], [], []
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        draws = [(*ball_draws(), *_balls.member_draws(rng, space.dim))
+                 for _ in range(done, count)]
+        X, lv, sc, probes, first = (np.asarray(v) for v in zip(*draws))
+        rows, hit = _balls.sample_member_lanes(space, X, lv, sc, probes, first,
+                                               band=budget.epsilon)
+        k = next(iter(np.flatnonzero(~hit)), len(draws))
+        xs.extend(X[:k])
+        ys.extend(rows[:k])
+        scales.extend(sc[:k])
+        levels.extend(lv[:k])
+        if k == len(draws):
+            break
+        rng.bit_generator.state = state
+        for _ in range(k):
+            ball_draws()
+            _balls.member_draws(rng, space.dim)
+        x, level, scale = ball_draws()
         try:
-            y = _balls.sample_members(ball, rng, 1, band=budget.epsilon)[0]
+            y = _balls.sample_members(_balls.Ball(space, x, level, scale), rng, 1,
+                                      band=budget.epsilon)[0]
         except VerificationError:
-            continue
-        pairs.append((x, y))
-        lanes.append((space.sigma1(x - y), scale, level))
-    sigmas, scales, levels = np.asarray(lanes, dtype=float).reshape(-1, 3).T
+            pass
+        else:
+            xs.append(x)
+            ys.append(y)
+            scales.append(scale)
+            levels.append(level)
+        done += k + 1
+    X = np.reshape(xs, (-1, space.dim))
+    sigmas = space.sigma(X - np.reshape(ys, (-1, space.dim)))
+    scales, levels = np.asarray(scales, dtype=float), np.asarray(levels, dtype=float)
     t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, scales, levels)
     held = space.kernel(t_star, sigmas) > 1.0 - levels
     violations = []
-    for i, (x, y) in enumerate(pairs):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if reasons[i] is not None:
             violations.append({"x": x.tolist(), "y": y.tolist(), "reason": reasons[i]})
         elif not (0.0 < t_star[i] < scales[i] and held[i]):
             violations.append({"x": x.tolist(), "y": y.tolist(),
                                "t_star": float(t_star[i])})
-    rec = {"pairs": len(pairs), "violations": violations[:20],
+    rec = {"pairs": len(xs), "violations": violations[:20],
            "violation_count": len(violations)}
     return PredicateResult(outcome="fail" if violations else "pass", record=rec)
 
@@ -378,8 +436,9 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
                                margin: float = 1e-6,
                                ) -> tuple[_balls.Ball, np.ndarray] | None:
     """Random (outer, z) satisfying the doubling-chain feasibility
-    mu_(x-z)(t/c) > 1 - alpha with a safety margin."""
-    c = space.declared_c
+    mu_(x-z)(t/c) > 1 - alpha with a safety margin.  Raises ValueError when
+    the space declares no doubling constant."""
+    c = _topo._require_c(space)
     for _ in range(200):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.3, 0.7))

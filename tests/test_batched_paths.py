@@ -1,8 +1,9 @@
 """Batched witness and verdict paths against their scalar references.
 
-The scalar smaller-scale witness loop and the list-based doubling-constant
-search are kept here as references: the batched code must return the same
-bits, the same diagnostics and byte-identical registry reports.
+The scalar smaller-scale witness loop, the per-trial scale-witness
+predicates and the list-based doubling-constant search are kept here as
+references: the batched code must return the same bits, the same
+diagnostics and byte-identical registry reports.
 """
 
 import re
@@ -14,12 +15,14 @@ import pmtop as p
 import pmtop.balls as B
 import pmtop.falsifier as F
 from pmtop.distfn import EPS_STRICT, check_rng
+from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
     ClosedStepFrom,
     FlooredMap,
     PMSpace,
     RationalFrom,
     StepFrom,
+    VerificationError,
     delta2_violations,
     sample_vectors,
 )
@@ -76,6 +79,68 @@ def reference_witnesses(space, sigma, scale, level):
             t_star.append(np.nan)
             reasons.append(str(exc))
     return np.asarray(t_star, dtype=float), reasons
+
+
+def reference_boundary_pairs(space, budget, count):
+    """The per-trial loop _boundary_pairs ran before its trials were batched."""
+    rng = check_rng(budget.rng_seed, "scale_witness_boundary")
+    y = np.zeros(space.dim)
+    xs, sigmas, levels = [], [], []
+    for _ in range(count):
+        x = rng.standard_normal(space.dim)
+        sig = space.sigma1(x)
+        if not sig > 1e-9:
+            continue
+        level = float(rng.uniform(0.6, 0.9))
+        ball = B.Ball(space, x, level, sig)
+        if not B.contains(ball, y):
+            continue
+        xs.append(x)
+        sigmas.append(sig)
+        levels.append(level)
+    t_star, reasons = B.smaller_scale_witnesses(space, sigmas, sigmas, levels)
+    violations = []
+    for i, x in enumerate(xs):
+        if reasons[i] is not None:
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "reason": reasons[i]})
+        elif not (0.0 < t_star[i] < sigmas[i]):
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "t_star": float(t_star[i])})
+    rec = {"eligible": len(xs), "trials": count,
+           "violations": violations[:20], "violation_count": len(violations)}
+    return PredicateResult(outcome="fail" if violations else "pass", record=rec)
+
+
+def reference_random_scale_witnesses(space, budget, count):
+    """The per-trial loop _random_scale_witnesses ran before its trials were
+    batched: one sample_members call per trial."""
+    rng = check_rng(budget.rng_seed, "scale_witness_random")
+    pairs, lanes = [], []
+    for _ in range(count):
+        x = rng.standard_normal(space.dim)
+        level = float(rng.uniform(0.2, 0.9))
+        scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        ball = B.Ball(space, x, level, scale)
+        try:
+            y = B.sample_members(ball, rng, 1, band=budget.epsilon)[0]
+        except VerificationError:
+            continue
+        pairs.append((x, y))
+        lanes.append((space.sigma1(x - y), scale, level))
+    sigmas, scales, levels = np.asarray(lanes, dtype=float).reshape(-1, 3).T
+    t_star, reasons = B.smaller_scale_witnesses(space, sigmas, scales, levels)
+    held = space.kernel(t_star, sigmas) > 1.0 - levels
+    violations = []
+    for i, (x, y) in enumerate(pairs):
+        if reasons[i] is not None:
+            violations.append({"x": x.tolist(), "y": y.tolist(), "reason": reasons[i]})
+        elif not (0.0 < t_star[i] < scales[i] and held[i]):
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "t_star": float(t_star[i])})
+    rec = {"pairs": len(pairs), "violations": violations[:20],
+           "violation_count": len(violations)}
+    return PredicateResult(outcome="fail" if violations else "pass", record=rec)
 
 
 RHO = p.WeightedAbs(weights=(0.7, 1.6))
@@ -140,6 +205,73 @@ def test_batched_witness_rejects_a_non_member_lane():
         p.smaller_scale_witness(ball, outsider)
 
 
+@pytest.mark.parametrize("band", [0.0, 1e-9, 0.2])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_member_lanes_match_sample_members(family, band):
+    space = SPACES[family]
+    rng = np.random.default_rng(len(family))
+    balls = [p.Ball(space, rng.standard_normal(2), float(rng.uniform(0.05, 0.95)),
+                    float(np.exp(rng.uniform(-2.0, 2.0)))) for _ in range(40)]
+    seeds = range(len(balls))
+    draws = [B.member_draws(np.random.default_rng(seed), 2) for seed in seeds]
+    rows, hit = B.sample_member_lanes(
+        space, np.array([b.center for b in balls]), [b.level for b in balls],
+        [b.scale for b in balls], np.array([d[0] for d in draws]),
+        np.array([d[1] for d in draws]), band=band)
+    for i, (ball, seed) in enumerate(zip(balls, seeds)):
+        # A hit lane is the scalar draw, which stops after its first batch;
+        # a missed lane is one whose scalar draw went on drawing.
+        rng_lane, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        B.member_draws(rng_lane, 2)
+        try:
+            want = B.sample_members(ball, rng_ref, 1, band=band)[0]
+        except VerificationError:
+            want = None
+        stopped = rng_ref.bit_generator.state == rng_lane.bit_generator.state
+        assert bool(hit[i]) == (want is not None and stopped)
+        if hit[i]:
+            assert rows[i].tobytes() == want.tobytes()
+    if band == 0.2 and family in ("floored", "rational_from"):
+        assert not np.all(hit)
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 0.2, 0.35])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_scale_witness_predicates_match_per_trial_loops(monkeypatch, family,
+                                                       epsilon):
+    # epsilon 0.2 makes first batches keep nothing, so lanes rewind to the
+    # scalar sampler; 0.35 starves some trials outright.
+    space = SPACES[family]
+    budget = p.SampleBudget(n_vectors=100, epsilon=epsilon, rng_seed=len(family))
+    count = 100 if epsilon < 0.35 else 40
+    scalar_calls = []
+    sample_members = B.sample_members
+
+    def counted(*args, **kwargs):
+        scalar_calls.append(args)
+        return sample_members(*args, **kwargs)
+
+    monkeypatch.setattr(B, "sample_members", counted)
+    got = F._random_scale_witnesses(space, budget, count)
+    if epsilon == 0.2 and family in ("floored", "rational_from"):
+        assert scalar_calls
+    if epsilon == 0.35:
+        assert got.record["pairs"] < count
+    assert got.to_record() == reference_random_scale_witnesses(space, budget,
+                                                               count).to_record()
+    assert (F._boundary_pairs(space, budget, count).to_record()
+            == reference_boundary_pairs(space, budget, count).to_record())
+
+
+def test_boundary_pairs_rewind_past_skipped_level_draws():
+    # sigma(u) <= 1e-9 skips the trial's level draw.
+    space = p.rational_space(p.WeightedAbs(weights=(1e-9, 1e-9)), 2)
+    budget = p.SampleBudget(n_vectors=100, rng_seed=2)
+    got = F._boundary_pairs(space, budget, 100)
+    assert 0 < got.record["eligible"] < 100
+    assert got.to_record() == reference_boundary_pairs(space, budget, 100).to_record()
+
+
 def reference_find_delta2(space, budget, candidates):
     X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
                        space.dim)
@@ -176,6 +308,9 @@ def test_registry_json_matches_the_scalar_witness_loop(monkeypatch, seed, family
     if mutation is not None:
         assert F.MUTATION_TARGETS[mutation] in batched.failures()
     monkeypatch.setattr(B, "smaller_scale_witnesses", reference_witnesses)
+    assert p.run_registry(space, budget).to_json() == batched.to_json()
+    monkeypatch.setattr(F, "_random_scale_witnesses", reference_random_scale_witnesses)
+    monkeypatch.setattr(F, "_boundary_pairs", reference_boundary_pairs)
     assert p.run_registry(space, budget).to_json() == batched.to_json()
 
 

@@ -68,7 +68,9 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
 
 
 @pytest.mark.parametrize("budget", [{"t_grid": [1e-3, float("inf")]},
-                                    {"epsilon": float("inf")}])
+                                    {"epsilon": float("inf")},
+                                    {"t_grid": {"min": 1}},
+                                    {"n_vectors": 1.5}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -78,6 +80,35 @@ def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     assert cli.main(["check-axioms", "--config", path, "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
+
+
+@pytest.mark.parametrize("command, operation", [
+    ("check-homogeneous", {"beta": "abc"}),
+    ("check-delta2", {"candidates": [-1]}),
+    ("check-delta2", {"candidates": "ab"}),
+    ("witness-continuity", {"scalar": "x"}),
+    ("ball-identities", {"level": "x"}),
+    ("ball-identities", {"level": 1.5}),
+    ("ball-identities", {"scale2": 0.5}),
+    ("check-convergence", {"sequence": SEQUENCE, "n_max": 0}),
+    ("check-convergence", {"sequence": 5}),
+    ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1, "a"]}),
+    ("check-convergence", {"sequence": SEQUENCE, "t_grid": []}),
+    ("check-convergence", {"sequence": SEQUENCE, "local_base_depth": "a"}),
+])
+def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
+                                                     operation):
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["operation"] = operation
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.ndjson"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "operation." in captured.err
 
 
 @pytest.mark.parametrize("predicates", [["pm5"], [], ["pm1", "pm5"], "pm1"])
@@ -229,6 +260,23 @@ def test_witness_refine_subcommand_with_explicit_input(tmp_path, capsys):
     assert cli.main(["witness-refine", "--config", path]) == 0
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["verdict"] == "pass" and rec["inner"]["level"] == pytest.approx(0.25)
+
+
+def test_witness_refine_without_declared_constant_is_infeasible(tmp_path, capsys):
+    # The input search needs the doubling constant; without one the command
+    # reports the same precondition as with an explicit input.
+    cfg = json.loads(json.dumps(RATIONAL))
+    del cfg["instance"]["declared_c"]
+    searched = write_config(tmp_path, cfg, "searched.json")
+    assert cli.main(["witness-refine", "--config", searched]) == 2
+    report = capsys.readouterr().out
+    cfg["operation"] = {"outer": {"center": [0.0, 0.0], "level": 0.5, "scale": 1.0}}
+    explicit = write_config(tmp_path, cfg, "explicit.json")
+    assert cli.main(["witness-refine", "--config", explicit]) == 2
+    assert capsys.readouterr().out == report
+    rec = json.loads(report)
+    assert rec["verdict"] == "infeasible"
+    assert "declared doubling constant" in rec["reason"]
 
 
 def test_regularity_subcommand_fails_on_step(tmp_path):

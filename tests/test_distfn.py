@@ -221,3 +221,7 @@ def test_budget_validation():
     for eps in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             df.SampleBudget(epsilon=eps)
+    for bad in ({"n_vectors": 1.5}, {"n_scalar_pairs": True}, {"rng_seed": 1.5},
+                {"rng_seed": -1}):
+        with pytest.raises(ValueError):
+            df.SampleBudget(**bad)
