@@ -4,18 +4,12 @@ axiom checkers, executable topology witnesses, and a structural falsifier."""
 from .distfn import (
     CheckReport,
     DistributionFunction,
-    Floored,
     PiecewiseLinear,
-    Rational,
     SampleBudget,
-    Step,
-    StepClosed,
     check_delta_membership,
     check_left_continuity,
     check_transition_regularity,
     default_t_grid,
-    eval_at,
-    pointwise_min,
 )
 from .pmspace import (
     DELTA2_CANDIDATES,

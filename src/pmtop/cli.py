@@ -41,6 +41,7 @@ from . import falsifier as _fals
 from . import topology as _topo
 from .distfn import SampleBudget, default_t_grid
 from .pmspace import (
+    MAX_DIM,
     InfeasibleConstruction,
     PMSpace,
     check_axioms,
@@ -48,6 +49,7 @@ from .pmspace import (
     check_delta2_declared,
     check_space_regularity,
     find_delta2_constant,
+    space_from_config,
 )
 
 SUBCOMMANDS = (
@@ -83,8 +85,18 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     if kind not in allowed:
         raise ConfigError(f"unknown modular kind {kind!r}")
     _reject_unknown(modular, allowed[kind], "instance.modular")
+    # Types here; the model classes enforce the other ranges.
+    _number(cfg["dim"], "instance.dim", f"an integer in 1..{MAX_DIM}",
+            lambda d: 1 <= d <= MAX_DIM, integer=True)
+    if "p" in modular:
+        _number(modular["p"], "instance.modular.p", "a finite number")
+    if "weights" in modular:
+        _numbers(modular["weights"], "instance.modular.weights", "a finite number")
+    for key in ("declared_c", "declared_beta"):
+        if cfg.get(key) is not None:
+            _number(cfg[key], f"instance.{key}", "a finite number")
     try:
-        return PMSpace.from_config(cfg)
+        return space_from_config(cfg)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid instance: {exc}") from exc
 
@@ -101,9 +113,13 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
         missing = sorted({"min", "max", "count"} - set(grid))
         if missing:
             raise ConfigError(f"budget.t_grid is missing {missing}")
+        lo = _number(grid["min"], "budget.t_grid.min", "a finite number")
+        hi = _number(grid["max"], "budget.t_grid.max", "a finite number")
+        count = _number(grid["count"], "budget.t_grid.count", "an integer >= 2",
+                        lambda n: n >= 2, integer=True)
         try:
-            cfg["t_grid"] = default_t_grid(grid["min"], grid["max"], int(grid["count"]))
-        except (ValueError, TypeError, OverflowError) as exc:
+            cfg["t_grid"] = default_t_grid(lo, hi, count)
+        except ValueError as exc:
             raise ConfigError(f"invalid budget.t_grid: {exc}") from exc
     if args.t_grid is not None:
         try:
@@ -153,13 +169,12 @@ def _op_number(op: dict[str, Any], key: str, default: Any, need: str,
     return _number(op.get(key, default), f"operation.{key}", need, ok, integer)
 
 
-def _op_numbers(op: dict[str, Any], key: str, need: str,
-                ok: Callable[[Any], bool] = lambda v: True) -> tuple[float, ...]:
-    """operation[key] as a list of numbers, each through _number."""
-    values = op[key]
+def _numbers(values: Any, where: str, need: str,
+             ok: Callable[[Any], bool] = lambda v: True) -> tuple[float, ...]:
+    """values as a list of numbers, each through _number."""
     if not isinstance(values, list):
-        raise ConfigError(f"operation.{key} must be a list")
-    return tuple(_number(v, f"each entry of operation.{key}", need, ok) for v in values)
+        raise ConfigError(f"{where} must be a list")
+    return tuple(_number(v, f"each entry of {where}", need, ok) for v in values)
 
 
 def _point(op: dict[str, Any], key: str, space: PMSpace,
@@ -244,7 +259,8 @@ def _h_check_axioms(space, budget, cfg):
 
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
-    candidates = (_op_numbers(op, "candidates", "a positive number", lambda c: c > 0)
+    candidates = (_numbers(op["candidates"], "operation.candidates", "a positive number",
+                           lambda c: c > 0)
                   if "candidates" in op else ())
     kwargs = {"c_candidates": candidates} if candidates else {}
     found = find_delta2_constant(space, budget, **kwargs)
@@ -366,7 +382,8 @@ def _h_check_convergence(space, budget, cfg):
         raise ConfigError(f"invalid sequence: {exc}") from exc
     n_max = _op_number(op, "n_max", _conv.N_MAX, "an integer >= 1", lambda n: n >= 1,
                        integer=True)
-    grid = (_op_numbers(op, "t_grid", "a positive number", lambda t: t > 0)
+    grid = (_numbers(op["t_grid"], "operation.t_grid", "a positive number",
+                     lambda t: t > 0)
             if "t_grid" in op else None)
     if grid == ():
         raise ConfigError("operation.t_grid must not be empty")

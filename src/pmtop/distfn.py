@@ -1,27 +1,19 @@
-"""Distribution functions on the real line with values in [0, 1].
+"""Distribution functions on the real line with values in [0, 1], and the
+sampling budget and report types every check shares.
 
-These are the monotone building blocks of probabilistic modulars:
-non-decreasing maps f: R -> [0, 1] with inf f = 0 and sup f = 1.  Only a
-closed set of structural kinds is supported, so every instance serializes
-to a tagged record and the falsifier can mutate instances structurally
-instead of wrapping opaque callables.
+A distribution function is a non-decreasing map f: R -> [0, 1] with
+inf f = 0 and sup f = 1, the value mu_x a probabilistic modular assigns to
+a vector x.  Those values come from pmspace.mu, which binds the space's
+scalar kernel at sigma(x); this module holds the checks on a single
+function (admissibility, left continuity, transition regularity) and one
+kind that is not a kernel:
 
-Kinds
------
-rational(r)
-    t / (t + r) for t > 0, else 0.  The r = 0 member is identically 1 on
-    t > 0 (the image of the zero vector under a rational modular map).
-step(threshold)
-    1 for t > threshold, else 0.  Left-continuous at the jump.
-step_closed(threshold)
-    1 for t >= threshold (and t > 0), else 0.  Right-continuous at the
-    jump; a deliberately broken probe kind used by the falsifier.
 piecewise_linear(breakpoints)
     Linear interpolation through (t, v) breakpoints; 0 left of the first
-    breakpoint and equal to the last value right of the last one.
-floored(base, floor)
-    max(base(t), floor) for t >= 0, else 0.  Breaks the value-at-zero
-    requirement on purpose; another falsifier probe kind.
+    breakpoint and equal to the last value right of the last one.  It can
+    take shapes no kernel produces (a decreasing segment, a capped
+    supremum, a jump or a flat interior stretch), which is what the
+    checks here are tested against.
 
 All values are immutable after construction and every operation here is a
 pure function, so concurrent evaluation needs no synchronization.
@@ -115,10 +107,6 @@ class SampleBudget:
             "vector_law": self.vector_law,
         }
 
-    @classmethod
-    def from_config(cls, cfg: dict[str, Any]) -> "SampleBudget":
-        return cls(**cfg)
-
 
 @dataclass
 class CheckReport:
@@ -184,14 +172,12 @@ def check_rng(seed: int, label: str, shard: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# The structural kinds.
+# Distribution functions and the checks on a single one.
 # ---------------------------------------------------------------------------
 
 
 class DistributionFunction:
-    """Base class; concrete kinds implement eval_many over float arrays."""
-
-    kind: str = ""
+    """Base class; concrete functions implement eval_many over float arrays."""
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -199,70 +185,10 @@ class DistributionFunction:
     def __call__(self, t: float) -> float:
         return float(self.eval_many(np.asarray([t], dtype=float))[0])
 
-    def to_config(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Rational(DistributionFunction):
-    r: float
-    kind: str = field(default="rational", init=False)
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.r) and self.r >= 0):
-            raise ValueError(f"rational parameter must be finite and >= 0, got {self.r}")
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        np.divide(t, t + self.r, out=out, where=pos)
-        return out
-
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "rational", "r": self.r}
-
-
-@dataclass(frozen=True)
-class Step(DistributionFunction):
-    threshold: float
-    kind: str = field(default="step", init=False)
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError(f"step threshold must be finite and >= 0, got {self.threshold}")
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return ((t > self.threshold) & (t > 0)).astype(float)
-
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "step", "threshold": self.threshold}
-
-
-@dataclass(frozen=True)
-class StepClosed(DistributionFunction):
-    """Right-continuous step; evaluates to 1 already at the threshold."""
-
-    threshold: float
-    kind: str = field(default="step_closed", init=False)
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError(f"step threshold must be finite and >= 0, got {self.threshold}")
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return ((t >= self.threshold) & (t > 0)).astype(float)
-
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "step_closed", "threshold": self.threshold}
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear(DistributionFunction):
     breakpoints: tuple[tuple[float, float], ...]
-    kind: str = field(default="piecewise_linear", init=False)
 
     def __post_init__(self) -> None:
         bps = tuple((float(t), float(v)) for t, v in self.breakpoints)
@@ -283,61 +209,6 @@ class PiecewiseLinear(DistributionFunction):
         # 0 strictly left of the first breakpoint (np.interp clamps to vs[0]).
         out = np.where(t < xs[0], 0.0, out)
         return out
-
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "piecewise_linear",
-                "breakpoints": [[t, v] for t, v in self.breakpoints]}
-
-
-@dataclass(frozen=True)
-class Floored(DistributionFunction):
-    base: DistributionFunction
-    floor: float
-    kind: str = field(default="floored", init=False)
-
-    def __post_init__(self) -> None:
-        if not (0 < self.floor < 1):
-            raise ValueError("floor must lie in (0, 1)")
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0, 0.0, np.maximum(self.base.eval_many(t), self.floor))
-
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "floored", "base": self.base.to_config(), "floor": self.floor}
-
-
-_KINDS = {"rational", "step", "step_closed", "piecewise_linear", "floored"}
-
-
-def from_config(cfg: dict[str, Any]) -> DistributionFunction:
-    kind = cfg.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown distribution function kind {kind!r}")
-    if kind == "rational":
-        return Rational(r=cfg["r"])
-    if kind == "step":
-        return Step(threshold=cfg["threshold"])
-    if kind == "step_closed":
-        return StepClosed(threshold=cfg["threshold"])
-    if kind == "piecewise_linear":
-        return PiecewiseLinear(breakpoints=tuple((t, v) for t, v in cfg["breakpoints"]))
-    return Floored(base=from_config(cfg["base"]), floor=cfg["floor"])
-
-
-# ---------------------------------------------------------------------------
-# Operations.
-# ---------------------------------------------------------------------------
-
-
-def eval_at(f: DistributionFunction, t: float) -> float:
-    """Evaluate f at any real t."""
-    return f(t)
-
-
-def pointwise_min(f: DistributionFunction, g: DistributionFunction, t: float) -> float:
-    """The minimum t-norm applied pointwise: (f ^ g)(t)."""
-    return min(f(t), g(t))
 
 
 def _confirm_limit(f: DistributionFunction, start: float, target: str,

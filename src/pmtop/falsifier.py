@@ -287,20 +287,14 @@ def _kernel_kind(space: PMSpace) -> str:
 
 
 def _rescale_to_sigma(space: PMSpace, v: np.ndarray, target: float) -> np.ndarray:
-    """Scale v so that sigma(scale * v) is roughly the target (bisection on
-    the monotone threshold predicate)."""
-    lo, hi = 0.0, 1.0
+    """Scale v so that sigma(scale * v) is roughly the target: double the
+    scale until it reaches the target, then bisect down to its infimum."""
+    hi = 1.0
     for _ in range(60):
         if space.sigma1(hi * v) >= target:
             break
         hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if space.sigma1(mid * v) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi * v
+    return _topo._bisect_infimum(lambda s: space.sigma1(s * v) >= target, hi) * v
 
 
 def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> PredicateResult:

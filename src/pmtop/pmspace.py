@@ -13,12 +13,13 @@ Two reference families are provided, both driven by a classical modular
 rho (a nonnegative, even, convexly subadditive functional vanishing only
 at 0):
 
-    rational_from(rho)   mu_x = rational(rho(x)),  i.e.  t / (t + rho(x))
-    step_from(rho)       mu_x = step(rho(x)),      i.e.  1_{t > rho(x)}
+    rational_from(rho)   mu_x(t) = t / (t + rho(x))  for t > 0, else 0
+    step_from(rho)       mu_x(t) = 1_{t > rho(x)}    for t > 0, else 0
 
 For both families every modular value reduces to a scalar kernel
-kappa(t, sigma) evaluated at sigma = rho(x), which is what makes the
-closed-form membership oracles and the vectorized checkers below cheap.
+kappa(t, sigma) evaluated at sigma = rho(x).  The kernel is the only
+definition of mu_x: mu(space, x) binds it at one x, and the vectorized
+checkers and closed-form membership oracles below evaluate it directly.
 
 Naming note: the convexity weights of PM4 are called a, b here; the
 symbol alpha is reserved for ball levels and beta for the homogeneity
@@ -36,11 +37,7 @@ from .distfn import (
     MAX_STORED_VIOLATIONS,
     CheckReport,
     DistributionFunction,
-    Floored,
-    Rational,
     SampleBudget,
-    Step,
-    StepClosed,
     _make_report,
     _regularity_grid,
     _regularity_scan,
@@ -170,29 +167,18 @@ class ModularMap:
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def mu(self, x: Vector) -> DistributionFunction:
-        raise NotImplementedError
-
     def to_config(self) -> dict[str, Any]:
         return {"family": self.family, "modular": self.rho.to_config()}
-
-
-def _rational_kernel(T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
-    out = np.zeros(T.shape, dtype=float)
-    pos = T > 0
-    np.divide(T, T + S, out=out, where=pos)
-    return out
 
 
 class RationalFrom(ModularMap):
     family = "rational_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return _rational_kernel(T, S)
-
-    def mu(self, x: Vector) -> DistributionFunction:
-        return Rational(r=self.sigma1(x))
+        T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
+        out = np.zeros(T.shape, dtype=float)
+        np.divide(T, T + S, out=out, where=T > 0)
+        return out
 
 
 class StepFrom(ModularMap):
@@ -201,9 +187,6 @@ class StepFrom(ModularMap):
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
         return ((T > S) & (T > 0)).astype(float)
-
-    def mu(self, x: Vector) -> DistributionFunction:
-        return Step(threshold=self.sigma1(x))
 
 
 class ClosedStepFrom(ModularMap):
@@ -214,9 +197,6 @@ class ClosedStepFrom(ModularMap):
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
         return ((T >= S) & (T > 0)).astype(float)
-
-    def mu(self, x: Vector) -> DistributionFunction:
-        return StepClosed(threshold=self.sigma1(x))
 
 
 class FlooredMap(ModularMap):
@@ -234,9 +214,6 @@ class FlooredMap(ModularMap):
         T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
         return np.where(T < 0, 0.0, np.maximum(self.base.kernel(T, S), self.floor))
 
-    def mu(self, x: Vector) -> DistributionFunction:
-        return Floored(base=self.base.mu(x), floor=self.floor)
-
     def to_config(self) -> dict[str, Any]:
         cfg = self.base.to_config()
         cfg["floored"] = self.floor
@@ -245,16 +222,6 @@ class FlooredMap(ModularMap):
 
 _FAMILIES = {"rational_from": RationalFrom, "step_from": StepFrom,
              "step_closed_from": ClosedStepFrom}
-
-
-def map_from_config(cfg: dict[str, Any]) -> ModularMap:
-    family = cfg.get("family")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown modular family {family!r}")
-    base = _FAMILIES[family](modular_from_config(cfg["modular"]))
-    if "floored" in cfg:
-        return FlooredMap(base, cfg["floored"])
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +255,6 @@ class PMSpace:
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         return self.modular_map.kernel(T, S)
 
-    def mu_value(self, x: Vector, t: float) -> float:
-        return float(self.kernel(np.asarray(t, dtype=float), self.sigma1(x)))
-
     def mu_matrix(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """mu_{X[i]}(T[j]) as an (N, len(T)) matrix."""
         S = self.sigma(X)[:, None]
@@ -307,17 +271,34 @@ class PMSpace:
             cfg["declared_beta"] = self.declared_beta
         return cfg
 
-    @classmethod
-    def from_config(cls, cfg: dict[str, Any]) -> "PMSpace":
-        mm = map_from_config(cfg)
-        return cls(dim=int(cfg["dim"]), modular_map=mm,
+
+def space_from_config(cfg: dict[str, Any]) -> PMSpace:
+    """The space a PMSpace.to_config record describes."""
+    family = cfg.get("family")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown modular family {family!r}")
+    mm = _FAMILIES[family](modular_from_config(cfg["modular"]))
+    if "floored" in cfg:
+        mm = FlooredMap(mm, cfg["floored"])
+    return PMSpace(dim=int(cfg["dim"]), modular_map=mm,
                    declared_c=cfg.get("declared_c"),
                    declared_beta=cfg.get("declared_beta"))
 
 
-def mu(space: PMSpace, x: Vector) -> DistributionFunction:
+@dataclass(frozen=True)
+class BoundKernel(DistributionFunction):
+    """mu_x as a function of t alone: the space's kernel at sigma = sigma(x)."""
+
+    space: PMSpace
+    sigma: float
+
+    def eval_many(self, t: np.ndarray) -> np.ndarray:
+        return self.space.kernel(t, self.sigma)
+
+
+def mu(space: PMSpace, x: Vector) -> BoundKernel:
     """The distribution function assigned to x by the space's modular."""
-    return space.modular_map.mu(as_vector(x, space.dim))
+    return BoundKernel(space, space.sigma1(x))
 
 
 # Reference constructors used everywhere in tests and the CLI.

@@ -91,7 +91,7 @@ def test_witness_validity_on_random_members():
             y = p.sample_members(ball, rng, 1, band=1e-9)[0]
             t_star = p.smaller_scale_witness(ball, y)
             assert 0.0 < t_star < ball.scale
-            assert space.mu_value(center - y, t_star) > 1.0 - ball.level
+            assert p.mu(space, center - y)(t_star) > 1.0 - ball.level
 
 
 def test_witness_infeasible_for_right_continuous_jump():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +71,8 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
 @pytest.mark.parametrize("budget", [{"t_grid": [1e-3, float("inf")]},
                                     {"epsilon": float("inf")},
                                     {"t_grid": {"min": 1}},
-                                    {"n_vectors": 1.5}])
+                                    {"n_vectors": 1.5},
+                                    {"t_grid": {"min": 1, "max": 10, "count": 2.5}}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -109,6 +111,28 @@ def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "operation." in captured.err
+
+
+@pytest.mark.parametrize("instance", [
+    {"dim": 1.5},
+    {"dim": True},
+    {"modular": {"kind": "p_power", "p": True}},
+    {"modular": {"kind": "weighted_abs", "weights": [True]}},
+    {"modular": {"kind": "weighted_abs", "weights": 1.0}},
+    {"declared_c": True},
+    {"declared_beta": True},
+    {"declared_beta": "1"},
+])
+def test_malformed_instance_value_is_a_config_error(tmp_path, capsys, instance):
+    # A bool or a fractional dim must not be coerced (True to 1.0, 1.5 to 1).
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    cfg["instance"].update(instance)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["check-homogeneous", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "instance." in captured.err
 
 
 @pytest.mark.parametrize("predicates", [["pm5"], [], ["pm1", "pm5"], "pm1"])
@@ -197,7 +221,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     out1, out2 = str(tmp_path / "r1.ndjson"), str(tmp_path / "r2.ndjson")
     assert cli.main(["check-axioms", "--config", cfg, "--out", out1]) == 0
     assert cli.main(["check-axioms", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_reports_round_trip_to_identical_bytes(tmp_path):
@@ -208,8 +232,8 @@ def test_reports_round_trip_to_identical_bytes(tmp_path):
     path = write_config(tmp_path, cfg)
     out = str(tmp_path / "report.ndjson")
     assert cli.main(["check-convergence", "--config", path, "--out", out]) == 0
-    for line in open(out, "r", encoding="utf-8"):
-        assert cli.canonical_line(json.loads(line)) == line.rstrip("\n")
+    for line in Path(out).read_text(encoding="utf-8").splitlines():
+        assert cli.canonical_line(json.loads(line)) == line
 
 
 def test_exit_code_is_a_pure_function_of_records():
@@ -302,7 +326,8 @@ def test_falsify_on_valid_step_instance_reports_probe_findings_as_data(tmp_path)
     out = str(tmp_path / "report.ndjson")
     assert cli.main(["falsify", "--config", path, "--out", out]) == 2
     by_check = {r["check"]: r
-                for r in (json.loads(l) for l in open(out, encoding="utf-8"))}
+                for r in (json.loads(l)
+                          for l in Path(out).read_text(encoding="utf-8").splitlines())}
     assert by_check["regularity"]["verdict"] == "pass"
     assert by_check["regularity"]["property_holds"] is False
     assert by_check["homogeneous_separation"]["verdict"] == "infeasible"

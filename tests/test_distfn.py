@@ -1,15 +1,31 @@
-"""Distribution function kinds: evaluation semantics, admissibility,
-one-sided continuity probes, and the transition-regularity check."""
-
-import json
+"""Distribution functions, mu_x through pmspace.mu for each map kind and
+PiecewiseLinear: evaluation semantics, admissibility, one-sided continuity
+probes, and the transition-regularity check."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmtop import distfn as df
+from pmtop import pmspace as pm
 
 BUDGET = df.SampleBudget(n_vectors=100, n_scalar_pairs=100, rng_seed=0)
+
+FAMILIES = ("rational_from", "step_from", "step_closed_from", "floored")
+
+
+def space_of(family, rho=pm.PPower(p=1.0), dim=1):
+    """A space over one of the four map kinds; floored wraps rational_from."""
+    if family == "floored":
+        return pm.PMSpace(dim=dim, modular_map=pm.FlooredMap(pm.RationalFrom(rho), 0.1))
+    kinds = {"rational_from": pm.RationalFrom, "step_from": pm.StepFrom,
+             "step_closed_from": pm.ClosedStepFrom}
+    return pm.PMSpace(dim=dim, modular_map=kinds[family](rho))
+
+
+def mu_at(family, sigma):
+    """mu_x at sigma(x) = sigma: over PPower(1) in one dimension sigma([s]) = s."""
+    return pm.mu(space_of(family), [sigma])
 
 
 # -- evaluation semantics ----------------------------------------------------
@@ -17,33 +33,54 @@ BUDGET = df.SampleBudget(n_vectors=100, n_scalar_pairs=100, rng_seed=0)
 
 def test_rational_value_by_hand():
     # 1 / (1 + 1) worked by hand
-    assert df.eval_at(df.Rational(r=1.0), 1.0) == pytest.approx(0.5, abs=0)
+    assert mu_at("rational_from", 1.0)(1.0) == pytest.approx(0.5, abs=0)
 
 
 def test_step_strict_at_threshold():
-    assert df.eval_at(df.Step(threshold=2.0), 2.0) == 0.0
-    assert df.eval_at(df.Step(threshold=2.0), 2.0 + 1e-12) == 1.0
+    assert mu_at("step_from", 2.0)(2.0) == 0.0
+    assert mu_at("step_from", 2.0)(2.0 + 1e-12) == 1.0
 
 
 def test_nonpositive_arguments_evaluate_to_zero():
-    for f in (df.Rational(r=1.0), df.Step(threshold=2.0), df.StepClosed(threshold=2.0)):
-        assert df.eval_at(f, -1.0) == 0.0
-        assert df.eval_at(f, 0.0) == 0.0
+    for family in ("rational_from", "step_from", "step_closed_from"):
+        f = mu_at(family, 2.0)
+        assert f(-1.0) == 0.0
+        assert f(0.0) == 0.0
 
 
 def test_degenerate_rational_is_one_on_positive_axis():
-    f = df.Rational(r=0.0)
-    assert df.eval_at(f, 0.5) == 1.0
-    assert df.eval_at(f, 0.0) == 0.0
+    f = mu_at("rational_from", 0.0)
+    assert f(0.5) == 1.0
+    assert f(0.0) == 0.0
+
+
+# Each kind at sigma = 2, worked by hand at t = -1, 0, the threshold 2, and 6.
+_HAND = {
+    "rational_from": [0.0, 0.0, 0.5, 0.75],
+    "step_from": [0.0, 0.0, 0.0, 1.0],
+    "step_closed_from": [0.0, 0.0, 1.0, 1.0],
+    "floored": [0.0, 0.1, 0.5, 0.75],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mu_is_the_kernel_bit_for_bit(family):
+    space = space_of(family, pm.PPower(p=2.0), dim=2)
+    x = np.array([1.0, 1.0])                     # sigma = 1 + 1 = 2
+    f = pm.mu(space, x)
+    assert f.sigma == 2.0
+    assert f.eval_many(np.array([-1.0, 0.0, 2.0, 6.0])).tolist() == _HAND[family]
+    ts = np.array([-1.0, 0.0, 1e-3, 1.0, 2.0, 2.0 + 1e-12, 7.3, 1e3])
+    assert np.array_equal(f.eval_many(ts), space.mu_matrix(x[None], ts)[0])
 
 
 def test_piecewise_linear_interpolation_by_hand():
     f = df.PiecewiseLinear(breakpoints=((1.0, 0.2), (3.0, 0.8)))
     # midpoint: 0.2 + (2-1)/(3-1) * 0.6 = 0.5 by hand
-    assert df.eval_at(f, 2.0) == pytest.approx(0.5)
-    assert df.eval_at(f, 0.999) == 0.0          # zero left of first breakpoint
-    assert df.eval_at(f, 1.0) == pytest.approx(0.2)
-    assert df.eval_at(f, 10.0) == pytest.approx(0.8)  # constant right of last
+    assert f(2.0) == pytest.approx(0.5)
+    assert f(0.999) == 0.0          # zero left of first breakpoint
+    assert f(1.0) == pytest.approx(0.2)
+    assert f(10.0) == pytest.approx(0.8)  # constant right of last
 
 
 def test_piecewise_linear_validates_breakpoints():
@@ -53,12 +90,6 @@ def test_piecewise_linear_validates_breakpoints():
         df.PiecewiseLinear(breakpoints=((0.0, 1.5),))
     with pytest.raises(ValueError):
         df.PiecewiseLinear(breakpoints=())
-
-
-def test_pointwise_min_by_hand():
-    # min(1/2, 1/4) with both values worked by hand
-    assert df.pointwise_min(df.Rational(r=1.0), df.Rational(r=3.0), 1.0) == pytest.approx(0.25)
-    assert df.pointwise_min(df.Step(threshold=1.0), df.Step(threshold=2.0), 1.5) == 0.0
 
 
 # -- hypothesis properties ---------------------------------------------------
@@ -79,9 +110,7 @@ def monotone_pwl(draw):
 
 
 _functions = st.one_of(
-    _params.map(lambda r: df.Rational(r=r)),
-    _params.map(lambda t: df.Step(threshold=t)),
-    _params.map(lambda t: df.StepClosed(threshold=t)),
+    *[_params.map(lambda s, family=family: mu_at(family, s)) for family in FAMILIES],
     monotone_pwl(),
 )
 
@@ -92,27 +121,20 @@ _points = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @given(f=_functions, s=_points, t=_points)
 def test_eval_is_non_decreasing(f, s, t):
     lo, hi = min(s, t), max(s, t)
-    assert df.eval_at(f, lo) <= df.eval_at(f, hi)
-
-
-@settings(max_examples=80, deadline=None)
-@given(f=_functions, g=_functions, t=_points)
-def test_pointwise_min_commutes_and_is_idempotent(f, g, t):
-    assert df.pointwise_min(f, g, t) == df.pointwise_min(g, f, t)
-    assert df.pointwise_min(f, f, t) == df.eval_at(f, t)
+    assert f(lo) <= f(hi)
 
 
 @settings(max_examples=60, deadline=None)
 @given(r=st.floats(min_value=1e-6, max_value=1e6), t=_points)
 def test_rational_stays_below_one_for_positive_parameter(r, t):
-    assert df.eval_at(df.Rational(r=r), t) < 1.0
+    assert mu_at("rational_from", r)(t) < 1.0
 
 
 # -- admissibility -----------------------------------------------------------
 
 
 def test_delta_membership_rational_passes():
-    assert df.check_delta_membership(df.Rational(r=2.0), BUDGET).passed
+    assert df.check_delta_membership(mu_at("rational_from", 2.0), BUDGET).passed
 
 
 def test_delta_membership_catches_decreasing_values():
@@ -123,7 +145,7 @@ def test_delta_membership_catches_decreasing_values():
 
 
 def test_delta_membership_step_at_zero_passes():
-    assert df.check_delta_membership(df.Step(threshold=0.0), BUDGET).passed
+    assert df.check_delta_membership(mu_at("step_from", 0.0), BUDGET).passed
 
 
 def test_delta_membership_catches_capped_supremum():
@@ -137,12 +159,12 @@ def test_delta_membership_catches_capped_supremum():
 
 
 def test_left_continuity_continuous_function_passes():
-    assert df.check_left_continuity(df.Rational(r=1.0), 1.0, BUDGET).passed
+    assert df.check_left_continuity(mu_at("rational_from", 1.0), 1.0, BUDGET).passed
 
 
 def test_left_continuity_open_step_passes_at_its_jump():
     # 1_{t > 1} takes the value 0 at t = 1, matching its left limit.
-    assert df.check_left_continuity(df.Step(threshold=1.0), 1.0, BUDGET).passed
+    assert df.check_left_continuity(mu_at("step_from", 1.0), 1.0, BUDGET).passed
 
 
 def test_left_continuity_crafted_jump_fails():
@@ -154,11 +176,11 @@ def test_left_continuity_crafted_jump_fails():
 
 def test_left_continuity_requires_positive_point():
     with pytest.raises(ValueError):
-        df.check_left_continuity(df.Rational(r=1.0), 0.0, BUDGET)
+        df.check_left_continuity(mu_at("rational_from", 1.0), 0.0, BUDGET)
 
 
 def test_closed_step_fails_left_continuity_at_jump():
-    rep = df.check_left_continuity(df.StepClosed(threshold=1.0), 1.0, BUDGET)
+    rep = df.check_left_continuity(mu_at("step_closed_from", 1.0), 1.0, BUDGET)
     assert not rep.passed
 
 
@@ -166,13 +188,13 @@ def test_closed_step_fails_left_continuity_at_jump():
 
 
 def test_regularity_rational_passes():
-    rep = df.check_transition_regularity(df.Rational(r=1.0), BUDGET)
+    rep = df.check_transition_regularity(mu_at("rational_from", 1.0), BUDGET)
     assert rep.passed
     assert rep.notes["continuity_ok"] and rep.notes["strict_ok"]
 
 
 def test_regularity_step_fails_on_continuity_with_vacuous_strict_clause():
-    rep = df.check_transition_regularity(df.Step(threshold=1.0), BUDGET)
+    rep = df.check_transition_regularity(mu_at("step_from", 1.0), BUDGET)
     assert not rep.passed
     assert not rep.notes["continuity_ok"]
     assert rep.notes["strict_vacuous"]
@@ -187,23 +209,7 @@ def test_regularity_flat_interior_segment_fails_strict_clause():
     assert rep.notes["continuity_ok"]
 
 
-# -- serialization -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("f", [
-    df.Rational(r=0.1),
-    df.Rational(r=0.0),
-    df.Step(threshold=1e-3),
-    df.StepClosed(threshold=2.5),
-    df.PiecewiseLinear(breakpoints=((0.1, 0.0), (0.3, 0.7), (9.0, 1.0))),
-    df.Floored(base=df.Rational(r=2.0), floor=0.1),
-])
-def test_config_round_trip_is_bit_exact(f):
-    cfg = json.loads(json.dumps(f.to_config()))
-    g = df.from_config(cfg)
-    assert g.to_config() == f.to_config()
-    ts = np.array([-1.0, 0.0, 1e-3, 0.1, 1.0, 7.3, 1e3])
-    assert np.array_equal(f.eval_many(ts), g.eval_many(ts))
+# -- budget -----------------------------------------------------------------
 
 
 def test_budget_validation():

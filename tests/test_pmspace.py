@@ -48,16 +48,17 @@ def test_reference_families_satisfy_convexity_axiom_brute_force():
 def test_mu_examples():
     sp = p.rational_space(p.PPower(p=1.0), 1)
     f = p.mu(sp, np.array([1.0]))
-    assert isinstance(f, p.Rational) and f.r == 1.0
+    assert f.sigma == 1.0
     assert f(1.0) == pytest.approx(0.5, abs=0)
+    assert f(3.0) == pytest.approx(0.75, abs=0)
 
     zero_mu = p.mu(sp, np.array([0.0]))
     assert all(zero_mu(t) == 1.0 for t in (1e-3, 1.0, 1e3))
 
     st = p.step_space(p.PPower(p=1.0), 1)
     g = p.mu(st, np.array([2.0]))
-    assert isinstance(g, p.Step) and g.threshold == 2.0
-    assert g(3.0) == 1.0
+    assert g.sigma == 2.0
+    assert g(2.0) == 0.0 and g(3.0) == 1.0
 
 
 def test_mu_rejects_dimension_mismatch():
@@ -219,7 +220,7 @@ def test_oracle_threshold_refuses_mutated_maps():
 
 def test_space_config_round_trip():
     sp = p.rational_space(p.PPower(p=2.0), 3, declared_c=4.0)
-    again = p.PMSpace.from_config(sp.to_config())
+    again = p.pmspace.space_from_config(sp.to_config())
     assert again.to_config() == sp.to_config()
     X = np.random.default_rng(0).standard_normal((5, 3))
     assert np.array_equal(sp.sigma(X), again.sigma(X))
