@@ -85,6 +85,9 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     if kind not in allowed:
         raise ConfigError(f"unknown modular kind {kind!r}")
     _reject_unknown(modular, allowed[kind], "instance.modular")
+    missing = sorted(allowed[kind] - set(modular))
+    if missing:
+        raise ConfigError(f"instance.modular.{missing[0]} is required")
     # Types here; the model classes enforce the other ranges.
     _number(cfg["dim"], "instance.dim", f"an integer in 1..{MAX_DIM}",
             lambda d: 1 <= d <= MAX_DIM, integer=True)
@@ -186,6 +189,8 @@ def _point(op: dict[str, Any], key: str, space: PMSpace,
             raise ConfigError(f"operation.{key} must be a vector") from exc
         if v.shape != (space.dim,):
             raise ConfigError(f"operation.{key} must have dimension {space.dim}")
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"operation.{key} entries must be finite")
         return v
     return fallback
 

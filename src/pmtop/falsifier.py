@@ -48,6 +48,7 @@ from . import convergence as _conv
 from . import topology as _topo
 from .distfn import EPS_STRICT, CheckReport, SampleBudget, check_rng
 from .pmspace import (
+    AXIOMS,
     ClosedStepFrom,
     FlooredMap,
     InfeasibleConstruction,
@@ -456,16 +457,17 @@ def _witness_predicate(witness: Any) -> PredicateResult:
 class _Inputs:
     """What the registry's builders share: small caps both sample counts at
     400, rng is the registry_inputs stream, and the axiom report is computed
-    once, on first use."""
+    once, on first use, for the axioms the run requested (axiom_names)."""
 
     space: PMSpace
     budget: SampleBudget
     small: SampleBudget
     rng: np.random.Generator
+    axiom_names: tuple[str, ...]
 
     @cached_property
     def axioms(self) -> CheckReport:
-        return check_axioms(self.space, self.budget)
+        return check_axioms(self.space, self.budget, self.axiom_names)
 
 
 def _unit_ball(space: PMSpace) -> _balls.Ball:
@@ -637,7 +639,9 @@ def run_registry(space: PMSpace, budget: SampleBudget,
         raise ValueError(f"unknown predicates {unknown}")
     small = replace(budget, n_vectors=min(budget.n_vectors, 400),
                     n_scalar_pairs=min(budget.n_scalar_pairs, 400))
-    inp = _Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"))
+    inp = _Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"),
+                  tuple(name for name in AXIOMS
+                        if predicates is None or name in predicates))
     results: dict[str, PredicateResult] = {}
     for name, needs, build in PREDICATES:
         if predicates is not None and name not in predicates:

@@ -50,6 +50,13 @@ MAX_DIM = 8
 # bracketing both reference families (2 for degree-1, 4 for degree-2).
 DELTA2_CANDIDATES = tuple(float(2 ** (k / 4)) for k in range(17))
 
+# Rows per block of the doubling-constant search: a candidate is ruled out
+# at the first block holding a sample that breaks it.
+DELTA2_CHUNK = 256
+
+# The four axioms, in the order check_axioms reports them.
+AXIOMS = ("pm1", "pm2", "pm3", "pm4")
+
 Vector = np.ndarray
 
 
@@ -385,8 +392,16 @@ def _collect(mask: np.ndarray, build, limit: int | None = MAX_STORED_VIOLATIONS,
     return [build(int(i)) for i in idx[:limit]], int(idx.size)
 
 
-def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
-    """Run PM1-PM4 over the budget's samples; per-axiom breakdown in parts.
+def check_axioms(space: PMSpace, budget: SampleBudget,
+                 axioms: tuple[str, ...] = AXIOMS) -> CheckReport:
+    """Run the requested axioms of PM1-PM4 over one draw of the budget's
+    samples; the per-axiom breakdown is in parts, in AXIOMS order.
+
+    Every call draws X from the "axioms" stream and computes sigma(X); only
+    PM4 draws more (Y, a, then its random probe scales), after X, so each
+    part reads the same samples and gives the same record whichever other
+    parts are requested.  Only the requested parts are computed; the
+    combined report covers them.
 
     PM4 is probed, for every sampled (x, y, a) triple, at a random grid
     pair, at structured pairs involving s = 0 or t = 0, and at the
@@ -395,54 +410,102 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
     so it gives the checker its detection power without any change to the
     inequality being tested.
     """
-    seed = budget.rng_seed
-    eps = budget.epsilon
-    grid = budget.grid_array()
-    n = budget.n_vectors
-
-    rng = check_rng(seed, "axioms")
-    X = sample_vectors(rng, n, space.dim)
+    if not axioms or any(name not in AXIOMS for name in axioms):
+        raise ValueError(f"axioms must be a non-empty subset of {AXIOMS}, got {axioms}")
+    rng = check_rng(budget.rng_seed, "axioms")
+    X = sample_vectors(rng, budget.n_vectors, space.dim)
     S_x = space.sigma(X)
-    M = space.mu_matrix(X, grid)
+    build = {"pm1": lambda: _check_pm1(space, budget, X, S_x),
+             "pm2": lambda: _check_pm2(space, budget, X, S_x),
+             "pm3": lambda: _check_pm3(space, budget, X, S_x),
+             "pm4": lambda: _check_pm4(space, budget, X, S_x, rng)}
+    parts = {name: build[name]() for name in AXIOMS if name in axioms}
+    all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
+    rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
+                       budget.rng_seed)
+    rep.parts = parts
+    rep.passed = all(r.passed for r in parts.values())
+    return rep
 
-    # PM1: value at zero vanishes for every sampled x.
+
+def _check_pm1(space: PMSpace, budget: SampleBudget, X: np.ndarray,
+               S_x: np.ndarray) -> CheckReport:
+    """PM1: the value at zero vanishes for every sampled x."""
     v0 = space.kernel(np.asarray(0.0), S_x)
-    bad = np.abs(v0) > eps
+    bad = np.abs(v0) > budget.epsilon
     viol, count = _collect(bad, lambda i: {
         "x": X[i].tolist(), "mu_at_0": float(v0[i])})
-    pm1 = _make_report("pm1", viol, n, seed, n_violations=count)
+    return _make_report("pm1", viol, len(X), budget.rng_seed, n_violations=count)
 
-    # PM2 forward: the zero vector's distribution is exactly 1 on t > 0.
+
+def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
+               S_x: np.ndarray) -> CheckReport:
+    """PM2 forward: the zero vector's distribution is exactly 1 on t > 0.
+    PM2 reverse: no sampled nonzero x may sit at 1 across the whole grid.
+
+    A sample stuck at 1 on the grid is re-probed up to twelve decades
+    below the grid before it counts: a small x drops to 0 down there,
+    while a genuine zero-identification defect stays at 1 everywhere.
+
+    A row is stuck only if it is at 1 at every grid point, so the kernel
+    is evaluated at the first grid point for every sample and over the
+    whole grid only for the rows still at 1 there.  The kernel is
+    elementwise, so those rows are the bits the full (n, grid) matrix holds.
+    """
+    eps = budget.epsilon
+    grid = budget.grid_array()
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
     fwd_bad = not np.all(mu0 == 1.0)
-    # PM2 reverse: no sampled nonzero x may sit at 1 across the whole grid.
-    # A sample stuck at 1 on the grid is re-probed up to twelve decades
-    # below the grid before it counts: a small x drops to 0 down there,
-    # while a genuine zero-identification defect stays at 1 everywhere.
-    nonzero = np.any(X != 0.0, axis=1)
-    stuck = nonzero & np.all(M >= 1.0 - eps, axis=1)
+    rows = np.flatnonzero(np.any(X != 0.0, axis=1)
+                          & (space.kernel(grid[0], S_x) >= 1.0 - eps))
+    M = space.kernel(grid[None, :], S_x[rows][:, None])
+    stuck = np.all(M >= 1.0 - eps, axis=1)
     if np.any(stuck):
         ext = grid[0] * np.power(10.0, -np.arange(1.0, 13.0))
-        M_ext = space.kernel(ext[None, :], S_x[stuck][:, None])
+        M_ext = space.kernel(ext[None, :], S_x[rows[stuck]][:, None])
         still = np.all(M_ext >= 1.0 - eps, axis=1)
         stuck[np.nonzero(stuck)[0]] = still
-    pm2_viol, count = _collect(stuck, lambda i: {
-        "x": X[i].tolist(), "min_mu": float(np.min(M[i]))})
+    viol, count = _collect(stuck, lambda k: {
+        "x": X[rows[k]].tolist(), "min_mu": float(np.min(M[k]))})
     if fwd_bad:
-        pm2_viol.insert(0, {"x": space.zero().tolist(),
-                            "min_mu": float(np.min(mu0))})
+        viol.insert(0, {"x": space.zero().tolist(), "min_mu": float(np.min(mu0))})
         count += 1
-    pm2 = _make_report("pm2", pm2_viol, n + 1, seed, n_violations=count)
+    return _make_report("pm2", viol, len(X) + 1, budget.rng_seed, n_violations=count)
 
-    # PM3: symmetry of the modular.
-    M_neg = space.mu_matrix(-X, grid)
-    asym = np.max(np.abs(M_neg - M), axis=1)
-    bad = asym > eps
-    viol, count = _collect(bad, lambda i: {
-        "x": X[i].tolist(), "max_gap": float(asym[i])})
-    pm3 = _make_report("pm3", viol, n, seed, n_violations=count)
 
-    # PM4 over sampled pairs, weights, and probe (s, t) pairs.
+def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
+               S_x: np.ndarray) -> CheckReport:
+    """PM3: symmetry of the modular, max_t |mu_{-x}(t) - mu_x(t)| <= eps.
+
+    Both rows are the elementwise kernel(grid, s), at s = sigma(-x) and at
+    s = sigma(x).  Where the two sigma values have the same bits, the two
+    rows are the same floats and the gap is exactly 0, so the kernel is
+    evaluated only on the other rows; those give the gaps and records the
+    full (n, grid) matrices would give.
+    """
+    S_neg = space.sigma(-X)
+    rows = np.flatnonzero(_float_bits(S_neg) != _float_bits(S_x))
+    grid = budget.grid_array()[None, :]
+    gap = np.max(np.abs(space.kernel(grid, S_neg[rows][:, None])
+                        - space.kernel(grid, S_x[rows][:, None])), axis=1)
+    bad = gap > budget.epsilon
+    viol, count = _collect(bad, lambda k: {
+        "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
+    return _make_report("pm3", viol, len(X), budget.rng_seed, n_violations=count)
+
+
+def _float_bits(values: np.ndarray) -> np.ndarray:
+    """The bit pattern of each float64: -0.0 and 0.0 differ, and a NaN
+    equals a NaN with the same bits."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
+               S_x: np.ndarray, rng: np.random.Generator) -> CheckReport:
+    """PM4 over sampled pairs, weights and probe (s, t) pairs; draws Y, a
+    and the random probe scales from rng, in that order."""
+    n = len(X)
+    grid = budget.grid_array()
     Y = sample_vectors(rng, n, space.dim)
     a = sample_convex_weights(rng, n)
     mids = a[:, None] * X + (1.0 - a[:, None]) * Y
@@ -460,7 +523,7 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
                      space.kernel(probe_t, S_y[:, None]))
     gap = rhs - lhs
     worst = np.max(gap, axis=1)
-    bad = worst > eps
+    bad = worst > budget.epsilon
 
     def pm4_record(i: int) -> dict[str, Any]:
         j = int(np.argmax(gap[i]))
@@ -469,15 +532,8 @@ def check_axioms(space: PMSpace, budget: SampleBudget) -> CheckReport:
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
     viol, count = _collect(bad, pm4_record)
-    pm4 = _make_report("pm4", viol, n * probe_s.shape[1], seed, n_violations=count)
-
-    parts = {"pm1": pm1, "pm2": pm2, "pm3": pm3, "pm4": pm4}
-    all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
-    rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
-                       seed)
-    rep.parts = parts
-    rep.passed = all(r.passed for r in parts.values())
-    return rep
+    return _make_report("pm4", viol, n * probe_s.shape[1], budget.rng_seed,
+                        n_violations=count)
 
 
 def _delta2_broken(space: PMSpace, c: float, grid: np.ndarray, lhs: np.ndarray,
@@ -533,7 +589,13 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
                          c_candidates: tuple[float, ...] = DELTA2_CANDIDATES,
                          ) -> float | None:
     """Smallest candidate c with mu_{2x}(t) >= mu_x(t/c) - eps on all
-    samples; None when every candidate fails."""
+    samples; None when every candidate fails.
+
+    Only emptiness is asked, so each candidate is tested on blocks of
+    DELTA2_CHUNK rows in sample order and ruled out at the first block
+    holding a broken row.  A row's verdict reads only that row, so "some
+    block has a broken row" is "some row is broken" over all samples.
+    """
     if not c_candidates or any(c <= 0 for c in c_candidates):
         raise ValueError("candidates must be positive")
     X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
@@ -541,10 +603,11 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
     grid = budget.grid_array()
     lhs = space.mu_matrix(2.0 * X, grid)
     S = space.sigma(X)[:, None]
+    blocks = [slice(lo, lo + DELTA2_CHUNK) for lo in range(0, len(X), DELTA2_CHUNK)]
     for c in sorted(c_candidates):
-        # Keep only the verdict: holding rhs or gap into the next candidate
-        # would add one (n_vectors, grid) array to peak memory.
-        if not np.any(_delta2_broken(space, c, grid, lhs, S, budget.epsilon)[0]):
+        if not any(np.any(_delta2_broken(space, c, grid, lhs[b], S[b],
+                                         budget.epsilon)[0])
+                   for b in blocks):
             return float(c)
     return None
 

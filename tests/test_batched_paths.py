@@ -1,12 +1,16 @@
 """Batched witness and verdict paths against their scalar references.
 
 The scalar smaller-scale witness loop, the per-trial scale-witness
-predicates and the list-based doubling-constant search are kept here as
-references: the batched code must return the same bits, the same
-diagnostics and byte-identical registry reports.
+predicates, the list-based and the full-scan doubling-constant searches and
+the all-four axiom check are kept here as references: the batched code must
+return the same bits, the same diagnostics and byte-identical registry
+reports.
 """
 
+import itertools
+import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,16 +18,22 @@ import pytest
 import pmtop as p
 import pmtop.balls as B
 import pmtop.falsifier as F
-from pmtop.distfn import EPS_STRICT, check_rng
+from pmtop.distfn import EPS_STRICT, _make_report, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
+    AXIOMS,
+    DELTA2_CHUNK,
     ClosedStepFrom,
     FlooredMap,
     PMSpace,
     RationalFrom,
+    SigmaFunctional,
     StepFrom,
     VerificationError,
+    _collect,
+    _delta2_broken,
     delta2_violations,
+    sample_convex_weights,
     sample_vectors,
 )
 
@@ -281,6 +291,20 @@ def reference_find_delta2(space, budget, candidates):
     return None
 
 
+def reference_find_delta2_full_scan(space, budget, candidates):
+    """find_delta2_constant before its block-wise early exit: each candidate
+    is tested on every row at once."""
+    X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                       space.dim)
+    grid = budget.grid_array()
+    lhs = space.mu_matrix(2.0 * X, grid)
+    S = space.sigma(X)[:, None]
+    for c in sorted(candidates):
+        if not np.any(_delta2_broken(space, c, grid, lhs, S, budget.epsilon)[0]):
+            return float(c)
+    return None
+
+
 @pytest.mark.parametrize("space", [
     p.rational_space(p.PPower(p=1.0), 2),
     p.rational_space(p.PPower(p=2.0), 3),
@@ -288,11 +312,150 @@ def reference_find_delta2(space, budget, candidates):
     p.step_space(p.PPower(p=2.0), 1),
 ], ids=["rational-p1", "rational-p2", "step-weighted", "step-p2"])
 def test_find_delta2_matches_first_empty_violation_list(space):
-    budget = p.SampleBudget(n_vectors=1500, n_scalar_pairs=10, rng_seed=5)
-    for candidates in (p.DELTA2_CANDIDATES, (4.0, 1.0, 2.0), (1.0, 1.5),
-                       (3.0, 2.5, 8.0), (1.9,)):
-        assert (p.find_delta2_constant(space, budget, candidates)
-                == reference_find_delta2(space, budget, candidates))
+    # 1500 rows end in a partial block; on step-p2 the candidate 3.999 is
+    # first broken at row 948, past the first block.
+    for n_vectors in (DELTA2_CHUNK // 2, 1500):
+        assert n_vectors < DELTA2_CHUNK or n_vectors % DELTA2_CHUNK
+        budget = p.SampleBudget(n_vectors=n_vectors, n_scalar_pairs=10, rng_seed=5)
+        for candidates in (p.DELTA2_CANDIDATES, (4.0, 1.0, 2.0), (1.0, 1.5),
+                           (3.0, 2.5, 8.0), (1.9,), (1.999, 3.999, 8.0)):
+            found = p.find_delta2_constant(space, budget, candidates)
+            assert found == reference_find_delta2_full_scan(space, budget, candidates)
+            assert found == reference_find_delta2(space, budget, candidates)
+
+
+def reference_check_axioms(space, budget):
+    """check_axioms before its parts were split: all four axioms, with both
+    pm3 matrices in full."""
+    seed = budget.rng_seed
+    eps = budget.epsilon
+    grid = budget.grid_array()
+    n = budget.n_vectors
+
+    rng = check_rng(seed, "axioms")
+    X = sample_vectors(rng, n, space.dim)
+    S_x = space.sigma(X)
+    M = space.mu_matrix(X, grid)
+
+    v0 = space.kernel(np.asarray(0.0), S_x)
+    bad = np.abs(v0) > eps
+    viol, count = _collect(bad, lambda i: {
+        "x": X[i].tolist(), "mu_at_0": float(v0[i])})
+    pm1 = _make_report("pm1", viol, n, seed, n_violations=count)
+
+    mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
+    fwd_bad = not np.all(mu0 == 1.0)
+    nonzero = np.any(X != 0.0, axis=1)
+    stuck = nonzero & np.all(M >= 1.0 - eps, axis=1)
+    if np.any(stuck):
+        ext = grid[0] * np.power(10.0, -np.arange(1.0, 13.0))
+        M_ext = space.kernel(ext[None, :], S_x[stuck][:, None])
+        still = np.all(M_ext >= 1.0 - eps, axis=1)
+        stuck[np.nonzero(stuck)[0]] = still
+    pm2_viol, count = _collect(stuck, lambda i: {
+        "x": X[i].tolist(), "min_mu": float(np.min(M[i]))})
+    if fwd_bad:
+        pm2_viol.insert(0, {"x": space.zero().tolist(),
+                            "min_mu": float(np.min(mu0))})
+        count += 1
+    pm2 = _make_report("pm2", pm2_viol, n + 1, seed, n_violations=count)
+
+    M_neg = space.mu_matrix(-X, grid)
+    asym = np.max(np.abs(M_neg - M), axis=1)
+    bad = asym > eps
+    viol, count = _collect(bad, lambda i: {
+        "x": X[i].tolist(), "max_gap": float(asym[i])})
+    pm3 = _make_report("pm3", viol, n, seed, n_violations=count)
+
+    Y = sample_vectors(rng, n, space.dim)
+    a = sample_convex_weights(rng, n)
+    mids = a[:, None] * X + (1.0 - a[:, None]) * Y
+    S_y = space.sigma(Y)
+    S_m = space.sigma(mids)
+    s_rand = grid[rng.integers(0, grid.size, n)]
+    t_rand = grid[rng.integers(0, grid.size, n)]
+    zeros = np.zeros(n)
+    probe_s = np.stack([s_rand, zeros, s_rand, zeros, S_x], axis=1)
+    probe_t = np.stack([t_rand, t_rand, zeros, zeros, S_y], axis=1)
+    lhs = space.kernel(probe_s + probe_t, S_m[:, None])
+    rhs = np.minimum(space.kernel(probe_s, S_x[:, None]),
+                     space.kernel(probe_t, S_y[:, None]))
+    gap = rhs - lhs
+    bad = np.max(gap, axis=1) > eps
+
+    def pm4_record(i):
+        j = int(np.argmax(gap[i]))
+        return {"x": X[i].tolist(), "y": Y[i].tolist(), "a": float(a[i]),
+                "s": float(probe_s[i, j]), "t": float(probe_t[i, j]),
+                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+
+    viol, count = _collect(bad, pm4_record)
+    pm4 = _make_report("pm4", viol, n * probe_s.shape[1], seed, n_violations=count)
+
+    parts = {"pm1": pm1, "pm2": pm2, "pm3": pm3, "pm4": pm4}
+    all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
+    rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
+                       seed)
+    rep.parts = parts
+    rep.passed = all(r.passed for r in parts.values())
+    return rep
+
+
+@dataclass(frozen=True)
+class TiltedAbs(SigmaFunctional):
+    """sum |x_i| plus the excess of x_0 over 1: convex, and symmetric
+    exactly on the samples with |x_0| <= 1."""
+
+    def rho(self, X):
+        return np.sum(np.abs(X), axis=-1) + np.maximum(X[..., 0] - 1.0, 0.0)
+
+
+AXIOM_SPACES = {
+    **SPACES,
+    **{m: F.generate_instance(seed, "rational_from", m)
+       for seed, m in enumerate(("break_pm1", "break_pm2", "break_pm3", "break_pm4"))},
+    "tilted": PMSpace(2, RationalFrom(TiltedAbs())),
+    # Most samples sit at 1 over the whole grid and drop below it.
+    "tiny_step": PMSpace(2, StepFrom(p.WeightedAbs(weights=(1e-4, 1e-4)))),
+}
+
+
+def canonical(rep):
+    return json.dumps(rep.to_record(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_SPACES))
+def test_axiom_subsets_match_the_all_four_reference(name):
+    space = AXIOM_SPACES[name]
+    budget = p.SampleBudget(n_vectors=400, n_scalar_pairs=400, rng_seed=len(name))
+    ref = reference_check_axioms(space, budget)
+    full = p.check_axioms(space, budget)
+    assert canonical(full) == canonical(ref) and full.passed == ref.passed
+    for k in range(1, len(AXIOMS) + 1):
+        for subset in itertools.combinations(AXIOMS, k):
+            got = p.check_axioms(space, budget, subset)
+            assert list(got.parts) == list(subset)
+            assert ({a: canonical(r) for a, r in got.parts.items()}
+                    == {a: canonical(ref.parts[a]) for a in subset})
+            assert got.passed == all(ref.parts[a].passed for a in subset)
+    assert list(p.check_axioms(space, budget, ("pm4", "pm1")).parts) == ["pm1", "pm4"]
+    if name in F.MUTATION_KINDS:
+        assert not ref.parts[F.MUTATION_TARGETS[name]].passed
+    if name == "tiny_step":
+        assert ref.parts["pm2"].passed and ref.parts["pm4"].passed
+    if name == "tilted":
+        # Both pm3 branches run: bit-equal sigma rows and evaluated ones.
+        X = sample_vectors(check_rng(budget.rng_seed, "axioms"), 400, 2)
+        same = space.sigma(-X) == space.sigma(X)
+        assert 0 < np.count_nonzero(same) < len(X)
+        assert not ref.parts["pm3"].passed
+        assert ref.parts["pm3"].n_violations == np.count_nonzero(~same)
+
+
+@pytest.mark.parametrize("axioms", [(), ("pm5",), ("pm1", "PM2")])
+def test_check_axioms_rejects_an_empty_or_unknown_axiom_list(axioms):
+    with pytest.raises(ValueError, match="subset"):
+        p.check_axioms(SPACES["rational_from"], p.SampleBudget(n_vectors=10), axioms)
 
 
 @pytest.mark.parametrize("seed, family, mutation", [

@@ -100,6 +100,7 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1, "a"]}),
     ("check-convergence", {"sequence": SEQUENCE, "t_grid": []}),
     ("check-convergence", {"sequence": SEQUENCE, "local_base_depth": "a"}),
+    ("witness-separate", {"x": [float("inf"), 0.0]}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -122,6 +123,8 @@ def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
     {"declared_c": True},
     {"declared_beta": True},
     {"declared_beta": "1"},
+    {"modular": {"kind": "p_power"}},
+    {"modular": {"kind": "weighted_abs"}},
 ])
 def test_malformed_instance_value_is_a_config_error(tmp_path, capsys, instance):
     # A bool or a fractional dim must not be coerced (True to 1.0, 1.5 to 1).

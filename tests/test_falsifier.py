@@ -8,6 +8,7 @@ import pytest
 
 import pmtop as p
 import pmtop.falsifier as F
+from pmtop.pmspace import AXIOMS
 
 BUDGET = p.SampleBudget(n_vectors=3000, n_scalar_pairs=3000, rng_seed=1)
 
@@ -120,22 +121,86 @@ def test_registry_rejects_an_unknown_predicate():
 
 def test_registry_follows_the_table_and_computes_the_axioms_once(monkeypatch):
     # Builders look check_axioms up when they run, so the counting double is
-    # seen; the four axiom predicates share one report.
+    # seen; the axiom predicates a run requests share one report, which
+    # computes exactly those axioms.
     calls = []
 
-    def counting(space, budget):
-        calls.append(budget.rng_seed)
-        return p.check_axioms(space, budget)
+    def counting(space, budget, axioms=AXIOMS):
+        calls.append((budget.rng_seed, axioms))
+        return p.check_axioms(space, budget, axioms)
 
     monkeypatch.setattr(F, "check_axioms", counting)
     inst = F.generate_instance(2, "rational_from", None)
     small = replace(BUDGET, n_vectors=300, n_scalar_pairs=300)
     run = p.run_registry(inst, small)
     assert list(run.results) == list(F.PREDICATE_NAMES)
-    assert calls == [small.rng_seed]
+    assert calls == [(small.rng_seed, AXIOMS)]
     run = p.run_registry(inst, small, predicates=["separation", "pm4", "pm2"])
     assert list(run.results) == ["pm2", "pm4", "separation"]
-    assert len(calls) == 2
+    assert calls[1:] == [(small.rng_seed, ("pm2", "pm4"))]
+
+
+def counted_kernel(monkeypatch):
+    """The shape of every kernel evaluation made from now on."""
+    shapes = []
+    kernel = p.PMSpace.kernel
+
+    def counting(space, T, S):
+        out = kernel(space, T, S)
+        shapes.append(np.shape(out))
+        return out
+
+    monkeypatch.setattr(p.PMSpace, "kernel", counting)
+    return shapes
+
+
+def test_pm1_run_makes_one_kernel_evaluation_and_none_over_the_grid(monkeypatch):
+    inst = F.generate_instance(0, "rational_from", "break_pm1")
+    shapes = counted_kernel(monkeypatch)
+    run = p.run_registry(inst, BUDGET, predicates=["pm1"])
+    assert run.results["pm1"].outcome == "fail"
+    assert shapes == [(BUDGET.n_vectors,)]
+
+
+@pytest.mark.parametrize("family", ["rational_from", "step_from"])
+def test_valid_pm3_never_evaluates_the_kernel_at_sigma_of_minus_x(monkeypatch, family):
+    # sigma(-x) has the bits of sigma(x) on a valid instance, so every pm3
+    # gap is known to be 0 without a kernel evaluation.
+    inst = F.generate_instance(1, family, None)
+    shapes = counted_kernel(monkeypatch)
+    run = p.run_registry(inst, BUDGET, predicates=["pm3"])
+    assert run.results["pm3"].outcome == "pass"
+    assert sum(int(np.prod(shape)) for shape in shapes) == 0
+
+
+def test_valid_pm2_evaluates_the_grid_on_no_sample(monkeypatch):
+    # Every sample is below 1 at the first grid point, so none is stuck.
+    inst = F.generate_instance(1, "rational_from", None)
+    shapes = counted_kernel(monkeypatch)
+    run = p.run_registry(inst, BUDGET, predicates=["pm2"])
+    assert run.results["pm2"].outcome == "pass"
+    grid = len(BUDGET.t_grid)
+    assert shapes == [(1, grid), (BUDGET.n_vectors,), (0, grid)]
+
+
+def test_axiom_predicates_are_never_infeasible():
+    # A shape bug in an axiom part raises ValueError, which the registry
+    # would file as infeasible, and no false alarm would show it.
+    budget = replace(BUDGET, n_vectors=1000, n_scalar_pairs=1000)
+    instances = [F.generate_instance(seed, ("rational_from", "step_from")[seed % 2], None)
+                 for seed in range(8)]
+    instances += [F.generate_instance(seed, "rational_from", f"break_pm{seed % 4 + 1}")
+                  for seed in range(8)]
+    for i, inst in enumerate(instances):
+        run = p.run_registry(inst, budget, predicates=list(AXIOMS))
+        outcomes = {name: r.outcome for name, r in run.results.items()}
+        want = dict.fromkeys(AXIOMS, "pass")
+        if i >= 8:
+            want[f"pm{i % 4 + 1}"] = "fail"
+        assert outcomes == want, (i, run.results)
+        for name in AXIOMS:
+            alone = p.run_registry(inst, budget, predicates=[name]).results[name]
+            assert alone.to_record() == run.results[name].to_record()
 
 
 def test_missing_declarations_make_exactly_the_dependent_predicates_infeasible():
