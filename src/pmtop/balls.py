@@ -78,118 +78,124 @@ def boundary_band(ball: Ball, Y: np.ndarray, band: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _calibrated_scale(ball: Ball, rng: np.random.Generator,
-                      lo: float = 0.2, hi: float = 0.8) -> float:
-    """Gaussian scale around the center giving a usable acceptance rate."""
-    probe = rng.standard_normal((256, ball.space.dim))
-    s = 1.0
-    try:
-        # Seed the search from the closed-form radius when one exists.
-        thr = oracle_threshold(ball.space, ball.level, ball.scale)
-        med = float(np.median(ball.space.sigma(probe)))
-        if med > 0:
-            s = max(thr / med, 1e-12)
-    except ValueError:
-        pass
-    for _ in range(80):
-        acc = float(np.mean(contains_many(ball, ball.center[None, :] + s * probe)))
-        if acc > hi:
-            s *= 2.0
-        elif acc < lo:
-            s *= 0.5
-        else:
-            break
-    return s
+def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray,
+             Y: np.ndarray) -> np.ndarray:
+    """mu_of_offsets for lanes: the candidates Y[i] against the ball with
+    center centers[i] and scale scales[i]."""
+    off = centers[:, None, :] - Y
+    S = space.sigma(off.reshape(-1, space.dim)).reshape(off.shape[:2])
+    return space.kernel(scales[:, None], S)
 
 
-def sample_members(ball: Ball, rng: np.random.Generator, count: int,
-                   band: float = 0.0) -> np.ndarray:
-    """Rejection-sample members of the ball, re-drawing boundary-band hits."""
-    s = _calibrated_scale(ball, rng)
-    out: list[np.ndarray] = []
-    got = 0
-    for _ in range(200):
-        batch = max(4 * count, 64)
-        Y = ball.center[None, :] + s * rng.standard_normal((batch, ball.space.dim))
-        keep = contains_many(ball, Y)
-        if band > 0:
-            keep &= ~boundary_band(ball, Y, band)
-        acc = float(np.mean(keep))
-        kept = Y[keep]
-        if kept.shape[0]:
-            out.append(kept)
-            got += kept.shape[0]
-        if got >= count:
-            return np.concatenate(out, axis=0)[:count]
-        if acc < MIN_ACCEPTANCE:
-            s *= 0.5
-    raise VerificationError(
-        f"member sampler starved for ball level={ball.level} scale={ball.scale}")
-
-
-def member_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws sample_members(ball, rng, 1, band) makes through its first
-    candidate batch: the 256-row calibration probe, then 64 candidates."""
-    return rng.standard_normal((256, dim)), rng.standard_normal((64, dim))
-
-
-def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
-                        scales: np.ndarray, probes: np.ndarray, first: np.ndarray,
-                        band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """sample_members(ball, rng, 1, band) for a batch of balls, one per lane,
-    from draws made beforehand with member_draws.
-
-    Lane i is the ball (centers[i], levels[i], scales[i]) with the probe
-    probes[i] and the first candidate batch first[i].  The calibration (the
-    oracle seed, then the x2/x0.5 acceptance search, each lane stopping on
-    its own) and the first batch run for all lanes at once, with the float
-    operations of _calibrated_scale and contains_many in their order, so a
-    lane gives the scalar path's bits.  Returns (rows, hit): rows[i] is the
-    member the scalar path returns when hit[i].  A lane whose first batch
-    keeps nothing is left to the caller; the scalar path would go on to
-    draw more batches from the stream.
-    """
-    levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
+def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
+                       scales: np.ndarray, rng: np.random.Generator,
+                       lo: float = 0.2, hi: float = 0.8) -> np.ndarray:
+    """Per lane, the scale of the Gaussian proposal around the center that
+    gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for all lanes at
+    once, and is seeded from the closed-form radius when one exists; then
+    each lane doubles or halves its scale until the probe's acceptance lies
+    in [lo, hi], for at most 80 rounds, stopping on its own."""
     n, dim = centers.shape
-    cut = (1.0 - levels)[:, None]
-
-    def mu(lanes: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # mu_of_offsets for the candidates Y[j] of lane lanes[j].
-        off = centers[lanes, None, :] - Y
-        S = space.sigma(off.reshape(-1, dim)).reshape(off.shape[:2])
-        return space.kernel(scales[lanes, None], S)
-
+    probes = rng.standard_normal((n, 256, dim))
     s = np.ones(n)
     try:
         thr = oracle_threshold(space, levels, scales)
-        med = np.median(space.sigma(probes.reshape(-1, dim)).reshape(n, -1), axis=1)
+        # The median of each lane's 256 sigma values, computed as np.median
+        # computes it (the mean of the two middle values), without its
+        # per-call overhead.
+        mid = np.partition(space.sigma(probes.reshape(-1, dim)).reshape(n, -1),
+                           (127, 128), axis=1)
+        med = (mid[:, 127] + mid[:, 128]) / 2.0
         pos = med > 0
         s[pos] = np.maximum(thr[pos] / med[pos], 1e-12)
     except ValueError:
         pass
-    live = np.arange(n)
+    # The arguments of the lanes still searching, compacted as lanes stop.
+    live, c, t = np.arange(n), centers, scales
+    cut = (1.0 - levels)[:, None] + EPS_STRICT
     for _ in range(80):
-        Y = centers[live, None, :] + s[live, None, None] * probes[live]
-        acc = np.mean(mu(live, Y) > cut[live] + EPS_STRICT, axis=1)
-        up, down = acc > 0.8, acc < 0.2
-        s[live[up]] *= 2.0
-        s[live[down]] *= 0.5
-        live = live[up | down]
-        if not live.size:
+        sl = s[live]
+        inside = _lane_mu(space, c, t, c[:, None, :] + sl[:, None, None] * probes) > cut
+        acc = inside.sum(axis=1) / inside.shape[1]
+        up, down = acc > hi, acc < lo
+        s[live] = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
+        going = up | down
+        if not going.all():
+            if not going.any():
+                break
+            live, c, t, cut, probes = (a[going] for a in (live, c, t, cut, probes))
+    return s
+
+
+def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
+                        scales: np.ndarray, rng: np.random.Generator, count: int,
+                        band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample count members of each of a batch of balls, re-drawing
+    boundary-band hits.  The one rejection sampler; sample_members is its
+    one-lane call.
+
+    Lane i is the ball (centers[i], levels[i], scales[i]).  After the
+    calibration (_proposal_scales), each of at most 200 rounds draws one
+    candidate batch for every lane still short of count, as one standard
+    normal array in lane order, keeps the strict members outside the band,
+    and halves the scale of each lane still short whose acceptance fell
+    below MIN_ACCEPTANCE.  The draws depend only on which lanes are still
+    live, so the same inputs and stream give the same bits, with no rewind.
+    Returns (rows, ok): rows[i] holds lane i's count members when ok[i]; a
+    lane still short after 200 rounds has starved, with ok[i] False and
+    rows[i] NaN.
+    """
+    centers = np.asarray(centers, dtype=float)
+    levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
+    n, dim = centers.shape
+    s = _proposal_scales(space, centers, levels, scales, rng)
+    rows = np.empty((n, count, dim))
+    ok = np.ones(n, dtype=bool)
+    batch = max(4 * count, 64)
+    # The arguments of the lanes still short, compacted as lanes fill up.
+    live, c, t, cut, got = np.arange(n), centers, scales, (1.0 - levels)[:, None], 0
+    for _ in range(200):
+        Z = rng.standard_normal((live.size, batch, dim))
+        Y = c[:, None, :] + s[:, None, None] * Z
+        m = _lane_mu(space, c, t, Y)
+        keep = m > cut + EPS_STRICT
+        if band > 0:
+            keep &= ~(np.abs(m - cut) <= band)
+        # Each kept row's place in its lane's output, counted from 1.
+        place = keep.cumsum(axis=1) + got
+        lane, j = np.nonzero(keep & (place <= count))
+        rows[live[lane], place[lane, j] - 1] = Y[lane, j]
+        got = place[:, -1:]
+        short = got[:, 0] < count
+        if not short.any():
             break
-    lanes = np.arange(n)
-    Y = centers[:, None, :] + s[:, None, None] * first
-    m = mu(lanes, Y)
-    keep = m > cut + EPS_STRICT
-    if band > 0:
-        keep &= ~(np.abs(m - cut) <= band)
-    return Y[lanes, np.argmax(keep, axis=1)], np.any(keep, axis=1)
+        s = np.where(short & (keep.sum(axis=1) / batch < MIN_ACCEPTANCE), s * 0.5, s)
+        if not short.all():
+            live, c, t, cut, got, s = (a[short] for a in (live, c, t, cut, got, s))
+    else:
+        ok[live] = False
+        rows[live] = np.nan
+    return rows, ok
+
+
+def sample_members(ball: Ball, rng: np.random.Generator, count: int,
+                   band: float = 0.0) -> np.ndarray:
+    """Rejection-sample count members of the ball, re-drawing boundary-band
+    hits: sample_member_lanes for one lane."""
+    rows, ok = sample_member_lanes(ball.space, ball.center[None, :], [ball.level],
+                                   [ball.scale], rng, count, band)
+    if not ok[0]:
+        raise VerificationError(
+            f"member sampler starved for ball level={ball.level} scale={ball.scale}")
+    return rows[0]
 
 
 def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
     """Sample a mixed in/out cloud around the ball for boolean comparisons."""
-    s = 2.0 * _calibrated_scale(ball, rng)
+    s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :],
+                                       np.asarray([ball.level]),
+                                       np.asarray([ball.scale]), rng)[0])
     out: list[np.ndarray] = []
     got = 0
     for _ in range(200):

@@ -18,8 +18,7 @@ Config schema (unknown fields are rejected at every level):
                     "dim": 2, "declared_c": 4.0, "declared_beta": 1.0},
       "budget":   {"n_vectors": 1000, "n_scalar_pairs": 1000,
                     "t_grid": [..] | {"min": 1e-3, "max": 1e3, "count": 64},
-                    "epsilon": 1e-9, "rng_seed": 0,
-                    "vector_law": "standard_normal"},
+                    "epsilon": 1e-9, "rng_seed": 0},
       "operation": { ... subcommand-specific parameters ... },
       "out": "report.ndjson"
     }
@@ -108,7 +107,7 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
     if not isinstance(cfg, dict):
         raise ConfigError("budget must be an object")
     _reject_unknown(cfg, {"n_vectors", "n_scalar_pairs", "t_grid", "epsilon",
-                          "rng_seed", "vector_law"}, "budget")
+                          "rng_seed"}, "budget")
     cfg = dict(cfg)
     grid = cfg.get("t_grid")
     if isinstance(grid, dict):
@@ -180,28 +179,32 @@ def _numbers(values: Any, where: str, need: str,
     return tuple(_number(v, f"each entry of {where}", need, ok) for v in values)
 
 
+def _vector(value: Any, where: str, space: PMSpace) -> np.ndarray:
+    """value as a point of the space: a list of dim finite numbers."""
+    v = np.asarray(_numbers(value, where, "a finite number"))
+    if v.shape != (space.dim,):
+        raise ConfigError(f"{where} must have dimension {space.dim}")
+    return v
+
+
 def _point(op: dict[str, Any], key: str, space: PMSpace,
            fallback: np.ndarray) -> np.ndarray:
-    if key in op:
-        try:
-            v = np.asarray(op[key], dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"operation.{key} must be a vector") from exc
-        if v.shape != (space.dim,):
-            raise ConfigError(f"operation.{key} must have dimension {space.dim}")
-        if not np.all(np.isfinite(v)):
-            raise ConfigError(f"operation.{key} entries must be finite")
-        return v
-    return fallback
+    return _vector(op[key], f"operation.{key}", space) if key in op else fallback
 
 
-def _ball_from(op_ball: dict[str, Any], space: PMSpace, where: str) -> _balls.Ball:
+def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
+    if not isinstance(op_ball, dict):
+        raise ConfigError(f"{where} must be an object")
     _reject_unknown(op_ball, {"center", "level", "scale"}, where)
-    try:
-        return _balls.Ball(space, np.asarray(op_ball["center"], dtype=float),
-                           float(op_ball["level"]), float(op_ball["scale"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid ball in {where}: {exc}") from exc
+    missing = sorted({"center", "level", "scale"} - set(op_ball))
+    if missing:
+        raise ConfigError(f"{where}.{missing[0]} is required")
+    return _balls.Ball(
+        space, _vector(op_ball["center"], f"{where}.center", space),
+        _number(op_ball["level"], f"{where}.level", "a number in (0, 1)",
+                lambda a: 0 < a < 1),
+        _number(op_ball["scale"], f"{where}.scale", "a positive number",
+                lambda t: t > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,12 @@ def _record(name: str, result: _fals.PredicateResult) -> dict[str, Any]:
     rec.update({k: v for k, v in result.record.items()
                 if k not in ("check", "verdict")})
     return rec
+
+
+def _report(name: str, check: Callable[[], Any]) -> dict[str, Any]:
+    """Report line for a sampled check, through the registry's guard: a
+    member sampler that starves makes the check infeasible."""
+    return _record(name, _fals._guard(lambda: _fals._from_report(check())))
 
 
 def _witness(name: str, build: Callable[[], Any]) -> dict[str, Any]:
@@ -307,17 +316,21 @@ def _h_ball_identities(space, budget, cfg):
     rng = np.random.default_rng(budget.rng_seed)
     x = rng.standard_normal(space.dim)
     records = [
-        _balls.translate_identity(space, x, level, scale, budget).to_record(),
-        _balls.monotone_in_scale(space, level, scale, scale2, budget).to_record(),
-        _balls.monotone_in_level(space, level, level2, scale, budget).to_record(),
+        _report("translate_identity",
+                lambda: _balls.translate_identity(space, x, level, scale, budget)),
+        _report("monotone_in_scale",
+                lambda: _balls.monotone_in_scale(space, level, scale, scale2, budget)),
+        _report("monotone_in_level",
+                lambda: _balls.monotone_in_level(space, level, level2, scale, budget)),
     ]
     if space.declared_beta is not None:
         beta = space.declared_beta
         ball0 = _balls.Ball(space, space.zero(), level, scale)
         return records + [
-            _balls.scaling_identity(space, beta, level, scale2, budget).to_record(),
-            _balls.is_balanced_sampled(ball0, budget).to_record(),
-            _balls.is_convex_sampled(ball0, budget).to_record(),
+            _report("scaling_identity",
+                    lambda: _balls.scaling_identity(space, beta, level, scale2, budget)),
+            _report("balanced", lambda: _balls.is_balanced_sampled(ball0, budget)),
+            _report("convex", lambda: _balls.is_convex_sampled(ball0, budget)),
         ]
     for name in ("scaling_identity", "balanced", "convex"):
         records.append({"check": name, "verdict": "infeasible",
@@ -381,8 +394,13 @@ def _h_check_convergence(space, budget, cfg):
         raise ConfigError("operation.sequence must be an object")
     _reject_unknown(seq_cfg, {"kind", "base", "direction", "ratio",
                               "candidate_limit"}, "operation.sequence")
+    typed = {k: _vector(v, f"operation.sequence.{k}", space) for k, v in seq_cfg.items()
+             if k in ("base", "direction", "candidate_limit")}
+    if seq_cfg.get("ratio") is not None:
+        typed["ratio"] = _number(seq_cfg["ratio"], "operation.sequence.ratio",
+                                 "a finite number")
     try:
-        seq = _conv.SequenceSpec.from_config(seq_cfg)
+        seq = _conv.SequenceSpec.from_config({**seq_cfg, **typed})
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid sequence: {exc}") from exc
     n_max = _op_number(op, "n_max", _conv.N_MAX, "an integer >= 1", lambda n: n >= 1,

@@ -64,8 +64,7 @@ def default_t_grid(lo: float = GRID_MIN, hi: float = GRID_MAX,
 class SampleBudget:
     """Sampling configuration for every universally quantified check.
 
-    vector_law is fixed to standard normal coordinates at scale 1; the
-    field exists so configurations are explicit and future-proof.
+    Sampled vectors have standard normal coordinates at scale 1.
     """
 
     n_vectors: int = 1000
@@ -73,7 +72,6 @@ class SampleBudget:
     t_grid: tuple[float, ...] = field(default_factory=default_t_grid)
     epsilon: float = EPS
     rng_seed: int = 0
-    vector_law: str = "standard_normal"
 
     def __post_init__(self) -> None:
         counts = (self.n_vectors, self.n_scalar_pairs, self.rng_seed)
@@ -91,8 +89,6 @@ class SampleBudget:
         object.__setattr__(self, "t_grid", grid)
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be a positive finite real")
-        if self.vector_law != "standard_normal":
-            raise ValueError(f"unsupported vector_law {self.vector_law!r}")
 
     def grid_array(self) -> np.ndarray:
         return np.asarray(self.t_grid, dtype=float)
@@ -104,7 +100,6 @@ class SampleBudget:
             "t_grid": [float(t) for t in self.t_grid],
             "epsilon": self.epsilon,
             "rng_seed": self.rng_seed,
-            "vector_law": self.vector_law,
         }
 
 

@@ -309,42 +309,20 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     right-continuous jump accepts the pair and then has no interior
     feasible scale, which is the failure this predicate looks for.
 
-    A trial draws u, then its level only when sigma(u) > 1e-9.  The trials
-    are drawn ahead and tested as one batch; a trial that should have
-    skipped its level draw rewinds the stream to just after its u, and the
-    trials after it are drawn again.
+    The trials draw every u, then every level, as arrays.  A trial with
+    sigma(u) <= 1e-9 is ineligible and its level goes unused, so no draw
+    depends on the data.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_boundary")
-
-    def draw_x() -> np.ndarray:
-        return rng.standard_normal(space.dim)
-
-    def draw_level() -> float:
-        return float(rng.uniform(0.6, 0.9))
-
     y = np.zeros(space.dim)
-    xs, sigmas, levels = [], [], []
-    done = 0
-    while done < count:
-        state = rng.bit_generator.state
-        draws = [(draw_x(), draw_level()) for _ in range(done, count)]
-        X = np.asarray([x for x, _ in draws])
-        lv = np.asarray([level for _, level in draws])
-        S = space.sigma(X)
-        k = next(iter(np.flatnonzero(~(S > 1e-9))), len(draws))
-        # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
-        inside = space.kernel(S[:k], S[:k]) > (1.0 - lv[:k]) + EPS_STRICT
-        xs.extend(X[:k][inside])
-        sigmas.extend(S[:k][inside])
-        levels.extend(lv[:k][inside])
-        if k == len(draws):
-            break
-        rng.bit_generator.state = state
-        for _ in range(k):
-            draw_x()
-            draw_level()
-        draw_x()
-        done += k + 1
+    X = rng.standard_normal((count, space.dim))
+    levels = rng.uniform(0.6, 0.9, count)
+    sigmas = space.sigma(X)
+    eligible = sigmas > 1e-9
+    X, sigmas, levels = X[eligible], sigmas[eligible], levels[eligible]
+    # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
+    inside = space.kernel(sigmas, sigmas) > (1.0 - levels) + EPS_STRICT
+    xs, sigmas, levels = X[inside], sigmas[inside], levels[inside]
     t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, sigmas, levels)
     violations = []
     for i, x in enumerate(xs):
@@ -363,56 +341,18 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                             count: int) -> PredicateResult:
     """Scale witnesses for random balls, each with one sampled member.
 
-    A trial draws its center, level and scale, then its member through
-    sample_members.  The trials are drawn ahead and sampled as one batch
-    of lanes (balls.sample_member_lanes); a lane whose first candidate
-    batch keeps nothing rewinds the stream to just before its probe, the
-    scalar sampler finishes that trial, and the trials after it are drawn
-    again.
+    The trials draw every center, then every level, then every scale, as
+    arrays, and then one member per ball from the same stream with one
+    balls.sample_member_lanes call.  A starved trial is left out.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_random")
-
-    def ball_draws() -> tuple[np.ndarray, float, float]:
-        x = rng.standard_normal(space.dim)
-        level = float(rng.uniform(0.2, 0.9))
-        scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        return x, level, scale
-
-    xs, ys, scales, levels = [], [], [], []
-    done = 0
-    while done < count:
-        state = rng.bit_generator.state
-        draws = [(*ball_draws(), *_balls.member_draws(rng, space.dim))
-                 for _ in range(done, count)]
-        X, lv, sc, probes, first = (np.asarray(v) for v in zip(*draws))
-        rows, hit = _balls.sample_member_lanes(space, X, lv, sc, probes, first,
-                                               band=budget.epsilon)
-        k = next(iter(np.flatnonzero(~hit)), len(draws))
-        xs.extend(X[:k])
-        ys.extend(rows[:k])
-        scales.extend(sc[:k])
-        levels.extend(lv[:k])
-        if k == len(draws):
-            break
-        rng.bit_generator.state = state
-        for _ in range(k):
-            ball_draws()
-            _balls.member_draws(rng, space.dim)
-        x, level, scale = ball_draws()
-        try:
-            y = _balls.sample_members(_balls.Ball(space, x, level, scale), rng, 1,
-                                      band=budget.epsilon)[0]
-        except VerificationError:
-            pass
-        else:
-            xs.append(x)
-            ys.append(y)
-            scales.append(scale)
-            levels.append(level)
-        done += k + 1
-    X = np.reshape(xs, (-1, space.dim))
-    sigmas = space.sigma(X - np.reshape(ys, (-1, space.dim)))
-    scales, levels = np.asarray(scales, dtype=float), np.asarray(levels, dtype=float)
+    X = rng.standard_normal((count, space.dim))
+    levels = rng.uniform(0.2, 0.9, count)
+    scales = np.exp(rng.uniform(np.log(0.2), np.log(5.0), count))
+    rows, ok = _balls.sample_member_lanes(space, X, levels, scales, rng, 1,
+                                          band=budget.epsilon)
+    xs, ys, scales, levels = X[ok], rows[ok, 0], scales[ok], levels[ok]
+    sigmas = space.sigma(xs - ys)
     t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, scales, levels)
     held = space.kernel(t_star, sigmas) > 1.0 - levels
     violations = []

@@ -1,10 +1,10 @@
 """Batched witness and verdict paths against their scalar references.
 
-The scalar smaller-scale witness loop, the per-trial scale-witness
-predicates, the list-based and the full-scan doubling-constant searches and
-the all-four axiom check are kept here as references: the batched code must
-return the same bits, the same diagnostics and byte-identical registry
-reports.
+The scalar rejection sampler, the scalar smaller-scale witness loop, the
+per-trial scale-witness predicates, the list-based and the full-scan
+doubling-constant searches and the all-four axiom check are kept here as
+references: the batched code must return the same bits, the same
+diagnostics and byte-identical registry reports.
 """
 
 import itertools
@@ -91,18 +91,106 @@ def reference_witnesses(space, sigma, scale, level):
     return np.asarray(t_star, dtype=float), reasons
 
 
+def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8):
+    """The scalar calibration of the member sampler, on a given probe."""
+    s = 1.0
+    try:
+        thr = p.oracle_threshold(ball.space, ball.level, ball.scale)
+        med = float(np.median(ball.space.sigma(probe)))
+        if med > 0:
+            s = max(thr / med, 1e-12)
+    except ValueError:
+        pass
+    for _ in range(80):
+        acc = float(np.mean(B.contains_many(ball, ball.center[None, :] + s * probe)))
+        if acc > hi:
+            s *= 2.0
+        elif acc < lo:
+            s *= 0.5
+        else:
+            break
+    return s
+
+
+def reference_calibrated_scale(ball, rng):
+    return reference_scale_from_probe(ball, rng.standard_normal((256, ball.space.dim)))
+
+
+def reference_batch(ball, Y, band):
+    """One round of the scalar sampler on the candidates Y: the kept rows
+    and whether the scale halves."""
+    keep = B.contains_many(ball, Y)
+    if band > 0:
+        keep &= ~B.boundary_band(ball, Y, band)
+    return Y[keep], float(np.mean(keep)) < B.MIN_ACCEPTANCE
+
+
+def reference_sample_members(ball, rng, count, band=0.0):
+    """The scalar rejection sampler sample_members ran before it became a
+    batch of one lane."""
+    s = reference_calibrated_scale(ball, rng)
+    out = []
+    got = 0
+    for _ in range(200):
+        batch = max(4 * count, 64)
+        Y = ball.center[None, :] + s * rng.standard_normal((batch, ball.space.dim))
+        kept, halve = reference_batch(ball, Y, band)
+        if kept.shape[0]:
+            out.append(kept)
+            got += kept.shape[0]
+        if got >= count:
+            return np.concatenate(out, axis=0)[:count]
+        if halve:
+            s *= 0.5
+    raise VerificationError(
+        f"member sampler starved for ball level={ball.level} scale={ball.scale}")
+
+
+def reference_member_lanes(space, centers, levels, scales, rng, count, band=0.0):
+    """sample_member_lanes round-major, lane by lane: every probe is drawn,
+    each lane is calibrated with the scalar code on its own probe, and in
+    each round each live lane draws its batch in lane order and runs the
+    scalar round.  Returns (rows, ok, rounds)."""
+    balls = [B.Ball(space, c, float(a), float(t))
+             for c, a, t in zip(centers, levels, scales)]
+    probes = rng.standard_normal((len(balls), 256, space.dim))
+    s = [reference_scale_from_probe(b, probe) for b, probe in zip(balls, probes)]
+    out = [[] for _ in balls]
+    got = [0] * len(balls)
+    rounds = [0] * len(balls)
+    live = list(range(len(balls)))
+    batch = max(4 * count, 64)
+    for _ in range(200):
+        for i in live:
+            rounds[i] += 1
+            Y = balls[i].center[None, :] + s[i] * rng.standard_normal((batch, space.dim))
+            kept, halve = reference_batch(balls[i], Y, band)
+            out[i].append(kept)
+            got[i] += kept.shape[0]
+            if got[i] < count and halve:
+                s[i] *= 0.5
+        live = [i for i in live if got[i] < count]
+        if not live:
+            break
+    ok = np.array([g >= count for g in got])
+    rows = np.full((len(balls), count, space.dim), np.nan)
+    for i in np.flatnonzero(ok):
+        rows[i] = np.concatenate(out[i], axis=0)[:count]
+    return rows, ok, np.array(rounds)
+
+
 def reference_boundary_pairs(space, budget, count):
-    """The per-trial loop _boundary_pairs ran before its trials were batched."""
+    """_boundary_pairs as a per-trial loop over the same draws."""
     rng = check_rng(budget.rng_seed, "scale_witness_boundary")
+    X = rng.standard_normal((count, space.dim))
+    draw_levels = rng.uniform(0.6, 0.9, count)
     y = np.zeros(space.dim)
     xs, sigmas, levels = [], [], []
-    for _ in range(count):
-        x = rng.standard_normal(space.dim)
+    for x, level in zip(X, draw_levels):
         sig = space.sigma1(x)
         if not sig > 1e-9:
             continue
-        level = float(rng.uniform(0.6, 0.9))
-        ball = B.Ball(space, x, level, sig)
+        ball = B.Ball(space, x, float(level), sig)
         if not B.contains(ball, y):
             continue
         xs.append(x)
@@ -122,22 +210,25 @@ def reference_boundary_pairs(space, budget, count):
     return PredicateResult(outcome="fail" if violations else "pass", record=rec)
 
 
+def random_ball_draws(rng, count, dim):
+    """The trial draws of _random_scale_witnesses: centers, levels, scales."""
+    X = rng.standard_normal((count, dim))
+    levels = rng.uniform(0.2, 0.9, count)
+    return X, levels, np.exp(rng.uniform(np.log(0.2), np.log(5.0), count))
+
+
 def reference_random_scale_witnesses(space, budget, count):
-    """The per-trial loop _random_scale_witnesses ran before its trials were
-    batched: one sample_members call per trial."""
+    """_random_scale_witnesses as a per-trial loop over the members of the
+    round-major lane reference."""
     rng = check_rng(budget.rng_seed, "scale_witness_random")
+    X, draw_levels, draw_scales = random_ball_draws(rng, count, space.dim)
+    rows, ok, _ = reference_member_lanes(space, X, draw_levels, draw_scales, rng, 1,
+                                         budget.epsilon)
     pairs, lanes = [], []
-    for _ in range(count):
-        x = rng.standard_normal(space.dim)
-        level = float(rng.uniform(0.2, 0.9))
-        scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        ball = B.Ball(space, x, level, scale)
-        try:
-            y = B.sample_members(ball, rng, 1, band=budget.epsilon)[0]
-        except VerificationError:
-            continue
-        pairs.append((x, y))
-        lanes.append((space.sigma1(x - y), scale, level))
+    for x, y, level, scale, hit in zip(X, rows[:, 0], draw_levels, draw_scales, ok):
+        if hit:
+            pairs.append((x, y))
+            lanes.append((space.sigma1(x - y), scale, level))
     sigmas, scales, levels = np.asarray(lanes, dtype=float).reshape(-1, 3).T
     t_star, reasons = B.smaller_scale_witnesses(space, sigmas, scales, levels)
     held = space.kernel(t_star, sigmas) > 1.0 - levels
@@ -215,56 +306,77 @@ def test_batched_witness_rejects_a_non_member_lane():
         p.smaller_scale_witness(ball, outsider)
 
 
+def random_balls(space, rng, count=40):
+    return [p.Ball(space, rng.standard_normal(space.dim), float(rng.uniform(0.05, 0.95)),
+                   float(np.exp(rng.uniform(-2.0, 2.0)))) for _ in range(count)]
+
+
 @pytest.mark.parametrize("band", [0.0, 1e-9, 0.2])
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_member_lanes_match_sample_members(family, band):
+    # The one-lane call is the scalar sampler, bit for bit and draw for draw.
     space = SPACES[family]
-    rng = np.random.default_rng(len(family))
-    balls = [p.Ball(space, rng.standard_normal(2), float(rng.uniform(0.05, 0.95)),
-                    float(np.exp(rng.uniform(-2.0, 2.0)))) for _ in range(40)]
-    seeds = range(len(balls))
-    draws = [B.member_draws(np.random.default_rng(seed), 2) for seed in seeds]
-    rows, hit = B.sample_member_lanes(
-        space, np.array([b.center for b in balls]), [b.level for b in balls],
-        [b.scale for b in balls], np.array([d[0] for d in draws]),
-        np.array([d[1] for d in draws]), band=band)
-    for i, (ball, seed) in enumerate(zip(balls, seeds)):
-        # A hit lane is the scalar draw, which stops after its first batch;
-        # a missed lane is one whose scalar draw went on drawing.
-        rng_lane, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        B.member_draws(rng_lane, 2)
-        try:
-            want = B.sample_members(ball, rng_ref, 1, band=band)[0]
-        except VerificationError:
-            want = None
-        stopped = rng_ref.bit_generator.state == rng_lane.bit_generator.state
-        assert bool(hit[i]) == (want is not None and stopped)
-        if hit[i]:
-            assert rows[i].tobytes() == want.tobytes()
-    if band == 0.2 and family in ("floored", "rational_from"):
-        assert not np.all(hit)
+    balls = random_balls(space, np.random.default_rng(len(family)))
+    for count in (1, 50, 200):
+        for seed, ball in enumerate(balls):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = reference_sample_members(ball, rng_ref, count, band)
+            except VerificationError as exc:
+                with pytest.raises(VerificationError, match=re.escape(str(exc))):
+                    B.sample_members(ball, rng, count, band)
+            else:
+                got = B.sample_members(ball, rng, count, band)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # A batch of lanes is the round-major reference on one stream.
+    for count in (1, 50):
+        rng, rng_ref = np.random.default_rng(count), np.random.default_rng(count)
+        args = (space, np.array([b.center for b in balls]), [b.level for b in balls],
+                [b.scale for b in balls])
+        rows, ok = B.sample_member_lanes(*args, rng, count, band)
+        want, want_ok, _ = reference_member_lanes(*args, rng_ref, count, band)
+        assert np.array_equal(ok, want_ok)
+        assert rows[ok].tobytes() == want[ok].tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.35])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_member_lanes_take_further_rounds_and_starve_like_the_reference(family,
+                                                                         epsilon):
+    # The predicate's own balls: at epsilon 0.2 some first batches keep
+    # nothing, so lanes go on to later rounds; at 0.35 some lanes starve.
+    space = SPACES[family]
+    draws = random_ball_draws(np.random.default_rng(len(family)), 100, space.dim)
+    rng, rng_ref = np.random.default_rng(0), np.random.default_rng(0)
+    rows, ok = B.sample_member_lanes(space, *draws, rng, 1, epsilon)
+    want, want_ok, rounds = reference_member_lanes(space, *draws, rng_ref, 1, epsilon)
+    assert np.array_equal(ok, want_ok)
+    assert rows[ok].tobytes() == want[ok].tobytes()
+    assert np.all(np.isnan(rows[~ok]))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    if epsilon == 0.2 and family in ("floored", "rational_from"):
+        assert np.any(rounds[ok] > 1)
+    if epsilon == 0.35:
+        assert not np.all(ok)
+        # A level of at most epsilon leaves no member outside the band.
+        i = np.flatnonzero(~ok & (draws[1] <= epsilon))[0]
+        starved = B.Ball(space, draws[0][i], draws[1][i], draws[2][i])
+        for sample in (B.sample_members, reference_sample_members):
+            with pytest.raises(VerificationError, match="starved"):
+                sample(starved, np.random.default_rng(1), 1, epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [1e-9, 0.2, 0.35])
 @pytest.mark.parametrize("family", sorted(SPACES))
-def test_scale_witness_predicates_match_per_trial_loops(monkeypatch, family,
-                                                       epsilon):
-    # epsilon 0.2 makes first batches keep nothing, so lanes rewind to the
-    # scalar sampler; 0.35 starves some trials outright.
+def test_scale_witness_predicates_match_per_trial_loops(family, epsilon):
+    # epsilon 0.2 sends some lanes past their first batch; 0.35 starves some
+    # trials outright.
     space = SPACES[family]
     budget = p.SampleBudget(n_vectors=100, epsilon=epsilon, rng_seed=len(family))
     count = 100 if epsilon < 0.35 else 40
-    scalar_calls = []
-    sample_members = B.sample_members
-
-    def counted(*args, **kwargs):
-        scalar_calls.append(args)
-        return sample_members(*args, **kwargs)
-
-    monkeypatch.setattr(B, "sample_members", counted)
     got = F._random_scale_witnesses(space, budget, count)
-    if epsilon == 0.2 and family in ("floored", "rational_from"):
-        assert scalar_calls
     if epsilon == 0.35:
         assert got.record["pairs"] < count
     assert got.to_record() == reference_random_scale_witnesses(space, budget,
@@ -273,8 +385,8 @@ def test_scale_witness_predicates_match_per_trial_loops(monkeypatch, family,
             == reference_boundary_pairs(space, budget, count).to_record())
 
 
-def test_boundary_pairs_rewind_past_skipped_level_draws():
-    # sigma(u) <= 1e-9 skips the trial's level draw.
+def test_boundary_pairs_leave_tiny_sigma_levels_unused():
+    # sigma(u) <= 1e-9 makes a trial ineligible; its level is drawn and unused.
     space = p.rational_space(p.WeightedAbs(weights=(1e-9, 1e-9)), 2)
     budget = p.SampleBudget(n_vectors=100, rng_seed=2)
     got = F._boundary_pairs(space, budget, 100)

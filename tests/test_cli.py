@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pmtop.falsifier as F
 from pmtop import cli
@@ -72,7 +75,8 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
                                     {"epsilon": float("inf")},
                                     {"t_grid": {"min": 1}},
                                     {"n_vectors": 1.5},
-                                    {"t_grid": {"min": 1, "max": 10, "count": 2.5}}])
+                                    {"t_grid": {"min": 1, "max": 10, "count": 2.5}},
+                                    {"vector_law": "standard_normal"}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -101,6 +105,17 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("check-convergence", {"sequence": SEQUENCE, "t_grid": []}),
     ("check-convergence", {"sequence": SEQUENCE, "local_base_depth": "a"}),
     ("witness-separate", {"x": [float("inf"), 0.0]}),
+    ("witness-separate", {"x": [True, False]}),
+    ("witness-separate", {"x": ["1", 0.0]}),
+    ("witness-refine", {"outer": {"center": [0.0, 0.0], "level": 0.5, "scale": True}}),
+    ("witness-refine", {"outer": {"center": [0.0, 0.0], "level": "0.5", "scale": 1.0}}),
+    ("witness-refine", {"outer": {"center": [True, 0.0], "level": 0.5, "scale": 1.0}}),
+    ("witness-refine", {"outer": 5}),
+    ("witness-continuity", {"target": {"center": [0.0, 0.0], "level": 0.5}}),
+    ("check-convergence", {"sequence": {**SEQUENCE, "base": [True, False]}}),
+    ("check-convergence", {"sequence": {**SEQUENCE, "ratio": "0.5"}}),
+    ("check-convergence", {"sequence": {**SEQUENCE, "base": [0.0, 0.0, 0.0],
+                                        "direction": [0.3, 0.1, 0.0]}}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -278,6 +293,20 @@ def test_ball_identities_subcommand(tmp_path, capsys):
                       "convex"}
 
 
+def test_starved_member_sampler_makes_ball_checks_infeasible(tmp_path, capsys):
+    # A level below epsilon leaves no member outside the boundary band.
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    cfg["budget"]["epsilon"] = 0.3
+    cfg["operation"] = {"level": 0.1}
+    assert cli.main(["ball-identities", "--config", write_config(tmp_path, cfg)]) == 2
+    verdicts = {r["check"]: r for r in map(json.loads,
+                                            capsys.readouterr().out.splitlines())}
+    for name in ("monotone_in_scale", "monotone_in_level", "balanced", "convex"):
+        assert verdicts[name]["verdict"] == "infeasible"
+        assert "member sampler starved" in verdicts[name]["reason"]
+    assert verdicts["translate_identity"]["verdict"] == "pass"
+
+
 def test_witness_refine_subcommand_with_explicit_input(tmp_path, capsys):
     cfg = json.loads(json.dumps(RATIONAL))
     cfg["instance"]["dim"] = 1
@@ -353,3 +382,134 @@ def test_module_entrypoint_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.count("\n") >= 4
+
+
+# -- config fuzz ----------------------------------------------------------------
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=5)
+
+OPERATION_KEYS = {
+    "check-axioms": ("mutation",), "check-delta2": ("candidates",),
+    "check-homogeneous": ("beta",), "check-regularity": (),
+    "ball-identities": ("level", "scale", "level2", "scale2"),
+    "witness-refine": ("outer", "z"), "witness-separate": ("x", "y", "variant"),
+    "witness-continuity": ("target", "scalar"),
+    "check-convergence": ("sequence", "t_grid", "n_max", "local_base_depth"),
+    "falsify": ("mutation", "predicates"),
+}
+assert set(OPERATION_KEYS) == set(cli.SUBCOMMANDS)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def points(dim):
+    return st.lists(floats(-3.0, 3.0), min_size=dim, max_size=dim)
+
+
+@st.composite
+def configs(draw):
+    """(subcommand, config): in half the cases every value is plausible; in
+    the others each value is any JSON value one time in four."""
+    noisy = draw(st.booleans())
+
+    def maybe(plausible):
+        return st.one_of(plausible, plausible, plausible, JUNK) if noisy else plausible
+
+    def vectors(dim):
+        # A noisy vector may have the wrong dimension.
+        return st.integers(1, 3).flatmap(points) if noisy else points(dim)
+
+    def balls(dim):
+        return st.fixed_dictionaries({"center": maybe(vectors(dim)),
+                                      "level": maybe(floats(0.05, 0.95)),
+                                      "scale": maybe(floats(0.1, 5.0))})
+
+    command = draw(st.sampled_from(cli.SUBCOMMANDS))
+    dim = draw(st.integers(1, 3))
+    modular = draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.just("p_power"),
+                               "p": maybe(st.sampled_from([1.0, 2.0, 3.0]))}),
+        st.fixed_dictionaries({"kind": st.just("weighted_abs"),
+                               "weights": maybe(st.lists(floats(0.1, 3.0),
+                                                         min_size=dim,
+                                                         max_size=dim))})))
+    instance = draw(st.fixed_dictionaries(
+        {"family": maybe(st.sampled_from(["rational_from", "step_from"])),
+         "modular": maybe(st.just(modular)), "dim": maybe(st.just(dim))},
+        optional={"declared_c": maybe(st.sampled_from([0.5, 2.0, 4.0])),
+                  "declared_beta": maybe(st.sampled_from([0.5, 1.0, 1.5]))}))
+    budget = draw(st.fixed_dictionaries({}, optional={
+        "n_vectors": maybe(st.integers(1, 24)),
+        "n_scalar_pairs": maybe(st.integers(1, 24)),
+        "t_grid": maybe(st.one_of(
+            st.lists(floats(1e-3, 1e3), min_size=1, max_size=4).map(sorted),
+            st.fixed_dictionaries({"min": floats(1e-3, 1.0), "max": floats(2.0, 1e3),
+                                   "count": st.integers(2, 8)}))),
+        "epsilon": maybe(floats(1e-12, 0.3)),
+        "rng_seed": maybe(st.integers(0, 5))}))
+    values = {
+        "mutation": st.sampled_from(F.MUTATION_KINDS + ("break_nothing",)),
+        "candidates": st.lists(floats(0.5, 16.0), max_size=3),
+        "beta": floats(0.1, 1.0),
+        "level": floats(0.05, 0.95), "level2": floats(0.05, 0.95),
+        "scale": floats(0.1, 5.0), "scale2": floats(0.1, 5.0),
+        "outer": balls(dim), "target": balls(dim),
+        "x": vectors(dim), "y": vectors(dim), "z": vectors(dim),
+        "variant": st.sampled_from(["doubling", "homogeneous", "other"]),
+        "scalar": floats(-5.0, 5.0),
+        "sequence": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["harmonic", "constant_offset", "alternating",
+                                      "geometric", "spiral"]),
+             "base": maybe(vectors(dim)), "direction": maybe(vectors(dim))},
+            optional={"ratio": maybe(floats(0.1, 0.9)),
+                      "candidate_limit": maybe(vectors(dim))}),
+        "t_grid": st.lists(floats(0.01, 10.0), min_size=1, max_size=4),
+        "n_max": st.integers(1, 64),
+        "local_base_depth": st.integers(0, 6),
+        "predicates": st.lists(st.sampled_from(F.PREDICATE_NAMES), min_size=1,
+                               max_size=3),
+        "unknown": JUNK,
+    }
+    optional = OPERATION_KEYS[command] + (("unknown",) if noisy else ())
+    keys = draw(st.lists(st.sampled_from(optional), unique=True, max_size=3)
+                if optional else st.just([]))
+    if command == "check-convergence" and "sequence" not in keys:
+        keys.append("sequence")
+    operation = {k: draw(maybe(values[k])) for k in keys}
+    cfg = {"instance": draw(maybe(st.just(instance))),
+           "budget": draw(maybe(st.just(budget))),
+           "operation": draw(maybe(st.just(operation)))}
+    return command, draw(maybe(st.just(cfg)))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_any_config_keeps_the_exit_code_and_report_contract(case):
+    # Exit 0-3 and no uncaught exception; every report line is strict JSON
+    # in canonical form; a config error writes no report.
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "report.ndjson"
+        path.write_text(json.dumps(cfg))
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert not out.exists()
+            return
+        lines = out.read_text().splitlines()
+        assert lines
+        for line in lines:
+            rec = json.loads(line, parse_constant=_reject_constant)
+            assert cli.canonical_line(rec) == line

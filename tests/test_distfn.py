@@ -219,8 +219,6 @@ def test_budget_validation():
         df.SampleBudget(t_grid=(1.0, 0.5))
     with pytest.raises(ValueError):
         df.SampleBudget(epsilon=0.0)
-    with pytest.raises(ValueError):
-        df.SampleBudget(vector_law="uniform")
     for grid in ((1e-3, float("inf")), (1e-3, float("nan"))):
         with pytest.raises(ValueError):
             df.SampleBudget(t_grid=grid)
