@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .pmspace import (
     MAX_DIM,
     InfeasibleConstruction,
     PMSpace,
+    _Delta2Scan,
+    _FAMILIES,
     check_axioms,
     check_beta_homogeneous,
     check_delta2_declared,
@@ -76,13 +78,12 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     for key in ("family", "modular", "dim"):
         if key not in cfg:
             raise ConfigError(f"instance.{key} is required")
+    _one_of(cfg["family"], "instance.family", _FAMILIES)
     modular = cfg["modular"]
     if not isinstance(modular, dict) or "kind" not in modular:
         raise ConfigError("instance.modular must be an object with a kind")
     allowed = {"p_power": {"kind", "p"}, "weighted_abs": {"kind", "weights"}}
-    kind = modular["kind"]
-    if kind not in allowed:
-        raise ConfigError(f"unknown modular kind {kind!r}")
+    kind = _one_of(modular["kind"], "instance.modular.kind", allowed)
     _reject_unknown(modular, allowed[kind], "instance.modular")
     missing = sorted(allowed[kind] - set(modular))
     if missing:
@@ -148,6 +149,14 @@ def _operation(cfg: dict[str, Any], allowed: set[str], command: str) -> dict[str
         raise ConfigError("operation must be an object")
     _reject_unknown(op, allowed, f"operation ({command})")
     return op
+
+
+def _one_of(value: Any, where: str, names: Collection[str]) -> str:
+    """value as one of the string names, else a ConfigError naming where
+    and the names (an unhashable value is not looked up)."""
+    if not (isinstance(value, str) and value in names):
+        raise ConfigError(f"{where} must be one of {sorted(names)}, got {value!r}")
+    return value
 
 
 def _number(value: Any, where: str, need: str,
@@ -277,12 +286,13 @@ def _h_check_delta2(space, budget, cfg):
                            lambda c: c > 0)
                   if "candidates" in op else ())
     kwargs = {"c_candidates": candidates} if candidates else {}
-    found = find_delta2_constant(space, budget, **kwargs)
+    scan = _Delta2Scan(space, budget)
+    found = find_delta2_constant(space, budget, scan=scan, **kwargs)
     records = [{"check": "delta2_estimate", "seed": budget.rng_seed,
                 "estimated_c": found,
                 "verdict": "pass" if found is not None else "fail"}]
     if space.declared_c is not None:
-        records.append(check_delta2_declared(space, budget).to_record())
+        records.append(check_delta2_declared(space, budget, scan).to_record())
     return records
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -206,20 +206,65 @@ class PiecewiseLinear(DistributionFunction):
         return out
 
 
-def _confirm_limit(f: DistributionFunction, start: float, target: str,
-                   eps: float) -> tuple[bool, float, float]:
-    """Confirm inf -> 0 (target 'inf') or sup -> 1 ('sup') by geometric
-    extension beyond the grid end.  Returns (ok, probe, value)."""
-    probe = start
+def _confirm_limits(values: Callable[[np.ndarray], np.ndarray], start: float,
+                    target: str, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Confirm inf -> 0 (target 'inf') or sup -> 1 ('sup') for each row of
+    values by geometric extension beyond the grid end.
+
+    Every row is probed at the same LIMIT_EXTENSION_DECADES + 1 points; a
+    row is confirmed at the first probe that reaches the target.  A row
+    that never does reports the step past the last probe divided by ten,
+    and its value there.  Returns (ok, probe, value) per row; value is
+    meaningful only where ok is false.
+    """
+    probes = [start]
     for _ in range(LIMIT_EXTENSION_DECADES + 1):
-        val = f(probe)
-        if target == "inf" and val <= eps:
-            return True, probe, val
-        if target == "sup" and val >= 1.0 - eps:
-            return True, probe, val
-        probe = probe * 10.0 if target == "sup" else (
-            probe * 10.0 if probe < 0 else -max(abs(probe), 1.0))
-    return False, probe / 10.0, f(probe / 10.0)
+        p = probes[-1]
+        probes.append(p * 10.0 if target == "sup" or p < 0 else -max(abs(p), 1.0))
+    V = values(np.asarray(probes[:-1]))
+    hit = V <= eps if target == "inf" else V >= 1.0 - eps
+    first = np.argmax(hit, axis=1)
+    ok = np.any(hit, axis=1)
+    miss = probes[-1] / 10.0
+    return (ok, np.where(ok, np.asarray(probes)[first], miss),
+            values(np.asarray([miss]))[:, 0])
+
+
+def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
+                            budget: SampleBudget) -> list[CheckReport]:
+    """check_delta_membership for a batch of functions: values(t) gives
+    their values at the points t as a matrix, one row per function.
+
+    Each clause is evaluated for the whole batch at once (one values call
+    over the grid and one per limit probe sequence); the reports, one per
+    row, are the ones check_delta_membership gives for each function.
+    """
+    ts = np.asarray(list(NEGATIVE_PROBES) + [0.0] + list(budget.t_grid), dtype=float)
+    V = values(ts)
+    bad_range = (V < -0.0) | (V > 1.0)
+    drop = V[:, :-1] > V[:, 1:]
+    inf_ok, p_inf, v_inf = _confirm_limits(values, float(ts[0]), "inf", budget.epsilon)
+    sup_ok, p_sup, v_sup = _confirm_limits(values, float(ts[-1]), "sup", budget.epsilon)
+    reports = []
+    for r, vals in enumerate(V):
+        violations: list[dict[str, Any]] = [
+            {"clause": "range", "t": float(ts[i]), "value": float(vals[i])}
+            for i in np.flatnonzero(bad_range[r])]
+        violations += [{"clause": "monotone",
+                        "t1": float(ts[i]), "f1": float(vals[i]),
+                        "t2": float(ts[i + 1]), "f2": float(vals[i + 1])}
+                       for i in np.flatnonzero(drop[r])]
+        if not inf_ok[r]:
+            violations.append({"clause": "inf_limit", "t": float(p_inf[r]),
+                               "value": float(v_inf[r])})
+        if not sup_ok[r]:
+            violations.append({"clause": "sup_limit", "t": float(p_sup[r]),
+                               "value": float(v_sup[r])})
+        reports.append(_make_report("delta_membership", violations, len(ts),
+                                    budget.rng_seed,
+                                    notes={"inf_probe": float(p_inf[r]),
+                                           "sup_probe": float(p_sup[r])}))
+    return reports
 
 
 def check_delta_membership(f: DistributionFunction,
@@ -230,33 +275,11 @@ def check_delta_membership(f: DistributionFunction,
     tolerance), range containment in [0, 1], and the inf/sup limits.  The
     limit confirmation starts at the extreme grid points and extends
     geometrically for a bounded number of decades, since a fixed finite
-    grid cannot witness a limit by itself.
+    grid cannot witness a limit by itself.  This is check_delta_memberships
+    for a batch of one; a caller with many functions of one kernel passes
+    them as one batch.
     """
-    grid = list(NEGATIVE_PROBES) + [0.0] + list(budget.t_grid)
-    ts = np.asarray(grid, dtype=float)
-    vals = f.eval_many(ts)
-    violations: list[dict[str, Any]] = []
-
-    bad_range = (vals < -0.0) | (vals > 1.0)
-    for i in np.nonzero(bad_range)[0]:
-        violations.append({"clause": "range", "t": float(ts[i]), "value": float(vals[i])})
-
-    drop = vals[:-1] > vals[1:]
-    for i in np.nonzero(drop)[0]:
-        violations.append({"clause": "monotone",
-                           "t1": float(ts[i]), "f1": float(vals[i]),
-                           "t2": float(ts[i + 1]), "f2": float(vals[i + 1])})
-
-    inf_ok, p_inf, v_inf = _confirm_limit(f, float(ts[0]), "inf", budget.epsilon)
-    if not inf_ok:
-        violations.append({"clause": "inf_limit", "t": p_inf, "value": v_inf})
-    sup_ok, p_sup, v_sup = _confirm_limit(f, float(ts[-1]), "sup", budget.epsilon)
-    if not sup_ok:
-        violations.append({"clause": "sup_limit", "t": p_sup, "value": v_sup})
-
-    return _make_report("delta_membership", violations, len(grid),
-                        budget.rng_seed,
-                        notes={"inf_probe": p_inf, "sup_probe": p_sup})
+    return check_delta_memberships(lambda t: f.eval_many(t)[None, :], budget)[0]
 
 
 def check_left_continuity(f: DistributionFunction, t: float,

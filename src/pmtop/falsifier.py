@@ -59,12 +59,12 @@ from .pmspace import (
     StepFrom,
     VerificationError,
     WeightedAbs,
+    _Delta2Scan,
     check_axioms,
     check_beta_homogeneous,
     check_delta2_declared,
     check_space_regularity,
     find_delta2_constant,
-    mu,
     sample_vectors,
 )
 from . import distfn as _distfn
@@ -396,8 +396,9 @@ def _witness_predicate(witness: Any) -> PredicateResult:
 @dataclass
 class _Inputs:
     """What the registry's builders share: small caps both sample counts at
-    400, rng is the registry_inputs stream, and the axiom report is computed
-    once, on first use, for the axioms the run requested (axiom_names)."""
+    400, rng is the registry_inputs stream, the axiom report is computed
+    once, on first use, for the axioms the run requested (axiom_names), and
+    one delta2 scan of the budget's rows serves both doubling predicates."""
 
     space: PMSpace
     budget: SampleBudget
@@ -409,6 +410,10 @@ class _Inputs:
     def axioms(self) -> CheckReport:
         return check_axioms(self.space, self.budget, self.axiom_names)
 
+    @cached_property
+    def delta2(self) -> _Delta2Scan:
+        return _Delta2Scan(self.space, self.budget)
+
 
 def _unit_ball(space: PMSpace) -> _balls.Ball:
     return _balls.Ball(space, space.zero(), 0.5, 1.0)
@@ -419,11 +424,11 @@ def _membership(inp: _Inputs) -> PredicateResult:
     X = sample_vectors(check_rng(budget.rng_seed, "membership_pts"),
                        min(budget.n_vectors, 50), space.dim)
     points = np.vstack([np.zeros((1, space.dim)), X])
-    bad: list[dict[str, Any]] = []
-    for row in points:
-        rep = _distfn.check_delta_membership(mu(space, row), budget)
-        if not rep.passed:
-            bad.append({"x": row.tolist(), "violations": rep.violations[:3]})
+    S = space.sigma(points)[:, None]
+    reports = _distfn.check_delta_memberships(lambda t: space.kernel(t[None, :], S),
+                                              budget)
+    bad = [{"x": row.tolist(), "violations": rep.violations[:3]}
+           for row, rep in zip(points, reports) if not rep.passed]
     return PredicateResult(outcome="fail" if bad else "pass",
                            record={"points": len(points), "violations": bad[:10],
                                    "violation_count": len(bad)})
@@ -431,7 +436,7 @@ def _membership(inp: _Inputs) -> PredicateResult:
 
 def _delta2_estimate(inp: _Inputs) -> PredicateResult:
     found = find_delta2_constant(inp.space, replace(
-        inp.budget, n_vectors=min(inp.budget.n_vectors, 2000)))
+        inp.budget, n_vectors=min(inp.budget.n_vectors, 2000)), scan=inp.delta2)
     return PredicateResult(outcome="pass", record={"estimated_c": found})
 
 
@@ -519,7 +524,7 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[_Inputs], PredicateResult]], 
     ("pm4", None, lambda inp: _from_report(inp.axioms.parts["pm4"])),
     ("delta_membership", None, _membership),
     ("delta2_declared", "declared_c", lambda inp: _from_report(
-        check_delta2_declared(inp.space, inp.budget))),
+        check_delta2_declared(inp.space, inp.budget, inp.delta2))),
     ("delta2_estimate", None, _delta2_estimate),
     ("beta_declared", "declared_beta", lambda inp: _from_report(
         check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget))),

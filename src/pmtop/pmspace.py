@@ -28,7 +28,7 @@ exponent, so the three never collide in code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -50,8 +50,10 @@ MAX_DIM = 8
 # bracketing both reference families (2 for degree-1, 4 for degree-2).
 DELTA2_CANDIDATES = tuple(float(2 ** (k / 4)) for k in range(17))
 
-# Rows per block of the doubling-constant search: a candidate is ruled out
-# at the first block holding a sample that breaks it.
+# Rows per block of the full-grid checks (the doubling inequality and
+# homogeneity): a (rows, grid) matrix lives for one block at a time, and the
+# doubling search rules a candidate out at the first block holding a sample
+# that breaks it.
 DELTA2_CHUNK = 256
 
 # The four axioms, in the order check_axioms reports them.
@@ -536,50 +538,101 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                         n_violations=count)
 
 
-def _delta2_broken(space: PMSpace, c: float, grid: np.ndarray, lhs: np.ndarray,
-                   S: np.ndarray, eps: float,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over samples x
-    and the grid, from lhs = mu_{2x}(grid) and S = sigma(x) as a column:
-    (samples that break it, rhs, rhs - lhs)."""
-    rhs = space.kernel(grid[None, :] / c, S)
-    gap = rhs - lhs
-    return np.max(gap, axis=1) > eps, rhs, gap
+class _Delta2Scan:
+    """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
+    of rows x and the budget grid, evaluated in blocks of DELTA2_CHUNK rows.
 
+    The rows are X when given, else budget.n_vectors rows of the "delta2"
+    stream; the first n rows of that draw are the n-row draw, bit for bit,
+    so a caller that needs fewer rows reads a prefix.  Each (c, block)
+    broken-row mask is computed at most once and kept, so the doubling
+    search and the declared check share every block they both read; the
+    (rows, grid) matrices live for one block.  A row's verdict reads only
+    that row, so every mask and record is the one a single full-matrix
+    evaluation gives.
+    """
 
-def _delta2_records(space: PMSpace, c: float, budget: SampleBudget,
-                    X: np.ndarray | None = None,
-                    limit: int | None = MAX_STORED_VIOLATIONS,
-                    ) -> tuple[list[dict[str, Any]], int]:
-    """Records for the first limit samples that break the doubling
-    inequality, and the count of all of them."""
-    if X is None:
-        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
-                           space.dim)
-    grid = budget.grid_array()
-    lhs = space.mu_matrix(2.0 * X, grid)
-    bad, rhs, gap = _delta2_broken(space, c, grid, lhs, space.sigma(X)[:, None],
-                                   budget.epsilon)
+    def __init__(self, space: PMSpace, budget: SampleBudget,
+                 X: np.ndarray | None = None):
+        if X is None:
+            X = sample_vectors(check_rng(budget.rng_seed, "delta2"),
+                               budget.n_vectors, space.dim)
+        self.space, self.budget, self.X = space, budget, X
+        self._grid = budget.grid_array()[None, :]
+        self._S = space.sigma(X)[:, None]
+        self._S2 = space.sigma(2.0 * X)[:, None]
+        self._masks: dict[tuple[float, int], np.ndarray] = {}
 
-    def rec(i: int) -> dict[str, Any]:
-        j = int(np.argmax(gap[i]))
-        return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
-                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+    def rows(self, space: PMSpace, budget: SampleBudget) -> int:
+        """budget.n_vectors, the rows a check of space under budget reads;
+        ValueError unless this scan holds them."""
+        if (space is not self.space or budget.n_vectors > len(self.X)
+                or replace(self.budget, n_vectors=budget.n_vectors) != budget):
+            raise ValueError("the delta2 scan was drawn for another space or budget")
+        return budget.n_vectors
 
-    return _collect(bad, rec, limit)
+    def _block(self, c: float, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lhs, rhs, rhs - lhs) on the block of rows from lo."""
+        b = slice(lo, lo + DELTA2_CHUNK)
+        lhs = self.space.kernel(self._grid, self._S2[b])
+        rhs = self.space.kernel(self._grid / c, self._S[b])
+        return lhs, rhs, rhs - lhs
+
+    def broken(self, c: float, lo: int) -> np.ndarray:
+        """The rows of the block from lo that break the inequality for c."""
+        key = (c, lo)
+        if key not in self._masks:
+            self._masks[key] = np.max(self._block(c, lo)[2], axis=1) > self.budget.epsilon
+        return self._masks[key]
+
+    def holds(self, c: float, n: int) -> bool:
+        """No row among the first n breaks c; stops at the first block
+        holding a broken row."""
+        return not any(np.any(self.broken(c, lo)[:n - lo])
+                       for lo in range(0, n, DELTA2_CHUNK))
+
+    def violations(self, c: float, n: int, limit: int | None = MAX_STORED_VIOLATIONS,
+                   ) -> tuple[list[dict[str, Any]], int]:
+        """Records for the first limit rows among the first n that break c
+        (None for every one), and the count of all of them."""
+        viol: list[dict[str, Any]] = []
+        count = 0
+        for lo in range(0, n, DELTA2_CHUNK):
+            bad = np.flatnonzero(self.broken(c, lo)[:n - lo])
+            count += bad.size
+            room = None if limit is None else limit - len(viol)
+            if bad.size and room != 0:
+                lhs, rhs, gap = self._block(c, lo)
+                for i in bad[:room]:
+                    j = int(np.argmax(gap[i]))
+                    viol.append({"x": self.X[lo + i].tolist(),
+                                 "t": float(self._grid[0, j]), "c": c,
+                                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
+        return viol, count
 
 
 def delta2_violations(space: PMSpace, c: float, budget: SampleBudget,
                       X: np.ndarray | None = None) -> list[dict[str, Any]]:
-    """Samples where mu_{2x}(t) < mu_x(t/c) - eps."""
-    return _delta2_records(space, c, budget, X, limit=None)[0]
+    """Samples where mu_{2x}(t) < mu_x(t/c) - eps: the rows X, by default
+    the budget's draw from the "delta2" stream."""
+    scan = _Delta2Scan(space, budget, X)
+    return scan.violations(c, len(scan.X), limit=None)[0]
 
 
-def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
-    """Verify the declared doubling constant against samples."""
+def check_delta2_declared(space: PMSpace, budget: SampleBudget,
+                          scan: _Delta2Scan | None = None) -> CheckReport:
+    """Verify the declared doubling constant against samples.
+
+    Every broken row is counted and the first MAX_STORED_VIOLATIONS are
+    recorded.  The rows come from scan when one is given (a scan of this
+    space drawn for at least budget.n_vectors rows), so the blocks a
+    find_delta2_constant call on the same scan already read for the
+    declared constant are not evaluated again.
+    """
     if space.declared_c is None:
         raise ValueError("space declares no doubling constant")
-    viol, count = _delta2_records(space, space.declared_c, budget)
+    scan = scan or _Delta2Scan(space, budget)
+    viol, count = scan.violations(space.declared_c, scan.rows(space, budget))
     return _make_report("delta2_declared", viol, budget.n_vectors,
                         budget.rng_seed, notes={"c": space.declared_c},
                         n_violations=count)
@@ -587,34 +640,35 @@ def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
 
 def find_delta2_constant(space: PMSpace, budget: SampleBudget,
                          c_candidates: tuple[float, ...] = DELTA2_CANDIDATES,
-                         ) -> float | None:
+                         scan: _Delta2Scan | None = None) -> float | None:
     """Smallest candidate c with mu_{2x}(t) >= mu_x(t/c) - eps on all
     samples; None when every candidate fails.
 
     Only emptiness is asked, so each candidate is tested on blocks of
     DELTA2_CHUNK rows in sample order and ruled out at the first block
     holding a broken row.  A row's verdict reads only that row, so "some
-    block has a broken row" is "some row is broken" over all samples.
+    block has a broken row" is "some row is broken" over all samples.  The
+    rows are the first budget.n_vectors of scan when one is given, and
+    the blocks it already holds for a candidate are not evaluated again:
+    a registry run shares one scan between the declared check (10,000
+    rows) and this search (the first 2,000), and the CLI between this
+    search and the declared check.
     """
     if not c_candidates or any(c <= 0 for c in c_candidates):
         raise ValueError("candidates must be positive")
-    X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
-                       space.dim)
-    grid = budget.grid_array()
-    lhs = space.mu_matrix(2.0 * X, grid)
-    S = space.sigma(X)[:, None]
-    blocks = [slice(lo, lo + DELTA2_CHUNK) for lo in range(0, len(X), DELTA2_CHUNK)]
-    for c in sorted(c_candidates):
-        if not any(np.any(_delta2_broken(space, c, grid, lhs[b], S[b],
-                                         budget.epsilon)[0])
-                   for b in blocks):
-            return float(c)
-    return None
+    scan = scan or _Delta2Scan(space, budget)
+    n = scan.rows(space, budget)
+    return next((float(c) for c in sorted(c_candidates) if scan.holds(c, n)), None)
 
 
 def check_beta_homogeneous(space: PMSpace, beta: float,
                            budget: SampleBudget) -> CheckReport:
-    """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta)."""
+    """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta).
+
+    X and a are drawn up front; the (rows, grid) comparison is evaluated
+    in blocks of DELTA2_CHUNK rows, counting every broken row and keeping
+    the first MAX_STORED_VIOLATIONS records.
+    """
     if not (0 < beta <= 1):
         raise ValueError(f"exponent must lie in (0, 1], got {beta}")
     rng = check_rng(budget.rng_seed, "homogeneous")
@@ -623,20 +677,25 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     a = sample_scalars(rng, n)
     # Structured probes: identity scalars and exact doubling/halving.
     a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
-    grid = budget.grid_array()
+    grid = budget.grid_array()[None, :]
+    S_ax = space.sigma(a[:, None] * X)[:, None]
+    S = space.sigma(X)[:, None]
+    scale = (np.abs(a) ** beta)[:, None]
 
-    lhs = space.mu_matrix(a[:, None] * X, grid)
-    rhs = space.kernel(grid[None, :] / (np.abs(a) ** beta)[:, None],
-                       space.sigma(X)[:, None])
-    diff = np.max(np.abs(lhs - rhs), axis=1)
-    bad = diff > budget.epsilon
-
-    def rec(i: int) -> dict[str, Any]:
-        j = int(np.argmax(np.abs(lhs[i] - rhs[i])))
-        return {"x": X[i].tolist(), "a": float(a[i]), "t": float(grid[j]),
-                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
-
-    viol, count = _collect(bad, rec)
+    viol: list[dict[str, Any]] = []
+    count = 0
+    for lo in range(0, n, DELTA2_CHUNK):
+        b = slice(lo, lo + DELTA2_CHUNK)
+        lhs = space.kernel(grid, S_ax[b])
+        rhs = space.kernel(grid / scale[b], S[b])
+        diff = np.abs(lhs - rhs)
+        bad = np.flatnonzero(np.max(diff, axis=1) > budget.epsilon)
+        count += bad.size
+        for i in bad[:MAX_STORED_VIOLATIONS - len(viol)]:
+            j = int(np.argmax(diff[i]))
+            viol.append({"x": X[lo + i].tolist(), "a": float(a[lo + i]),
+                         "t": float(grid[0, j]), "lhs": float(lhs[i, j]),
+                         "rhs": float(rhs[i, j])})
     return _make_report("beta_homogeneous", viol, n, budget.rng_seed,
                         notes={"beta": beta}, n_violations=count)
 

@@ -2,23 +2,26 @@
 
 The scalar rejection sampler, the scalar smaller-scale witness loop, the
 per-trial scale-witness predicates, the list-based and the full-scan
-doubling-constant searches and the all-four axiom check are kept here as
-references: the batched code must return the same bits, the same
-diagnostics and byte-identical registry reports.
+doubling-constant searches, the all-four axiom check, the unblocked
+doubling records and declared check, the full-matrix homogeneity check and
+the per-function admissibility check are kept here as references: the
+batched code must return the same bits, the same diagnostics and
+byte-identical registry reports.
 """
 
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 import pmtop as p
 import pmtop.balls as B
+import pmtop.distfn as D
 import pmtop.falsifier as F
-from pmtop.distfn import EPS_STRICT, _make_report, check_rng
+from pmtop.distfn import EPS_STRICT, MAX_STORED_VIOLATIONS, _make_report, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
     AXIOMS,
@@ -31,9 +34,10 @@ from pmtop.pmspace import (
     StepFrom,
     VerificationError,
     _collect,
-    _delta2_broken,
+    _Delta2Scan,
     delta2_violations,
     sample_convex_weights,
+    sample_scalars,
     sample_vectors,
 )
 
@@ -403,6 +407,40 @@ def reference_find_delta2(space, budget, candidates):
     return None
 
 
+def reference_delta2_broken(space, c, grid, lhs, S, eps):
+    """The doubling inequality on a whole (rows, grid) matrix: (rows that
+    break it, rhs, rhs - lhs)."""
+    rhs = space.kernel(grid[None, :] / c, S)
+    gap = rhs - lhs
+    return np.max(gap, axis=1) > eps, rhs, gap
+
+
+def reference_delta2_records(space, c, budget, X=None, limit=MAX_STORED_VIOLATIONS):
+    """The unblocked doubling records: one full-matrix evaluation of every
+    row, then the first limit records and the count."""
+    if X is None:
+        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                           space.dim)
+    grid = budget.grid_array()
+    lhs = space.mu_matrix(2.0 * X, grid)
+    bad, rhs, gap = reference_delta2_broken(space, c, grid, lhs,
+                                            space.sigma(X)[:, None], budget.epsilon)
+
+    def rec(i):
+        j = int(np.argmax(gap[i]))
+        return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
+                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+
+    return _collect(bad, rec, limit)
+
+
+def reference_check_delta2_declared(space, budget):
+    viol, count = reference_delta2_records(space, space.declared_c, budget)
+    return _make_report("delta2_declared", viol, budget.n_vectors,
+                        budget.rng_seed, notes={"c": space.declared_c},
+                        n_violations=count)
+
+
 def reference_find_delta2_full_scan(space, budget, candidates):
     """find_delta2_constant before its block-wise early exit: each candidate
     is tested on every row at once."""
@@ -412,7 +450,8 @@ def reference_find_delta2_full_scan(space, budget, candidates):
     lhs = space.mu_matrix(2.0 * X, grid)
     S = space.sigma(X)[:, None]
     for c in sorted(candidates):
-        if not np.any(_delta2_broken(space, c, grid, lhs, S, budget.epsilon)[0]):
+        if not np.any(reference_delta2_broken(space, c, grid, lhs, S,
+                                              budget.epsilon)[0]):
             return float(c)
     return None
 
@@ -434,6 +473,183 @@ def test_find_delta2_matches_first_empty_violation_list(space):
             found = p.find_delta2_constant(space, budget, candidates)
             assert found == reference_find_delta2_full_scan(space, budget, candidates)
             assert found == reference_find_delta2(space, budget, candidates)
+
+
+DELTA2_SPACES = {
+    "rational-p1": p.rational_space(p.PPower(p=1.0), 2, declared_c=2.0),
+    "rational-p2": p.rational_space(p.PPower(p=2.0), 3, declared_c=4.0),
+    "step-weighted": p.step_space(p.WeightedAbs(weights=(0.5, 2.0)), 2, declared_c=2.0),
+    # Broken at rows past the first block: 3.999 is first broken at row 948.
+    "step-p2": p.step_space(p.PPower(p=2.0), 1, declared_c=3.999),
+    # Every row but one breaks the declared constant, across every block.
+    "break_delta2_declaration": F.generate_instance(0, "rational_from",
+                                                    "break_delta2_declaration"),
+}
+
+
+def canonical_report(rep):
+    return json.dumps(rep.to_record(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(DELTA2_SPACES))
+def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name):
+    space = DELTA2_SPACES[name]
+    # Below one block, not a multiple of a block, and the registry's size.
+    for n in (DELTA2_CHUNK // 2 + 3, 1500, 10_000):
+        assert n < DELTA2_CHUNK or n % DELTA2_CHUNK
+        budget = p.SampleBudget(n_vectors=n, n_scalar_pairs=10, rng_seed=5)
+        estimate = replace(budget, n_vectors=min(n, 2000))
+        declared = canonical_report(reference_check_delta2_declared(space, budget))
+        found = reference_find_delta2_full_scan(space, budget, p.DELTA2_CANDIDATES)
+        found_2000 = reference_find_delta2_full_scan(space, estimate, p.DELTA2_CANDIDATES)
+
+        scan = _Delta2Scan(space, budget)   # find, then declared
+        assert p.find_delta2_constant(space, budget, scan=scan) == found
+        assert canonical_report(p.check_delta2_declared(space, budget, scan)) == declared
+        scan = _Delta2Scan(space, budget)   # declared, then the estimate
+        assert canonical_report(p.check_delta2_declared(space, budget, scan)) == declared
+        assert p.find_delta2_constant(space, estimate, scan=scan) == found_2000
+        # The estimate alone, on a scan of the full budget and on its own draw.
+        assert p.find_delta2_constant(space, estimate,
+                                      scan=_Delta2Scan(space, budget)) == found_2000
+        assert p.find_delta2_constant(space, estimate) == found_2000
+        assert canonical_report(p.check_delta2_declared(space, budget)) == declared
+
+        X = sample_vectors(check_rng(7, "other"), n, space.dim)
+        for c in (1.0, space.declared_c):
+            assert (delta2_violations(space, c, budget, X=X)
+                    == reference_delta2_records(space, c, budget, X, limit=None)[0])
+    if name == "break_delta2_declaration":
+        rep = p.check_delta2_declared(space, budget)
+        assert rep.n_violations > 9_990 and len(rep.violations) == 50
+
+
+def test_delta2_scan_refuses_another_space_or_budget():
+    space = DELTA2_SPACES["rational-p1"]
+    budget = p.SampleBudget(n_vectors=600, rng_seed=1)
+    scan = _Delta2Scan(space, budget)
+    for other_space, other_budget in [
+            (DELTA2_SPACES["rational-p2"], budget),
+            (space, replace(budget, n_vectors=601)),
+            (space, replace(budget, rng_seed=2)),
+            (space, replace(budget, epsilon=1e-3))]:
+        with pytest.raises(ValueError, match="delta2 scan"):
+            p.find_delta2_constant(other_space, other_budget, scan=scan)
+
+
+def reference_check_beta_homogeneous(space, beta, budget):
+    """check_beta_homogeneous on whole (rows, grid) matrices."""
+    rng = check_rng(budget.rng_seed, "homogeneous")
+    n = max(budget.n_vectors, budget.n_scalar_pairs)
+    X = sample_vectors(rng, n, space.dim)
+    a = sample_scalars(rng, n)
+    a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
+    grid = budget.grid_array()
+    lhs = space.mu_matrix(a[:, None] * X, grid)
+    rhs = space.kernel(grid[None, :] / (np.abs(a) ** beta)[:, None],
+                       space.sigma(X)[:, None])
+    diff = np.max(np.abs(lhs - rhs), axis=1)
+
+    def rec(i):
+        j = int(np.argmax(np.abs(lhs[i] - rhs[i])))
+        return {"x": X[i].tolist(), "a": float(a[i]), "t": float(grid[j]),
+                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+
+    viol, count = _collect(diff > budget.epsilon, rec)
+    return _make_report("beta_homogeneous", viol, n, budget.rng_seed,
+                        notes={"beta": beta}, n_violations=count)
+
+
+@pytest.mark.parametrize("space, beta", [
+    (p.rational_space(p.PPower(p=1.0), 2), 1.0),
+    (p.step_space(p.WeightedAbs(weights=(0.5, 2.0)), 2), 1.0),
+    # A degree-one space declared with beta 0.5: most rows break, in every block.
+    (p.rational_space(p.WeightedAbs(weights=(1.0,)), 1), 0.5),
+    (p.rational_space(p.PPower(p=2.0), 3), 1.0),
+], ids=["rational-p1", "step-weighted", "half-beta-on-degree-one", "rational-p2"])
+def test_blocked_homogeneity_matches_the_full_matrix_reference(space, beta):
+    for n_vectors, n_pairs in ((DELTA2_CHUNK // 2 + 3, 10), (1500, 900), (300, 5000)):
+        budget = p.SampleBudget(n_vectors=n_vectors, n_scalar_pairs=n_pairs,
+                                rng_seed=n_vectors)
+        got = p.check_beta_homogeneous(space, beta, budget)
+        ref = reference_check_beta_homogeneous(space, beta, budget)
+        assert canonical_report(got) == canonical_report(ref)
+        assert got.passed == ref.passed
+        if beta == 0.5:
+            assert ref.n_violations > 0.9 * max(n_vectors, n_pairs)
+            assert len(got.violations) == 50
+
+
+def reference_confirm_limit(f, start, target, eps):
+    """The scalar limit confirmation: probe one point at a time."""
+    probe = start
+    for _ in range(D.LIMIT_EXTENSION_DECADES + 1):
+        val = f(probe)
+        if target == "inf" and val <= eps:
+            return True, probe, val
+        if target == "sup" and val >= 1.0 - eps:
+            return True, probe, val
+        probe = probe * 10.0 if target == "sup" else (
+            probe * 10.0 if probe < 0 else -max(abs(probe), 1.0))
+    return False, probe / 10.0, f(probe / 10.0)
+
+
+def reference_check_delta_membership(f, budget):
+    """check_delta_membership for one function, clause by clause."""
+    ts = np.asarray(list(D.NEGATIVE_PROBES) + [0.0] + list(budget.t_grid), dtype=float)
+    vals = f.eval_many(ts)
+    violations = []
+    for i in np.nonzero((vals < -0.0) | (vals > 1.0))[0]:
+        violations.append({"clause": "range", "t": float(ts[i]), "value": float(vals[i])})
+    for i in np.nonzero(vals[:-1] > vals[1:])[0]:
+        violations.append({"clause": "monotone",
+                           "t1": float(ts[i]), "f1": float(vals[i]),
+                           "t2": float(ts[i + 1]), "f2": float(vals[i + 1])})
+    inf_ok, p_inf, v_inf = reference_confirm_limit(f, float(ts[0]), "inf", budget.epsilon)
+    if not inf_ok:
+        violations.append({"clause": "inf_limit", "t": p_inf, "value": v_inf})
+    sup_ok, p_sup, v_sup = reference_confirm_limit(f, float(ts[-1]), "sup", budget.epsilon)
+    if not sup_ok:
+        violations.append({"clause": "sup_limit", "t": p_sup, "value": v_sup})
+    return _make_report("delta_membership", violations, len(ts), budget.rng_seed,
+                        notes={"inf_probe": p_inf, "sup_probe": p_sup})
+
+
+MEMBERSHIP_FUNCTIONS = [
+    D.PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
+    D.PiecewiseLinear(((0.0, 0.0), (1.0, 0.999))),
+    D.PiecewiseLinear(((0.0, 0.5), (1.0, 0.2), (2.0, 1.0))),
+    D.PiecewiseLinear(((-1e3, 0.3), (1.0, 1.0))),
+    # Both limits fail: positive far left of every probe, capped on the right.
+    D.PiecewiseLinear(((-1e13, 0.2), (1.0, 0.5))),
+    D.PiecewiseLinear(((-3e13, 0.1), (2.0, 0.4), (5e14, 0.9))),
+]
+
+
+@pytest.mark.parametrize("budget", [
+    p.SampleBudget(n_vectors=10),
+    p.SampleBudget(n_vectors=10, t_grid=(0.3, 7.3), epsilon=0.05),
+], ids=["default-grid", "short-grid"])
+def test_batched_admissibility_matches_the_per_function_reference(budget):
+    fns = MEMBERSHIP_FUNCTIONS
+    batch = D.check_delta_memberships(
+        lambda t: np.stack([f.eval_many(t) for f in fns]), budget)
+    for f, got in zip(fns, batch):
+        ref = reference_check_delta_membership(f, budget)
+        assert canonical_report(got) == canonical_report(ref)
+        assert canonical_report(D.check_delta_membership(f, budget)) == canonical_report(ref)
+    both = [{v["clause"]: v for v in rep.violations} for rep in batch[-2:]]
+    for f, clauses in zip(fns[-2:], both):
+        # The reported probe is the step past the last one, divided by ten.
+        last_sup = budget.t_grid[-1]
+        for _ in range(D.LIMIT_EXTENSION_DECADES + 1):
+            last_sup *= 10.0
+        assert clauses["inf_limit"]["t"] == -1e13 / 10.0
+        assert clauses["inf_limit"]["value"] == f(-1e12)
+        assert clauses["sup_limit"]["t"] == last_sup / 10.0
+        assert clauses["sup_limit"]["value"] == f(last_sup / 10.0)
+    if budget.t_grid[-1] == 1e3:
+        assert [c["sup_limit"]["t"] for c in both] == [1e15, 1e15]
 
 
 def reference_check_axioms(space, budget):

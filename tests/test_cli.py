@@ -140,6 +140,8 @@ def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
     {"declared_beta": "1"},
     {"modular": {"kind": "p_power"}},
     {"modular": {"kind": "weighted_abs"}},
+    {"modular": {"kind": ["p_power"]}},
+    {"family": ["rational_from"]},
 ])
 def test_malformed_instance_value_is_a_config_error(tmp_path, capsys, instance):
     # A bool or a fractional dim must not be coerced (True to 1.0, 1.5 to 1).
@@ -151,6 +153,27 @@ def test_malformed_instance_value_is_a_config_error(tmp_path, capsys, instance):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "instance." in captured.err
+
+
+@pytest.mark.parametrize("instance, message", [
+    ({"modular": {"kind": ["p_power"]}},
+     "instance.modular.kind must be one of ['p_power', 'weighted_abs'], got ['p_power']"),
+    ({"modular": {"kind": "l_infinity"}},
+     "instance.modular.kind must be one of ['p_power', 'weighted_abs'], got 'l_infinity'"),
+    ({"family": ["rational_from"]},
+     "instance.family must be one of ['rational_from', 'step_closed_from', 'step_from'], "
+     "got ['rational_from']"),
+    ({"family": {"rational_from": 1}},
+     "instance.family must be one of ['rational_from', 'step_closed_from', 'step_from'], "
+     "got {'rational_from': 1}"),
+], ids=["kind-list", "kind-unknown", "family-list", "family-object"])
+def test_unknown_choice_names_the_field_and_its_choices(tmp_path, capsys, instance,
+                                                         message):
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    cfg["instance"].update(instance)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["check-axioms", "--config", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("predicates", [["pm5"], [], ["pm1", "pm5"], "pm1"])
@@ -434,9 +457,9 @@ def configs(draw):
     command = draw(st.sampled_from(cli.SUBCOMMANDS))
     dim = draw(st.integers(1, 3))
     modular = draw(st.one_of(
-        st.fixed_dictionaries({"kind": st.just("p_power"),
+        st.fixed_dictionaries({"kind": maybe(st.just("p_power")),
                                "p": maybe(st.sampled_from([1.0, 2.0, 3.0]))}),
-        st.fixed_dictionaries({"kind": st.just("weighted_abs"),
+        st.fixed_dictionaries({"kind": maybe(st.just("weighted_abs")),
                                "weights": maybe(st.lists(floats(0.1, 3.0),
                                                          min_size=dim,
                                                          max_size=dim))})))

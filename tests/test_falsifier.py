@@ -203,6 +203,31 @@ def test_axiom_predicates_are_never_infeasible():
             assert alone.to_record() == run.results[name].to_record()
 
 
+def test_declaration_predicates_are_never_infeasible():
+    # The doubling, homogeneity and admissibility predicates share a scan or
+    # a batch; a shape bug there raises ValueError, which the registry would
+    # file as infeasible, and no false alarm would show it.
+    names = ["delta_membership", "delta2_declared", "delta2_estimate", "beta_declared"]
+    budget = replace(BUDGET, n_vectors=1000, n_scalar_pairs=1000)
+    instances = [inst for inst in (F.generate_instance(seed, ("rational_from",
+                                                              "step_from")[seed % 2])
+                                   for seed in range(40))
+                 if inst.declared_beta is not None][:8]
+    assert len(instances) == 8
+    for inst in instances:
+        run = p.run_registry(inst, budget)
+        assert {name: run.results[name].outcome for name in names} == dict.fromkeys(
+            names, "pass"), run.results
+        for name in names:
+            alone = p.run_registry(inst, budget, predicates=[name]).results[name]
+            assert alone.to_record() == run.results[name].to_record()
+    for seed in range(3):
+        inst = F.generate_instance(seed, "rational_from", "break_delta2_declaration")
+        run = p.run_registry(inst, budget, predicates=["delta2_declared", "delta2_estimate"])
+        assert run.results["delta2_declared"].outcome == "fail"
+        assert run.results["delta2_estimate"].record["estimated_c"] == 4.0
+
+
 def test_missing_declarations_make_exactly_the_dependent_predicates_infeasible():
     inst = replace(F.generate_instance(2, "rational_from", None),
                    declared_c=None, declared_beta=None)
