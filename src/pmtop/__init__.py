@@ -16,6 +16,7 @@ from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
     PPower,
+    PreconditionError,
     VerificationError,
     WeightedAbs,
     as_vector,

@@ -10,14 +10,16 @@ band around the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .distfn import EPS_STRICT, CheckReport, SampleBudget, _make_report, check_rng
+from .distfn import (EPS_STRICT, CheckReport, SampleBudget, _make_report, bisect_lanes,
+                     check_rng)
 from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
+    PreconditionError,
     Vector,
     VerificationError,
     as_vector,
@@ -230,25 +232,16 @@ def smaller_scale_witnesses(space: PMSpace, sigma: np.ndarray, scale: np.ndarray
     Returns (t_star, reasons): reasons[i] is None when t_star[i] is a
     witness in (0, scale[i]), else the diagnostic, with t_star[i] NaN.  No
     interior feasible scale down to scale * 2**-60 is a left-continuity
-    violation at the scale.  Raises ValueError when a lane is not a ball
-    member.
+    violation at the scale.  Raises PreconditionError when a lane is not a
+    ball member.
     """
     sigma, scale, level = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (sigma, scale, level)))
     cut = 1.0 - level
     if not np.all(space.kernel(scale, sigma) > cut + EPS_STRICT):
-        raise ValueError("witness requires a ball member")
-    lo = np.zeros(scale.shape)
-    hi = scale.copy()
-    live = np.ones(scale.shape, dtype=bool)
-    for _ in range(WITNESS_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        live &= ~((mid <= lo) | (mid >= hi))  # float granularity ends a lane
-        if not np.any(live):
-            break
-        up = space.kernel(mid, sigma) > cut
-        hi = np.where(live & up, mid, hi)
-        lo = np.where(live & ~up, mid, lo)
+        raise PreconditionError("witness requires a ball member")
+    _, hi = bisect_lanes(lambda mid: space.kernel(mid, sigma) > cut, 0.0, scale,
+                         WITNESS_BISECTION_STEPS)
     t_star = 0.5 * (hi + scale)
     held = space.kernel(t_star, sigma) > cut
     reasons: list[str | None] = []
@@ -270,8 +263,8 @@ def smaller_scale_witness(ball: Ball, y: Vector) -> float:
     """A scale t* in (0, t) with mu_{x-y}(t*) > 1 - alpha, given y in the ball.
 
     A batch of one lane of smaller_scale_witnesses: the midpoint of the
-    maximal feasible subinterval of (0, t).  Raises ValueError when y is
-    not a member and InfeasibleConstruction, reporting a left-continuity
+    maximal feasible subinterval of (0, t).  Raises PreconditionError when
+    y is not a member and InfeasibleConstruction, reporting a left-continuity
     violation at t, when no interior feasible scale exists.
     """
     y = as_vector(y, ball.space.dim)
@@ -335,18 +328,26 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
                         notes={"beta": exponent, "t": scale})
 
 
+def containment_report(name: str, inner: Ball, outers: Sequence[Ball],
+                       budget: SampleBudget, samples: int) -> CheckReport:
+    """Sampled check that inner lies in every ball of outers: samples members
+    of inner from check_rng(seed, name), outside the epsilon band, and records
+    {"y": ...} for each one that escapes some outer ball."""
+    rng = check_rng(budget.rng_seed, name)
+    Y = sample_members(inner, rng, samples, band=budget.epsilon)
+    inside = np.logical_and.reduce([contains_many(outer, Y) for outer in outers])
+    viol = [{"y": Y[i].tolist()} for i in np.nonzero(~inside)[0]]
+    return _make_report(name, viol, len(Y), budget.rng_seed)
+
+
 def monotone_in_scale(space: PMSpace, level: float, t1: float, t2: float,
                       budget: SampleBudget) -> CheckReport:
     """Sampled subset check B(0, alpha, t1) within B(0, alpha, t2), t1 <= t2."""
     if t1 > t2:
         raise ValueError(f"scales out of order: {t1} > {t2}")
-    small = Ball(space, space.zero(), level, t1)
-    big = Ball(space, space.zero(), level, t2)
-    rng = check_rng(budget.rng_seed, "monotone_in_scale")
-    Y = sample_members(small, rng, budget.n_vectors, band=budget.epsilon)
-    inside = contains_many(big, Y)
-    viol = [{"y": Y[i].tolist()} for i in np.nonzero(~inside)[0]]
-    return _make_report("monotone_in_scale", viol, len(Y), budget.rng_seed)
+    return containment_report("monotone_in_scale", Ball(space, space.zero(), level, t1),
+                              [Ball(space, space.zero(), level, t2)], budget,
+                              budget.n_vectors)
 
 
 def monotone_in_level(space: PMSpace, level1: float, level2: float, scale: float,
@@ -354,18 +355,15 @@ def monotone_in_level(space: PMSpace, level1: float, level2: float, scale: float
     """Sampled subset check B(0, a1, t) within B(0, a2, t), a1 <= a2."""
     if level1 > level2:
         raise ValueError(f"levels out of order: {level1} > {level2}")
-    small = Ball(space, space.zero(), level1, scale)
-    big = Ball(space, space.zero(), level2, scale)
-    rng = check_rng(budget.rng_seed, "monotone_in_level")
-    Y = sample_members(small, rng, budget.n_vectors, band=budget.epsilon)
-    inside = contains_many(big, Y)
-    viol = [{"y": Y[i].tolist()} for i in np.nonzero(~inside)[0]]
-    return _make_report("monotone_in_level", viol, len(Y), budget.rng_seed)
+    return containment_report("monotone_in_level",
+                              Ball(space, space.zero(), level1, scale),
+                              [Ball(space, space.zero(), level2, scale)], budget,
+                              budget.n_vectors)
 
 
-def _require_centered(ball: Ball) -> None:
+def _require_centered(ball: Ball, subject: str = "check applies to balls") -> None:
     if np.any(ball.center != 0.0):
-        raise ValueError("check applies to balls centered at the origin")
+        raise PreconditionError(f"{subject} centered at the origin")
 
 
 def is_balanced_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:

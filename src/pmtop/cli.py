@@ -41,7 +41,6 @@ from . import topology as _topo
 from .distfn import SampleBudget, default_t_grid
 from .pmspace import (
     MAX_DIM,
-    InfeasibleConstruction,
     PMSpace,
     _Delta2Scan,
     _FAMILIES,
@@ -359,8 +358,6 @@ def _h_witness_refine(space, budget, cfg):
         # The input search needs the declared doubling constant, so it runs
         # inside the guard, where a missing one is a precondition failure.
         got = _fals._feasible_refinement_input(space, np.random.default_rng(budget.rng_seed))
-        if got is None:
-            raise InfeasibleConstruction("no feasible refinement input found")
         return _topo.refine_ball(space, *got, budget)
 
     return [_witness("refine_ball", searched)]

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .balls import Ball, contains_many
-from .pmspace import PMSpace, Vector, as_vector
+from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
 N_MAX = 10 ** 6
@@ -182,7 +182,8 @@ def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
                                   n_used=0)
     for b in balls:
         if np.any(b.center != seq.candidate_limit):
-            raise ValueError("probe balls must be centered at the candidate limit")
+            raise PreconditionError(
+                "probe balls must be centered at the candidate limit")
     ns = probe_schedule(n_max)
     points = seq.values(ns)
     per_ball: list[dict[str, Any]] = []

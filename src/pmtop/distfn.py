@@ -159,8 +159,9 @@ def check_rng(seed: int, label: str, shard: int = 0) -> np.random.Generator:
     """Deterministic per-check random stream.
 
     The label hash keeps independent checks on independent streams even
-    when they share the budget seed; the shard index supports a fixed
-    logical split that is stable no matter how many workers execute it.
+    when they share the budget seed; the shard index names a fixed
+    substream of one check, so a split into shards gives the same draws
+    whatever order the shards run in.
     """
     tag = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence((seed, tag, shard)))
@@ -302,6 +303,24 @@ def check_left_continuity(f: DistributionFunction, t: float,
                         notes={"probes": [[d, g] for d, g in zip(deltas, gaps)]})
 
 
+def bisect_lanes(pred, lo, hi, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect all lanes of pred (false at lo, true at hi) at once: a lane's
+    hi moves to its midpoint 0.5 * (lo + hi) where pred(mid) holds, its lo
+    where not, and it stops once the midpoint is no longer strictly inside.
+    Returns (lo, hi) after steps steps or once every lane has stopped."""
+    lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi)))
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        live &= ~((mid <= lo) | (mid >= hi))  # float granularity ends a lane
+        if not np.any(live):
+            break
+        up = pred(mid)
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+    return lo, hi
+
+
 def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
     """Both clauses of the transition-regularity check over a batch of
     non-decreasing functions, given their values V (one row per function)
@@ -322,13 +341,9 @@ def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
     rows, cols = np.nonzero(V[:, 1:] - V[:, :-1] > JUMP_FLOOR)
     jumps = (rows, np.zeros(0), np.zeros(0))
     if rows.size:
-        lo, hi = grid[cols], grid[cols + 1]
         target = 0.5 * (V[rows, cols] + V[rows, cols + 1])
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            up = evaluate(mid, rows) >= target
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
+        lo, hi = bisect_lanes(lambda mid: evaluate(mid, rows) >= target,
+                              grid[cols], grid[cols + 1], 48)
         tau = 0.5 * (lo + hi)
         d_small, d_wide = LEFT_PROBES[-1], LEFT_PROBES[0]
         g_small = (evaluate(tau + d_small, rows)

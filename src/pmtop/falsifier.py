@@ -54,6 +54,7 @@ from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
     PPower,
+    PreconditionError,
     RationalFrom,
     SigmaFunctional,
     StepFrom,
@@ -267,12 +268,14 @@ def _from_report(rep: CheckReport) -> PredicateResult:
 
 
 def _guard(fn: Callable[[], PredicateResult]) -> PredicateResult:
-    """Run one predicate; report instead of crashing."""
+    """Run one predicate; report instead of crashing.  Only an unmet
+    precondition, an infeasible construction or a starved sampler is
+    infeasible; any other error, a bare ValueError too, fails it."""
     try:
         return fn()
     except InfeasibleConstruction as exc:
         return PredicateResult(outcome="infeasible", record={"reason": str(exc)})
-    except (VerificationError, ValueError) as exc:
+    except (PreconditionError, VerificationError) as exc:
         return PredicateResult(outcome="infeasible",
                                record={"reason": f"precondition: {exc}"})
     except Exception as exc:  # a predicate must never take the run down
@@ -298,6 +301,25 @@ def _rescale_to_sigma(space: PMSpace, v: np.ndarray, target: float) -> np.ndarra
     return _topo._bisect_infimum(lambda s: space.sigma1(s * v) >= target, hi) * v
 
 
+def _scale_witness_result(space: PMSpace, xs: np.ndarray, ys: np.ndarray,
+                          sigmas: np.ndarray, scales: np.ndarray, levels: np.ndarray,
+                          counts: dict[str, int]) -> PredicateResult:
+    """Verdict of both scale-witness predicates: trial i (member ys[i] of the
+    ball around xs[i], offset sigma sigmas[i]) fails with its witness's reason
+    or a t_star outside (0, scale); the record adds the first 20 and the total."""
+    t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, scales, levels)
+    violations = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if reasons[i] is not None:
+            violations.append({"x": x.tolist(), "y": y.tolist(), "reason": reasons[i]})
+        elif not (0.0 < t_star[i] < scales[i]):
+            violations.append({"x": x.tolist(), "y": y.tolist(),
+                               "t_star": float(t_star[i])})
+    return PredicateResult(outcome="fail" if violations else "pass",
+                           record={**counts, "violations": violations[:20],
+                                   "violation_count": len(violations)})
+
+
 def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> PredicateResult:
     """Scale witnesses at exact-boundary pairs.
 
@@ -314,7 +336,6 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     depends on the data.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_boundary")
-    y = np.zeros(space.dim)
     X = rng.standard_normal((count, space.dim))
     levels = rng.uniform(0.6, 0.9, count)
     sigmas = space.sigma(X)
@@ -323,18 +344,8 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
     inside = space.kernel(sigmas, sigmas) > (1.0 - levels) + EPS_STRICT
     xs, sigmas, levels = X[inside], sigmas[inside], levels[inside]
-    t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, sigmas, levels)
-    violations = []
-    for i, x in enumerate(xs):
-        if reasons[i] is not None:
-            violations.append({"x": x.tolist(), "y": y.tolist(),
-                               "reason": reasons[i]})
-        elif not (0.0 < t_star[i] < sigmas[i]):
-            violations.append({"x": x.tolist(), "y": y.tolist(),
-                               "t_star": float(t_star[i])})
-    rec = {"eligible": len(xs), "trials": count,
-           "violations": violations[:20], "violation_count": len(violations)}
-    return PredicateResult(outcome="fail" if violations else "pass", record=rec)
+    return _scale_witness_result(space, xs, np.zeros_like(xs), sigmas, sigmas, levels,
+                                 {"eligible": len(xs), "trials": count})
 
 
 def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
@@ -352,27 +363,18 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
     rows, ok = _balls.sample_member_lanes(space, X, levels, scales, rng, 1,
                                           band=budget.epsilon)
     xs, ys, scales, levels = X[ok], rows[ok, 0], scales[ok], levels[ok]
-    sigmas = space.sigma(xs - ys)
-    t_star, reasons = _balls.smaller_scale_witnesses(space, sigmas, scales, levels)
-    held = space.kernel(t_star, sigmas) > 1.0 - levels
-    violations = []
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if reasons[i] is not None:
-            violations.append({"x": x.tolist(), "y": y.tolist(), "reason": reasons[i]})
-        elif not (0.0 < t_star[i] < scales[i] and held[i]):
-            violations.append({"x": x.tolist(), "y": y.tolist(),
-                               "t_star": float(t_star[i])})
-    rec = {"pairs": len(xs), "violations": violations[:20],
-           "violation_count": len(violations)}
-    return PredicateResult(outcome="fail" if violations else "pass", record=rec)
+    return _scale_witness_result(space, xs, ys, space.sigma(xs - ys), scales, levels,
+                                 {"pairs": len(xs)})
 
 
 def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
                                margin: float = 1e-6,
-                               ) -> tuple[_balls.Ball, np.ndarray] | None:
+                               reason: str = "no feasible refinement input found",
+                               ) -> tuple[_balls.Ball, np.ndarray]:
     """Random (outer, z) satisfying the doubling-chain feasibility
-    mu_(x-z)(t/c) > 1 - alpha with a safety margin.  Raises ValueError when
-    the space declares no doubling constant."""
+    mu_(x-z)(t/c) > 1 - alpha with a safety margin.  Raises PreconditionError
+    when the space declares no doubling constant and InfeasibleConstruction
+    with reason when the search finds no input."""
     c = _topo._require_c(space)
     for _ in range(200):
         x = rng.standard_normal(space.dim)
@@ -385,7 +387,7 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
                                         space.sigma1(x - z)))
             if _balls.contains(outer, z) and anchor > 1.0 - level + margin:
                 return outer, z
-    return None
+    raise InfeasibleConstruction(reason)
 
 
 def _witness_predicate(witness: Any) -> PredicateResult:
@@ -450,11 +452,7 @@ def _regularity(inp: _Inputs) -> PredicateResult:
 
 
 def _refine(inp: _Inputs) -> PredicateResult:
-    got = _feasible_refinement_input(inp.space, inp.rng)
-    if got is None:
-        return PredicateResult(outcome="infeasible",
-                               record={"reason": "no feasible refinement input found"})
-    outer, z = got
+    outer, z = _feasible_refinement_input(inp.space, inp.rng)
     return _witness_predicate(_topo.refine_ball(inp.space, outer, z, inp.small,
                                                 samples=50))
 
@@ -477,18 +475,14 @@ def _local_base(inp: _Inputs) -> PredicateResult:
 
 def _intersection(inp: _Inputs) -> PredicateResult:
     space, rng = inp.space, inp.rng
-    infeasible = PredicateResult(outcome="infeasible",
-                                 record={"reason": "no feasible intersection input"})
-    got = _feasible_refinement_input(space, rng)
-    if got is None:
-        return infeasible
-    outer, z = got
+    reason = "no feasible intersection input"
+    outer, z = _feasible_refinement_input(space, rng, reason=reason)
     other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
     anchor = float(space.kernel(np.asarray(other.scale / space.declared_c),
                                 space.sigma1(other.center - z)))
     if not (_balls.contains(other, z) and anchor > 1.0 - other.level + 1e-6):
-        return infeasible
+        raise InfeasibleConstruction(reason)
     return _witness_predicate(_topo.basis_intersection_witness(
         space, outer, other, z, inp.small, samples=50))
 

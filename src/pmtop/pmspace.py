@@ -71,6 +71,10 @@ class VerificationError(Exception):
     """Sampled evidence contradicts a constructed witness."""
 
 
+class PreconditionError(ValueError):
+    """A check or construction was asked for where its precondition fails."""
+
+
 def as_vector(x: Any, dim: int | None = None) -> Vector:
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
@@ -630,7 +634,7 @@ def check_delta2_declared(space: PMSpace, budget: SampleBudget,
     declared constant are not evaluated again.
     """
     if space.declared_c is None:
-        raise ValueError("space declares no doubling constant")
+        raise PreconditionError("space declares no doubling constant")
     scan = scan or _Delta2Scan(space, budget)
     viol, count = scan.violations(space.declared_c, scan.rows(space, budget))
     return _make_report("delta2_declared", viol, budget.n_vectors,
@@ -670,7 +674,7 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     the first MAX_STORED_VIOLATIONS records.
     """
     if not (0 < beta <= 1):
-        raise ValueError(f"exponent must lie in (0, 1], got {beta}")
+        raise PreconditionError(f"exponent must lie in (0, 1], got {beta}")
     rng = check_rng(budget.rng_seed, "homogeneous")
     n = max(budget.n_vectors, budget.n_scalar_pairs)
     X = sample_vectors(rng, n, space.dim)

@@ -77,7 +77,7 @@ def test_witness_step_family_midpoint():
 
 def test_witness_requires_membership():
     ball = p.Ball(SP1, np.array([0.0]), 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.smaller_scale_witness(ball, np.array([2.0]))
 
 
@@ -175,7 +175,7 @@ def test_balanced_and_convex_on_reference_ball():
 
 def test_balanced_requires_origin_center():
     ball = p.Ball(WAB2, np.array([1.0, 0.0]), 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.is_balanced_sampled(ball, BUDGET)
 
 

@@ -3,10 +3,10 @@
 The scalar rejection sampler, the scalar smaller-scale witness loop, the
 per-trial scale-witness predicates, the list-based and the full-scan
 doubling-constant searches, the all-four axiom check, the unblocked
-doubling records and declared check, the full-matrix homogeneity check and
-the per-function admissibility check are kept here as references: the
-batched code must return the same bits, the same diagnostics and
-byte-identical registry reports.
+doubling records and declared check, the full-matrix homogeneity check,
+the per-function admissibility check and the fixed-step regularity
+bisection are kept here as references: the batched code must return the
+same bits, the same diagnostics and byte-identical registry reports.
 """
 
 import itertools
@@ -21,6 +21,7 @@ import pmtop as p
 import pmtop.balls as B
 import pmtop.distfn as D
 import pmtop.falsifier as F
+import pmtop.pmspace as P
 from pmtop.distfn import EPS_STRICT, MAX_STORED_VIOLATIONS, _make_report, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
@@ -72,7 +73,7 @@ def reference_witness(space, sig, scale, level):
 def reference_ball_witness(ball, y):
     y = p.as_vector(y, ball.space.dim)
     if not p.contains(ball, y):
-        raise ValueError("witness requires a ball member")
+        raise p.PreconditionError("witness requires a ball member")
     return reference_witness(ball.space, ball.space.sigma1(ball.center - y),
                              ball.scale, ball.level)
 
@@ -85,7 +86,7 @@ def reference_witnesses(space, sigma, scale, level):
     for sig, t, a in lanes:
         sig, t, a = float(sig), float(t), float(a)
         if not float(space.kernel(np.asarray(t), sig)) > (1.0 - a) + EPS_STRICT:
-            raise ValueError("witness requires a ball member")
+            raise p.PreconditionError("witness requires a ball member")
         try:
             t_star.append(reference_witness(space, sig, t, a))
             reasons.append(None)
@@ -304,10 +305,47 @@ def test_batched_witness_rejects_a_non_member_lane():
     ball = p.Ball(space, np.zeros(2), 0.5, 1.0)
     member, outsider = np.array([0.1, 0.1]), np.array([3.0, 3.0])
     sigma = [space.sigma1(ball.center - y) for y in (member, outsider)]
-    with pytest.raises(ValueError, match="ball member"):
+    with pytest.raises(p.PreconditionError, match="ball member"):
         p.smaller_scale_witnesses(space, sigma, 1.0, 0.5)
-    with pytest.raises(ValueError, match="ball member"):
+    with pytest.raises(p.PreconditionError, match="ball member"):
         p.smaller_scale_witness(ball, outsider)
+
+
+def test_bisect_lanes_stop_on_their_own_at_float_granularity():
+    # Lane 0 starts at adjacent floats and keeps both ends; lane 1 runs to
+    # the adjacent floats around 0.3, and then the loop ends by itself,
+    # long before its step limit.
+    one_up = np.nextafter(1.0, 2.0)
+    calls = []
+
+    def pred(mid):
+        calls.append(mid.copy())
+        return mid >= 0.3
+
+    lo, hi = D.bisect_lanes(pred, np.array([1.0, 0.0]), np.array([one_up, 1.0]), 2000)
+    assert (lo[0], hi[0]) == (1.0, one_up)
+    assert (lo[1], hi[1]) == (np.nextafter(0.3, 0.0), 0.3)
+    assert 50 <= len(calls) <= 60
+    calls.clear()
+    assert D.bisect_lanes(pred, 1.0, one_up, 2000) == (1.0, one_up)
+    assert calls == []
+
+
+def test_containment_report_reports_escapes_from_any_outer_ball():
+    space = SPACES["rational_from"]
+    budget = p.SampleBudget(n_vectors=100, epsilon=1e-9, rng_seed=5)
+    inner = p.Ball(space, np.zeros(2), 0.5, 1.0)
+    wide = p.Ball(space, np.zeros(2), 0.5, 4.0)     # holds every member of inner
+    narrow = p.Ball(space, np.zeros(2), 0.5, 0.5)   # holds only some
+    Y = B.sample_members(inner, check_rng(5, "two_outer"), 100, band=1e-9)
+    escaped = ~B.contains_many(narrow, Y)
+    assert 0 < escaped.sum() < 100 and B.contains_many(wide, Y).all()
+    for outers in ([wide, narrow], [narrow, wide]):
+        rep = B.containment_report("two_outer", inner, outers, budget, 100)
+        assert not rep.passed and rep.n_violations == escaped.sum()
+        assert rep.samples_run == 100
+        assert rep.violations == [{"y": y.tolist()} for y in Y[escaped]][:50]
+    assert B.containment_report("two_outer", inner, [wide], budget, 100).passed
 
 
 def random_balls(space, rng, count=40):
@@ -650,6 +688,75 @@ def test_batched_admissibility_matches_the_per_function_reference(budget):
         assert clauses["sup_limit"]["value"] == f(last_sup / 10.0)
     if budget.t_grid[-1] == 1e3:
         assert [c["sup_limit"]["t"] for c in both] == [1e15, 1e15]
+
+
+def reference_regularity_scan(evaluate, V, grid, eps):
+    """_regularity_scan as it ran before the lane bisection: a fixed 48
+    steps for every jump row, with no per-lane stop."""
+    rows, cols = np.nonzero(V[:, 1:] - V[:, :-1] > D.JUMP_FLOOR)
+    jumps = (rows, np.zeros(0), np.zeros(0))
+    if rows.size:
+        lo, hi = grid[cols], grid[cols + 1]
+        target = 0.5 * (V[rows, cols] + V[rows, cols + 1])
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            up = evaluate(mid, rows) >= target
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        tau = 0.5 * (lo + hi)
+        d_small, d_wide = D.LEFT_PROBES[-1], D.LEFT_PROBES[0]
+        g_small = (evaluate(tau + d_small, rows)
+                   - evaluate(np.maximum(tau - d_small, 0.0), rows))
+        g_wide = (evaluate(tau + d_wide, rows)
+                  - evaluate(np.maximum(tau - d_wide, 0.0), rows))
+        jumpy = (g_small > eps) & (g_small >= 0.5 * g_wide)
+        jumps = (rows[jumpy], tau[jumpy], g_small[jumpy])
+    interior = (V > eps) & (V < 1.0 - eps)
+    pair_ok = interior[:, :-1] & interior[:, 1:]
+    flat = pair_ok & ~(V[:, 1:] > V[:, :-1] + D.EPS_STRICT)
+    return jumps, np.nonzero(flat), int(np.sum(pair_ok))
+
+
+def jump_functions():
+    """Piecewise-linear functions with jumps (a rise between adjacent
+    floats), steep ramps and flat stretches."""
+    rng = np.random.default_rng(11)
+    out = []
+    for k in range(12):
+        ts = np.sort(rng.uniform(1e-3, 1e2, 5))
+        vs = np.sort(rng.uniform(0.0, 0.8, 5))
+        bps = []
+        for t, v in zip(ts, vs):
+            bps.append((float(t), float(v)))
+            if k % 3 != 2:  # a jump of 0.2 just right of t
+                bps.append((float(np.nextafter(t, np.inf)), float(v) + 0.2))
+        last = 0.0
+        for i, (t, v) in enumerate(bps):
+            last = max(last, v)
+            bps[i] = (t, min(last, 1.0))
+        out.append(p.PiecewiseLinear(tuple(bps)))
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-3])
+def test_lane_bisection_keeps_the_fixed_step_regularity_bits(monkeypatch, epsilon):
+    budget = p.SampleBudget(n_vectors=100, epsilon=epsilon, rng_seed=4)
+    spaces = [SPACES[name] for name in sorted(SPACES)]
+    spaces += [F.generate_instance(seed, "step_from") for seed in range(4)]
+    spaces += [F.apply_mutation(F.generate_instance(seed, "step_from"),
+                                "break_left_continuity", seed) for seed in range(4)]
+    functions = jump_functions()
+    got = ([canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
+           + [canonical_report(p.check_transition_regularity(f, budget))
+              for f in functions])
+    monkeypatch.setattr(P, "_regularity_scan", reference_regularity_scan)
+    monkeypatch.setattr(D, "_regularity_scan", reference_regularity_scan)
+    want = ([canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
+            + [canonical_report(p.check_transition_regularity(f, budget))
+               for f in functions])
+    assert got == want
+    jumps = [json.loads(r)["violations"] for r in want[len(spaces):]]
+    assert sum(any(v["clause"] == "continuity" for v in rep) for rep in jumps) >= 6
 
 
 def reference_check_axioms(space, budget):

@@ -358,6 +358,28 @@ def test_witness_refine_without_declared_constant_is_infeasible(tmp_path, capsys
     assert "declared doubling constant" in rec["reason"]
 
 
+@pytest.mark.parametrize("command, base, op, reason", [
+    ("witness-refine", RATIONAL,
+     {"outer": {"center": [0.0, 0.0], "level": 0.5, "scale": 1.0}, "z": [5.0, 5.0]},
+     "refinement point must lie inside the outer ball"),
+    ("witness-separate", RATIONAL, {"x": [1.0, 1.0], "y": [1.0, 1.0]},
+     "separation needs two distinct points"),
+    ("witness-separate", HOMOGENEOUS, {"variant": "homogeneous", "x": [0.0]},
+     "separation from the origin needs a nonzero point"),
+    ("witness-separate", RATIONAL, {"variant": "homogeneous", "x": [1.0, 0.0]},
+     "operation needs a declared homogeneity exponent"),
+    ("witness-continuity", HOMOGENEOUS,
+     {"target": {"center": [1.0], "level": 0.5, "scale": 1.0}},
+     "target ball must be centered at the origin"),
+])
+def test_unmet_precondition_exits_two_with_its_reason(tmp_path, capsys, command, base,
+                                                     op, reason):
+    cfg = dict(json.loads(json.dumps(base)), operation=op)
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (rec["verdict"], rec["reason"]) == ("infeasible", f"precondition: {reason}")
+
+
 def test_regularity_subcommand_fails_on_step(tmp_path):
     cfg = write_config(tmp_path, STEP)
     assert cli.main(["check-regularity", "--config", cfg]) == 1

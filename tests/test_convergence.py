@@ -114,7 +114,7 @@ def test_probe_balls_must_sit_at_the_limit():
     seq = p.SequenceSpec(kind="harmonic", base=np.zeros(1),
                          direction=np.array([1.0]))
     wrong = [p.Ball(SP1, np.array([1.0]), 0.5, 1.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.check_topological_convergence(SP1, seq, balls=wrong)
 
 

@@ -228,6 +228,40 @@ def test_declaration_predicates_are_never_infeasible():
         assert run.results["delta2_estimate"].record["estimated_c"] == 4.0
 
 
+@pytest.mark.parametrize("exc, outcome, reason", [
+    (ValueError("boom"), "fail", "unexpected error: ValueError('boom')"),
+    (KeyError("k"), "fail", "unexpected error: KeyError('k')"),
+    (p.PreconditionError("unmet"), "infeasible", "precondition: unmet"),
+    (p.VerificationError("starved"), "infeasible", "precondition: starved"),
+    (p.InfeasibleConstruction("no split"), "infeasible", "no split"),
+])
+def test_guard_files_only_typed_errors_as_infeasible(monkeypatch, exc, outcome, reason):
+    # A bare ValueError is a fault in the predicate, not an unmet
+    # precondition: it fails the predicate and the run goes on.
+    def build(inp):
+        raise exc
+
+    monkeypatch.setattr(F, "PREDICATES", tuple(
+        (name, needs, build if name == "separation" else builder)
+        for name, needs, builder in F.PREDICATES))
+    run = p.run_registry(F.generate_instance(1, "rational_from"), BUDGET,
+                         predicates=["pm1", "separation"])
+    assert run.results["separation"].to_record() == {"outcome": outcome,
+                                                      "reason": reason}
+    assert run.results["pm1"].outcome == "pass"
+
+
+def test_refinement_predicates_without_a_feasible_input_are_infeasible():
+    # With c = 1e6 no sampled input clears the doubling chain's anchor.
+    inst = replace(F.generate_instance(0, "rational_from", None), declared_c=1e6)
+    run = p.run_registry(inst, BUDGET, predicates=["refine_ball", "basis_intersection"])
+    assert {name: r.to_record() for name, r in run.results.items()} == {
+        "refine_ball": {"outcome": "infeasible",
+                        "reason": "no feasible refinement input found"},
+        "basis_intersection": {"outcome": "infeasible",
+                               "reason": "no feasible intersection input"}}
+
+
 def test_missing_declarations_make_exactly_the_dependent_predicates_infeasible():
     inst = replace(F.generate_instance(2, "rational_from", None),
                    declared_c=None, declared_beta=None)

@@ -157,7 +157,7 @@ def test_homogeneity_degree_two_fails_with_a_doubling_exhibit():
 
 def test_homogeneity_rejects_bad_exponent():
     sp = p.rational_space(p.PPower(p=1.0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.check_beta_homogeneous(sp, 1.5, BUDGET)
 
 

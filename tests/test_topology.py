@@ -54,18 +54,18 @@ def test_refine_ball_infeasible_at_half_radius_for_doubling_two():
 
 def test_refine_ball_requires_membership():
     outer = p.Ball(SP1, np.zeros(1), 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.refine_ball(SP1, outer, np.array([1.5]), BUDGET)
     # the closure boundary (offset radius exactly) is not a member either:
     # mu equals 1 - alpha there and strict membership demands a margin.
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.refine_ball(SP1, outer, np.array([1.0]), BUDGET)
 
 
 def test_refine_ball_needs_declared_constant():
     bare = p.rational_space(p.PPower(p=1.0), 1)
     outer = p.Ball(bare, np.zeros(1), 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.refine_ball(bare, outer, np.zeros(1), BUDGET)
 
 
@@ -89,7 +89,7 @@ def test_local_base_indices_by_hand():
 
 
 def test_local_base_requires_matching_center():
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.local_base_containment(WAB, np.zeros(1),
                                  p.Ball(WAB, np.array([1.0]), 0.5, 1.0), BUDGET)
 
@@ -121,7 +121,7 @@ def test_separation_close_points_still_split():
 
 
 def test_separation_requires_distinct_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.separation_witness(SP1, np.ones(1), np.ones(1), BUDGET)
 
 
@@ -163,7 +163,7 @@ def test_homogeneous_separation_step_family_is_infeasible():
 
 
 def test_homogeneous_separation_rejects_origin():
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.homogeneous_separation_witness(WAB, np.zeros(1), BUDGET)
 
 
@@ -205,9 +205,9 @@ def test_scalar_witness_at_zero_uses_floor():
 
 def test_continuity_witnesses_require_origin_target():
     target = p.Ball(WAB, np.array([1.0]), 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.addition_continuity_witness(WAB, target, BUDGET)
-    with pytest.raises(ValueError):
+    with pytest.raises(p.PreconditionError):
         p.scalar_continuity_witness(WAB, target, 1.0, BUDGET)
 
 
