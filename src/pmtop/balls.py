@@ -290,11 +290,9 @@ def translate_identity(space: PMSpace, x: Vector, level: float, scale: float,
     Y = sample_around(ball_x, rng, budget.n_vectors, band=budget.epsilon)
     lhs = contains_many(ball_x, Y)
     rhs = contains_many(ball_0, Y - x[None, :])
-    bad = lhs != rhs
-    viol = [{"y": Y[i].tolist(), "in_translated": bool(lhs[i]),
-             "in_centered": bool(rhs[i])} for i in np.nonzero(bad)[0]]
-    return _make_report("translate_identity", viol, len(Y), budget.rng_seed,
-                        notes={"members": int(np.sum(lhs))})
+    return point_report("translate_identity", lhs == rhs,
+                        {"y": Y, "in_translated": lhs, "in_centered": rhs},
+                        budget.rng_seed, notes={"members": int(np.sum(lhs))})
 
 
 def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float,
@@ -306,13 +304,10 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
                               rng_seed=budget.rng_seed)
     pre = check_beta_homogeneous(space, exponent, pre_budget)
     if not pre.passed:
-        rep = _make_report("scaling_identity", pre.violations[:5], pre.samples_run,
-                           budget.rng_seed,
-                           notes={"precondition_failed": "beta_homogeneous",
-                                  "beta": exponent})
-        rep.passed = False
-        rep.n_violations = pre.n_violations
-        return rep
+        return _make_report("scaling_identity", pre.violations[:5], pre.samples_run,
+                            budget.rng_seed, n_violations=pre.n_violations,
+                            notes={"precondition_failed": "beta_homogeneous",
+                                   "beta": exponent})
 
     ball_pow = Ball(space, space.zero(), level, scale ** exponent)
     ball_unit = Ball(space, space.zero(), level, 1.0)
@@ -321,11 +316,17 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
     Y = Y[~boundary_band(ball_unit, Y / scale, budget.epsilon)]
     lhs = contains_many(ball_pow, Y)
     rhs = contains_many(ball_unit, Y / scale)
-    bad = lhs != rhs
-    viol = [{"y": Y[i].tolist(), "in_scaled": bool(lhs[i]),
-             "in_unit": bool(rhs[i])} for i in np.nonzero(bad)[0]]
-    return _make_report("scaling_identity", viol, len(Y), budget.rng_seed,
+    return point_report("scaling_identity", lhs == rhs,
+                        {"y": Y, "in_scaled": lhs, "in_unit": rhs}, budget.rng_seed,
                         notes={"beta": exponent, "t": scale})
+
+
+def point_report(name: str, held: np.ndarray, points: dict[str, np.ndarray], seed: int,
+                 notes: dict[str, Any] | None = None) -> CheckReport:
+    """Report of a sampled check over len(held) points: each point i where
+    held[i] is false is recorded as {key: points[key][i]} for every key."""
+    viol = [{k: v[i].tolist() for k, v in points.items()} for i in np.flatnonzero(~held)]
+    return _make_report(name, viol, len(held), seed, notes=notes)
 
 
 def containment_report(name: str, inner: Ball, outers: Sequence[Ball],
@@ -336,8 +337,7 @@ def containment_report(name: str, inner: Ball, outers: Sequence[Ball],
     rng = check_rng(budget.rng_seed, name)
     Y = sample_members(inner, rng, samples, band=budget.epsilon)
     inside = np.logical_and.reduce([contains_many(outer, Y) for outer in outers])
-    viol = [{"y": Y[i].tolist()} for i in np.nonzero(~inside)[0]]
-    return _make_report(name, viol, len(Y), budget.rng_seed)
+    return point_report(name, inside, {"y": Y}, budget.rng_seed)
 
 
 def monotone_in_scale(space: PMSpace, level: float, t1: float, t2: float,
@@ -374,9 +374,7 @@ def is_balanced_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     lam = rng.uniform(-1.0, 1.0, len(Y))
     lam[: min(3, len(lam))] = [0.0, 1.0, -1.0][: min(3, len(lam))]
     inside = contains_many(ball, lam[:, None] * Y)
-    viol = [{"y": Y[i].tolist(), "lambda": float(lam[i])}
-            for i in np.nonzero(~inside)[0]]
-    return _make_report("balanced", viol, len(Y), budget.rng_seed)
+    return point_report("balanced", inside, {"y": Y, "lambda": lam}, budget.rng_seed)
 
 
 def sampled_convexity(contains_fn: Callable[[np.ndarray], np.ndarray],

@@ -38,7 +38,7 @@ from . import balls as _balls
 from . import convergence as _conv
 from . import falsifier as _fals
 from . import topology as _topo
-from .distfn import SampleBudget, default_t_grid
+from .distfn import MAX_GRID_COUNT, SampleBudget, default_t_grid
 from .pmspace import (
     MAX_DIM,
     PMSpace,
@@ -69,6 +69,12 @@ def _reject_unknown(d: dict[str, Any], allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
+def _require_fields(d: dict[str, Any], required: set[str], where: str) -> None:
+    missing = sorted(required - set(d))
+    if missing:
+        raise ConfigError(f"{where}.{missing[0]} is required")
+
+
 def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     if not isinstance(cfg, dict):
         raise ConfigError("instance must be an object")
@@ -84,9 +90,7 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     allowed = {"p_power": {"kind", "p"}, "weighted_abs": {"kind", "weights"}}
     kind = _one_of(modular["kind"], "instance.modular.kind", allowed)
     _reject_unknown(modular, allowed[kind], "instance.modular")
-    missing = sorted(allowed[kind] - set(modular))
-    if missing:
-        raise ConfigError(f"instance.modular.{missing[0]} is required")
+    _require_fields(modular, allowed[kind], "instance.modular")
     # Types here; the model classes enforce the other ranges.
     _number(cfg["dim"], "instance.dim", f"an integer in 1..{MAX_DIM}",
             lambda d: 1 <= d <= MAX_DIM, integer=True)
@@ -117,8 +121,9 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
             raise ConfigError(f"budget.t_grid is missing {missing}")
         lo = _number(grid["min"], "budget.t_grid.min", "a finite number")
         hi = _number(grid["max"], "budget.t_grid.max", "a finite number")
-        count = _number(grid["count"], "budget.t_grid.count", "an integer >= 2",
-                        lambda n: n >= 2, integer=True)
+        count = _number(grid["count"], "budget.t_grid.count",
+                        f"an integer in 2..{MAX_GRID_COUNT}",
+                        lambda n: 2 <= n <= MAX_GRID_COUNT, integer=True)
         try:
             cfg["t_grid"] = default_t_grid(lo, hi, count)
         except ValueError as exc:
@@ -204,9 +209,7 @@ def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
     if not isinstance(op_ball, dict):
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(op_ball, {"center", "level", "scale"}, where)
-    missing = sorted({"center", "level", "scale"} - set(op_ball))
-    if missing:
-        raise ConfigError(f"{where}.{missing[0]} is required")
+    _require_fields(op_ball, {"center", "level", "scale"}, where)
     return _balls.Ball(
         space, _vector(op_ball["center"], f"{where}.center", space),
         _number(op_ball["level"], f"{where}.level", "a number in (0, 1)",
@@ -244,14 +247,9 @@ def _record(name: str, result: _fals.PredicateResult) -> dict[str, Any]:
 
 
 def _report(name: str, check: Callable[[], Any]) -> dict[str, Any]:
-    """Report line for a sampled check, through the registry's guard: a
-    member sampler that starves makes the check infeasible."""
+    """Report line for a sampled check or a witness construction, through
+    the registry's guard: a member sampler that starves makes it infeasible."""
     return _record(name, _fals._guard(lambda: _fals._from_report(check())))
-
-
-def _witness(name: str, build: Callable[[], Any]) -> dict[str, Any]:
-    """Report line for a witness construction, through the registry's guard."""
-    return _record(name, _fals._guard(lambda: _fals._witness_predicate(build())))
 
 
 def _mutated(space: PMSpace, op: dict[str, Any], seed: int) -> PMSpace:
@@ -352,7 +350,7 @@ def _h_witness_refine(space, budget, cfg):
     if "outer" in op:
         outer = _ball_from(op["outer"], space, "operation.outer")
         z = _point(op, "z", space, outer.center)
-        return [_witness("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
+        return [_report("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
 
     def searched():
         # The input search needs the declared doubling constant, so it runs
@@ -360,7 +358,7 @@ def _h_witness_refine(space, budget, cfg):
         got = _fals._feasible_refinement_input(space, np.random.default_rng(budget.rng_seed))
         return _topo.refine_ball(space, *got, budget)
 
-    return [_witness("refine_ball", searched)]
+    return [_report("refine_ball", searched)]
 
 
 def _h_witness_separate(space, budget, cfg):
@@ -369,12 +367,12 @@ def _h_witness_separate(space, budget, cfg):
     rng = np.random.default_rng(budget.rng_seed)
     x = _point(op, "x", space, rng.standard_normal(space.dim))
     if variant == "homogeneous":
-        return [_witness("homogeneous_separation",
-                         lambda: _topo.homogeneous_separation_witness(space, x, budget))]
+        return [_report("homogeneous_separation",
+                        lambda: _topo.homogeneous_separation_witness(space, x, budget))]
     if variant != "doubling":
         raise ConfigError(f"unknown separation variant {variant!r}")
     y = _point(op, "y", space, rng.standard_normal(space.dim))
-    return [_witness("separation", lambda: _topo.separation_witness(space, x, y, budget))]
+    return [_report("separation", lambda: _topo.separation_witness(space, x, y, budget))]
 
 
 def _h_witness_continuity(space, budget, cfg):
@@ -384,10 +382,10 @@ def _h_witness_continuity(space, budget, cfg):
               else _balls.Ball(space, space.zero(), 0.5, 1.0))
     scalar = _op_number(op, "scalar", 2.0, "a finite number")
     return [
-        _witness("addition_continuity",
-                 lambda: _topo.addition_continuity_witness(space, target, budget)),
-        _witness("scalar_continuity",
-                 lambda: _topo.scalar_continuity_witness(space, target, scalar, budget)),
+        _report("addition_continuity",
+                lambda: _topo.addition_continuity_witness(space, target, budget)),
+        _report("scalar_continuity",
+                lambda: _topo.scalar_continuity_witness(space, target, scalar, budget)),
     ]
 
 
@@ -401,6 +399,7 @@ def _h_check_convergence(space, budget, cfg):
         raise ConfigError("operation.sequence must be an object")
     _reject_unknown(seq_cfg, {"kind", "base", "direction", "ratio",
                               "candidate_limit"}, "operation.sequence")
+    _require_fields(seq_cfg, {"kind", "base", "direction"}, "operation.sequence")
     typed = {k: _vector(v, f"operation.sequence.{k}", space) for k, v in seq_cfg.items()
              if k in ("base", "direction", "candidate_limit")}
     if seq_cfg.get("ratio") is not None:
@@ -410,15 +409,16 @@ def _h_check_convergence(space, budget, cfg):
         seq = _conv.SequenceSpec.from_config({**seq_cfg, **typed})
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid sequence: {exc}") from exc
-    n_max = _op_number(op, "n_max", _conv.N_MAX, "an integer >= 1", lambda n: n >= 1,
-                       integer=True)
+    n_max = _op_number(op, "n_max", _conv.N_MAX, f"an integer in 1..{_conv.MAX_N_MAX}",
+                       lambda n: 1 <= n <= _conv.MAX_N_MAX, integer=True)
     grid = (_numbers(op["t_grid"], "operation.t_grid", "a positive number",
                      lambda t: t > 0)
             if "t_grid" in op else None)
     if grid == ():
         raise ConfigError("operation.t_grid must not be empty")
-    depth = _op_number(op, "local_base_depth", _conv.LOCAL_BASE_DEPTH, "an integer",
-                       integer=True)
+    depth = _op_number(op, "local_base_depth", _conv.LOCAL_BASE_DEPTH,
+                       f"an integer <= {_conv.MAX_LOCAL_BASE_DEPTH}",
+                       lambda d: d <= _conv.MAX_LOCAL_BASE_DEPTH, integer=True)
 
     mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
     balls = _conv.local_base(space, seq.candidate_limit, depth=depth)

@@ -21,11 +21,17 @@ from typing import Any
 import numpy as np
 
 from .balls import Ball, contains_many
+from .distfn import FieldRecord
 from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
 N_MAX = 10 ** 6
 LOCAL_BASE_DEPTH = 10
+
+# Validation bounds.  Probe indices go through float64 in SequenceSpec.values,
+# exact only up to 2**53; a local base of depth 1e4 takes about half a second.
+MAX_N_MAX = 2 ** 53
+MAX_LOCAL_BASE_DEPTH = 10 ** 4
 
 SEQUENCE_KINDS = ("harmonic", "constant_offset", "alternating", "geometric")
 
@@ -95,6 +101,8 @@ class SequenceSpec:
 
 def probe_schedule(n_max: int) -> np.ndarray:
     """Geometric index schedule 1, 2, 4, ... capped by and including n_max."""
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {n_max}")
     ns = [1]
     while ns[-1] * 2 <= n_max:
         ns.append(ns[-1] * 2)
@@ -103,15 +111,19 @@ def probe_schedule(n_max: int) -> np.ndarray:
     return np.asarray(ns, dtype=int)
 
 
+def settled_from(ns: np.ndarray, ok: np.ndarray) -> int | None:
+    """The first probe index ns[i] from which ok holds at every later probe,
+    or None when ok fails at the last one."""
+    bad = np.flatnonzero(~ok)
+    start = int(bad[-1]) + 1 if bad.size else 0
+    return int(ns[start]) if start < len(ns) else None
+
+
 @dataclass
-class ConvergenceVerdict:
+class ConvergenceVerdict(FieldRecord):
     converges: bool
     per_t: list[dict[str, Any]]   # per scale: t, n0 (or None), final gap
     n_used: int
-
-    def to_record(self) -> dict[str, Any]:
-        return {"converges": self.converges, "per_t": self.per_t,
-                "n_used": self.n_used}
 
 
 def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
@@ -124,8 +136,6 @@ def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
     which every later probe keeps 1 - mu_{x_n - x}(t) below eps_conv;
     the sequence converges when every scale has one.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     grid = np.asarray(t_grid if t_grid is not None else default_convergence_grid(),
                       dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
@@ -135,15 +145,10 @@ def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
     gaps = 1.0 - space.mu_matrix(offsets, grid)        # (len(ns), len(grid))
 
     ok = gaps < eps_conv
-    per_t: list[dict[str, Any]] = []
-    all_ok = True
-    for j, t in enumerate(grid):
-        suffix_ok = np.flip(np.cumprod(np.flip(ok[:, j]))).astype(bool)
-        hits = np.nonzero(suffix_ok)[0]
-        n0 = int(ns[hits[0]]) if hits.size else None
-        per_t.append({"t": float(t), "n0": n0, "final_gap": float(gaps[-1, j])})
-        all_ok &= n0 is not None
-    return ConvergenceVerdict(converges=all_ok, per_t=per_t, n_used=int(ns[-1]))
+    per_t = [{"t": float(t), "n0": settled_from(ns, ok[:, j]),
+              "final_gap": float(gaps[-1, j])} for j, t in enumerate(grid)]
+    return ConvergenceVerdict(converges=all(r["n0"] is not None for r in per_t),
+                              per_t=per_t, n_used=int(ns[-1]))
 
 
 def local_base(space: PMSpace, x: Vector, depth: int = LOCAL_BASE_DEPTH) -> list[Ball]:
@@ -153,18 +158,11 @@ def local_base(space: PMSpace, x: Vector, depth: int = LOCAL_BASE_DEPTH) -> list
 
 
 @dataclass
-class TopologicalVerdict:
+class TopologicalVerdict(FieldRecord):
     converges: bool
     vacuous: bool
     per_ball: list[dict[str, Any]]
     n_used: int
-
-    def __bool__(self) -> bool:
-        return self.converges
-
-    def to_record(self) -> dict[str, Any]:
-        return {"converges": self.converges, "vacuous": self.vacuous,
-                "per_ball": self.per_ball, "n_used": self.n_used}
 
 
 def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
@@ -186,14 +184,7 @@ def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
                 "probe balls must be centered at the candidate limit")
     ns = probe_schedule(n_max)
     points = seq.values(ns)
-    per_ball: list[dict[str, Any]] = []
-    all_ok = True
-    for b in balls:
-        member = contains_many(b, points)
-        suffix_ok = np.flip(np.cumprod(np.flip(member))).astype(bool)
-        hits = np.nonzero(suffix_ok)[0]
-        n0 = int(ns[hits[0]]) if hits.size else None
-        per_ball.append({"level": b.level, "scale": b.scale, "n0": n0})
-        all_ok &= n0 is not None
-    return TopologicalVerdict(converges=all_ok, vacuous=False,
-                              per_ball=per_ball, n_used=int(ns[-1]))
+    per_ball = [{"level": b.level, "scale": b.scale,
+                 "n0": settled_from(ns, contains_many(b, points))} for b in balls]
+    return TopologicalVerdict(converges=all(r["n0"] is not None for r in per_ball),
+                              vacuous=False, per_ball=per_ball, n_used=int(ns[-1]))

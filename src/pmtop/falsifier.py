@@ -262,7 +262,8 @@ class FalsifierRun:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _from_report(rep: CheckReport) -> PredicateResult:
+def _from_report(rep: CheckReport | _topo.Witness) -> PredicateResult:
+    """The outcome of a sampled check or a witness: pass when it held."""
     return PredicateResult(outcome="pass" if rep.passed else "fail",
                            record=rep.to_record())
 
@@ -375,7 +376,7 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
     mu_(x-z)(t/c) > 1 - alpha with a safety margin.  Raises PreconditionError
     when the space declares no doubling constant and InfeasibleConstruction
     with reason when the search finds no input."""
-    c = _topo._require_c(space)
+    _topo._require_c(space)
     for _ in range(200):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.3, 0.7))
@@ -383,16 +384,10 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
         outer = _balls.Ball(space, x, level, scale)
         for _ in range(50):
             z = x + 0.3 * rng.standard_normal(space.dim)
-            anchor = float(space.kernel(np.asarray(scale / c),
-                                        space.sigma1(x - z)))
-            if _balls.contains(outer, z) and anchor > 1.0 - level + margin:
+            if (_balls.contains(outer, z)
+                    and _topo.chain_anchor(space, outer, z) > 1.0 - level + margin):
                 return outer, z
     raise InfeasibleConstruction(reason)
-
-
-def _witness_predicate(witness: Any) -> PredicateResult:
-    return PredicateResult(outcome="pass" if witness.evidence.passed else "fail",
-                           record=witness.to_record())
 
 
 @dataclass
@@ -453,15 +448,14 @@ def _regularity(inp: _Inputs) -> PredicateResult:
 
 def _refine(inp: _Inputs) -> PredicateResult:
     outer, z = _feasible_refinement_input(inp.space, inp.rng)
-    return _witness_predicate(_topo.refine_ball(inp.space, outer, z, inp.small,
-                                                samples=50))
+    return _from_report(_topo.refine_ball(inp.space, outer, z, inp.small, samples=50))
 
 
 def _separation(inp: _Inputs) -> PredicateResult:
     x = inp.rng.standard_normal(inp.space.dim)
     y = inp.rng.standard_normal(inp.space.dim)
-    return _witness_predicate(_topo.separation_witness(inp.space, x, y, inp.small,
-                                                       samples=50))
+    return _from_report(_topo.separation_witness(inp.space, x, y, inp.small,
+                                                 samples=50))
 
 
 def _local_base(inp: _Inputs) -> PredicateResult:
@@ -479,11 +473,10 @@ def _intersection(inp: _Inputs) -> PredicateResult:
     outer, z = _feasible_refinement_input(space, rng, reason=reason)
     other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
-    anchor = float(space.kernel(np.asarray(other.scale / space.declared_c),
-                                space.sigma1(other.center - z)))
-    if not (_balls.contains(other, z) and anchor > 1.0 - other.level + 1e-6):
+    if not (_balls.contains(other, z)
+            and _topo.chain_anchor(space, other, z) > 1.0 - other.level + 1e-6):
         raise InfeasibleConstruction(reason)
-    return _witness_predicate(_topo.basis_intersection_witness(
+    return _from_report(_topo.basis_intersection_witness(
         space, outer, other, z, inp.small, samples=50))
 
 
@@ -544,13 +537,13 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[_Inputs], PredicateResult]], 
     ("separation", "declared_c", _separation),
     ("local_base", None, _local_base),
     ("basis_intersection", "declared_c", _intersection),
-    ("homogeneous_separation", "declared_beta", lambda inp: _witness_predicate(
+    ("homogeneous_separation", "declared_beta", lambda inp: _from_report(
         _topo.homogeneous_separation_witness(
             inp.space, inp.rng.standard_normal(inp.space.dim), inp.small, samples=50))),
-    ("addition_continuity", "declared_beta", lambda inp: _witness_predicate(
+    ("addition_continuity", "declared_beta", lambda inp: _from_report(
         _topo.addition_continuity_witness(inp.space, _unit_ball(inp.space), inp.small,
                                           samples=50))),
-    ("scalar_continuity", "declared_beta", lambda inp: _witness_predicate(
+    ("scalar_continuity", "declared_beta", lambda inp: _from_report(
         _topo.scalar_continuity_witness(inp.space, _unit_ball(inp.space),
                                         float(inp.rng.uniform(-2.0, 2.0)), inp.small,
                                         samples=50))),

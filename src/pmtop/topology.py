@@ -33,13 +33,12 @@ happens when a declared constant is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .distfn import CheckReport, SampleBudget, _make_report, check_rng
+from .distfn import CheckReport, FieldRecord, SampleBudget, check_rng
 from .balls import (Ball, _require_centered, contains, contains_many,
-                    containment_report, sample_members)
+                    containment_report, point_report, sample_members)
 from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
@@ -56,8 +55,16 @@ WITNESS_SAMPLES = 200
 SCALAR_FLOOR = 1e-6
 
 
+class Witness(FieldRecord):
+    """A witness records its fields and holds when its sampled evidence does."""
+
+    @property
+    def passed(self) -> bool:
+        return self.evidence.passed
+
+
 @dataclass(frozen=True, eq=False)
-class RefinementWitness:
+class RefinementWitness(Witness):
     inner: Ball
     split: float          # the scale split point t* in (0, t)
     mu_at_split: float    # mu_{x-z}(t*/c), certified above 1 - level
@@ -65,15 +72,9 @@ class RefinementWitness:
     member_level: float   # the inner ball's membership level parameter
     evidence: CheckReport
 
-    def to_record(self) -> dict[str, Any]:
-        return {"inner": self.inner.to_config(), "split": self.split,
-                "mu_at_split": self.mu_at_split, "slack": self.slack,
-                "member_level": self.member_level,
-                "evidence": self.evidence.to_record()}
-
 
 @dataclass(frozen=True, eq=False)
-class SeparationWitness:
+class SeparationWitness(Witness):
     ball_a: Ball
     ball_b: Ball
     sep_scale: float      # the scale t0 at which the points separate
@@ -85,47 +86,28 @@ class SeparationWitness:
         if self.ball_a.level != self.ball_b.level or self.ball_a.scale != self.ball_b.scale:
             raise ValueError("separation balls must share level and scale")
 
-    def to_record(self) -> dict[str, Any]:
-        return {"ball_a": self.ball_a.to_config(), "ball_b": self.ball_b.to_config(),
-                "sep_scale": self.sep_scale, "chosen_level": self.chosen_level,
-                "variant": self.variant, "evidence": self.evidence.to_record()}
-
 
 @dataclass(frozen=True, eq=False)
-class AdditionContinuityWitness:
+class AdditionContinuityWitness(Witness):
     ball_a: Ball
     ball_b: Ball
     evidence: CheckReport
 
-    def to_record(self) -> dict[str, Any]:
-        return {"ball_a": self.ball_a.to_config(), "ball_b": self.ball_b.to_config(),
-                "evidence": self.evidence.to_record()}
-
 
 @dataclass(frozen=True, eq=False)
-class ScalarContinuityWitness:
+class ScalarContinuityWitness(Witness):
     ball: Ball
     scalar_center: float
     scalar_window: float
     evidence: CheckReport
 
-    def to_record(self) -> dict[str, Any]:
-        return {"ball": self.ball.to_config(), "scalar_center": self.scalar_center,
-                "scalar_window": self.scalar_window,
-                "evidence": self.evidence.to_record()}
-
 
 @dataclass(frozen=True, eq=False)
-class IntersectionWitness:
+class IntersectionWitness(Witness):
     ball: Ball
     left: RefinementWitness
     right: RefinementWitness
     evidence: CheckReport
-
-    def to_record(self) -> dict[str, Any]:
-        return {"ball": self.ball.to_config(), "left": self.left.to_record(),
-                "right": self.right.to_record(),
-                "evidence": self.evidence.to_record()}
 
 
 def _require_c(space: PMSpace) -> float:
@@ -138,6 +120,13 @@ def _require_beta(space: PMSpace) -> float:
     if space.declared_beta is None:
         raise PreconditionError("operation needs a declared homogeneity exponent")
     return space.declared_beta
+
+
+def chain_anchor(space: PMSpace, outer: Ball, z: Vector) -> float:
+    """mu_(x-z)(t/c) for outer = B(x, alpha, t): the doubling chain certifies
+    an inner ball around z only where this clears 1 - alpha."""
+    return float(space.kernel(np.asarray(outer.scale / _require_c(space)),
+                              space.sigma1(outer.center - z)))
 
 
 # Scalar: as a batch of one, distfn.bisect_lanes took refine_ball 1.3 -> 2.4 ms.
@@ -176,7 +165,7 @@ def refine_ball(space: PMSpace, outer: Ball, z: Vector, budget: SampleBudget,
     sig = space.sigma1(outer.center - z)
     cut = 1.0 - alpha
 
-    anchor = float(space.kernel(np.asarray(t / c), sig))
+    anchor = chain_anchor(space, outer, z)
     if not anchor > cut + budget.epsilon:
         raise InfeasibleConstruction(
             f"mu_(x-z)(t/c) = {anchor} fails to clear 1 - alpha = {cut}: "
@@ -260,14 +249,13 @@ def _pick_separation_scale(space: PMSpace, sig: float, budget: SampleBudget,
 def _disjointness_evidence(name: str, ball_a: Ball, ball_b: Ball,
                            budget: SampleBudget, samples: int) -> CheckReport:
     rng = check_rng(budget.rng_seed, name)
-    viol: list[dict[str, Any]] = []
     half = max(samples // 2, 1)
-    for src, other, tag in ((ball_a, ball_b, "a"), (ball_b, ball_a, "b")):
-        Y = sample_members(src, rng, half, band=budget.epsilon)
-        overlap = contains_many(other, Y)
-        viol.extend({"y": Y[i].tolist(), "sampled_from": tag}
-                    for i in np.nonzero(overlap)[0])
-    return _make_report(name, viol, 2 * half, budget.rng_seed)
+    Ya = sample_members(ball_a, rng, half, band=budget.epsilon)
+    Yb = sample_members(ball_b, rng, half, band=budget.epsilon)
+    apart = ~np.concatenate([contains_many(ball_b, Ya), contains_many(ball_a, Yb)])
+    return point_report(name, apart, {"y": np.vstack([Ya, Yb]),
+                                      "sampled_from": np.repeat(["a", "b"], half)},
+                        budget.rng_seed)
 
 
 def separation_witness(space: PMSpace, x: Vector, y: Vector,
@@ -344,10 +332,8 @@ def addition_continuity_witness(space: PMSpace, target: Ball,
     Y = sample_members(b, rng, samples, band=budget.epsilon)
     X[0] = 0.0
     Y[0] = 0.0
-    inside = contains_many(target, X + Y)
-    viol = [{"x": X[i].tolist(), "y": Y[i].tolist()}
-            for i in np.nonzero(~inside)[0]]
-    evidence = _make_report("addition_continuity", viol, len(X), budget.rng_seed)
+    evidence = point_report("addition_continuity", contains_many(target, X + Y),
+                            {"x": X, "y": Y}, budget.rng_seed)
     return AdditionContinuityWitness(ball_a=b, ball_b=b, evidence=evidence)
 
 
@@ -373,10 +359,8 @@ def scalar_continuity_witness(space: PMSpace, target: Ball, scalar: float,
     u = rng.uniform(-1.0, 1.0, len(X))
     u[0] = 0.0  # the unperturbed scalar itself
     xi = scalar + window * u * (1.0 - 1e-9)
-    inside = contains_many(target, xi[:, None] * X)
-    viol = [{"x": X[i].tolist(), "xi": float(xi[i])}
-            for i in np.nonzero(~inside)[0]]
-    evidence = _make_report("scalar_continuity", viol, len(X), budget.rng_seed)
+    evidence = point_report("scalar_continuity", contains_many(target, xi[:, None] * X),
+                            {"x": X, "xi": xi}, budget.rng_seed)
     return ScalarContinuityWitness(ball=b1, scalar_center=scalar,
                                    scalar_window=window, evidence=evidence)
 

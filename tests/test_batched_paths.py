@@ -4,9 +4,11 @@ The scalar rejection sampler, the scalar smaller-scale witness loop, the
 per-trial scale-witness predicates, the list-based and the full-scan
 doubling-constant searches, the all-four axiom check, the unblocked
 doubling records and declared check, the full-matrix homogeneity check,
-the per-function admissibility check and the fixed-step regularity
-bisection are kept here as references: the batched code must return the
-same bits, the same diagnostics and byte-identical registry reports.
+the per-function admissibility check, the fixed-step regularity
+bisection, the hand-written witness and verdict records and the per-ball
+disjointness loop are kept here as references: the batched code must
+return the same bits, the same diagnostics and byte-identical registry
+reports.
 """
 
 import itertools
@@ -19,9 +21,11 @@ import pytest
 
 import pmtop as p
 import pmtop.balls as B
+import pmtop.convergence as C
 import pmtop.distfn as D
 import pmtop.falsifier as F
 import pmtop.pmspace as P
+import pmtop.topology as T
 from pmtop.distfn import EPS_STRICT, MAX_STORED_VIOLATIONS, _make_report, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
@@ -832,7 +836,8 @@ def reference_check_axioms(space, budget):
     rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
                        seed)
     rep.parts = parts
-    rep.passed = all(r.passed for r in parts.values())
+    # passed is n_violations == 0, which must be the verdict of all four parts.
+    assert rep.passed == all(r.passed for r in parts.values())
     return rep
 
 
@@ -929,3 +934,160 @@ def test_axiom_reports_count_every_violation_but_keep_fifty():
     rep = p.check_delta2_declared(space, budget)
     assert rep.n_violations == 9_999 and not rep.passed
     assert rep.violations == delta2_violations(space, space.declared_c, budget)[:50]
+
+
+# -- one record path --------------------------------------------------------------
+#
+# The hand-written to_record bodies that the field records replaced, the
+# per-ball disjointness loop that the evidence builder replaced, and the
+# cumprod suffix rule that convergence.settled_from replaced.
+
+REFERENCE_RECORDS = {
+    T.RefinementWitness: lambda w: {
+        "inner": w.inner.to_config(), "split": w.split, "mu_at_split": w.mu_at_split,
+        "slack": w.slack, "member_level": w.member_level,
+        "evidence": w.evidence.to_record()},
+    T.SeparationWitness: lambda w: {
+        "ball_a": w.ball_a.to_config(), "ball_b": w.ball_b.to_config(),
+        "sep_scale": w.sep_scale, "chosen_level": w.chosen_level,
+        "variant": w.variant, "evidence": w.evidence.to_record()},
+    T.AdditionContinuityWitness: lambda w: {
+        "ball_a": w.ball_a.to_config(), "ball_b": w.ball_b.to_config(),
+        "evidence": w.evidence.to_record()},
+    T.ScalarContinuityWitness: lambda w: {
+        "ball": w.ball.to_config(), "scalar_center": w.scalar_center,
+        "scalar_window": w.scalar_window, "evidence": w.evidence.to_record()},
+    T.IntersectionWitness: lambda w: {
+        "ball": w.ball.to_config(), "left": reference_record(w.left),
+        "right": reference_record(w.right), "evidence": w.evidence.to_record()},
+    C.ConvergenceVerdict: lambda v: {
+        "converges": v.converges, "per_t": v.per_t, "n_used": v.n_used},
+    C.TopologicalVerdict: lambda v: {
+        "converges": v.converges, "vacuous": v.vacuous, "per_ball": v.per_ball,
+        "n_used": v.n_used},
+}
+
+
+def reference_record(obj):
+    return REFERENCE_RECORDS[type(obj)](obj)
+
+
+def reference_disjointness_evidence(name, ball_a, ball_b, budget, samples):
+    rng = check_rng(budget.rng_seed, name)
+    viol = []
+    half = max(samples // 2, 1)
+    for src, other, tag in ((ball_a, ball_b, "a"), (ball_b, ball_a, "b")):
+        Y = B.sample_members(src, rng, half, band=budget.epsilon)
+        overlap = B.contains_many(other, Y)
+        viol.extend({"y": Y[i].tolist(), "sampled_from": tag}
+                    for i in np.nonzero(overlap)[0])
+    return _make_report(name, viol, 2 * half, budget.rng_seed)
+
+
+def reference_settled_from(ns, ok):
+    suffix_ok = np.flip(np.cumprod(np.flip(ok))).astype(bool)
+    hits = np.nonzero(suffix_ok)[0]
+    return int(ns[hits[0]]) if hits.size else None
+
+
+def witnesses(space, seed):
+    """The six witness constructors on random inputs; those the space cannot
+    build (an infeasible chain, a starved sampler) are left out."""
+    rng = np.random.default_rng(seed)
+    budget = p.SampleBudget(n_vectors=64, rng_seed=seed)
+    dim = space.dim
+    x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    outer = p.Ball(space, x, float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)))
+    z = x + 0.05 * rng.standard_normal(dim)
+    other = p.Ball(space, z + 0.02 * rng.standard_normal(dim),
+                   min(outer.level * 1.2, 0.9), outer.scale * 1.3)
+    target = p.Ball(space, space.zero(), float(rng.uniform(0.2, 0.8)),
+                    float(rng.uniform(0.3, 3.0)))
+    builds = [
+        lambda: T.refine_ball(space, outer, z, budget, samples=60),
+        lambda: T.separation_witness(space, x, y, budget, samples=60),
+        lambda: T.homogeneous_separation_witness(space, x, budget, samples=60),
+        lambda: T.addition_continuity_witness(space, target, budget, samples=60),
+        lambda: T.scalar_continuity_witness(space, target, float(rng.uniform(-3, 3)),
+                                            budget, samples=60),
+        lambda: T.basis_intersection_witness(space, outer, other, z, budget,
+                                             samples=60),
+    ]
+    out = []
+    for build in builds:
+        try:
+            out.append(build())
+        except (p.InfeasibleConstruction, p.PreconditionError, VerificationError):
+            pass
+    return out
+
+
+# Valid spaces record no violations.  A too-small declared doubling constant
+# (0.3) makes the separation evidence record some; a degree-8 modular with
+# c = 0.05 and beta = 0.5 makes every kind of witness evidence record some.
+RECORD_SPACES = [
+    p.rational_space(p.WeightedAbs(weights=(1.0, 0.5)), 2, declared_c=2.0,
+                     declared_beta=1.0),
+    p.rational_space(p.WeightedAbs(weights=(1.0,)), 1, declared_c=0.3, declared_beta=1.0),
+    p.rational_space(p.PPower(p=8.0), 1, declared_c=0.05, declared_beta=0.5),
+]
+
+
+def test_witness_records_match_the_hand_written_records():
+    kinds, failing = set(), set()
+    for space in RECORD_SPACES:
+        for seed in range(6):
+            for w in witnesses(space, seed):
+                kinds.add(type(w))
+                if not w.evidence.passed:
+                    failing.add(type(w))
+                assert w.passed == w.evidence.passed
+                assert (json.dumps(w.to_record(), sort_keys=True)
+                        == json.dumps(reference_record(w), sort_keys=True))
+                assert F._from_report(w) == PredicateResult(
+                    "pass" if w.evidence.passed else "fail", reference_record(w))
+    assert kinds == failing == set(REFERENCE_RECORDS) - {C.ConvergenceVerdict,
+                                                         C.TopologicalVerdict}
+
+
+def test_disjointness_evidence_matches_the_per_ball_loop():
+    failing = 0
+    for space in RECORD_SPACES:
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            budget = p.SampleBudget(n_vectors=64, rng_seed=seed)
+            level, scale = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 4.0))
+            a = p.Ball(space, rng.standard_normal(space.dim), level, scale)
+            b = p.Ball(space, rng.standard_normal(space.dim), level, scale)
+            for samples in (1, 60, 101):
+                got = T._disjointness_evidence("separation", a, b, budget, samples)
+                ref = reference_disjointness_evidence("separation", a, b, budget, samples)
+                assert got == ref
+                failing += not got.passed
+    assert failing >= 10
+
+
+def test_chain_anchor_is_the_hand_formula():
+    space = p.rational_space(p.PPower(p=2.0), 2, declared_c=4.0)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        outer = p.Ball(space, rng.standard_normal(2), 0.5, float(rng.uniform(0.5, 2.0)))
+        z = rng.standard_normal(2)
+        assert T.chain_anchor(space, outer, z) == float(space.kernel(
+            np.asarray(outer.scale / space.declared_c), space.sigma1(outer.center - z)))
+
+
+def test_convergence_verdict_records_and_suffix_rule_match_the_references():
+    rng = np.random.default_rng(0)
+    ns = C.probe_schedule(1000)
+    for _ in range(200):
+        ok = rng.random(len(ns)) < rng.uniform(0.2, 1.0)
+        assert C.settled_from(ns, ok) == reference_settled_from(ns, ok)
+    space = p.rational_space(p.PPower(p=1.0), 1, declared_c=2.0)
+    for kind in C.SEQUENCE_KINDS:
+        seq = C.SequenceSpec(kind=kind, base=np.zeros(1), direction=np.array([0.3]),
+                             ratio=0.5 if kind == "geometric" else None)
+        for verdict in (C.check_mu_convergence(space, seq, n_max=4096),
+                        C.check_topological_convergence(space, seq, n_max=4096),
+                        C.check_topological_convergence(space, seq, balls=[])):
+            assert verdict.to_record() == reference_record(verdict)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import pmtop.falsifier as F
 from pmtop import cli
+from pmtop.convergence import MAX_LOCAL_BASE_DEPTH, MAX_N_MAX
+from pmtop.distfn import MAX_GRID_COUNT, MAX_SAMPLES
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -76,7 +78,11 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
                                     {"t_grid": {"min": 1}},
                                     {"n_vectors": 1.5},
                                     {"t_grid": {"min": 1, "max": 10, "count": 2.5}},
-                                    {"vector_law": "standard_normal"}])
+                                    {"vector_law": "standard_normal"},
+                                    {"n_vectors": 10 ** 12},
+                                    {"n_scalar_pairs": 10 ** 12},
+                                    {"t_grid": {"min": 1e-3, "max": 1e3,
+                                                "count": 10 ** 12}}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -85,7 +91,8 @@ def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     out = tmp_path / "report.ndjson"
     assert cli.main(["check-axioms", "--config", path, "--out", str(out)]) == 3
     assert not out.exists()
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and any(key in captured.err for key in budget)
 
 
 SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
@@ -116,6 +123,11 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("check-convergence", {"sequence": {**SEQUENCE, "ratio": "0.5"}}),
     ("check-convergence", {"sequence": {**SEQUENCE, "base": [0.0, 0.0, 0.0],
                                         "direction": [0.3, 0.1, 0.0]}}),
+    ("check-convergence", {"sequence": SEQUENCE, "n_max": 10 ** 30}),
+    ("check-convergence", {"sequence": SEQUENCE, "local_base_depth": 3 * 10 ** 6}),
+    ("check-convergence", {"sequence": {"base": [0.0, 0.0], "direction": [0.3, 0.1]}}),
+    ("check-convergence", {"sequence": {"kind": "harmonic", "direction": [0.3, 0.1]}}),
+    ("check-convergence", {"sequence": {"kind": "harmonic", "base": [0.0, 0.0]}}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -126,7 +138,23 @@ def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
     assert cli.main([command, "--config", path, "--out", str(out)]) == 3
     assert not out.exists()
     captured = capsys.readouterr()
-    assert captured.out == "" and "operation." in captured.err
+    assert captured.out == ""
+    assert any(f"operation.{key}" in captured.err for key in operation)
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--t-grid", "1e-3,1e3,1000000000000"], "--t-grid"),
+    (["--samples", str(10 ** 12)], "n_vectors"),
+])
+def test_oversized_count_flag_is_a_config_error_naming_it(tmp_path, capsys, flags,
+                                                          field):
+    # A count past its validation bound fails before any array is allocated.
+    path = write_config(tmp_path, RATIONAL)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["check-axioms", "--config", path, "--out", str(out)] + flags) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
 
 
 @pytest.mark.parametrize("instance", [
@@ -458,6 +486,13 @@ def points(dim):
     return st.lists(floats(-3.0, 3.0), min_size=dim, max_size=dim)
 
 
+def counts(lo, hi, bound):
+    """A small count in [lo, hi], or one time in four a count past the
+    validation bound, which must be a config error and not an allocation."""
+    small = st.integers(lo, hi)
+    return st.one_of(small, small, small, st.integers(bound + 1, 10 ** 30))
+
+
 @st.composite
 def configs(draw):
     """(subcommand, config): in half the cases every value is plausible; in
@@ -491,12 +526,12 @@ def configs(draw):
         optional={"declared_c": maybe(st.sampled_from([0.5, 2.0, 4.0])),
                   "declared_beta": maybe(st.sampled_from([0.5, 1.0, 1.5]))}))
     budget = draw(st.fixed_dictionaries({}, optional={
-        "n_vectors": maybe(st.integers(1, 24)),
-        "n_scalar_pairs": maybe(st.integers(1, 24)),
+        "n_vectors": maybe(counts(1, 24, MAX_SAMPLES)),
+        "n_scalar_pairs": maybe(counts(1, 24, MAX_SAMPLES)),
         "t_grid": maybe(st.one_of(
             st.lists(floats(1e-3, 1e3), min_size=1, max_size=4).map(sorted),
             st.fixed_dictionaries({"min": floats(1e-3, 1.0), "max": floats(2.0, 1e3),
-                                   "count": st.integers(2, 8)}))),
+                                   "count": counts(2, 8, MAX_GRID_COUNT)}))),
         "epsilon": maybe(floats(1e-12, 0.3)),
         "rng_seed": maybe(st.integers(0, 5))}))
     values = {
@@ -516,8 +551,8 @@ def configs(draw):
             optional={"ratio": maybe(floats(0.1, 0.9)),
                       "candidate_limit": maybe(vectors(dim))}),
         "t_grid": st.lists(floats(0.01, 10.0), min_size=1, max_size=4),
-        "n_max": st.integers(1, 64),
-        "local_base_depth": st.integers(0, 6),
+        "n_max": counts(1, 64, MAX_N_MAX),
+        "local_base_depth": counts(0, 6, MAX_LOCAL_BASE_DEPTH),
         "predicates": st.lists(st.sampled_from(F.PREDICATE_NAMES), min_size=1,
                                max_size=3),
         "unknown": JUNK,
