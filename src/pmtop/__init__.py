@@ -4,6 +4,7 @@ axiom checkers, executable topology witnesses, and a structural falsifier."""
 from .distfn import (
     CheckReport,
     DistributionFunction,
+    FieldError,
     PiecewiseLinear,
     SampleBudget,
     check_delta_membership,

@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .distfn import (EPS_STRICT, CheckReport, SampleBudget, _make_report, bisect_lanes,
-                     check_rng)
+                     check_number, check_rng)
 from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
@@ -33,6 +33,10 @@ WITNESS_BISECTION_STEPS = 60
 # Rejection sampling must keep at least this acceptance rate.
 MIN_ACCEPTANCE = 0.10
 
+# Bounds on a ball's level and scale, as check_number takes them.
+LEVEL = {"above": 0, "below": 1}
+SCALE = {"above": 0}
+
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -43,10 +47,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_vector(self.center, self.space.dim))
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        object.__setattr__(self, "level", float(check_number(self.level, "level", **LEVEL)))
+        object.__setattr__(self, "scale", float(check_number(self.scale, "scale", **SCALE)))
 
     def to_config(self) -> dict[str, Any]:
         return {"center": self.center.tolist(), "level": self.level,
@@ -340,23 +342,27 @@ def containment_report(name: str, inner: Ball, outers: Sequence[Ball],
     return point_report(name, inside, {"y": Y}, budget.rng_seed)
 
 
-def monotone_in_scale(space: PMSpace, level: float, t1: float, t2: float,
+def check_order(low: float, high: Any, field: str) -> Any:
+    """high, checked to be no smaller than low: a monotonicity check compares
+    a ball with one of no smaller level or scale."""
+    return check_number(high, field, at_least=low)
+
+
+def monotone_in_scale(space: PMSpace, level: float, scale: float, scale2: float,
                       budget: SampleBudget) -> CheckReport:
-    """Sampled subset check B(0, alpha, t1) within B(0, alpha, t2), t1 <= t2."""
-    if t1 > t2:
-        raise ValueError(f"scales out of order: {t1} > {t2}")
-    return containment_report("monotone_in_scale", Ball(space, space.zero(), level, t1),
-                              [Ball(space, space.zero(), level, t2)], budget,
+    """Sampled subset check B(0, alpha, t) within B(0, alpha, t2), t <= t2."""
+    check_order(scale, scale2, "scale2")
+    return containment_report("monotone_in_scale", Ball(space, space.zero(), level, scale),
+                              [Ball(space, space.zero(), level, scale2)], budget,
                               budget.n_vectors)
 
 
-def monotone_in_level(space: PMSpace, level1: float, level2: float, scale: float,
+def monotone_in_level(space: PMSpace, level: float, level2: float, scale: float,
                       budget: SampleBudget) -> CheckReport:
-    """Sampled subset check B(0, a1, t) within B(0, a2, t), a1 <= a2."""
-    if level1 > level2:
-        raise ValueError(f"levels out of order: {level1} > {level2}")
+    """Sampled subset check B(0, a, t) within B(0, a2, t), a <= a2."""
+    check_order(level, level2, "level2")
     return containment_report("monotone_in_level",
-                              Ball(space, space.zero(), level1, scale),
+                              Ball(space, space.zero(), level, scale),
                               [Ball(space, space.zero(), level2, scale)], budget,
                               budget.n_vectors)
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from typing import Any, Callable, Collection
+from contextlib import contextmanager
+from typing import Any, Callable, Collection, Iterator
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from . import balls as _balls
 from . import convergence as _conv
 from . import falsifier as _fals
 from . import topology as _topo
-from .distfn import MAX_GRID_COUNT, SampleBudget, default_t_grid
+from .distfn import FieldError, SampleBudget, check_number, check_numbers, default_t_grid
 from .pmspace import (
-    MAX_DIM,
+    EXPONENT,
     PMSpace,
     _Delta2Scan,
     _FAMILIES,
@@ -63,6 +63,16 @@ class ConfigError(Exception):
     pass
 
 
+@contextmanager
+def _fields(where: str) -> Iterator[None]:
+    """Report a FieldError raised inside as a ConfigError, the field named by
+    its path: where, then the field the model named."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
+
+
 def _reject_unknown(d: dict[str, Any], allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
@@ -80,9 +90,7 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
         raise ConfigError("instance must be an object")
     _reject_unknown(cfg, {"family", "modular", "dim", "declared_c",
                           "declared_beta"}, "instance")
-    for key in ("family", "modular", "dim"):
-        if key not in cfg:
-            raise ConfigError(f"instance.{key} is required")
+    _require_fields(cfg, {"family", "modular", "dim"}, "instance")
     _one_of(cfg["family"], "instance.family", _FAMILIES)
     modular = cfg["modular"]
     if not isinstance(modular, dict) or "kind" not in modular:
@@ -91,20 +99,8 @@ def _build_instance(cfg: dict[str, Any]) -> PMSpace:
     kind = _one_of(modular["kind"], "instance.modular.kind", allowed)
     _reject_unknown(modular, allowed[kind], "instance.modular")
     _require_fields(modular, allowed[kind], "instance.modular")
-    # Types here; the model classes enforce the other ranges.
-    _number(cfg["dim"], "instance.dim", f"an integer in 1..{MAX_DIM}",
-            lambda d: 1 <= d <= MAX_DIM, integer=True)
-    if "p" in modular:
-        _number(modular["p"], "instance.modular.p", "a finite number")
-    if "weights" in modular:
-        _numbers(modular["weights"], "instance.modular.weights", "a finite number")
-    for key in ("declared_c", "declared_beta"):
-        if cfg.get(key) is not None:
-            _number(cfg[key], f"instance.{key}", "a finite number")
-    try:
+    with _fields("instance"):
         return space_from_config(cfg)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid instance: {exc}") from exc
 
 
 def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget:
@@ -116,23 +112,14 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
     grid = cfg.get("t_grid")
     if isinstance(grid, dict):
         _reject_unknown(grid, {"min", "max", "count"}, "budget.t_grid")
-        missing = sorted({"min", "max", "count"} - set(grid))
-        if missing:
-            raise ConfigError(f"budget.t_grid is missing {missing}")
-        lo = _number(grid["min"], "budget.t_grid.min", "a finite number")
-        hi = _number(grid["max"], "budget.t_grid.max", "a finite number")
-        count = _number(grid["count"], "budget.t_grid.count",
-                        f"an integer in 2..{MAX_GRID_COUNT}",
-                        lambda n: 2 <= n <= MAX_GRID_COUNT, integer=True)
-        try:
-            cfg["t_grid"] = default_t_grid(lo, hi, count)
-        except ValueError as exc:
-            raise ConfigError(f"invalid budget.t_grid: {exc}") from exc
+        _require_fields(grid, {"min", "max", "count"}, "budget.t_grid")
+        with _fields("budget.t_grid"):
+            cfg["t_grid"] = default_t_grid(grid["min"], grid["max"], grid["count"])
     if args.t_grid is not None:
         try:
             lo, hi, count = args.t_grid.split(",")
             cfg["t_grid"] = default_t_grid(float(lo), float(hi), int(count))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad --t-grid {args.t_grid!r}: {exc}") from exc
     if args.samples is not None:
         cfg["n_vectors"] = args.samples
@@ -141,10 +128,8 @@ def _build_budget(cfg: dict[str, Any], args: argparse.Namespace) -> SampleBudget
         cfg["epsilon"] = args.epsilon
     if args.seed is not None:
         cfg["rng_seed"] = args.seed
-    try:
+    with _fields("budget"):
         return SampleBudget(**cfg)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid budget: {exc}") from exc
 
 
 def _operation(cfg: dict[str, Any], allowed: set[str], command: str) -> dict[str, Any]:
@@ -163,46 +148,18 @@ def _one_of(value: Any, where: str, names: Collection[str]) -> str:
     return value
 
 
-def _number(value: Any, where: str, need: str,
-            ok: Callable[[Any], bool] = lambda v: True, integer: bool = False) -> Any:
-    """value as a finite number (an int when integer is set; a bool is
-    neither) that passes ok, else a ConfigError naming where."""
-    typed = (isinstance(value, int if integer else (int, float))
-             and not isinstance(value, bool))
-    try:
-        good = typed and math.isfinite(value) and ok(value)
-    except OverflowError:  # an integer too large for a float
-        good = False
-    if not good:
-        raise ConfigError(f"{where} must be {need}, got {value!r}")
-    return value if integer else float(value)
-
-
-def _op_number(op: dict[str, Any], key: str, default: Any, need: str,
-               ok: Callable[[Any], bool] = lambda v: True, integer: bool = False) -> Any:
-    """operation[key], or the default when it is absent, through _number."""
-    return _number(op.get(key, default), f"operation.{key}", need, ok, integer)
-
-
-def _numbers(values: Any, where: str, need: str,
-             ok: Callable[[Any], bool] = lambda v: True) -> tuple[float, ...]:
-    """values as a list of numbers, each through _number."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list")
-    return tuple(_number(v, f"each entry of {where}", need, ok) for v in values)
-
-
-def _vector(value: Any, where: str, space: PMSpace) -> np.ndarray:
+def _vector(value: Any, field: str, space: PMSpace) -> np.ndarray:
     """value as a point of the space: a list of dim finite numbers."""
-    v = np.asarray(_numbers(value, where, "a finite number"))
+    v = np.asarray(check_numbers(value, field), dtype=float)
     if v.shape != (space.dim,):
-        raise ConfigError(f"{where} must have dimension {space.dim}")
+        raise FieldError(f"{field} must have dimension {space.dim}")
     return v
 
 
 def _point(op: dict[str, Any], key: str, space: PMSpace,
            fallback: np.ndarray) -> np.ndarray:
-    return _vector(op[key], f"operation.{key}", space) if key in op else fallback
+    with _fields("operation"):
+        return _vector(op[key], key, space) if key in op else fallback
 
 
 def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
@@ -210,12 +167,9 @@ def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(op_ball, {"center", "level", "scale"}, where)
     _require_fields(op_ball, {"center", "level", "scale"}, where)
-    return _balls.Ball(
-        space, _vector(op_ball["center"], f"{where}.center", space),
-        _number(op_ball["level"], f"{where}.level", "a number in (0, 1)",
-                lambda a: 0 < a < 1),
-        _number(op_ball["scale"], f"{where}.scale", "a positive number",
-                lambda t: t > 0))
+    with _fields(where):
+        return _balls.Ball(space, _vector(op_ball["center"], "center", space),
+                           op_ball["level"], op_ball["scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +233,13 @@ def _h_check_axioms(space, budget, cfg):
 
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
-    candidates = (_numbers(op["candidates"], "operation.candidates", "a positive number",
-                           lambda c: c > 0)
-                  if "candidates" in op else ())
-    kwargs = {"c_candidates": candidates} if candidates else {}
-    scan = _Delta2Scan(space, budget)
-    found = find_delta2_constant(space, budget, scan=scan, **kwargs)
+    with _fields("operation"):
+        candidates = op.get("candidates", [])
+        scan = _Delta2Scan(space, budget)
+        # find_delta2_constant checks the candidates before it evaluates any;
+        # an empty list asks for its default ones.
+        found = find_delta2_constant(space, budget, scan=scan,
+                                     **{"c_candidates": candidates} if candidates != [] else {})
     records = [{"check": "delta2_estimate", "seed": budget.rng_seed,
                 "estimated_c": found,
                 "verdict": "pass" if found is not None else "fail"}]
@@ -296,7 +251,8 @@ def _h_check_delta2(space, budget, cfg):
 def _h_check_homogeneous(space, budget, cfg):
     op = _operation(cfg, {"beta"}, "check-homogeneous")
     if "beta" in op:
-        beta = _op_number(op, "beta", None, "a number in (0, 1]", lambda b: 0 < b <= 1)
+        with _fields("operation"):
+            beta = float(check_number(op["beta"], "beta", **EXPONENT))
     elif space.declared_beta is not None:
         beta = float(space.declared_beta)
     else:
@@ -311,15 +267,15 @@ def _h_check_regularity(space, budget, cfg):
 
 def _h_ball_identities(space, budget, cfg):
     op = _operation(cfg, {"level", "scale", "level2", "scale2"}, "ball-identities")
-    unit = ("a number in (0, 1)", lambda a: 0 < a < 1)
-    positive = ("a positive number", lambda t: t > 0)
-    level = _op_number(op, "level", 0.4, *unit)
-    scale = _op_number(op, "scale", 1.0, *positive)
-    level2 = _op_number(op, "level2", 0.7, *unit)
-    scale2 = _op_number(op, "scale2", 2.0, *positive)
-    if level2 < level or scale2 < scale:
-        raise ConfigError("operation.level2 and operation.scale2 must not be below "
-                          "operation.level and operation.scale")
+    with _fields("operation"):
+        level, scale, level2, scale2 = (
+            float(check_number(op.get(key, default), key, **bounds))
+            for key, default, bounds in (("level", 0.4, _balls.LEVEL),
+                                         ("scale", 1.0, _balls.SCALE),
+                                         ("level2", 0.7, _balls.LEVEL),
+                                         ("scale2", 2.0, _balls.SCALE)))
+        _balls.check_order(level, level2, "level2")
+        _balls.check_order(scale, scale2, "scale2")
     rng = np.random.default_rng(budget.rng_seed)
     x = rng.standard_normal(space.dim)
     records = [
@@ -380,7 +336,8 @@ def _h_witness_continuity(space, budget, cfg):
     target = (_ball_from(op["target"], space, "operation.target")
               if "target" in op
               else _balls.Ball(space, space.zero(), 0.5, 1.0))
-    scalar = _op_number(op, "scalar", 2.0, "a finite number")
+    with _fields("operation"):
+        scalar = float(check_number(op.get("scalar", 2.0), "scalar"))
     return [
         _report("addition_continuity",
                 lambda: _topo.addition_continuity_witness(space, target, budget)),
@@ -400,27 +357,19 @@ def _h_check_convergence(space, budget, cfg):
     _reject_unknown(seq_cfg, {"kind", "base", "direction", "ratio",
                               "candidate_limit"}, "operation.sequence")
     _require_fields(seq_cfg, {"kind", "base", "direction"}, "operation.sequence")
-    typed = {k: _vector(v, f"operation.sequence.{k}", space) for k, v in seq_cfg.items()
-             if k in ("base", "direction", "candidate_limit")}
-    if seq_cfg.get("ratio") is not None:
-        typed["ratio"] = _number(seq_cfg["ratio"], "operation.sequence.ratio",
-                                 "a finite number")
-    try:
+    _one_of(seq_cfg["kind"], "operation.sequence.kind", _conv.SEQUENCE_KINDS)
+    with _fields("operation.sequence"):
+        typed = {k: _vector(v, k, space) for k, v in seq_cfg.items()
+                 if k in ("base", "direction", "candidate_limit")}
         seq = _conv.SequenceSpec.from_config({**seq_cfg, **typed})
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid sequence: {exc}") from exc
-    n_max = _op_number(op, "n_max", _conv.N_MAX, f"an integer in 1..{_conv.MAX_N_MAX}",
-                       lambda n: 1 <= n <= _conv.MAX_N_MAX, integer=True)
-    grid = (_numbers(op["t_grid"], "operation.t_grid", "a positive number",
-                     lambda t: t > 0)
-            if "t_grid" in op else None)
-    if grid == ():
-        raise ConfigError("operation.t_grid must not be empty")
-    depth = _op_number(op, "local_base_depth", _conv.LOCAL_BASE_DEPTH,
-                       f"an integer <= {_conv.MAX_LOCAL_BASE_DEPTH}",
-                       lambda d: d <= _conv.MAX_LOCAL_BASE_DEPTH, integer=True)
-
-    mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
+    with _fields("operation"):
+        n_max = op.get("n_max", _conv.N_MAX)
+        grid = op.get("t_grid", _conv.CONVERGENCE_GRID)
+        depth = check_number(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH),
+                             "local_base_depth", integer=True,
+                             at_most=_conv.MAX_LOCAL_BASE_DEPTH)
+        # check_mu_convergence checks the grid and n_max before it evaluates.
+        mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
     balls = _conv.local_base(space, seq.candidate_limit, depth=depth)
     topo_v = _conv.check_topological_convergence(space, seq, balls=balls,
                                                  n_max=n_max)
@@ -501,8 +450,7 @@ def run(cfg: dict[str, Any], command: str,
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     _reject_unknown(cfg, {"instance", "budget", "operation", "out"}, "config")
-    if "instance" not in cfg:
-        raise ConfigError("config.instance is required")
+    _require_fields(cfg, {"instance"}, "config")
     space = _build_instance(cfg["instance"])
     budget = _build_budget(cfg.get("budget", {}), args)
     records = HANDLERS[command](space, budget, cfg)

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .balls import Ball, contains_many
-from .distfn import FieldRecord
+from .distfn import FieldRecord, check_number, check_numbers
 from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
@@ -35,9 +35,8 @@ MAX_LOCAL_BASE_DEPTH = 10 ** 4
 
 SEQUENCE_KINDS = ("harmonic", "constant_offset", "alternating", "geometric")
 
-
-def default_convergence_grid() -> tuple[float, ...]:
-    return tuple(float(t) for t in np.geomspace(10.0, 1000.0, 7))
+# Default scale grid of the value criterion.
+CONVERGENCE_GRID = tuple(float(t) for t in np.geomspace(10.0, 1000.0, 7))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +63,9 @@ class SequenceSpec:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
         if self.kind == "geometric":
-            if self.ratio is None or not (0.0 < self.ratio < 1.0):
-                raise ValueError("geometric sequences need a ratio in (0, 1)")
+            check_number(self.ratio, "ratio", above=0, below=1)
+        elif self.ratio is not None:
+            check_number(self.ratio, "ratio")
         limit = self.candidate_limit
         object.__setattr__(self, "candidate_limit",
                            base if limit is None else as_vector(limit, base.size))
@@ -101,8 +101,7 @@ class SequenceSpec:
 
 def probe_schedule(n_max: int) -> np.ndarray:
     """Geometric index schedule 1, 2, 4, ... capped by and including n_max."""
-    if not 1 <= n_max <= MAX_N_MAX:
-        raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {n_max}")
+    check_number(n_max, "n_max", integer=True, at_least=1, at_most=MAX_N_MAX)
     ns = [1]
     while ns[-1] * 2 <= n_max:
         ns.append(ns[-1] * 2)
@@ -127,7 +126,7 @@ class ConvergenceVerdict(FieldRecord):
 
 
 def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
-                         t_grid: tuple[float, ...] | None = None,
+                         t_grid: tuple[float, ...] = CONVERGENCE_GRID,
                          eps_conv: float = EPS_CONV,
                          n_max: int = N_MAX) -> ConvergenceVerdict:
     """Value-criterion verdict on the probe schedule.
@@ -136,10 +135,7 @@ def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
     which every later probe keeps 1 - mu_{x_n - x}(t) below eps_conv;
     the sequence converges when every scale has one.
     """
-    grid = np.asarray(t_grid if t_grid is not None else default_convergence_grid(),
-                      dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("scale grid must be positive")
+    grid = np.asarray(check_numbers(t_grid, "t_grid", above=0), dtype=float)
     ns = probe_schedule(n_max)
     offsets = seq.values(ns) - seq.candidate_limit[None, :]
     gaps = 1.0 - space.mu_matrix(offsets, grid)        # (len(ns), len(grid))

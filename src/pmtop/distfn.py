@@ -21,6 +21,7 @@ pure function, so concurrent evaluation needs no synchronization.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
@@ -59,12 +60,52 @@ MAX_SAMPLES = 10 ** 6
 MAX_GRID_COUNT = 1024
 
 
+class FieldError(ValueError):
+    """A number field of the wrong type or outside its range.  The message
+    starts with the field's name, so a caller that knows where the field
+    sits in a config names it by prefixing its own path."""
+
+
+def check_number(value: Any, field: str, *, integer: bool = False, above: Any = None,
+                 at_least: Any = None, below: Any = None, at_most: Any = None) -> Any:
+    """value, unchanged, when it is a finite real number (an integer when
+    integer is set; a bool is neither) within the given bounds; else a
+    FieldError naming field.  Every model checks its numbers through this."""
+    try:
+        ok = (isinstance(value, (int, np.integer) if integer
+                         else (int, float, np.integer, np.floating))
+              and not isinstance(value, bool)
+              and (integer or math.isfinite(value))
+              and (above is None or value > above)
+              and (at_least is None or value >= at_least)
+              and (below is None or value < below)
+              and (at_most is None or value <= at_most))
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        lo = f"({above}" if above is not None else "(-inf" if at_least is None else f"[{at_least}"
+        hi = f"{below})" if below is not None else "inf)" if at_most is None else f"{at_most}]"
+        kind = "an integer" if integer else "a finite number"
+        raise FieldError(f"{field} must be {kind} in {lo}, {hi}, got {value!r}")
+    return value
+
+
+def check_numbers(values: Any, field: str, **bounds: Any) -> tuple[Any, ...]:
+    """The entries of a non-empty list, tuple or array, each through
+    check_number under the name field[i]; else a FieldError naming field."""
+    if not (isinstance(values, (list, tuple, np.ndarray)) and len(values)):
+        raise FieldError(f"{field} must be a non-empty list, got {values!r}")
+    return tuple(check_number(v, f"{field}[{i}]", **bounds) for i, v in enumerate(values))
+
+
 def default_t_grid(lo: float = GRID_MIN, hi: float = GRID_MAX,
                    count: int = GRID_COUNT) -> tuple[float, ...]:
-    """Logarithmically spaced positive evaluation grid."""
-    if not (0 < lo < hi) or not 2 <= count <= MAX_GRID_COUNT:
-        raise ValueError(f"bad grid bounds lo={lo} hi={hi} count={count} "
-                         f"(count must lie in 2..{MAX_GRID_COUNT})")
+    """Logarithmically spaced positive evaluation grid.  The bounds are
+    checked before numpy sees them, under the names of the t_grid object
+    form of a config: min, max and count."""
+    check_number(lo, "min", above=0)
+    check_number(hi, "max", above=lo)
+    check_number(count, "count", integer=True, at_least=2, at_most=MAX_GRID_COUNT)
     return tuple(float(t) for t in np.geomspace(lo, hi, count))
 
 
@@ -82,20 +123,15 @@ class SampleBudget:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, lo, hi in (("n_vectors", 1, MAX_SAMPLES),
-                             ("n_scalar_pairs", 1, MAX_SAMPLES), ("rng_seed", 0, np.inf)):
-            n = getattr(self, name)
-            integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-            if not (integer and lo <= n <= hi):
-                raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
-        grid = tuple(float(t) for t in self.t_grid)
-        if (not 0 < len(grid) <= MAX_GRID_COUNT or any(not 0 < t < np.inf for t in grid)
-                or list(grid) != sorted(grid)):
-            raise ValueError("t_grid must be a sorted list of at most "
-                             f"{MAX_GRID_COUNT} positive finite reals")
+        for name in ("n_vectors", "n_scalar_pairs"):
+            check_number(getattr(self, name), name, integer=True, at_least=1,
+                         at_most=MAX_SAMPLES)
+        check_number(self.rng_seed, "rng_seed", integer=True, at_least=0)
+        grid = tuple(map(float, check_numbers(self.t_grid, "t_grid", above=0)))
+        if len(grid) > MAX_GRID_COUNT or list(grid) != sorted(grid):
+            raise FieldError(f"t_grid must be sorted and hold at most {MAX_GRID_COUNT} numbers")
         object.__setattr__(self, "t_grid", grid)
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be a positive finite real")
+        check_number(self.epsilon, "epsilon", above=0)
 
     def grid_array(self) -> np.ndarray:
         return np.asarray(self.t_grid, dtype=float)
@@ -309,8 +345,7 @@ def check_left_continuity(f: DistributionFunction, t: float,
     step; the larger steps are recorded as evidence of how the one-sided
     gap behaves as delta shrinks.
     """
-    if not t > 0:
-        raise ValueError(f"left-continuity probe point must be > 0, got {t}")
+    check_number(t, "t", above=0)
     deltas = [min(d, t / 2.0) for d in LEFT_PROBES]
     gaps = [float(f(t) - f(t - d)) for d in deltas]
     violations = []

@@ -37,14 +37,20 @@ from .distfn import (
     MAX_STORED_VIOLATIONS,
     CheckReport,
     DistributionFunction,
+    FieldError,
     SampleBudget,
     _make_report,
     _regularity_grid,
     _regularity_scan,
+    check_number,
+    check_numbers,
     check_rng,
 )
 
 MAX_DIM = 8
+
+# Bounds on a homogeneity exponent beta, as check_number takes them.
+EXPONENT = {"above": 0, "at_most": 1}
 
 # Candidate grid for doubling-constant estimation: quarter powers of two,
 # bracketing both reference families (2 for degree-1, 4 for degree-2).
@@ -115,8 +121,7 @@ class PPower(SigmaFunctional):
     p: float
 
     def __post_init__(self) -> None:
-        if not self.p >= 1:
-            raise ValueError(f"power must be >= 1, got {self.p}")
+        object.__setattr__(self, "p", float(check_number(self.p, "p", at_least=1)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         return np.sum(np.abs(X) ** self.p, axis=-1)
@@ -132,10 +137,8 @@ class WeightedAbs(SigmaFunctional):
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.weights)
-        if not w or any(v <= 0 or not np.isfinite(v) for v in w):
-            raise ValueError("weights must be positive finite reals")
-        object.__setattr__(self, "weights", w)
+        weights = check_numbers(self.weights, "weights", above=0)
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         w = np.asarray(self.weights)
@@ -148,9 +151,9 @@ class WeightedAbs(SigmaFunctional):
 def modular_from_config(cfg: dict[str, Any]) -> SigmaFunctional:
     kind = cfg.get("kind")
     if kind == "p_power":
-        return PPower(p=float(cfg["p"]))
+        return PPower(p=cfg["p"])
     if kind == "weighted_abs":
-        return WeightedAbs(weights=tuple(cfg["weights"]))
+        return WeightedAbs(weights=cfg["weights"])
     raise ValueError(f"unknown modular kind {kind!r}")
 
 
@@ -188,9 +191,10 @@ class RationalFrom(ModularMap):
     family = "rational_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-        T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
-        out = np.zeros(T.shape, dtype=float)
-        np.divide(T, T + S, out=out, where=T > 0)
+        T = np.asarray(T, dtype=float)
+        denominator = T + np.asarray(S, dtype=float)
+        out = np.zeros(denominator.shape)
+        np.divide(T, denominator, out=out, where=T > 0)
         return out
 
 
@@ -198,7 +202,7 @@ class StepFrom(ModularMap):
     family = "step_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-        T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
+        T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
         return ((T > S) & (T > 0)).astype(float)
 
 
@@ -208,7 +212,7 @@ class ClosedStepFrom(ModularMap):
     family = "step_closed_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-        T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
+        T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
         return ((T >= S) & (T > 0)).astype(float)
 
 
@@ -224,7 +228,7 @@ class FlooredMap(ModularMap):
         self.floor = float(floor)
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-        T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
+        T = np.asarray(T, dtype=float)
         return np.where(T < 0, 0.0, np.maximum(self.base.kernel(T, S), self.floor))
 
     def to_config(self) -> dict[str, Any]:
@@ -250,12 +254,11 @@ class PMSpace:
     declared_beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
-        if self.declared_c is not None and not self.declared_c > 0:
-            raise ValueError("declared doubling constant must be > 0")
-        if self.declared_beta is not None and not (0 < self.declared_beta <= 1):
-            raise ValueError("declared homogeneity exponent must lie in (0, 1]")
+        check_number(self.dim, "dim", integer=True, at_least=1, at_most=MAX_DIM)
+        if self.declared_c is not None:
+            check_number(self.declared_c, "declared_c", above=0)
+        if self.declared_beta is not None:
+            check_number(self.declared_beta, "declared_beta", **EXPONENT)
 
     # Evaluation helpers ----------------------------------------------------
 
@@ -290,10 +293,13 @@ def space_from_config(cfg: dict[str, Any]) -> PMSpace:
     family = cfg.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown modular family {family!r}")
-    mm = _FAMILIES[family](modular_from_config(cfg["modular"]))
+    try:
+        mm = _FAMILIES[family](modular_from_config(cfg["modular"]))
+    except FieldError as exc:
+        raise FieldError(f"modular.{exc}") from None
     if "floored" in cfg:
         mm = FlooredMap(mm, cfg["floored"])
-    return PMSpace(dim=int(cfg["dim"]), modular_map=mm,
+    return PMSpace(dim=cfg["dim"], modular_map=mm,
                    declared_c=cfg.get("declared_c"),
                    declared_beta=cfg.get("declared_beta"))
 
@@ -657,8 +663,7 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
     rows) and this search (the first 2,000), and the CLI between this
     search and the declared check.
     """
-    if not c_candidates or any(c <= 0 for c in c_candidates):
-        raise ValueError("candidates must be positive")
+    check_numbers(c_candidates, "candidates", above=0)
     scan = scan or _Delta2Scan(space, budget)
     n = scan.rows(space, budget)
     return next((float(c) for c in sorted(c_candidates) if scan.holds(c, n)), None)
@@ -672,8 +677,10 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     in blocks of DELTA2_CHUNK rows, counting every broken row and keeping
     the first MAX_STORED_VIOLATIONS records.
     """
-    if not (0 < beta <= 1):
-        raise PreconditionError(f"exponent must lie in (0, 1], got {beta}")
+    try:
+        check_number(beta, "exponent", **EXPONENT)
+    except FieldError as exc:
+        raise PreconditionError(str(exc)) from None
     rng = check_rng(budget.rng_seed, "homogeneous")
     n = max(budget.n_vectors, budget.n_scalar_pairs)
     X = sample_vectors(rng, n, space.dim)

@@ -33,6 +33,13 @@ def test_ball_validates_parameters():
         p.Ball(SP1, np.array([0.0]), 1.0, 1.0)
     with pytest.raises(ValueError):
         p.Ball(SP1, np.array([0.0]), 0.5, 0.0)
+    for level, scale, field in ((0.5, np.inf, "scale"), (0.5, True, "scale"),
+                                (True, 1.0, "level"), (np.nan, 1.0, "level")):
+        with pytest.raises(p.FieldError, match=f"^{field} ") as err:
+            p.Ball(SP1, np.array([0.0]), level, scale)
+        assert isinstance(err.value, ValueError)
+    ball = p.Ball(SP1, np.array([0.0]), np.float64(0.5), 1)
+    assert ball.to_config() == {"center": [0.0], "level": 0.5, "scale": 1.0}
 
 
 def test_membership_agrees_with_closed_form_oracle():

@@ -5,8 +5,9 @@ per-trial scale-witness predicates, the list-based and the full-scan
 doubling-constant searches, the all-four axiom check, the unblocked
 doubling records and declared check, the full-matrix homogeneity check,
 the per-function admissibility check, the fixed-step regularity
-bisection, the hand-written witness and verdict records and the per-ball
-disjointness loop are kept here as references: the batched code must
+bisection, the hand-written witness and verdict records, the per-ball
+disjointness loop and the kernels that broadcast their arguments first are
+kept here as references: the batched code must
 return the same bits, the same diagnostics and byte-identical registry
 reports.
 """
@@ -1091,3 +1092,37 @@ def test_convergence_verdict_records_and_suffix_rule_match_the_references():
                         C.check_topological_convergence(space, seq, n_max=4096),
                         C.check_topological_convergence(space, seq, balls=[])):
             assert verdict.to_record() == reference_record(verdict)
+
+
+def reference_kernel(mm, T, S):
+    """The modular kernels as they were before they let the ufuncs broadcast:
+    both arguments broadcast to one shape first."""
+    T, S = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(S, dtype=float))
+    if isinstance(mm, FlooredMap):
+        return np.where(T < 0, 0.0, np.maximum(reference_kernel(mm.base, T, S), mm.floor))
+    if isinstance(mm, StepFrom):
+        return ((T > S) & (T > 0)).astype(float)
+    if isinstance(mm, ClosedStepFrom):
+        return ((T >= S) & (T > 0)).astype(float)
+    out = np.zeros(T.shape, dtype=float)
+    np.divide(T, T + S, out=out, where=T > 0)
+    return out
+
+
+def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
+    rng = np.random.default_rng(11)
+    rho = p.PPower(p=1.0)
+    maps = [RationalFrom(rho), StepFrom(rho), ClosedStepFrom(rho),
+            FlooredMap(RationalFrom(rho), 0.3), FlooredMap(StepFrom(rho), 0.3)]
+    row = np.concatenate([[-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0],
+                          np.exp(rng.uniform(-7.0, 7.0, 58))])
+    sigmas = np.concatenate([[0.0, 0.5, 1.0], np.exp(rng.uniform(-7.0, 7.0, 253))])
+    shapes = [(0.5, 0.5), (0.0, 0.0), (-1.0, 2.0), (1.0, 1.0),      # 0-d
+              (np.asarray(0.5), sigmas[:64]), (row, 0.5),            # scalar with a row
+              (row, sigmas[:64]),                                    # 64-point row
+              (row[None, :], sigmas[:, None])]                       # 256 x 64 block
+    for mm in maps:
+        for T, S in shapes:
+            got, want = mm.kernel(T, S), reference_kernel(mm, T, S)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

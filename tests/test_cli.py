@@ -82,7 +82,9 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
                                     {"n_vectors": 10 ** 12},
                                     {"n_scalar_pairs": 10 ** 12},
                                     {"t_grid": {"min": 1e-3, "max": 1e3,
-                                                "count": 10 ** 12}}])
+                                                "count": 10 ** 12}},
+                                    {"epsilon": True},
+                                    {"t_grid": [True, 2]}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -145,6 +147,8 @@ def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
 @pytest.mark.parametrize("flags, field", [
     (["--t-grid", "1e-3,1e3,1000000000000"], "--t-grid"),
     (["--samples", str(10 ** 12)], "n_vectors"),
+    # An infinite bound must fail before numpy's geomspace warns on it.
+    (["--t-grid", "1,inf,4"], "--t-grid"),
 ])
 def test_oversized_count_flag_is_a_config_error_naming_it(tmp_path, capsys, flags,
                                                           field):
@@ -455,6 +459,82 @@ def test_module_entrypoint_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.count("\n") >= 4
+
+
+# -- every number field is typed -------------------------------------------------
+
+P_POWER = {"family": "rational_from", "modular": {"kind": "p_power", "p": 1.0},
+           "dim": 1, "declared_c": 2.0, "declared_beta": 1.0}
+WEIGHTED = {"family": "rational_from", "modular": {"kind": "weighted_abs", "weights": [1.0]},
+            "dim": 1, "declared_c": 2.0, "declared_beta": 1.0}
+LIST_GRID = {"n_vectors": 20, "n_scalar_pairs": 20, "t_grid": [0.5, 2.0],
+             "epsilon": 1e-9, "rng_seed": 0}
+OBJECT_GRID = dict(LIST_GRID, t_grid={"min": 0.5, "max": 2.0, "count": 3})
+BALL = {"center": [0.0], "level": 0.5, "scale": 1.0}
+
+# One valid config per subcommand with every optional number field present;
+# the two modular kinds and the two t_grid forms alternate between them.
+FULL_CONFIGS = {
+    "check-axioms": (P_POWER, LIST_GRID, {"mutation": "break_pm3"}),
+    "check-delta2": (WEIGHTED, OBJECT_GRID, {"candidates": [2.0, 4.0]}),
+    "check-homogeneous": (P_POWER, OBJECT_GRID, {"beta": 1.0}),
+    "check-regularity": (WEIGHTED, LIST_GRID, {}),
+    "ball-identities": (P_POWER, LIST_GRID,
+                        {"level": 0.4, "scale": 1.0, "level2": 0.7, "scale2": 2.0}),
+    "witness-refine": (WEIGHTED, OBJECT_GRID, {"outer": BALL, "z": [0.1]}),
+    "witness-separate": (P_POWER, OBJECT_GRID, {"x": [1.0], "y": [-1.0]}),
+    "witness-continuity": (WEIGHTED, LIST_GRID, {"target": BALL, "scalar": 2.0}),
+    "check-convergence": (P_POWER, LIST_GRID, {
+        "sequence": {"kind": "geometric", "base": [0.0], "direction": [0.3],
+                     "ratio": 0.5, "candidate_limit": [0.0]},
+        "t_grid": [1.0, 10.0], "n_max": 64, "local_base_depth": 3}),
+    "falsify": (WEIGHTED, OBJECT_GRID, {"predicates": ["pm1"]}),
+}
+assert set(FULL_CONFIGS) == set(cli.SUBCOMMANDS)
+
+
+def number_leaves(node, path):
+    """(path, keys) of every number leaf of a JSON value; a path is dotted,
+    with [i] for a list entry."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}", k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return [(path, ())] if isinstance(node, (int, float)) else []
+    return [(p, (k,) + keys) for p, k, v in items for p, keys in number_leaves(v, p)]
+
+
+def full_config(command):
+    instance, budget, operation = FULL_CONFIGS[command]
+    return json.loads(json.dumps({"instance": instance, "budget": budget,
+                                  "operation": operation}))
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_every_number_field_rejects_a_bool(tmp_path, capsys, command):
+    # Walked from the config, so a new number field is covered without a test
+    # edit.  True is not the number 1: each leaf must be a config error that
+    # names its path, before any report is written.
+    out = tmp_path / "valid.ndjson"
+    path = write_config(tmp_path, full_config(command))
+    assert cli.main([command, "--config", path, "--out", str(out)]) in (0, 1, 2)
+    assert out.exists()
+    leaves = number_leaves(full_config(command), "")
+    assert len(leaves) >= 7
+    for path, keys in leaves:
+        path = path[1:]
+        cfg = full_config(command)
+        node = cfg
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = True
+        out = tmp_path / "report.ndjson"
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, out.exists()) == (3, False), path
+        assert captured.err.startswith(f"error: {path} "), (path, captured.err)
 
 
 # -- config fuzz ----------------------------------------------------------------

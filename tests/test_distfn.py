@@ -2,6 +2,8 @@
 PiecewiseLinear: evaluation semantics, admissibility, one-sided continuity
 probes, and the transition-regularity check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,3 +231,26 @@ def test_budget_validation():
                 {"rng_seed": -1}):
         with pytest.raises(ValueError):
             df.SampleBudget(**bad)
+    # A bool is not a number: True must not run as tolerance 1.0 or grid point 1.0.
+    for bad, field in (({"epsilon": True}, "epsilon"), ({"t_grid": (True, 2)}, "t_grid[0]"),
+                       ({"epsilon": np.float64("inf")}, "epsilon")):
+        with pytest.raises(df.FieldError, match=rf"^{re.escape(field)} ") as err:
+            df.SampleBudget(**bad)
+        assert isinstance(err.value, ValueError)
+    for lo, hi, count in ((1.0, float("inf"), 4), (True, 2.0, 4), (1.0, 2.0, True)):
+        with pytest.raises(df.FieldError):
+            df.default_t_grid(lo, hi, count)
+    assert not issubclass(df.FieldError, pm.PreconditionError)
+
+
+def test_check_number_accepts_real_scalars_unchanged():
+    for value in (3, 2.5, np.float64(0.5), np.float32(0.25), np.int64(7)):
+        assert df.check_number(value, "x", above=0) is value
+    for value in (True, np.bool_(True), float("nan"), float("inf"), 10 ** 400, "1",
+                  None, np.array(1.0), [1.0]):
+        with pytest.raises(df.FieldError, match=r"^x must be a finite number"):
+            df.check_number(value, "x")
+    with pytest.raises(df.FieldError, match=r"^n must be an integer in \[1, 8\], got 2.0"):
+        df.check_number(2.0, "n", integer=True, at_least=1, at_most=8)
+    with pytest.raises(df.FieldError, match=r"^a must be a finite number in \(0, 1\), got 1"):
+        df.check_number(1, "a", above=0, below=1)

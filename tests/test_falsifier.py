@@ -234,6 +234,9 @@ def test_declaration_predicates_are_never_infeasible():
     (p.PreconditionError("unmet"), "infeasible", "precondition: unmet"),
     (p.VerificationError("starved"), "infeasible", "precondition: starved"),
     (p.InfeasibleConstruction("no split"), "infeasible", "no split"),
+    # A bad field reaching a predicate is a programming error, never infeasible.
+    (p.FieldError("scale must be positive"), "fail",
+     "unexpected error: FieldError('scale must be positive')"),
 ])
 def test_guard_files_only_typed_errors_as_infeasible(monkeypatch, exc, outcome, reason):
     # A bare ValueError is a fault in the predicate, not an unmet

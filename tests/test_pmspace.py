@@ -3,6 +3,7 @@ homogeneity.  The reference families are validated here by independent
 brute-force loops before any checker output is trusted."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,27 @@ def test_oracle_threshold_refuses_mutated_maps():
     mutated = p.apply_mutation(sp, "break_pm4", seed=0)
     with pytest.raises(ValueError):
         p.oracle_threshold(mutated, 0.5, 1.0)
+
+
+def test_space_and_modulars_validate_their_numbers():
+    rho = p.PPower(p=1.0)
+    cases = [(lambda: p.PPower(p=np.inf), "p"), (lambda: p.PPower(p=True), "p"),
+             (lambda: p.WeightedAbs(weights=(True,)), "weights[0]"),
+             (lambda: p.WeightedAbs(weights=1.0), "weights"),
+             (lambda: p.rational_space(rho, True), "dim"),
+             (lambda: p.rational_space(rho, 2.0), "dim"),
+             (lambda: p.rational_space(rho, 1, declared_c=np.inf), "declared_c"),
+             (lambda: p.rational_space(rho, 1, declared_beta=True), "declared_beta"),
+             (lambda: p.pmspace.space_from_config(
+                 {"family": "step_from", "modular": {"kind": "p_power", "p": True},
+                  "dim": 1}), "modular.p")]
+    for build, field in cases:
+        with pytest.raises(p.FieldError, match=f"^{re.escape(field)} ") as err:
+            build()
+        assert isinstance(err.value, ValueError)
+        assert not isinstance(err.value, p.PreconditionError)
+    # Checked, not converted: a declared constant is echoed as it was given.
+    assert p.rational_space(rho, np.int64(2), declared_c=4).to_config()["declared_c"] == 4
 
 
 def test_space_config_round_trip():
