@@ -124,7 +124,7 @@ class PPower(SigmaFunctional):
         object.__setattr__(self, "p", float(check_number(self.p, "p", at_least=1)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(X) ** self.p, axis=-1)
+        return _row_sums(np.abs(X) ** self.p)
 
     def to_config(self) -> dict[str, Any]:
         return {"kind": "p_power", "p": self.p}
@@ -142,10 +142,26 @@ class WeightedAbs(SigmaFunctional):
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         w = np.asarray(self.weights)
-        return np.sum(w * np.abs(X), axis=-1)
+        return _row_sums(w * np.abs(X))
 
     def to_config(self) -> dict[str, Any]:
         return {"kind": "weighted_abs", "weights": list(self.weights)}
+
+
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """np.sum(A, axis=-1), bit for bit, one column at a time.
+
+    Below 8 columns numpy adds the columns of a row in sequence to 0.0,
+    and so does this, in a few passes over the long axis instead of one
+    short sum per row; from 8 columns numpy sums pairwise, so np.sum stays
+    there.
+    """
+    if A.shape[-1] >= 8:
+        return np.sum(A, axis=-1)
+    out = A[..., 0] + 0.0
+    for j in range(1, A.shape[-1]):
+        out += A[..., j]
+    return out
 
 
 def modular_from_config(cfg: dict[str, Any]) -> SigmaFunctional:
@@ -166,7 +182,10 @@ class ModularMap:
     """Rule assigning each vector a distribution function.
 
     All concrete maps factor through a scalar kernel: mu_x(t) equals
-    kernel(t, sigma(x)).  kernel must broadcast over numpy arrays.
+    kernel(t, sigma(x)).  kernel must broadcast over numpy arrays.  The
+    reference kernels vanish at t <= 0.  The open step needs no t > 0 mask,
+    as sigma >= 0; the others skip it when every t is positive, where it
+    selects every point, and give the same bits.
     """
 
     family: str = ""
@@ -187,12 +206,21 @@ class ModularMap:
         return {"family": self.family, "modular": self.rho.to_config()}
 
 
+def _all_positive(T: np.ndarray) -> bool:
+    """(T > 0).all() from one min reduction, which costs less on the small
+    and 0-d arrays the witnesses pass: a NaN minimum is not > 0, and an
+    empty T is all positive."""
+    return T.min(initial=np.inf) > 0
+
+
 class RationalFrom(ModularMap):
     family = "rational_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T = np.asarray(T, dtype=float)
-        denominator = T + np.asarray(S, dtype=float)
+        denominator = np.asarray(T + np.asarray(S, dtype=float))
+        if _all_positive(T):
+            return np.divide(T, denominator, out=denominator)
         out = np.zeros(denominator.shape)
         np.divide(T, denominator, out=out, where=T > 0)
         return out
@@ -202,8 +230,9 @@ class StepFrom(ModularMap):
     family = "step_from"
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+        # S = sigma(x) >= 0, so t > S already implies t > 0.
         T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
-        return ((T > S) & (T > 0)).astype(float)
+        return (T > S).astype(float)
 
 
 class ClosedStepFrom(ModularMap):
@@ -213,6 +242,8 @@ class ClosedStepFrom(ModularMap):
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
+        if _all_positive(T):
+            return (T >= S).astype(float)
         return ((T >= S) & (T > 0)).astype(float)
 
 
@@ -255,6 +286,10 @@ class PMSpace:
 
     def __post_init__(self) -> None:
         check_number(self.dim, "dim", integer=True, at_least=1, at_most=MAX_DIM)
+        rho = self.modular_map.rho
+        if isinstance(rho, WeightedAbs) and len(rho.weights) != self.dim:
+            raise FieldError(f"modular.weights must hold dim = {self.dim} numbers, "
+                             f"got {len(rho.weights)}")
         if self.declared_c is not None:
             check_number(self.declared_c, "declared_c", above=0)
         if self.declared_beta is not None:
@@ -497,12 +532,21 @@ def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     S_neg = space.sigma(-X)
     rows = np.flatnonzero(_float_bits(S_neg) != _float_bits(S_x))
     grid = budget.grid_array()[None, :]
-    gap = np.max(np.abs(space.kernel(grid, S_neg[rows][:, None])
-                        - space.kernel(grid, S_x[rows][:, None])), axis=1)
+    diff = (space.kernel(grid, S_neg[rows][:, None])
+            - space.kernel(grid, S_x[rows][:, None]))
+    gap = _row_max(np.abs(diff, out=diff))
     bad = gap > budget.epsilon
     viol, count = _collect(bad, lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
     return _make_report("pm3", viol, len(X), budget.rng_seed, n_violations=count)
+
+
+def _row_max(A: np.ndarray) -> np.ndarray:
+    """np.max(A, axis=1) of a 2-D A, as the value at each row's argmax: one
+    argmax pass and a gather cost less than numpy's max reduction along
+    short rows.  argmax stops at a row's first NaN, so a row holding a NaN
+    gives NaN as np.max does; only the sign of a zero maximum may differ."""
+    return A[np.arange(len(A)), np.argmax(A, axis=1)]
 
 
 def _float_bits(values: np.ndarray) -> np.ndarray:
@@ -533,7 +577,7 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     rhs = np.minimum(space.kernel(probe_s, S_x[:, None]),
                      space.kernel(probe_t, S_y[:, None]))
     gap = rhs - lhs
-    worst = np.max(gap, axis=1)
+    worst = _row_max(gap)
     bad = worst > budget.epsilon
 
     def pm4_record(i: int) -> dict[str, Any]:
@@ -591,7 +635,7 @@ class _Delta2Scan:
         """The rows of the block from lo that break the inequality for c."""
         key = (c, lo)
         if key not in self._masks:
-            self._masks[key] = np.max(self._block(c, lo)[2], axis=1) > self.budget.epsilon
+            self._masks[key] = _row_max(self._block(c, lo)[2]) > self.budget.epsilon
         return self._masks[key]
 
     def holds(self, c: float, n: int) -> bool:
@@ -698,8 +742,9 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
         b = slice(lo, lo + DELTA2_CHUNK)
         lhs = space.kernel(grid, S_ax[b])
         rhs = space.kernel(grid / scale[b], S[b])
-        diff = np.abs(lhs - rhs)
-        bad = np.flatnonzero(np.max(diff, axis=1) > budget.epsilon)
+        diff = lhs - rhs
+        np.abs(diff, out=diff)
+        bad = np.flatnonzero(_row_max(diff) > budget.epsilon)
         count += bad.size
         for i in bad[:MAX_STORED_VIOLATIONS - len(viol)]:
             j = int(np.argmax(diff[i]))

@@ -32,6 +32,7 @@ from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
     AXIOMS,
     DELTA2_CHUNK,
+    MAX_DIM,
     ClosedStepFrom,
     FlooredMap,
     PMSpace,
@@ -41,6 +42,8 @@ from pmtop.pmspace import (
     VerificationError,
     _collect,
     _Delta2Scan,
+    _row_max,
+    _row_sums,
     delta2_violations,
     sample_convex_weights,
     sample_scalars,
@@ -1117,12 +1120,84 @@ def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
     row = np.concatenate([[-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0],
                           np.exp(rng.uniform(-7.0, 7.0, 58))])
     sigmas = np.concatenate([[0.0, 0.5, 1.0], np.exp(rng.uniform(-7.0, 7.0, 253))])
+    # Strictly positive t, where the kernels that mask t > 0 skip it: the budget
+    # grid as a row and divided by the doubling constant, and the grid over
+    # the |a|^beta scales of the homogeneity blocks.
+    grid = D.SampleBudget().grid_array()
+    scales = np.abs(sample_scalars(rng, 256)) ** 0.5
     shapes = [(0.5, 0.5), (0.0, 0.0), (-1.0, 2.0), (1.0, 1.0),      # 0-d
               (np.asarray(0.5), sigmas[:64]), (row, 0.5),            # scalar with a row
               (row, sigmas[:64]),                                    # 64-point row
-              (row[None, :], sigmas[:, None])]                       # 256 x 64 block
+              (row[None, :], sigmas[:, None]),                       # 256 x 64 block
+              (grid, sigmas[:64]), (grid[None, :], sigmas[:, None]),
+              (grid[None, :] / 2.0, sigmas[:, None]),
+              (grid[None, :] / scales[:, None], sigmas[:, None]),
+              (grid[None, :] / scales[:, None], np.zeros((256, 1)))]
     for mm in maps:
         for T, S in shapes:
             got, want = mm.kernel(T, S), reference_kernel(mm, T, S)
+            assert type(got) is type(want)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+        if not isinstance(mm, (StepFrom, ClosedStepFrom)):
+            # The step kernels give a numpy scalar here, as they always did.
+            for t in (0.5, 0.0, -1.0):
+                got = mm.kernel(np.asarray(t), np.asarray(0.5))
+                assert isinstance(got, np.ndarray) and got.shape == ()
+
+
+# Values where a float sum or maximum is easy to get wrong: signed zeros,
+# subnormals, the ends of the float range and the infinities.
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.7e308,
+                        np.inf, -np.inf, 1.0, 3.0, -2.5])
+
+
+def float_error(f, *args, **kwargs):
+    """Whether f(*args, **kwargs) signals a floating-point error."""
+    with np.errstate(all="raise"):
+        try:
+            f(*args, **kwargs)
+        except FloatingPointError:
+            return True
+    return False
+
+
+def test_row_sums_reproduce_numpy_sum_bit_for_bit():
+    # -0.0 is left out: sigma's terms |x|^p and w |x| are never -0.0, and a
+    # row of -0.0 alone sums to the sign of the value numpy starts from, not
+    # to anything the order decides.
+    edges = EDGE_VALUES[(EDGE_VALUES != 0) | ~np.signbit(EDGE_VALUES)]
+    rng = np.random.default_rng(12)
+    for dim in range(1, MAX_DIM + 1):
+        for lead in [(1,), (3,), (1000,), (5, 256)]:   # 2-D, and the lane shape
+            size = lead + (dim,)
+            for A in (rng.standard_normal(size) * np.exp(rng.uniform(-50, 50, size)),
+                      np.abs(rng.standard_normal(size)) ** 2.0,
+                      rng.choice(edges[edges >= 0], size),
+                      rng.choice(edges, size),
+                      np.zeros(size)):
+                # An overflow to inf, or inf - inf, raises in both or in neither.
+                assert float_error(_row_sums, A) == float_error(np.sum, A, axis=-1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = _row_sums(A), np.sum(A, axis=-1)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (dim, lead)
+
+
+def test_row_max_matches_numpy_max_and_its_verdicts():
+    rng = np.random.default_rng(13)
+    rows = [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan],
+            [np.inf, 1.0, np.nan], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf, 0.0],
+            [2.0, 2.0, 1.0], [1.0, 2.0, 2.0], [0.0, -0.0, 0.0], [1e-9, 1e-9, 0.0],
+            [-1.0, -2.0, -3.0], [5e-324, 0.0, -5e-324]]
+    edges = rng.choice(EDGE_VALUES, (256, 64))
+    edges[rng.random((256, 64)) < 0.005] = np.nan      # about one row in four
+    blocks = [np.array(rows), edges,
+              rng.standard_normal((256, 64)) * 1e-9,
+              np.zeros((0, 64))]
+    for A in blocks:
+        got, want = _row_max(A), np.max(A, axis=1)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        for eps in (0.0, 1e-9, 0.5):
+            assert np.array_equal(got > eps, want > eps)

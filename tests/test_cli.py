@@ -208,6 +208,23 @@ def test_unknown_choice_names_the_field_and_its_choices(tmp_path, capsys, instan
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("dim, weights", [(3, [1.0, 2.0]), (1, [1.0, 2.0])])
+def test_weight_count_other_than_dim_is_a_config_error(tmp_path, capsys, dim,
+                                                       weights):
+    # Too few weights crashed in numpy broadcasting; too many ran silently
+    # on their sum, rho = 3|x| at dim 1.
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    cfg["instance"].update(dim=dim, modular={"kind": "weighted_abs", "weights": weights})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.ndjson"
+    assert cli.main(["check-axioms", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: instance.modular.weights must hold dim = {dim} "
+                            f"numbers, got {len(weights)}\n")
+
+
 @pytest.mark.parametrize("predicates", [["pm5"], [], ["pm1", "pm5"], "pm1"])
 def test_vacuous_or_unknown_predicate_list_is_a_config_error(tmp_path, capsys,
                                                              predicates):

@@ -230,7 +230,11 @@ def test_space_and_modulars_validate_their_numbers():
              (lambda: p.rational_space(rho, 1, declared_beta=True), "declared_beta"),
              (lambda: p.pmspace.space_from_config(
                  {"family": "step_from", "modular": {"kind": "p_power", "p": True},
-                  "dim": 1}), "modular.p")]
+                  "dim": 1}), "modular.p"),
+             (lambda: p.rational_space(p.WeightedAbs(weights=(1.0, 2.0)), 3),
+              "modular.weights"),
+             (lambda: p.step_space(p.WeightedAbs(weights=(1.0, 2.0)), 1),
+              "modular.weights")]
     for build, field in cases:
         with pytest.raises(p.FieldError, match=f"^{re.escape(field)} ") as err:
             build()
