@@ -3,13 +3,8 @@ axiom checkers, executable topology witnesses, and a structural falsifier."""
 
 from .distfn import (
     CheckReport,
-    DistributionFunction,
     FieldError,
-    PiecewiseLinear,
     SampleBudget,
-    check_delta_membership,
-    check_left_continuity,
-    check_transition_regularity,
     default_t_grid,
 )
 from .pmspace import (
@@ -26,8 +21,6 @@ from .pmspace import (
     check_delta2_declared,
     check_space_regularity,
     find_delta2_constant,
-    mu,
-    oracle_contains,
     oracle_threshold,
     rational_ball_radius,
     rational_space,
@@ -43,7 +36,6 @@ from .balls import (
     monotone_in_scale,
     sample_members,
     scaling_identity,
-    smaller_scale_witness,
     smaller_scale_witnesses,
     translate_identity,
 )

@@ -10,14 +10,13 @@ band around the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .distfn import (EPS_STRICT, CheckReport, SampleBudget, _make_report, bisect_lanes,
                      check_number, check_rng)
 from .pmspace import (
-    InfeasibleConstruction,
     PMSpace,
     PreconditionError,
     Vector,
@@ -261,22 +260,6 @@ def smaller_scale_witnesses(space: PMSpace, sigma: np.ndarray, scale: np.ndarray
     return t_star, reasons
 
 
-def smaller_scale_witness(ball: Ball, y: Vector) -> float:
-    """A scale t* in (0, t) with mu_{x-y}(t*) > 1 - alpha, given y in the ball.
-
-    A batch of one lane of smaller_scale_witnesses: the midpoint of the
-    maximal feasible subinterval of (0, t).  Raises PreconditionError when
-    y is not a member and InfeasibleConstruction, reporting a left-continuity
-    violation at t, when no interior feasible scale exists.
-    """
-    y = as_vector(y, ball.space.dim)
-    t_star, reasons = smaller_scale_witnesses(
-        ball.space, [ball.space.sigma1(ball.center - y)], [ball.scale], [ball.level])
-    if reasons[0] is not None:
-        raise InfeasibleConstruction(reasons[0])
-    return float(t_star[0])
-
-
 # ---------------------------------------------------------------------------
 # Ball algebra, checked by sampling.
 # ---------------------------------------------------------------------------
@@ -383,16 +366,6 @@ def is_balanced_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     return point_report("balanced", inside, {"y": Y, "lambda": lam}, budget.rng_seed)
 
 
-def sampled_convexity(contains_fn: Callable[[np.ndarray], np.ndarray],
-                      A: np.ndarray, B: np.ndarray,
-                      lam: np.ndarray) -> list[dict[str, Any]]:
-    """Generic convexity probe: are the sampled chords inside the set?"""
-    mids = lam[:, None] * A + (1.0 - lam)[:, None] * B
-    inside = contains_fn(mids)
-    return [{"x": A[i].tolist(), "y": B[i].tolist(), "lambda": float(lam[i])}
-            for i in np.nonzero(~inside)[0]]
-
-
 def is_convex_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     """Chords between sampled members stay inside the ball."""
     _require_centered(ball)
@@ -402,5 +375,6 @@ def is_convex_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     B = sample_members(ball, rng, n, band=budget.epsilon)
     B[: min(2, n)] = A[: min(2, n)]  # degenerate chords x = y
     lam = rng.uniform(0.0, 1.0, len(A))
-    viol = sampled_convexity(lambda M: contains_many(ball, M), A, B, lam)
-    return _make_report("convex", viol, len(A), budget.rng_seed)
+    mids = lam[:, None] * A + (1.0 - lam)[:, None] * B
+    return point_report("convex", contains_many(ball, mids),
+                        {"x": A, "y": B, "lambda": lam}, budget.rng_seed)

@@ -7,7 +7,8 @@ separators, no timestamps), so identical flags produce byte-identical
 reports and the files stay grep-able.
 
 Exit codes: 0 all checks passed, 1 violations found, 2 infeasible or
-precondition failures only, 3 unreadable or invalid config.
+precondition failures only, 3 unreadable or invalid config, or a report
+path that cannot be written.
 
 Config schema (unknown fields are rejected at every level):
 
@@ -451,6 +452,8 @@ def run(cfg: dict[str, Any], command: str,
         raise ConfigError("config root must be an object")
     _reject_unknown(cfg, {"instance", "budget", "operation", "out"}, "config")
     _require_fields(cfg, {"instance"}, "config")
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError(f"out must be a non-empty string, got {cfg['out']!r}")
     space = _build_instance(cfg["instance"])
     budget = _build_budget(cfg.get("budget", {}), args)
     records = HANDLERS[command](space, budget, cfg)
@@ -473,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 3
     try:
@@ -483,11 +486,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     text = "".join(canonical_line(rec) + "\n" for rec in records)
     out_path = args.out or cfg.get("out")
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        print(f"error: cannot write report {out_path}: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

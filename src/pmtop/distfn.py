@@ -3,17 +3,12 @@ sampling budget and report types every check shares.
 
 A distribution function is a non-decreasing map f: R -> [0, 1] with
 inf f = 0 and sup f = 1, the value mu_x a probabilistic modular assigns to
-a vector x.  Those values come from pmspace.mu, which binds the space's
-scalar kernel at sigma(x); this module holds the checks on a single
-function (admissibility, left continuity, transition regularity) and one
-kind that is not a kernel:
-
-piecewise_linear(breakpoints)
-    Linear interpolation through (t, v) breakpoints; 0 left of the first
-    breakpoint and equal to the last value right of the last one.  It can
-    take shapes no kernel produces (a decreasing segment, a capped
-    supremum, a jump or a flat interior stretch), which is what the
-    checks here are tested against.
+a vector x.  Those values come from a space's kernel (PMSpace.kernel and
+mu_matrix); this module holds the checks on a batch of them, given as a
+matrix-valued function of t with one row per function: admissibility
+(check_delta_memberships) and the transition-regularity scan that
+pmspace.check_space_regularity runs, and the lane bisection both the scan
+and the smaller-scale witness use.
 
 All values are immutable after construction and every operation here is a
 pure function, so concurrent evaluation needs no synchronization.
@@ -209,56 +204,21 @@ def _make_report(name: str, violations: list[dict[str, Any]], samples: int,
                        notes=notes or {})
 
 
-def check_rng(seed: int, label: str, shard: int = 0) -> np.random.Generator:
+def check_rng(seed: int, label: str) -> np.random.Generator:
     """Deterministic per-check random stream.
 
     The label hash keeps independent checks on independent streams even
-    when they share the budget seed; the shard index names a fixed
-    substream of one check, so a split into shards gives the same draws
-    whatever order the shards run in.
+    when they share the budget seed.
     """
     tag = zlib.crc32(label.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence((seed, tag, shard)))
+    # The trailing 0 is part of every stream's seed entropy: without it each
+    # check would draw other numbers, and every report would change.
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, 0)))
 
 
 # ---------------------------------------------------------------------------
-# Distribution functions and the checks on a single one.
+# Checks on a batch of distribution functions.
 # ---------------------------------------------------------------------------
-
-
-class DistributionFunction:
-    """Base class; concrete functions implement eval_many over float arrays."""
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, t: float) -> float:
-        return float(self.eval_many(np.asarray([t], dtype=float))[0])
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear(DistributionFunction):
-    breakpoints: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        bps = tuple((float(t), float(v)) for t, v in self.breakpoints)
-        if not bps:
-            raise ValueError("need at least one breakpoint")
-        ts = [t for t, _ in bps]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
-        if any(not (0.0 <= v <= 1.0) for _, v in bps):
-            raise ValueError("breakpoint values must lie in [0, 1]")
-        object.__setattr__(self, "breakpoints", bps)
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        xs = np.array([p[0] for p in self.breakpoints])
-        vs = np.array([p[1] for p in self.breakpoints])
-        out = np.interp(t, xs, vs)
-        # 0 strictly left of the first breakpoint (np.interp clamps to vs[0]).
-        out = np.where(t < xs[0], 0.0, out)
-        return out
 
 
 def _confirm_limits(values: Callable[[np.ndarray], np.ndarray], start: float,
@@ -287,12 +247,17 @@ def _confirm_limits(values: Callable[[np.ndarray], np.ndarray], start: float,
 
 def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
                             budget: SampleBudget) -> list[CheckReport]:
-    """check_delta_membership for a batch of functions: values(t) gives
-    their values at the points t as a matrix, one row per function.
+    """Is each of a batch of functions an admissible distribution function?
+    values(t) gives their values at the points t as a matrix, one row per
+    function; the reports are one per row.
 
-    Each clause is evaluated for the whole batch at once (one values call
-    over the grid and one per limit probe sequence); the reports, one per
-    row, are the ones check_delta_membership gives for each function.
+    Checks monotonicity on all adjacent grid pairs (exactly, no
+    tolerance), range containment in [0, 1], and the inf/sup limits.  The
+    limit confirmation starts at the extreme grid points and extends
+    geometrically for a bounded number of decades, since a fixed finite
+    grid cannot witness a limit by itself.  Each clause is evaluated for
+    the whole batch at once: one values call over the grid and one per
+    limit probe sequence.
     """
     ts = np.asarray(list(NEGATIVE_PROBES) + [0.0] + list(budget.t_grid), dtype=float)
     V = values(ts)
@@ -320,40 +285,6 @@ def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
                                     notes={"inf_probe": float(p_inf[r]),
                                            "sup_probe": float(p_sup[r])}))
     return reports
-
-
-def check_delta_membership(f: DistributionFunction,
-                           budget: SampleBudget) -> CheckReport:
-    """Is f an admissible distribution function?
-
-    Checks monotonicity on all adjacent grid pairs (exactly, no
-    tolerance), range containment in [0, 1], and the inf/sup limits.  The
-    limit confirmation starts at the extreme grid points and extends
-    geometrically for a bounded number of decades, since a fixed finite
-    grid cannot witness a limit by itself.  This is check_delta_memberships
-    for a batch of one; a caller with many functions of one kernel passes
-    them as one batch.
-    """
-    return check_delta_memberships(lambda t: f.eval_many(t)[None, :], budget)[0]
-
-
-def check_left_continuity(f: DistributionFunction, t: float,
-                          budget: SampleBudget) -> CheckReport:
-    """Probe left continuity of f at t > 0.
-
-    The verdict compares f(t) with f(t - delta) at the smallest probe
-    step; the larger steps are recorded as evidence of how the one-sided
-    gap behaves as delta shrinks.
-    """
-    check_number(t, "t", above=0)
-    deltas = [min(d, t / 2.0) for d in LEFT_PROBES]
-    gaps = [float(f(t) - f(t - d)) for d in deltas]
-    violations = []
-    if gaps[-1] > budget.epsilon:
-        violations.append({"t": t, "delta": deltas[-1], "gap": gaps[-1]})
-    return _make_report("left_continuity", violations, len(deltas),
-                        budget.rng_seed,
-                        notes={"probes": [[d, g] for d, g in zip(deltas, gaps)]})
 
 
 def bisect_lanes(pred, lo, hi, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -414,26 +345,3 @@ def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
 def _regularity_grid(t_grid: tuple[float, ...]) -> np.ndarray:
     """The budget grid with sub- and super-grid probe points added."""
     return np.asarray(sorted(set([1e-5, 1e-4] + list(t_grid) + [1e4, 1e5])))
-
-
-def check_transition_regularity(f: DistributionFunction,
-                                budget: SampleBudget) -> CheckReport:
-    """Continuity plus strict increase across the transition band, the two
-    clauses of _regularity_scan, reported separately.
-
-    If no grid pair qualifies for the strict clause it is vacuous; the
-    report flags this rather than guessing an intent.
-    """
-    ts = _regularity_grid(budget.t_grid)
-    vals = f.eval_many(ts)
-    (_, at, gap), (_, flat), strict_pairs = _regularity_scan(
-        lambda t, rows: f.eval_many(t), vals[None, :], ts, budget.epsilon)
-    violations: list[dict[str, Any]] = [
-        {"clause": "continuity", "at": float(a), "gap": float(g)}
-        for a, g in zip(at, gap)]
-    violations += [{"clause": "strict", "t1": float(ts[j]), "f1": float(vals[j]),
-                    "t2": float(ts[j + 1]), "f2": float(vals[j + 1])} for j in flat]
-    notes = {"continuity_ok": at.size == 0, "strict_ok": flat.size == 0,
-             "strict_pairs": strict_pairs, "strict_vacuous": strict_pairs == 0}
-    return _make_report("transition_regularity", violations, len(ts),
-                        budget.rng_seed, notes=notes)

@@ -368,12 +368,17 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                                  {"pairs": len(xs)})
 
 
+def _chain_feasible(space: PMSpace, ball: _balls.Ball, z: np.ndarray) -> bool:
+    """z lies in ball = B(x, alpha, t) and clears the doubling-chain
+    feasibility mu_(x-z)(t/c) > 1 - alpha with a safety margin of 1e-6."""
+    return (_balls.contains(ball, z)
+            and _topo.chain_anchor(space, ball, z) > 1.0 - ball.level + 1e-6)
+
+
 def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
-                               margin: float = 1e-6,
                                reason: str = "no feasible refinement input found",
                                ) -> tuple[_balls.Ball, np.ndarray]:
-    """Random (outer, z) satisfying the doubling-chain feasibility
-    mu_(x-z)(t/c) > 1 - alpha with a safety margin.  Raises PreconditionError
+    """Random (outer, z) that is _chain_feasible.  Raises PreconditionError
     when the space declares no doubling constant and InfeasibleConstruction
     with reason when the search finds no input."""
     _topo._require_c(space)
@@ -384,8 +389,7 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
         outer = _balls.Ball(space, x, level, scale)
         for _ in range(50):
             z = x + 0.3 * rng.standard_normal(space.dim)
-            if (_balls.contains(outer, z)
-                    and _topo.chain_anchor(space, outer, z) > 1.0 - level + margin):
+            if _chain_feasible(space, outer, z):
                 return outer, z
     raise InfeasibleConstruction(reason)
 
@@ -473,8 +477,7 @@ def _intersection(inp: _Inputs) -> PredicateResult:
     outer, z = _feasible_refinement_input(space, rng, reason=reason)
     other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
-    if not (_balls.contains(other, z)
-            and _topo.chain_anchor(space, other, z) > 1.0 - other.level + 1e-6):
+    if not _chain_feasible(space, other, z):
         raise InfeasibleConstruction(reason)
     return _from_report(_topo.basis_intersection_witness(
         space, outer, other, z, inp.small, samples=50))

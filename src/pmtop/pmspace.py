@@ -18,8 +18,8 @@ at 0):
 
 For both families every modular value reduces to a scalar kernel
 kappa(t, sigma) evaluated at sigma = rho(x).  The kernel is the only
-definition of mu_x: mu(space, x) binds it at one x, and the vectorized
-checkers and closed-form membership oracles below evaluate it directly.
+definition of mu_x: PMSpace.kernel and mu_matrix evaluate it, and the
+vectorized checkers and closed-form membership oracles below use them.
 
 Naming note: the convexity weights of PM4 are called a, b here; the
 symbol alpha is reserved for ball levels and beta for the homogeneity
@@ -36,7 +36,6 @@ import numpy as np
 from .distfn import (
     MAX_STORED_VIOLATIONS,
     CheckReport,
-    DistributionFunction,
     FieldError,
     SampleBudget,
     _make_report,
@@ -106,9 +105,6 @@ class SigmaFunctional:
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def rho1(self, x: Vector) -> float:
-        return float(self.rho(np.asarray(x, dtype=float)[None, :])[0])
 
     def to_config(self) -> dict[str, Any]:
         raise NotImplementedError
@@ -185,19 +181,14 @@ class ModularMap:
     kernel(t, sigma(x)).  kernel must broadcast over numpy arrays.  The
     reference kernels vanish at t <= 0.  The open step needs no t > 0 mask,
     as sigma >= 0; the others skip it when every t is positive, where it
-    selects every point, and give the same bits.
+    selects every point, and give the same bits.  Every kernel returns an
+    ndarray, a 0-d one for 0-d arguments.
     """
 
     family: str = ""
 
     def __init__(self, rho: SigmaFunctional):
         self.rho = rho
-
-    def sigma(self, X: np.ndarray) -> np.ndarray:
-        return self.rho.rho(X)
-
-    def sigma1(self, x: Vector) -> float:
-        return self.rho.rho1(x)
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -232,7 +223,7 @@ class StepFrom(ModularMap):
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         # S = sigma(x) >= 0, so t > S already implies t > 0.
         T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
-        return (T > S).astype(float)
+        return np.asarray(T > S, dtype=float)
 
 
 class ClosedStepFrom(ModularMap):
@@ -243,8 +234,8 @@ class ClosedStepFrom(ModularMap):
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
         if _all_positive(T):
-            return (T >= S).astype(float)
-        return ((T >= S) & (T > 0)).astype(float)
+            return np.asarray(T >= S, dtype=float)
+        return np.asarray((T >= S) & (T > 0), dtype=float)
 
 
 class FlooredMap(ModularMap):
@@ -298,10 +289,10 @@ class PMSpace:
     # Evaluation helpers ----------------------------------------------------
 
     def sigma(self, X: np.ndarray) -> np.ndarray:
-        return self.modular_map.sigma(np.asarray(X, dtype=float))
+        return self.modular_map.rho.rho(np.asarray(X, dtype=float))
 
     def sigma1(self, x: Vector) -> float:
-        return self.modular_map.sigma1(as_vector(x, self.dim))
+        return float(self.sigma(as_vector(x, self.dim)[None, :])[0])
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         return self.modular_map.kernel(T, S)
@@ -337,22 +328,6 @@ def space_from_config(cfg: dict[str, Any]) -> PMSpace:
     return PMSpace(dim=cfg["dim"], modular_map=mm,
                    declared_c=cfg.get("declared_c"),
                    declared_beta=cfg.get("declared_beta"))
-
-
-@dataclass(frozen=True)
-class BoundKernel(DistributionFunction):
-    """mu_x as a function of t alone: the space's kernel at sigma = sigma(x)."""
-
-    space: PMSpace
-    sigma: float
-
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        return self.space.kernel(t, self.sigma)
-
-
-def mu(space: PMSpace, x: Vector) -> BoundKernel:
-    """The distribution function assigned to x by the space's modular."""
-    return BoundKernel(space, space.sigma1(x))
 
 
 # Reference constructors used everywhere in tests and the CLI.
@@ -396,12 +371,6 @@ def oracle_threshold(space: PMSpace, level: float, scale: float) -> float:
     raise ValueError(f"no closed-form oracle for family {m.family!r}")
 
 
-def oracle_contains(space: PMSpace, center: Vector, level: float, scale: float,
-                    y: Vector) -> bool:
-    thr = oracle_threshold(space, level, scale)
-    return bool(space.sigma1(as_vector(center) - as_vector(y)) < thr)
-
-
 # ---------------------------------------------------------------------------
 # Sampling laws.
 # ---------------------------------------------------------------------------
@@ -431,12 +400,11 @@ def sample_scalars(rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _collect(mask: np.ndarray, build, limit: int | None = MAX_STORED_VIOLATIONS,
-             ) -> tuple[list[dict[str, Any]], int]:
-    """Records for the first limit flagged samples (by default all a report
-    keeps; None for every one), and the count of every flagged sample."""
+def _collect(mask: np.ndarray, build) -> tuple[list[dict[str, Any]], int]:
+    """Records for the first MAX_STORED_VIOLATIONS flagged samples, all a
+    report keeps, and the count of every flagged sample."""
     idx = np.flatnonzero(mask)
-    return [build(int(i)) for i in idx[:limit]], int(idx.size)
+    return [build(int(i)) for i in idx[:MAX_STORED_VIOLATIONS]], int(idx.size)
 
 
 def check_axioms(space: PMSpace, budget: SampleBudget,
@@ -595,21 +563,19 @@ class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
     of rows x and the budget grid, evaluated in blocks of DELTA2_CHUNK rows.
 
-    The rows are X when given, else budget.n_vectors rows of the "delta2"
-    stream; the first n rows of that draw are the n-row draw, bit for bit,
-    so a caller that needs fewer rows reads a prefix.  Each (c, block)
-    broken-row mask is computed at most once and kept, so the doubling
-    search and the declared check share every block they both read; the
-    (rows, grid) matrices live for one block.  A row's verdict reads only
+    The rows are budget.n_vectors rows of the "delta2" stream; the first n
+    rows of that draw are the n-row draw, bit for bit, so a caller that
+    needs fewer rows reads a prefix.  Each (c, block) broken-row mask is
+    computed at most once and kept, so the doubling search and the
+    declared check share every block they both read; the (rows, grid)
+    matrices live for one block.  A row's verdict reads only
     that row, so every mask and record is the one a single full-matrix
     evaluation gives.
     """
 
-    def __init__(self, space: PMSpace, budget: SampleBudget,
-                 X: np.ndarray | None = None):
-        if X is None:
-            X = sample_vectors(check_rng(budget.rng_seed, "delta2"),
-                               budget.n_vectors, space.dim)
+    def __init__(self, space: PMSpace, budget: SampleBudget):
+        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                           space.dim)
         self.space, self.budget, self.X = space, budget, X
         self._grid = budget.grid_array()[None, :]
         self._S = space.sigma(X)[:, None]
@@ -644,17 +610,16 @@ class _Delta2Scan:
         return not any(np.any(self.broken(c, lo)[:n - lo])
                        for lo in range(0, n, DELTA2_CHUNK))
 
-    def violations(self, c: float, n: int, limit: int | None = MAX_STORED_VIOLATIONS,
-                   ) -> tuple[list[dict[str, Any]], int]:
-        """Records for the first limit rows among the first n that break c
-        (None for every one), and the count of all of them."""
+    def violations(self, c: float, n: int) -> tuple[list[dict[str, Any]], int]:
+        """Records for the first MAX_STORED_VIOLATIONS rows among the first n
+        that break c, and the count of all of them."""
         viol: list[dict[str, Any]] = []
         count = 0
         for lo in range(0, n, DELTA2_CHUNK):
             bad = np.flatnonzero(self.broken(c, lo)[:n - lo])
             count += bad.size
-            room = None if limit is None else limit - len(viol)
-            if bad.size and room != 0:
+            room = MAX_STORED_VIOLATIONS - len(viol)
+            if bad.size and room:
                 lhs, rhs, gap = self._block(c, lo)
                 for i in bad[:room]:
                     j = int(np.argmax(gap[i]))
@@ -662,14 +627,6 @@ class _Delta2Scan:
                                  "t": float(self._grid[0, j]), "c": c,
                                  "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
         return viol, count
-
-
-def delta2_violations(space: PMSpace, c: float, budget: SampleBudget,
-                      X: np.ndarray | None = None) -> list[dict[str, Any]]:
-    """Samples where mu_{2x}(t) < mu_x(t/c) - eps: the rows X, by default
-    the budget's draw from the "delta2" stream."""
-    scan = _Delta2Scan(space, budget, X)
-    return scan.violations(c, len(scan.X), limit=None)[0]
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget,
@@ -763,11 +720,14 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
 def check_space_regularity(space: PMSpace, budget: SampleBudget,
                            points: list[Vector] | None = None,
                            max_points: int = 200) -> CheckReport:
-    """Apply the continuity / strict-increase check to mu_x for sampled
-    nonzero x (or for the provided points) and aggregate.
+    """Transition regularity of mu_x, continuity plus strict increase
+    across the transition band, for sampled nonzero x (or for the nonzero
+    ones among the given points), aggregated into one report.
 
-    The scan is distfn.check_transition_regularity's, run on the kernel
-    over a whole batch of sigma values at once.
+    The two clauses are distfn._regularity_scan's, run on the kernel over
+    a whole batch of sigma values at once.  If no grid pair qualifies for
+    the strict clause it is vacuous; the notes flag this rather than
+    guessing an intent.
     """
     seed = budget.rng_seed
     eps = budget.epsilon

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pmtop as p
-from pmtop.balls import boundary_band, contains_many, sample_around, sampled_convexity
+from pmtop.balls import boundary_band, contains_many, sample_around
 
 BUDGET = p.SampleBudget(n_vectors=400, n_scalar_pairs=400, rng_seed=11)
 
@@ -54,38 +54,45 @@ def test_membership_agrees_with_closed_form_oracle():
             Y = center + rng.standard_normal((100, 2))
             off_band = ~boundary_band(ball, Y, 1e-9)
             got = contains_many(ball, Y)[off_band]
-            want = np.array([p.oracle_contains(space, center, level, scale, y)
-                             for y in Y[off_band]])
+            thr = p.oracle_threshold(space, level, scale)
+            want = np.array([space.sigma1(center - y) < thr for y in Y[off_band]])
             assert np.array_equal(got, want)
 
 
 # -- smaller-scale witness ---------------------------------------------------
 
 
+def witness(ball, y):
+    """(t_star, reason) of the member y of ball: one lane of the witness."""
+    t_star, reasons = p.smaller_scale_witnesses(
+        ball.space, [ball.space.sigma1(ball.center - y)], [ball.scale], [ball.level])
+    return float(t_star[0]), reasons[0]
+
+
 def test_witness_midpoint_by_hand():
     # offset 1, level 0.6: feasible scales solve s/(s+1) > 0.4, i.e.
     # s > 2/3; the midpoint of (2/3, 1) is 5/6.
     ball = p.Ball(SP1, np.array([0.0]), 0.6, 1.0)
-    t_star = p.smaller_scale_witness(ball, np.array([-1.0]))
-    assert t_star == pytest.approx(5.0 / 6.0, abs=1e-9)
+    t_star, reason = witness(ball, np.array([-1.0]))
+    assert reason is None and t_star == pytest.approx(5.0 / 6.0, abs=1e-9)
 
 
 def test_witness_at_center_is_half_scale():
     ball = p.Ball(SP1, np.array([0.0]), 0.5, 2.0)
-    assert p.smaller_scale_witness(ball, ball.center) == pytest.approx(1.0, abs=1e-9)
+    assert witness(ball, ball.center)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_witness_step_family_midpoint():
     # threshold 0.9 just below scale 1: feasible scales are (0.9, 1).
     ball = p.Ball(STEP, np.array([0.0]), 0.5, 1.0)
-    t_star = p.smaller_scale_witness(ball, np.array([0.9]))
-    assert t_star == pytest.approx(0.95, abs=1e-9)
+    t_star, reason = witness(ball, np.array([0.9]))
+    assert reason is None and t_star == pytest.approx(0.95, abs=1e-9)
 
 
 def test_witness_requires_membership():
     ball = p.Ball(SP1, np.array([0.0]), 0.5, 1.0)
     with pytest.raises(p.PreconditionError):
-        p.smaller_scale_witness(ball, np.array([2.0]))
+        witness(ball, np.array([2.0]))
 
 
 def test_witness_validity_on_random_members():
@@ -96,9 +103,9 @@ def test_witness_validity_on_random_members():
             ball = p.Ball(space, center, rng.uniform(0.2, 0.9),
                           np.exp(rng.uniform(-1, 1)))
             y = p.sample_members(ball, rng, 1, band=1e-9)[0]
-            t_star = p.smaller_scale_witness(ball, y)
-            assert 0.0 < t_star < ball.scale
-            assert p.mu(space, center - y)(t_star) > 1.0 - ball.level
+            t_star, reason = witness(ball, y)
+            assert reason is None and 0.0 < t_star < ball.scale
+            assert space.mu_matrix((center - y)[None], [t_star])[0, 0] > 1.0 - ball.level
 
 
 def test_witness_infeasible_for_right_continuous_jump():
@@ -106,8 +113,8 @@ def test_witness_infeasible_for_right_continuous_jump():
     x = np.array([0.7])
     ball = p.Ball(broken, x, 0.7, broken.sigma1(x))
     assert p.contains(ball, np.zeros(1))
-    with pytest.raises(p.InfeasibleConstruction):
-        p.smaller_scale_witness(ball, np.zeros(1))
+    t_star, reason = witness(ball, np.zeros(1))
+    assert np.isnan(t_star) and "left-continuity violation" in reason
 
 
 # -- ball algebra ------------------------------------------------------------
@@ -184,19 +191,6 @@ def test_balanced_requires_origin_center():
     ball = p.Ball(WAB2, np.array([1.0, 0.0]), 0.5, 1.0)
     with pytest.raises(p.PreconditionError):
         p.is_balanced_sampled(ball, BUDGET)
-
-
-def test_union_of_disjoint_balls_fails_convexity_probe():
-    a = p.Ball(WAB2, np.array([-3.0, 0.0]), 0.5, 1.0)
-    b = p.Ball(WAB2, np.array([3.0, 0.0]), 0.5, 1.0)
-
-    def union_contains(M):
-        return contains_many(a, M) | contains_many(b, M)
-
-    A = np.array([[-3.0, 0.0], [-2.8, 0.1]])
-    B = np.array([[3.0, 0.0], [2.9, -0.1]])
-    viol = sampled_convexity(union_contains, A, B, np.array([0.5, 0.5]))
-    assert viol  # midpoints land in the gap between the balls
 
 
 def test_member_sampler_yields_members_with_usable_acceptance():

@@ -27,7 +27,7 @@ import pmtop.distfn as D
 import pmtop.falsifier as F
 import pmtop.pmspace as P
 import pmtop.topology as T
-from pmtop.distfn import EPS_STRICT, MAX_STORED_VIOLATIONS, _make_report, check_rng
+from pmtop.distfn import EPS_STRICT, _make_report, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
     AXIOMS,
@@ -44,7 +44,6 @@ from pmtop.pmspace import (
     _Delta2Scan,
     _row_max,
     _row_sums,
-    delta2_violations,
     sample_convex_weights,
     sample_scalars,
     sample_vectors,
@@ -52,7 +51,7 @@ from pmtop.pmspace import (
 
 
 def reference_witness(space, sig, scale, level):
-    """The scalar bisection smaller_scale_witness ran before batching."""
+    """The scalar bisection the smaller-scale witness ran before batching."""
     cut = 1.0 - level
 
     def feasible(s):
@@ -296,14 +295,15 @@ def test_batched_witness_matches_scalar_reference(family):
             want, why = reference_ball_witness(ball, y), None
         except p.InfeasibleConstruction as exc:
             want, why = None, str(exc)
-        assert reasons[i] == why
+        # The lane alone gives the bits it gives inside the batch.
+        one_t, one_why = p.smaller_scale_witnesses(space, [sigma[i]], [ball.scale],
+                                                   [ball.level])
+        assert reasons[i] == why and one_why == [why]
         if why is None:
             assert float(t_star[i]).hex() == want.hex()
-            assert p.smaller_scale_witness(ball, y).hex() == want.hex()
+            assert float(one_t[0]).hex() == want.hex()
         else:
-            assert np.isnan(t_star[i])
-            with pytest.raises(p.InfeasibleConstruction, match=re.escape(why)):
-                p.smaller_scale_witness(ball, y)
+            assert np.isnan(t_star[i]) and np.isnan(one_t[0])
     if family == "step_closed_from":
         assert any(r is not None for r in reasons)
 
@@ -316,7 +316,7 @@ def test_batched_witness_rejects_a_non_member_lane():
     with pytest.raises(p.PreconditionError, match="ball member"):
         p.smaller_scale_witnesses(space, sigma, 1.0, 0.5)
     with pytest.raises(p.PreconditionError, match="ball member"):
-        p.smaller_scale_witness(ball, outsider)
+        p.smaller_scale_witnesses(space, sigma[1:], 1.0, 0.5)
 
 
 def test_bisect_lanes_stop_on_their_own_at_float_granularity():
@@ -445,10 +445,9 @@ def test_boundary_pairs_leave_tiny_sigma_levels_unused():
 
 
 def reference_find_delta2(space, budget, candidates):
-    X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
-                       space.dim)
+    """The first candidate with no broken row, by the records' count."""
     for c in sorted(candidates):
-        if not delta2_violations(space, c, budget, X=X):
+        if not reference_delta2_records(space, c, budget)[1]:
             return float(c)
     return None
 
@@ -461,12 +460,11 @@ def reference_delta2_broken(space, c, grid, lhs, S, eps):
     return np.max(gap, axis=1) > eps, rhs, gap
 
 
-def reference_delta2_records(space, c, budget, X=None, limit=MAX_STORED_VIOLATIONS):
+def reference_delta2_records(space, c, budget):
     """The unblocked doubling records: one full-matrix evaluation of every
-    row, then the first limit records and the count."""
-    if X is None:
-        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
-                           space.dim)
+    row, then the first MAX_STORED_VIOLATIONS records and the count."""
+    X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
+                       space.dim)
     grid = budget.grid_array()
     lhs = space.mu_matrix(2.0 * X, grid)
     bad, rhs, gap = reference_delta2_broken(space, c, grid, lhs,
@@ -477,7 +475,7 @@ def reference_delta2_records(space, c, budget, X=None, limit=MAX_STORED_VIOLATIO
         return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    return _collect(bad, rec, limit)
+    return _collect(bad, rec)
 
 
 def reference_check_delta2_declared(space, budget):
@@ -560,11 +558,6 @@ def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name
                                       scan=_Delta2Scan(space, budget)) == found_2000
         assert p.find_delta2_constant(space, estimate) == found_2000
         assert canonical_report(p.check_delta2_declared(space, budget)) == declared
-
-        X = sample_vectors(check_rng(7, "other"), n, space.dim)
-        for c in (1.0, space.declared_c):
-            assert (delta2_violations(space, c, budget, X=X)
-                    == reference_delta2_records(space, c, budget, X, limit=None)[0])
     if name == "break_delta2_declaration":
         rep = p.check_delta2_declared(space, budget)
         assert rep.n_violations > 9_990 and len(rep.violations) == 50
@@ -630,20 +623,20 @@ def reference_confirm_limit(f, start, target, eps):
     """The scalar limit confirmation: probe one point at a time."""
     probe = start
     for _ in range(D.LIMIT_EXTENSION_DECADES + 1):
-        val = f(probe)
+        val = float(f(probe))
         if target == "inf" and val <= eps:
             return True, probe, val
         if target == "sup" and val >= 1.0 - eps:
             return True, probe, val
         probe = probe * 10.0 if target == "sup" else (
             probe * 10.0 if probe < 0 else -max(abs(probe), 1.0))
-    return False, probe / 10.0, f(probe / 10.0)
+    return False, probe / 10.0, float(f(probe / 10.0))
 
 
 def reference_check_delta_membership(f, budget):
-    """check_delta_membership for one function, clause by clause."""
+    """The admissibility check for one function, clause by clause."""
     ts = np.asarray(list(D.NEGATIVE_PROBES) + [0.0] + list(budget.t_grid), dtype=float)
-    vals = f.eval_many(ts)
+    vals = f(ts)
     violations = []
     for i in np.nonzero((vals < -0.0) | (vals > 1.0))[0]:
         violations.append({"clause": "range", "t": float(ts[i]), "value": float(vals[i])})
@@ -661,14 +654,28 @@ def reference_check_delta_membership(f, budget):
                         notes={"inf_probe": p_inf, "sup_probe": p_sup})
 
 
+def piecewise_linear(*breakpoints):
+    """The linear interpolation through (t, v) breakpoints, at an array or a
+    scalar t: 0 left of the first breakpoint and the last value right of the
+    last one.  It takes shapes no kernel produces (a decreasing segment, a
+    capped supremum, a jump or a flat interior stretch)."""
+    xs, vs = (np.array(c, dtype=float) for c in zip(*breakpoints))
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < xs[0], 0.0, np.interp(t, xs, vs))
+
+    return f
+
+
 MEMBERSHIP_FUNCTIONS = [
-    D.PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
-    D.PiecewiseLinear(((0.0, 0.0), (1.0, 0.999))),
-    D.PiecewiseLinear(((0.0, 0.5), (1.0, 0.2), (2.0, 1.0))),
-    D.PiecewiseLinear(((-1e3, 0.3), (1.0, 1.0))),
+    piecewise_linear((0.0, 0.0), (1.0, 1.0)),
+    piecewise_linear((0.0, 0.0), (1.0, 0.999)),
+    piecewise_linear((0.0, 0.5), (1.0, 0.2), (2.0, 1.0)),
+    piecewise_linear((-1e3, 0.3), (1.0, 1.0)),
     # Both limits fail: positive far left of every probe, capped on the right.
-    D.PiecewiseLinear(((-1e13, 0.2), (1.0, 0.5))),
-    D.PiecewiseLinear(((-3e13, 0.1), (2.0, 0.4), (5e14, 0.9))),
+    piecewise_linear((-1e13, 0.2), (1.0, 0.5)),
+    piecewise_linear((-3e13, 0.1), (2.0, 0.4), (5e14, 0.9)),
 ]
 
 
@@ -678,12 +685,10 @@ MEMBERSHIP_FUNCTIONS = [
 ], ids=["default-grid", "short-grid"])
 def test_batched_admissibility_matches_the_per_function_reference(budget):
     fns = MEMBERSHIP_FUNCTIONS
-    batch = D.check_delta_memberships(
-        lambda t: np.stack([f.eval_many(t) for f in fns]), budget)
+    batch = D.check_delta_memberships(lambda t: np.stack([f(t) for f in fns]), budget)
     for f, got in zip(fns, batch):
         ref = reference_check_delta_membership(f, budget)
         assert canonical_report(got) == canonical_report(ref)
-        assert canonical_report(D.check_delta_membership(f, budget)) == canonical_report(ref)
     both = [{v["clause"]: v for v in rep.violations} for rep in batch[-2:]]
     for f, clauses in zip(fns[-2:], both):
         # The reported probe is the step past the last one, divided by ten.
@@ -742,7 +747,7 @@ def jump_functions():
         for i, (t, v) in enumerate(bps):
             last = max(last, v)
             bps[i] = (t, min(last, 1.0))
-        out.append(p.PiecewiseLinear(tuple(bps)))
+        out.append(piecewise_linear(*bps))
     return out
 
 
@@ -753,18 +758,22 @@ def test_lane_bisection_keeps_the_fixed_step_regularity_bits(monkeypatch, epsilo
     spaces += [F.generate_instance(seed, "step_from") for seed in range(4)]
     spaces += [F.apply_mutation(F.generate_instance(seed, "step_from"),
                                 "break_left_continuity", seed) for seed in range(4)]
-    functions = jump_functions()
-    got = ([canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
-           + [canonical_report(p.check_transition_regularity(f, budget))
-              for f in functions])
+    got = [canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
     monkeypatch.setattr(P, "_regularity_scan", reference_regularity_scan)
-    monkeypatch.setattr(D, "_regularity_scan", reference_regularity_scan)
-    want = ([canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
-            + [canonical_report(p.check_transition_regularity(f, budget))
-               for f in functions])
+    want = [canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
     assert got == want
-    jumps = [json.loads(r)["violations"] for r in want[len(spaces):]]
-    assert sum(any(v["clause"] == "continuity" for v in rep) for rep in jumps) >= 6
+    # The scan itself on shapes no kernel produces, one function at a time.
+    grid = D._regularity_grid(budget.t_grid)
+    jumpy = 0
+    for f in jump_functions():
+        args = (lambda t, rows: f(t), f(grid)[None, :], grid, budget.epsilon)
+        (rows, at, gap), flat, pairs = D._regularity_scan(*args)
+        (want_rows, want_at, want_gap), want_flat, want_pairs = reference_regularity_scan(*args)
+        for a, b in zip((rows, at, gap, *flat), (want_rows, want_at, want_gap, *want_flat)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert pairs == want_pairs
+        jumpy += rows.size > 0
+    assert jumpy >= 6
 
 
 def reference_check_axioms(space, budget):
@@ -937,7 +946,7 @@ def test_axiom_reports_count_every_violation_but_keep_fifty():
     budget = p.SampleBudget(n_vectors=10_000, n_scalar_pairs=10_000, rng_seed=0)
     rep = p.check_delta2_declared(space, budget)
     assert rep.n_violations == 9_999 and not rep.passed
-    assert rep.violations == delta2_violations(space, space.declared_c, budget)[:50]
+    assert rep.violations == reference_delta2_records(space, space.declared_c, budget)[0]
 
 
 # -- one record path --------------------------------------------------------------
@@ -1136,14 +1145,12 @@ def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
     for mm in maps:
         for T, S in shapes:
             got, want = mm.kernel(T, S), reference_kernel(mm, T, S)
-            assert type(got) is type(want)
+            assert isinstance(got, np.ndarray)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        if not isinstance(mm, (StepFrom, ClosedStepFrom)):
-            # The step kernels give a numpy scalar here, as they always did.
-            for t in (0.5, 0.0, -1.0):
-                got = mm.kernel(np.asarray(t), np.asarray(0.5))
-                assert isinstance(got, np.ndarray) and got.shape == ()
+        for t in (0.5, 0.0, -1.0):
+            got = mm.kernel(np.asarray(t), np.asarray(0.5))
+            assert isinstance(got, np.ndarray) and got.shape == ()
 
 
 # Values where a float sum or maximum is easy to get wrong: signed zeros,

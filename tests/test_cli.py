@@ -295,6 +295,31 @@ def test_unreadable_config_is_a_config_error():
     assert cli.main(["check-axioms", "--config", "/no/such/file.json"]) == 3
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["check-axioms", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out, flags", [
+    (["a"], []), (7, []), ("/nonexistent/dir/r.ndjson", []), (True, []), ("", []),
+    (None, ["--out", "/nonexistent/dir/r.ndjson"]),
+], ids=["list", "number", "missing-dir", "bool", "empty", "flag-missing-dir"])
+def test_bad_or_unwritable_report_path_is_a_config_error(tmp_path, capsys, out, flags):
+    cfg = json.loads(json.dumps(STEP))
+    if out is not None:
+        cfg["out"] = out
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["check-regularity", "--config", path, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_bad_subcommand_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, RATIONAL)
     assert cli.main(["frobnicate", "--config", cfg]) == 3

@@ -1,6 +1,7 @@
-"""Distribution functions, mu_x through pmspace.mu for each map kind and
-PiecewiseLinear: evaluation semantics, admissibility, one-sided continuity
-probes, and the transition-regularity check."""
+"""Distribution functions, mu_x through a space's kernel for each map kind
+and piecewise-linear shapes no kernel produces: evaluation semantics,
+admissibility, left continuity through the smaller-scale witness, and the
+transition-regularity scan."""
 
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmtop import distfn as df
 from pmtop import pmspace as pm
+from pmtop.balls import smaller_scale_witnesses
 
 BUDGET = df.SampleBudget(n_vectors=100, n_scalar_pairs=100, rng_seed=0)
 
@@ -26,8 +28,18 @@ def space_of(family, rho=pm.PPower(p=1.0), dim=1):
 
 
 def mu_at(family, sigma):
-    """mu_x at sigma(x) = sigma: over PPower(1) in one dimension sigma([s]) = s."""
-    return pm.mu(space_of(family), [sigma])
+    """mu_x at sigma(x) = sigma as a function of t: over PPower(1) in one
+    dimension sigma([s]) = s."""
+    space = space_of(family)
+    return lambda t: float(space.mu_matrix(np.array([[sigma]]), [t])[0, 0])
+
+
+def piecewise_linear(*breakpoints):
+    """Values at t of the linear interpolation through (t, v) breakpoints, as
+    a one-row matrix: 0 left of the first breakpoint and the last value
+    right of the last one."""
+    xs, vs = (np.array(c, dtype=float) for c in zip(*breakpoints))
+    return lambda t: np.where(t < xs[0], 0.0, np.interp(t, xs, vs))[None, :]
 
 
 # -- evaluation semantics ----------------------------------------------------
@@ -69,29 +81,10 @@ _HAND = {
 def test_mu_is_the_kernel_bit_for_bit(family):
     space = space_of(family, pm.PPower(p=2.0), dim=2)
     x = np.array([1.0, 1.0])                     # sigma = 1 + 1 = 2
-    f = pm.mu(space, x)
-    assert f.sigma == 2.0
-    assert f.eval_many(np.array([-1.0, 0.0, 2.0, 6.0])).tolist() == _HAND[family]
+    assert space.sigma1(x) == 2.0
+    assert space.mu_matrix(x[None], [-1.0, 0.0, 2.0, 6.0])[0].tolist() == _HAND[family]
     ts = np.array([-1.0, 0.0, 1e-3, 1.0, 2.0, 2.0 + 1e-12, 7.3, 1e3])
-    assert np.array_equal(f.eval_many(ts), space.mu_matrix(x[None], ts)[0])
-
-
-def test_piecewise_linear_interpolation_by_hand():
-    f = df.PiecewiseLinear(breakpoints=((1.0, 0.2), (3.0, 0.8)))
-    # midpoint: 0.2 + (2-1)/(3-1) * 0.6 = 0.5 by hand
-    assert f(2.0) == pytest.approx(0.5)
-    assert f(0.999) == 0.0          # zero left of first breakpoint
-    assert f(1.0) == pytest.approx(0.2)
-    assert f(10.0) == pytest.approx(0.8)  # constant right of last
-
-
-def test_piecewise_linear_validates_breakpoints():
-    with pytest.raises(ValueError):
-        df.PiecewiseLinear(breakpoints=((1.0, 0.2), (1.0, 0.8)))
-    with pytest.raises(ValueError):
-        df.PiecewiseLinear(breakpoints=((0.0, 1.5),))
-    with pytest.raises(ValueError):
-        df.PiecewiseLinear(breakpoints=())
+    assert np.array_equal(space.mu_matrix(x[None], ts)[0], space.kernel(ts, 2.0))
 
 
 # -- hypothesis properties ---------------------------------------------------
@@ -99,22 +92,8 @@ def test_piecewise_linear_validates_breakpoints():
 _params = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-@st.composite
-def monotone_pwl(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    start = draw(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0),
-                         min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
-    ts = np.cumsum([start] + list(gaps))
-    vs = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                              min_size=n, max_size=n)))
-    return df.PiecewiseLinear(breakpoints=tuple(zip(ts.tolist(), vs)))
-
-
 _functions = st.one_of(
-    *[_params.map(lambda s, family=family: mu_at(family, s)) for family in FAMILIES],
-    monotone_pwl(),
-)
+    *[_params.map(lambda s, family=family: mu_at(family, s)) for family in FAMILIES])
 
 _points = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -135,80 +114,106 @@ def test_rational_stays_below_one_for_positive_parameter(r, t):
 # -- admissibility -----------------------------------------------------------
 
 
+def delta_membership(family, sigma):
+    """The admissibility report of mu_x at sigma(x) = sigma."""
+    space = space_of(family)
+    return df.check_delta_memberships(
+        lambda t: space.mu_matrix(np.array([[sigma]]), t), BUDGET)[0]
+
+
 def test_delta_membership_rational_passes():
-    assert df.check_delta_membership(mu_at("rational_from", 2.0), BUDGET).passed
+    assert delta_membership("rational_from", 2.0).passed
 
 
 def test_delta_membership_catches_decreasing_values():
-    f = df.PiecewiseLinear(breakpoints=((0.0, 0.5), (1.0, 0.2)))
-    rep = df.check_delta_membership(f, BUDGET)
+    rep = df.check_delta_memberships(piecewise_linear((0.0, 0.5), (1.0, 0.2)), BUDGET)[0]
     assert not rep.passed
     assert any(v["clause"] == "monotone" for v in rep.violations)
 
 
 def test_delta_membership_step_at_zero_passes():
-    assert df.check_delta_membership(mu_at("step_from", 0.0), BUDGET).passed
+    assert delta_membership("step_from", 0.0).passed
 
 
 def test_delta_membership_catches_capped_supremum():
-    f = df.PiecewiseLinear(breakpoints=((0.0, 0.0), (1.0, 0.999)))
-    rep = df.check_delta_membership(f, BUDGET)
+    rep = df.check_delta_memberships(piecewise_linear((0.0, 0.0), (1.0, 0.999)), BUDGET)[0]
     assert not rep.passed
     assert any(v["clause"] == "sup_limit" for v in rep.violations)
 
 
-# -- left continuity ---------------------------------------------------------
+# -- left continuity, through the smaller-scale witness ------------------------
+#
+# A member y of B(x, alpha, t) keeps membership at some smaller scale exactly
+# when mu_(x-y) is left-continuous at t; the witness reports a jump there.
+
+
+def scale_witness(family, sigma, scale, level=0.5):
+    t_star, reasons = smaller_scale_witnesses(space_of(family), [sigma], [scale], [level])
+    return float(t_star[0]), reasons[0]
 
 
 def test_left_continuity_continuous_function_passes():
-    assert df.check_left_continuity(mu_at("rational_from", 1.0), 1.0, BUDGET).passed
+    t_star, reason = scale_witness("rational_from", 1.0, 1.0, level=0.6)
+    assert reason is None and 0.0 < t_star < 1.0
 
 
 def test_left_continuity_open_step_passes_at_its_jump():
-    # 1_{t > 1} takes the value 0 at t = 1, matching its left limit.
-    assert df.check_left_continuity(mu_at("step_from", 1.0), 1.0, BUDGET).passed
+    # 1_{t > 1} is left-continuous at every t: just above its jump a
+    # smaller scale in (1, t) still keeps membership.
+    t_star, reason = scale_witness("step_from", 1.0, 1.0 + 1e-9)
+    assert reason is None and 1.0 < t_star < 1.0 + 1e-9
 
 
 def test_left_continuity_crafted_jump_fails():
-    delta = df.LEFT_PROBES[-1]
-    f = df.PiecewiseLinear(breakpoints=((1.0, 0.0), (1.0 + delta, 1.0)))
-    rep = df.check_left_continuity(f, 1.0 + delta, BUDGET)
-    assert not rep.passed
+    # A rise from 0 to 1 within the smallest probe step: the continuity
+    # clause finds the jump at 1 and no strict-clause pair.
+    f = piecewise_linear((1.0, 0.0), (1.0 + df.LEFT_PROBES[-1], 1.0))
+    grid = df._regularity_grid(BUDGET.t_grid)
+    (jump_rows, at, gap), (flat_rows, _), _ = df._regularity_scan(
+        lambda t, rows: f(t)[0], f(grid), grid, BUDGET.epsilon)
+    assert jump_rows.tolist() == [0] and flat_rows.size == 0
+    assert at[0] == pytest.approx(1.0, abs=1e-6) and gap[0] > 0.5
 
 
 def test_left_continuity_requires_positive_point():
-    with pytest.raises(ValueError):
-        df.check_left_continuity(mu_at("rational_from", 1.0), 0.0, BUDGET)
+    # mu vanishes at t = 0, so no ball of scale 0 has a member to witness.
+    with pytest.raises(pm.PreconditionError, match="ball member"):
+        scale_witness("rational_from", 1.0, 0.0)
 
 
 def test_closed_step_fails_left_continuity_at_jump():
-    rep = df.check_left_continuity(mu_at("step_closed_from", 1.0), 1.0, BUDGET)
-    assert not rep.passed
+    t_star, reason = scale_witness("step_closed_from", 1.0, 1.0)
+    assert np.isnan(t_star) and "left-continuity violation" in reason
 
 
 # -- transition regularity ---------------------------------------------------
 
 
+def regularity(family, sigma=1.0):
+    """The transition-regularity report of mu_x at sigma(x) = sigma."""
+    return pm.check_space_regularity(space_of(family), BUDGET, points=[[sigma]])
+
+
 def test_regularity_rational_passes():
-    rep = df.check_transition_regularity(mu_at("rational_from", 1.0), BUDGET)
+    rep = regularity("rational_from")
     assert rep.passed
-    assert rep.notes["continuity_ok"] and rep.notes["strict_ok"]
+    assert rep.notes["strict_pairs"] > 0 and not rep.notes["strict_vacuous"]
 
 
 def test_regularity_step_fails_on_continuity_with_vacuous_strict_clause():
-    rep = df.check_transition_regularity(mu_at("step_from", 1.0), BUDGET)
+    rep = regularity("step_from")
     assert not rep.passed
-    assert not rep.notes["continuity_ok"]
+    assert {v["clause"] for v in rep.violations} == {"continuity"}
     assert rep.notes["strict_vacuous"]
 
 
 def test_regularity_flat_interior_segment_fails_strict_clause():
-    f = df.PiecewiseLinear(
-        breakpoints=((1e-3, 0.0), (1.0, 0.4), (2.0, 0.4), (3.0, 1.0)))
-    rep = df.check_transition_regularity(f, BUDGET)
-    assert not rep.passed
-    assert any(v["clause"] == "strict" for v in rep.violations)
-    assert rep.notes["continuity_ok"]
+    f = piecewise_linear((1e-3, 0.0), (1.0, 0.4), (2.0, 0.4), (3.0, 1.0))
+    grid = df._regularity_grid(BUDGET.t_grid)
+    (jump_rows, _, _), (flat_rows, flat_cols), _ = df._regularity_scan(
+        lambda t, rows: f(t)[0], f(grid), grid, BUDGET.epsilon)
+    assert flat_rows.size and jump_rows.size == 0
+    assert all(1.0 <= grid[j] and grid[j + 1] <= 2.0 for j in flat_cols)
 
 
 # -- budget -----------------------------------------------------------------

@@ -48,24 +48,19 @@ def test_reference_families_satisfy_convexity_axiom_brute_force():
 
 def test_mu_examples():
     sp = p.rational_space(p.PPower(p=1.0), 1)
-    f = p.mu(sp, np.array([1.0]))
-    assert f.sigma == 1.0
-    assert f(1.0) == pytest.approx(0.5, abs=0)
-    assert f(3.0) == pytest.approx(0.75, abs=0)
-
-    zero_mu = p.mu(sp, np.array([0.0]))
-    assert all(zero_mu(t) == 1.0 for t in (1e-3, 1.0, 1e3))
+    assert sp.sigma1(np.array([1.0])) == 1.0
+    assert sp.mu_matrix(np.array([[1.0]]), [1.0, 3.0]).tolist() == [[0.5, 0.75]]
+    assert sp.mu_matrix(np.array([[0.0]]), [1e-3, 1.0, 1e3]).tolist() == [[1.0] * 3]
 
     st = p.step_space(p.PPower(p=1.0), 1)
-    g = p.mu(st, np.array([2.0]))
-    assert g.sigma == 2.0
-    assert g(2.0) == 0.0 and g(3.0) == 1.0
+    assert st.sigma1(np.array([2.0])) == 2.0
+    assert st.mu_matrix(np.array([[2.0]]), [2.0, 3.0]).tolist() == [[0.0, 1.0]]
 
 
 def test_mu_rejects_dimension_mismatch():
     sp = p.rational_space(p.PPower(p=1.0), 2)
     with pytest.raises(ValueError):
-        p.mu(sp, np.array([1.0, 2.0, 3.0]))
+        sp.sigma1(np.array([1.0, 2.0, 3.0]))
 
 
 # -- axiom checker -----------------------------------------------------------
@@ -129,7 +124,7 @@ def test_doubling_result_is_monotone_in_candidate():
     found = p.find_delta2_constant(sp, BUDGET)
     assert found == 4.0
     for c in (found * 1.5, found * 2.0, found * 7.0):
-        assert not p.pmspace.delta2_violations(sp, c, BUDGET)
+        assert p.find_delta2_constant(sp, BUDGET, (c,)) == c
 
 
 def test_declared_doubling_check():
@@ -194,8 +189,7 @@ def test_object_level_and_space_level_regularity_agree():
         rng = p.distfn.check_rng(budget.rng_seed, "regularity")
         X = p.pmspace.sample_vectors(rng, 40, sp.dim)
         per_object = all(
-            p.check_transition_regularity(p.mu(sp, x), budget).passed
-            for x in X)
+            p.check_space_regularity(sp, budget, points=[x]).passed for x in X)
         assert space_rep.passed == per_object
 
 
