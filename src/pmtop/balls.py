@@ -9,7 +9,7 @@ band around the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -91,13 +91,12 @@ def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray,
 
 
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
-                       scales: np.ndarray, rng: np.random.Generator,
-                       lo: float = 0.2, hi: float = 0.8) -> np.ndarray:
+                       scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per lane, the scale of the Gaussian proposal around the center that
     gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for all lanes at
     once, and is seeded from the closed-form radius when one exists; then
     each lane doubles or halves its scale until the probe's acceptance lies
-    in [lo, hi], for at most 80 rounds, stopping on its own."""
+    in [0.2, 0.8], for at most 80 rounds, stopping on its own."""
     n, dim = centers.shape
     probes = rng.standard_normal((n, 256, dim))
     s = np.ones(n)
@@ -120,7 +119,7 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         sl = s[live]
         inside = _lane_mu(space, c, t, c[:, None, :] + sl[:, None, None] * probes) > cut
         acc = inside.sum(axis=1) / inside.shape[1]
-        up, down = acc > hi, acc < lo
+        up, down = acc > 0.8, acc < 0.2
         s[live] = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
         going = up | down
         if not going.all():
@@ -289,10 +288,8 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
                               rng_seed=budget.rng_seed)
     pre = check_beta_homogeneous(space, exponent, pre_budget)
     if not pre.passed:
-        return _make_report("scaling_identity", pre.violations[:5], pre.samples_run,
-                            budget.rng_seed, n_violations=pre.n_violations,
-                            notes={"precondition_failed": "beta_homogeneous",
-                                   "beta": exponent})
+        return replace(pre, name="scaling_identity", violations=pre.violations[:5],
+                       notes={"precondition_failed": "beta_homogeneous", "beta": exponent})
 
     ball_pow = Ball(space, space.zero(), level, scale ** exponent)
     ball_unit = Ball(space, space.zero(), level, 1.0)
@@ -310,8 +307,8 @@ def point_report(name: str, held: np.ndarray, points: dict[str, np.ndarray], see
                  notes: dict[str, Any] | None = None) -> CheckReport:
     """Report of a sampled check over len(held) points: each point i where
     held[i] is false is recorded as {key: points[key][i]} for every key."""
-    viol = [{k: v[i].tolist() for k, v in points.items()} for i in np.flatnonzero(~held)]
-    return _make_report(name, viol, len(held), seed, notes=notes)
+    return _make_report(name, np.flatnonzero(~held), len(held), seed, notes=notes,
+                        record=lambda i: {k: v[i].tolist() for k, v in points.items()})
 
 
 def containment_report(name: str, inner: Ball, outers: Sequence[Ball],

@@ -53,13 +53,6 @@ from .pmspace import (
     space_from_config,
 )
 
-SUBCOMMANDS = (
-    "check-axioms", "check-delta2", "check-homogeneous", "check-regularity",
-    "ball-identities", "witness-refine", "witness-separate",
-    "witness-continuity", "check-convergence", "falsify",
-)
-
-
 class ConfigError(Exception):
     pass
 
@@ -362,7 +355,7 @@ def _h_check_convergence(space, budget, cfg):
     with _fields("operation.sequence"):
         typed = {k: _vector(v, k, space) for k, v in seq_cfg.items()
                  if k in ("base", "direction", "candidate_limit")}
-        seq = _conv.SequenceSpec.from_config({**seq_cfg, **typed})
+        seq = _conv.SequenceSpec(**{**seq_cfg, **typed})
     with _fields("operation"):
         n_max = op.get("n_max", _conv.N_MAX)
         grid = op.get("t_grid", _conv.CONVERGENCE_GRID)
@@ -371,9 +364,7 @@ def _h_check_convergence(space, budget, cfg):
                              at_most=_conv.MAX_LOCAL_BASE_DEPTH)
         # check_mu_convergence checks the grid and n_max before it evaluates.
         mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
-    balls = _conv.local_base(space, seq.candidate_limit, depth=depth)
-    topo_v = _conv.check_topological_convergence(space, seq, balls=balls,
-                                                 n_max=n_max)
+    topo_v = _conv.check_topological_convergence(space, seq, depth=depth, n_max=n_max)
     equivalence = {"check": "convergence_equivalence", "seed": budget.rng_seed,
                    "verdict": "pass" if mu_v.converges == topo_v.converges else "fail",
                    "mu_converges": mu_v.converges,
@@ -418,6 +409,7 @@ HANDLERS = {
     "check-convergence": _h_check_convergence,
     "falsify": _h_falsify,
 }
+SUBCOMMANDS = tuple(HANDLERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,13 +449,11 @@ def run(cfg: dict[str, Any], command: str,
     space = _build_instance(cfg["instance"])
     budget = _build_budget(cfg.get("budget", {}), args)
     records = HANDLERS[command](space, budget, cfg)
+    stamp = budget.to_config()
+    stamp["t_grid_size"] = len(stamp.pop("t_grid"))
     for rec in records:
         rec.setdefault("seed", budget.rng_seed)
-        rec.setdefault("budget", {"n_vectors": budget.n_vectors,
-                                  "n_scalar_pairs": budget.n_scalar_pairs,
-                                  "epsilon": budget.epsilon,
-                                  "rng_seed": budget.rng_seed,
-                                  "t_grid_size": len(budget.t_grid)})
+        rec.setdefault("budget", stamp)
     return records, exit_code_from_records(records)
 
 

@@ -21,8 +21,8 @@ from typing import Any
 import numpy as np
 
 from .balls import Ball, contains_many
-from .distfn import FieldRecord, check_number, check_numbers
-from .pmspace import PMSpace, PreconditionError, Vector, as_vector
+from .distfn import MAX_GRID_COUNT, FieldError, FieldRecord, check_number, check_numbers
+from .pmspace import PMSpace, Vector, as_vector
 
 EPS_CONV = 1e-6
 N_MAX = 10 ** 6
@@ -90,14 +90,6 @@ class SequenceSpec:
             cfg["ratio"] = self.ratio
         return cfg
 
-    @classmethod
-    def from_config(cls, cfg: dict[str, Any]) -> "SequenceSpec":
-        return cls(kind=cfg["kind"], base=np.asarray(cfg["base"], dtype=float),
-                   direction=np.asarray(cfg["direction"], dtype=float),
-                   ratio=cfg.get("ratio"),
-                   candidate_limit=(np.asarray(cfg["candidate_limit"], dtype=float)
-                                    if "candidate_limit" in cfg else None))
-
 
 def probe_schedule(n_max: int) -> np.ndarray:
     """Geometric index schedule 1, 2, 4, ... capped by and including n_max."""
@@ -127,20 +119,22 @@ class ConvergenceVerdict(FieldRecord):
 
 def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
                          t_grid: tuple[float, ...] = CONVERGENCE_GRID,
-                         eps_conv: float = EPS_CONV,
                          n_max: int = N_MAX) -> ConvergenceVerdict:
     """Value-criterion verdict on the probe schedule.
 
     For each scale t the verdict records the earliest probe index from
-    which every later probe keeps 1 - mu_{x_n - x}(t) below eps_conv;
-    the sequence converges when every scale has one.
+    which every later probe keeps 1 - mu_{x_n - x}(t) below EPS_CONV;
+    the sequence converges when every scale has one.  A grid of more than
+    MAX_GRID_COUNT scales is a FieldError, as it is in a budget.
     """
     grid = np.asarray(check_numbers(t_grid, "t_grid", above=0), dtype=float)
+    if grid.size > MAX_GRID_COUNT:
+        raise FieldError(f"t_grid must hold at most {MAX_GRID_COUNT} numbers")
     ns = probe_schedule(n_max)
     offsets = seq.values(ns) - seq.candidate_limit[None, :]
     gaps = 1.0 - space.mu_matrix(offsets, grid)        # (len(ns), len(grid))
 
-    ok = gaps < eps_conv
+    ok = gaps < EPS_CONV
     per_t = [{"t": float(t), "n0": settled_from(ns, ok[:, j]),
               "final_gap": float(gaps[-1, j])} for j, t in enumerate(grid)]
     return ConvergenceVerdict(converges=all(r["n0"] is not None for r in per_t),
@@ -162,22 +156,18 @@ class TopologicalVerdict(FieldRecord):
 
 
 def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
-                                  balls: list[Ball] | None = None,
+                                  depth: int = LOCAL_BASE_DEPTH,
                                   n_max: int = N_MAX) -> TopologicalVerdict:
-    """Tail membership in every listed ball (default: the local base).
+    """Tail membership in every ball of the local base of the given depth
+    at the candidate limit.
 
-    An empty ball list makes the quantifier vacuous; the verdict says so
-    instead of silently reporting convergence.
+    A depth below 2 leaves the base empty and the quantifier vacuous; the
+    verdict says so instead of silently reporting convergence.
     """
-    if balls is None:
-        balls = local_base(space, seq.candidate_limit)
+    balls = local_base(space, seq.candidate_limit, depth)
     if not balls:
         return TopologicalVerdict(converges=True, vacuous=True, per_ball=[],
                                   n_used=0)
-    for b in balls:
-        if np.any(b.center != seq.candidate_limit):
-            raise PreconditionError(
-                "probe balls must be centered at the candidate limit")
     ns = probe_schedule(n_max)
     points = seq.values(ns)
     per_ball = [{"level": b.level, "scale": b.scale,

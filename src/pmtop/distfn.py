@@ -182,7 +182,7 @@ class CheckReport:
             "seed": self.seed,
             "samples": self.samples_run,
             "violation_count": self.n_violations,
-            "violations": self.violations[:MAX_STORED_VIOLATIONS],
+            "violations": self.violations,
         }
         if self.notes:
             rec["notes"] = self.notes
@@ -191,17 +191,16 @@ class CheckReport:
         return rec
 
 
-def _make_report(name: str, violations: list[dict[str, Any]], samples: int,
-                 seed: int, notes: dict[str, Any] | None = None,
-                 n_violations: int | None = None) -> CheckReport:
-    """Report keeping the first MAX_STORED_VIOLATIONS records.  n_violations
-    is the full count when the caller built only the records kept; it
-    defaults to len(violations)."""
-    if n_violations is None:
-        n_violations = len(violations)
-    return CheckReport(name=name, violations=violations[:MAX_STORED_VIOLATIONS],
-                       samples_run=samples, seed=seed, n_violations=n_violations,
-                       notes=notes or {})
+def _make_report(name: str, flagged: Any, samples: int, seed: int,
+                 notes: dict[str, Any] | None = None,
+                 record: Callable[[Any], dict[str, Any]] | None = None) -> CheckReport:
+    """The report rule: a report over the flagged samples, given in order,
+    keeps records for the first MAX_STORED_VIOLATIONS (each built by record
+    when it is given, else the flagged entry itself) and counts all of them."""
+    kept = flagged[:MAX_STORED_VIOLATIONS]
+    violations = [record(i) for i in kept] if record else list(kept)
+    return CheckReport(name=name, violations=violations, samples_run=samples, seed=seed,
+                       n_violations=len(flagged), notes=notes or {})
 
 
 def check_rng(seed: int, label: str) -> np.random.Generator:

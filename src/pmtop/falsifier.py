@@ -355,7 +355,8 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
 
     The trials draw every center, then every level, then every scale, as
     arrays, and then one member per ball from the same stream with one
-    balls.sample_member_lanes call.  A starved trial is left out.
+    balls.sample_member_lanes call.  A starved trial is left out; with
+    every trial starved there is no pair to test, and that is infeasible.
     """
     rng = check_rng(budget.rng_seed, "scale_witness_random")
     X = rng.standard_normal((count, space.dim))
@@ -364,6 +365,8 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
     rows, ok = _balls.sample_member_lanes(space, X, levels, scales, rng, 1,
                                           band=budget.epsilon)
     xs, ys, scales, levels = X[ok], rows[ok, 0], scales[ok], levels[ok]
+    if not len(xs):
+        raise InfeasibleConstruction(f"the member sampler starved on all {count} random balls")
     return _scale_witness_result(space, xs, ys, space.sigma(xs - ys), scales, levels,
                                  {"pairs": len(xs)})
 

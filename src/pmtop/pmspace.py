@@ -29,12 +29,12 @@ exponent, so the three never collide in code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from .distfn import (
-    MAX_STORED_VIOLATIONS,
     CheckReport,
     FieldError,
     SampleBudget,
@@ -387,10 +387,9 @@ def sample_convex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return g / (g + h)
 
 
-def sample_scalars(rng: np.random.Generator, n: int,
-                   lo: float = 1e-2, hi: float = 1e2) -> np.ndarray:
-    """Log-uniform magnitudes with random sign."""
-    mag = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+def sample_scalars(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Log-uniform magnitudes in [1e-2, 1e2] with random sign."""
+    mag = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), n))
     sign = rng.choice([-1.0, 1.0], n)
     return sign * mag
 
@@ -398,13 +397,6 @@ def sample_scalars(rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 # Axiom checks.
 # ---------------------------------------------------------------------------
-
-
-def _collect(mask: np.ndarray, build) -> tuple[list[dict[str, Any]], int]:
-    """Records for the first MAX_STORED_VIOLATIONS flagged samples, all a
-    report keeps, and the count of every flagged sample."""
-    idx = np.flatnonzero(mask)
-    return [build(int(i)) for i in idx[:MAX_STORED_VIOLATIONS]], int(idx.size)
 
 
 def check_axioms(space: PMSpace, budget: SampleBudget,
@@ -416,7 +408,7 @@ def check_axioms(space: PMSpace, budget: SampleBudget,
     PM4 draws more (Y, a, then its random probe scales), after X, so each
     part reads the same samples and gives the same record whichever other
     parts are requested.  Only the requested parts are computed; the
-    combined report covers them.
+    combined report covers them and counts the violations of all of them.
 
     PM4 is probed, for every sampled (x, y, a) triple, at a random grid
     pair, at structured pairs involving s = 0 or t = 0, and at the
@@ -435,9 +427,11 @@ def check_axioms(space: PMSpace, budget: SampleBudget,
              "pm3": lambda: _check_pm3(space, budget, X, S_x),
              "pm4": lambda: _check_pm4(space, budget, X, S_x, rng)}
     parts = {name: build[name]() for name in AXIOMS if name in axioms}
-    all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
-    rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
-                       budget.rng_seed)
+    # Each part keeps its first records, so the first of all the parts are among them.
+    kept = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
+    rep = _make_report("axioms", range(sum(r.n_violations for r in parts.values())),
+                       sum(r.samples_run for r in parts.values()), budget.rng_seed,
+                       record=kept.__getitem__)
     rep.parts = parts
     return rep
 
@@ -446,10 +440,9 @@ def _check_pm1(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                S_x: np.ndarray) -> CheckReport:
     """PM1: the value at zero vanishes for every sampled x."""
     v0 = space.kernel(np.asarray(0.0), S_x)
-    bad = np.abs(v0) > budget.epsilon
-    viol, count = _collect(bad, lambda i: {
+    bad = np.flatnonzero(np.abs(v0) > budget.epsilon)
+    return _make_report("pm1", bad, len(X), budget.rng_seed, record=lambda i: {
         "x": X[i].tolist(), "mu_at_0": float(v0[i])})
-    return _make_report("pm1", viol, len(X), budget.rng_seed, n_violations=count)
 
 
 def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
@@ -469,7 +462,6 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     eps = budget.epsilon
     grid = budget.grid_array()
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
-    fwd_bad = not np.all(mu0 == 1.0)
     rows = np.flatnonzero(np.any(X != 0.0, axis=1)
                           & (space.kernel(grid[0], S_x) >= 1.0 - eps))
     M = space.kernel(grid[None, :], S_x[rows][:, None])
@@ -479,12 +471,12 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
         M_ext = space.kernel(ext[None, :], S_x[rows[stuck]][:, None])
         still = np.all(M_ext >= 1.0 - eps, axis=1)
         stuck[np.nonzero(stuck)[0]] = still
-    viol, count = _collect(stuck, lambda k: {
-        "x": X[rows[k]].tolist(), "min_mu": float(np.min(M[k]))})
-    if fwd_bad:
-        viol.insert(0, {"x": space.zero().tolist(), "min_mu": float(np.min(mu0))})
-        count += 1
-    return _make_report("pm2", viol, len(X) + 1, budget.rng_seed, n_violations=count)
+    flagged = np.flatnonzero(stuck)
+    if not np.all(mu0 == 1.0):  # the zero vector, flagged as -1, comes first
+        flagged = np.concatenate([[-1], flagged])
+    return _make_report("pm2", flagged, len(X) + 1, budget.rng_seed, record=lambda k: (
+        {"x": space.zero().tolist(), "min_mu": float(np.min(mu0))} if k < 0
+        else {"x": X[rows[k]].tolist(), "min_mu": float(np.min(M[k]))}))
 
 
 def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
@@ -503,10 +495,9 @@ def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     diff = (space.kernel(grid, S_neg[rows][:, None])
             - space.kernel(grid, S_x[rows][:, None]))
     gap = _row_max(np.abs(diff, out=diff))
-    bad = gap > budget.epsilon
-    viol, count = _collect(bad, lambda k: {
+    bad = np.flatnonzero(gap > budget.epsilon)
+    return _make_report("pm3", bad, len(X), budget.rng_seed, record=lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
-    return _make_report("pm3", viol, len(X), budget.rng_seed, n_violations=count)
 
 
 def _row_max(A: np.ndarray) -> np.ndarray:
@@ -545,8 +536,7 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     rhs = np.minimum(space.kernel(probe_s, S_x[:, None]),
                      space.kernel(probe_t, S_y[:, None]))
     gap = rhs - lhs
-    worst = _row_max(gap)
-    bad = worst > budget.epsilon
+    bad = np.flatnonzero(_row_max(gap) > budget.epsilon)
 
     def pm4_record(i: int) -> dict[str, Any]:
         j = int(np.argmax(gap[i]))
@@ -554,9 +544,8 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                 "s": float(probe_s[i, j]), "t": float(probe_t[i, j]),
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    viol, count = _collect(bad, pm4_record)
-    return _make_report("pm4", viol, n * probe_s.shape[1], budget.rng_seed,
-                        n_violations=count)
+    return _make_report("pm4", bad, n * probe_s.shape[1], budget.rng_seed,
+                        record=pm4_record)
 
 
 class _Delta2Scan:
@@ -610,42 +599,47 @@ class _Delta2Scan:
         return not any(np.any(self.broken(c, lo)[:n - lo])
                        for lo in range(0, n, DELTA2_CHUNK))
 
-    def violations(self, c: float, n: int) -> tuple[list[dict[str, Any]], int]:
-        """Records for the first MAX_STORED_VIOLATIONS rows among the first n
-        that break c, and the count of all of them."""
-        viol: list[dict[str, Any]] = []
-        count = 0
-        for lo in range(0, n, DELTA2_CHUNK):
-            bad = np.flatnonzero(self.broken(c, lo)[:n - lo])
-            count += bad.size
-            room = MAX_STORED_VIOLATIONS - len(viol)
-            if bad.size and room:
-                lhs, rhs, gap = self._block(c, lo)
-                for i in bad[:room]:
-                    j = int(np.argmax(gap[i]))
-                    viol.append({"x": self.X[lo + i].tolist(),
-                                 "t": float(self._grid[0, j]), "c": c,
-                                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
-        return viol, count
+
+def _block_report(name: str, n: int, broken, block, grid: np.ndarray, fields,
+                  seed: int, notes: dict[str, Any]) -> CheckReport:
+    """The report of a grid inequality over n rows taken in blocks of
+    DELTA2_CHUNK rows.  broken(lo) is the mask of the rows of the block from
+    lo that break it, and block(lo) its (lhs, rhs, gap) matrices; a broken
+    row r is recorded as fields(r) plus t, lhs and rhs at its largest gap.
+    The records come from the blocks of the rows the report keeps, each
+    evaluated once more."""
+    rows = np.concatenate([lo + np.flatnonzero(broken(lo)[:n - lo])
+                           for lo in range(0, n, DELTA2_CHUNK)])
+    values = lru_cache(maxsize=1)(block)
+
+    def record(r: int) -> dict[str, Any]:
+        lhs, rhs, gap = values(r - r % DELTA2_CHUNK)
+        i = r % DELTA2_CHUNK
+        j = int(np.argmax(gap[i]))
+        return {**fields(r), "t": float(grid[j]), "lhs": float(lhs[i, j]),
+                "rhs": float(rhs[i, j])}
+
+    return _make_report(name, rows, n, seed, notes, record=record)
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget,
                           scan: _Delta2Scan | None = None) -> CheckReport:
     """Verify the declared doubling constant against samples.
 
-    Every broken row is counted and the first MAX_STORED_VIOLATIONS are
-    recorded.  The rows come from scan when one is given (a scan of this
-    space drawn for at least budget.n_vectors rows), so the blocks a
-    find_delta2_constant call on the same scan already read for the
-    declared constant are not evaluated again.
+    Every broken row is counted and the first ones are recorded.  The rows
+    come from scan when one is given (a scan of this space drawn for at
+    least budget.n_vectors rows), so the blocks a find_delta2_constant call
+    on the same scan already read for the declared constant are not
+    evaluated again.
     """
-    if space.declared_c is None:
+    c = space.declared_c
+    if c is None:
         raise PreconditionError("space declares no doubling constant")
     scan = scan or _Delta2Scan(space, budget)
-    viol, count = scan.violations(space.declared_c, scan.rows(space, budget))
-    return _make_report("delta2_declared", viol, budget.n_vectors,
-                        budget.rng_seed, notes={"c": space.declared_c},
-                        n_violations=count)
+    return _block_report("delta2_declared", scan.rows(space, budget),
+                         lambda lo: scan.broken(c, lo), lambda lo: scan._block(c, lo),
+                         budget.grid_array(), lambda r: {"x": scan.X[r].tolist(), "c": c},
+                         budget.rng_seed, {"c": c})
 
 
 def find_delta2_constant(space: PMSpace, budget: SampleBudget,
@@ -676,7 +670,7 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
 
     X and a are drawn up front; the (rows, grid) comparison is evaluated
     in blocks of DELTA2_CHUNK rows, counting every broken row and keeping
-    the first MAX_STORED_VIOLATIONS records.
+    the records of the first ones.
     """
     try:
         check_number(beta, "exponent", **EXPONENT)
@@ -693,23 +687,17 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     S = space.sigma(X)[:, None]
     scale = (np.abs(a) ** beta)[:, None]
 
-    viol: list[dict[str, Any]] = []
-    count = 0
-    for lo in range(0, n, DELTA2_CHUNK):
+    def block(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         b = slice(lo, lo + DELTA2_CHUNK)
         lhs = space.kernel(grid, S_ax[b])
         rhs = space.kernel(grid / scale[b], S[b])
         diff = lhs - rhs
-        np.abs(diff, out=diff)
-        bad = np.flatnonzero(_row_max(diff) > budget.epsilon)
-        count += bad.size
-        for i in bad[:MAX_STORED_VIOLATIONS - len(viol)]:
-            j = int(np.argmax(diff[i]))
-            viol.append({"x": X[lo + i].tolist(), "a": float(a[lo + i]),
-                         "t": float(grid[0, j]), "lhs": float(lhs[i, j]),
-                         "rhs": float(rhs[i, j])})
-    return _make_report("beta_homogeneous", viol, n, budget.rng_seed,
-                        notes={"beta": beta}, n_violations=count)
+        return lhs, rhs, np.abs(diff, out=diff)
+
+    return _block_report("beta_homogeneous", n,
+                         lambda lo: _row_max(block(lo)[2]) > budget.epsilon, block,
+                         grid[0], lambda r: {"x": X[r].tolist(), "a": float(a[r])},
+                         budget.rng_seed, {"beta": beta})
 
 
 # ---------------------------------------------------------------------------
@@ -743,24 +731,25 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
     n = X.shape[0]
     notes: dict[str, Any] = {"nonzero_samples": int(n)}
     if n == 0:
-        rep = _make_report("space_regularity", [], 0, seed, notes=notes)
-        rep.notes["vacuous"] = True
-        return rep
+        return _make_report("space_regularity", [], 0, seed, notes=dict(notes, vacuous=True))
 
     S = space.sigma(X)
     grid = _regularity_grid(budget.t_grid)
     V = space.kernel(grid[None, :], S[:, None])
     (jump_i, at, gap), (flat_i, flat_j), strict_pairs = _regularity_scan(
         lambda t, rows: space.kernel(t, S[rows]), V, grid, eps)
-    violations: list[dict[str, Any]] = [
-        {"clause": "continuity", "x": X[i].tolist(), "at": float(t), "gap": float(g)}
-        for i, t, g in zip(jump_i[:MAX_STORED_VIOLATIONS], at, gap)]
-    room = MAX_STORED_VIOLATIONS - len(violations)
-    violations += [{"clause": "strict", "x": X[i].tolist(),
-                    "t1": float(grid[j]), "t2": float(grid[j + 1]),
-                    "f1": float(V[i, j]), "f2": float(V[i, j + 1])}
-                   for i, j in zip(flat_i[:room], flat_j[:room])]
     notes["strict_pairs"] = strict_pairs
     notes["strict_vacuous"] = strict_pairs == 0
-    return _make_report("space_regularity", violations, n, seed, notes=notes,
-                        n_violations=jump_i.size + flat_i.size)
+    nj = jump_i.size
+
+    def record(k: int) -> dict[str, Any]:
+        """The k-th violation: the jumps first, then the strict-clause pairs."""
+        if k < nj:
+            return {"clause": "continuity", "x": X[jump_i[k]].tolist(),
+                    "at": float(at[k]), "gap": float(gap[k])}
+        i, j = flat_i[k - nj], flat_j[k - nj]
+        return {"clause": "strict", "x": X[i].tolist(), "t1": float(grid[j]),
+                "t2": float(grid[j + 1]), "f1": float(V[i, j]), "f2": float(V[i, j + 1])}
+
+    return _make_report("space_regularity", range(nj + flat_i.size), n, seed, notes=notes,
+                        record=record)

@@ -32,7 +32,9 @@ happens when a declared constant is wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -129,13 +131,25 @@ def chain_anchor(space: PMSpace, outer: Ball, z: Vector) -> float:
                               space.sigma1(outer.center - z)))
 
 
+def _parameter(name: str, compute: Callable[[], float]) -> float:
+    """compute(), a witness parameter; InfeasibleConstruction naming it when
+    it overflows or is not a positive finite float."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InfeasibleConstruction(f"witness parameter {name} = {value} is not positive finite")
+    return value
+
+
 # Scalar: as a batch of one, distfn.bisect_lanes took refine_ball 1.3 -> 2.4 ms.
-def _bisect_infimum(predicate, hi: float, steps: int = 60) -> float:
-    """Infimum of a monotone-true-region (lo, hi] located by bisection;
-    the predicate must hold at hi.  Returns hi unchanged when no interior
-    point tests true down to float granularity."""
+def _bisect_infimum(predicate, hi: float) -> float:
+    """Infimum of a monotone-true-region (lo, hi] located by at most 60
+    bisection steps; the predicate must hold at hi.  Returns hi unchanged
+    when no interior point tests true down to float granularity."""
     lo, h = 0.0, hi
-    for _ in range(steps):
+    for _ in range(60):
         mid = 0.5 * (lo + h)
         if mid <= lo or mid >= h:
             break
@@ -265,7 +279,7 @@ def separation_witness(space: PMSpace, x: Vector, y: Vector,
 
     Picks the grid scale t0 whose value mu_{x-y}(t0) sits closest to 1/2,
     takes the level parameter as the midpoint of (mu_{x-y}(t0), 1) and
-    returns the two balls at scale t0 / (2c).
+    returns the two balls at scale t0 / 2 / c: t0 / (2c) where 2c does not overflow.
     """
     c = _require_c(space)
     x = as_vector(x, space.dim)
@@ -276,7 +290,7 @@ def separation_witness(space: PMSpace, x: Vector, y: Vector,
     t0, mu0 = _pick_separation_scale(space, sig, budget)
     chosen = 0.5 * (mu0 + 1.0)
     level = 1.0 - chosen
-    scale = t0 / (2.0 * c)
+    scale = _parameter("scale", lambda: t0 / 2.0 / c)
     ball_a = Ball(space, x, level, scale)
     ball_b = Ball(space, y, level, scale)
     evidence = _disjointness_evidence("separation", ball_a, ball_b, budget, samples)
@@ -303,7 +317,7 @@ def homogeneous_separation_witness(space: PMSpace, x: Vector,
     t0, mu0 = _pick_separation_scale(space, sig, budget,
                                      need_above=budget.epsilon)
     level = 0.5 * (1.0 - mu0)
-    scale = t0 / (2.0 ** (beta + 1.0))
+    scale = _parameter("scale", lambda: t0 / (2.0 ** (beta + 1.0)))
     ball_a = Ball(space, space.zero(), level, scale)
     ball_b = Ball(space, x, level, scale)
     evidence = _disjointness_evidence("homogeneous_separation", ball_a, ball_b,
@@ -326,7 +340,7 @@ def addition_continuity_witness(space: PMSpace, target: Ball,
     beta = _require_beta(space)
     _require_centered(target, "target ball must be")
     b = Ball(space, space.zero(), target.level / 2.0,
-             target.scale / (2.0 ** (beta + 2.0)))
+             _parameter("scale", lambda: target.scale / (2.0 ** (beta + 2.0))))
     rng = check_rng(budget.rng_seed, "addition_continuity")
     X = sample_members(b, rng, samples, band=budget.epsilon)
     Y = sample_members(b, rng, samples, band=budget.epsilon)
@@ -351,8 +365,8 @@ def scalar_continuity_witness(space: PMSpace, target: Ball, scalar: float,
     beta = _require_beta(space)
     _require_centered(target, "target ball must be")
     m = max(abs(scalar), SCALAR_FLOOR)
-    t1 = target.scale / (4.0 * m ** beta)
-    window = (target.scale / (2.0 * t1)) ** (1.0 / beta)
+    t1 = _parameter("scale", lambda: target.scale / (4.0 * m ** beta))
+    window = _parameter("scalar window", lambda: (target.scale / (2.0 * t1)) ** (1.0 / beta))
     b1 = Ball(space, space.zero(), target.level / 2.0, t1)
     rng = check_rng(budget.rng_seed, "scalar_continuity")
     X = sample_members(b1, rng, samples, band=budget.epsilon)

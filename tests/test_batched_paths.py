@@ -27,7 +27,7 @@ import pmtop.distfn as D
 import pmtop.falsifier as F
 import pmtop.pmspace as P
 import pmtop.topology as T
-from pmtop.distfn import EPS_STRICT, _make_report, check_rng
+from pmtop.distfn import EPS_STRICT, MAX_STORED_VIOLATIONS, CheckReport, check_rng
 from pmtop.falsifier import PredicateResult
 from pmtop.pmspace import (
     AXIOMS,
@@ -40,7 +40,6 @@ from pmtop.pmspace import (
     SigmaFunctional,
     StepFrom,
     VerificationError,
-    _collect,
     _Delta2Scan,
     _row_max,
     _row_sums,
@@ -48,6 +47,22 @@ from pmtop.pmspace import (
     sample_scalars,
     sample_vectors,
 )
+
+
+def first_records(mask, build):
+    """The report rule, carried by the references: records for the first
+    MAX_STORED_VIOLATIONS flagged samples and the count of all of them."""
+    idx = np.flatnonzero(mask)
+    return [build(int(i)) for i in idx[:MAX_STORED_VIOLATIONS]], int(idx.size)
+
+
+def reference_report(name, violations, samples, seed, notes=None, n_violations=None):
+    """A report keeping the first MAX_STORED_VIOLATIONS records; n_violations
+    is the full count when only the kept records were built."""
+    return CheckReport(name=name, violations=violations[:MAX_STORED_VIOLATIONS],
+                       samples_run=samples, seed=seed,
+                       n_violations=len(violations) if n_violations is None else n_violations,
+                       notes=notes or {})
 
 
 def reference_witness(space, sig, scale, level):
@@ -475,14 +490,14 @@ def reference_delta2_records(space, c, budget):
         return {"x": X[i].tolist(), "t": float(grid[j]), "c": c,
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    return _collect(bad, rec)
+    return first_records(bad, rec)
 
 
 def reference_check_delta2_declared(space, budget):
     viol, count = reference_delta2_records(space, space.declared_c, budget)
-    return _make_report("delta2_declared", viol, budget.n_vectors,
-                        budget.rng_seed, notes={"c": space.declared_c},
-                        n_violations=count)
+    return reference_report("delta2_declared", viol, budget.n_vectors,
+                            budget.rng_seed, notes={"c": space.declared_c},
+                            n_violations=count)
 
 
 def reference_find_delta2_full_scan(space, budget, candidates):
@@ -594,9 +609,9 @@ def reference_check_beta_homogeneous(space, beta, budget):
         return {"x": X[i].tolist(), "a": float(a[i]), "t": float(grid[j]),
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    viol, count = _collect(diff > budget.epsilon, rec)
-    return _make_report("beta_homogeneous", viol, n, budget.rng_seed,
-                        notes={"beta": beta}, n_violations=count)
+    viol, count = first_records(diff > budget.epsilon, rec)
+    return reference_report("beta_homogeneous", viol, n, budget.rng_seed,
+                            notes={"beta": beta}, n_violations=count)
 
 
 @pytest.mark.parametrize("space, beta", [
@@ -650,8 +665,8 @@ def reference_check_delta_membership(f, budget):
     sup_ok, p_sup, v_sup = reference_confirm_limit(f, float(ts[-1]), "sup", budget.epsilon)
     if not sup_ok:
         violations.append({"clause": "sup_limit", "t": p_sup, "value": v_sup})
-    return _make_report("delta_membership", violations, len(ts), budget.rng_seed,
-                        notes={"inf_probe": p_inf, "sup_probe": p_sup})
+    return reference_report("delta_membership", violations, len(ts), budget.rng_seed,
+                            notes={"inf_probe": p_inf, "sup_probe": p_sup})
 
 
 def piecewise_linear(*breakpoints):
@@ -791,9 +806,9 @@ def reference_check_axioms(space, budget):
 
     v0 = space.kernel(np.asarray(0.0), S_x)
     bad = np.abs(v0) > eps
-    viol, count = _collect(bad, lambda i: {
+    viol, count = first_records(bad, lambda i: {
         "x": X[i].tolist(), "mu_at_0": float(v0[i])})
-    pm1 = _make_report("pm1", viol, n, seed, n_violations=count)
+    pm1 = reference_report("pm1", viol, n, seed, n_violations=count)
 
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
     fwd_bad = not np.all(mu0 == 1.0)
@@ -804,20 +819,20 @@ def reference_check_axioms(space, budget):
         M_ext = space.kernel(ext[None, :], S_x[stuck][:, None])
         still = np.all(M_ext >= 1.0 - eps, axis=1)
         stuck[np.nonzero(stuck)[0]] = still
-    pm2_viol, count = _collect(stuck, lambda i: {
+    pm2_viol, count = first_records(stuck, lambda i: {
         "x": X[i].tolist(), "min_mu": float(np.min(M[i]))})
     if fwd_bad:
         pm2_viol.insert(0, {"x": space.zero().tolist(),
                             "min_mu": float(np.min(mu0))})
         count += 1
-    pm2 = _make_report("pm2", pm2_viol, n + 1, seed, n_violations=count)
+    pm2 = reference_report("pm2", pm2_viol, n + 1, seed, n_violations=count)
 
     M_neg = space.mu_matrix(-X, grid)
     asym = np.max(np.abs(M_neg - M), axis=1)
     bad = asym > eps
-    viol, count = _collect(bad, lambda i: {
+    viol, count = first_records(bad, lambda i: {
         "x": X[i].tolist(), "max_gap": float(asym[i])})
-    pm3 = _make_report("pm3", viol, n, seed, n_violations=count)
+    pm3 = reference_report("pm3", viol, n, seed, n_violations=count)
 
     Y = sample_vectors(rng, n, space.dim)
     a = sample_convex_weights(rng, n)
@@ -841,13 +856,13 @@ def reference_check_axioms(space, budget):
                 "s": float(probe_s[i, j]), "t": float(probe_t[i, j]),
                 "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
 
-    viol, count = _collect(bad, pm4_record)
-    pm4 = _make_report("pm4", viol, n * probe_s.shape[1], seed, n_violations=count)
+    viol, count = first_records(bad, pm4_record)
+    pm4 = reference_report("pm4", viol, n * probe_s.shape[1], seed, n_violations=count)
 
     parts = {"pm1": pm1, "pm2": pm2, "pm3": pm3, "pm4": pm4}
     all_viol = [dict(v, axiom=k) for k, r in parts.items() for v in r.violations]
-    rep = _make_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
-                       seed)
+    rep = reference_report("axioms", all_viol, sum(r.samples_run for r in parts.values()),
+                           seed, n_violations=sum(r.n_violations for r in parts.values()))
     rep.parts = parts
     # passed is n_violations == 0, which must be the verdict of all four parts.
     assert rep.passed == all(r.passed for r in parts.values())
@@ -994,7 +1009,7 @@ def reference_disjointness_evidence(name, ball_a, ball_b, budget, samples):
         overlap = B.contains_many(other, Y)
         viol.extend({"y": Y[i].tolist(), "sampled_from": tag}
                     for i in np.nonzero(overlap)[0])
-    return _make_report(name, viol, 2 * half, budget.rng_seed)
+    return reference_report(name, viol, 2 * half, budget.rng_seed)
 
 
 def reference_settled_from(ns, ok):
@@ -1102,7 +1117,7 @@ def test_convergence_verdict_records_and_suffix_rule_match_the_references():
                              ratio=0.5 if kind == "geometric" else None)
         for verdict in (C.check_mu_convergence(space, seq, n_max=4096),
                         C.check_topological_convergence(space, seq, n_max=4096),
-                        C.check_topological_convergence(space, seq, balls=[])):
+                        C.check_topological_convergence(space, seq, depth=1)):
             assert verdict.to_record() == reference_record(verdict)
 
 

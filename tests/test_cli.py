@@ -130,6 +130,7 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("check-convergence", {"sequence": {"base": [0.0, 0.0], "direction": [0.3, 0.1]}}),
     ("check-convergence", {"sequence": {"kind": "harmonic", "direction": [0.3, 0.1]}}),
     ("check-convergence", {"sequence": {"kind": "harmonic", "base": [0.0, 0.0]}}),
+    ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1.0 + i for i in range(1025)]}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -452,6 +453,17 @@ def test_unmet_precondition_exits_two_with_its_reason(tmp_path, capsys, command,
     assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert (rec["verdict"], rec["reason"]) == ("infeasible", f"precondition: {reason}")
+
+
+def test_overflowing_witness_parameter_is_infeasible_naming_it(tmp_path, capsys):
+    # At beta 5e-4 the scalar window (2 |scalar|^beta)^(1/beta) overflows a float.
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["instance"]["declared_beta"] = 5e-4
+    assert cli.main(["witness-continuity", "--config", write_config(tmp_path, cfg)]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    scalar = next(rec for rec in records if rec["check"] == "scalar_continuity")
+    assert scalar["verdict"] == "infeasible"
+    assert scalar["reason"].startswith("witness parameter scalar window = inf ")
 
 
 def test_regularity_subcommand_fails_on_step(tmp_path):

@@ -106,16 +106,8 @@ def test_topological_convergence_alternating_fails():
 def test_empty_ball_list_is_vacuous_and_flagged():
     seq = p.SequenceSpec(kind="harmonic", base=np.zeros(1),
                          direction=np.array([1.0]))
-    verdict = p.check_topological_convergence(SP1, seq, balls=[])
+    verdict = p.check_topological_convergence(SP1, seq, depth=1)
     assert verdict.converges and verdict.vacuous
-
-
-def test_probe_balls_must_sit_at_the_limit():
-    seq = p.SequenceSpec(kind="harmonic", base=np.zeros(1),
-                         direction=np.array([1.0]))
-    wrong = [p.Ball(SP1, np.array([1.0]), 0.5, 1.0)]
-    with pytest.raises(p.PreconditionError):
-        p.check_topological_convergence(SP1, seq, balls=wrong)
 
 
 @pytest.mark.parametrize("kind,expected", [
@@ -135,5 +127,5 @@ def test_value_and_topological_routes_agree(kind, expected):
 def test_sequence_config_round_trip():
     seq = p.SequenceSpec(kind="geometric", base=np.array([1.0, 2.0]),
                          direction=np.array([0.5, -0.5]), ratio=0.25)
-    again = p.SequenceSpec.from_config(seq.to_config())
+    again = p.SequenceSpec(**seq.to_config())
     assert again.to_config() == seq.to_config()

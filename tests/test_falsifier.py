@@ -288,3 +288,22 @@ def test_registry_never_crashes_on_any_mutation():
 
 def test_detection_rate_helper_quick():
     assert p.detection_rate("break_pm1", 5, replace(BUDGET, n_vectors=500)) == 5
+
+
+def test_random_scale_witnesses_with_every_sampler_starved_are_infeasible():
+    # At epsilon 0.9 every member sampler starves: with no pair tested, the
+    # quantifier is vacuous and must not decide a pass.
+    budget = p.SampleBudget(n_vectors=2000, n_scalar_pairs=2000, epsilon=0.9)
+    run = p.run_registry(F.generate_instance(0, "rational_from"), budget,
+                         predicates=["scale_witness_random"])
+    result = run.results["scale_witness_random"]
+    assert result.outcome == "infeasible" and "starved" in result.record["reason"]
+
+
+def test_a_true_doubling_constant_too_large_to_double_raises_no_false_alarm():
+    # The true constant is 2, so 1e308 is a doubling constant too; 2 * 1e308
+    # overflows, and the separation scale must not go through it.
+    space = replace(F.generate_instance(0, "rational_from"), declared_c=1e308)
+    run = p.run_registry(space, p.SampleBudget(n_vectors=2000, n_scalar_pairs=2000))
+    assert run.failures() == []
+    assert run.results["separation"].outcome == "pass"

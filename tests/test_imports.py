@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+reads every private name it defines.
 
-A stdlib stand-in for a linter's unused-import rule: each module under
-src/pmtop except the package's __init__ (whose imports are its exports) is
-parsed with ast, and a name bound by an import must be read somewhere in
-the module.
+Stdlib stand-ins for a linter's unused-import and dead-code rules: each
+module under src/pmtop except the package's __init__ (whose imports are its
+exports) is parsed with ast, and a name bound by an import must be read
+somewhere in the module; a private function or class (one whose name starts
+with one underscore) must be read somewhere in the package, so no code stays
+that only tests reach.
 """
 
 import ast
@@ -13,8 +16,8 @@ import pytest
 
 import pmtop
 
-MODULES = sorted(p for p in Path(pmtop.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(pmtop.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,31 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport numpy as np\nfrom typing import Any, Callable\nx: Any = np.pi\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Callable"]
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The private functions and classes defined in the sources that none of
+    them reads, as a name, an attribute or an imported name."""
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+    return sorted(defined - read)
+
+
+def test_package_reads_every_private_function_and_class():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    assert unread_private_definitions(sources) == []
+
+
+def test_an_unread_private_definition_is_found():
+    module = ("def _used():\n    pass\n\n\ndef _unused():\n    pass\n\n\n"
+              "class _Kept:\n    def _method(self):\n        pass\n\n\n"
+              "class _Dropped:\n    pass\n\n\nVALUE = _Kept()._method\n")
+    other = "from m import _used\n"
+    assert unread_private_definitions([module, other]) == ["_Dropped", "_unused"]

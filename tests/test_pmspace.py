@@ -244,3 +244,11 @@ def test_space_config_round_trip():
     assert again.to_config() == sp.to_config()
     X = np.random.default_rng(0).standard_normal((5, 3))
     assert np.array_equal(sp.sigma(X), again.sigma(X))
+
+
+def test_combined_axiom_report_counts_the_violations_of_every_part():
+    space = p.generate_instance(0, "rational_from", "break_pm3")
+    rep = p.check_axioms(space, p.SampleBudget(n_vectors=10_000, n_scalar_pairs=10_000))
+    assert rep.parts["pm3"].n_violations == 10_000
+    assert rep.n_violations == sum(part.n_violations for part in rep.parts.values())
+    assert len(rep.violations) == 50
