@@ -55,10 +55,11 @@ EXPONENT = {"above": 0, "at_most": 1}
 # bracketing both reference families (2 for degree-1, 4 for degree-2).
 DELTA2_CANDIDATES = tuple(float(2 ** (k / 4)) for k in range(17))
 
-# Rows per block of the full-grid checks (the doubling inequality and
-# homogeneity): a (rows, grid) matrix lives for one block at a time, and the
-# doubling search rules a candidate out at the first block holding a sample
-# that breaks it.
+# Samples per block of the full-grid checks (pm2 and pm3 of check_axioms,
+# the doubling inequality and homogeneity): a block's grid matrices live for
+# one block at a time, so their memory does not grow with the samples times
+# the grid, and the doubling search rules a candidate out at the first block
+# holding a sample that breaks it.
 DELTA2_CHUNK = 256
 
 # The four axioms, in the order check_axioms reports them.
@@ -178,11 +179,15 @@ class ModularMap:
     """Rule assigning each vector a distribution function.
 
     All concrete maps factor through a scalar kernel: mu_x(t) equals
-    kernel(t, sigma(x)).  kernel must broadcast over numpy arrays.  The
-    reference kernels vanish at t <= 0.  The open step needs no t > 0 mask,
-    as sigma >= 0; the others skip it when every t is positive, where it
-    selects every point, and give the same bits.  Every kernel returns an
-    ndarray, a 0-d one for 0-d arguments.
+    kernel(t, sigma(x)).  kernel must broadcast over numpy arrays and be
+    elementwise: each value reads only its own (t, sigma) pair, so the
+    checks may evaluate any rows, in blocks or in any layout, and get the
+    bits one whole matrix holds.  The reference kernels vanish at t <= 0.
+    The open step needs no t > 0 mask, as sigma >= 0; the others skip it
+    when every t is positive, where it selects every point, and give the
+    same bits.  Where some t is not positive, the rational kernel divides
+    everywhere and then zeroes the points where t > 0 fails.  Every kernel
+    returns an ndarray, a 0-d one for 0-d arguments.
     """
 
     family: str = ""
@@ -212,9 +217,13 @@ class RationalFrom(ModularMap):
         denominator = np.asarray(T + np.asarray(S, dtype=float))
         if _all_positive(T):
             return np.divide(T, denominator, out=denominator)
-        out = np.zeros(denominator.shape)
-        np.divide(T, denominator, out=out, where=T > 0)
-        return out
+        # One unmasked divide, then +0.0 wherever t > 0 fails (a NaN t
+        # included): the bits of a divide masked by t > 0 into zeros, at a
+        # third of its cost on the probe blocks of pm4.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(T, denominator, out=denominator)
+        np.copyto(denominator, 0.0, where=~(T > 0))
+        return denominator
 
 
 class StepFrom(ModularMap):
@@ -455,28 +464,32 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     while a genuine zero-identification defect stays at 1 everywhere.
 
     A row is stuck only if it is at 1 at every grid point, so the kernel
-    is evaluated at the first grid point for every sample and over the
-    whole grid only for the rows still at 1 there.  The kernel is
-    elementwise, so those rows are the bits the full (n, grid) matrix holds.
+    is evaluated at the first grid point for every sample, and over the
+    grid and the re-probe scales only for the rows still at 1 there, in
+    blocks of DELTA2_CHUNK reduced along the scales to each row's minimum
+    (at 1 everywhere iff the minimum is; a NaN fails both).  The kernel is
+    elementwise, so these are the full (n, grid) matrix's values, up to
+    the sign of a zero minimum.
     """
     eps = budget.epsilon
     grid = budget.grid_array()
+    ext = grid[0] * np.power(10.0, -np.arange(1.0, 13.0))
+    scales = np.concatenate([grid, ext])[:, None]
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
     rows = np.flatnonzero(np.any(X != 0.0, axis=1)
                           & (space.kernel(grid[0], S_x) >= 1.0 - eps))
-    M = space.kernel(grid[None, :], S_x[rows][:, None])
-    stuck = np.all(M >= 1.0 - eps, axis=1)
-    if np.any(stuck):
-        ext = grid[0] * np.power(10.0, -np.arange(1.0, 13.0))
-        M_ext = space.kernel(ext[None, :], S_x[rows[stuck]][:, None])
-        still = np.all(M_ext >= 1.0 - eps, axis=1)
-        stuck[np.nonzero(stuck)[0]] = still
-    flagged = np.flatnonzero(stuck)
+    min_mu, min_ext = np.empty(rows.size), np.empty(rows.size)
+    for lo in range(0, rows.size, DELTA2_CHUNK):
+        b = slice(lo, lo + DELTA2_CHUNK)
+        M = space.kernel(scales, S_x[rows[b]])
+        min_mu[b] = np.min(M[:grid.size], axis=0)
+        min_ext[b] = np.min(M[grid.size:], axis=0)
+    flagged = np.flatnonzero((min_mu >= 1.0 - eps) & (min_ext >= 1.0 - eps))
     if not np.all(mu0 == 1.0):  # the zero vector, flagged as -1, comes first
         flagged = np.concatenate([[-1], flagged])
     return _make_report("pm2", flagged, len(X) + 1, budget.rng_seed, record=lambda k: (
         {"x": space.zero().tolist(), "min_mu": float(np.min(mu0))} if k < 0
-        else {"x": X[rows[k]].tolist(), "min_mu": float(np.min(M[k]))}))
+        else {"x": X[rows[k]].tolist(), "min_mu": float(min_mu[k])}))
 
 
 def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
@@ -486,15 +499,18 @@ def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     Both rows are the elementwise kernel(grid, s), at s = sigma(-x) and at
     s = sigma(x).  Where the two sigma values have the same bits, the two
     rows are the same floats and the gap is exactly 0, so the kernel is
-    evaluated only on the other rows; those give the gaps and records the
-    full (n, grid) matrices would give.
+    evaluated only on the other rows, in blocks of DELTA2_CHUNK reduced
+    along the grid to each row's largest gap; those are the gaps and
+    records the full (n, grid) matrices would give.
     """
     S_neg = space.sigma(-X)
     rows = np.flatnonzero(_float_bits(S_neg) != _float_bits(S_x))
-    grid = budget.grid_array()[None, :]
-    diff = (space.kernel(grid, S_neg[rows][:, None])
-            - space.kernel(grid, S_x[rows][:, None]))
-    gap = _row_max(np.abs(diff, out=diff))
+    grid = budget.grid_array()[:, None]
+    gap = np.empty(rows.size)
+    for lo in range(0, rows.size, DELTA2_CHUNK):
+        b = rows[lo:lo + DELTA2_CHUNK]
+        diff = space.kernel(grid, S_neg[b]) - space.kernel(grid, S_x[b])
+        gap[lo:lo + b.size] = np.max(np.abs(diff, out=diff), axis=0)
     bad = np.flatnonzero(gap > budget.epsilon)
     return _make_report("pm3", bad, len(X), budget.rng_seed, record=lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
@@ -517,7 +533,9 @@ def _float_bits(values: np.ndarray) -> np.ndarray:
 def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                S_x: np.ndarray, rng: np.random.Generator) -> CheckReport:
     """PM4 over sampled pairs, weights and probe (s, t) pairs; draws Y, a
-    and the random probe scales from rng, in that order."""
+    and the random probe scales from rng, in that order.  The five probes
+    are stacked probe-major, (5, n) against (n,) sigma rows, so numpy's
+    loops run along the samples."""
     n = len(X)
     grid = budget.grid_array()
     Y = sample_vectors(rng, n, space.dim)
@@ -529,22 +547,21 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     s_rand = grid[rng.integers(0, grid.size, n)]
     t_rand = grid[rng.integers(0, grid.size, n)]
     zeros = np.zeros(n)
-    probe_s = np.stack([s_rand, zeros, s_rand, zeros, S_x], axis=1)
-    probe_t = np.stack([t_rand, t_rand, zeros, zeros, S_y], axis=1)
+    probe_s = np.stack([s_rand, zeros, s_rand, zeros, S_x])
+    probe_t = np.stack([t_rand, t_rand, zeros, zeros, S_y])
 
-    lhs = space.kernel(probe_s + probe_t, S_m[:, None])
-    rhs = np.minimum(space.kernel(probe_s, S_x[:, None]),
-                     space.kernel(probe_t, S_y[:, None]))
+    lhs = space.kernel(probe_s + probe_t, S_m)
+    rhs = np.minimum(space.kernel(probe_s, S_x), space.kernel(probe_t, S_y))
     gap = rhs - lhs
-    bad = np.flatnonzero(_row_max(gap) > budget.epsilon)
+    bad = np.flatnonzero(np.max(gap, axis=0) > budget.epsilon)
 
     def pm4_record(i: int) -> dict[str, Any]:
-        j = int(np.argmax(gap[i]))
+        j = int(np.argmax(gap[:, i]))
         return {"x": X[i].tolist(), "y": Y[i].tolist(), "a": float(a[i]),
-                "s": float(probe_s[i, j]), "t": float(probe_t[i, j]),
-                "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+                "s": float(probe_s[j, i]), "t": float(probe_t[j, i]),
+                "lhs": float(lhs[j, i]), "rhs": float(rhs[j, i])}
 
-    return _make_report("pm4", bad, n * probe_s.shape[1], budget.rng_seed,
+    return _make_report("pm4", bad, n * len(probe_s), budget.rng_seed,
                         record=pm4_record)
 
 

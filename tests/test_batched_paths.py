@@ -920,6 +920,35 @@ def test_axiom_subsets_match_the_all_four_reference(name):
         assert ref.parts["pm3"].n_violations == np.count_nonzero(~same)
 
 
+# Valid spaces and all six mutations.  break_pm3 sends every sample, and
+# tiny_step and break_pm2 most samples, into the row blocks of pm2 and pm3.
+EDGE_SPACES = {
+    **AXIOM_SPACES,
+    "generated_rational": F.generate_instance(4, "rational_from", None),
+    "generated_step": F.generate_instance(5, "step_from", None),
+    "break_left_continuity": F.generate_instance(6, "step_from", "break_left_continuity"),
+    "break_delta2_declaration": F.generate_instance(7, "rational_from",
+                                                    "break_delta2_declaration"),
+}
+
+
+@pytest.mark.parametrize("count", [None, 1024])
+@pytest.mark.parametrize("n", [1, DELTA2_CHUNK - 1, DELTA2_CHUNK, DELTA2_CHUNK + 1, 10_000])
+def test_blocked_axioms_match_the_full_matrix_reference_at_block_edges(n, count):
+    grid = {} if count is None else {"t_grid": p.default_t_grid(count=count)}
+    budget = p.SampleBudget(n_vectors=n, n_scalar_pairs=n, rng_seed=n, **grid)
+    assert set(F.MUTATION_KINDS) <= set(EDGE_SPACES)
+    for name, space in EDGE_SPACES.items():
+        ref = reference_check_axioms(space, budget)
+        got = p.check_axioms(space, budget)
+        assert canonical(got) == canonical(ref), name
+        assert ({a: canonical(r) for a, r in got.parts.items()}
+                == {a: canonical(r) for a, r in ref.parts.items()}), name
+    if n > 1:
+        # The blocks cover every row: break_pm3 flags every sample.
+        assert p.check_axioms(EDGE_SPACES["break_pm3"], budget, ("pm3",)).n_violations == n
+
+
 @pytest.mark.parametrize("axioms", [(), ("pm5",), ("pm1", "PM2")])
 def test_check_axioms_rejects_an_empty_or_unknown_axiom_list(axioms):
     with pytest.raises(ValueError, match="subset"):
@@ -1157,6 +1186,19 @@ def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
               (grid[None, :] / 2.0, sigmas[:, None]),
               (grid[None, :] / scales[:, None], sigmas[:, None]),
               (grid[None, :] / scales[:, None], np.zeros((256, 1)))]
+    # pm4's probe-major blocks: (5, n) probes against an (n,) sigma row, with
+    # all-zero probe rows, t = 0 at sigma = 0, negative and NaN t, and NaN and
+    # inf sigma.
+    s_row = sigmas.copy()
+    s_row[:6] = [0.0, 0.0, np.nan, np.inf, 1.0, 0.0]
+    t_row = np.where(np.isinf(s_row), 2.0, s_row)     # an inf t is no probe scale
+    picks = grid[rng.integers(0, grid.size, s_row.size)]
+    zeros = np.zeros(s_row.size)
+    negative = -np.abs(rng.standard_normal(s_row.size))
+    shapes += [(np.stack([picks, zeros, picks, zeros, t_row]), s_row),
+               (np.stack([picks + picks, picks, zeros, negative, t_row + zeros]), s_row),
+               (np.stack([zeros] * 5), s_row), (np.stack([picks] * 5), s_row),
+               (np.stack([negative, zeros, picks, zeros, -t_row]), zeros)]
     for mm in maps:
         for T, S in shapes:
             got, want = mm.kernel(T, S), reference_kernel(mm, T, S)

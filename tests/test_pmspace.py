@@ -4,6 +4,7 @@ brute-force loops before any checker output is trusted."""
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,22 @@ def test_combined_axiom_report_counts_the_violations_of_every_part():
     assert rep.parts["pm3"].n_violations == 10_000
     assert rep.n_violations == sum(part.n_violations for part in rep.parts.values())
     assert len(rep.violations) == 50
+
+
+@pytest.mark.parametrize("mutation", ["break_pm2", "break_pm3"])
+def test_axiom_check_memory_does_not_grow_with_samples_times_grid(mutation):
+    # Nearly every sample of these mutations takes the full-grid branch of its
+    # axiom.  A (samples, grid) matrix would trace about 153 MiB (pm2) and
+    # 313 MiB (pm3) here; the row blocks keep the peak near 7 MiB, set by
+    # the (5, samples) matrices of pm4.
+    space = p.generate_instance(0, "rational_from", mutation)
+    budget = p.SampleBudget(n_vectors=20_000, n_scalar_pairs=20_000, rng_seed=0,
+                            t_grid=p.default_t_grid(count=1024))
+    tracemalloc.start()
+    try:
+        rep = p.check_axioms(space, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.parts[p.MUTATION_TARGETS[mutation]].passed
+    assert peak < 16 * 2**20, peak / 2**20
