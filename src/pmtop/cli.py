@@ -6,6 +6,10 @@ self-describing JSON object in canonical form (sorted keys, compact
 separators, no timestamps), so identical flags produce byte-identical
 reports and the files stay grep-able.
 
+check-axioms, ball-identities and the witness-* subcommands validate their
+operation and name a selection of falsifier.PREDICATES; the registry's loop
+runs it at the whole budget, on the seed's own stream.
+
 Exit codes: 0 all checks passed, 1 violations found, 2 infeasible or
 precondition failures only, 3 unreadable or invalid config, or a report
 path that cannot be written.
@@ -31,7 +35,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Collection, Iterator
+from typing import Any, Collection, Iterator
 
 import numpy as np
 
@@ -41,11 +45,11 @@ from . import falsifier as _fals
 from . import topology as _topo
 from .distfn import FieldError, SampleBudget, check_number, check_numbers, default_t_grid
 from .pmspace import (
+    AXIOMS,
     EXPONENT,
     PMSpace,
     _Delta2Scan,
     _FAMILIES,
-    check_axioms,
     check_beta_homogeneous,
     check_delta2_declared,
     check_space_regularity,
@@ -150,10 +154,11 @@ def _vector(value: Any, field: str, space: PMSpace) -> np.ndarray:
     return v
 
 
-def _point(op: dict[str, Any], key: str, space: PMSpace,
-           fallback: np.ndarray) -> np.ndarray:
+def _points(op: dict[str, Any], keys: Collection[str],
+            space: PMSpace) -> dict[str, np.ndarray]:
+    """The operation's points among keys, each validated."""
     with _fields("operation"):
-        return _vector(op[key], key, space) if key in op else fallback
+        return {key: _vector(op[key], key, space) for key in keys if key in op}
 
 
 def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
@@ -188,16 +193,17 @@ def exit_code_from_records(records: list[dict[str, Any]]) -> int:
 def _record(name: str, result: _fals.PredicateResult) -> dict[str, Any]:
     """One report line for a predicate outcome.  The outcome is
     authoritative: fields embedded in the record must not shadow it."""
-    rec = {"check": name, "verdict": result.outcome}
-    rec.update({k: v for k, v in result.record.items()
-                if k not in ("check", "verdict")})
-    return rec
+    return {**result.record, "check": name, "verdict": result.outcome}
 
 
-def _report(name: str, check: Callable[[], Any]) -> dict[str, Any]:
-    """Report line for a sampled check or a witness construction, through
-    the registry's guard: a member sampler that starves makes it infeasible."""
-    return _record(name, _fals._guard(lambda: _fals._from_report(check())))
+def _selection(space: PMSpace, budget: SampleBudget, names: Collection[str],
+               **op: Any) -> list[dict[str, Any]]:
+    """Report lines of the named table entries, run through the registry's
+    loop at the whole budget, with the seed's own stream, witness evidence of
+    topology.WITNESS_SAMPLES samples and the validated operation values op."""
+    inp = _fals.Inputs(space, budget, budget, np.random.default_rng(budget.rng_seed),
+                       _topo.WITNESS_SAMPLES, names, op)
+    return [_record(name, result) for name, result in _fals.run_predicates(inp).items()]
 
 
 def _mutated(space: PMSpace, op: dict[str, Any], seed: int) -> PMSpace:
@@ -217,10 +223,9 @@ def _mutated(space: PMSpace, op: dict[str, Any], seed: int) -> PMSpace:
 
 def _h_check_axioms(space, budget, cfg):
     op = _operation(cfg, {"mutation"}, "check-axioms")
-    rep = check_axioms(_mutated(space, op, budget.rng_seed), budget)
-    records = [dict(part.to_record(), check=name)
-               for name, part in rep.parts.items()]
-    records.append({"check": "axioms", "verdict": "pass" if rep.passed else "fail",
+    records = _selection(_mutated(space, op, budget.rng_seed), budget, AXIOMS)
+    passed = all(rec["verdict"] == "pass" for rec in records)
+    records.append({"check": "axioms", "verdict": "pass" if passed else "fail",
                     "seed": budget.rng_seed})
     return records
 
@@ -262,82 +267,48 @@ def _h_check_regularity(space, budget, cfg):
 def _h_ball_identities(space, budget, cfg):
     op = _operation(cfg, {"level", "scale", "level2", "scale2"}, "ball-identities")
     with _fields("operation"):
-        level, scale, level2, scale2 = (
-            float(check_number(op.get(key, default), key, **bounds))
-            for key, default, bounds in (("level", 0.4, _balls.LEVEL),
-                                         ("scale", 1.0, _balls.SCALE),
-                                         ("level2", 0.7, _balls.LEVEL),
-                                         ("scale2", 2.0, _balls.SCALE)))
-        _balls.check_order(level, level2, "level2")
-        _balls.check_order(scale, scale2, "scale2")
-    rng = np.random.default_rng(budget.rng_seed)
-    x = rng.standard_normal(space.dim)
-    records = [
-        _report("translate_identity",
-                lambda: _balls.translate_identity(space, x, level, scale, budget)),
-        _report("monotone_in_scale",
-                lambda: _balls.monotone_in_scale(space, level, scale, scale2, budget)),
-        _report("monotone_in_level",
-                lambda: _balls.monotone_in_level(space, level, level2, scale, budget)),
-    ]
-    if space.declared_beta is not None:
-        beta = space.declared_beta
-        ball0 = _balls.Ball(space, space.zero(), level, scale)
-        return records + [
-            _report("scaling_identity",
-                    lambda: _balls.scaling_identity(space, beta, level, scale2, budget)),
-            _report("balanced", lambda: _balls.is_balanced_sampled(ball0, budget)),
-            _report("convex", lambda: _balls.is_convex_sampled(ball0, budget)),
-        ]
-    for name in ("scaling_identity", "balanced", "convex"):
-        records.append({"check": name, "verdict": "infeasible",
-                        "reason": "no declared homogeneity exponent"})
-    return records
+        values = {key: float(check_number(op.get(key, default), key, **bounds))
+                  for key, default, bounds in (("level", 0.4, _balls.LEVEL),
+                                               ("scale", 1.0, _balls.SCALE),
+                                               ("level2", 0.7, _balls.LEVEL),
+                                               ("scale2", 2.0, _balls.SCALE))}
+        _balls.check_order(values["level"], values["level2"], "level2")
+        _balls.check_order(values["scale"], values["scale2"], "scale2")
+    return _selection(space, budget, ("translate_identity", "monotone_in_scale",
+                                      "monotone_in_level", "scaling_identity",
+                                      "balanced", "convex"), **values)
 
 
 def _h_witness_refine(space, budget, cfg):
     op = _operation(cfg, {"outer", "z"}, "witness-refine")
+    given = {}
     if "outer" in op:
         outer = _ball_from(op["outer"], space, "operation.outer")
-        z = _point(op, "z", space, outer.center)
-        return [_report("refine_ball", lambda: _topo.refine_ball(space, outer, z, budget))]
+        given = {"outer": outer, "z": outer.center, **_points(op, ["z"], space)}
+    return _selection(space, budget, ["refine_ball"], **given)
 
-    def searched():
-        # The input search needs the declared doubling constant, so it runs
-        # inside the guard, where a missing one is a precondition failure.
-        got = _fals._feasible_refinement_input(space, np.random.default_rng(budget.rng_seed))
-        return _topo.refine_ball(space, *got, budget)
 
-    return [_report("refine_ball", searched)]
+# operation.variant of witness-separate: the table entry it runs.
+_SEPARATIONS = {"doubling": "separation", "homogeneous": "homogeneous_separation"}
 
 
 def _h_witness_separate(space, budget, cfg):
     op = _operation(cfg, {"x", "y", "variant"}, "witness-separate")
-    variant = op.get("variant", "doubling")
-    rng = np.random.default_rng(budget.rng_seed)
-    x = _point(op, "x", space, rng.standard_normal(space.dim))
-    if variant == "homogeneous":
-        return [_report("homogeneous_separation",
-                        lambda: _topo.homogeneous_separation_witness(space, x, budget))]
-    if variant != "doubling":
-        raise ConfigError(f"unknown separation variant {variant!r}")
-    y = _point(op, "y", space, rng.standard_normal(space.dim))
-    return [_report("separation", lambda: _topo.separation_witness(space, x, y, budget))]
+    given = _points(op, ["x"], space)
+    variant = _one_of(op.get("variant", "doubling"), "operation.variant", _SEPARATIONS)
+    if variant == "doubling":  # the homogeneous variant reads no y
+        given.update(_points(op, ["y"], space))
+    return _selection(space, budget, [_SEPARATIONS[variant]], **given)
 
 
 def _h_witness_continuity(space, budget, cfg):
     op = _operation(cfg, {"target", "scalar"}, "witness-continuity")
-    target = (_ball_from(op["target"], space, "operation.target")
-              if "target" in op
-              else _balls.Ball(space, space.zero(), 0.5, 1.0))
+    given = {}
+    if "target" in op:
+        given["target"] = _ball_from(op["target"], space, "operation.target")
     with _fields("operation"):
-        scalar = float(check_number(op.get("scalar", 2.0), "scalar"))
-    return [
-        _report("addition_continuity",
-                lambda: _topo.addition_continuity_witness(space, target, budget)),
-        _report("scalar_continuity",
-                lambda: _topo.scalar_continuity_witness(space, target, scalar, budget)),
-    ]
+        given["scalar"] = float(check_number(op.get("scalar", 2.0), "scalar"))
+    return _selection(space, budget, ["addition_continuity", "scalar_continuity"], **given)
 
 
 def _h_check_convergence(space, budget, cfg):

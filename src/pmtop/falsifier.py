@@ -37,9 +37,9 @@ produce byte-identical runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -262,8 +262,10 @@ class FalsifierRun:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _from_report(rep: CheckReport | _topo.Witness) -> PredicateResult:
-    """The outcome of a sampled check or a witness: pass when it held."""
+def _from_report(rep: PredicateResult | CheckReport | _topo.Witness) -> PredicateResult:
+    """A builder's outcome: a sampled check or a witness passes when it held."""
+    if isinstance(rep, PredicateResult):
+        return rep
     return PredicateResult(outcome="pass" if rep.passed else "fail",
                            record=rep.to_record())
 
@@ -398,32 +400,41 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
 
 
 @dataclass
-class _Inputs:
-    """What the registry's builders share: small caps both sample counts at
-    400, rng is the registry_inputs stream, the axiom report is computed
-    once, on first use, for the axioms the run requested (axiom_names), and
-    one delta2 scan of the budget's rows serves both doubling predicates."""
+class Inputs:
+    """What the selected predicates (names) read.  Axiom and declaration
+    checks run at budget, ball checks and witnesses at small, witnesses with
+    witness_samples evidence samples.  A value in op overrides the default
+    of its name, which is still drawn from rng, so the stream stays put.
+    The axiom report is computed once, on first use, for the selected
+    axioms, and one delta2 scan serves both doubling predicates."""
 
     space: PMSpace
     budget: SampleBudget
     small: SampleBudget
     rng: np.random.Generator
-    axiom_names: tuple[str, ...]
+    witness_samples: int
+    names: Collection[str]
+    op: dict[str, Any] = field(default_factory=dict)
+
+    def point(self, key: str) -> np.ndarray:
+        return self.op.get(key, self.rng.standard_normal(self.space.dim))
 
     @cached_property
     def axioms(self) -> CheckReport:
-        return check_axioms(self.space, self.budget, self.axiom_names)
+        return check_axioms(self.space, self.budget,
+                            tuple(name for name in AXIOMS if name in self.names))
 
     @cached_property
     def delta2(self) -> _Delta2Scan:
         return _Delta2Scan(self.space, self.budget)
 
 
-def _unit_ball(space: PMSpace) -> _balls.Ball:
-    return _balls.Ball(space, space.zero(), 0.5, 1.0)
+def _centred_ball(inp: Inputs) -> _balls.Ball:
+    return _balls.Ball(inp.space, inp.space.zero(), inp.op.get("level", 0.5),
+                       inp.op.get("scale", 1.0))
 
 
-def _membership(inp: _Inputs) -> PredicateResult:
+def _membership(inp: Inputs) -> PredicateResult:
     space, budget = inp.space, inp.budget
     X = sample_vectors(check_rng(budget.rng_seed, "membership_pts"),
                        min(budget.n_vectors, 50), space.dim)
@@ -438,13 +449,13 @@ def _membership(inp: _Inputs) -> PredicateResult:
                                    "violation_count": len(bad)})
 
 
-def _delta2_estimate(inp: _Inputs) -> PredicateResult:
+def _delta2_estimate(inp: Inputs) -> PredicateResult:
     found = find_delta2_constant(inp.space, replace(
         inp.budget, n_vectors=min(inp.budget.n_vectors, 2000)), scan=inp.delta2)
     return PredicateResult(outcome="pass", record={"estimated_c": found})
 
 
-def _regularity(inp: _Inputs) -> PredicateResult:
+def _regularity(inp: Inputs) -> PredicateResult:
     # A probe, not a requirement: valid spaces may lack the property, so
     # the outcome stays "pass" and the finding is data.
     rep = check_space_regularity(inp.space, inp.budget, max_points=64)
@@ -453,28 +464,24 @@ def _regularity(inp: _Inputs) -> PredicateResult:
     return PredicateResult(outcome="pass", record={"property_holds": rep.passed, **rec})
 
 
-def _refine(inp: _Inputs) -> PredicateResult:
-    outer, z = _feasible_refinement_input(inp.space, inp.rng)
-    return _from_report(_topo.refine_ball(inp.space, outer, z, inp.small, samples=50))
+def _refine(inp: Inputs) -> _topo.RefinementWitness:
+    # Unlike a drawn default, the input search is skipped when an outer ball is given.
+    outer, z = ((inp.op["outer"], inp.op["z"]) if "outer" in inp.op
+                else _feasible_refinement_input(inp.space, inp.rng))
+    return _topo.refine_ball(inp.space, outer, z, inp.small, samples=inp.witness_samples)
 
 
-def _separation(inp: _Inputs) -> PredicateResult:
-    x = inp.rng.standard_normal(inp.space.dim)
-    y = inp.rng.standard_normal(inp.space.dim)
-    return _from_report(_topo.separation_witness(inp.space, x, y, inp.small,
-                                                 samples=50))
-
-
-def _local_base(inp: _Inputs) -> PredicateResult:
+def _local_base(inp: Inputs) -> PredicateResult:
     space, rng = inp.space, inp.rng
     x = rng.standard_normal(space.dim)
     outer = _balls.Ball(space, x, float(rng.uniform(0.3, 0.9)),
                         float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))))
-    n = _topo.local_base_containment(space, x, outer, inp.small, samples=50)
+    n = _topo.local_base_containment(space, x, outer, inp.small,
+                                      samples=inp.witness_samples)
     return PredicateResult(outcome="pass", record={"n": n})
 
 
-def _intersection(inp: _Inputs) -> PredicateResult:
+def _intersection(inp: Inputs) -> _topo.Witness:
     space, rng = inp.space, inp.rng
     reason = "no feasible intersection input"
     outer, z = _feasible_refinement_input(space, rng, reason=reason)
@@ -482,11 +489,11 @@ def _intersection(inp: _Inputs) -> PredicateResult:
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
     if not _chain_feasible(space, other, z):
         raise InfeasibleConstruction(reason)
-    return _from_report(_topo.basis_intersection_witness(
-        space, outer, other, z, inp.small, samples=50))
+    return _topo.basis_intersection_witness(space, outer, other, z, inp.small,
+                                            samples=inp.witness_samples)
 
 
-def _convergence_equiv(inp: _Inputs) -> PredicateResult:
+def _convergence_equiv(inp: Inputs) -> PredicateResult:
     space = inp.space
     v = inp.rng.standard_normal(space.dim)
     if not np.any(v != 0.0):
@@ -507,52 +514,55 @@ def _convergence_equiv(inp: _Inputs) -> PredicateResult:
 
 
 # The registry: (name, the declaration it needs, builder).  The order is the
-# report contract: builders draw from the shared registry_inputs stream in
-# this order, and the CLI emits falsify records in it.  Builders look module
-# globals up when they run, so a rebinding (a tracer, a test double) is seen.
-PREDICATES: tuple[tuple[str, str | None, Callable[[_Inputs], PredicateResult]], ...] = (
-    ("pm1", None, lambda inp: _from_report(inp.axioms.parts["pm1"])),
-    ("pm2", None, lambda inp: _from_report(inp.axioms.parts["pm2"])),
-    ("pm3", None, lambda inp: _from_report(inp.axioms.parts["pm3"])),
-    ("pm4", None, lambda inp: _from_report(inp.axioms.parts["pm4"])),
+# report contract: builders draw from the inputs' stream in this order, and
+# every selection reports in it.  A parameter is the operation's value if
+# given, else the default written here.  Builders look module globals up when
+# they run, so a rebinding (a tracer, a test double) is seen.
+PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
+    *((name, None, lambda inp, name=name: inp.axioms.parts[name]) for name in AXIOMS),
     ("delta_membership", None, _membership),
-    ("delta2_declared", "declared_c", lambda inp: _from_report(
-        check_delta2_declared(inp.space, inp.budget, inp.delta2))),
+    ("delta2_declared", "declared_c",
+     lambda inp: check_delta2_declared(inp.space, inp.budget, inp.delta2)),
     ("delta2_estimate", None, _delta2_estimate),
-    ("beta_declared", "declared_beta", lambda inp: _from_report(
-        check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget))),
+    ("beta_declared", "declared_beta",
+     lambda inp: check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget)),
     ("regularity", None, _regularity),
-    ("translate_identity", None, lambda inp: _from_report(_balls.translate_identity(
-        inp.space, inp.rng.standard_normal(inp.space.dim), 0.5, 1.0, inp.small))),
-    ("monotone_in_scale", None, lambda inp: _from_report(
-        _balls.monotone_in_scale(inp.space, 0.5, 0.7, 1.9, inp.small))),
-    ("monotone_in_level", None, lambda inp: _from_report(
-        _balls.monotone_in_level(inp.space, 0.3, 0.6, 1.3, inp.small))),
-    ("scaling_identity", "declared_beta", lambda inp: _from_report(
-        _balls.scaling_identity(inp.space, inp.space.declared_beta, 0.5, 1.7,
-                                inp.small))),
-    ("balanced", "declared_beta", lambda inp: _from_report(
-        _balls.is_balanced_sampled(_unit_ball(inp.space), inp.small))),
-    ("convex", "declared_beta", lambda inp: _from_report(
-        _balls.is_convex_sampled(_unit_ball(inp.space), inp.small))),
+    ("translate_identity", None, lambda inp: _balls.translate_identity(
+        inp.space, inp.point("x"), inp.op.get("level", 0.5), inp.op.get("scale", 1.0),
+        inp.small)),
+    ("monotone_in_scale", None, lambda inp: _balls.monotone_in_scale(
+        inp.space, inp.op.get("level", 0.5), inp.op.get("scale", 0.7),
+        inp.op.get("scale2", 1.9), inp.small)),
+    ("monotone_in_level", None, lambda inp: _balls.monotone_in_level(
+        inp.space, inp.op.get("level", 0.3), inp.op.get("level2", 0.6),
+        inp.op.get("scale", 1.3), inp.small)),
+    ("scaling_identity", "declared_beta", lambda inp: _balls.scaling_identity(
+        inp.space, inp.space.declared_beta, inp.op.get("level", 0.5),
+        inp.op.get("scale2", 1.7), inp.small)),
+    ("balanced", "declared_beta",
+     lambda inp: _balls.is_balanced_sampled(_centred_ball(inp), inp.small)),
+    ("convex", "declared_beta",
+     lambda inp: _balls.is_convex_sampled(_centred_ball(inp), inp.small)),
     ("scale_witness_random", None,
      lambda inp: _random_scale_witnesses(inp.space, inp.budget, 100)),
     ("scale_witness_boundary", None,
      lambda inp: _boundary_pairs(inp.space, inp.budget, 100)),
     ("refine_ball", "declared_c", _refine),
-    ("separation", "declared_c", _separation),
+    ("separation", "declared_c", lambda inp: _topo.separation_witness(
+        inp.space, inp.point("x"), inp.point("y"), inp.small,
+        samples=inp.witness_samples)),
     ("local_base", None, _local_base),
     ("basis_intersection", "declared_c", _intersection),
-    ("homogeneous_separation", "declared_beta", lambda inp: _from_report(
-        _topo.homogeneous_separation_witness(
-            inp.space, inp.rng.standard_normal(inp.space.dim), inp.small, samples=50))),
-    ("addition_continuity", "declared_beta", lambda inp: _from_report(
-        _topo.addition_continuity_witness(inp.space, _unit_ball(inp.space), inp.small,
-                                          samples=50))),
-    ("scalar_continuity", "declared_beta", lambda inp: _from_report(
-        _topo.scalar_continuity_witness(inp.space, _unit_ball(inp.space),
-                                        float(inp.rng.uniform(-2.0, 2.0)), inp.small,
-                                        samples=50))),
+    ("homogeneous_separation", "declared_beta",
+     lambda inp: _topo.homogeneous_separation_witness(inp.space, inp.point("x"), inp.small,
+                                                      samples=inp.witness_samples)),
+    ("addition_continuity", "declared_beta", lambda inp: _topo.addition_continuity_witness(
+        inp.space, inp.op.get("target", _centred_ball(inp)), inp.small,
+        samples=inp.witness_samples)),
+    ("scalar_continuity", "declared_beta", lambda inp: _topo.scalar_continuity_witness(
+        inp.space, inp.op.get("target", _centred_ball(inp)),
+        inp.op.get("scalar", float(inp.rng.uniform(-2.0, 2.0))), inp.small,
+        samples=inp.witness_samples)),
     ("convergence_equiv", None, _convergence_equiv),
 )
 PREDICATE_NAMES = tuple(name for name, _, _ in PREDICATES)
@@ -561,37 +571,43 @@ _UNDECLARED = {"declared_c": "no declared doubling constant",
                "declared_beta": "no declared exponent"}
 
 
+def run_predicates(inp: Inputs) -> dict[str, PredicateResult]:
+    """The selected predicates' outcomes, in table order: one whose
+    declaration the space lacks is infeasible, and the guard runs the rest."""
+    results: dict[str, PredicateResult] = {}
+    for name, needs, build in PREDICATES:
+        if name not in inp.names:
+            continue
+        if needs is not None and getattr(inp.space, needs) is None:
+            results[name] = PredicateResult(outcome="infeasible",
+                                            record={"reason": _UNDECLARED[needs]})
+        else:
+            results[name] = _guard(lambda: _from_report(build(inp)))
+    return results
+
+
 def run_registry(space: PMSpace, budget: SampleBudget,
                  predicates: list[str] | None = None,
                  instance: dict[str, Any] | None = None) -> FalsifierRun:
     """Execute the predicate registry over one instance.
 
-    Sample counts for the auxiliary predicates are derived from the
-    budget but capped so a registry pass stays desk-scale; axiom checks
-    run at the full budget.  A predicates subset restricts execution
-    (used for detection experiments over many seeds); a name outside
-    PREDICATES raises ValueError.
+    Auxiliary predicates cap both sample counts at 400 and witnesses take
+    50 evidence samples, so a registry pass stays desk-scale; axiom checks
+    run at the full budget, and default points come from the
+    registry_inputs stream.  A predicates subset restricts execution (used
+    for detection experiments over many seeds); a name outside PREDICATES
+    raises ValueError.
     """
     unknown = [name for name in predicates or [] if name not in PREDICATE_NAMES]
     if unknown:
         raise ValueError(f"unknown predicates {unknown}")
     small = replace(budget, n_vectors=min(budget.n_vectors, 400),
                     n_scalar_pairs=min(budget.n_scalar_pairs, 400))
-    inp = _Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"),
-                  tuple(name for name in AXIOMS
-                        if predicates is None or name in predicates))
-    results: dict[str, PredicateResult] = {}
-    for name, needs, build in PREDICATES:
-        if predicates is not None and name not in predicates:
-            continue
-        if needs is not None and getattr(space, needs) is None:
-            results[name] = PredicateResult(outcome="infeasible",
-                                            record={"reason": _UNDECLARED[needs]})
-        else:
-            results[name] = _guard(lambda: build(inp))
+    inp = Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"), 50,
+                 PREDICATE_NAMES if predicates is None else predicates)
     return FalsifierRun(seed=budget.rng_seed,
                         instance=instance or space.to_config(),
-                        budget=budget.to_config(), results=results)
+                        budget=budget.to_config(), results=run_predicates(inp))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 import pmtop.falsifier as F
 from pmtop import cli
 from pmtop.convergence import MAX_LOCAL_BASE_DEPTH, MAX_N_MAX
-from pmtop.distfn import MAX_GRID_COUNT, MAX_SAMPLES
+from pmtop.distfn import MAX_GRID_COUNT, MAX_SAMPLES, SampleBudget
+from pmtop.pmspace import space_from_config
+from pmtop.topology import WITNESS_SAMPLES
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -188,24 +191,30 @@ def test_malformed_instance_value_is_a_config_error(tmp_path, capsys, instance):
     assert captured.out == "" and "instance." in captured.err
 
 
-@pytest.mark.parametrize("instance, message", [
-    ({"modular": {"kind": ["p_power"]}},
+@pytest.mark.parametrize("command, patch, message", [
+    ("check-axioms", {"instance": {"modular": {"kind": ["p_power"]}}},
      "instance.modular.kind must be one of ['p_power', 'weighted_abs'], got ['p_power']"),
-    ({"modular": {"kind": "l_infinity"}},
+    ("check-axioms", {"instance": {"modular": {"kind": "l_infinity"}}},
      "instance.modular.kind must be one of ['p_power', 'weighted_abs'], got 'l_infinity'"),
-    ({"family": ["rational_from"]},
+    ("check-axioms", {"instance": {"family": ["rational_from"]}},
      "instance.family must be one of ['rational_from', 'step_closed_from', 'step_from'], "
      "got ['rational_from']"),
-    ({"family": {"rational_from": 1}},
+    ("check-axioms", {"instance": {"family": {"rational_from": 1}}},
      "instance.family must be one of ['rational_from', 'step_closed_from', 'step_from'], "
      "got {'rational_from': 1}"),
-], ids=["kind-list", "kind-unknown", "family-list", "family-object"])
-def test_unknown_choice_names_the_field_and_its_choices(tmp_path, capsys, instance,
+    ("witness-separate", {"operation": {"variant": ["x"]}},
+     "operation.variant must be one of ['doubling', 'homogeneous'], got ['x']"),
+    ("witness-separate", {"operation": {"variant": 3}},
+     "operation.variant must be one of ['doubling', 'homogeneous'], got 3"),
+], ids=["kind-list", "kind-unknown", "family-list", "family-object", "variant-list",
+        "variant-int"])
+def test_unknown_choice_names_the_field_and_its_choices(tmp_path, capsys, command, patch,
                                                          message):
     cfg = json.loads(json.dumps(HOMOGENEOUS))
-    cfg["instance"].update(instance)
+    for section, values in patch.items():
+        cfg.setdefault(section, {}).update(values)
     path = write_config(tmp_path, cfg)
-    assert cli.main(["check-axioms", "--config", path]) == 3
+    assert cli.main([command, "--config", path]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -441,11 +450,12 @@ def test_witness_refine_without_declared_constant_is_infeasible(tmp_path, capsys
      "separation needs two distinct points"),
     ("witness-separate", HOMOGENEOUS, {"variant": "homogeneous", "x": [0.0]},
      "separation from the origin needs a nonzero point"),
-    ("witness-separate", RATIONAL, {"variant": "homogeneous", "x": [1.0, 0.0]},
-     "operation needs a declared homogeneity exponent"),
-    ("witness-continuity", HOMOGENEOUS,
-     {"target": {"center": [1.0], "level": 0.5, "scale": 1.0}},
-     "target ball must be centered at the origin"),
+    # The id it had as the fifth case, before the undeclared-exponent case
+    # moved to the declaration-gate test below.
+    pytest.param("witness-continuity", HOMOGENEOUS,
+                 {"target": {"center": [1.0], "level": 0.5, "scale": 1.0}},
+                 "target ball must be centered at the origin",
+                 id="witness-continuity-base4-op4-target ball must be centered at the origin"),
 ])
 def test_unmet_precondition_exits_two_with_its_reason(tmp_path, capsys, command, base,
                                                      op, reason):
@@ -453,6 +463,66 @@ def test_unmet_precondition_exits_two_with_its_reason(tmp_path, capsys, command,
     assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert (rec["verdict"], rec["reason"]) == ("infeasible", f"precondition: {reason}")
+
+
+NEITHER = {"instance": {"family": "rational_from",
+                        "modular": {"kind": "p_power", "p": 1.0}, "dim": 2},
+           "budget": {"n_vectors": 800, "rng_seed": 0}}
+
+
+@pytest.mark.parametrize("command, op", [
+    ("ball-identities", {}),
+    ("witness-refine", {}),
+    ("witness-refine", {"outer": {"center": [0.0, 0.0], "level": 0.5, "scale": 1.0}}),
+    ("witness-separate", {}),
+    ("witness-separate", {"variant": "homogeneous", "x": [1.0, 0.0]}),
+    ("witness-continuity", {}),
+], ids=["ball-identities", "witness-refine-searched", "witness-refine-explicit",
+        "witness-separate-doubling", "witness-separate-homogeneous", "witness-continuity"])
+def test_undeclared_reason_matches_the_registry(tmp_path, capsys, command, op):
+    # One declaration gate serves the CLI and the registry: on a space that
+    # declares neither constant, each predicate that needs one reports the
+    # reason the registry gives for it alone.
+    cfg = dict(json.loads(json.dumps(NEITHER)), operation=op)
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    needs = {name: need for name, need, _ in F.PREDICATES}
+    gated = [rec for rec in map(json.loads, capsys.readouterr().out.splitlines())
+             if needs[rec["check"]] is not None]
+    assert gated
+    space = space_from_config(cfg["instance"])
+    budget = SampleBudget(**cfg["budget"])
+    for rec in gated:
+        alone = F.run_registry(space, budget, predicates=[rec["check"]]).results[rec["check"]]
+        assert (rec["verdict"], rec["reason"]) == (alone.outcome, alone.record["reason"])
+
+
+def test_selections_run_at_the_whole_budget_with_the_witness_sample_count(tmp_path,
+                                                                          capsys):
+    # The registry caps its ball checks at 400 samples and its witnesses at
+    # 50; the CLI runs the same table entries at its own budget.
+    path = write_config(tmp_path, HOMOGENEOUS)
+    assert cli.main(["ball-identities", "--config", path, "--samples", "1000"]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(records) == 6 and {rec["samples"] for rec in records} == {1000}
+    for command in ("witness-refine", "witness-separate", "witness-continuity"):
+        assert cli.main([command, "--config", path]) == 0
+        for rec in map(json.loads, capsys.readouterr().out.splitlines()):
+            assert rec["evidence"]["samples"] == WITNESS_SAMPLES, command
+
+
+def test_a_given_x_leaves_the_default_y_at_the_seed_streams_second_draw(tmp_path, capsys):
+    # Every default is drawn whether or not the operation gives its value, so
+    # y is the second standard-normal draw of the seed's stream either way.
+    rng = np.random.default_rng(RATIONAL["budget"]["rng_seed"])
+    rng.standard_normal(2)
+    y = rng.standard_normal(2).tolist()
+    reports = []
+    for op in ({"x": [1.0, 1.0]}, {"x": [1.0, 1.0], "y": y}):
+        cfg = dict(json.loads(json.dumps(RATIONAL)), operation=op)
+        assert cli.main(["witness-separate", "--config", write_config(tmp_path, cfg)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["ball_b"]["center"] == y
 
 
 def test_overflowing_witness_parameter_is_infeasible_naming_it(tmp_path, capsys):
