@@ -16,6 +16,9 @@ criterion8  the criterion-8 configs with their flag sets
 fuzz        a derandomized slice of the config fuzz of tests/test_cli.py; its
             cases are stored in digests.json, so the slice does not move with
             the hypothesis version
+records     CLI reports that record violations of every blocked grid check:
+            homogeneity at a wrong exponent, a breaking declared doubling
+            constant, and break_pm4 over samples that span several pm4 blocks
 
 A change that moves bytes on purpose regenerates the file and names the
 changed keys.  The file records the Python and numpy versions it was made
@@ -211,6 +214,38 @@ def _fuzz(cases: list[list[str]]) -> Iterator[Entry]:
                lambda command=command, cfg_text=cfg_text: _run_cli([command], cfg_text))
 
 
+RECORD_CASES = [
+    # Degree-one spaces checked at beta 0.5: most rows break.
+    ("check-homogeneous", {"family": "rational_from", "dim": 1,
+                           "modular": {"kind": "weighted_abs", "weights": [1.0]}},
+     {"beta": 0.5}, 2000),
+    ("check-homogeneous", {"family": "step_from", "dim": 2,
+                           "modular": {"kind": "p_power", "p": 1.0}},
+     {"beta": 0.5}, 2000),
+    # Declared constants below the true ones (2 for p = 1, 4 for p = 2).
+    ("check-delta2", {"family": "rational_from", "dim": 2, "declared_c": 1.5,
+                      "modular": {"kind": "p_power", "p": 1.0}}, {}, 2000),
+    ("check-delta2", {"family": "step_from", "dim": 1, "declared_c": 3.0,
+                      "modular": {"kind": "p_power", "p": 2.0}}, {}, 2000),
+    # About one sample in a hundred breaks pm4 at dim 4, so the kept records
+    # come from several pm4 blocks.
+    ("check-axioms", {"family": "rational_from", "dim": 4,
+                      "modular": {"kind": "p_power", "p": 1.0}},
+     {"mutation": "break_pm4"}, 12_000),
+    ("check-axioms", {"family": "rational_from", "dim": 3,
+                      "modular": {"kind": "weighted_abs", "weights": [1.0, 0.5, 2.0]}},
+     {"mutation": "break_pm4"}, 12_000),
+]
+
+
+def _records(seed: int) -> Iterator[Entry]:
+    for index, (command, inst, op, n) in enumerate(RECORD_CASES):
+        cfg = {"instance": inst, "operation": op,
+               "budget": {"n_vectors": n, "n_scalar_pairs": n, "rng_seed": seed}}
+        yield (f"records/{seed}/{index}", f"{command} {json.dumps(op)} {json.dumps(inst)}",
+               lambda command=command, cfg=cfg: _run_cli([command], json.dumps(cfg)))
+
+
 def corpus(fuzz_cases: list[list[str]]) -> Iterator[Entry]:
     for seed in SEEDS:
         yield from _registry(seed)
@@ -218,6 +253,8 @@ def corpus(fuzz_cases: list[list[str]]) -> Iterator[Entry]:
         yield from _cli(seed)
     yield from _criterion8()
     yield from _fuzz(fuzz_cases)
+    for seed in SEEDS:
+        yield from _records(seed)
 
 
 def draw_fuzz_cases() -> list[list[str]]:
