@@ -32,6 +32,7 @@ Config schema (unknown fields are rejected at every level):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -284,8 +285,9 @@ def _h_witness_refine(space, budget, cfg):
     given = {}
     if "outer" in op:
         outer = _ball_from(op["outer"], space, "operation.outer")
-        given = {"outer": outer, "z": outer.center, **_points(op, ["z"], space)}
-    return _selection(space, budget, ["refine_ball"], **given)
+        given = {"outer": outer, "z": outer.center}
+    z = _points(op, ["z"], space)  # validated even where no outer reads it
+    return _selection(space, budget, ["refine_ball"], **({**given, **z} if given else {}))
 
 
 # operation.variant of witness-separate: the table entry it runs.
@@ -296,9 +298,9 @@ def _h_witness_separate(space, budget, cfg):
     op = _operation(cfg, {"x", "y", "variant"}, "witness-separate")
     given = _points(op, ["x"], space)
     variant = _one_of(op.get("variant", "doubling"), "operation.variant", _SEPARATIONS)
-    if variant == "doubling":  # the homogeneous variant reads no y
-        given.update(_points(op, ["y"], space))
-    return _selection(space, budget, [_SEPARATIONS[variant]], **given)
+    y = _points(op, ["y"], space)  # validated even where the variant reads no y
+    return _selection(space, budget, [_SEPARATIONS[variant]], **given,
+                      **(y if variant == "doubling" else {}))
 
 
 def _h_witness_continuity(space, budget, cfg):
@@ -390,7 +392,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as it is."""
     parser = _Parser(prog="pmtop",
                      description="Probabilistic modular space checks and witnesses")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -70,34 +70,19 @@ from .pmspace import (
 )
 from . import distfn as _distfn
 
-MUTATION_KINDS = (
-    "break_pm1",
-    "break_pm2",
-    "break_pm3",
-    "break_pm4",
-    "break_left_continuity",
-    "break_delta2_declaration",
-)
-
-# Which registry predicate a mutation is built to trip.
-MUTATION_TARGETS = {
-    "break_pm1": "pm1",
-    "break_pm2": "pm2",
-    "break_pm3": "pm3",
-    "break_pm4": "pm4",
-    "break_left_continuity": "scale_witness_boundary",
-    "break_delta2_declaration": "delta2_declared",
+# Each mutation kind: the registry predicate it is built to trip, and the
+# base family it is generated on by default.
+_MUTATIONS = {
+    "break_pm1": ("pm1", "rational_from"),
+    "break_pm2": ("pm2", "rational_from"),
+    "break_pm3": ("pm3", "rational_from"),
+    "break_pm4": ("pm4", "rational_from"),
+    "break_left_continuity": ("scale_witness_boundary", "step_from"),
+    "break_delta2_declaration": ("delta2_declared", "rational_from"),
 }
-
-# Base family each mutation is generated on by default.
-MUTATION_FAMILY = {
-    "break_pm1": "rational_from",
-    "break_pm2": "rational_from",
-    "break_pm3": "rational_from",
-    "break_pm4": "rational_from",
-    "break_left_continuity": "step_from",
-    "break_delta2_declaration": "rational_from",
-}
+MUTATION_KINDS = tuple(_MUTATIONS)
+MUTATION_TARGETS = {kind: target for kind, (target, _) in _MUTATIONS.items()}
+MUTATION_FAMILY = {kind: family for kind, (_, family) in _MUTATIONS.items()}
 
 DEADZONE_THETA = 1.5
 DRIFT_WEIGHT = 1.0

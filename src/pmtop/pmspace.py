@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,11 +56,16 @@ EXPONENT = {"above": 0, "at_most": 1}
 DELTA2_CANDIDATES = tuple(float(2 ** (k / 4)) for k in range(17))
 
 # Samples per block of the full-grid checks (pm2 and pm3 of check_axioms,
-# the doubling inequality and homogeneity): a block's grid matrices live for
-# one block at a time, so their memory does not grow with the samples times
-# the grid, and the doubling search rules a candidate out at the first block
-# holding a sample that breaks it.
+# the doubling inequality and homogeneity): each block is one grid-major
+# (grid, samples) matrix that lives for that block only, so memory does not
+# grow with the samples times the grid, and the doubling search rules a
+# candidate out at the first block holding a sample that breaks it.
 DELTA2_CHUNK = 256
+
+# Samples per block of pm4, whose blocks are (5, samples) probe matrices.
+# check-axioms at 2e4 samples took 9.1-9.9 ms per call with blocks of 1,024
+# to 4,096 samples, 10.7-11.8 ms with whole arrays and 17.2 ms with 256.
+PM4_CHUNK = 2048
 
 # The four axioms, in the order check_axioms reports them.
 AXIOMS = ("pm1", "pm2", "pm3", "pm4")
@@ -203,10 +208,10 @@ class ModularMap:
 
 
 def _all_positive(T: np.ndarray) -> bool:
-    """(T > 0).all() from one min reduction, which costs less on the small
-    and 0-d arrays the witnesses pass: a NaN minimum is not > 0, and an
-    empty T is all positive."""
-    return T.min(initial=np.inf) > 0
+    """(T > 0).all() from one compare of a 0-d T's float, else one min
+    reduction, which costs less on the small arrays the witnesses pass: a
+    NaN is not > 0, and an empty T is all positive."""
+    return (float(T) if T.ndim == 0 else T.min(initial=np.inf)) > 0
 
 
 class RationalFrom(ModularMap):
@@ -479,8 +484,7 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     rows = np.flatnonzero(np.any(X != 0.0, axis=1)
                           & (space.kernel(grid[0], S_x) >= 1.0 - eps))
     min_mu, min_ext = np.empty(rows.size), np.empty(rows.size)
-    for lo in range(0, rows.size, DELTA2_CHUNK):
-        b = slice(lo, lo + DELTA2_CHUNK)
+    for b in _blocks(rows.size):
         M = space.kernel(scales, S_x[rows[b]])
         min_mu[b] = np.min(M[:grid.size], axis=0)
         min_ext[b] = np.min(M[grid.size:], axis=0)
@@ -507,21 +511,12 @@ def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     rows = np.flatnonzero(_float_bits(S_neg) != _float_bits(S_x))
     grid = budget.grid_array()[:, None]
     gap = np.empty(rows.size)
-    for lo in range(0, rows.size, DELTA2_CHUNK):
-        b = rows[lo:lo + DELTA2_CHUNK]
-        diff = space.kernel(grid, S_neg[b]) - space.kernel(grid, S_x[b])
-        gap[lo:lo + b.size] = np.max(np.abs(diff, out=diff), axis=0)
+    for b in _blocks(rows.size):
+        diff = space.kernel(grid, S_neg[rows[b]]) - space.kernel(grid, S_x[rows[b]])
+        gap[b] = np.max(np.abs(diff, out=diff), axis=0)
     bad = np.flatnonzero(gap > budget.epsilon)
     return _make_report("pm3", bad, len(X), budget.rng_seed, record=lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
-
-
-def _row_max(A: np.ndarray) -> np.ndarray:
-    """np.max(A, axis=1) of a 2-D A, as the value at each row's argmax: one
-    argmax pass and a gather cost less than numpy's max reduction along
-    short rows.  argmax stops at a row's first NaN, so a row holding a NaN
-    gives NaN as np.max does; only the sign of a zero maximum may differ."""
-    return A[np.arange(len(A)), np.argmax(A, axis=1)]
 
 
 def _float_bits(values: np.ndarray) -> np.ndarray:
@@ -533,59 +528,103 @@ def _float_bits(values: np.ndarray) -> np.ndarray:
 def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                S_x: np.ndarray, rng: np.random.Generator) -> CheckReport:
     """PM4 over sampled pairs, weights and probe (s, t) pairs; draws Y, a
-    and the random probe scales from rng, in that order.  The five probes
-    are stacked probe-major, (5, n) against (n,) sigma rows, so numpy's
-    loops run along the samples."""
+    and the random probe scales from rng, in that order, for all samples.
+    The midpoints, their sigma, sigma(y) and the five probes with their
+    kernels and gaps are built in blocks of PM4_CHUNK samples: (5, samples)
+    probes against (samples,) sigma rows.  sigma reads only its own row and
+    the kernel is elementwise, so these are whole (5, n) matrices' values."""
     n = len(X)
     grid = budget.grid_array()
     Y = sample_vectors(rng, n, space.dim)
     a = sample_convex_weights(rng, n)
-    mids = a[:, None] * X + (1.0 - a[:, None]) * Y
-    S_y = space.sigma(Y)
-    S_m = space.sigma(mids)
-
     s_rand = grid[rng.integers(0, grid.size, n)]
     t_rand = grid[rng.integers(0, grid.size, n)]
-    zeros = np.zeros(n)
-    probe_s = np.stack([s_rand, zeros, s_rand, zeros, S_x])
-    probe_t = np.stack([t_rand, t_rand, zeros, zeros, S_y])
 
-    lhs = space.kernel(probe_s + probe_t, S_m)
-    rhs = np.minimum(space.kernel(probe_s, S_x), space.kernel(probe_t, S_y))
-    gap = rhs - lhs
-    bad = np.flatnonzero(np.max(gap, axis=0) > budget.epsilon)
+    def block(b: slice) -> dict[str, np.ndarray]:
+        S_y = space.sigma(Y[b])
+        S_m = space.sigma(a[b, None] * X[b] + (1.0 - a[b, None]) * Y[b])
+        zeros = np.zeros(S_y.size)
+        s = np.stack([s_rand[b], zeros, s_rand[b], zeros, S_x[b]])
+        t = np.stack([t_rand[b], t_rand[b], zeros, zeros, S_y])
+        return {"s": s, "t": t, "lhs": space.kernel(s + t, S_m),
+                "rhs": np.minimum(space.kernel(s, S_x[b]), space.kernel(t, S_y))}
 
-    def pm4_record(i: int) -> dict[str, Any]:
+    return _block_report("pm4", n, block, lambda r: {
+        "x": X[r].tolist(), "y": Y[r].tolist(), "a": float(a[r])}, budget,
+        size=PM4_CHUNK, samples=5 * n)
+
+
+def _blocks(n: int, size: int = DELTA2_CHUNK) -> list[slice]:
+    """The blocks of size samples that cover the first n, in order: every grid
+    check holds its grid-major (grid, samples) matrices one block at a time."""
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def _gap(values: dict[str, np.ndarray], absolute: bool, out=None) -> np.ndarray:
+    """rhs - lhs of a block's values, or |rhs - lhs| where absolute."""
+    gap = np.subtract(values["rhs"], values["lhs"], out=out)
+    return np.abs(gap, out=gap) if absolute else gap
+
+
+def _broken(values: dict[str, np.ndarray], absolute: bool, eps: float) -> np.ndarray:
+    """The samples of a block whose largest gap, taken in place of rhs, exceeds eps."""
+    return np.max(_gap(values, absolute, out=values["rhs"]), axis=0) > eps
+
+
+def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarray]],
+                  fields: Callable[[int], dict[str, Any]], budget: SampleBudget, *,
+                  absolute: bool = False, broken: Callable | None = None,
+                  size: int = DELTA2_CHUNK, samples: int | None = None,
+                  notes: dict[str, Any] | None = None) -> CheckReport:
+    """The report of an inequality over n samples taken in blocks of size.
+    block(b) gives the grid-major values of the samples in slice b, lhs and
+    rhs among them, each (probes, samples) or broadcast to it; a sample
+    breaks it where its largest gap exceeds budget.epsilon, and broken(b),
+    when given, is that block's mask, cached by the caller.  A broken sample
+    r is recorded as fields(r) plus its values at its first largest gap,
+    from its block evaluated once more."""
+    blocks = _blocks(n, size)
+    broken = broken or (lambda b: _broken(block(b), absolute, budget.epsilon))
+    rows = np.concatenate([b.start + np.flatnonzero(broken(b)[:n - b.start])
+                           for b in blocks])
+
+    @lru_cache(maxsize=1)
+    def values(k: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        named = block(blocks[k])
+        gap = _gap(named, absolute)
+        return gap, {key: np.broadcast_to(v, gap.shape) for key, v in named.items()}
+
+    def record(r: int) -> dict[str, Any]:
+        gap, named = values(r // size)
+        i = r % size
         j = int(np.argmax(gap[:, i]))
-        return {"x": X[i].tolist(), "y": Y[i].tolist(), "a": float(a[i]),
-                "s": float(probe_s[j, i]), "t": float(probe_t[j, i]),
-                "lhs": float(lhs[j, i]), "rhs": float(rhs[j, i])}
+        return {**fields(r), **{key: float(v[j, i]) for key, v in named.items()}}
 
-    return _make_report("pm4", bad, n * len(probe_s), budget.rng_seed,
-                        record=pm4_record)
+    return _make_report(name, rows, n if samples is None else samples,
+                        budget.rng_seed, notes, record=record)
 
 
 class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
-    of rows x and the budget grid, evaluated in blocks of DELTA2_CHUNK rows.
+    of rows x and the budget grid, evaluated in grid-major blocks of
+    DELTA2_CHUNK rows.
 
     The rows are budget.n_vectors rows of the "delta2" stream; the first n
     rows of that draw are the n-row draw, bit for bit, so a caller that
     needs fewer rows reads a prefix.  Each (c, block) broken-row mask is
     computed at most once and kept, so the doubling search and the
-    declared check share every block they both read; the (rows, grid)
-    matrices live for one block.  A row's verdict reads only
-    that row, so every mask and record is the one a single full-matrix
-    evaluation gives.
+    declared check share every block they both read; the (grid, rows)
+    matrices live for one block.  A row's verdict reads only that row, so
+    every mask and record is the one a single full-matrix evaluation gives.
     """
 
     def __init__(self, space: PMSpace, budget: SampleBudget):
         X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
                            space.dim)
         self.space, self.budget, self.X = space, budget, X
-        self._grid = budget.grid_array()[None, :]
-        self._S = space.sigma(X)[:, None]
-        self._S2 = space.sigma(2.0 * X)[:, None]
+        self._grid = budget.grid_array()[:, None]
+        self._S = space.sigma(X)
+        self._S2 = space.sigma(2.0 * X)
         self._masks: dict[tuple[float, int], np.ndarray] = {}
 
     def rows(self, space: PMSpace, budget: SampleBudget) -> int:
@@ -596,47 +635,22 @@ class _Delta2Scan:
             raise ValueError("the delta2 scan was drawn for another space or budget")
         return budget.n_vectors
 
-    def _block(self, c: float, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lhs, rhs, rhs - lhs) on the block of rows from lo."""
-        b = slice(lo, lo + DELTA2_CHUNK)
-        lhs = self.space.kernel(self._grid, self._S2[b])
-        rhs = self.space.kernel(self._grid / c, self._S[b])
-        return lhs, rhs, rhs - lhs
+    def _block(self, c: float, b: slice) -> dict[str, np.ndarray]:
+        """The grid t, lhs and rhs on the rows of block b."""
+        return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[b]),
+                "rhs": self.space.kernel(self._grid / c, self._S[b])}
 
-    def broken(self, c: float, lo: int) -> np.ndarray:
-        """The rows of the block from lo that break the inequality for c."""
-        key = (c, lo)
+    def broken(self, c: float, b: slice) -> np.ndarray:
+        """The rows of block b that break the inequality for c."""
+        key = (c, b.start)
         if key not in self._masks:
-            self._masks[key] = _row_max(self._block(c, lo)[2]) > self.budget.epsilon
+            self._masks[key] = _broken(self._block(c, b), False, self.budget.epsilon)
         return self._masks[key]
 
     def holds(self, c: float, n: int) -> bool:
         """No row among the first n breaks c; stops at the first block
         holding a broken row."""
-        return not any(np.any(self.broken(c, lo)[:n - lo])
-                       for lo in range(0, n, DELTA2_CHUNK))
-
-
-def _block_report(name: str, n: int, broken, block, grid: np.ndarray, fields,
-                  seed: int, notes: dict[str, Any]) -> CheckReport:
-    """The report of a grid inequality over n rows taken in blocks of
-    DELTA2_CHUNK rows.  broken(lo) is the mask of the rows of the block from
-    lo that break it, and block(lo) its (lhs, rhs, gap) matrices; a broken
-    row r is recorded as fields(r) plus t, lhs and rhs at its largest gap.
-    The records come from the blocks of the rows the report keeps, each
-    evaluated once more."""
-    rows = np.concatenate([lo + np.flatnonzero(broken(lo)[:n - lo])
-                           for lo in range(0, n, DELTA2_CHUNK)])
-    values = lru_cache(maxsize=1)(block)
-
-    def record(r: int) -> dict[str, Any]:
-        lhs, rhs, gap = values(r - r % DELTA2_CHUNK)
-        i = r % DELTA2_CHUNK
-        j = int(np.argmax(gap[i]))
-        return {**fields(r), "t": float(grid[j]), "lhs": float(lhs[i, j]),
-                "rhs": float(rhs[i, j])}
-
-    return _make_report(name, rows, n, seed, notes, record=record)
+        return not any(np.any(self.broken(c, b)[:n - b.start]) for b in _blocks(n))
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget,
@@ -654,9 +668,9 @@ def check_delta2_declared(space: PMSpace, budget: SampleBudget,
         raise PreconditionError("space declares no doubling constant")
     scan = scan or _Delta2Scan(space, budget)
     return _block_report("delta2_declared", scan.rows(space, budget),
-                         lambda lo: scan.broken(c, lo), lambda lo: scan._block(c, lo),
-                         budget.grid_array(), lambda r: {"x": scan.X[r].tolist(), "c": c},
-                         budget.rng_seed, {"c": c})
+                         lambda b: scan._block(c, b),
+                         lambda r: {"x": scan.X[r].tolist(), "c": c}, budget,
+                         broken=lambda b: scan.broken(c, b), notes={"c": c})
 
 
 def find_delta2_constant(space: PMSpace, budget: SampleBudget,
@@ -685,9 +699,9 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
                            budget: SampleBudget) -> CheckReport:
     """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta).
 
-    X and a are drawn up front; the (rows, grid) comparison is evaluated
-    in blocks of DELTA2_CHUNK rows, counting every broken row and keeping
-    the records of the first ones.
+    X and a are drawn up front; the comparison is evaluated in grid-major
+    (grid, rows) blocks of DELTA2_CHUNK rows, counting every broken row and
+    keeping the records of the first ones.
     """
     try:
         check_number(beta, "exponent", **EXPONENT)
@@ -699,22 +713,18 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     a = sample_scalars(rng, n)
     # Structured probes: identity scalars and exact doubling/halving.
     a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
-    grid = budget.grid_array()[None, :]
-    S_ax = space.sigma(a[:, None] * X)[:, None]
-    S = space.sigma(X)[:, None]
-    scale = (np.abs(a) ** beta)[:, None]
+    grid = budget.grid_array()[:, None]
+    S_ax = space.sigma(a[:, None] * X)
+    S = space.sigma(X)
+    scale = np.abs(a) ** beta
 
-    def block(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        b = slice(lo, lo + DELTA2_CHUNK)
-        lhs = space.kernel(grid, S_ax[b])
-        rhs = space.kernel(grid / scale[b], S[b])
-        diff = lhs - rhs
-        return lhs, rhs, np.abs(diff, out=diff)
+    def block(b: slice) -> dict[str, np.ndarray]:
+        return {"t": grid, "lhs": space.kernel(grid, S_ax[b]),
+                "rhs": space.kernel(grid / scale[b], S[b])}
 
-    return _block_report("beta_homogeneous", n,
-                         lambda lo: _row_max(block(lo)[2]) > budget.epsilon, block,
-                         grid[0], lambda r: {"x": X[r].tolist(), "a": float(a[r])},
-                         budget.rng_seed, {"beta": beta})
+    return _block_report("beta_homogeneous", n, block,
+                         lambda r: {"x": X[r].tolist(), "a": float(a[r])}, budget,
+                         absolute=True, notes={"beta": beta})
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from pmtop.pmspace import (
     AXIOMS,
     DELTA2_CHUNK,
     MAX_DIM,
+    PM4_CHUNK,
     ClosedStepFrom,
     FlooredMap,
     PMSpace,
@@ -41,7 +42,6 @@ from pmtop.pmspace import (
     StepFrom,
     VerificationError,
     _Delta2Scan,
-    _row_max,
     _row_sums,
     sample_convex_weights,
     sample_scalars,
@@ -933,7 +933,8 @@ EDGE_SPACES = {
 
 
 @pytest.mark.parametrize("count", [None, 1024])
-@pytest.mark.parametrize("n", [1, DELTA2_CHUNK - 1, DELTA2_CHUNK, DELTA2_CHUNK + 1, 10_000])
+@pytest.mark.parametrize("n", [1, DELTA2_CHUNK - 1, DELTA2_CHUNK, DELTA2_CHUNK + 1, 10_000,
+                               PM4_CHUNK - 1, PM4_CHUNK, PM4_CHUNK + 1])
 def test_blocked_axioms_match_the_full_matrix_reference_at_block_edges(n, count):
     grid = {} if count is None else {"t_grid": p.default_t_grid(count=count)}
     budget = p.SampleBudget(n_vectors=n, n_scalar_pairs=n, rng_seed=n, **grid)
@@ -947,6 +948,20 @@ def test_blocked_axioms_match_the_full_matrix_reference_at_block_edges(n, count)
     if n > 1:
         # The blocks cover every row: break_pm3 flags every sample.
         assert p.check_axioms(EDGE_SPACES["break_pm3"], budget, ("pm3",)).n_violations == n
+
+
+def test_pm4_keeps_records_from_several_blocks():
+    # About one sample in a hundred breaks pm4 here, so the first fifty
+    # broken samples lie in several pm4 blocks.
+    space = F.generate_instance(1, "rational_from", "break_pm4")
+    n = 4 * PM4_CHUNK
+    budget = p.SampleBudget(n_vectors=n, n_scalar_pairs=n, rng_seed=1)
+    got = p.check_axioms(space, budget, ("pm4",)).parts["pm4"]
+    assert canonical(got) == canonical(reference_check_axioms(space, budget).parts["pm4"])
+    X = sample_vectors(check_rng(budget.rng_seed, "axioms"), n, space.dim).tolist()
+    rows = [X.index(v["x"]) for v in got.violations]
+    assert len(rows) == MAX_STORED_VIOLATIONS and rows == sorted(rows)
+    assert len({r // PM4_CHUNK for r in rows}) > 1
 
 
 @pytest.mark.parametrize("axioms", [(), ("pm5",), ("pm1", "PM2")])
@@ -1208,6 +1223,14 @@ def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
         for t in (0.5, 0.0, -1.0):
             got = mm.kernel(np.asarray(t), np.asarray(0.5))
             assert isinstance(got, np.ndarray) and got.shape == ()
+        # A 0-d t takes the scalar compare instead of the min reduction.  An
+        # infinite t divides inf by inf in both kernels.
+        for t in (np.nan, -0.0, 0.0, np.inf, -1.0, 1e-300, 0.5):
+            for s in (0.0, 0.5, 2.0):
+                with np.errstate(invalid="ignore"):
+                    got, want = mm.kernel(np.asarray(t), s), reference_kernel(mm, t, s)
+                assert isinstance(got, np.ndarray) and got.shape == ()
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, s)
 
 
 # Values where a float sum or maximum is easy to get wrong: signed zeros,
@@ -1248,7 +1271,10 @@ def test_row_sums_reproduce_numpy_sum_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (dim, lead)
 
 
-def test_row_max_matches_numpy_max_and_its_verdicts():
+def test_broken_mask_matches_row_major_numpy_max_verdicts():
+    # The grid-major mask takes the gap in place of rhs and reduces along
+    # the grid: the verdicts of np.max over each row of the row-major gap,
+    # with NaN rows never broken, for the signed and the absolute gap.
     rng = np.random.default_rng(13)
     rows = [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan],
             [np.inf, 1.0, np.nan], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf, 0.0],
@@ -1260,8 +1286,14 @@ def test_row_max_matches_numpy_max_and_its_verdicts():
               rng.standard_normal((256, 64)) * 1e-9,
               np.zeros((0, 64))]
     for A in blocks:
-        got, want = _row_max(A), np.max(A, axis=1)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
-        for eps in (0.0, 1e-9, 0.5):
-            assert np.array_equal(got > eps, want > eps)
+        lhs = rng.choice(EDGE_VALUES, A.shape)
+        for absolute in (False, True):
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(A - lhs) if absolute else A - lhs
+                for eps in (1e-12, 1e-9, 0.5):
+                    values = {"lhs": lhs.T.copy(), "rhs": A.T.copy()}
+                    got = P._broken(values, absolute, eps)
+                    assert got.shape == (len(A),) and got.dtype == bool
+                    assert np.array_equal(got, np.max(gap, axis=1) > eps)
+                    # The gap was taken in place of rhs.
+                    assert np.array_equal(values["rhs"], gap.T, equal_nan=True)

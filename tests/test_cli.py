@@ -134,6 +134,11 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("check-convergence", {"sequence": {"kind": "harmonic", "direction": [0.3, 0.1]}}),
     ("check-convergence", {"sequence": {"kind": "harmonic", "base": [0.0, 0.0]}}),
     ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1.0 + i for i in range(1025)]}),
+    # Values no selection reads are validated too.
+    ("witness-refine", {"z": "junk"}),
+    ("witness-refine", {"z": [True, 0.0]}),
+    ("witness-separate", {"variant": "homogeneous", "y": [True]}),
+    ("witness-separate", {"variant": "homogeneous", "y": [1.0, 2.0, 3.0]}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -523,6 +528,36 @@ def test_a_given_x_leaves_the_default_y_at_the_seed_streams_second_draw(tmp_path
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["ball_b"]["center"] == y
+
+
+@pytest.mark.parametrize("command, base, unused", [
+    ("witness-refine", RATIONAL, {"z": [0.1, 0.1]}),
+    ("witness-separate", HOMOGENEOUS, {"variant": "homogeneous", "y": [0.5]}),
+])
+def test_a_valid_but_unused_operation_value_keeps_the_report(tmp_path, capsys, command,
+                                                             base, unused):
+    reports = []
+    for op in ({key: v for key, v in unused.items() if key == "variant"}, unused):
+        path = write_config(tmp_path, dict(base, operation=op))
+        assert cli.main([command, "--config", path]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_one_parser_serves_a_usage_error_help_and_a_valid_call(tmp_path, capsys):
+    path = write_config(tmp_path, RATIONAL)
+    argv = ["check-axioms", "--config", path, "--samples", "200"]
+    assert cli.main(["check-axioms"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: pmtop check-axioms")
+    assert "--config" in captured.err
+    assert cli.main(["check-axioms", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pmtop check-axioms")
+    assert cli.main(argv) == 0
+    fresh = subprocess.run([sys.executable, "-m", "pmtop.cli", *argv],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0 and capsys.readouterr().out == fresh.stdout
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_overflowing_witness_parameter_is_infeasible_naming_it(tmp_path, capsys):

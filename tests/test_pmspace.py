@@ -259,8 +259,7 @@ def test_combined_axiom_report_counts_the_violations_of_every_part():
 def test_axiom_check_memory_does_not_grow_with_samples_times_grid(mutation):
     # Nearly every sample of these mutations takes the full-grid branch of its
     # axiom.  A (samples, grid) matrix would trace about 153 MiB (pm2) and
-    # 313 MiB (pm3) here; the row blocks keep the peak near 7 MiB, set by
-    # the (5, samples) matrices of pm4.
+    # 313 MiB (pm3) here; the blocks keep the peak near the whole draws.
     space = p.generate_instance(0, "rational_from", mutation)
     budget = p.SampleBudget(n_vectors=20_000, n_scalar_pairs=20_000, rng_seed=0,
                             t_grid=p.default_t_grid(count=1024))
@@ -272,3 +271,19 @@ def test_axiom_check_memory_does_not_grow_with_samples_times_grid(mutation):
         tracemalloc.stop()
     assert not rep.parts[p.MUTATION_TARGETS[mutation]].passed
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_axiom_check_memory_at_1e5_samples_is_the_draws_not_pm4_matrices():
+    # Whole (5, samples) pm4 matrices traced 30.5 MiB here; in PM4_CHUNK
+    # blocks the peak is about 5.4 MiB, mostly the six whole draws (X,
+    # sigma(X), Y, a and the two probe scales) of 0.8 MB each.
+    space = p.rational_space(p.PPower(p=1.0), 1)
+    budget = p.SampleBudget(n_vectors=100_000, n_scalar_pairs=100_000, rng_seed=0)
+    tracemalloc.start()
+    try:
+        rep = p.check_axioms(space, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.parts["pm4"].samples_run == 500_000
+    assert peak < 10 * 2**20, peak / 2**20
