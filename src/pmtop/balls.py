@@ -96,7 +96,12 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for all lanes at
     once, and is seeded from the closed-form radius when one exists; then
     each lane doubles or halves its scale until the probe's acceptance lies
-    in [0.2, 0.8], for at most 80 rounds, stopping on its own."""
+    in [0.2, 0.8], for at most 80 rounds, stopping on its own.
+
+    A lane's next scale reads only its current one (its probe, center,
+    scale and cut are fixed), so a lane whose new scale has the bits of its
+    scale two rounds back alternates between the two until round 80: it
+    leaves the live lanes with the one of the two that round 80 ends on."""
     n, dim = centers.shape
     probes = rng.standard_normal((n, 256, dim))
     s = np.ones(n)
@@ -112,20 +117,25 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         s[pos] = np.maximum(thr[pos] / med[pos], 1e-12)
     except ValueError:
         pass
-    # The arguments of the lanes still searching, compacted as lanes stop.
-    live, c, t = np.arange(n), centers, scales
+    # The arguments of the lanes still searching, compacted as lanes stop,
+    # and each one's scale two rounds back (NaN, equal to none, at first).
+    live, c, t, back = np.arange(n), centers, scales, np.full(n, np.nan)
     cut = (1.0 - levels)[:, None] + EPS_STRICT
-    for _ in range(80):
+    for rounds_left in range(79, -1, -1):
         sl = s[live]
         inside = _lane_mu(space, c, t, c[:, None, :] + sl[:, None, None] * probes) > cut
         acc = inside.sum(axis=1) / inside.shape[1]
         up, down = acc > 0.8, acc < 0.2
-        s[live] = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
-        going = up | down
+        new = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
+        cycled = new == back
+        # An odd number of rounds left ends a cycling lane on its current scale.
+        s[live] = np.where(cycled & (rounds_left % 2 == 1), sl, new)
+        going = (up | down) & ~cycled
         if not going.all():
             if not going.any():
                 break
-            live, c, t, cut, probes = (a[going] for a in (live, c, t, cut, probes))
+            live, c, t, cut, probes, sl = (a[going] for a in (live, c, t, cut, probes, sl))
+        back = sl
     return s
 
 

@@ -28,6 +28,7 @@ exponent, so the three never collide in code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable
@@ -193,6 +194,16 @@ class ModularMap:
     same bits.  Where some t is not positive, the rational kernel divides
     everywhere and then zeroes the points where t > 0 fails.  Every kernel
     returns an ndarray, a 0-d one for 0-d arguments.
+
+    Every kernel also commutes with exact power-of-two scaling: for c a
+    power of two, kernel(t, c*s) has the bits of kernel(t/c, s) wherever
+    t/c and c*s are exact and t, s, t/c and c*s lie below 2**1022 in
+    magnitude.  Scaling both operands by c leaves a compare as it is, a
+    quotient's exact value as it is, and multiplies a sum's exact value by
+    c; the bound keeps every sum of two such values finite, and a sum below
+    the normal range is exact, so rounding commutes with the scaling.  The
+    doubling scan relies on this to settle rows without evaluating them
+    (_Delta2Scan).
     """
 
     family: str = ""
@@ -604,6 +615,14 @@ def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarr
                         budget.rng_seed, notes, record=record)
 
 
+def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Where y is c * x exactly, for c a power of two, and x and y lie below
+    2**1022 in magnitude: the domain of the kernels' scaling contract."""
+    with np.errstate(over="ignore", under="ignore"):
+        return ((x * c == y) & (y / c == x)
+                & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022))
+
+
 class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
     of rows x and the budget grid, evaluated in grid-major blocks of
@@ -616,6 +635,16 @@ class _Delta2Scan:
     declared check share every block they both read; the (grid, rows)
     matrices live for one block.  A row's verdict reads only that row, so
     every mask and record is the one a single full-matrix evaluation gives.
+
+    Where c is a power of two, every grid quotient t/c is exact and c *
+    sigma(x) is exact with the bits of sigma(2x), the row's two sides are
+    kernel(t, c*s) and kernel(t/c, s), the same floats by the kernel's
+    scaling contract (ModularMap), so its gap is exactly 0 and it holds.
+    These rows are marked once per candidate; a block whose rows are all
+    marked gets an all-False mask without being evaluated, and every other
+    block is evaluated whole.  On the valid reference instances sigma(2x)
+    is 2**p sigma(x) bit for bit, so their declared constant c = 2**p is
+    settled without a kernel call.
     """
 
     def __init__(self, space: PMSpace, budget: SampleBudget):
@@ -626,6 +655,7 @@ class _Delta2Scan:
         self._S = space.sigma(X)
         self._S2 = space.sigma(2.0 * X)
         self._masks: dict[tuple[float, int], np.ndarray] = {}
+        self._settled: dict[float, np.ndarray] = {}
 
     def rows(self, space: PMSpace, budget: SampleBudget) -> int:
         """budget.n_vectors, the rows a check of space under budget reads;
@@ -640,11 +670,31 @@ class _Delta2Scan:
         return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[b]),
                 "rhs": self.space.kernel(self._grid / c, self._S[b])}
 
+    def _settled_blocks(self, c: float) -> np.ndarray:
+        """Per block of DELTA2_CHUNK rows, whether every row of it is marked
+        for c: c is a power of two, every t/c is exact, and c * sigma(x) is
+        exact with the bits of sigma(2x)."""
+        if c not in self._settled:
+            marked = np.zeros(len(self._S), dtype=bool)
+            if math.frexp(c)[0] == 0.5:
+                with np.errstate(over="ignore", under="ignore"):
+                    q, cS = self._grid / c, c * self._S
+                if _scaled_exactly(q, self._grid, c).all():
+                    marked = (_scaled_exactly(self._S, cS, c)
+                              & (_float_bits(cS) == _float_bits(self._S2)))
+            self._settled[c] = np.logical_and.reduceat(
+                marked, np.arange(0, marked.size, DELTA2_CHUNK))
+        return self._settled[c]
+
     def broken(self, c: float, b: slice) -> np.ndarray:
-        """The rows of block b that break the inequality for c."""
+        """The rows of block b that break the inequality for c; all False,
+        unevaluated, where every row of the block is marked."""
         key = (c, b.start)
         if key not in self._masks:
-            self._masks[key] = _broken(self._block(c, b), False, self.budget.epsilon)
+            if self._settled_blocks(c)[b.start // DELTA2_CHUNK]:
+                self._masks[key] = np.zeros(len(self._S[b]), dtype=bool)
+            else:
+                self._masks[key] = _broken(self._block(c, b), False, self.budget.epsilon)
         return self._masks[key]
 
     def holds(self, c: float, n: int) -> bool:

@@ -239,9 +239,10 @@ def _pick_separation_scale(space: PMSpace, sig: float, budget: SampleBudget,
     scale.  Extends two decades below the grid before giving up."""
     eps = budget.epsilon
     grid = budget.grid_array()
-    lo = grid[0]
-    extension = np.geomspace(lo / 100.0, lo, 9, endpoint=False)
-    for candidate_grid in (grid, extension):
+    # The extension below the grid is built only when no grid scale is admissible.
+    for candidate_grid in (grid, None):
+        if candidate_grid is None:
+            candidate_grid = np.geomspace(grid[0] / 100.0, grid[0], 9, endpoint=False)
         vals = np.asarray(space.kernel(candidate_grid, sig), dtype=float)
         ok = vals < 1.0 - eps
         if need_above is not None:

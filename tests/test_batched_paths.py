@@ -22,6 +22,7 @@ import pytest
 
 import pmtop as p
 import pmtop.balls as B
+import pmtop.cli as cli
 import pmtop.convergence as C
 import pmtop.distfn as D
 import pmtop.falsifier as F
@@ -118,7 +119,7 @@ def reference_witnesses(space, sigma, scale, level):
     return np.asarray(t_star, dtype=float), reasons
 
 
-def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8):
+def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8, rounds=80):
     """The scalar calibration of the member sampler, on a given probe."""
     s = 1.0
     try:
@@ -128,7 +129,7 @@ def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8):
             s = max(thr / med, 1e-12)
     except ValueError:
         pass
-    for _ in range(80):
+    for _ in range(rounds):
         acc = float(np.mean(B.contains_many(ball, ball.center[None, :] + s * probe)))
         if acc > hi:
             s *= 2.0
@@ -406,6 +407,30 @@ def test_member_lanes_match_sample_members(family, band):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("make", [p.step_space, p.rational_space],
+                         ids=["step_from", "rational_from"])
+def test_proposal_scales_fast_forward_lanes_caught_in_a_two_cycle(monkeypatch, make):
+    # With p = 2 in dim 4, doubling a scale quarters the radius in sigma-space,
+    # which can step over the [0.2, 0.8] acceptance window each way: such a
+    # lane alternates between two scales for all 80 rounds of the reference.
+    space = make(p.PPower(p=2.0), 4)
+    centers, levels, scales = random_ball_draws(np.random.default_rng(4), 100, 4)
+    rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    probes = rng_ref.standard_normal((100, 256, 4))
+    balls = [B.Ball(space, c, a, t) for c, a, t in zip(centers, levels, scales)]
+    want = [[reference_scale_from_probe(b, probe, rounds=k).hex() for k in (78, 79, 80)]
+            for b, probe in zip(balls, probes)]
+    cycling = [w[0] == w[2] != w[1] for w in want]
+    assert sum(cycling) >= 5
+    calls = []
+    lane_mu = B._lane_mu
+    monkeypatch.setattr(B, "_lane_mu", lambda *a: calls.append(1) or lane_mu(*a))
+    got = B._proposal_scales(space, centers, levels, scales, rng)
+    assert [float(v).hex() for v in got] == [w[2] for w in want]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(calls) < 10
+
+
 @pytest.mark.parametrize("epsilon", [0.2, 0.35])
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_member_lanes_take_further_rounds_and_starve_like_the_reference(family,
@@ -589,6 +614,79 @@ def test_delta2_scan_refuses_another_space_or_budget():
             (space, replace(budget, epsilon=1e-3))]:
         with pytest.raises(ValueError, match="delta2 scan"):
             p.find_delta2_constant(other_space, other_budget, scan=scan)
+
+
+def scan_spaces():
+    """Valid spaces of both families on every modular kind, and the two
+    mutations whose doubling rows are partly or wholly unsettled."""
+    spaces = {f"{make.__name__}-{name}": make(rho, 2, declared_c=c)
+              for make in (p.rational_space, p.step_space)
+              for name, rho, c in (("weighted", p.WeightedAbs(weights=(0.5, 2.0)), 2.0),
+                                   ("p1", p.PPower(p=1.0), 2.0),
+                                   ("p2", p.PPower(p=2.0), 4.0))}
+    for mutation in ("break_delta2_declaration", "break_pm2"):
+        spaces[mutation] = F.generate_instance(0, "rational_from", mutation)
+    return spaces
+
+
+# The default candidates, and CLI candidates below 1, too large to scale a
+# sigma value finitely, and not a power of two at the top of the float range.
+SCAN_CANDIDATES = P.DELTA2_CANDIDATES + (0.5, 2.0 ** 40, 2.0 ** 1000, 1e308)
+
+
+@pytest.mark.parametrize("name", sorted(scan_spaces()))
+def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
+    space = scan_spaces()[name]
+    grids = {"default": D.default_t_grid()}
+    if name in ("rational_space-weighted", "step_space-weighted"):
+        # t/2 subnormal and exact, so c = 2 still settles rows; and t/2
+        # rounded to 0, so no row is settled at c = 2.
+        grids["subnormal-exact"] = (2.0 ** -1073, 3 * 2.0 ** -1070, 1e-3, 1.0)
+        grids["subnormal-inexact"] = (5e-324, 1e-3, 1.0)
+    for grid_name, t_grid in grids.items():
+        budget = p.SampleBudget(n_vectors=1500, t_grid=t_grid, rng_seed=3)
+        scan = _Delta2Scan(space, budget)
+        for c in SCAN_CANDIDATES + (space.declared_c,):
+            for b in P._blocks(1500):
+                got = scan.broken(c, b)
+                want = P._broken(scan._block(c, b), False, budget.epsilon)
+                assert got.dtype == bool and np.array_equal(got, want), (grid_name, c, b)
+        settled = scan._settled_blocks(2.0)
+        if name == "break_pm2":
+            # sigma is 0 on both sides of some rows only: blocks mixing
+            # marked rows with broken ones are evaluated whole.
+            marked = P._float_bits(2.0 * scan._S) == P._float_bits(scan._S2)
+            assert not settled.any()
+            assert any(0 < marked[b].sum() < marked[b].size and scan.broken(2.0, b).any()
+                       for b in P._blocks(1500))
+        elif name == "break_delta2_declaration":
+            assert not scan._settled_blocks(space.declared_c).any()
+            assert scan.broken(space.declared_c, slice(0, DELTA2_CHUNK)).any()
+        elif grid_name == "subnormal-inexact":
+            assert not settled.any()
+        else:
+            assert scan._settled_blocks(space.declared_c).all()
+
+
+@pytest.mark.parametrize("mutation", [None, "break_delta2_declaration"])
+def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
+        tmp_path, monkeypatch, mutation):
+    space = F.generate_instance(0, "rational_from", mutation)
+    evaluated = []
+    block = _Delta2Scan._block
+    monkeypatch.setattr(_Delta2Scan, "_block", lambda self, c, b: (
+        evaluated.append((c, b.start)) or block(self, c, b)))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"instance": space.to_config(),
+                               "budget": {"n_vectors": 2000, "rng_seed": 0}}))
+    code = cli.main(["check-delta2", "--config", str(cfg),
+                     "--out", str(tmp_path / "report.ndjson")])
+    at_declared = {start for c, start in evaluated if c == space.declared_c}
+    if mutation is None:
+        # The candidates below the declared 2 are still ruled out by evaluation.
+        assert code == 0 and evaluated and not at_declared
+    else:
+        assert code == 1 and at_declared == set(range(0, 2000, DELTA2_CHUNK))
 
 
 def reference_check_beta_homogeneous(space, beta, budget):
@@ -1178,6 +1276,29 @@ def reference_kernel(mm, T, S):
     out = np.zeros(T.shape, dtype=float)
     np.divide(T, T + S, out=out, where=T > 0)
     return out
+
+
+def test_kernels_commute_with_exact_power_of_two_scaling():
+    # The contract of ModularMap the doubling scan settles rows by: for c a
+    # power of two, kernel(t, c*s) has the bits of kernel(t/c, s) wherever
+    # t/c and c*s are exact and t, s, t/c and c*s lie below 2**1022.
+    rho = p.PPower(p=1.0)
+    maps = [family(rho) for family in P._FAMILIES.values()]
+    maps += [FlooredMap(mm, 0.3) for mm in maps]
+    tiny = np.finfo(float).tiny
+    s = np.concatenate([[0.0, 5e-324, 3e-323, 1e-320, tiny / 3, tiny / 2, tiny, 3 * tiny],
+                        np.geomspace(1e-300, 1e300, 601)])
+    grid = D.SampleBudget().grid_array()
+    for c in (0.5, 2.0, 4.0, 8.0, 2.0 ** 40):
+        with np.errstate(over="ignore", under="ignore"):
+            t_c, c_s = grid / c, c * s
+            exact = (c_s / c == s) & (c_s < 2.0 ** 1022) & (s < 2.0 ** 1022)
+        assert np.array_equal(t_c * c, grid)
+        # Every subnormal doubles exactly; halving keeps the even ones.
+        assert exact.sum() >= s.size - 5
+        for mm in maps:
+            got = mm.kernel(grid[:, None], c_s[exact])
+            assert got.tobytes() == mm.kernel(t_c[:, None], s[exact]).tobytes(), (mm, c)
 
 
 def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
