@@ -47,14 +47,13 @@ from . import topology as _topo
 from .distfn import FieldError, SampleBudget, check_number, check_numbers, default_t_grid
 from .pmspace import (
     AXIOMS,
+    DELTA2_CANDIDATES,
     EXPONENT,
     PMSpace,
     _Delta2Scan,
     _FAMILIES,
     check_beta_homogeneous,
-    check_delta2_declared,
     check_space_regularity,
-    find_delta2_constant,
     space_from_config,
 )
 
@@ -234,17 +233,17 @@ def _h_check_axioms(space, budget, cfg):
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
     with _fields("operation"):
+        # One draw serves both lines.  smallest checks the candidates before
+        # it evaluates any; an empty list asks for the default ones.
         candidates = op.get("candidates", [])
         scan = _Delta2Scan(space, budget)
-        # find_delta2_constant checks the candidates before it evaluates any;
-        # an empty list asks for its default ones.
-        found = find_delta2_constant(space, budget, scan=scan,
-                                     **{"c_candidates": candidates} if candidates != [] else {})
+        found = scan.smallest(candidates if candidates != [] else DELTA2_CANDIDATES,
+                              budget.n_vectors)
     records = [{"check": "delta2_estimate", "seed": budget.rng_seed,
                 "estimated_c": found,
                 "verdict": "pass" if found is not None else "fail"}]
     if space.declared_c is not None:
-        records.append(check_delta2_declared(space, budget, scan).to_record())
+        records.append(scan.declared().to_record())
     return records
 
 

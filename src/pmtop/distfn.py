@@ -48,9 +48,10 @@ LIMIT_EXTENSION_DECADES = 12
 MAX_STORED_VIOLATIONS = 50
 
 # Validation bounds on a budget's sizes, so that an absurd count is a config
-# error and not a failed allocation.  Peak memory grows linearly in both:
-# check_axioms traces 38 MB at 1e5 samples, check_space_regularity 15 MB on
-# a 1024-point grid.
+# error and not a failed allocation.  Peak memory grows linearly in both.
+# Traced by tracemalloc, check_axioms peaks at 5.3-6.1 MiB at 1e5 samples in
+# dim 1 (13.0 MiB in dim 4), and check_space_regularity at 14.1 MiB on a
+# 1024-point grid (rational_from, dim 2).
 MAX_SAMPLES = 10 ** 6
 MAX_GRID_COUNT = 1024
 

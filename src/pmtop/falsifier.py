@@ -49,6 +49,7 @@ from . import topology as _topo
 from .distfn import EPS_STRICT, CheckReport, SampleBudget, check_rng
 from .pmspace import (
     AXIOMS,
+    DELTA2_CANDIDATES,
     ClosedStepFrom,
     FlooredMap,
     InfeasibleConstruction,
@@ -63,9 +64,7 @@ from .pmspace import (
     _Delta2Scan,
     check_axioms,
     check_beta_homogeneous,
-    check_delta2_declared,
     check_space_regularity,
-    find_delta2_constant,
     sample_vectors,
 )
 from . import distfn as _distfn
@@ -435,8 +434,7 @@ def _membership(inp: Inputs) -> PredicateResult:
 
 
 def _delta2_estimate(inp: Inputs) -> PredicateResult:
-    found = find_delta2_constant(inp.space, replace(
-        inp.budget, n_vectors=min(inp.budget.n_vectors, 2000)), scan=inp.delta2)
+    found = inp.delta2.smallest(DELTA2_CANDIDATES, min(inp.budget.n_vectors, 2000))
     return PredicateResult(outcome="pass", record={"estimated_c": found})
 
 
@@ -506,8 +504,7 @@ def _convergence_equiv(inp: Inputs) -> PredicateResult:
 PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
     *((name, None, lambda inp, name=name: inp.axioms.parts[name]) for name in AXIOMS),
     ("delta_membership", None, _membership),
-    ("delta2_declared", "declared_c",
-     lambda inp: check_delta2_declared(inp.space, inp.budget, inp.delta2)),
+    ("delta2_declared", "declared_c", lambda inp: inp.delta2.declared()),
     ("delta2_estimate", None, _delta2_estimate),
     ("beta_declared", "declared_beta",
      lambda inp: check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget)),

@@ -29,7 +29,7 @@ exponent, so the three never collide in code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -591,9 +591,9 @@ def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarr
     block(b) gives the grid-major values of the samples in slice b, lhs and
     rhs among them, each (probes, samples) or broadcast to it; a sample
     breaks it where its largest gap exceeds budget.epsilon, and broken(b),
-    when given, is that block's mask, cached by the caller.  A broken sample
-    r is recorded as fields(r) plus its values at its first largest gap,
-    from its block evaluated once more."""
+    when given, is that block's mask, which may skip evaluating the block.
+    A broken sample r is recorded as fields(r) plus its values at its first
+    largest gap, from its block evaluated once more."""
     blocks = _blocks(n, size)
     broken = broken or (lambda b: _broken(block(b), absolute, budget.epsilon))
     rows = np.concatenate([b.start + np.flatnonzero(broken(b)[:n - b.start])
@@ -628,13 +628,13 @@ class _Delta2Scan:
     of rows x and the budget grid, evaluated in grid-major blocks of
     DELTA2_CHUNK rows.
 
-    The rows are budget.n_vectors rows of the "delta2" stream; the first n
-    rows of that draw are the n-row draw, bit for bit, so a caller that
-    needs fewer rows reads a prefix.  Each (c, block) broken-row mask is
-    computed at most once and kept, so the doubling search and the
-    declared check share every block they both read; the (grid, rows)
-    matrices live for one block.  A row's verdict reads only that row, so
-    every mask and record is the one a single full-matrix evaluation gives.
+    The rows are budget.n_vectors rows of the "delta2" stream, and the scan
+    asks the two doubling questions of them: smallest, the least candidate
+    no row among the first n breaks (the first n rows of the draw are the
+    n-row draw, bit for bit), and declared, the report of the space's
+    declared constant on every row.  The (grid, rows) matrices live for one
+    block.  A row's verdict reads only that row, so every mask and record
+    is the one a single full-matrix evaluation gives.
 
     Where c is a power of two, every grid quotient t/c is exact and c *
     sigma(x) is exact with the bits of sigma(2x), the row's two sides are
@@ -644,7 +644,8 @@ class _Delta2Scan:
     marked gets an all-False mask without being evaluated, and every other
     block is evaluated whole.  On the valid reference instances sigma(2x)
     is 2**p sigma(x) bit for bit, so their declared constant c = 2**p is
-    settled without a kernel call.
+    settled without a kernel call, and the two questions evaluate no
+    (c, block) twice: the blocks they share are settled ones.
     """
 
     def __init__(self, space: PMSpace, budget: SampleBudget):
@@ -654,21 +655,16 @@ class _Delta2Scan:
         self._grid = budget.grid_array()[:, None]
         self._S = space.sigma(X)
         self._S2 = space.sigma(2.0 * X)
-        self._masks: dict[tuple[float, int], np.ndarray] = {}
         self._settled: dict[float, np.ndarray] = {}
 
-    def rows(self, space: PMSpace, budget: SampleBudget) -> int:
-        """budget.n_vectors, the rows a check of space under budget reads;
-        ValueError unless this scan holds them."""
-        if (space is not self.space or budget.n_vectors > len(self.X)
-                or replace(self.budget, n_vectors=budget.n_vectors) != budget):
-            raise ValueError("the delta2 scan was drawn for another space or budget")
-        return budget.n_vectors
-
     def _block(self, c: float, b: slice) -> dict[str, np.ndarray]:
-        """The grid t, lhs and rhs on the rows of block b."""
+        """The grid t, lhs and rhs on the rows of block b.  Where t/c
+        overflows, mu_x is read at the largest float: at inf the rational
+        kernel gives inf/inf, a NaN whose gap exceeds no eps."""
+        with np.errstate(over="ignore"):
+            q = np.minimum(self._grid / c, np.finfo(float).max)
         return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[b]),
-                "rhs": self.space.kernel(self._grid / c, self._S[b])}
+                "rhs": self.space.kernel(q, self._S[b])}
 
     def _settled_blocks(self, c: float) -> np.ndarray:
         """Per block of DELTA2_CHUNK rows, whether every row of it is marked
@@ -689,60 +685,42 @@ class _Delta2Scan:
     def broken(self, c: float, b: slice) -> np.ndarray:
         """The rows of block b that break the inequality for c; all False,
         unevaluated, where every row of the block is marked."""
-        key = (c, b.start)
-        if key not in self._masks:
-            if self._settled_blocks(c)[b.start // DELTA2_CHUNK]:
-                self._masks[key] = np.zeros(len(self._S[b]), dtype=bool)
-            else:
-                self._masks[key] = _broken(self._block(c, b), False, self.budget.epsilon)
-        return self._masks[key]
+        if self._settled_blocks(c)[b.start // DELTA2_CHUNK]:
+            return np.zeros(len(self._S[b]), dtype=bool)
+        return _broken(self._block(c, b), False, self.budget.epsilon)
 
-    def holds(self, c: float, n: int) -> bool:
-        """No row among the first n breaks c; stops at the first block
-        holding a broken row."""
-        return not any(np.any(self.broken(c, b)[:n - b.start]) for b in _blocks(n))
+    def smallest(self, candidates: tuple[float, ...], n: int) -> float | None:
+        """The smallest candidate c no row among the first n breaks; None
+        when every candidate is broken.  The candidates are checked before
+        any is tested.  Only emptiness is asked, so each candidate is tested
+        on the blocks in row order and ruled out at the first block holding
+        a broken row."""
+        check_numbers(candidates, "candidates", above=0)
+        return next((float(c) for c in sorted(candidates)
+                     if not any(np.any(self.broken(c, b)[:n - b.start])
+                                for b in _blocks(n))), None)
+
+    def declared(self) -> CheckReport:
+        """The report of the space's declared constant on every row: each
+        broken row is counted and the first ones are recorded."""
+        c = self.space.declared_c
+        if c is None:
+            raise PreconditionError("space declares no doubling constant")
+        return _block_report("delta2_declared", len(self.X), lambda b: self._block(c, b),
+                             lambda r: {"x": self.X[r].tolist(), "c": c}, self.budget,
+                             broken=lambda b: self.broken(c, b), notes={"c": c})
 
 
-def check_delta2_declared(space: PMSpace, budget: SampleBudget,
-                          scan: _Delta2Scan | None = None) -> CheckReport:
-    """Verify the declared doubling constant against samples.
-
-    Every broken row is counted and the first ones are recorded.  The rows
-    come from scan when one is given (a scan of this space drawn for at
-    least budget.n_vectors rows), so the blocks a find_delta2_constant call
-    on the same scan already read for the declared constant are not
-    evaluated again.
-    """
-    c = space.declared_c
-    if c is None:
-        raise PreconditionError("space declares no doubling constant")
-    scan = scan or _Delta2Scan(space, budget)
-    return _block_report("delta2_declared", scan.rows(space, budget),
-                         lambda b: scan._block(c, b),
-                         lambda r: {"x": scan.X[r].tolist(), "c": c}, budget,
-                         broken=lambda b: scan.broken(c, b), notes={"c": c})
+def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
+    """Verify the declared doubling constant on budget.n_vectors samples."""
+    return _Delta2Scan(space, budget).declared()
 
 
 def find_delta2_constant(space: PMSpace, budget: SampleBudget,
-                         c_candidates: tuple[float, ...] = DELTA2_CANDIDATES,
-                         scan: _Delta2Scan | None = None) -> float | None:
+                         c_candidates: tuple[float, ...] = DELTA2_CANDIDATES) -> float | None:
     """Smallest candidate c with mu_{2x}(t) >= mu_x(t/c) - eps on all
-    samples; None when every candidate fails.
-
-    Only emptiness is asked, so each candidate is tested on blocks of
-    DELTA2_CHUNK rows in sample order and ruled out at the first block
-    holding a broken row.  A row's verdict reads only that row, so "some
-    block has a broken row" is "some row is broken" over all samples.  The
-    rows are the first budget.n_vectors of scan when one is given, and
-    the blocks it already holds for a candidate are not evaluated again:
-    a registry run shares one scan between the declared check (10,000
-    rows) and this search (the first 2,000), and the CLI between this
-    search and the declared check.
-    """
-    check_numbers(c_candidates, "candidates", above=0)
-    scan = scan or _Delta2Scan(space, budget)
-    n = scan.rows(space, budget)
-    return next((float(c) for c in sorted(c_candidates) if scan.holds(c, n)), None)
+    budget.n_vectors samples; None when every candidate fails."""
+    return _Delta2Scan(space, budget).smallest(c_candidates, budget.n_vectors)
 
 
 def check_beta_homogeneous(space: PMSpace, beta: float,

@@ -587,33 +587,18 @@ def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name
         found = reference_find_delta2_full_scan(space, budget, p.DELTA2_CANDIDATES)
         found_2000 = reference_find_delta2_full_scan(space, estimate, p.DELTA2_CANDIDATES)
 
-        scan = _Delta2Scan(space, budget)   # find, then declared
-        assert p.find_delta2_constant(space, budget, scan=scan) == found
-        assert canonical_report(p.check_delta2_declared(space, budget, scan)) == declared
-        scan = _Delta2Scan(space, budget)   # declared, then the estimate
-        assert canonical_report(p.check_delta2_declared(space, budget, scan)) == declared
-        assert p.find_delta2_constant(space, estimate, scan=scan) == found_2000
-        # The estimate alone, on a scan of the full budget and on its own draw.
-        assert p.find_delta2_constant(space, estimate,
-                                      scan=_Delta2Scan(space, budget)) == found_2000
+        scan = _Delta2Scan(space, budget)   # smallest, then declared
+        assert scan.smallest(p.DELTA2_CANDIDATES, n) == found
+        assert canonical_report(scan.declared()) == declared
+        scan = _Delta2Scan(space, budget)   # declared, then the 2,000-row prefix
+        assert canonical_report(scan.declared()) == declared
+        assert scan.smallest(p.DELTA2_CANDIDATES, estimate.n_vectors) == found_2000
+        # The wrappers, each on its own draw.
         assert p.find_delta2_constant(space, estimate) == found_2000
         assert canonical_report(p.check_delta2_declared(space, budget)) == declared
     if name == "break_delta2_declaration":
         rep = p.check_delta2_declared(space, budget)
         assert rep.n_violations > 9_990 and len(rep.violations) == 50
-
-
-def test_delta2_scan_refuses_another_space_or_budget():
-    space = DELTA2_SPACES["rational-p1"]
-    budget = p.SampleBudget(n_vectors=600, rng_seed=1)
-    scan = _Delta2Scan(space, budget)
-    for other_space, other_budget in [
-            (DELTA2_SPACES["rational-p2"], budget),
-            (space, replace(budget, n_vectors=601)),
-            (space, replace(budget, rng_seed=2)),
-            (space, replace(budget, epsilon=1e-3))]:
-        with pytest.raises(ValueError, match="delta2 scan"):
-            p.find_delta2_constant(other_space, other_budget, scan=scan)
 
 
 def scan_spaces():
@@ -682,11 +667,26 @@ def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
     code = cli.main(["check-delta2", "--config", str(cfg),
                      "--out", str(tmp_path / "report.ndjson")])
     at_declared = {start for c, start in evaluated if c == space.declared_c}
-    if mutation is None:
-        # The candidates below the declared 2 are still ruled out by evaluation.
-        assert code == 0 and evaluated and not at_declared
-    else:
+    if mutation is not None:
         assert code == 1 and at_declared == set(range(0, 2000, DELTA2_CHUNK))
+        return
+    # The candidates below the declared 2 are still ruled out by evaluation.
+    assert code == 0 and evaluated and not at_declared
+    assert len(set(evaluated)) == len(evaluated)
+    # Nor does a registry run, whose two doubling predicates share one scan,
+    # evaluate any (c, block) twice on a valid instance: a cache of block
+    # masks would save no evaluation.
+    for family in ("rational_from", "step_from"):
+        spaces = [F.generate_instance(seed, family) for seed in (0, 1, 2, 4)]
+        assert sorted(space.dim for space in spaces) == [1, 2, 3, 4]
+        for seed, space in enumerate(spaces):
+            evaluated.clear()
+            run = p.run_registry(space, p.SampleBudget(
+                n_vectors=10_000, n_scalar_pairs=10_000, epsilon=1e-9, rng_seed=seed))
+            assert run.results["delta2_declared"].outcome == "pass"
+            assert run.results["delta2_estimate"].record["estimated_c"] == space.declared_c
+            assert evaluated and len(set(evaluated)) == len(evaluated), (family, space.dim)
+            assert all(c != space.declared_c for c, _ in evaluated)
 
 
 def reference_check_beta_homogeneous(space, beta, budget):

@@ -2,6 +2,7 @@
 homogeneity.  The reference families are validated here by independent
 brute-force loops before any checker output is trusted."""
 
+import json
 import random
 import re
 import tracemalloc
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import pmtop as p
+import pmtop.falsifier as F
+from pmtop import cli
 from pmtop.pmspace import SigmaFunctional, sample_convex_weights
 
 BUDGET = p.SampleBudget(n_vectors=800, n_scalar_pairs=800, rng_seed=7)
@@ -133,6 +136,39 @@ def test_declared_doubling_check():
     assert p.check_delta2_declared(good, BUDGET).passed
     bad = p.rational_space(p.PPower(p=2.0), 2, declared_c=2.0)
     assert not p.check_delta2_declared(bad, BUDGET).passed
+
+
+@pytest.mark.parametrize("c", [1e-306, 1e-320])
+@pytest.mark.parametrize("mutation", [None, "break_pm1"])
+def test_doubling_constant_whose_quotients_overflow_fails(tmp_path, capsys, c, mutation):
+    # Every grid quotient t/c overflows.  At t/c = inf the rational kernel,
+    # floored or not, is inf/inf, a NaN gap no epsilon test flags; mu_x at
+    # the largest float is 1, which every row's mu_{2x} stays below.
+    base = p.rational_space(p.PPower(p=1.0), 2, declared_c=c)
+    space = base if mutation is None else F.apply_mutation(base, mutation, 0)
+    rep = p.check_delta2_declared(space, BUDGET)
+    assert rep.n_violations == BUDGET.n_vectors
+    assert all(v["rhs"] == 1.0 for v in rep.violations)
+    json.dumps(rep.to_record(), allow_nan=False)
+    assert p.find_delta2_constant(space, BUDGET, (c, 2.0)) == 2.0
+    assert p.run_registry(space, BUDGET, ["delta2_declared"]).failures() == ["delta2_declared"]
+
+    def run_cli(command, operation):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"instance": base.to_config(), "operation": operation,
+                                   "budget": {"n_vectors": 800, "rng_seed": 7}}))
+        code = cli.main([command, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        return [json.loads(line) for line in out.splitlines()]
+
+    mutated = {} if mutation is None else {"mutation": mutation}
+    assert [r["verdict"] for r in run_cli(
+        "falsify", {"predicates": ["delta2_declared"], **mutated})][0] == "fail"
+    if mutation is None:
+        records = run_cli("check-delta2", {"candidates": [c]})
+        assert [r["verdict"] for r in records] == ["fail", "fail"]
+        assert records[0]["estimated_c"] is None
 
 
 # -- homogeneity -------------------------------------------------------------
