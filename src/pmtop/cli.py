@@ -44,7 +44,8 @@ from . import balls as _balls
 from . import convergence as _conv
 from . import falsifier as _fals
 from . import topology as _topo
-from .distfn import FieldError, SampleBudget, check_number, check_numbers, default_t_grid
+from .distfn import (FieldError, SampleBudget, canonical_line, check_number, check_numbers,
+                     default_t_grid)
 from .pmspace import (
     AXIOMS,
     DELTA2_CANDIDATES,
@@ -174,11 +175,6 @@ def _ball_from(op_ball: Any, space: PMSpace, where: str) -> _balls.Ball:
 # ---------------------------------------------------------------------------
 # Record plumbing.
 # ---------------------------------------------------------------------------
-
-
-def canonical_line(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
 
 
 def exit_code_from_records(records: list[dict[str, Any]]) -> int:

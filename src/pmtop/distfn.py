@@ -16,6 +16,7 @@ pure function, so concurrent evaluation needs no synchronization.
 
 from __future__ import annotations
 
+import json
 import math
 import zlib
 from dataclasses import dataclass, field, fields
@@ -190,6 +191,12 @@ class CheckReport:
         if self.parts:
             rec["parts"] = {k: v.to_record() for k, v in self.parts.items()}
         return rec
+
+
+def canonical_line(record: dict[str, Any]) -> str:
+    """The one rule for a report or a registry run as text: strict JSON (a NaN
+    or an infinity raises ValueError), keys sorted, no spaces, one line."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _make_report(name: str, flagged: Any, samples: int, seed: int,

@@ -36,7 +36,6 @@ produce byte-identical runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Collection
@@ -46,7 +45,7 @@ import numpy as np
 from . import balls as _balls
 from . import convergence as _conv
 from . import topology as _topo
-from .distfn import EPS_STRICT, CheckReport, SampleBudget, check_rng
+from .distfn import EPS_STRICT, CheckReport, SampleBudget, canonical_line, check_rng
 from .pmspace import (
     AXIOMS,
     DELTA2_CANDIDATES,
@@ -240,10 +239,9 @@ class FalsifierRun:
         return [k for k, v in self.results.items() if v.outcome == "fail"]
 
     def to_json(self) -> str:
-        payload = {"seed": self.seed, "instance": self.instance,
-                   "budget": self.budget,
-                   "results": {k: v.to_record() for k, v in sorted(self.results.items())}}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        results = {k: v.to_record() for k, v in self.results.items()}
+        return canonical_line({"seed": self.seed, "instance": self.instance,
+                               "budget": self.budget, "results": results})
 
 
 def _from_report(rep: PredicateResult | CheckReport | _topo.Witness) -> PredicateResult:
@@ -357,11 +355,11 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                                  {"pairs": len(xs)})
 
 
-def _chain_feasible(space: PMSpace, ball: _balls.Ball, z: np.ndarray) -> bool:
-    """z lies in ball = B(x, alpha, t) and clears the doubling-chain
-    feasibility mu_(x-z)(t/c) > 1 - alpha with a safety margin of 1e-6."""
-    return (_balls.contains(ball, z)
-            and _topo.chain_anchor(space, ball, z) > 1.0 - ball.level + 1e-6)
+def _chain_feasible(space: PMSpace, ball: _balls.Ball, Z: np.ndarray) -> np.ndarray:
+    """Which rows z of Z lie in ball = B(x, alpha, t) and clear the doubling
+    chain's mu_(x-z)(t/c) > 1 - alpha with a safety margin of 1e-6."""
+    return (_balls.contains_many(ball, Z)
+            & (_topo.chain_anchor(space, ball, Z) > 1.0 - ball.level + 1e-6))
 
 
 def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
@@ -369,17 +367,20 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
                                ) -> tuple[_balls.Ball, np.ndarray]:
     """Random (outer, z) that is _chain_feasible.  Raises PreconditionError
     when the space declares no doubling constant and InfeasibleConstruction
-    with reason when the search finds no input."""
+    with reason when the search finds no input.  An outer ball's 50 z are
+    tested as one draw; a hit at row k rewinds the stream and redraws k + 1
+    rows, leaving it where 50 single draws stopping at the hit leave it."""
     _topo._require_c(space)
     for _ in range(200):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.3, 0.7))
         scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
         outer = _balls.Ball(space, x, level, scale)
-        for _ in range(50):
-            z = x + 0.3 * rng.standard_normal(space.dim)
-            if _chain_feasible(space, outer, z):
-                return outer, z
+        state = rng.bit_generator.state
+        ok = _chain_feasible(space, outer, x + 0.3 * rng.standard_normal((50, space.dim)))
+        if ok.any():
+            rng.bit_generator.state = state
+            return outer, x + 0.3 * rng.standard_normal((np.argmax(ok) + 1, space.dim))[-1]
     raise InfeasibleConstruction(reason)
 
 
@@ -470,7 +471,7 @@ def _intersection(inp: Inputs) -> _topo.Witness:
     outer, z = _feasible_refinement_input(space, rng, reason=reason)
     other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
-    if not _chain_feasible(space, other, z):
+    if not _chain_feasible(space, other, z[None, :])[0]:
         raise InfeasibleConstruction(reason)
     return _topo.basis_intersection_witness(space, outer, other, z, inp.small,
                                             samples=inp.witness_samples)

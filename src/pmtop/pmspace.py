@@ -584,20 +584,17 @@ def _broken(values: dict[str, np.ndarray], absolute: bool, eps: float) -> np.nda
 
 def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarray]],
                   fields: Callable[[int], dict[str, Any]], budget: SampleBudget, *,
-                  absolute: bool = False, broken: Callable | None = None,
-                  size: int = DELTA2_CHUNK, samples: int | None = None,
-                  notes: dict[str, Any] | None = None) -> CheckReport:
+                  absolute: bool = False, size: int = DELTA2_CHUNK,
+                  samples: int | None = None, notes: dict[str, Any] | None = None) -> CheckReport:
     """The report of an inequality over n samples taken in blocks of size.
     block(b) gives the grid-major values of the samples in slice b, lhs and
     rhs among them, each (probes, samples) or broadcast to it; a sample
-    breaks it where its largest gap exceeds budget.epsilon, and broken(b),
-    when given, is that block's mask, which may skip evaluating the block.
-    A broken sample r is recorded as fields(r) plus its values at its first
-    largest gap, from its block evaluated once more."""
+    breaks it where its largest gap exceeds budget.epsilon.  A broken
+    sample r is recorded as fields(r) plus its values at its first largest
+    gap, from its block evaluated once more."""
     blocks = _blocks(n, size)
-    broken = broken or (lambda b: _broken(block(b), absolute, budget.epsilon))
-    rows = np.concatenate([b.start + np.flatnonzero(broken(b)[:n - b.start])
-                           for b in blocks])
+    rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool)] + [
+        _broken(block(b), absolute, budget.epsilon) for b in blocks]))
 
     @lru_cache(maxsize=1)
     def values(k: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -633,19 +630,16 @@ class _Delta2Scan:
     no row among the first n breaks (the first n rows of the draw are the
     n-row draw, bit for bit), and declared, the report of the space's
     declared constant on every row.  The (grid, rows) matrices live for one
-    block.  A row's verdict reads only that row, so every mask and record
-    is the one a single full-matrix evaluation gives.
+    block.  A row's verdict reads only that row, so every verdict and
+    record is the one a single full-matrix evaluation gives.
 
     Where c is a power of two, every grid quotient t/c is exact and c *
     sigma(x) is exact with the bits of sigma(2x), the row's two sides are
     kernel(t, c*s) and kernel(t/c, s), the same floats by the kernel's
     scaling contract (ModularMap), so its gap is exactly 0 and it holds.
-    These rows are marked once per candidate; a block whose rows are all
-    marked gets an all-False mask without being evaluated, and every other
-    block is evaluated whole.  On the valid reference instances sigma(2x)
-    is 2**p sigma(x) bit for bit, so their declared constant c = 2**p is
-    settled without a kernel call, and the two questions evaluate no
-    (c, block) twice: the blocks they share are settled ones.
+    Only the other rows, the open ones, are evaluated.  On the valid
+    reference instances sigma(2x) is 2**p sigma(x) bit for bit, so no row
+    is open at their declared constant c = 2**p.
     """
 
     def __init__(self, space: PMSpace, budget: SampleBudget):
@@ -655,50 +649,45 @@ class _Delta2Scan:
         self._grid = budget.grid_array()[:, None]
         self._S = space.sigma(X)
         self._S2 = space.sigma(2.0 * X)
-        self._settled: dict[float, np.ndarray] = {}
 
-    def _block(self, c: float, b: slice) -> dict[str, np.ndarray]:
-        """The grid t, lhs and rhs on the rows of block b.  Where t/c
-        overflows, mu_x is read at the largest float: at inf the rational
-        kernel gives inf/inf, a NaN whose gap exceeds no eps."""
+    def _block(self, c: float, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """The grid t, lhs and rhs on the given rows.  Where t/c overflows,
+        mu_x is read at the largest float: at inf the rational kernel gives
+        inf/inf, a NaN whose gap exceeds no eps."""
         with np.errstate(over="ignore"):
             q = np.minimum(self._grid / c, np.finfo(float).max)
-        return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[b]),
-                "rhs": self.space.kernel(q, self._S[b])}
+        return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[rows]),
+                "rhs": self.space.kernel(q, self._S[rows])}
 
-    def _settled_blocks(self, c: float) -> np.ndarray:
-        """Per block of DELTA2_CHUNK rows, whether every row of it is marked
-        for c: c is a power of two, every t/c is exact, and c * sigma(x) is
-        exact with the bits of sigma(2x)."""
-        if c not in self._settled:
-            marked = np.zeros(len(self._S), dtype=bool)
-            if math.frexp(c)[0] == 0.5:
-                with np.errstate(over="ignore", under="ignore"):
-                    q, cS = self._grid / c, c * self._S
-                if _scaled_exactly(q, self._grid, c).all():
-                    marked = (_scaled_exactly(self._S, cS, c)
-                              & (_float_bits(cS) == _float_bits(self._S2)))
-            self._settled[c] = np.logical_and.reduceat(
-                marked, np.arange(0, marked.size, DELTA2_CHUNK))
-        return self._settled[c]
-
-    def broken(self, c: float, b: slice) -> np.ndarray:
-        """The rows of block b that break the inequality for c; all False,
-        unevaluated, where every row of the block is marked."""
-        if self._settled_blocks(c)[b.start // DELTA2_CHUNK]:
-            return np.zeros(len(self._S[b]), dtype=bool)
-        return _broken(self._block(c, b), False, self.budget.epsilon)
+    def _open_rows(self, c: float, n: int) -> np.ndarray:
+        """The indices of the rows among the first n whose gap for c is not
+        settled: every row, unless c is a power of two and every t/c is
+        exact, and then the rows whose c * sigma(x) is not exact with the
+        bits of sigma(2x)."""
+        S = self._S[:n]
+        if math.frexp(c)[0] == 0.5:
+            with np.errstate(over="ignore", under="ignore"):
+                q, cS = self._grid / c, c * S
+            if _scaled_exactly(q, self._grid, c).all():
+                return np.flatnonzero(~_scaled_exactly(S, cS, c)
+                                      | (_float_bits(cS) != _float_bits(self._S2[:n])))
+        return np.arange(len(S))
 
     def smallest(self, candidates: tuple[float, ...], n: int) -> float | None:
         """The smallest candidate c no row among the first n breaks; None
         when every candidate is broken.  The candidates are checked before
         any is tested.  Only emptiness is asked, so each candidate is tested
-        on the blocks in row order and ruled out at the first block holding
-        a broken row."""
+        on its open rows in blocks, in row order, and ruled out at the first
+        block holding a broken row."""
         check_numbers(candidates, "candidates", above=0)
-        return next((float(c) for c in sorted(candidates)
-                     if not any(np.any(self.broken(c, b)[:n - b.start])
-                                for b in _blocks(n))), None)
+        eps = self.budget.epsilon
+
+        def holds(c: float) -> bool:
+            rows = self._open_rows(c, n)
+            return not any(_broken(self._block(c, rows[b]), False, eps).any()
+                           for b in _blocks(rows.size))
+
+        return next((float(c) for c in sorted(candidates) if holds(c)), None)
 
     def declared(self) -> CheckReport:
         """The report of the space's declared constant on every row: each
@@ -706,9 +695,10 @@ class _Delta2Scan:
         c = self.space.declared_c
         if c is None:
             raise PreconditionError("space declares no doubling constant")
-        return _block_report("delta2_declared", len(self.X), lambda b: self._block(c, b),
-                             lambda r: {"x": self.X[r].tolist(), "c": c}, self.budget,
-                             broken=lambda b: self.broken(c, b), notes={"c": c})
+        rows = self._open_rows(c, len(self.X))
+        return _block_report("delta2_declared", rows.size, lambda b: self._block(c, rows[b]),
+                             lambda k: {"x": self.X[rows[k]].tolist(), "c": c}, self.budget,
+                             samples=len(self.X), notes={"c": c})
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:

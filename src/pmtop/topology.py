@@ -124,11 +124,11 @@ def _require_beta(space: PMSpace) -> float:
     return space.declared_beta
 
 
-def chain_anchor(space: PMSpace, outer: Ball, z: Vector) -> float:
-    """mu_(x-z)(t/c) for outer = B(x, alpha, t): the doubling chain certifies
-    an inner ball around z only where this clears 1 - alpha."""
-    return float(space.kernel(np.asarray(outer.scale / _require_c(space)),
-                              space.sigma1(outer.center - z)))
+def chain_anchor(space: PMSpace, outer: Ball, Z: np.ndarray) -> np.ndarray:
+    """mu_(x-z)(t/c) for each row z of Z and outer = B(x, alpha, t): the doubling
+    chain certifies an inner ball around z only where this clears 1 - alpha."""
+    return space.kernel(np.asarray(outer.scale / _require_c(space)),
+                        space.sigma(outer.center - Z))
 
 
 def _parameter(name: str, compute: Callable[[], float]) -> float:
@@ -179,23 +179,23 @@ def refine_ball(space: PMSpace, outer: Ball, z: Vector, budget: SampleBudget,
     sig = space.sigma1(outer.center - z)
     cut = 1.0 - alpha
 
-    anchor = chain_anchor(space, outer, z)
+    def mu(tau: float) -> float:   # mu_(x-z)(tau/c), the chain's bound at split tau
+        return float(space.kernel(np.asarray(tau / c), sig))
+
+    anchor = mu(t)
     if not anchor > cut + budget.epsilon:
         raise InfeasibleConstruction(
             f"mu_(x-z)(t/c) = {anchor} fails to clear 1 - alpha = {cut}: "
             "the doubling chain cannot certify any inner ball here "
             "(doubling constant too small or point too close to the boundary)")
 
-    def feasible(tau: float) -> bool:
-        return float(space.kernel(np.asarray(tau / c), sig)) > cut
-
-    tau_lo = _bisect_infimum(feasible, t)
+    tau_lo = _bisect_infimum(lambda tau: mu(tau) > cut, t)
     if tau_lo >= t:
         raise InfeasibleConstruction(
             "no interior scale split satisfies the doubling-chain bound "
             f"down to float granularity (outer scale {t})")
     split = 0.5 * (tau_lo + t)
-    mu_split = float(space.kernel(np.asarray(split / c), sig))
+    mu_split = mu(split)
     member_level = 1.0 - alpha / 2.0           # midpoint of (1 - alpha, 1)
     m = min(mu_split, member_level)
     slack = 0.5 * ((1.0 - m) + alpha)          # midpoint of (1 - m, alpha)

@@ -6,8 +6,8 @@ doubling-constant searches, the all-four axiom check, the unblocked
 doubling records and declared check, the full-matrix homogeneity check,
 the per-function admissibility check, the fixed-step regularity
 bisection, the hand-written witness and verdict records, the per-ball
-disjointness loop and the kernels that broadcast their arguments first are
-kept here as references: the batched code must
+disjointness loop, the one-candidate refinement-input search and the
+kernels that broadcast their arguments first are kept here as references: the batched code must
 return the same bits, the same diagnostics and byte-identical registry
 reports.
 """
@@ -628,29 +628,39 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
         # rounded to 0, so no row is settled at c = 2.
         grids["subnormal-exact"] = (2.0 ** -1073, 3 * 2.0 ** -1070, 1e-3, 1.0)
         grids["subnormal-inexact"] = (5e-324, 1e-3, 1.0)
+    every = np.arange(1500)
     for grid_name, t_grid in grids.items():
         budget = p.SampleBudget(n_vectors=1500, t_grid=t_grid, rng_seed=3)
         scan = _Delta2Scan(space, budget)
         for c in SCAN_CANDIDATES + (space.declared_c,):
-            for b in P._blocks(1500):
-                got = scan.broken(c, b)
-                want = P._broken(scan._block(c, b), False, budget.epsilon)
-                assert got.dtype == bool and np.array_equal(got, want), (grid_name, c, b)
-        settled = scan._settled_blocks(2.0)
+            full = scan._block(c, every)
+            gap = full["rhs"] - full["lhs"]
+            want = P._broken(full, False, budget.epsilon)
+            rows = scan._open_rows(c, 1500)
+            assert rows.dtype.kind == "i" and np.array_equal(rows, np.unique(rows))
+            # A row left out has a gap of exactly 0, so it holds.
+            assert np.all(np.delete(gap, rows, axis=1) == 0.0), (grid_name, c)
+            got = np.zeros(1500, dtype=bool)
+            got[rows] = P._broken(scan._block(c, rows), False, budget.epsilon)
+            assert np.array_equal(got, want), (grid_name, c)
+            assert scan.smallest((c,), 1500) == (None if want.any() else c)
+            for n in (DELTA2_CHUNK // 2 + 3, 1000):
+                assert np.array_equal(scan._open_rows(c, n), rows[rows < n])
+        declared = scan._open_rows(space.declared_c, 1500)
+        settled_at_2 = np.setdiff1d(every, scan._open_rows(2.0, 1500))
         if name == "break_pm2":
-            # sigma is 0 on both sides of some rows only: blocks mixing
-            # marked rows with broken ones are evaluated whole.
-            marked = P._float_bits(2.0 * scan._S) == P._float_bits(scan._S2)
-            assert not settled.any()
-            assert any(0 < marked[b].sum() < marked[b].size and scan.broken(2.0, b).any()
-                       for b in P._blocks(1500))
+            # sigma is 0 on both sides of some rows only: those are settled
+            # at c = 2, and some of the open rows break it.
+            assert 0 < settled_at_2.size < 1500
+            assert scan.smallest((2.0,), 1500) is None
         elif name == "break_delta2_declaration":
-            assert not scan._settled_blocks(space.declared_c).any()
-            assert scan.broken(space.declared_c, slice(0, DELTA2_CHUNK)).any()
+            assert np.array_equal(declared, every)
+            assert scan.declared().n_violations > 0
         elif grid_name == "subnormal-inexact":
-            assert not settled.any()
+            assert settled_at_2.size == 0
         else:
-            assert scan._settled_blocks(space.declared_c).all()
+            assert declared.size == 0
+            assert scan.declared().n_violations == 0
 
 
 @pytest.mark.parametrize("mutation", [None, "break_delta2_declaration"])
@@ -659,23 +669,24 @@ def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
     space = F.generate_instance(0, "rational_from", mutation)
     evaluated = []
     block = _Delta2Scan._block
-    monkeypatch.setattr(_Delta2Scan, "_block", lambda self, c, b: (
-        evaluated.append((c, b.start)) or block(self, c, b)))
+    monkeypatch.setattr(_Delta2Scan, "_block", lambda self, c, rows: (
+        evaluated.extend((c, int(r)) for r in rows) or block(self, c, rows)))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"instance": space.to_config(),
                                "budget": {"n_vectors": 2000, "rng_seed": 0}}))
     code = cli.main(["check-delta2", "--config", str(cfg),
                      "--out", str(tmp_path / "report.ndjson")])
-    at_declared = {start for c, start in evaluated if c == space.declared_c}
+    at_declared = {row for c, row in evaluated if c == space.declared_c}
     if mutation is not None:
-        assert code == 1 and at_declared == set(range(0, 2000, DELTA2_CHUNK))
+        # Every row is open at the declared constant.
+        assert code == 1 and at_declared == set(range(2000))
         return
     # The candidates below the declared 2 are still ruled out by evaluation.
     assert code == 0 and evaluated and not at_declared
     assert len(set(evaluated)) == len(evaluated)
     # Nor does a registry run, whose two doubling predicates share one scan,
-    # evaluate any (c, block) twice on a valid instance: a cache of block
-    # masks would save no evaluation.
+    # evaluate any (c, row) twice on a valid instance, or any row at its
+    # declared constant.
     for family in ("rational_from", "step_from"):
         spaces = [F.generate_instance(seed, family) for seed in (0, 1, 2, 4)]
         assert sorted(space.dim for space in spaces) == [1, 2, 3, 4]
@@ -1237,14 +1248,71 @@ def test_disjointness_evidence_matches_the_per_ball_loop():
     assert failing >= 10
 
 
+def anchor_spaces():
+    """Valid spaces of both families and instances of every mutation."""
+    return ([p.rational_space(p.PPower(p=2.0), 2, declared_c=4.0)]
+            + [F.generate_instance(seed, family) for family in ("rational_from", "step_from")
+               for seed in range(4)]
+            + [F.generate_instance(seed, F.MUTATION_FAMILY[kind], kind)
+               for kind in F.MUTATION_KINDS for seed in range(2)])
+
+
 def test_chain_anchor_is_the_hand_formula():
-    space = p.rational_space(p.PPower(p=2.0), 2, declared_c=4.0)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        outer = p.Ball(space, rng.standard_normal(2), 0.5, float(rng.uniform(0.5, 2.0)))
-        z = rng.standard_normal(2)
-        assert T.chain_anchor(space, outer, z) == float(space.kernel(
-            np.asarray(outer.scale / space.declared_c), space.sigma1(outer.center - z)))
+    for space in anchor_spaces():
+        for rows in (1, 7, 50):
+            outer = p.Ball(space, rng.standard_normal(space.dim), 0.5,
+                           float(rng.uniform(0.5, 2.0)))
+            Z = outer.center + 0.3 * rng.standard_normal((rows, space.dim))
+            got = T.chain_anchor(space, outer, Z)
+            want = [float(space.kernel(np.asarray(outer.scale / space.declared_c),
+                                       space.sigma1(outer.center - z))) for z in Z]
+            assert got.shape == (rows,)
+            assert P._float_bits(got).tolist() == P._float_bits(want).tolist()
+
+
+def reference_feasible_refinement_input(space, rng, reason="no feasible refinement input found"):
+    """The refinement-input search one candidate at a time, each a scalar
+    membership test and a scalar doubling-chain anchor."""
+    c = T._require_c(space)
+    for _ in range(200):
+        x = rng.standard_normal(space.dim)
+        level = float(rng.uniform(0.3, 0.7))
+        scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+        outer = B.Ball(space, x, level, scale)
+        for _ in range(50):
+            z = x + 0.3 * rng.standard_normal(space.dim)
+            anchor = float(space.kernel(np.asarray(scale / c), space.sigma1(x - z)))
+            if B.contains(outer, z) and anchor > 1.0 - level + 1e-6:
+                return outer, z
+    raise p.InfeasibleConstruction(reason)
+
+
+def refinement_search(search, space, rng):
+    """The search's (outer, z) bits, or its error, and the stream state after it."""
+    try:
+        outer, z = search(space, rng)
+        got = (outer.to_config(), P._float_bits(z).tolist())
+    except p.InfeasibleConstruction as exc:
+        got = str(exc)
+    return got, rng.bit_generator.state
+
+
+def test_refinement_input_search_replays_the_one_candidate_stream():
+    # The criterion-5 spaces, the generated ones, and each at declared
+    # constants that make the search hit at once (0.5), late or never (1e6).
+    spaces = [p.rational_space(p.PPower(p=1.0), d, declared_c=2.0) for d in (1, 2)]
+    spaces += anchor_spaces()[1:]
+    infeasible = 0
+    for i, space in enumerate(spaces):
+        for c in (space.declared_c, 1.01, 0.5) + ((1e6,) if i < 2 else ()):
+            space_c = replace(space, declared_c=c)
+            ref, got = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(1 if c == 1e6 else 4):
+                want = refinement_search(reference_feasible_refinement_input, space_c, ref)
+                assert refinement_search(F._feasible_refinement_input, space_c, got) == want
+                infeasible += isinstance(want[0], str)
+    assert infeasible >= 2
 
 
 def test_convergence_verdict_records_and_suffix_rule_match_the_references():

@@ -106,6 +106,18 @@ def test_registry_runs_are_byte_identical():
     assert one == two
 
 
+def test_a_registry_run_with_a_non_finite_record_is_not_written_as_json():
+    # Strict JSON has no NaN or Infinity tokens: to_json raises, as the CLI's
+    # report lines do, instead of writing a line a strict parser rejects.
+    run = p.run_registry(F.generate_instance(2, "rational_from", None), BUDGET,
+                         predicates=["pm1"])
+    run.to_json()
+    for bad in (float("nan"), float("inf")):
+        run.results["pm1"] = F.PredicateResult("pass", {"gap": bad})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run.to_json()
+
+
 def test_registry_subset_runs_only_requested_predicates():
     inst = F.generate_instance(2, "rational_from", None)
     run = p.run_registry(inst, BUDGET, predicates=["pm3"])
