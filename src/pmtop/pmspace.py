@@ -203,7 +203,14 @@ class ModularMap:
     c; the bound keeps every sum of two such values finite, and a sum below
     the normal range is exact, so rounding commutes with the scaling.  The
     doubling scan relies on this to settle rows without evaluating them
-    (_Delta2Scan).
+    (_Delta2Scan).  Every kernel is also non-decreasing in t wherever t + s
+    is finite: the step kernels exactly, the rational one up to rounding.
+    Its sum and quotient each lie within a relative 2**-53 of exact, so
+    where the rounding of t + s moves it can fall by less than four ulps.
+
+    kernel1(t, s) is the scalar entry point: for floats t and s, s >= 0 or
+    NaN, it returns as a float the bits kernel(t, s) holds, computed with
+    the same IEEE operations on Python floats, without numpy's dispatch.
     """
 
     family: str = ""
@@ -212,6 +219,9 @@ class ModularMap:
         self.rho = rho
 
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def kernel1(self, t: float, s: float) -> float:
         raise NotImplementedError
 
     def to_config(self) -> dict[str, Any]:
@@ -241,6 +251,9 @@ class RationalFrom(ModularMap):
         np.copyto(denominator, 0.0, where=~(T > 0))
         return denominator
 
+    def kernel1(self, t: float, s: float) -> float:
+        return t / (t + s) if t > 0 else 0.0
+
 
 class StepFrom(ModularMap):
     family = "step_from"
@@ -249,6 +262,9 @@ class StepFrom(ModularMap):
         # S = sigma(x) >= 0, so t > S already implies t > 0.
         T, S = np.asarray(T, dtype=float), np.asarray(S, dtype=float)
         return np.asarray(T > S, dtype=float)
+
+    def kernel1(self, t: float, s: float) -> float:
+        return 1.0 if t > s else 0.0
 
 
 class ClosedStepFrom(ModularMap):
@@ -261,6 +277,9 @@ class ClosedStepFrom(ModularMap):
         if _all_positive(T):
             return np.asarray(T >= S, dtype=float)
         return np.asarray((T >= S) & (T > 0), dtype=float)
+
+    def kernel1(self, t: float, s: float) -> float:
+        return 1.0 if t >= s and t > 0 else 0.0
 
 
 class FlooredMap(ModularMap):
@@ -277,6 +296,12 @@ class FlooredMap(ModularMap):
     def kernel(self, T: np.ndarray, S: np.ndarray) -> np.ndarray:
         T = np.asarray(T, dtype=float)
         return np.where(T < 0, 0.0, np.maximum(self.base.kernel(T, S), self.floor))
+
+    def kernel1(self, t: float, s: float) -> float:
+        if t < 0:
+            return 0.0
+        v = self.base.kernel1(t, s)    # np.maximum keeps v where v > floor or v is NaN
+        return v if v > self.floor or v != v else self.floor
 
     def to_config(self) -> dict[str, Any]:
         cfg = self.base.to_config()

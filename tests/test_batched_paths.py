@@ -6,10 +6,11 @@ doubling-constant searches, the all-four axiom check, the unblocked
 doubling records and declared check, the full-matrix homogeneity check,
 the per-function admissibility check, the fixed-step regularity
 bisection, the hand-written witness and verdict records, the per-ball
-disjointness loop, the one-candidate refinement-input search and the
-kernels that broadcast their arguments first are kept here as references: the batched code must
-return the same bits, the same diagnostics and byte-identical registry
-reports.
+disjointness loop, the one-candidate refinement-input search, the
+refinement split read from the array kernel and the kernels that
+broadcast their arguments first are kept here as references: the
+batched code must return the same bits, the same diagnostics and
+byte-identical registry reports.
 """
 
 import itertools
@@ -1315,6 +1316,89 @@ def test_refinement_input_search_replays_the_one_candidate_stream():
     assert infeasible >= 2
 
 
+def reference_refinement(space, outer, z, epsilon):
+    """refine_ball's split, bound at the split, slack and inner ball, with mu
+    read from the array kernel at a 0-d t; or the name of the bound that
+    makes it infeasible."""
+    c = space.declared_c
+    alpha, t = outer.level, outer.scale
+    sig = space.sigma1(outer.center - z)
+    cut = 1.0 - alpha
+
+    def mu(tau):
+        return float(space.kernel(np.asarray(tau / c), sig))
+
+    if not mu(t) > cut + epsilon:
+        return "anchor"
+    tau_lo = T._bisect_infimum(lambda tau: mu(tau) > cut, t)
+    if tau_lo >= t:
+        return "granularity"
+    split = 0.5 * (tau_lo + t)
+    mu_split = mu(split)
+    member_level = 1.0 - alpha / 2.0
+    m = min(mu_split, member_level)
+    slack = 0.5 * ((1.0 - m) + alpha)
+    if not (m > 1.0 - slack > 1.0 - alpha):
+        return "slack"
+    inner = p.Ball(space, z, 1.0 - member_level, (t - split) / c)
+    return P._float_bits([split, mu_split, slack]).tolist(), inner.to_config()
+
+
+INFEASIBLE_REFINEMENTS = {"anchor": "fails to clear", "granularity": "float granularity",
+                          "slack": "slack selection failed"}
+
+
+def test_refine_ball_matches_the_array_kernel_reference(monkeypatch):
+    # Every family, the floored maps, every mutation, and declared constants
+    # that make most inputs feasible (1.01) or none (1e6).  The step space
+    # with z at sigma just below t/c has no interior split.
+    rho = p.PPower(p=1.0)
+    spaces = anchor_spaces() + [
+        PMSpace(dim=2, modular_map=ClosedStepFrom(rho), declared_c=2.0),
+        PMSpace(dim=1, modular_map=FlooredMap(StepFrom(rho), 0.1), declared_c=2.0),
+        PMSpace(dim=1, modular_map=FlooredMap(RationalFrom(rho), 0.1), declared_c=2.0)]
+    step = p.step_space(rho, 1, declared_c=2.0)
+    inputs = [(step, p.Ball(step, np.zeros(1), 0.5, 1.0),
+               -np.array([np.nextafter(0.5, 0.0)]))]
+    rng = np.random.default_rng(8)
+    for space in spaces:
+        for c in (space.declared_c, 1.01, 1e6):
+            space_c = replace(space, declared_c=c)
+            for _ in range(8):
+                x = rng.standard_normal(space.dim)
+                outer = p.Ball(space_c, x, float(rng.uniform(0.3, 0.7)),
+                               float(rng.uniform(0.5, 2.0)))
+                z = x + 0.3 * rng.standard_normal(space.dim)
+                if B.contains(outer, z):
+                    inputs.append((space_c, outer, z))
+    # Without its sampled evidence, refine_ball evaluates the array kernel
+    # once: the membership test of z.
+    monkeypatch.setattr(T, "containment_report", lambda *args: None)
+    shapes = []
+    kernel = p.PMSpace.kernel
+
+    def counting(space, T_, S):
+        shapes.append(np.shape(T_))
+        return kernel(space, T_, S)
+
+    monkeypatch.setattr(p.PMSpace, "kernel", counting)
+    budget = p.SampleBudget()
+    outcomes = set()
+    for space, outer, z in inputs:
+        want = reference_refinement(space, outer, z, budget.epsilon)
+        shapes.clear()
+        try:
+            w = T.refine_ball(space, outer, z, budget)
+            got = (P._float_bits([w.split, w.mu_at_split, w.slack]).tolist(),
+                   w.inner.to_config())
+        except p.InfeasibleConstruction as exc:
+            got = next(k for k, text in INFEASIBLE_REFINEMENTS.items() if text in str(exc))
+        assert got == want
+        assert len(shapes) == 1
+        outcomes.add(want if isinstance(want, str) else "feasible")
+    assert outcomes == {"feasible", "anchor", "granularity"}
+
+
 def test_convergence_verdict_records_and_suffix_rule_match_the_references():
     rng = np.random.default_rng(0)
     ns = C.probe_schedule(1000)
@@ -1420,6 +1504,63 @@ def test_kernels_match_the_broadcasting_reference_in_bits_and_shape():
                     got, want = mm.kernel(np.asarray(t), s), reference_kernel(mm, t, s)
                 assert isinstance(got, np.ndarray) and got.shape == ()
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, s)
+
+
+def scalar_kernel_maps():
+    """Every family, and each floored at 0.3, at the steps' 1.0 and at -0.0."""
+    rho = p.PPower(p=1.0)
+    maps = [family(rho) for family in P._FAMILIES.values()]
+    return maps + [FlooredMap(mm, floor) for mm in maps for floor in (0.3, 1.0, -0.0)]
+
+
+def test_scalar_kernels_match_the_array_kernels_in_bits():
+    # kernel1 on floats against kernel on 0-d arrays.  The contract takes
+    # s >= 0 or NaN: Python raises ZeroDivisionError where numpy divides t by
+    # t + s = 0, and only s = -t < 0 reaches that.  A floor of -0.0 checks
+    # which of two equal values np.maximum keeps.
+    for mm in scalar_kernel_maps():
+        for t in (np.nan, -0.0, 0.0, -1.0, 5e-324, 1e-300, 0.5, 1e300, np.inf, -np.inf):
+            for s in (0.0, 5e-324, 0.5, 2.0, 1e300, np.inf, np.nan):
+                got = mm.kernel1(t, s)
+                with np.errstate(invalid="ignore"):
+                    want = mm.kernel(np.asarray(t), np.asarray(s))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes(), (mm, t, s)
+
+
+def ulp_walk(start, first, stop):
+    """The floats first, ..., stop - 1 ulps above the positive float start."""
+    return (np.asarray(start).view(np.int64) + np.arange(first, stop)).view(float)
+
+
+def test_kernels_are_non_decreasing_in_t_along_ulp_walks():
+    # The monotonicity contract of ModularMap: along consecutive floats t,
+    # the step kernels never fall, and the rational kernel falls by less than
+    # four ulps of its value, where the rounding of t + s moves.  These walks
+    # fall by one or two.  Half the walks cross t = s, where the steps jump;
+    # three cross t = 0 below the normal range, where the floored maps jump.
+    rng = np.random.default_rng(21)
+    steps = 40_000
+    subnormals = ulp_walk(5e-324, 0, steps // 2)
+    walks = [(np.concatenate([-subnormals[::-1], [-0.0, 0.0], subnormals]), s)
+             for s in (0.0, 5e-324, 1e-320)]
+    for i in range(200):
+        s = float(np.exp(rng.uniform(-20.0, 20.0)))
+        walks.append((ulp_walk(s, -steps // 2, steps // 2) if i % 2 else
+                      ulp_walk(s * float(np.exp(rng.uniform(-5.0, 5.0))), 0, steps), s))
+    backs = 0
+    for mm in scalar_kernel_maps():
+        rational = isinstance(getattr(mm, "base", mm), RationalFrom)
+        for t, s in walks:
+            k = mm.kernel(t, s)
+            fall = k[:-1] - k[1:]
+            if not rational:
+                assert np.all(fall <= 0), (mm, s)
+                continue
+            back = fall > 0
+            assert np.all(fall[back] < 4 * np.spacing(k[:-1][back])), (mm, s)
+            backs += int(back.sum())
+    assert backs > 1000
 
 
 # Values where a float sum or maximum is easy to get wrong: signed zeros,
