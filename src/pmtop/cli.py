@@ -6,9 +6,12 @@ self-describing JSON object in canonical form (sorted keys, compact
 separators, no timestamps), so identical flags produce byte-identical
 reports and the files stay grep-able.
 
-check-axioms, ball-identities and the witness-* subcommands validate their
-operation and name a selection of falsifier.PREDICATES; the registry's loop
-runs it at the whole budget, on the seed's own stream.
+Every subcommand but check-convergence and falsify validates its operation
+and names a selection of falsifier.PREDICATES (check-delta2: delta2_declared
+and delta2_estimate; check-homogeneous: beta_declared; check-regularity:
+regularity; check-axioms, ball-identities, witness-*: theirs); the
+registry's loop runs it at the whole budget, on the seed's own stream, and
+reports each check's own verdict, a probe's too.
 
 Exit codes: 0 all checks passed, 1 violations found, 2 infeasible or
 precondition failures only, 3 unreadable or invalid config, or a report
@@ -36,6 +39,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any, Collection, Iterator
 
 import numpy as np
@@ -46,17 +50,7 @@ from . import falsifier as _fals
 from . import topology as _topo
 from .distfn import (FieldError, SampleBudget, canonical_line, check_number, check_numbers,
                      default_t_grid)
-from .pmspace import (
-    AXIOMS,
-    DELTA2_CANDIDATES,
-    EXPONENT,
-    PMSpace,
-    _Delta2Scan,
-    _FAMILIES,
-    check_beta_homogeneous,
-    check_space_regularity,
-    space_from_config,
-)
+from .pmspace import AXIOMS, EXPONENT, PMSpace, _FAMILIES, space_from_config
 
 class ConfigError(Exception):
     pass
@@ -228,36 +222,26 @@ def _h_check_axioms(space, budget, cfg):
 
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
-    with _fields("operation"):
-        # One draw serves both lines.  smallest checks the candidates before
-        # it evaluates any; an empty list asks for the default ones.
-        candidates = op.get("candidates", [])
-        scan = _Delta2Scan(space, budget)
-        found = scan.smallest(candidates if candidates != [] else DELTA2_CANDIDATES,
-                              budget.n_vectors)
-    records = [{"check": "delta2_estimate", "seed": budget.rng_seed,
-                "estimated_c": found,
-                "verdict": "pass" if found is not None else "fail"}]
-    if space.declared_c is not None:
-        records.append(scan.declared().to_record())
-    return records
+    candidates = op.get("candidates", [])  # an empty list asks for the default ones
+    if candidates != []:
+        with _fields("operation"):
+            check_numbers(candidates, "candidates", above=0)
+    return _selection(space, budget, ["delta2_declared", "delta2_estimate"],
+                      candidates=candidates)
 
 
 def _h_check_homogeneous(space, budget, cfg):
     op = _operation(cfg, {"beta"}, "check-homogeneous")
-    if "beta" in op:
+    if "beta" in op:  # the exponent to check, in place of the declared one
         with _fields("operation"):
-            beta = float(check_number(op["beta"], "beta", **EXPONENT))
-    elif space.declared_beta is not None:
-        beta = float(space.declared_beta)
-    else:
-        raise ConfigError("check-homogeneous needs operation.beta or a declared exponent")
-    return [check_beta_homogeneous(space, beta, budget).to_record()]
+            space = replace(space, declared_beta=float(check_number(op["beta"], "beta",
+                                                                    **EXPONENT)))
+    return _selection(space, budget, ["beta_declared"])
 
 
 def _h_check_regularity(space, budget, cfg):
     _operation(cfg, set(), "check-regularity")
-    return [check_space_regularity(space, budget).to_record()]
+    return _selection(space, budget, ["regularity"])
 
 
 def _h_ball_identities(space, budget, cfg):

@@ -435,17 +435,10 @@ def _membership(inp: Inputs) -> PredicateResult:
 
 
 def _delta2_estimate(inp: Inputs) -> PredicateResult:
-    found = inp.delta2.smallest(DELTA2_CANDIDATES, min(inp.budget.n_vectors, 2000))
-    return PredicateResult(outcome="pass", record={"estimated_c": found})
-
-
-def _regularity(inp: Inputs) -> PredicateResult:
-    # A probe, not a requirement: valid spaces may lack the property, so
-    # the outcome stays "pass" and the finding is data.
-    rep = check_space_regularity(inp.space, inp.budget, max_points=64)
-    rec = rep.to_record()
-    rec.pop("verdict", None)
-    return PredicateResult(outcome="pass", record={"property_holds": rep.passed, **rec})
+    # An empty candidates list asks for the default candidates.
+    found = inp.delta2.smallest(inp.op.get("candidates") or DELTA2_CANDIDATES)
+    return PredicateResult(outcome="fail" if found is None else "pass",
+                           record={"estimated_c": found})
 
 
 def _refine(inp: Inputs) -> _topo.RefinementWitness:
@@ -509,7 +502,7 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
     ("delta2_estimate", None, _delta2_estimate),
     ("beta_declared", "declared_beta",
      lambda inp: check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget)),
-    ("regularity", None, _regularity),
+    ("regularity", None, lambda inp: check_space_regularity(inp.space, inp.budget)),
     ("translate_identity", None, lambda inp: _balls.translate_identity(
         inp.space, inp.point("x"), inp.op.get("level", 0.5), inp.op.get("scale", 1.0),
         inp.small)),
@@ -549,6 +542,10 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
     ("convergence_equiv", None, _convergence_equiv),
 )
 PREDICATE_NAMES = tuple(name for name, _, _ in PREDICATES)
+# Probes, not requirements: a valid space may lack the property, so the
+# registry files the check's verdict as the finding property_holds, with
+# outcome pass.  A selection reports the check's own verdict.
+PROBES = frozenset({"regularity"})
 
 _UNDECLARED = {"declared_c": "no declared doubling constant",
                "declared_beta": "no declared exponent"}
@@ -577,7 +574,8 @@ def run_registry(space: PMSpace, budget: SampleBudget,
     Auxiliary predicates cap both sample counts at 400 and witnesses take
     50 evidence samples, so a registry pass stays desk-scale; axiom checks
     run at the full budget, and default points come from the
-    registry_inputs stream.  A predicates subset restricts execution (used
+    registry_inputs stream.  A probe's report is filed as outcome pass, its
+    verdict as property_holds.  A predicates subset restricts execution (used
     for detection experiments over many seeds); a name outside PREDICATES
     raises ValueError.
     """
@@ -588,9 +586,15 @@ def run_registry(space: PMSpace, budget: SampleBudget,
                     n_scalar_pairs=min(budget.n_scalar_pairs, 400))
     inp = Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"), 50,
                  PREDICATE_NAMES if predicates is None else predicates)
+    results = run_predicates(inp)
+    for name in PROBES & results.keys():
+        record = dict(results[name].record)
+        if record.pop("verdict", None) is not None:  # the check ran, not the guard
+            results[name] = PredicateResult(outcome="pass", record={
+                "property_holds": results[name].outcome == "pass", **record})
     return FalsifierRun(seed=budget.rng_seed,
                         instance=instance or space.to_config(),
-                        budget=budget.to_config(), results=run_predicates(inp))
+                        budget=budget.to_config(), results=results)
 
 
 # ---------------------------------------------------------------------------

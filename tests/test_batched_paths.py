@@ -579,23 +579,22 @@ def canonical_report(rep):
 @pytest.mark.parametrize("name", sorted(DELTA2_SPACES))
 def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name):
     space = DELTA2_SPACES[name]
-    # Below one block, not a multiple of a block, and the registry's size.
+    # Below one block, not a multiple of a block, and the criterion-7
+    # registry budget's 10,000 rows.
     for n in (DELTA2_CHUNK // 2 + 3, 1500, 10_000):
         assert n < DELTA2_CHUNK or n % DELTA2_CHUNK
         budget = p.SampleBudget(n_vectors=n, n_scalar_pairs=10, rng_seed=5)
-        estimate = replace(budget, n_vectors=min(n, 2000))
         declared = canonical_report(reference_check_delta2_declared(space, budget))
         found = reference_find_delta2_full_scan(space, budget, p.DELTA2_CANDIDATES)
-        found_2000 = reference_find_delta2_full_scan(space, estimate, p.DELTA2_CANDIDATES)
 
         scan = _Delta2Scan(space, budget)   # smallest, then declared
-        assert scan.smallest(p.DELTA2_CANDIDATES, n) == found
+        assert scan.smallest(p.DELTA2_CANDIDATES) == found
         assert canonical_report(scan.declared()) == declared
-        scan = _Delta2Scan(space, budget)   # declared, then the 2,000-row prefix
+        scan = _Delta2Scan(space, budget)   # declared, then smallest
         assert canonical_report(scan.declared()) == declared
-        assert scan.smallest(p.DELTA2_CANDIDATES, estimate.n_vectors) == found_2000
+        assert scan.smallest(p.DELTA2_CANDIDATES) == found
         # The wrappers, each on its own draw.
-        assert p.find_delta2_constant(space, estimate) == found_2000
+        assert p.find_delta2_constant(space, budget) == found
         assert canonical_report(p.check_delta2_declared(space, budget)) == declared
     if name == "break_delta2_declaration":
         rep = p.check_delta2_declared(space, budget)
@@ -637,23 +636,21 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
             full = scan._block(c, every)
             gap = full["rhs"] - full["lhs"]
             want = P._broken(full, False, budget.epsilon)
-            rows = scan._open_rows(c, 1500)
+            rows = scan._open_rows(c)
             assert rows.dtype.kind == "i" and np.array_equal(rows, np.unique(rows))
             # A row left out has a gap of exactly 0, so it holds.
             assert np.all(np.delete(gap, rows, axis=1) == 0.0), (grid_name, c)
             got = np.zeros(1500, dtype=bool)
             got[rows] = P._broken(scan._block(c, rows), False, budget.epsilon)
             assert np.array_equal(got, want), (grid_name, c)
-            assert scan.smallest((c,), 1500) == (None if want.any() else c)
-            for n in (DELTA2_CHUNK // 2 + 3, 1000):
-                assert np.array_equal(scan._open_rows(c, n), rows[rows < n])
-        declared = scan._open_rows(space.declared_c, 1500)
-        settled_at_2 = np.setdiff1d(every, scan._open_rows(2.0, 1500))
+            assert scan.smallest((c,)) == (None if want.any() else c)
+        declared = scan._open_rows(space.declared_c)
+        settled_at_2 = np.setdiff1d(every, scan._open_rows(2.0))
         if name == "break_pm2":
             # sigma is 0 on both sides of some rows only: those are settled
             # at c = 2, and some of the open rows break it.
             assert 0 < settled_at_2.size < 1500
-            assert scan.smallest((2.0,), 1500) is None
+            assert scan.smallest((2.0,)) is None
         elif name == "break_delta2_declaration":
             assert np.array_equal(declared, every)
             assert scan.declared().n_violations > 0

@@ -585,6 +585,58 @@ def test_delta2_subcommand(tmp_path, capsys):
     assert by_check["delta2_declared"]["verdict"] == "pass"
 
 
+# The table entries each selection subcommand runs, in report order.
+SELECTIONS = {"check-delta2": ["delta2_declared", "delta2_estimate"],
+              "check-homogeneous": ["beta_declared"], "check-regularity": ["regularity"]}
+
+
+@pytest.mark.parametrize("family, mutation", [
+    ("rational_from", None), ("step_from", None),
+    *((F.MUTATION_FAMILY[kind], kind) for kind in F.MUTATION_KINDS)])
+def test_a_selection_reports_its_entries_as_the_registry_does(family, mutation):
+    # One verdict rule per predicate: a subcommand's record is the registry's
+    # record for the same entry at the same budget, except that the registry
+    # files a probe's verdict as property_holds with outcome pass.
+    space = F.generate_instance(2, family, mutation)
+    budget = SampleBudget(n_vectors=1500, n_scalar_pairs=1500, rng_seed=2)
+    run = F.run_registry(space, budget, predicates=sum(SELECTIONS.values(), []))
+    for command, names in SELECTIONS.items():
+        records = cli.HANDLERS[command](space, budget, {})
+        assert [rec["check"] for rec in records] == names
+        for name, rec in zip(names, records):
+            if name in F.PROBES:
+                rec = {**rec, "verdict": "pass", "property_holds": rec["verdict"] == "pass"}
+            assert cli._record(name, run.results[name]) == rec, (command, name)
+    if mutation == "break_pm2":
+        assert run.results["delta2_estimate"].outcome == "fail"
+    if family == "step_from" and mutation is None:
+        assert run.results["regularity"].record["property_holds"] is False
+
+
+@pytest.mark.parametrize("command, drop, check, reason", [
+    ("check-delta2", "declared_c", "delta2_declared", "no declared doubling constant"),
+    ("check-homogeneous", "declared_beta", "beta_declared", "no declared exponent"),
+])
+def test_a_selected_entry_without_its_declaration_is_infeasible(tmp_path, capsys, command,
+                                                                drop, check, reason):
+    cfg = json.loads(json.dumps(HOMOGENEOUS))
+    del cfg["instance"][drop]
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec["check"] for rec in records] == SELECTIONS[command]
+    assert {key: records[0][key] for key in ("check", "verdict", "reason")} == {
+        "check": check, "verdict": "infeasible", "reason": reason}
+
+
+def test_falsify_fails_the_doubling_estimate_when_no_candidate_holds(tmp_path, capsys):
+    cfg = json.loads(json.dumps(RATIONAL))
+    cfg["operation"] = {"mutation": "break_pm2", "predicates": ["delta2_estimate"]}
+    assert cli.main(["falsify", "--config", write_config(tmp_path, cfg)]) == 1
+    (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert (rec["check"], rec["verdict"], rec["estimated_c"]) == ("delta2_estimate", "fail",
+                                                                  None)
+
+
 def test_falsify_on_valid_step_instance_reports_probe_findings_as_data(tmp_path):
     # The regularity probe's negative finding on a step family is data,
     # not a violation: the record keeps verdict pass with the flag false,

@@ -167,8 +167,9 @@ def test_doubling_constant_whose_quotients_overflow_fails(tmp_path, capsys, c, m
         "falsify", {"predicates": ["delta2_declared"], **mutated})][0] == "fail"
     if mutation is None:
         records = run_cli("check-delta2", {"candidates": [c]})
-        assert [r["verdict"] for r in records] == ["fail", "fail"]
-        assert records[0]["estimated_c"] is None
+        assert [(r["check"], r["verdict"]) for r in records] == [
+            ("delta2_declared", "fail"), ("delta2_estimate", "fail")]
+        assert records[1]["estimated_c"] is None
 
 
 # -- homogeneity -------------------------------------------------------------
@@ -222,7 +223,7 @@ def test_object_level_and_space_level_regularity_agree():
     budget = p.SampleBudget(n_vectors=40, rng_seed=5)
     for sp in (p.rational_space(p.PPower(p=1.0), 2),
                p.step_space(p.WeightedAbs(weights=(1.0, 1.0)), 2)):
-        space_rep = p.check_space_regularity(sp, budget, max_points=40)
+        space_rep = p.check_space_regularity(sp, budget)
         rng = p.distfn.check_rng(budget.rng_seed, "regularity")
         X = p.pmspace.sample_vectors(rng, 40, sp.dim)
         per_object = all(
