@@ -6,12 +6,13 @@ self-describing JSON object in canonical form (sorted keys, compact
 separators, no timestamps), so identical flags produce byte-identical
 reports and the files stay grep-able.
 
-Every subcommand but check-convergence and falsify validates its operation
-and names a selection of falsifier.PREDICATES (check-delta2: delta2_declared
-and delta2_estimate; check-homogeneous: beta_declared; check-regularity:
-regularity; check-axioms, ball-identities, witness-*: theirs); the
-registry's loop runs it at the whole budget, on the seed's own stream, and
-reports each check's own verdict, a probe's too.
+Every subcommand but falsify validates its operation and names a selection
+of falsifier.PREDICATES (check-delta2: delta2_declared and delta2_estimate;
+check-homogeneous: beta_declared; check-regularity: regularity;
+check-convergence: convergence_equiv on the given sequence; check-axioms,
+ball-identities, witness-*: theirs); the registry's loop runs it at the
+whole budget, on the seed's own stream, and reports each check's own
+verdict, a probe's too.
 
 Exit codes: 0 all checks passed, 1 violations found, 2 infeasible or
 precondition failures only, 3 unreadable or invalid config, or a report
@@ -295,8 +296,7 @@ def _h_witness_continuity(space, budget, cfg):
 def _h_check_convergence(space, budget, cfg):
     op = _operation(cfg, {"sequence", "t_grid", "n_max", "local_base_depth"},
                     "check-convergence")
-    if "sequence" not in op:
-        raise ConfigError("check-convergence needs operation.sequence")
+    _require_fields(op, {"sequence"}, "operation")
     seq_cfg = op["sequence"]
     if not isinstance(seq_cfg, dict):
         raise ConfigError("operation.sequence must be an object")
@@ -309,29 +309,12 @@ def _h_check_convergence(space, budget, cfg):
                  if k in ("base", "direction", "candidate_limit")}
         seq = _conv.SequenceSpec(**{**seq_cfg, **typed})
     with _fields("operation"):
+        depth = _conv.base_depth(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH))
+        grid = _conv.scale_grid(op.get("t_grid", _conv.CONVERGENCE_GRID))
         n_max = op.get("n_max", _conv.N_MAX)
-        grid = op.get("t_grid", _conv.CONVERGENCE_GRID)
-        depth = check_number(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH),
-                             "local_base_depth", integer=True,
-                             at_most=_conv.MAX_LOCAL_BASE_DEPTH)
-        # check_mu_convergence checks the grid and n_max before it evaluates.
-        mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
-    topo_v = _conv.check_topological_convergence(space, seq, depth=depth, n_max=n_max)
-    equivalence = {"check": "convergence_equivalence", "seed": budget.rng_seed,
-                   "verdict": "pass" if mu_v.converges == topo_v.converges else "fail",
-                   "mu_converges": mu_v.converges,
-                   "topological_converges": topo_v.converges}
-    if topo_v.vacuous:
-        equivalence["verdict"] = "infeasible"
-        equivalence["reason"] = (f"local base of depth {depth} is empty, so the "
-                                 "topological verdict is vacuous")
-    return [
-        {"check": "mu_convergence", "verdict": "pass", "seed": budget.rng_seed,
-         **mu_v.to_record()},
-        {"check": "topological_convergence", "verdict": "pass",
-         "seed": budget.rng_seed, **topo_v.to_record()},
-        equivalence,
-    ]
+        _conv.probe_schedule(n_max)  # checks n_max
+    return _selection(space, budget, ["convergence_equiv"], sequence=seq, t_grid=grid,
+                      n_max=n_max, local_base_depth=depth)
 
 
 def _h_falsify(space, budget, cfg):
@@ -341,11 +324,9 @@ def _h_falsify(space, budget, cfg):
     if predicates is not None:
         if not isinstance(predicates, list) or not predicates:
             raise ConfigError("operation.predicates must be a non-empty list")
-        unknown = [name for name in predicates if name not in _fals.PREDICATE_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown predicates in operation.predicates: {unknown}")
-    run = _fals.run_registry(space, budget, predicates=predicates,
-                             instance=_fals.instance_config(space, op.get("mutation")))
+    with _fields("operation"):
+        run = _fals.run_registry(space, budget, predicates=predicates,
+                                 instance=_fals.instance_config(space, op.get("mutation")))
     return [_record(name, result) for name, result in run.results.items()]
 
 

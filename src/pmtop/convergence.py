@@ -22,7 +22,7 @@ import numpy as np
 
 from .balls import Ball, contains_many
 from .distfn import MAX_GRID_COUNT, FieldError, FieldRecord, check_number, check_numbers
-from .pmspace import PMSpace, Vector, as_vector
+from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
 N_MAX = 10 ** 6
@@ -91,6 +91,22 @@ class SequenceSpec:
         return cfg
 
 
+def scale_grid(t_grid: Any) -> np.ndarray:
+    """The value criterion's scales: a FieldError naming t_grid unless it is
+    a non-empty list of at most MAX_GRID_COUNT positive numbers."""
+    grid = np.asarray(check_numbers(t_grid, "t_grid", above=0), dtype=float)
+    if grid.size > MAX_GRID_COUNT:
+        raise FieldError(f"t_grid must hold at most {MAX_GRID_COUNT} numbers")
+    return grid
+
+
+def base_depth(depth: Any) -> int:
+    """The local base's depth: a FieldError naming local_base_depth unless it
+    is an integer of at most MAX_LOCAL_BASE_DEPTH."""
+    return check_number(depth, "local_base_depth", integer=True,
+                        at_most=MAX_LOCAL_BASE_DEPTH)
+
+
 def probe_schedule(n_max: int) -> np.ndarray:
     """Geometric index schedule 1, 2, 4, ... capped by and including n_max."""
     check_number(n_max, "n_max", integer=True, at_least=1, at_most=MAX_N_MAX)
@@ -124,12 +140,9 @@ def check_mu_convergence(space: PMSpace, seq: SequenceSpec,
 
     For each scale t the verdict records the earliest probe index from
     which every later probe keeps 1 - mu_{x_n - x}(t) below EPS_CONV;
-    the sequence converges when every scale has one.  A grid of more than
-    MAX_GRID_COUNT scales is a FieldError, as it is in a budget.
+    the sequence converges when every scale has one.
     """
-    grid = np.asarray(check_numbers(t_grid, "t_grid", above=0), dtype=float)
-    if grid.size > MAX_GRID_COUNT:
-        raise FieldError(f"t_grid must hold at most {MAX_GRID_COUNT} numbers")
+    grid = scale_grid(t_grid)
     ns = probe_schedule(n_max)
     offsets = seq.values(ns) - seq.candidate_limit[None, :]
     gaps = 1.0 - space.mu_matrix(offsets, grid)        # (len(ns), len(grid))
@@ -150,7 +163,6 @@ def local_base(space: PMSpace, x: Vector, depth: int = LOCAL_BASE_DEPTH) -> list
 @dataclass
 class TopologicalVerdict(FieldRecord):
     converges: bool
-    vacuous: bool
     per_ball: list[dict[str, Any]]
     n_used: int
 
@@ -161,16 +173,16 @@ def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
     """Tail membership in every ball of the local base of the given depth
     at the candidate limit.
 
-    A depth below 2 leaves the base empty and the quantifier vacuous; the
-    verdict says so instead of silently reporting convergence.
+    A depth below 2 leaves the base empty, and a quantifier over no ball
+    would report convergence for any sequence: that is a PreconditionError.
     """
-    balls = local_base(space, seq.candidate_limit, depth)
-    if not balls:
-        return TopologicalVerdict(converges=True, vacuous=True, per_ball=[],
-                                  n_used=0)
+    if base_depth(depth) < 2:
+        raise PreconditionError(f"local base of depth {depth} is empty, so the "
+                                "topological criterion is vacuous")
     ns = probe_schedule(n_max)
     points = seq.values(ns)
     per_ball = [{"level": b.level, "scale": b.scale,
-                 "n0": settled_from(ns, contains_many(b, points))} for b in balls]
+                 "n0": settled_from(ns, contains_many(b, points))}
+                for b in local_base(space, seq.candidate_limit, depth)]
     return TopologicalVerdict(converges=all(r["n0"] is not None for r in per_ball),
-                              vacuous=False, per_ball=per_ball, n_used=int(ns[-1]))
+                              per_ball=per_ball, n_used=int(ns[-1]))

@@ -471,22 +471,28 @@ def _intersection(inp: Inputs) -> _topo.Witness:
 
 
 def _convergence_equiv(inp: Inputs) -> PredicateResult:
-    space = inp.space
+    """Both convergence criteria on each case: the operation's sequence, or a
+    drawn harmonic and constant-offset pair expected to converge and not to.
+    A case passes when the criteria agree and match its expected verdict."""
+    space, op = inp.space, inp.op
     v = inp.rng.standard_normal(space.dim)
-    if not np.any(v != 0.0):
-        v = np.ones(space.dim)
-    v = _rescale_to_sigma(space, v, 0.3)
-    grid = ((0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
-            else (0.5, 5.0, 50.0, 500.0))
-    rows = []
-    ok = True
-    for kind, expect in (("harmonic", True), ("constant_offset", False)):
-        seq = _conv.SequenceSpec(kind=kind, base=space.zero(), direction=v)
-        mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid)
-        topo_v = _conv.check_topological_convergence(space, seq)
-        ok &= mu_v.converges == topo_v.converges == expect
-        rows.append({"kind": kind, "mu": mu_v.converges,
-                     "topological": topo_v.converges, "expected": expect})
+    if "sequence" in op:
+        cases = [(op["sequence"], None)]
+    else:
+        v = _rescale_to_sigma(space, v if np.any(v != 0.0) else np.ones(space.dim), 0.3)
+        cases = [(_conv.SequenceSpec(kind=kind, base=space.zero(), direction=v), expect)
+                 for kind, expect in (("harmonic", True), ("constant_offset", False))]
+    grid = op.get("t_grid", (0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
+                  else (0.5, 5.0, 50.0, 500.0))
+    n_max = op.get("n_max", _conv.N_MAX)
+    depth = op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH)
+    rows, ok = [], True
+    for seq, expect in cases:
+        mu_v = _conv.check_mu_convergence(space, seq, t_grid=grid, n_max=n_max)
+        topo_v = _conv.check_topological_convergence(space, seq, depth=depth, n_max=n_max)
+        ok &= mu_v.converges == topo_v.converges and expect in (None, mu_v.converges)
+        rows.append({"kind": seq.kind, "expected": expect, "mu": mu_v.to_record(),
+                     "topological": topo_v.to_record()})
     return PredicateResult(outcome="pass" if ok else "fail", record={"cases": rows})
 
 
@@ -577,11 +583,11 @@ def run_registry(space: PMSpace, budget: SampleBudget,
     registry_inputs stream.  A probe's report is filed as outcome pass, its
     verdict as property_holds.  A predicates subset restricts execution (used
     for detection experiments over many seeds); a name outside PREDICATES
-    raises ValueError.
+    is a FieldError naming predicates.
     """
     unknown = [name for name in predicates or [] if name not in PREDICATE_NAMES]
     if unknown:
-        raise ValueError(f"unknown predicates {unknown}")
+        raise _distfn.FieldError(f"predicates holds unknown names {unknown}")
     small = replace(budget, n_vectors=min(budget.n_vectors, 400),
                     n_scalar_pairs=min(budget.n_scalar_pairs, 400))
     inp = Inputs(space, budget, small, check_rng(budget.rng_seed, "registry_inputs"), 50,

@@ -18,12 +18,16 @@ fuzz        a derandomized slice of the config fuzz of tests/test_cli.py; its
             the hypothesis version
 records     CLI reports that record violations of every blocked grid check:
             homogeneity at a wrong exponent, a breaking declared doubling
-            constant, and break_pm4 over samples that span several pm4 blocks
+            constant, and break_pm4 over samples that span several pm4 blocks;
+            and check-convergence at a fail, an infeasible empty local base
+            and a given grid and n_max
 
 A change that moves bytes on purpose regenerates the file and names the
-changed keys.  The file records the Python and numpy versions it was made
-with, and a mismatch names them next to the running ones: on other versions
-a difference may come from the platform, not from the change.
+changed keys: --check ends with a tally of the mismatched keys per group and
+subcommand (the first word of each key's label), then its count.  The file
+records the Python and numpy versions it was made with, and a mismatch names
+them next to the running ones: on other versions a difference may come from
+the platform, not from the change.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import os
 import platform
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -235,6 +240,22 @@ RECORD_CASES = [
     ("check-axioms", {"family": "rational_from", "dim": 3,
                       "modular": {"kind": "weighted_abs", "weights": [1.0, 0.5, 2.0]}},
      {"mutation": "break_pm4"}, 12_000),
+    # check-convergence at each exit: the default grid sees only t >= 10, where
+    # a step kernel is 1 at every offset, so the value criterion calls the
+    # constant offset convergent and the topological criterion does not (exit
+    # 1); an empty local base (exit 2); a given grid and n_max (exit 0).
+    ("check-convergence", {"family": "step_from", "dim": 2, "declared_c": 2.0,
+                           "modular": {"kind": "p_power", "p": 1.0}},
+     {"sequence": {"kind": "constant_offset", "base": [0.0, 0.0],
+                   "direction": [0.3, 0.1]}}, 100),
+    ("check-convergence", {"family": "rational_from", "dim": 1,
+                           "modular": {"kind": "weighted_abs", "weights": [1.0]}},
+     {"sequence": {"kind": "harmonic", "base": [0.0], "direction": [0.3]},
+      "local_base_depth": 1}, 100),
+    ("check-convergence", {"family": "rational_from", "dim": 2,
+                           "modular": {"kind": "p_power", "p": 2.0}},
+     {"sequence": {"kind": "geometric", "base": [0.0, 0.0], "direction": [0.3, -0.2],
+                   "ratio": 0.5}, "t_grid": [0.5, 5.0, 50.0], "n_max": 4096}, 100),
 ]
 
 
@@ -312,15 +333,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {len(digests)} digests to {DIGESTS}")
         return 0
     stored = load()
-    seen, bad = set(), []
+    seen, bad, tally = set(), [], Counter()
     for key, label, output in corpus(stored["fuzz_cases"]):
         seen.add(key)
         if stored["digests"].get(key, [None, None])[1] != digest(output):
             bad.append(mismatch_message(stored, key, label))
-    bad += [f"{key} is stored but no longer computed" for key in stored["digests"]
-            if key not in seen]
+            tally[f"{key.split('/')[0]} {label.split()[0]}"] += 1
+    gone = [key for key in stored["digests"] if key not in seen]
+    bad += [f"{key} is stored but no longer computed" for key in gone]
+    tally.update(f"{key.split('/')[0]} (no longer computed)" for key in gone)
     for line in bad:
         print(line)
+    # Mismatched keys per group and subcommand (a label's first word), so a
+    # change that moves bytes on purpose can name them; the count stays last.
+    for name, count in sorted(tally.items()):
+        print(f"mismatched {name}: {count}")
     print(f"{len(seen) - len(bad)} of {len(stored['digests'])} digests match")
     return 1 if bad else 0
 

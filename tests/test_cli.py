@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pmtop.convergence as C
 import pmtop.falsifier as F
 from pmtop import cli
 from pmtop.convergence import MAX_LOCAL_BASE_DEPTH, MAX_N_MAX
@@ -253,6 +254,9 @@ def test_vacuous_or_unknown_predicate_list_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "predicates" in captured.err
+    if isinstance(predicates, list) and predicates:  # the registry's one name check
+        assert captured.err == ("error: operation.predicates holds unknown names "
+                                "['pm5']\n")
 
 
 @pytest.mark.parametrize("command", ["check-axioms", "falsify"])
@@ -269,17 +273,19 @@ def test_mutation_that_does_not_apply_is_a_config_error(tmp_path, capsys, comman
 @pytest.mark.parametrize("kind", ["harmonic", "constant_offset"])
 def test_empty_local_base_makes_convergence_equivalence_infeasible(tmp_path, capsys,
                                                                    kind):
-    cfg = json.loads(json.dumps(HOMOGENEOUS))
-    cfg["operation"] = {"sequence": {"kind": kind, "base": [0.0], "direction": [0.3]},
-                        "local_base_depth": 1}
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["check-convergence", "--config", path]) == 2
-    by_check = {r["check"]: r for r in (
-        json.loads(l) for l in capsys.readouterr().out.splitlines())}
-    assert by_check["topological_convergence"]["vacuous"] is True
-    equivalence = by_check["convergence_equivalence"]
-    assert equivalence["verdict"] == "infeasible"
-    assert "vacuous" in equivalence["reason"]
+    # A local base below depth 2 holds no ball, so the topological criterion's
+    # precondition fails: one infeasible line, whatever the sequence.
+    for depth in (1, -3):
+        cfg = json.loads(json.dumps(HOMOGENEOUS))
+        cfg["operation"] = {"sequence": {"kind": kind, "base": [0.0], "direction": [0.3]},
+                            "local_base_depth": depth}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["check-convergence", "--config", path]) == 2
+        (rec,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert {key: rec[key] for key in ("check", "verdict", "reason")} == {
+            "check": "convergence_equiv", "verdict": "infeasible",
+            "reason": f"precondition: local base of depth {depth} is empty, so the "
+                      "topological criterion is vacuous"}
 
 
 def test_negative_dimension_is_a_config_error(tmp_path):
@@ -626,6 +632,36 @@ def test_a_selected_entry_without_its_declaration_is_infeasible(tmp_path, capsys
     assert [rec["check"] for rec in records] == SELECTIONS[command]
     assert {key: records[0][key] for key in ("check", "verdict", "reason")} == {
         "check": check, "verdict": "infeasible", "reason": reason}
+
+
+@pytest.mark.parametrize("family", ["rational_from", "step_from"])
+def test_check_convergence_reports_its_entry_as_the_registry_loop_does(family):
+    # check-convergence is a selection of convergence_equiv: its one line is
+    # that entry's record under the same operation values, the defaults
+    # filled in.  A given sequence has no expected verdict, so a case passes
+    # when the two criteria agree.
+    space = F.generate_instance(3, family, None)
+    budget = SampleBudget(n_vectors=50, n_scalar_pairs=50, rng_seed=3)
+    for kind, operation in (("harmonic", {}), ("constant_offset", {}),
+                            ("harmonic", {"t_grid": [0.5, 5.0], "n_max": 4096,
+                                          "local_base_depth": 4})):
+        seq_cfg = {"kind": kind, "base": [0.0] * space.dim,
+                   "direction": [0.3] + [0.1] * (space.dim - 1)}
+        (rec,) = cli.HANDLERS["check-convergence"](
+            space, budget, {"operation": {"sequence": seq_cfg, **operation}})
+        op = {"sequence": C.SequenceSpec(**seq_cfg), "t_grid": C.CONVERGENCE_GRID,
+              "n_max": C.N_MAX, "local_base_depth": C.LOCAL_BASE_DEPTH, **operation}
+        inp = F.Inputs(space, budget, budget, np.random.default_rng(3), WITNESS_SAMPLES,
+                       ["convergence_equiv"], op)
+        assert rec == cli._record("convergence_equiv",
+                                  F.run_predicates(inp)["convergence_equiv"])
+        (case,) = rec["cases"]
+        assert (case["kind"], case["expected"]) == (kind, None)
+        assert case["topological"]["converges"] is (kind == "harmonic")
+        agree = case["mu"]["converges"] == case["topological"]["converges"]
+        assert rec["verdict"] == ("pass" if agree else "fail")
+        assert len(case["mu"]["per_t"]) == len(op["t_grid"])
+        assert len(case["topological"]["per_ball"]) == op["local_base_depth"] - 1
 
 
 def test_falsify_fails_the_doubling_estimate_when_no_candidate_holds(tmp_path, capsys):

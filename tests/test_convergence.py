@@ -87,7 +87,7 @@ def test_topological_convergence_harmonic_with_ball_oracle():
     seq = p.SequenceSpec(kind="harmonic", base=np.zeros(1),
                          direction=np.array([1.0]))
     verdict = p.check_topological_convergence(SP1, seq)
-    assert verdict.converges and not verdict.vacuous
+    assert verdict.converges and len(verdict.per_ball) == 9
     for entry in verdict.per_ball:
         # membership oracle: 1/n < offset radius of B(x, 1/k, 1/k), so the
         # first admissible index is k(k-1) (levels are 1/k = scale).
@@ -104,10 +104,13 @@ def test_topological_convergence_alternating_fails():
 
 
 def test_empty_ball_list_is_vacuous_and_flagged():
-    seq = p.SequenceSpec(kind="harmonic", base=np.zeros(1),
-                         direction=np.array([1.0]))
-    verdict = p.check_topological_convergence(SP1, seq, depth=1)
-    assert verdict.converges and verdict.vacuous
+    # A local base below depth 2 holds no ball, and a quantifier over no
+    # ball would report convergence for any sequence: an unmet precondition.
+    for kind in ("harmonic", "constant_offset"):
+        seq = p.SequenceSpec(kind=kind, base=np.zeros(1), direction=np.array([1.0]))
+        for depth in (1, 0, -3):
+            with pytest.raises(p.PreconditionError, match=f"depth {depth} is empty"):
+                p.check_topological_convergence(SP1, seq, depth=depth)
 
 
 @pytest.mark.parametrize("kind,expected", [

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import pmtop as p
+import pmtop.convergence as C
 import pmtop.falsifier as F
+from pmtop.distfn import FieldError
 from pmtop.pmspace import AXIOMS
 
 BUDGET = p.SampleBudget(n_vectors=3000, n_scalar_pairs=3000, rng_seed=1)
@@ -126,8 +128,35 @@ def test_registry_subset_runs_only_requested_predicates():
 
 def test_registry_rejects_an_unknown_predicate():
     inst = F.generate_instance(2, "rational_from", None)
-    with pytest.raises(ValueError, match="pm5"):
+    # A FieldError names the field, so the CLI adds its path to the message.
+    with pytest.raises(FieldError, match=r"^predicates holds unknown names \['pm5'\]$"):
         p.run_registry(inst, BUDGET, predicates=["pm3", "pm5"])
+
+
+def test_convergence_equivalence_needs_agreement_on_the_expected_verdict(monkeypatch):
+    # The drawn pair expects the harmonic sequence to converge and the
+    # constant offset not to: criteria that disagree fail the entry, and so
+    # do criteria that agree on the verdict the case does not expect.
+    space = F.generate_instance(0, "rational_from", None)
+
+    def run():
+        inp = F.Inputs(space, BUDGET, BUDGET, np.random.default_rng(0), 50,
+                       ["convergence_equiv"])
+        return F.run_predicates(inp)["convergence_equiv"]
+
+    def converging(check):
+        return lambda *args, **kwargs: replace(check(*args, **kwargs), converges=True)
+
+    assert run().outcome == "pass"
+    monkeypatch.setattr(C, "check_mu_convergence", converging(C.check_mu_convergence))
+    assert run().outcome == "fail"
+    monkeypatch.setattr(C, "check_topological_convergence",
+                        converging(C.check_topological_convergence))
+    result = run()
+    assert result.outcome == "fail"
+    assert [(case["kind"], case["expected"], case["mu"]["converges"],
+             case["topological"]["converges"]) for case in result.record["cases"]] == [
+        ("harmonic", True, True, True), ("constant_offset", False, True, True)]
 
 
 def test_registry_follows_the_table_and_computes_the_axioms_once(monkeypatch):

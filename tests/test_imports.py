@@ -73,36 +73,42 @@ def test_an_unread_private_definition_is_found():
     assert unread_private_definitions([module, other]) == ["_Dropped", "_unused"]
 
 
-# Handlers that run no table selection: a user-given sequence, and the registry.
-UNSELECTED = {"check-convergence", "falsify"}
+# The handler that runs no table selection: the registry itself.
+UNSELECTED = {"falsify"}
 
 
 def test_cli_handlers_only_select_table_entries(monkeypatch):
     # The subcommands run checks only through falsifier.PREDICATES, so a
     # predicate has one verdict rule: the CLI binds no check function, and
     # each other handler selects names the table holds.
-    from pmtop import cli, falsifier, pmspace
+    from pmtop import cli, convergence, falsifier, pmspace
 
-    checks = {"_Delta2Scan", "check_beta_homogeneous", "check_space_regularity",
-              "check_axioms"}
+    checks = {"_Delta2Scan": pmspace, "check_beta_homogeneous": pmspace,
+              "check_space_regularity": pmspace, "check_axioms": pmspace,
+              "check_mu_convergence": convergence,
+              "check_topological_convergence": convergence}
     nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))))
     named = ({node.id for node in nodes if isinstance(node, ast.Name)}
              | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
              | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                 for alias in node.names})
-    assert not checks & named
+    assert not checks.keys() & named
     assert not [key for key, value in vars(cli).items()
-                if any(value is getattr(pmspace, name) for name in checks)]
+                if any(value is getattr(module, name) for name, module in checks.items())]
     selected = {}
     monkeypatch.setattr(cli, "_selection", lambda space, budget, names, **op: (
         selected.setdefault(command, []).extend(names) or []))
     space = pmtop.rational_space(pmtop.PPower(p=1.0), 1, declared_c=2.0, declared_beta=1.0)
     budget = pmtop.SampleBudget(n_vectors=10, n_scalar_pairs=10)
+    sequence = {"kind": "harmonic", "base": [0.0], "direction": [0.3]}
     for command, handler in cli.HANDLERS.items():
         if command in UNSELECTED:
             continue
         for variant in (cli._SEPARATIONS if command == "witness-separate" else [None]):
-            handler(space, budget, {"operation": {"variant": variant} if variant else {}})
+            op = {"variant": variant} if variant else {}
+            if command == "check-convergence":
+                op = {"sequence": sequence}
+            handler(space, budget, {"operation": op})
     assert set(selected) == set(cli.HANDLERS) - UNSELECTED
     assert {name for names in selected.values() for name in names} <= set(
         falsifier.PREDICATE_NAMES)
