@@ -310,10 +310,11 @@ def _h_check_convergence(space, budget, cfg):
         seq = _conv.SequenceSpec(**{**seq_cfg, **typed})
     with _fields("operation"):
         depth = _conv.base_depth(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH))
-        grid = _conv.scale_grid(op.get("t_grid", _conv.CONVERGENCE_GRID))
+        # Without a given grid the entry's kernel-kind default applies.
+        given = {"t_grid": _conv.scale_grid(op["t_grid"])} if "t_grid" in op else {}
         n_max = op.get("n_max", _conv.N_MAX)
         _conv.probe_schedule(n_max)  # checks n_max
-    return _selection(space, budget, ["convergence_equiv"], sequence=seq, t_grid=grid,
+    return _selection(space, budget, ["convergence_equiv"], sequence=seq, **given,
                       n_max=n_max, local_base_depth=depth)
 
 

@@ -473,17 +473,26 @@ def _intersection(inp: Inputs) -> _topo.Witness:
 def _convergence_equiv(inp: Inputs) -> PredicateResult:
     """Both convergence criteria on each case: the operation's sequence, or a
     drawn harmonic and constant-offset pair expected to converge and not to.
-    A case passes when the criteria agree and match its expected verdict."""
+    A case passes when the criteria agree and match its expected verdict.
+
+    The value criterion's default scales go by kernel kind.  A step kernel
+    sees an offset only at t below its sigma, so its scales start at 0.1.
+    A rational kernel settles a harmonic tail within N_MAX terms only at t
+    above about its sigma: the drawn cases, rescaled to sigma 0.3, take
+    scales from 0.5, and a given sequence, whose sigma may be any, takes
+    CONVERGENCE_GRID, from 10."""
     space, op = inp.space, inp.op
     v = inp.rng.standard_normal(space.dim)
     if "sequence" in op:
         cases = [(op["sequence"], None)]
+        rational_grid = _conv.CONVERGENCE_GRID
     else:
         v = _rescale_to_sigma(space, v if np.any(v != 0.0) else np.ones(space.dim), 0.3)
         cases = [(_conv.SequenceSpec(kind=kind, base=space.zero(), direction=v), expect)
                  for kind, expect in (("harmonic", True), ("constant_offset", False))]
+        rational_grid = (0.5, 5.0, 50.0, 500.0)
     grid = op.get("t_grid", (0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
-                  else (0.5, 5.0, 50.0, 500.0))
+                  else rational_grid)
     n_max = op.get("n_max", _conv.N_MAX)
     depth = op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH)
     rows, ok = [], True

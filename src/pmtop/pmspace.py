@@ -208,10 +208,15 @@ class ModularMap:
     c; the bound keeps every sum of two such values finite, and a sum below
     the normal range is exact, so rounding commutes with the scaling.  The
     doubling scan relies on this to settle rows without evaluating them
-    (_Delta2Scan).  Every kernel is also non-decreasing in t wherever t + s
-    is finite: the step kernels exactly, the rational one up to rounding.
-    Its sum and quotient each lie within a relative 2**-53 of exact, so
-    where the rounding of t + s moves it can fall by less than four ulps.
+    (_Delta2Scan).  The rational kernel also has a closed-form gap bound:
+    over all t > 0, |t/(t+u) - t/(t+v)| <= |u-v|/(u+v), so a homogeneity
+    row whose computed |u-w|/(u+w), w = scale * sigma(x), is at most
+    eps - 4e-15 holds at every t; _homogeneity_settled gives the rounding
+    argument and its domain, and check_beta_homogeneous evaluates no such
+    row.  Every kernel is also non-decreasing in t wherever t + s is
+    finite: the step kernels exactly, the rational one up to rounding.  Its
+    sum and quotient each lie within a relative 2**-53 of exact, so where
+    the rounding of t + s moves it can fall by less than four ulps.
 
     kernel1(t, s) is the scalar entry point: for floats t and s, s >= 0 or
     NaN, it returns as a float the bits kernel(t, s) holds, computed with
@@ -650,6 +655,39 @@ def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
                 & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022))
 
 
+def _homogeneity_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, S: np.ndarray,
+                         scale: np.ndarray, eps: float) -> np.ndarray:
+    """Where the rows of check_beta_homogeneous provably hold: every gap
+    |kernel(t, u) - kernel(t / scale, S)| over the sorted, non-empty grid
+    is at most eps.  Only the rational kernel has the bound; on any other map no row
+    is settled.
+
+    Over all real t > 0, |t/(t+u) - t/(t+v)| peaks at t = sqrt(uv), at
+    |sqrt(u)-sqrt(v)|/(sqrt(u)+sqrt(v)) <= |u-v|/(u+v) =: D(u, v).  With
+    q = fl(t/s) = (t/s)(1+d), q/(q+S) is exactly t/(t+v) at v = sS/(1+d),
+    and w = fl(s*S) is sS(1+d'), so v is w within a relative 2**-52; as
+    v |dD/dv| <= 1/2, D(u, v) is D(u, w) within 2.3e-16.  Each computed
+    kernel value is its exact value within 2.3e-16, the computed D(u, w) is
+    within 3.4e-16 of D(u, w), and the computed gap within 1.1e-16 of the
+    exact difference, so a row with fl(D(u, w)) <= eps - 4e-15 has no gap
+    above eps.  The rounding argument needs u, w and every t/s positive and
+    normal, and t + u, t/s + S and u + w finite; q is monotone in t, so the
+    grid's ends decide.  Every other row stays open, as does a row whose D
+    is NaN, and an eps below the margin settles none.
+    """
+    if type(space.modular_map) is not RationalFrom:
+        return np.zeros(u.shape, dtype=bool)
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        w = scale * S
+        q_lo, q_hi = grid[0] / scale, grid[-1] / scale
+        total = u + w
+        D = np.abs(u - w) / total
+        return ((u >= tiny) & (w >= tiny) & (q_lo >= tiny) & (q_hi < np.inf)
+                & (grid[-1] + u < np.inf) & (q_hi + S < np.inf) & (total < np.inf)
+                & (D <= eps - 4e-15))
+
+
 class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
     of rows x and the budget grid, evaluated in grid-major blocks of
@@ -745,9 +783,14 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
                            budget: SampleBudget) -> CheckReport:
     """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta).
 
-    X and a are drawn up front; the comparison is evaluated in grid-major
-    (grid, rows) blocks of DELTA2_CHUNK rows, counting every broken row and
-    keeping the records of the first ones.
+    X and a are drawn up front.  A row the rational kernel's gap bound
+    settles (_homogeneity_settled) holds; only the other rows, the open
+    ones, are evaluated, in grid-major (grid, rows) blocks of DELTA2_CHUNK
+    rows, counting every broken row and keeping the records of the first
+    ones.  A settled row is never broken, so the counts and records are the
+    ones every row's evaluation gives.  On a valid degree-one rational space
+    at beta = 1, sigma(a x) is |a| sigma(x) to within rounding, so no row
+    is open.
     """
     try:
         check_number(beta, "exponent", **EXPONENT)
@@ -759,18 +802,21 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     a = sample_scalars(rng, n)
     # Structured probes: identity scalars and exact doubling/halving.
     a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
-    grid = budget.grid_array()[:, None]
     S_ax = space.sigma(a[:, None] * X)
     S = space.sigma(X)
     scale = np.abs(a) ** beta
+    t = budget.grid_array()
+    rows = np.flatnonzero(~_homogeneity_settled(space, t, S_ax, S, scale, budget.epsilon))
+    grid = t[:, None]
 
     def block(b: slice) -> dict[str, np.ndarray]:
-        return {"t": grid, "lhs": space.kernel(grid, S_ax[b]),
-                "rhs": space.kernel(grid / scale[b], S[b])}
+        r = rows[b]
+        return {"t": grid, "lhs": space.kernel(grid, S_ax[r]),
+                "rhs": space.kernel(grid / scale[r], S[r])}
 
-    return _block_report("beta_homogeneous", n, block,
-                         lambda r: {"x": X[r].tolist(), "a": float(a[r])}, budget,
-                         absolute=True, notes={"beta": beta})
+    return _block_report("beta_homogeneous", rows.size, block,
+                         lambda k: {"x": X[rows[k]].tolist(), "a": float(a[rows[k]])},
+                         budget, absolute=True, samples=n, notes={"beta": beta})
 
 
 # ---------------------------------------------------------------------------

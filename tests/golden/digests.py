@@ -19,8 +19,9 @@ fuzz        a derandomized slice of the config fuzz of tests/test_cli.py; its
 records     CLI reports that record violations of every blocked grid check:
             homogeneity at a wrong exponent, a breaking declared doubling
             constant, and break_pm4 over samples that span several pm4 blocks;
-            and check-convergence at a fail, an infeasible empty local base
-            and a given grid and n_max
+            and check-convergence at a pass on the entry's default grid, an
+            infeasible empty local base, a given grid and n_max, and a fail
+            at a given grid blind to the offset
 
 A change that moves bytes on purpose regenerates the file and names the
 changed keys: --check ends with a tally of the mismatched keys per group and
@@ -240,10 +241,12 @@ RECORD_CASES = [
     ("check-axioms", {"family": "rational_from", "dim": 3,
                       "modular": {"kind": "weighted_abs", "weights": [1.0, 0.5, 2.0]}},
      {"mutation": "break_pm4"}, 12_000),
-    # check-convergence at each exit: the default grid sees only t >= 10, where
-    # a step kernel is 1 at every offset, so the value criterion calls the
-    # constant offset convergent and the topological criterion does not (exit
-    # 1); an empty local base (exit 2); a given grid and n_max (exit 0).
+    # check-convergence at each exit: a constant offset on a step space at the
+    # entry's step grid, which sees the offset, so both criteria call it
+    # divergent (exit 0); an empty local base (exit 2); a given grid and n_max
+    # (exit 0); and last, the first case at a given grid of t >= 10, where a
+    # step kernel is 1 at every offset, so the value criterion calls the
+    # constant offset convergent and the topological criterion does not (exit 1).
     ("check-convergence", {"family": "step_from", "dim": 2, "declared_c": 2.0,
                            "modular": {"kind": "p_power", "p": 1.0}},
      {"sequence": {"kind": "constant_offset", "base": [0.0, 0.0],
@@ -256,6 +259,10 @@ RECORD_CASES = [
                            "modular": {"kind": "p_power", "p": 2.0}},
      {"sequence": {"kind": "geometric", "base": [0.0, 0.0], "direction": [0.3, -0.2],
                    "ratio": 0.5}, "t_grid": [0.5, 5.0, 50.0], "n_max": 4096}, 100),
+    ("check-convergence", {"family": "step_from", "dim": 2, "declared_c": 2.0,
+                           "modular": {"kind": "p_power", "p": 1.0}},
+     {"sequence": {"kind": "constant_offset", "base": [0.0, 0.0],
+                   "direction": [0.3, 0.1]}, "t_grid": [10.0, 100.0, 1000.0]}, 100),
 ]
 
 

@@ -703,7 +703,7 @@ def reference_check_beta_homogeneous(space, beta, budget):
     rng = check_rng(budget.rng_seed, "homogeneous")
     n = max(budget.n_vectors, budget.n_scalar_pairs)
     X = sample_vectors(rng, n, space.dim)
-    a = sample_scalars(rng, n)
+    a = P.sample_scalars(rng, n)    # looked up when run, so a test can force |a|
     a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
     grid = budget.grid_array()
     lhs = space.mu_matrix(a[:, None] * X, grid)
@@ -721,24 +721,91 @@ def reference_check_beta_homogeneous(space, beta, budget):
                             notes={"beta": beta}, n_violations=count)
 
 
-@pytest.mark.parametrize("space, beta", [
-    (p.rational_space(p.PPower(p=1.0), 2), 1.0),
-    (p.step_space(p.WeightedAbs(weights=(0.5, 2.0)), 2), 1.0),
+RATIONAL_P1 = p.rational_space(p.PPower(p=1.0), 2)
+
+# (space, beta, t_grid or None for the default, |a| forced or None).
+HOMOGENEITY_CASES = {
+    "rational-p1": (RATIONAL_P1, 1.0, None, None),
+    "step-weighted": (p.step_space(p.WeightedAbs(weights=(0.5, 2.0)), 2), 1.0, None, None),
     # A degree-one space declared with beta 0.5: most rows break, in every block.
-    (p.rational_space(p.WeightedAbs(weights=(1.0,)), 1), 0.5),
-    (p.rational_space(p.PPower(p=2.0), 3), 1.0),
-], ids=["rational-p1", "step-weighted", "half-beta-on-degree-one", "rational-p2"])
-def test_blocked_homogeneity_matches_the_full_matrix_reference(space, beta):
-    for n_vectors, n_pairs in ((DELTA2_CHUNK // 2 + 3, 10), (1500, 900), (300, 5000)):
-        budget = p.SampleBudget(n_vectors=n_vectors, n_scalar_pairs=n_pairs,
-                                rng_seed=n_vectors)
-        got = p.check_beta_homogeneous(space, beta, budget)
-        ref = reference_check_beta_homogeneous(space, beta, budget)
-        assert canonical_report(got) == canonical_report(ref)
-        assert got.passed == ref.passed
-        if beta == 0.5:
-            assert ref.n_violations > 0.9 * max(n_vectors, n_pairs)
-            assert len(got.violations) == 50
+    "half-beta-on-degree-one": (p.rational_space(p.WeightedAbs(weights=(1.0,)), 1), 0.5,
+                                None, None),
+    "rational-p2": (p.rational_space(p.PPower(p=2.0), 3), 1.0, None, None),
+    # The ends of the scalar law, and sigma values and grid points at the
+    # ends of the normal range, where t/|a| and sigma(a x) stay normal.
+    "abs-a-1e-2": (RATIONAL_P1, 1.0, None, 1e-2),
+    "abs-a-1e2": (RATIONAL_P1, 1.0, None, 1e2),
+    "half-beta-abs-a-1e2": (RATIONAL_P1, 0.5, None, 1e2),
+    "sigma-near-1e-300": (p.rational_space(p.WeightedAbs(weights=(1e-300, 3e-300)), 2),
+                          1.0, None, None),
+    "sigma-near-1e300": (p.rational_space(p.WeightedAbs(weights=(1e300, 3e300)), 2), 1.0,
+                         None, None),
+    "grid-to-1e-300": (RATIONAL_P1, 1.0, D.default_t_grid(1e-300, 1e3, 64), None),
+    # Maps the bound does not cover, and a functional that breaks symmetry.
+    "step-p2": (p.step_space(p.PPower(p=2.0), 2), 1.0, None, None),
+    "floored": (PMSpace(dim=2, modular_map=FlooredMap(RationalFrom(p.PPower(p=1.0)), 0.1)),
+                1.0, None, None),
+    "break_pm3": (F.generate_instance(0, "rational_from", "break_pm3"), 1.0, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(HOMOGENEITY_CASES))
+def test_blocked_homogeneity_matches_the_full_matrix_reference(monkeypatch, name):
+    # Rows the gap bound settles are never evaluated; below its margin
+    # (1e-15), at it (4e-15), at the default and far above it, every report
+    # is the full matrices' report.
+    space, beta, t_grid, abs_a = HOMOGENEITY_CASES[name]
+    if abs_a is not None:
+        draw = P.sample_scalars
+        monkeypatch.setattr(P, "sample_scalars",
+                            lambda rng, n: np.copysign(abs_a, draw(rng, n)))
+    grid = {} if t_grid is None else {"t_grid": t_grid}
+    for eps in (1e-15, 4e-15, 1e-9, 0.5):
+        for n_vectors, n_pairs in ((DELTA2_CHUNK // 2 + 3, 10), (1500, 900), (300, 5000)):
+            budget = p.SampleBudget(n_vectors=n_vectors, n_scalar_pairs=n_pairs,
+                                    epsilon=eps, rng_seed=n_vectors, **grid)
+            got = p.check_beta_homogeneous(space, beta, budget)
+            ref = reference_check_beta_homogeneous(space, beta, budget)
+            assert canonical_report(got) == canonical_report(ref), (eps, n_vectors)
+            assert got.passed == ref.passed
+            if name == "half-beta-on-degree-one" and eps == 1e-9:
+                assert ref.n_violations > 0.9 * max(n_vectors, n_pairs)
+                assert len(got.violations) == 50
+
+
+def homogeneity_rows_evaluated(monkeypatch, space, beta, budget):
+    """The rows check_beta_homogeneous passes to the kernel before it builds
+    its records: each block's two kernel calls take the same rows."""
+    sizes, scanned = [], []
+    kernel = type(space.modular_map).kernel
+    monkeypatch.setattr(type(space.modular_map), "kernel",
+                        lambda self, T, S: sizes.append(np.size(S)) or kernel(self, T, S))
+    make = P._make_report
+    monkeypatch.setattr(P, "_make_report",
+                        lambda *args, **kw: scanned.append(sum(sizes)) or make(*args, **kw))
+    rep = p.check_beta_homogeneous(space, beta, budget)
+    (rows,) = scanned
+    assert rows % 2 == 0
+    return rows // 2, rep
+
+
+def test_homogeneity_evaluates_no_row_of_a_valid_degree_one_rational_space(monkeypatch):
+    spaces = {}
+    for seed in range(64):
+        space = F.generate_instance(seed, "rational_from")
+        if space.declared_beta is not None:
+            spaces.setdefault(space.dim, space)
+    assert sorted(spaces) == [1, 2, 3, 4]
+    budget = p.SampleBudget(n_vectors=5000, n_scalar_pairs=5000, rng_seed=7)
+    for space in spaces.values():
+        rows, rep = homogeneity_rows_evaluated(monkeypatch, space, 1.0, budget)
+        assert rows == 0 and rep.passed and rep.samples_run == 5000
+        monkeypatch.undo()
+    # On a degree-two space at beta = 1 every row is open but the a = 1, -1
+    # and 1 probes, where sigma(a x) is exactly |a| sigma(x).
+    rows, rep = homogeneity_rows_evaluated(
+        monkeypatch, p.rational_space(p.PPower(p=2.0), 3), 1.0, budget)
+    assert rows == 5000 - 3 and rep.n_violations == 5000 - 3
 
 
 def reference_confirm_limit(f, start, target, eps):

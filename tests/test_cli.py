@@ -638,8 +638,9 @@ def test_a_selected_entry_without_its_declaration_is_infeasible(tmp_path, capsys
 def test_check_convergence_reports_its_entry_as_the_registry_loop_does(family):
     # check-convergence is a selection of convergence_equiv: its one line is
     # that entry's record under the same operation values, the defaults
-    # filled in.  A given sequence has no expected verdict, so a case passes
-    # when the two criteria agree.
+    # filled in but the grid, which the entry picks by kernel kind.  A given
+    # sequence has no expected verdict, so a case passes when the two
+    # criteria agree.
     space = F.generate_instance(3, family, None)
     budget = SampleBudget(n_vectors=50, n_scalar_pairs=50, rng_seed=3)
     for kind, operation in (("harmonic", {}), ("constant_offset", {}),
@@ -649,8 +650,8 @@ def test_check_convergence_reports_its_entry_as_the_registry_loop_does(family):
                    "direction": [0.3] + [0.1] * (space.dim - 1)}
         (rec,) = cli.HANDLERS["check-convergence"](
             space, budget, {"operation": {"sequence": seq_cfg, **operation}})
-        op = {"sequence": C.SequenceSpec(**seq_cfg), "t_grid": C.CONVERGENCE_GRID,
-              "n_max": C.N_MAX, "local_base_depth": C.LOCAL_BASE_DEPTH, **operation}
+        op = {"sequence": C.SequenceSpec(**seq_cfg), "n_max": C.N_MAX,
+              "local_base_depth": C.LOCAL_BASE_DEPTH, **operation}
         inp = F.Inputs(space, budget, budget, np.random.default_rng(3), WITNESS_SAMPLES,
                        ["convergence_equiv"], op)
         assert rec == cli._record("convergence_equiv",
@@ -660,8 +661,29 @@ def test_check_convergence_reports_its_entry_as_the_registry_loop_does(family):
         assert case["topological"]["converges"] is (kind == "harmonic")
         agree = case["mu"]["converges"] == case["topological"]["converges"]
         assert rec["verdict"] == ("pass" if agree else "fail")
-        assert len(case["mu"]["per_t"]) == len(op["t_grid"])
+        default_grid = C.CONVERGENCE_GRID if family == "rational_from" else (0.1, 1, 10, 100)
+        assert [r["t"] for r in case["mu"]["per_t"]] == list(op.get("t_grid", default_grid))
         assert len(case["topological"]["per_ball"]) == op["local_base_depth"] - 1
+
+
+def test_check_convergence_sees_a_constant_offset_on_a_step_space(tmp_path, capsys):
+    # The step kernel reads 1 at every offset whose sigma is below t, so a
+    # grid starting at 10 calls this constant offset, of sigma 0.19,
+    # convergent while the topological criterion does not; the entry's step
+    # grid starts at 0.1 and sees it, so both criteria agree.
+    space = F.generate_instance(0, "step_from")
+    assert space.dim == 1 and 0.1 < space.sigma1([0.3]) < 10
+    cfg = {"instance": space.to_config(), "budget": {"rng_seed": 0},
+           "operation": {"sequence": {"kind": "constant_offset", "base": [0.0],
+                                      "direction": [0.3]}}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["check-convergence", "--config", path]) == 0
+    (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (case,) = rec["cases"]
+    assert case["mu"]["converges"] is False and case["topological"]["converges"] is False
+    assert [r["t"] for r in case["mu"]["per_t"]] == [0.1, 1.0, 10.0, 100.0]
+    cfg["operation"]["t_grid"] = list(C.CONVERGENCE_GRID)
+    assert cli.main(["check-convergence", "--config", write_config(tmp_path, cfg)]) == 1
 
 
 def test_falsify_fails_the_doubling_estimate_when_no_candidate_holds(tmp_path, capsys):
