@@ -21,7 +21,8 @@ from typing import Any
 import numpy as np
 
 from .balls import Ball, contains_many
-from .distfn import MAX_GRID_COUNT, FieldError, FieldRecord, check_number, check_numbers
+from .distfn import (MAX_GRID_COUNT, MAX_GRID_T, FieldError, FieldRecord, check_number,
+                     check_numbers)
 from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
@@ -93,8 +94,9 @@ class SequenceSpec:
 
 def scale_grid(t_grid: Any) -> np.ndarray:
     """The value criterion's scales: a FieldError naming t_grid unless it is
-    a non-empty list of at most MAX_GRID_COUNT positive numbers."""
-    grid = np.asarray(check_numbers(t_grid, "t_grid", above=0), dtype=float)
+    a non-empty list of at most MAX_GRID_COUNT numbers in (0, MAX_GRID_T]."""
+    grid = np.asarray(check_numbers(t_grid, "t_grid", above=0, at_most=MAX_GRID_T),
+                      dtype=float)
     if grid.size > MAX_GRID_COUNT:
         raise FieldError(f"t_grid must hold at most {MAX_GRID_COUNT} numbers")
     return grid

@@ -56,6 +56,11 @@ MAX_STORED_VIOLATIONS = 50
 MAX_SAMPLES = 10 ** 6
 MAX_GRID_COUNT = 1024
 
+# Bound on every t_grid entry.  The checks read t up to 1e13 times the last
+# grid point (delta_membership's sup-limit probes; homogeneity reads up to
+# 1e2 times it, pm4 twice it), and 1e303 stays below the float maximum.
+MAX_GRID_T = 1e290
+
 
 class FieldError(ValueError):
     """A number field of the wrong type or outside its range.  The message
@@ -101,7 +106,7 @@ def default_t_grid(lo: float = GRID_MIN, hi: float = GRID_MAX,
     checked before numpy sees them, under the names of the t_grid object
     form of a config: min, max and count."""
     check_number(lo, "min", above=0)
-    check_number(hi, "max", above=lo)
+    check_number(hi, "max", above=lo, at_most=MAX_GRID_T)
     check_number(count, "count", integer=True, at_least=2, at_most=MAX_GRID_COUNT)
     return tuple(float(t) for t in np.geomspace(lo, hi, count))
 
@@ -124,7 +129,8 @@ class SampleBudget:
             check_number(getattr(self, name), name, integer=True, at_least=1,
                          at_most=MAX_SAMPLES)
         check_number(self.rng_seed, "rng_seed", integer=True, at_least=0)
-        grid = tuple(map(float, check_numbers(self.t_grid, "t_grid", above=0)))
+        grid = tuple(map(float, check_numbers(self.t_grid, "t_grid", above=0,
+                                              at_most=MAX_GRID_T)))
         if len(grid) > MAX_GRID_COUNT or list(grid) != sorted(grid):
             raise FieldError(f"t_grid must be sorted and hold at most {MAX_GRID_COUNT} numbers")
         object.__setattr__(self, "t_grid", grid)

@@ -207,13 +207,11 @@ class ModularMap:
     quotient's exact value as it is, and multiplies a sum's exact value by
     c; the bound keeps every sum of two such values finite, and a sum below
     the normal range is exact, so rounding commutes with the scaling.  The
-    doubling scan relies on this to settle rows without evaluating them
-    (_Delta2Scan).  The rational kernel also has a closed-form gap bound:
-    over all t > 0, |t/(t+u) - t/(t+v)| <= |u-v|/(u+v), so a homogeneity
-    row whose computed |u-w|/(u+w), w = scale * sigma(x), is at most
-    eps - 4e-15 holds at every t; _homogeneity_settled gives the rounding
-    argument and its domain, and check_beta_homogeneous evaluates no such
-    row.  Every kernel is also non-decreasing in t wherever t + s is
+    rational kernel also has a closed-form gap bound: over all t > 0,
+    |t/(t+u) - t/(t+v)| <= |u-v|/(u+v).  pm3, the doubling inequality and
+    homogeneity settle rows by these two rules without evaluating them
+    (_pair_settled gives both, with the rounding argument and the domain of
+    the bound).  Every kernel is also non-decreasing in t wherever t + s is
     finite: the step kernels exactly, the rational one up to rounding.  Its
     sum and quotient each lie within a relative 2**-53 of exact, so where
     the rounding of t + s moves it can fall by less than four ulps.
@@ -544,22 +542,17 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
 
 def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                S_x: np.ndarray) -> CheckReport:
-    """PM3: symmetry of the modular, max_t |mu_{-x}(t) - mu_x(t)| <= eps.
-
-    Both rows are the elementwise kernel(grid, s), at s = sigma(-x) and at
-    s = sigma(x).  Where the two sigma values have the same bits, the two
-    rows are the same floats and the gap is exactly 0, so the kernel is
-    evaluated only on the other rows, in blocks of DELTA2_CHUNK reduced
-    along the grid to each row's largest gap; those are the gaps and
-    records the full (n, grid) matrices would give.
-    """
+    """PM3: symmetry of the modular, max_t |mu_{-x}(t) - mu_x(t)| <= eps, the
+    scaled pair (sigma(-x), sigma(x), 1).  Its open rows are evaluated in
+    blocks of DELTA2_CHUNK reduced along the grid to each row's largest gap,
+    the gaps and records the full (n, grid) matrices would give."""
     S_neg = space.sigma(-X)
-    rows = np.flatnonzero(_float_bits(S_neg) != _float_bits(S_x))
-    grid = budget.grid_array()[:, None]
+    grid = budget.grid_array()
+    rows = np.flatnonzero(~_pair_settled(space, grid, S_neg, S_x, 1.0, budget.epsilon))
     gap = np.empty(rows.size)
     for b in _blocks(rows.size):
-        diff = space.kernel(grid, S_neg[rows[b]]) - space.kernel(grid, S_x[rows[b]])
-        gap[b] = np.max(np.abs(diff, out=diff), axis=0)
+        values = _pair_values(space, grid, S_neg, S_x, 1.0, rows[b])
+        gap[b] = np.max(_gap(values, True, out=values["rhs"]), axis=0)
     bad = np.flatnonzero(gap > budget.epsilon)
     return _make_report("pm3", bad, len(X), budget.rng_seed, record=lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
@@ -647,110 +640,126 @@ def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarr
                         budget.rng_seed, notes, record=record)
 
 
-def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: Any) -> np.ndarray:
     """Where y is c * x exactly, for c a power of two, and x and y lie below
-    2**1022 in magnitude: the domain of the kernels' scaling contract."""
+    2**1022 in magnitude: the domain of the kernels' scaling contract.  The
+    caller ignores overflow and underflow."""
+    return (x * c == y) & (y / c == x) & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022)
+
+
+def _pair_exact(grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any) -> np.ndarray:
+    """The rows of a scaled pair, kernel(t, u) against kernel(t/k, v) over
+    the grid with k one number or one per row, that exact scaling settles:
+    where k is a power of two, every t/k is exact and k * v is exact with
+    the bits of u, the two sides are the same floats by the kernels'
+    scaling contract (ModularMap), so the gap is exactly 0.  At k = 1 these
+    are the rows whose u and v have the same bits, below 2**1022."""
+    settled = np.zeros(u.shape, dtype=bool)
     with np.errstate(over="ignore", under="ignore"):
-        return ((x * c == y) & (y / c == x)
-                & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022))
+        if np.ndim(k) == 0:
+            if math.frexp(k)[0] != 0.5 or not _scaled_exactly(grid / k, grid, k).all():
+                return settled
+            rows, kr = slice(None), k
+        else:
+            rows = np.flatnonzero(np.frexp(k)[0] == 0.5)
+            kr = k[rows]
+            rows = rows[_scaled_exactly(grid[:, None] / kr, grid[:, None], kr).all(axis=0)]
+            kr = k[rows]
+        kv = kr * v[rows]
+        same = _float_bits(kv) == _float_bits(u[rows])
+        settled[rows] = _scaled_exactly(v[rows], kv, kr) & same
+    return settled
 
 
-def _homogeneity_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, S: np.ndarray,
-                         scale: np.ndarray, eps: float) -> np.ndarray:
-    """Where the rows of check_beta_homogeneous provably hold: every gap
-    |kernel(t, u) - kernel(t / scale, S)| over the sorted, non-empty grid
-    is at most eps.  Only the rational kernel has the bound; on any other map no row
-    is settled.
+def _pair_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
+                  eps: float) -> np.ndarray:
+    """Where the rows of a scaled pair provably hold, no gap over the sorted,
+    non-empty grid above eps: the rows exact scaling settles (_pair_exact)
+    and, on the rational kernel when some row is left open, the rows its
+    gap bound settles.
 
-    Over all real t > 0, |t/(t+u) - t/(t+v)| peaks at t = sqrt(uv), at
-    |sqrt(u)-sqrt(v)|/(sqrt(u)+sqrt(v)) <= |u-v|/(u+v) =: D(u, v).  With
-    q = fl(t/s) = (t/s)(1+d), q/(q+S) is exactly t/(t+v) at v = sS/(1+d),
-    and w = fl(s*S) is sS(1+d'), so v is w within a relative 2**-52; as
-    v |dD/dv| <= 1/2, D(u, v) is D(u, w) within 2.3e-16.  Each computed
-    kernel value is its exact value within 2.3e-16, the computed D(u, w) is
-    within 3.4e-16 of D(u, w), and the computed gap within 1.1e-16 of the
-    exact difference, so a row with fl(D(u, w)) <= eps - 4e-15 has no gap
-    above eps.  The rounding argument needs u, w and every t/s positive and
-    normal, and t + u, t/s + S and u + w finite; q is monotone in t, so the
-    grid's ends decide.  Every other row stays open, as does a row whose D
-    is NaN, and an eps below the margin settles none.
+    Over all real t > 0, |t/(t+u) - t/(t+z)| <= |u-z|/(u+z) =: D(u, z), its
+    peak being at t = sqrt(uz).  With q = fl(t/k) = (t/k)(1+d), q/(q+v) is
+    exactly t/(t+z) at z = kv/(1+d), and w = fl(k*v) is kv(1+d'), so z is w
+    within a relative 2**-52; as z |dD/dz| <= 1/2, D(u, z) is D(u, w) within
+    2.3e-16.  Each computed kernel value is within 2.3e-16 of its exact
+    value, the computed D(u, w) within 3.4e-16 of D(u, w) and the computed
+    gap within 1.1e-16 of the exact difference, so a row with
+    fl(D(u, w)) <= eps - 4e-15 has no gap above eps.  The argument needs u,
+    w and every t/k positive and normal, and t + u, t/k + v and u + w finite
+    (t/k is monotone in t, so the grid's ends decide); that domain is
+    checked only when some row's D passes.  A NaN D settles nothing.
     """
-    if type(space.modular_map) is not RationalFrom:
-        return np.zeros(u.shape, dtype=bool)
+    settled = _pair_exact(grid, u, v, k)
+    if type(space.modular_map) is not RationalFrom or settled.all():
+        return settled
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):
-        w = scale * S
-        q_lo, q_hi = grid[0] / scale, grid[-1] / scale
+        w = k * v
         total = u + w
-        D = np.abs(u - w) / total
-        return ((u >= tiny) & (w >= tiny) & (q_lo >= tiny) & (q_hi < np.inf)
-                & (grid[-1] + u < np.inf) & (q_hi + S < np.inf) & (total < np.inf)
-                & (D <= eps - 4e-15))
+        near = np.abs(u - w) / total <= eps - 4e-15
+        if near.any():
+            q_lo, q_hi = grid[0] / k, grid[-1] / k
+            settled |= (near & (u >= tiny) & (w >= tiny) & (q_lo >= tiny) & (q_hi < np.inf)
+                        & (grid[-1] + u < np.inf) & (q_hi + v < np.inf) & (total < np.inf))
+    return settled
+
+
+def _pair_values(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
+                 rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The grid-major t, lhs = kernel(t, u) and rhs = kernel(t/k, v) of a
+    scaled pair's given rows.  Where t/k overflows, v's side is read at the
+    largest float: at inf the rational kernel's inf/inf, a NaN, breaks no eps."""
+    t = grid[:, None]
+    with np.errstate(over="ignore"):
+        q = t / (k if np.ndim(k) == 0 else k[rows])
+    np.minimum(q, np.finfo(float).max, out=q)
+    return {"t": t, "lhs": space.kernel(t, u[rows]), "rhs": space.kernel(q, v[rows])}
+
+
+def _pair_report(name: str, space: PMSpace, budget: SampleBudget, u: np.ndarray,
+                 v: np.ndarray, k: Any, fields: Callable[[int], dict[str, Any]], *,
+                 absolute: bool = False, notes: dict[str, Any] | None = None) -> CheckReport:
+    """The report of a scaled pair over its len(u) rows, by _block_report on
+    the open rows: a settled row holds, so it is neither counted nor
+    recorded.  A broken row r is recorded as fields(r) and its t, lhs, rhs."""
+    grid = budget.grid_array()
+    rows = np.flatnonzero(~_pair_settled(space, grid, u, v, k, budget.epsilon))
+    return _block_report(name, rows.size, lambda b: _pair_values(space, grid, u, v, k, rows[b]),
+                         lambda j: fields(rows[j]), budget, absolute=absolute,
+                         samples=u.size, notes=notes)
 
 
 class _Delta2Scan:
-    """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps over one draw
-    of rows x and the budget grid, evaluated in grid-major blocks of
-    DELTA2_CHUNK rows.
-
-    The rows are budget.n_vectors rows of the "delta2" stream, and the scan
-    asks the two doubling questions of them: smallest, the least candidate
-    no row breaks, and declared, the report of the space's declared
-    constant on every row.  The (grid, rows) matrices live for one
-    block.  A row's verdict reads only that row, so every verdict and
-    record is the one a single full-matrix evaluation gives.
-
-    Where c is a power of two, every grid quotient t/c is exact and c *
-    sigma(x) is exact with the bits of sigma(2x), the row's two sides are
-    kernel(t, c*s) and kernel(t/c, s), the same floats by the kernel's
-    scaling contract (ModularMap), so its gap is exactly 0 and it holds.
-    Only the other rows, the open ones, are evaluated.  On the valid
-    reference instances sigma(2x) is 2**p sigma(x) bit for bit, so no row
-    is open at their declared constant c = 2**p.
+    """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps, the scaled
+    pair (sigma(2x), sigma(x), c), over budget.n_vectors rows x of the
+    "delta2" stream, asked its two questions: smallest, the least candidate
+    no row breaks, and declared, the declared constant's report.  Only open
+    rows are evaluated, and a row's verdict reads only that row, so every
+    verdict and record is the one a full-matrix evaluation gives.  On the
+    valid reference instances sigma(2x) is 2**p sigma(x) bit for bit, so no
+    row is open at their declared constant c = 2**p.
     """
 
     def __init__(self, space: PMSpace, budget: SampleBudget):
-        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
-                           space.dim)
+        X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors, space.dim)
         self.space, self.budget, self.X = space, budget, X
-        self._grid = budget.grid_array()[:, None]
-        self._S = space.sigma(X)
-        self._S2 = space.sigma(2.0 * X)
-
-    def _block(self, c: float, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """The grid t, lhs and rhs on the given rows.  Where t/c overflows,
-        mu_x is read at the largest float: at inf the rational kernel gives
-        inf/inf, a NaN whose gap exceeds no eps."""
-        with np.errstate(over="ignore"):
-            q = np.minimum(self._grid / c, np.finfo(float).max)
-        return {"t": self._grid, "lhs": self.space.kernel(self._grid, self._S2[rows]),
-                "rhs": self.space.kernel(q, self._S[rows])}
-
-    def _open_rows(self, c: float) -> np.ndarray:
-        """The indices of the rows whose gap for c is not settled: every
-        row, unless c is a power of two and every t/c is exact, and then the
-        rows whose c * sigma(x) is not exact with the bits of sigma(2x)."""
-        S = self._S
-        if math.frexp(c)[0] == 0.5:
-            with np.errstate(over="ignore", under="ignore"):
-                q, cS = self._grid / c, c * S
-            if _scaled_exactly(q, self._grid, c).all():
-                return np.flatnonzero(~_scaled_exactly(S, cS, c)
-                                      | (_float_bits(cS) != _float_bits(self._S2)))
-        return np.arange(len(S))
+        self._grid = budget.grid_array()
+        self._S, self._S2 = space.sigma(X), space.sigma(2.0 * X)
 
     def smallest(self, candidates: tuple[float, ...]) -> float | None:
-        """The smallest candidate c no row breaks; None when every
-        candidate is broken.  The candidates are checked before any is
-        tested.  Only emptiness is asked, so each candidate is tested on its
-        open rows in blocks, in row order, and ruled out at the first block
-        holding a broken row."""
+        """The smallest candidate c no row breaks, or None; the candidates
+        are checked before any is tested.  Each is tested on the rows exact
+        scaling leaves open (the gap bound would cost every ruled-out
+        candidate a pass over all rows), in blocks, in row order, up to the
+        first block holding a broken row."""
         check_numbers(candidates, "candidates", above=0)
         eps = self.budget.epsilon
+        pair = (self._grid, self._S2, self._S)
 
         def holds(c: float) -> bool:
-            rows = self._open_rows(c)
-            return not any(_broken(self._block(c, rows[b]), False, eps).any()
+            rows = np.flatnonzero(~_pair_exact(*pair, c))
+            return not any(_broken(_pair_values(self.space, *pair, c, rows[b]), False, eps).any()
                            for b in _blocks(rows.size))
 
         return next((float(c) for c in sorted(candidates) if holds(c)), None)
@@ -761,10 +770,8 @@ class _Delta2Scan:
         c = self.space.declared_c
         if c is None:
             raise PreconditionError("space declares no doubling constant")
-        rows = self._open_rows(c)
-        return _block_report("delta2_declared", rows.size, lambda b: self._block(c, rows[b]),
-                             lambda k: {"x": self.X[rows[k]].tolist(), "c": c}, self.budget,
-                             samples=len(self.X), notes={"c": c})
+        return _pair_report("delta2_declared", self.space, self.budget, self._S2, self._S, c,
+                            lambda r: {"x": self.X[r].tolist(), "c": c}, notes={"c": c})
 
 
 def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
@@ -781,17 +788,10 @@ def find_delta2_constant(space: PMSpace, budget: SampleBudget,
 
 def check_beta_homogeneous(space: PMSpace, beta: float,
                            budget: SampleBudget) -> CheckReport:
-    """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta).
-
-    X and a are drawn up front.  A row the rational kernel's gap bound
-    settles (_homogeneity_settled) holds; only the other rows, the open
-    ones, are evaluated, in grid-major (grid, rows) blocks of DELTA2_CHUNK
-    rows, counting every broken row and keeping the records of the first
-    ones.  A settled row is never broken, so the counts and records are the
-    ones every row's evaluation gives.  On a valid degree-one rational space
-    at beta = 1, sigma(a x) is |a| sigma(x) to within rounding, so no row
-    is open.
-    """
+    """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta), the scaled pair
+    (sigma(a x), sigma(x), |a|^beta) over X and a drawn up front.  On a
+    valid degree-one rational space at beta = 1, sigma(a x) is |a| sigma(x)
+    to within rounding, so no row is open."""
     try:
         check_number(beta, "exponent", **EXPONENT)
     except FieldError as exc:
@@ -802,21 +802,10 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
     a = sample_scalars(rng, n)
     # Structured probes: identity scalars and exact doubling/halving.
     a[: min(6, n)] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0][: min(6, n)]
-    S_ax = space.sigma(a[:, None] * X)
-    S = space.sigma(X)
-    scale = np.abs(a) ** beta
-    t = budget.grid_array()
-    rows = np.flatnonzero(~_homogeneity_settled(space, t, S_ax, S, scale, budget.epsilon))
-    grid = t[:, None]
-
-    def block(b: slice) -> dict[str, np.ndarray]:
-        r = rows[b]
-        return {"t": grid, "lhs": space.kernel(grid, S_ax[r]),
-                "rhs": space.kernel(grid / scale[r], S[r])}
-
-    return _block_report("beta_homogeneous", rows.size, block,
-                         lambda k: {"x": X[rows[k]].tolist(), "a": float(a[rows[k]])},
-                         budget, absolute=True, samples=n, notes={"beta": beta})
+    return _pair_report("beta_homogeneous", space, budget, space.sigma(a[:, None] * X),
+                        space.sigma(X), np.abs(a) ** beta,
+                        lambda r: {"x": X[r].tolist(), "a": float(a[r])},
+                        absolute=True, notes={"beta": beta})
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ records     CLI reports that record violations of every blocked grid check:
             homogeneity at a wrong exponent, a breaking declared doubling
             constant, and break_pm4 over samples that span several pm4 blocks;
             and check-convergence at a pass on the entry's default grid, an
-            infeasible empty local base, a given grid and n_max, and a fail
-            at a given grid blind to the offset
+            infeasible empty local base, a given grid and n_max, a fail at a
+            given grid blind to the offset, and a config error of each of
+            its operation checks
 
 A change that moves bytes on purpose regenerates the file and names the
 changed keys: --check ends with a tally of the mismatched keys per group and
@@ -220,6 +221,7 @@ def _fuzz(cases: list[list[str]]) -> Iterator[Entry]:
                lambda command=command, cfg_text=cfg_text: _run_cli([command], cfg_text))
 
 
+SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
 RECORD_CASES = [
     # Degree-one spaces checked at beta 0.5: most rows break.
     ("check-homogeneous", {"family": "rational_from", "dim": 1,
@@ -263,6 +265,16 @@ RECORD_CASES = [
                            "modular": {"kind": "p_power", "p": 1.0}},
      {"sequence": {"kind": "constant_offset", "base": [0.0, 0.0],
                    "direction": [0.3, 0.1]}, "t_grid": [10.0, 100.0, 1000.0]}, 100),
+    # check-convergence's operation checks, each an exit 3 with its stderr: an
+    # unknown sequence kind, a direction of the wrong dimension, an empty
+    # grid, n_max 0 and a local base depth that is not an integer.
+    *(("check-convergence", {"family": "rational_from", "dim": 2,
+                             "modular": {"kind": "p_power", "p": 1.0}}, op, 100)
+      for op in ({"sequence": {"kind": "spiral", "base": [0.0, 0.0], "direction": [0.3, 0.1]}},
+                 {"sequence": {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3]}},
+                 {"sequence": SEQUENCE, "t_grid": []},
+                 {"sequence": SEQUENCE, "n_max": 0},
+                 {"sequence": SEQUENCE, "local_base_depth": 1.5})),
 ]
 
 

@@ -602,15 +602,17 @@ def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name
 
 
 def scan_spaces():
-    """Valid spaces of both families on every modular kind, and the two
-    mutations whose doubling rows are partly or wholly unsettled."""
+    """Valid spaces of both families on every modular kind, and every
+    mutation: a FlooredMap (break_pm1), a ClosedStepFrom
+    (break_left_continuity) and functionals whose pair rows are partly or
+    wholly unsettled."""
     spaces = {f"{make.__name__}-{name}": make(rho, 2, declared_c=c)
               for make in (p.rational_space, p.step_space)
               for name, rho, c in (("weighted", p.WeightedAbs(weights=(0.5, 2.0)), 2.0),
                                    ("p1", p.PPower(p=1.0), 2.0),
                                    ("p2", p.PPower(p=2.0), 4.0))}
-    for mutation in ("break_delta2_declaration", "break_pm2"):
-        spaces[mutation] = F.generate_instance(0, "rational_from", mutation)
+    for mutation in F.MUTATION_KINDS:
+        spaces[mutation] = F.generate_instance(0, F.MUTATION_FAMILY[mutation], mutation)
     return spaces
 
 
@@ -619,8 +621,26 @@ def scan_spaces():
 SCAN_CANDIDATES = P.DELTA2_CANDIDATES + (0.5, 2.0 ** 40, 2.0 ** 1000, 1e308)
 
 
+def pair_values_with_settled_rows_checked(space, grid, u, v, k, label):
+    """A scaled pair's values on every row, once every row it settles is
+    checked: a row exact scaling settles has a gap of exactly 0, and a row
+    _pair_settled settles has no gap above eps, below the gap bound's margin
+    (1e-15), at it (4e-15), at the default and far above it."""
+    full = P._pair_values(space, grid, u, v, k, np.arange(u.size))
+    gap = np.abs(full["rhs"] - full["lhs"])
+    exact = P._pair_exact(grid, u, v, k)
+    assert np.all(gap[:, exact] == 0.0), label
+    for eps in (1e-15, 4e-15, 1e-9, 0.5):
+        settled = P._pair_settled(space, grid, u, v, k, eps)
+        assert np.all(settled[exact]) and np.all(gap[:, settled] <= eps), (label, eps)
+    return full
+
+
 @pytest.mark.parametrize("name", sorted(scan_spaces()))
 def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
+    # The one settle rule is sound on all three scaled pairs (the doubling
+    # pair at every candidate, pm3's, and homogeneity's at beta 1 and 0.5),
+    # and the scan's open rows give the full evaluation's verdicts.
     space = scan_spaces()[name]
     grids = {"default": D.default_t_grid()}
     if name in ("rational_space-weighted", "step_space-weighted"):
@@ -631,21 +651,28 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
     every = np.arange(1500)
     for grid_name, t_grid in grids.items():
         budget = p.SampleBudget(n_vectors=1500, t_grid=t_grid, rng_seed=3)
+        grid, eps = budget.grid_array(), budget.epsilon
         scan = _Delta2Scan(space, budget)
+        S, S2 = scan._S, scan._S2
         for c in SCAN_CANDIDATES + (space.declared_c,):
-            full = scan._block(c, every)
-            gap = full["rhs"] - full["lhs"]
-            want = P._broken(full, False, budget.epsilon)
-            rows = scan._open_rows(c)
-            assert rows.dtype.kind == "i" and np.array_equal(rows, np.unique(rows))
-            # A row left out has a gap of exactly 0, so it holds.
-            assert np.all(np.delete(gap, rows, axis=1) == 0.0), (grid_name, c)
+            full = pair_values_with_settled_rows_checked(space, grid, S2, S, c, (grid_name, c))
+            want = P._broken(full, False, eps)
+            rows = np.flatnonzero(~P._pair_exact(grid, S2, S, c))
             got = np.zeros(1500, dtype=bool)
-            got[rows] = P._broken(scan._block(c, rows), False, budget.epsilon)
+            got[rows] = P._broken(P._pair_values(space, grid, S2, S, c, rows), False, eps)
             assert np.array_equal(got, want), (grid_name, c)
             assert scan.smallest((c,)) == (None if want.any() else c)
-        declared = scan._open_rows(space.declared_c)
-        settled_at_2 = np.setdiff1d(every, scan._open_rows(2.0))
+        assert scan.declared().n_violations == want.sum()   # want: the declared c's
+        pair_values_with_settled_rows_checked(space, grid, space.sigma(-scan.X), S, 1.0,
+                                              (grid_name, "pm3"))
+        a = P.sample_scalars(np.random.default_rng(3), 1500)
+        a[:6] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0]   # homogeneity's structured probes
+        S_ax = space.sigma(a[:, None] * scan.X)
+        for beta in (1.0, 0.5):
+            pair_values_with_settled_rows_checked(space, grid, S_ax, S, np.abs(a) ** beta,
+                                                  (grid_name, beta))
+        declared = np.flatnonzero(~P._pair_exact(grid, S2, S, space.declared_c))
+        settled_at_2 = np.flatnonzero(P._pair_exact(grid, S2, S, 2.0))
         if name == "break_pm2":
             # sigma is 0 on both sides of some rows only: those are settled
             # at c = 2, and some of the open rows break it.
@@ -656,7 +683,7 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
             assert scan.declared().n_violations > 0
         elif grid_name == "subnormal-inexact":
             assert settled_at_2.size == 0
-        else:
+        elif name not in F.MUTATION_KINDS:
             assert declared.size == 0
             assert scan.declared().n_violations == 0
 
@@ -666,9 +693,17 @@ def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
         tmp_path, monkeypatch, mutation):
     space = F.generate_instance(0, "rational_from", mutation)
     evaluated = []
-    block = _Delta2Scan._block
-    monkeypatch.setattr(_Delta2Scan, "_block", lambda self, c, rows: (
-        evaluated.extend((c, int(r)) for r in rows) or block(self, c, rows)))
+    values = P._pair_values
+
+    def recorded(space, grid, u, v, k, rows):
+        # pm3's k = 1 leaves no row of a valid instance open, and
+        # homogeneity's k is one number per row, so the calls with one
+        # number k are the doubling scan's.
+        if np.ndim(k) == 0:
+            evaluated.extend((k, int(r)) for r in rows)
+        return values(space, grid, u, v, k, rows)
+
+    monkeypatch.setattr(P, "_pair_values", recorded)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"instance": space.to_config(),
                                "budget": {"n_vectors": 2000, "rng_seed": 0}}))
@@ -806,6 +841,16 @@ def test_homogeneity_evaluates_no_row_of_a_valid_degree_one_rational_space(monke
     rows, rep = homogeneity_rows_evaluated(
         monkeypatch, p.rational_space(p.PPower(p=2.0), 3), 1.0, budget)
     assert rows == 5000 - 3 and rep.n_violations == 5000 - 3
+
+
+def test_homogeneity_counts_the_same_violations_with_a_grid_point_at_the_bound():
+    # t/|a| at a last grid point up to MAX_GRID_T stays finite, so the point
+    # adds no NaN gap that would hide a violation.
+    space = p.rational_space(p.PPower(p=2.0), 2)
+    counts = [p.check_beta_homogeneous(space, 1.0, p.SampleBudget(
+        n_vectors=200, n_scalar_pairs=200, t_grid=grid)).n_violations
+        for grid in ((1e-3, 1.0, 1e3), (1e-3, 1.0, 1e3, D.MAX_GRID_T))]
+    assert counts == [197, 197]
 
 
 def reference_confirm_limit(f, start, target, eps):

@@ -15,7 +15,7 @@ import pmtop.convergence as C
 import pmtop.falsifier as F
 from pmtop import cli
 from pmtop.convergence import MAX_LOCAL_BASE_DEPTH, MAX_N_MAX
-from pmtop.distfn import MAX_GRID_COUNT, MAX_SAMPLES, SampleBudget
+from pmtop.distfn import MAX_GRID_COUNT, MAX_GRID_T, MAX_SAMPLES, SampleBudget, default_t_grid
 from pmtop.pmspace import space_from_config
 from pmtop.topology import WITNESS_SAMPLES
 
@@ -88,7 +88,10 @@ def test_infeasible_witness_exits_with_code_two(tmp_path):
                                     {"t_grid": {"min": 1e-3, "max": 1e3,
                                                 "count": 10 ** 12}},
                                     {"epsilon": True},
-                                    {"t_grid": [True, 2]}])
+                                    {"t_grid": [True, 2]},
+                                    {"t_grid": [1e-3, 1e3, MAX_GRID_T * 1.01]},
+                                    {"t_grid": {"min": 1e-3, "max": MAX_GRID_T * 1.01,
+                                                "count": 64}}])
 def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
     # json.dumps writes Infinity, which json.load accepts; the budget must not.
     cfg = json.loads(json.dumps(RATIONAL))
@@ -102,6 +105,29 @@ def test_non_finite_budget_is_a_config_error(tmp_path, capsys, budget):
 
 
 SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
+
+
+@pytest.mark.parametrize("instance", [
+    {"family": "rational_from", "modular": {"kind": "p_power", "p": 1.0}, "dim": 2},
+    {"family": "step_from", "modular": {"kind": "weighted_abs", "weights": [1.0, 0.5]},
+     "dim": 2}])
+def test_every_subcommand_runs_on_a_grid_that_ends_at_the_bound(tmp_path, capsys, instance):
+    # The checks read t past the last grid point, up to 1e13 times it: at
+    # MAX_GRID_T none overflows, where the suite's filterwarnings = error
+    # would make an "unexpected error" record, and every subcommand exits as
+    # it does on the default grid.
+    instance = {**instance, "declared_c": 2.0, "declared_beta": 1.0}
+    for command in cli.SUBCOMMANDS:
+        codes = []
+        for grid in (list(default_t_grid()), list(default_t_grid()) + [MAX_GRID_T]):
+            cfg = {"instance": instance, "budget": {"n_vectors": 300, "n_scalar_pairs": 300,
+                                                    "t_grid": grid, "rng_seed": 0}}
+            if command == "check-convergence":
+                cfg["operation"] = {"sequence": SEQUENCE}
+            codes.append(cli.main([command, "--config", write_config(tmp_path, cfg)]))
+            captured = capsys.readouterr()
+            assert "unexpected error" not in captured.out and captured.err == "", command
+        assert codes[0] == codes[1] and codes[0] != 3, command
 
 
 @pytest.mark.parametrize("command, operation", [
@@ -140,6 +166,8 @@ SEQUENCE = {"kind": "harmonic", "base": [0.0, 0.0], "direction": [0.3, 0.1]}
     ("witness-refine", {"z": [True, 0.0]}),
     ("witness-separate", {"variant": "homogeneous", "y": [True]}),
     ("witness-separate", {"variant": "homogeneous", "y": [1.0, 2.0, 3.0]}),
+    # A scale above the bound every grid keeps.
+    ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1.0, MAX_GRID_T * 1.01]}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
