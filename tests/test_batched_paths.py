@@ -602,18 +602,48 @@ def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name
 
 
 def scan_spaces():
-    """Valid spaces of both families on every modular kind, and every
-    mutation: a FlooredMap (break_pm1), a ClosedStepFrom
-    (break_left_continuity) and functionals whose pair rows are partly or
-    wholly unsettled."""
+    """Valid spaces of both families on every modular kind, a valid closed
+    step space and a floored step space, and every mutation: a FlooredMap
+    (break_pm1), a ClosedStepFrom (break_left_continuity) and functionals
+    whose pair rows are partly or wholly unsettled."""
     spaces = {f"{make.__name__}-{name}": make(rho, 2, declared_c=c)
               for make in (p.rational_space, p.step_space)
               for name, rho, c in (("weighted", p.WeightedAbs(weights=(0.5, 2.0)), 2.0),
                                    ("p1", p.PPower(p=1.0), 2.0),
                                    ("p2", p.PPower(p=2.0), 4.0))}
+    weighted = p.WeightedAbs(weights=(0.5, 2.0))
+    spaces["closed_step-weighted"] = PMSpace(dim=2, modular_map=ClosedStepFrom(weighted),
+                                             declared_c=2.0)
+    spaces["floored_step-weighted"] = PMSpace(
+        dim=2, modular_map=FlooredMap(StepFrom(weighted), 0.1), declared_c=2.0)
     for mutation in F.MUTATION_KINDS:
         spaces[mutation] = F.generate_instance(0, F.MUTATION_FAMILY[mutation], mutation)
     return spaces
+
+
+STEP_BASES = (StepFrom, ClosedStepFrom)
+
+# The interval clause's relative widening of [min(u, w), max(u, w)].
+STEP_DELTA = 2.0 ** -51
+
+
+def step_interval(u, v, k):
+    """The interval clause's [lo, hi] of each row, w = k * v."""
+    with np.errstate(all="ignore"):
+        w = k * v
+        return np.minimum(u, w) * (1.0 - STEP_DELTA), np.maximum(u, w) * (1.0 + STEP_DELTA)
+
+
+def reference_step_settled(grid, u, v, k):
+    """The rows the interval clause settles, by scanning every grid point:
+    those in its domain with no grid point in the closed [lo, hi]."""
+    tiny = np.finfo(float).tiny
+    lo, hi = step_interval(u, v, k)
+    with np.errstate(all="ignore"):
+        domain = ((u >= tiny) & (k * v >= tiny) & (hi < np.inf)
+                  & (grid[0] / k >= tiny) & (grid[-1] / k < np.inf))
+    inside = np.any((grid[:, None] >= lo) & (grid[:, None] <= hi), axis=0)
+    return domain & ~inside
 
 
 # The default candidates, and CLI candidates below 1, too large to scale a
@@ -625,14 +655,21 @@ def pair_values_with_settled_rows_checked(space, grid, u, v, k, label):
     """A scaled pair's values on every row, once every row it settles is
     checked: a row exact scaling settles has a gap of exactly 0, and a row
     _pair_settled settles has no gap above eps, below the gap bound's margin
-    (1e-15), at it (4e-15), at the default and far above it."""
-    full = P._pair_values(space, grid, u, v, k, np.arange(u.size))
+    (1e-15), at it (4e-15), at the default and far above it.  On a step
+    kernel, floored or not, the settled rows are exactly those exact scaling
+    or reference_step_settled settles.  A k of 0 divides by zero here only."""
+    with np.errstate(divide="ignore"):
+        full = P._pair_values(space, grid, u, v, k, np.arange(u.size))
     gap = np.abs(full["rhs"] - full["lhs"])
     exact = P._pair_exact(grid, u, v, k)
     assert np.all(gap[:, exact] == 0.0), label
+    step = type(getattr(space.modular_map, "base", space.modular_map)) in STEP_BASES
     for eps in (1e-15, 4e-15, 1e-9, 0.5):
         settled = P._pair_settled(space, grid, u, v, k, eps)
         assert np.all(settled[exact]) and np.all(gap[:, settled] <= eps), (label, eps)
+        if step:
+            want = exact | reference_step_settled(grid, u, v, k)
+            assert np.array_equal(settled, want), (label, eps)
     return full
 
 
@@ -642,18 +679,38 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
     # pair at every candidate, pm3's, and homogeneity's at beta 1 and 0.5),
     # and the scan's open rows give the full evaluation's verdicts.
     space = scan_spaces()[name]
+    X = _Delta2Scan(space, p.SampleBudget(n_vectors=1500, rng_seed=3)).X   # any grid's draw
+    S = space.sigma(X)
+    a = P.sample_scalars(np.random.default_rng(3), 1500)
+    a[:6] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0]   # homogeneity's structured probes
+    a[6:8] = [0.0, 1e-307]   # k = 0, and at beta = 1 a t/k that overflows
+    S_ax = space.sigma(a[:, None] * X)
     grids = {"default": D.default_t_grid()}
-    if name in ("rational_space-weighted", "step_space-weighted"):
+    step = type(getattr(space.modular_map, "base", space.modular_map)) in STEP_BASES
+    if name.endswith("-weighted") or name == "break_left_continuity":
         # t/2 subnormal and exact, so c = 2 still settles rows; and t/2
         # rounded to 0, so no row is settled at c = 2.
         grids["subnormal-exact"] = (2.0 ** -1073, 3 * 2.0 ** -1070, 1e-3, 1.0)
         grids["subnormal-inexact"] = (5e-324, 1e-3, 1.0)
+    if step:
+        # Homogeneity rows with a grid point at u, at w = fl(k*v) or one ulp
+        # to either side, all inside the interval; and with grid points at
+        # both ends of the interval, which is closed.
+        rows = np.arange(8, 40)
+        at_u_w, at_ends = set(), set()
+        for beta in (1.0, 0.5):
+            u, w = S_ax[rows], np.abs(a[rows]) ** beta * S[rows]
+            at_u_w.update(np.concatenate([u, w, *(np.nextafter(x, end) for x in (u, w)
+                                                   for end in (-np.inf, np.inf))]))
+            at_ends.update(np.concatenate(step_interval(S_ax[rows], S[rows],
+                                                        np.abs(a[rows]) ** beta)))
+        grids["at-u-and-w"], grids["at-interval-ends"] = sorted(at_u_w), sorted(at_ends)
     every = np.arange(1500)
     for grid_name, t_grid in grids.items():
         budget = p.SampleBudget(n_vectors=1500, t_grid=t_grid, rng_seed=3)
         grid, eps = budget.grid_array(), budget.epsilon
         scan = _Delta2Scan(space, budget)
-        S, S2 = scan._S, scan._S2
+        S2 = scan._S2
         for c in SCAN_CANDIDATES + (space.declared_c,):
             full = pair_values_with_settled_rows_checked(space, grid, S2, S, c, (grid_name, c))
             want = P._broken(full, False, eps)
@@ -663,11 +720,8 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
             assert np.array_equal(got, want), (grid_name, c)
             assert scan.smallest((c,)) == (None if want.any() else c)
         assert scan.declared().n_violations == want.sum()   # want: the declared c's
-        pair_values_with_settled_rows_checked(space, grid, space.sigma(-scan.X), S, 1.0,
+        pair_values_with_settled_rows_checked(space, grid, space.sigma(-X), S, 1.0,
                                               (grid_name, "pm3"))
-        a = P.sample_scalars(np.random.default_rng(3), 1500)
-        a[:6] = [1.0, -1.0, 2.0, 0.5, -0.5, 1.0]   # homogeneity's structured probes
-        S_ax = space.sigma(a[:, None] * scan.X)
         for beta in (1.0, 0.5):
             pair_values_with_settled_rows_checked(space, grid, S_ax, S, np.abs(a) ** beta,
                                                   (grid_name, beta))
@@ -686,6 +740,49 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
         elif name not in F.MUTATION_KINDS:
             assert declared.size == 0
             assert scan.declared().n_violations == 0
+
+
+def test_step_clause_leaves_open_the_rows_its_proof_does_not_cover():
+    # Rows (u, v, k) against a grid of their own, on every step kernel and
+    # with k one number or one per row.  With u = w = fl(k*v), a grid point
+    # at w or one ulp to either side can have a gap of 1, on the open step
+    # or on the closed one: an interval of width 0 would settle the rows one
+    # ulp away, and open at its ends also those at w.  A NaN settles
+    # nothing, and a subnormal t/k can round onto v, a gap of 1 that only
+    # the domain keeps open; k = 0 and an overflowing t/k stay open too.
+    def at_w(k, v, ulps):
+        w = k * v
+        return (w + ulps * np.spacing(w),), w, v, k
+
+    v_sub, k_big = 7 * 2.0 ** -1074, 1.5 * 2.0 ** 60
+    w_sub = k_big * v_sub
+    cases = {   # name: ((grid, u, v, k), largest gap on the open and the closed step)
+        "one-ulp-above-w": (at_w(1.1987577381478085, 9.807564626014374, 1), (1.0, 0.0)),
+        "one-ulp-below-w": (at_w(1.3577951967090702, 5.411612282006679, -1), (0.0, 1.0)),
+        "at-w-closed": (at_w(1.6369616873214543, 10.104930571884328, 0), (0.0, 1.0)),
+        "at-w-open": (at_w(1.4226872211976584, 13.54370617953049, 0), (1.0, 0.0)),
+        "nan-u": (((2.0,), np.nan, 1.0, 1.5), (1.0, 1.0)),
+        "nan-v": (((2.0,), 1.0, np.nan, 1.5), (1.0, 1.0)),
+        "subnormal-t-over-k": (((w_sub * (1.0 + 2.0 ** -40),), w_sub, v_sub, k_big), (1.0, 0.0)),
+        "k-zero": (((0.5, 2.0), 1.0, 1.0, 0.0), (1.0, 1.0)),
+        "overflowing-t-over-k": (((1e-3, 1e10), 2e-10, 1e290, 1e-300), (0.0, 0.0)),
+    }
+    assert cases["one-ulp-above-w"][0][1] == 11.756893987819447
+    rho = p.WeightedAbs(weights=(1.0,))
+    maps = {"open": StepFrom(rho), "closed": ClosedStepFrom(rho),
+            "floored": FlooredMap(StepFrom(rho), 0.1)}
+    for name, ((t, u, v, k), gaps) in cases.items():
+        grid = np.asarray(t)
+        for kind, mm in maps.items():
+            space = PMSpace(dim=1, modular_map=mm)
+            for k_rows in (k, np.array([k])):
+                full = pair_values_with_settled_rows_checked(space, grid, np.array([u]),
+                                                             np.array([v]), k_rows, name)
+                gap = np.max(np.abs(full["rhs"] - full["lhs"]))
+                assert gap == {"open": gaps[0], "closed": gaps[1],
+                               "floored": 0.9 * gaps[0]}[kind], (name, kind)
+                assert not P._pair_settled(space, grid, np.array([u]), np.array([v]),
+                                           k_rows, 0.5).any(), (name, kind)
 
 
 @pytest.mark.parametrize("mutation", [None, "break_delta2_declaration"])
@@ -833,14 +930,39 @@ def test_homogeneity_evaluates_no_row_of_a_valid_degree_one_rational_space(monke
     assert sorted(spaces) == [1, 2, 3, 4]
     budget = p.SampleBudget(n_vectors=5000, n_scalar_pairs=5000, rng_seed=7)
     for space in spaces.values():
-        rows, rep = homogeneity_rows_evaluated(monkeypatch, space, 1.0, budget)
-        assert rows == 0 and rep.passed and rep.samples_run == 5000
-        monkeypatch.undo()
+        # break_pm1's FlooredMap settles its rows by its base's gap bound.
+        for checked in (space, F.apply_mutation(space, "break_pm1", 0)):
+            rows, rep = homogeneity_rows_evaluated(monkeypatch, checked, 1.0, budget)
+            assert rows == 0 and rep.passed and rep.samples_run == 5000
+            monkeypatch.undo()
     # On a degree-two space at beta = 1 every row is open but the a = 1, -1
     # and 1 probes, where sigma(a x) is exactly |a| sigma(x).
     rows, rep = homogeneity_rows_evaluated(
         monkeypatch, p.rational_space(p.PPower(p=2.0), 3), 1.0, budget)
     assert rows == 5000 - 3 and rep.n_violations == 5000 - 3
+
+
+def test_registry_evaluates_no_homogeneity_row_of_a_valid_step_space(monkeypatch):
+    # At the criterion-7 budget the interval clause settles every row of
+    # homogeneity's pair, the one pair with a k per row, on valid step
+    # spaces: in beta_declared and in scaling_identity's precondition.
+    evaluated = []
+    values = P._pair_values
+
+    def recorded(space, grid, u, v, k, rows):
+        if np.ndim(k) > 0:
+            evaluated.append((space.dim, rows.size))
+        return values(space, grid, u, v, k, rows)
+
+    monkeypatch.setattr(P, "_pair_values", recorded)
+    spaces = [F.generate_instance(seed, "step_from") for seed in (0, 1, 2, 4)]
+    assert sorted(space.dim for space in spaces) == [1, 2, 3, 4]
+    for seed, space in enumerate(spaces):
+        run = p.run_registry(space, p.SampleBudget(
+            n_vectors=10_000, n_scalar_pairs=10_000, epsilon=1e-9, rng_seed=seed))
+        assert run.results["beta_declared"].outcome == "pass"
+        assert run.results["scaling_identity"].outcome == "pass"
+    assert evaluated == []
 
 
 def test_homogeneity_counts_the_same_violations_with_a_grid_point_at_the_bound():
