@@ -36,6 +36,19 @@ LEFT_PROBES = (1e-3, 1e-6, 1e-9)
 # evaluation cannot tell a jump from a steep continuous rise.
 JUMP_FLOOR = 1e-4
 
+# The continuity scan bisects each lane for JUMP_STEPS steps, in stages of
+# RETIRE_STAGE; between two stages it retires the lanes a monotone bound
+# proves continuous, with RETIRE_MARGIN of slack for the kernel's rounding
+# (_regularity_scan derives both).  Timed per check_space_regularity call on
+# the 20 regularity checks of the seed-0 axiom_bulk pool (2-core Xeon VM,
+# medians of 7 passes, three runs): 1.6-2.1 ms at 8 steps, the fastest or
+# level in each run, against 1.7-2.0 at 6, 7, 10 and 12, 2.0-2.1 at 4 and 16,
+# and 4.0-4.9 unstaged (48).  At 8 the pool bisects 1,091,560 points, not
+# 3,953,520.
+JUMP_STEPS = 48
+RETIRE_STAGE = 8
+RETIRE_MARGIN = 2.0 ** -48
+
 # Default evaluation grid.
 GRID_MIN = 1e-3
 GRID_MAX = 1e3
@@ -51,8 +64,8 @@ MAX_STORED_VIOLATIONS = 50
 # Validation bounds on a budget's sizes, so that an absurd count is a config
 # error and not a failed allocation.  Peak memory grows linearly in both.
 # Traced by tracemalloc, check_axioms peaks at 5.3-6.1 MiB at 1e5 samples in
-# dim 1 (13.0 MiB in dim 4), and check_space_regularity at 14.1 MiB on a
-# 1024-point grid (rational_from, dim 2).
+# dim 1 (13.0 MiB in dim 4), and check_space_regularity at 4.2 MiB on a
+# 1024-point grid (rational_from, dim 2; a test holds it under 4.75 MiB).
 MAX_SAMPLES = 10 ** 6
 MAX_GRID_COUNT = 1024
 
@@ -324,12 +337,39 @@ def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
     on the grid and evaluate(t, rows), the values of functions rows at t.
 
     continuity   where a grid pair rises by more than JUMP_FLOOR, bisect to
-                 the steep point and compare the two-sided gap at the
-                 smallest probe step against the gap at the widest.  A
-                 genuine jump keeps the gap as the step shrinks; a steep
-                 continuous rise does not.
+                 the steep point tau and compare the two-sided gap g_small
+                 at the smallest probe step against the gap g_wide at the
+                 widest.  A genuine jump keeps the gap as the step shrinks;
+                 a steep continuous rise does not.  The pair is jumpy where
+                 g_small > eps and g_small >= 0.5 * g_wide.
     strict       on grid pairs whose values both lie strictly inside
                  (0, 1), require f(t2) > f(t1) + EPS_STRICT.
+
+    Each pair is a lane of bisect_lanes, JUMP_STEPS steps long, run in
+    stages of RETIRE_STAGE steps.  Between two stages a lane with bracket
+    [lo, hi] retires, and records nothing, when a monotone bound proves it
+    cannot end jumpy.  Every later bracket, and so tau, lies in [lo, hi], and
+    rounding is monotone, so fl(tau + d) <= fl(hi + d) and
+    max(fl(tau - d), 0) >= max(fl(lo - d), 0).  With f non-decreasing in t:
+
+        g_small <= U = f(hi + d_small) - f(max(lo - d_small, 0))
+        g_wide  >= L = f(lo + d_wide) - f(max(hi - d_wide, 0))
+
+    The kernels are non-decreasing only up to rounding (ModularMap's
+    contract): a value can fall by less than four ulps, below 2**-50 for a
+    value in [0, 1].  Two such falls and the rounding of both differences
+    (at most 2**-54 each) give computed g_small < computed U + 2**-49 +
+    2**-53, and the rounding of U + RETIRE_MARGIN costs at most 2**-53
+    more, so fl(U + RETIRE_MARGIN) > g_small at RETIRE_MARGIN = 2**-48; the
+    same holds for L and g_wide.  So a lane retires where
+    U + RETIRE_MARGIN <= eps (g_small > eps fails) or
+    U + RETIRE_MARGIN < 0.5 * (L - RETIRE_MARGIN) (g_small >= 0.5 * g_wide
+    fails).  A NaN bound retires nothing.  bisect_lanes treats each lane on
+    its own, and a stage restarts a lane from the bracket the last one left:
+    a lane that stopped at float granularity stops again at its first step,
+    and evaluate reads each lane's own point alone.  So a lane that survives
+    every stage ends with the bits JUMP_STEPS uninterrupted steps give it,
+    and every jump is found with the same tau and gap.
 
     Returns (rows, at, gap) of the jumps found, (rows, cols) of the grid
     pairs (cols, cols + 1) that break the strict clause, and the number of
@@ -339,14 +379,30 @@ def _regularity_scan(evaluate, V: np.ndarray, grid: np.ndarray, eps: float):
     jumps = (rows, np.zeros(0), np.zeros(0))
     if rows.size:
         target = 0.5 * (V[rows, cols] + V[rows, cols + 1])
-        lo, hi = bisect_lanes(lambda mid: evaluate(mid, rows) >= target,
-                              grid[cols], grid[cols + 1], 48)
-        tau = 0.5 * (lo + hi)
+        lo, hi = grid[cols], grid[cols + 1]
+        del cols  # one lane array fewer at the bisection's memory peak
         d_small, d_wide = LEFT_PROBES[-1], LEFT_PROBES[0]
-        g_small = (evaluate(tau + d_small, rows)
-                   - evaluate(np.maximum(tau - d_small, 0.0), rows))
-        g_wide = (evaluate(tau + d_wide, rows)
-                  - evaluate(np.maximum(tau - d_wide, 0.0), rows))
+
+        def rise(top: np.ndarray, bottom: np.ndarray, d: float) -> np.ndarray:
+            """f(top + d) - f(max(bottom - d, 0)) on the live lanes."""
+            out = evaluate(top + d, rows)
+            below = bottom - d
+            return out - evaluate(np.maximum(below, 0.0, out=below), rows)
+
+        for done in range(0, JUMP_STEPS, RETIRE_STAGE):
+            if done:
+                upper = rise(hi, lo, d_small) + RETIRE_MARGIN
+                keep = ~((upper <= eps)
+                         | (upper < 0.5 * (rise(lo, hi, d_wide) - RETIRE_MARGIN)))
+                rows = rows[keep]
+                target = target[keep]
+                lo = lo[keep]
+                hi = hi[keep]
+            lo, hi = bisect_lanes(lambda mid: evaluate(mid, rows) >= target, lo, hi,
+                                  min(RETIRE_STAGE, JUMP_STEPS - done))
+        tau = 0.5 * (lo + hi)
+        g_small = rise(tau, tau, d_small)
+        g_wide = rise(tau, tau, d_wide)
         jumpy = (g_small > eps) & (g_small >= 0.5 * g_wide)
         jumps = (rows[jumpy], tau[jumpy], g_small[jumpy])
     interior = (V > eps) & (V < 1.0 - eps)

@@ -217,7 +217,10 @@ class ModularMap:
     non-decreasing in t wherever t + s is finite: the step kernels exactly,
     the rational one up to rounding.  Its sum and quotient each lie within
     a relative 2**-53 of exact, so where the rounding of t + s moves it can
-    fall by less than four ulps.
+    fall by less than four ulps.  The regularity scan reads this contract:
+    it retires a bisection lane once monotone bounds on the lane's bracket
+    prove it cannot end in a jump, with a margin for that fall
+    (distfn._regularity_scan).
 
     kernel1(t, s) is the scalar entry point: for floats t and s, s >= 0 or
     NaN, it returns as a float the bits kernel(t, s) holds, computed with

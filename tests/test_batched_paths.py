@@ -1107,29 +1107,125 @@ def jump_functions():
     return out
 
 
+def bound_edge_functions(grid):
+    """Two jumpy functions on the edges of the lane-retirement bound, each a
+    jump of 0.2 or 0.3 at a point T1 that the scan finds.
+
+    With a floor at 0: 0 for t < 0, 0.5 on [0, T1) and 0.7 from T1, with T1
+    below the widest probe step, so the wide probe's left end is clamped to
+    t = 0.  Read unclamped there, it gives f = 0 and a wide gap of 0.7.
+
+    With rises just outside the bracket: T1 sits mid-way in its bracket after
+    RETIRE_STAGE steps (the bracket is far wider than two widest probe
+    steps), and f rises by 0.2 just left of the bracket and by 0.3 just right
+    of it, each within one widest probe step of the bracket's end and beyond
+    one smallest one.  Neither rise lies within a widest probe step of T1."""
+    d_small, d_wide = D.LEFT_PROBES[-1], D.LEFT_PROBES[0]
+    t1 = 5e-4
+    assert grid[0] < t1 < d_wide and np.sum(grid < t1) == 2
+    floor_at_zero = piecewise_linear((0.0, 0.5), (t1, 0.5), (float(np.nextafter(t1, np.inf)), 0.7))
+    c = int(np.searchsorted(grid, 10.0))
+    a, b = grid[c], grid[c + 1]
+    t1 = a + 100.5 * (b - a) / 2 ** D.RETIRE_STAGE
+    lo, hi = D.bisect_lanes(lambda mid: mid >= t1, a, b, D.RETIRE_STAGE)
+    assert a + d_wide < lo - d_wide and t1 - d_wide > lo and t1 + d_wide < hi
+    assert 0.4 * d_wide > d_small
+    outside = piecewise_linear(
+        (float(lo - 0.5 * d_wide), 0.0), (float(lo - 0.4 * d_wide), 0.2), (float(t1), 0.2),
+        (float(np.nextafter(t1, np.inf)), 0.5), (float(hi + 0.4 * d_wide), 0.5),
+        (float(hi + 0.5 * d_wide), 0.8))
+    return [floor_at_zero, outside]
+
+
+def regularity_spaces():
+    """Each family (generated on four seeds, the closed step as the step
+    space's modular closed), a FlooredMap over each, and every mutation on
+    each family it applies to, with the fixed spaces of SPACES and a
+    floored step space."""
+    spaces = [SPACES[name] for name in sorted(SPACES)]
+    spaces.append(PMSpace(2, FlooredMap(StepFrom(RHO), 0.1)))
+    for seed in range(4):
+        rational = F.generate_instance(seed, "rational_from")
+        step = F.generate_instance(seed, "step_from")
+        closed = replace(step, modular_map=ClosedStepFrom(step.modular_map.rho))
+        for space in (rational, step, closed):
+            spaces += [space, replace(space, modular_map=FlooredMap(space.modular_map, 0.1))]
+            for mutation in F.MUTATION_KINDS:
+                try:
+                    spaces.append(F.apply_mutation(space, mutation, seed))
+                except ValueError:   # break_left_continuity needs an open step
+                    assert mutation == "break_left_continuity" and space is not step
+    return spaces
+
+
+def assert_scans_match(got, want):
+    """Two _regularity_scan results hold the same bits."""
+    (rows, at, gap), flat, pairs = got
+    (want_rows, want_at, want_gap), want_flat, want_pairs = want
+    for a, b in zip((rows, at, gap, *flat), (want_rows, want_at, want_gap, *want_flat)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert pairs == want_pairs
+
+
 @pytest.mark.parametrize("epsilon", [1e-9, 1e-3])
 def test_lane_bisection_keeps_the_fixed_step_regularity_bits(monkeypatch, epsilon):
+    # The staged scan retires lanes a monotone bound proves continuous; every
+    # jump it keeps must have the bits of the fixed 48-step scan, and no lane
+    # it retired may be jumpy there.  Both scans run on every space's
+    # evaluate, and all their arrays are compared, not just the 50 records a
+    # report keeps.
     budget = p.SampleBudget(n_vectors=100, epsilon=epsilon, rng_seed=4)
-    spaces = [SPACES[name] for name in sorted(SPACES)]
-    spaces += [F.generate_instance(seed, "step_from") for seed in range(4)]
-    spaces += [F.apply_mutation(F.generate_instance(seed, "step_from"),
-                                "break_left_continuity", seed) for seed in range(4)]
+    spaces = regularity_spaces()
+    jumps = []
+
+    def both_scans(*args):
+        scan = D._regularity_scan(*args)
+        assert_scans_match(scan, reference_regularity_scan(*args))
+        jumps.append(scan[0][0].size)
+        return scan
+
+    monkeypatch.setattr(P, "_regularity_scan", both_scans)
     got = [canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
     monkeypatch.setattr(P, "_regularity_scan", reference_regularity_scan)
     want = [canonical_report(p.check_space_regularity(sp, budget)) for sp in spaces]
     assert got == want
+    assert len(jumps) == len(spaces) and sum(n > 0 for n in jumps) >= len(spaces) // 3
     # The scan itself on shapes no kernel produces, one function at a time.
     grid = D._regularity_grid(budget.t_grid)
-    jumpy = 0
-    for f in jump_functions():
+    jumps = []
+    for f in jump_functions() + bound_edge_functions(grid):
         args = (lambda t, rows: f(t), f(grid)[None, :], grid, budget.epsilon)
-        (rows, at, gap), flat, pairs = D._regularity_scan(*args)
-        (want_rows, want_at, want_gap), want_flat, want_pairs = reference_regularity_scan(*args)
-        for a, b in zip((rows, at, gap, *flat), (want_rows, want_at, want_gap, *want_flat)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert pairs == want_pairs
-        jumpy += rows.size > 0
-    assert jumpy >= 6
+        scan = D._regularity_scan(*args)
+        assert_scans_match(scan, reference_regularity_scan(*args))
+        jumps.append(scan[0][0].size)
+    assert sum(n > 0 for n in jumps[:-2]) >= 6 and jumps[-2:] == [1, 1]
+
+
+def test_regularity_scan_evaluates_at_most_half_the_fixed_step_points(monkeypatch):
+    # On a continuous kernel no lane is jumpy, and the monotone bound retires
+    # most lanes after a stage or two.  Counted through the evaluate callable
+    # (bisection, bound and probe points alike), the staged scan reads about
+    # 0.37 of the points the fixed 48-step scan reads at epsilon 1e-9.
+    space = F.generate_instance(0, "rational_from")
+    budget = p.SampleBudget(n_vectors=64, rng_seed=0)
+    assert budget.grid_array().size == 64
+    points = {}
+
+    def counting(scan, key):
+        def run(evaluate, V, grid, eps):
+            def counted(t, rows):
+                points[key] = points.get(key, 0) + np.size(t)
+                return evaluate(t, rows)
+            return scan(counted, V, grid, eps)
+        return run
+
+    reports = []
+    for scan, key in ((D._regularity_scan, "staged"), (reference_regularity_scan, "fixed")):
+        monkeypatch.setattr(P, "_regularity_scan", counting(scan, key))
+        reports.append(canonical_report(p.check_space_regularity(space, budget)))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["samples"] == 64
+    assert 0 < points["staged"] <= 0.5 * points["fixed"], points
 
 
 def reference_check_axioms(space, budget):

@@ -13,6 +13,7 @@ import pytest
 import pmtop as p
 import pmtop.falsifier as F
 from pmtop import cli
+from pmtop.distfn import MAX_GRID_COUNT
 from pmtop.pmspace import SigmaFunctional, sample_convex_weights
 
 BUDGET = p.SampleBudget(n_vectors=800, n_scalar_pairs=800, rng_seed=7)
@@ -324,3 +325,24 @@ def test_axiom_check_memory_at_1e5_samples_is_the_draws_not_pm4_matrices():
         tracemalloc.stop()
     assert rep.passed and rep.parts["pm4"].samples_run == 500_000
     assert peak < 10 * 2**20, peak / 2**20
+
+
+def test_regularity_check_memory_on_a_full_grid_stays_near_the_unstaged_scan():
+    # REGULARITY_POINTS rows over MAX_GRID_COUNT grid points: about 46,500
+    # bisection lanes of 0.36 MiB per float array.  The fixed 48-step scan
+    # traced 4.5 MiB here and the staged scan traces 4.2 MiB; compacting the
+    # four lane arrays in one step traced 4.9 MiB.  The first call in a
+    # process traces about 0.7 MiB more, the modules it imports on first use,
+    # so an untraced call goes first.
+    space = p.rational_space(p.PPower(p=1.0), 2)
+    budget = p.SampleBudget(n_vectors=10_000, rng_seed=0,
+                            t_grid=p.default_t_grid(count=MAX_GRID_COUNT))
+    p.check_space_regularity(space, budget)
+    tracemalloc.start()
+    try:
+        rep = p.check_space_regularity(space, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.samples_run == 64
+    assert peak < 4.75 * 2**20, peak / 2**20
