@@ -18,9 +18,7 @@ from .pmspace import (
     as_vector,
     check_axioms,
     check_beta_homogeneous,
-    check_delta2_declared,
     check_space_regularity,
-    find_delta2_constant,
     oracle_threshold,
     rational_ball_radius,
     rational_space,

@@ -170,9 +170,7 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         Z = rng.standard_normal((live.size, batch, dim))
         Y = c[:, None, :] + s[:, None, None] * Z
         m = _lane_mu(space, c, t, Y)
-        keep = m > cut + EPS_STRICT
-        if band > 0:
-            keep &= ~(np.abs(m - cut) <= band)
+        keep = (m > cut + EPS_STRICT) & ~(np.abs(m - cut) <= band)
         # Each kept row's place in its lane's output, counted from 1.
         place = keep.cumsum(axis=1) + got
         lane, j = np.nonzero(keep & (place <= count))
@@ -213,8 +211,7 @@ def sample_around(ball: Ball, rng: np.random.Generator, count: int,
     for _ in range(200):
         batch = max(2 * count, 64)
         Y = ball.center[None, :] + s * rng.standard_normal((batch, ball.space.dim))
-        keep = (~boundary_band(ball, Y, band)) if band > 0 else np.ones(batch, bool)
-        kept = Y[keep]
+        kept = Y[~boundary_band(ball, Y, band)]
         out.append(kept)
         got += kept.shape[0]
         if got >= count:

@@ -210,10 +210,11 @@ class ModularMap:
     rational kernel also has a closed-form gap bound: over all t > 0,
     |t/(t+u) - t/(t+v)| <= |u-v|/(u+v).  The step kernels are indicators,
     [t > s] and [t >= s and t > 0], so kernel(t, u) and kernel(t/k, v) can
-    differ only at a t between u and k*v, ends included.  pm3, the doubling
-    inequality and homogeneity settle rows by these three rules without
-    evaluating them (_pair_settled gives them, with the rounding arguments
-    and domains; a FlooredMap takes its base's).  Every kernel is also
+    differ only at a t between u and k*v, ends included.  pm3 and the
+    doubling inequality settle rows by these three rules without evaluating
+    them, and homogeneity, whose k is one per row, by the last two
+    (_pair_settled gives them, with the rounding arguments and domains; a
+    FlooredMap takes its base's).  Every kernel is also
     non-decreasing in t wherever t + s is finite: the step kernels exactly,
     the rational one up to rounding.  Its sum and quotient each lie within
     a relative 2**-53 of exact, so where the rounding of t + s moves it can
@@ -653,39 +654,32 @@ def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: Any) -> np.ndarray:
     return (x * c == y) & (y / c == x) & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022)
 
 
-def _pair_exact(grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any) -> np.ndarray:
+def _pair_exact(grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     """The rows of a scaled pair, kernel(t, u) against kernel(t/k, v) over
-    the grid with k one number or one per row, that exact scaling settles:
-    where k is a power of two, every t/k is exact and k * v is exact with
-    the bits of u, the two sides are the same floats by the kernels'
-    scaling contract (ModularMap), so the gap is exactly 0.  At k = 1 these
-    are the rows whose u and v have the same bits, below 2**1022."""
-    settled = np.zeros(u.shape, dtype=bool)
+    the grid with k one number, that exact scaling settles: where k is a
+    power of two, every t/k is exact and k * v is exact with the bits of u,
+    the two sides are the same floats by the kernels' scaling contract
+    (ModularMap), so the gap is exactly 0.  At k = 1 these are the rows
+    whose u and v have the same bits, below 2**1022."""
     with np.errstate(over="ignore", under="ignore"):
-        if np.ndim(k) == 0:
-            if math.frexp(k)[0] != 0.5 or not _scaled_exactly(grid / k, grid, k).all():
-                return settled
-            rows, kr = slice(None), k
-        else:
-            rows = np.flatnonzero(np.frexp(k)[0] == 0.5)
-            kr = k[rows]
-            rows = rows[_scaled_exactly(grid[:, None] / kr, grid[:, None], kr).all(axis=0)]
-            kr = k[rows]
-        kv = kr * v[rows]
-        same = _float_bits(kv) == _float_bits(u[rows])
-        settled[rows] = _scaled_exactly(v[rows], kv, kr) & same
-    return settled
+        if math.frexp(k)[0] != 0.5 or not _scaled_exactly(grid / k, grid, k).all():
+            return np.zeros(u.shape, dtype=bool)
+        kv = k * v
+        return _scaled_exactly(v, kv, k) & (_float_bits(kv) == _float_bits(u))
 
 
 def _pair_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
                   eps: float) -> np.ndarray:
     """Where the rows of a scaled pair provably hold, no gap over the sorted,
-    non-empty, positive grid above eps: the rows exact scaling settles
-    (_pair_exact) and, when some row is left open, the rows a clause of the
-    kernel settles, the gap bound on the rational kernel or the interval
-    clause on the step kernels.  A FlooredMap takes its base's clause: with
-    t and t/k positive both sides are max(base value, floor), and max(., f)
-    is 1-Lipschitz, so a floored row's gap is at most its base row's.
+    non-empty, positive grid above eps: with k one number, the rows exact
+    scaling settles (_pair_exact), and, when some row is left open, the rows
+    a clause of the kernel settles, the gap bound on the rational kernel or
+    the interval clause on the step kernels.  With k one per row
+    (homogeneity) only the kernel's clause is tried; a row only exact
+    scaling would settle is evaluated, and its gap is exactly 0.  A
+    FlooredMap takes its base's clause: with t and t/k positive both sides
+    are max(base value, floor), and max(., f) is 1-Lipschitz, so a floored
+    row's gap is at most its base row's.
 
     Gap bound.  Over all real t > 0, |t/(t+u) - t/(t+z)| <= |u-z|/(u+z) =:
     D(u, z), its peak being at t = sqrt(uz).  With q = fl(t/k) = (t/k)(1+d),
@@ -719,7 +713,7 @@ def _pair_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray
     normal and grid[-1]/k finite (q is monotone in t, so every q is normal);
     a NaN, k = 0 or an overflowing t/k leaves the row open.
     """
-    settled = _pair_exact(grid, u, v, k)
+    settled = _pair_exact(grid, u, v, k) if np.ndim(k) == 0 else np.zeros(u.shape, dtype=bool)
     base = type(getattr(space.modular_map, "base", space.modular_map))
     if base not in (RationalFrom, StepFrom, ClosedStepFrom) or settled.all():
         return settled
@@ -769,7 +763,8 @@ class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps, the scaled
     pair (sigma(2x), sigma(x), c), over budget.n_vectors rows x of the
     "delta2" stream, asked its two questions: smallest, the least candidate
-    no row breaks, and declared, the declared constant's report.  Only open
+    no row breaks, and declared, the declared constant's report; the two
+    doubling predicates share one (falsifier.Inputs.delta2).  Only open
     rows are evaluated, and a row's verdict reads only that row, so every
     verdict and record is the one a full-matrix evaluation gives.  On the
     valid reference instances sigma(2x) is 2**p sigma(x) bit for bit, so no
@@ -814,18 +809,6 @@ class _Delta2Scan:
                             lambda r: {"x": self.X[r].tolist(), "c": c}, notes={"c": c})
 
 
-def check_delta2_declared(space: PMSpace, budget: SampleBudget) -> CheckReport:
-    """Verify the declared doubling constant on budget.n_vectors samples."""
-    return _Delta2Scan(space, budget).declared()
-
-
-def find_delta2_constant(space: PMSpace, budget: SampleBudget,
-                         c_candidates: tuple[float, ...] = DELTA2_CANDIDATES) -> float | None:
-    """Smallest candidate c with mu_{2x}(t) >= mu_x(t/c) - eps on all
-    budget.n_vectors samples; None when every candidate fails."""
-    return _Delta2Scan(space, budget).smallest(c_candidates)
-
-
 def check_beta_homogeneous(space: PMSpace, beta: float,
                            budget: SampleBudget) -> CheckReport:
     """Sampled equality mu_{a x}(t) = mu_x(t / |a|^beta), the scaled pair
@@ -855,12 +838,11 @@ def check_beta_homogeneous(space: PMSpace, beta: float,
 # ---------------------------------------------------------------------------
 
 
-def check_space_regularity(space: PMSpace, budget: SampleBudget,
-                           points: list[Vector] | None = None) -> CheckReport:
+def check_space_regularity(space: PMSpace, budget: SampleBudget) -> CheckReport:
     """Transition regularity of mu_x, continuity plus strict increase
     across the transition band, for REGULARITY_POINTS sampled x, or as many
-    as the budget's n_vectors if fewer, that are nonzero (or for the nonzero
-    ones among the given points), aggregated into one report.
+    as the budget's n_vectors if fewer, that are nonzero, aggregated into
+    one report.
 
     The two clauses are distfn._regularity_scan's, run on the kernel over
     a whole batch of sigma values at once.  If no grid pair qualifies for
@@ -869,20 +851,11 @@ def check_space_regularity(space: PMSpace, budget: SampleBudget,
     """
     seed = budget.rng_seed
     eps = budget.epsilon
-    if points is None:
-        rng = check_rng(seed, "regularity")
-        X = sample_vectors(rng, min(budget.n_vectors, REGULARITY_POINTS), space.dim)
-    else:
-        X = np.asarray([as_vector(p, space.dim) for p in points], dtype=float)
-        X = X.reshape(-1, space.dim) if X.size else np.zeros((0, space.dim))
-
-    nz = np.any(X != 0.0, axis=1) if X.size else np.zeros(0, dtype=bool)
-    X = X[nz]
+    X = sample_vectors(check_rng(seed, "regularity"),
+                       min(budget.n_vectors, REGULARITY_POINTS), space.dim)
+    X = X[np.any(X != 0.0, axis=1)]
     n = X.shape[0]
     notes: dict[str, Any] = {"nonzero_samples": int(n)}
-    if n == 0:
-        return _make_report("space_regularity", [], 0, seed, notes=dict(notes, vacuous=True))
-
     S = space.sigma(X)
     grid = _regularity_grid(budget.t_grid)
     V = space.kernel(grid[None, :], S[:, None])

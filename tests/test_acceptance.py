@@ -58,8 +58,9 @@ def test_criterion_2_doubling_constant_estimation():
         budget = p.SampleBudget(n_vectors=2_000, rng_seed=0, epsilon=EPS)
         one = p.rational_space(p.PPower(p=1.0), 1)
         two = p.rational_space(p.PPower(p=2.0), 2)
-        assert p.find_delta2_constant(one, budget) == pytest.approx(2.0)
-        assert p.find_delta2_constant(two, budget) == pytest.approx(4.0)
+        for space, c in ((one, 2.0), (two, 4.0)):
+            run = p.run_registry(space, budget, ["delta2_estimate"])
+            assert run.results["delta2_estimate"].record["estimated_c"] == pytest.approx(c)
 
 
 def test_criterion_3_homogeneity():

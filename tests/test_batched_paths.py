@@ -527,7 +527,7 @@ def reference_check_delta2_declared(space, budget):
 
 
 def reference_find_delta2_full_scan(space, budget, candidates):
-    """find_delta2_constant before its block-wise early exit: each candidate
+    """_Delta2Scan.smallest before its block-wise early exit: each candidate
     is tested on every row at once."""
     X = sample_vectors(check_rng(budget.rng_seed, "delta2"), budget.n_vectors,
                        space.dim)
@@ -553,9 +553,10 @@ def test_find_delta2_matches_first_empty_violation_list(space):
     for n_vectors in (DELTA2_CHUNK // 2, 1500):
         assert n_vectors < DELTA2_CHUNK or n_vectors % DELTA2_CHUNK
         budget = p.SampleBudget(n_vectors=n_vectors, n_scalar_pairs=10, rng_seed=5)
+        scan = _Delta2Scan(space, budget)
         for candidates in (p.DELTA2_CANDIDATES, (4.0, 1.0, 2.0), (1.0, 1.5),
                            (3.0, 2.5, 8.0), (1.9,), (1.999, 3.999, 8.0)):
-            found = p.find_delta2_constant(space, budget, candidates)
+            found = scan.smallest(candidates)
             assert found == reference_find_delta2_full_scan(space, budget, candidates)
             assert found == reference_find_delta2(space, budget, candidates)
 
@@ -593,11 +594,8 @@ def test_delta2_scan_matches_the_unblocked_reference_in_every_sharing_order(name
         scan = _Delta2Scan(space, budget)   # declared, then smallest
         assert canonical_report(scan.declared()) == declared
         assert scan.smallest(p.DELTA2_CANDIDATES) == found
-        # The wrappers, each on its own draw.
-        assert p.find_delta2_constant(space, budget) == found
-        assert canonical_report(p.check_delta2_declared(space, budget)) == declared
     if name == "break_delta2_declaration":
-        rep = p.check_delta2_declared(space, budget)
+        rep = scan.declared()
         assert rep.n_violations > 9_990 and len(rep.violations) == 50
 
 
@@ -651,24 +649,48 @@ def reference_step_settled(grid, u, v, k):
 SCAN_CANDIDATES = P.DELTA2_CANDIDATES + (0.5, 2.0 ** 40, 2.0 ** 1000, 1e308)
 
 
+def exact_scaling_rows(grid, u, v, k):
+    """The rows exact scaling settles, k one number or one per row, by the
+    definition: k a power of two, every t/k and k * v scaled exactly (each
+    multiplied and divided back to the bits it came from, both below
+    2**1022), and k * v with the bits of u."""
+    k = np.broadcast_to(np.asarray(k, dtype=float), u.shape)
+
+    def exact(x, y):
+        return (x * k == y) & (y / k == x) & (np.abs(x) < 2.0 ** 1022) & (np.abs(y) < 2.0 ** 1022)
+
+    with np.errstate(all="ignore"):
+        kv = k * v
+        bits = [np.ascontiguousarray(w, dtype=np.float64).view(np.int64) for w in (kv, u)]
+        return ((np.frexp(k)[0] == 0.5) & exact(grid[:, None] / k, grid[:, None]).all(axis=0)
+                & exact(v, kv) & (bits[0] == bits[1]))
+
+
 def pair_values_with_settled_rows_checked(space, grid, u, v, k, label):
     """A scaled pair's values on every row, once every row it settles is
     checked: a row exact scaling settles has a gap of exactly 0, and a row
     _pair_settled settles has no gap above eps, below the gap bound's margin
-    (1e-15), at it (4e-15), at the default and far above it.  On a step
-    kernel, floored or not, the settled rows are exactly those exact scaling
-    or reference_step_settled settles.  A k of 0 divides by zero here only."""
+    (1e-15), at it (4e-15), at the default and far above it.  With k one
+    number _pair_exact gives the exact rows and _pair_settled settles them;
+    with k one per row only the kernel's clauses are tried.  On a step
+    kernel, floored or not, the settled rows are exactly those
+    reference_step_settled settles, and with k one number also the exact
+    ones.  A k of 0 divides by zero here only."""
     with np.errstate(divide="ignore"):
         full = P._pair_values(space, grid, u, v, k, np.arange(u.size))
     gap = np.abs(full["rhs"] - full["lhs"])
-    exact = P._pair_exact(grid, u, v, k)
+    exact = exact_scaling_rows(grid, u, v, k)
     assert np.all(gap[:, exact] == 0.0), label
+    one_k = np.ndim(k) == 0
+    if one_k:
+        assert np.array_equal(P._pair_exact(grid, u, v, k), exact), label
     step = type(getattr(space.modular_map, "base", space.modular_map)) in STEP_BASES
     for eps in (1e-15, 4e-15, 1e-9, 0.5):
         settled = P._pair_settled(space, grid, u, v, k, eps)
-        assert np.all(settled[exact]) and np.all(gap[:, settled] <= eps), (label, eps)
+        assert np.all(gap[:, settled] <= eps), (label, eps)
+        assert not one_k or np.all(settled[exact]), (label, eps)
         if step:
-            want = exact | reference_step_settled(grid, u, v, k)
+            want = (exact & one_k) | reference_step_settled(grid, u, v, k)
             assert np.array_equal(settled, want), (label, eps)
     return full
 
@@ -723,8 +745,17 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
         pair_values_with_settled_rows_checked(space, grid, space.sigma(-X), S, 1.0,
                                               (grid_name, "pm3"))
         for beta in (1.0, 0.5):
-            pair_values_with_settled_rows_checked(space, grid, S_ax, S, np.abs(a) ** beta,
-                                                  (grid_name, beta))
+            k = np.abs(a) ** beta
+            pair_values_with_settled_rows_checked(space, grid, S_ax, S, k, (grid_name, beta))
+            if grid_name == "default":
+                # The kernel's clauses settle every homogeneity row exact
+                # scaling settles, but those with sigma 0 on both sides and,
+                # on the rational kernel, at eps below the gap bound's margin.
+                exact = exact_scaling_rows(grid, S_ax, S, k) & ((S_ax != 0) | (S != 0))
+                assert exact.any(), beta
+                for eps in (4e-15, 1e-9, 0.5) + ((1e-15,) if step else ()):
+                    settled = P._pair_settled(space, grid, S_ax, S, k, eps)
+                    assert np.all(settled[exact]), (beta, eps)
         declared = np.flatnonzero(~P._pair_exact(grid, S2, S, space.declared_c))
         settled_at_2 = np.flatnonzero(P._pair_exact(grid, S2, S, 2.0))
         if name == "break_pm2":
@@ -1440,7 +1471,7 @@ def test_axiom_reports_count_every_violation_but_keep_fifty():
     # equal to the head of the full violation list.
     space = F.generate_instance(0, "rational_from", "break_delta2_declaration")
     budget = p.SampleBudget(n_vectors=10_000, n_scalar_pairs=10_000, rng_seed=0)
-    rep = p.check_delta2_declared(space, budget)
+    rep = _Delta2Scan(space, budget).declared()
     assert rep.n_violations == 9_999 and not rep.passed
     assert rep.violations == reference_delta2_records(space, space.declared_c, budget)[0]
 

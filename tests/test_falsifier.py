@@ -10,7 +10,7 @@ import pmtop as p
 import pmtop.convergence as C
 import pmtop.falsifier as F
 from pmtop.distfn import FieldError
-from pmtop.pmspace import AXIOMS
+from pmtop.pmspace import AXIOMS, _Delta2Scan
 
 BUDGET = p.SampleBudget(n_vectors=3000, n_scalar_pairs=3000, rng_seed=1)
 
@@ -77,8 +77,9 @@ def test_shell_bump_violates_convex_subadditivity_by_hand():
 def test_declared_constant_mutation_is_detected_and_estimable():
     inst = F.generate_instance(0, "rational_from", "break_delta2_declaration")
     assert inst.declared_c == pytest.approx(2.0)
-    assert not p.check_delta2_declared(inst, BUDGET).passed
-    assert p.find_delta2_constant(inst, BUDGET) == pytest.approx(4.0)
+    scan = _Delta2Scan(inst, BUDGET)
+    assert not scan.declared().passed
+    assert scan.smallest(p.DELTA2_CANDIDATES) == pytest.approx(4.0)
 
 
 def test_left_continuity_mutation_requires_step_family():

@@ -1,12 +1,14 @@
-"""Every module of the package uses each name it imports, and the package
-reads every private name it defines.
+"""Every module of the package uses each name it imports, the package
+reads every private name it defines, and it passes every defaulted
+parameter it defines.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: each
 module under src/pmtop except the package's __init__ (whose imports are its
 exports) is parsed with ast, and a name bound by an import must be read
 somewhere in the module; a private function or class (one whose name starts
-with one underscore) must be read somewhere in the package, so no code stays
-that only tests reach.
+with one underscore) must be read somewhere in the package, and a defaulted
+parameter must be passed by some call in the package, so no code stays that
+only tests reach.
 """
 
 import ast
@@ -71,6 +73,66 @@ def test_an_unread_private_definition_is_found():
               "class _Dropped:\n    pass\n\n\nVALUE = _Kept()._method\n")
     other = "from m import _used\n"
     assert unread_private_definitions([module, other]) == ["_Dropped", "_unused"]
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters, as module.function.parameter (a method's
+    function named Class.method), of the functions and methods defined in
+    the sources (module name to source) that no call in them passes, by
+    keyword or by position.  Calls match a definition by name, a class's
+    call its __init__; a method's positions start after self, and a call
+    with *args or **kwargs passes everything."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    positions, keywords, spread = {}, {}, set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            positions[name] = max(positions.get(name, 0), len(node.args))
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+            if None in keywords[name] or any(isinstance(a, ast.Starred) for a in node.args):
+                spread.add(name)
+    found = []
+    for module, tree in trees.items():
+        for owner in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            method = isinstance(owner, ast.ClassDef)
+            for fn in (n for n in owner.body if isinstance(n, ast.FunctionDef)):
+                name = owner.name if method and fn.name == "__init__" else fn.name
+                where = f"{module}.{owner.name}.{fn.name}" if method else f"{module}.{fn.name}"
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)   # the first defaulted position
+                # Each defaulted parameter with its call position, None for keyword-only.
+                defaulted = [(arg, at - method) for at, arg in enumerate(args) if at >= first]
+                defaulted += [(arg, None) for arg, default in zip(fn.args.kwonlyargs,
+                                                                   fn.args.kw_defaults) if default]
+                found += [f"{where}.{arg.arg}" for arg, at in defaulted
+                          if name not in spread and arg.arg not in keywords.get(name, ())
+                          and (at is None or at >= positions.get(name, 0))]
+    return sorted(found)
+
+
+# Defaulted parameters the package leaves to its users: cli.main's argv
+# (sys.argv when run as a program), and the declared constants of the two
+# reference constructors, which the benchmark and the tests pass.
+UNPASSED_DEFAULTS = ["cli.main.argv", "pmspace.rational_space.declared_beta",
+                     "pmspace.rational_space.declared_c", "pmspace.step_space.declared_beta",
+                     "pmspace.step_space.declared_c"]
+
+
+def test_package_passes_every_defaulted_parameter():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unpassed_defaults(sources) == UNPASSED_DEFAULTS
+
+
+def test_an_unpassed_defaulted_parameter_is_found():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+              "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+              "    def m(self, y=0, z=0):\n        pass\n\n\n"
+              "def g(**kw):\n    pass\n\n\n"
+              "def h(w=0):\n    pass\n\n\n"
+              "f(0, 1, e=5)\nK().m(1)\ng(w=1)\n")
+    other = "from m import h\nh(*[])\n"
+    assert unpassed_defaults({"m": module, "other": other}) == [
+        "m.K.__init__.x", "m.K.m.z", "m.f.c", "m.f.d"]
 
 
 # The handler that runs no table selection: the registry itself.

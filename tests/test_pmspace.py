@@ -14,7 +14,7 @@ import pmtop as p
 import pmtop.falsifier as F
 from pmtop import cli
 from pmtop.distfn import MAX_GRID_COUNT
-from pmtop.pmspace import SigmaFunctional, sample_convex_weights
+from pmtop.pmspace import SigmaFunctional, _Delta2Scan, sample_convex_weights
 
 BUDGET = p.SampleBudget(n_vectors=800, n_scalar_pairs=800, rng_seed=7)
 
@@ -108,13 +108,13 @@ def test_symmetry_break_is_caught():
 def test_doubling_constant_hand_derived_values():
     # degree 1: t/(t+2r) >= (t/c)/((t/c)+r) iff c >= 2, worked by hand.
     sp1 = p.rational_space(p.PPower(p=1.0), 1)
-    assert p.find_delta2_constant(sp1, BUDGET, (1.0, 1.5, 2.0, 4.0)) == 2.0
+    assert _Delta2Scan(sp1, BUDGET).smallest((1.0, 1.5, 2.0, 4.0)) == 2.0
     # step family shares the threshold comparison, so the same constant.
     st1 = p.step_space(p.PPower(p=1.0), 1)
-    assert p.find_delta2_constant(st1, BUDGET, (1.0, 2.0, 4.0)) == 2.0
+    assert _Delta2Scan(st1, BUDGET).smallest((1.0, 2.0, 4.0)) == 2.0
     # degree 2 doubles rho by 4.
     sp2 = p.rational_space(p.PPower(p=2.0), 2)
-    assert p.find_delta2_constant(sp2, BUDGET, (2.0, 4.0, 8.0)) == 4.0
+    assert _Delta2Scan(sp2, BUDGET).smallest((2.0, 4.0, 8.0)) == 4.0
 
 
 def test_doubling_candidate_below_two_fails_by_explicit_example():
@@ -125,18 +125,18 @@ def test_doubling_candidate_below_two_fails_by_explicit_example():
 
 
 def test_doubling_result_is_monotone_in_candidate():
-    sp = p.rational_space(p.PPower(p=2.0), 2)
-    found = p.find_delta2_constant(sp, BUDGET)
+    scan = _Delta2Scan(p.rational_space(p.PPower(p=2.0), 2), BUDGET)
+    found = scan.smallest(p.DELTA2_CANDIDATES)
     assert found == 4.0
     for c in (found * 1.5, found * 2.0, found * 7.0):
-        assert p.find_delta2_constant(sp, BUDGET, (c,)) == c
+        assert scan.smallest((c,)) == c
 
 
 def test_declared_doubling_check():
     good = p.rational_space(p.PPower(p=2.0), 2, declared_c=4.0)
-    assert p.check_delta2_declared(good, BUDGET).passed
+    assert _Delta2Scan(good, BUDGET).declared().passed
     bad = p.rational_space(p.PPower(p=2.0), 2, declared_c=2.0)
-    assert not p.check_delta2_declared(bad, BUDGET).passed
+    assert not _Delta2Scan(bad, BUDGET).declared().passed
 
 
 @pytest.mark.parametrize("c", [1e-306, 1e-320])
@@ -147,11 +147,12 @@ def test_doubling_constant_whose_quotients_overflow_fails(tmp_path, capsys, c, m
     # the largest float is 1, which every row's mu_{2x} stays below.
     base = p.rational_space(p.PPower(p=1.0), 2, declared_c=c)
     space = base if mutation is None else F.apply_mutation(base, mutation, 0)
-    rep = p.check_delta2_declared(space, BUDGET)
+    scan = _Delta2Scan(space, BUDGET)
+    rep = scan.declared()
     assert rep.n_violations == BUDGET.n_vectors
     assert all(v["rhs"] == 1.0 for v in rep.violations)
     json.dumps(rep.to_record(), allow_nan=False)
-    assert p.find_delta2_constant(space, BUDGET, (c, 2.0)) == 2.0
+    assert scan.smallest((c, 2.0)) == 2.0
     assert p.run_registry(space, BUDGET, ["delta2_declared"]).failures() == ["delta2_declared"]
 
     def run_cli(command, operation):
@@ -213,23 +214,25 @@ def test_space_regularity_rational_passes_step_fails():
     assert any(v["clause"] == "continuity" for v in rep.violations)
 
 
-def test_space_regularity_flags_vacuous_runs():
-    sp = p.rational_space(p.PPower(p=1.0), 2)
-    rep = p.check_space_regularity(sp, BUDGET, points=[np.zeros(2)])
-    assert rep.passed
-    assert rep.notes["nonzero_samples"] == 0 and rep.notes.get("vacuous")
-
-
 def test_object_level_and_space_level_regularity_agree():
+    # The space-level report passes iff the scan, run on each sampled x
+    # alone, finds neither a jump nor a flat pair.
     budget = p.SampleBudget(n_vectors=40, rng_seed=5)
+    grid = p.distfn._regularity_grid(budget.t_grid)
+
+    def object_passes(sp, x):
+        s = sp.sigma(x[None, :])
+        (jumps, _, _), (flat, _), _ = p.distfn._regularity_scan(
+            lambda t, rows: sp.kernel(t, s[rows]), sp.kernel(grid[None, :], s[:, None]),
+            grid, budget.epsilon)
+        return jumps.size == 0 and flat.size == 0
+
     for sp in (p.rational_space(p.PPower(p=1.0), 2),
                p.step_space(p.WeightedAbs(weights=(1.0, 1.0)), 2)):
         space_rep = p.check_space_regularity(sp, budget)
         rng = p.distfn.check_rng(budget.rng_seed, "regularity")
         X = p.pmspace.sample_vectors(rng, 40, sp.dim)
-        per_object = all(
-            p.check_space_regularity(sp, budget, points=[x]).passed for x in X)
-        assert space_rep.passed == per_object
+        assert space_rep.passed == all(object_passes(sp, x) for x in X)
 
 
 # -- closed-form membership oracle -------------------------------------------
