@@ -83,14 +83,6 @@ class SequenceSpec:
             profile = self.ratio ** ns
         return self.base[None, :] + profile[:, None] * self.direction[None, :]
 
-    def to_config(self) -> dict[str, Any]:
-        cfg: dict[str, Any] = {"kind": self.kind, "base": self.base.tolist(),
-                               "direction": self.direction.tolist(),
-                               "candidate_limit": self.candidate_limit.tolist()}
-        if self.ratio is not None:
-            cfg["ratio"] = self.ratio
-        return cfg
-
 
 def scale_grid(t_grid: Any) -> np.ndarray:
     """The value criterion's scales: a FieldError naming t_grid unless it is

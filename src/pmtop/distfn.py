@@ -29,8 +29,8 @@ import numpy as np
 EPS = 1e-9
 EPS_STRICT = 1e-12
 
-# Geometric sequence of one-sided probe steps standing in for limits.
-LEFT_PROBES = (1e-3, 1e-6, 1e-9)
+# The continuity scan's widest and smallest two-sided probe steps.
+LEFT_PROBES = (1e-3, 1e-9)
 
 # Smallest jump the continuity scan certifies; below this a black-box
 # evaluation cannot tell a jump from a steep continuous rise.
@@ -219,13 +219,12 @@ def canonical_line(record: dict[str, Any]) -> str:
 
 
 def _make_report(name: str, flagged: Any, samples: int, seed: int,
-                 notes: dict[str, Any] | None = None,
-                 record: Callable[[Any], dict[str, Any]] | None = None) -> CheckReport:
+                 notes: dict[str, Any] | None = None, *,
+                 record: Callable[[Any], dict[str, Any]]) -> CheckReport:
     """The report rule: a report over the flagged samples, given in order,
-    keeps records for the first MAX_STORED_VIOLATIONS (each built by record
-    when it is given, else the flagged entry itself) and counts all of them."""
-    kept = flagged[:MAX_STORED_VIOLATIONS]
-    violations = [record(i) for i in kept] if record else list(kept)
+    keeps the records record builds for the first MAX_STORED_VIOLATIONS and
+    counts all of them."""
+    violations = [record(i) for i in flagged[:MAX_STORED_VIOLATIONS]]
     return CheckReport(name=name, violations=violations, samples_run=samples, seed=seed,
                        n_violations=len(flagged), notes=notes or {})
 
@@ -248,34 +247,30 @@ def check_rng(seed: int, label: str) -> np.random.Generator:
 
 
 def _confirm_limits(values: Callable[[np.ndarray], np.ndarray], start: float,
-                    target: str, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Confirm inf -> 0 (target 'inf') or sup -> 1 ('sup') for each row of
-    values by geometric extension beyond the grid end.
+                    target: str, eps: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Confirm inf -> 0 (target 'inf', from a negative start) or sup -> 1
+    ('sup', from a positive one) for each row of values by geometric
+    extension beyond the grid end.
 
-    Every row is probed at the same LIMIT_EXTENSION_DECADES + 1 points; a
-    row is confirmed at the first probe that reaches the target.  A row
-    that never does reports the step past the last probe divided by ten,
-    and its value there.  Returns (ok, probe, value) per row; value is
-    meaningful only where ok is false.
+    Every row is probed at the same LIMIT_EXTENSION_DECADES + 1 points,
+    start times 10**k; a row is confirmed if some probe reaches the target.
+    miss is the step past the last probe divided by ten.  Returns (ok,
+    miss, value), value being each row's value at miss.
     """
     probes = [start]
     for _ in range(LIMIT_EXTENSION_DECADES + 1):
-        p = probes[-1]
-        probes.append(p * 10.0 if target == "sup" or p < 0 else -max(abs(p), 1.0))
+        probes.append(probes[-1] * 10.0)
     V = values(np.asarray(probes[:-1]))
-    hit = V <= eps if target == "inf" else V >= 1.0 - eps
-    first = np.argmax(hit, axis=1)
-    ok = np.any(hit, axis=1)
+    ok = np.any(V <= eps if target == "inf" else V >= 1.0 - eps, axis=1)
     miss = probes[-1] / 10.0
-    return (ok, np.where(ok, np.asarray(probes)[first], miss),
-            values(np.asarray([miss]))[:, 0])
+    return ok, miss, values(np.asarray([miss]))[:, 0]
 
 
 def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
-                            budget: SampleBudget) -> list[CheckReport]:
+                            budget: SampleBudget) -> list[list[dict[str, Any]]]:
     """Is each of a batch of functions an admissible distribution function?
     values(t) gives their values at the points t as a matrix, one row per
-    function; the reports are one per row.
+    function; each row gets its list of violations, empty if it is admissible.
 
     Checks monotonicity on all adjacent grid pairs (exactly, no
     tolerance), range containment in [0, 1], and the inf/sup limits.  The
@@ -291,7 +286,7 @@ def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
     drop = V[:, :-1] > V[:, 1:]
     inf_ok, p_inf, v_inf = _confirm_limits(values, float(ts[0]), "inf", budget.epsilon)
     sup_ok, p_sup, v_sup = _confirm_limits(values, float(ts[-1]), "sup", budget.epsilon)
-    reports = []
+    rows = []
     for r, vals in enumerate(V):
         violations: list[dict[str, Any]] = [
             {"clause": "range", "t": float(ts[i]), "value": float(vals[i])}
@@ -301,16 +296,11 @@ def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
                         "t2": float(ts[i + 1]), "f2": float(vals[i + 1])}
                        for i in np.flatnonzero(drop[r])]
         if not inf_ok[r]:
-            violations.append({"clause": "inf_limit", "t": float(p_inf[r]),
-                               "value": float(v_inf[r])})
+            violations.append({"clause": "inf_limit", "t": p_inf, "value": float(v_inf[r])})
         if not sup_ok[r]:
-            violations.append({"clause": "sup_limit", "t": float(p_sup[r]),
-                               "value": float(v_sup[r])})
-        reports.append(_make_report("delta_membership", violations, len(ts),
-                                    budget.rng_seed,
-                                    notes={"inf_probe": float(p_inf[r]),
-                                           "sup_probe": float(p_sup[r])}))
-    return reports
+            violations.append({"clause": "sup_limit", "t": p_sup, "value": float(v_sup[r])})
+        rows.append(violations)
+    return rows
 
 
 def bisect_lanes(pred, lo, hi, steps: int) -> tuple[np.ndarray, np.ndarray]:

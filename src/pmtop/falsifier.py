@@ -365,12 +365,12 @@ def _chain_feasible(space: PMSpace, ball: _balls.Ball, Z: np.ndarray) -> np.ndar
 def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
                                reason: str = "no feasible refinement input found",
                                ) -> tuple[_balls.Ball, np.ndarray]:
-    """Random (outer, z) that is _chain_feasible.  Raises PreconditionError
-    when the space declares no doubling constant and InfeasibleConstruction
-    with reason when the search finds no input.  An outer ball's 50 z are
-    tested as one draw; a hit at row k rewinds the stream and redraws k + 1
-    rows, leaving it where 50 single draws stopping at the hit leave it."""
-    _topo._require_c(space)
+    """Random (outer, z) that is _chain_feasible.  Raises PreconditionError,
+    through chain_anchor, without a declared doubling constant and
+    InfeasibleConstruction with reason when the search finds no input.  An
+    outer ball's 50 z are tested as one draw; a hit at row k rewinds the
+    stream and redraws k + 1 rows, leaving it where 50 single draws stopping
+    at the hit leave it."""
     for _ in range(200):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.3, 0.7))
@@ -425,10 +425,9 @@ def _membership(inp: Inputs) -> PredicateResult:
                        min(budget.n_vectors, 50), space.dim)
     points = np.vstack([np.zeros((1, space.dim)), X])
     S = space.sigma(points)[:, None]
-    reports = _distfn.check_delta_memberships(lambda t: space.kernel(t[None, :], S),
-                                              budget)
-    bad = [{"x": row.tolist(), "violations": rep.violations[:3]}
-           for row, rep in zip(points, reports) if not rep.passed]
+    rows = _distfn.check_delta_memberships(lambda t: space.kernel(t[None, :], S), budget)
+    bad = [{"x": row.tolist(), "violations": violations[:3]}
+           for row, violations in zip(points, rows) if violations]
     return PredicateResult(outcome="fail" if bad else "pass",
                            record={"points": len(points), "violations": bad[:10],
                                    "violation_count": len(bad)})

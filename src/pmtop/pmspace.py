@@ -619,14 +619,14 @@ def _broken(values: dict[str, np.ndarray], absolute: bool, eps: float) -> np.nda
 
 def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarray]],
                   fields: Callable[[int], dict[str, Any]], budget: SampleBudget, *,
-                  absolute: bool = False, size: int = DELTA2_CHUNK,
-                  samples: int | None = None, notes: dict[str, Any] | None = None) -> CheckReport:
-    """The report of an inequality over n samples taken in blocks of size.
-    block(b) gives the grid-major values of the samples in slice b, lhs and
-    rhs among them, each (probes, samples) or broadcast to it; a sample
-    breaks it where its largest gap exceeds budget.epsilon.  A broken
-    sample r is recorded as fields(r) plus its values at its first largest
-    gap, from its block evaluated once more."""
+                  samples: int, absolute: bool = False, size: int = DELTA2_CHUNK,
+                  notes: dict[str, Any] | None = None) -> CheckReport:
+    """The report, with samples run, of an inequality over n samples taken
+    in blocks of size.  block(b) gives the grid-major values of the samples
+    in slice b, lhs and rhs among them, each (probes, samples) or broadcast
+    to it; a sample breaks it where its largest gap exceeds budget.epsilon.
+    A broken sample r is recorded as fields(r) plus its values at its first
+    largest gap, from its block evaluated once more."""
     blocks = _blocks(n, size)
     rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool)] + [
         _broken(block(b), absolute, budget.epsilon) for b in blocks]))
@@ -643,8 +643,7 @@ def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarr
         j = int(np.argmax(gap[:, i]))
         return {**fields(r), **{key: float(v[j, i]) for key, v in named.items()}}
 
-    return _make_report(name, rows, n if samples is None else samples,
-                        budget.rng_seed, notes, record=record)
+    return _make_report(name, rows, samples, budget.rng_seed, notes, record=record)
 
 
 def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: Any) -> np.ndarray:
@@ -748,7 +747,7 @@ def _pair_values(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 def _pair_report(name: str, space: PMSpace, budget: SampleBudget, u: np.ndarray,
                  v: np.ndarray, k: Any, fields: Callable[[int], dict[str, Any]], *,
-                 absolute: bool = False, notes: dict[str, Any] | None = None) -> CheckReport:
+                 notes: dict[str, Any], absolute: bool = False) -> CheckReport:
     """The report of a scaled pair over its len(u) rows, by _block_report on
     the open rows: a settled row holds, so it is neither counted nor
     recorded.  A broken row r is recorded as fields(r) and its t, lhs, rhs."""
@@ -763,7 +762,8 @@ class _Delta2Scan:
     """The doubling inequality mu_{2x}(t) >= mu_x(t/c) - eps, the scaled
     pair (sigma(2x), sigma(x), c), over budget.n_vectors rows x of the
     "delta2" stream, asked its two questions: smallest, the least candidate
-    no row breaks, and declared, the declared constant's report; the two
+    no row breaks, and declared, the declared constant's report, asked only
+    of a space that declares one (the delta2_declared entry's needs); the two
     doubling predicates share one (falsifier.Inputs.delta2).  Only open
     rows are evaluated, and a row's verdict reads only that row, so every
     verdict and record is the one a full-matrix evaluation gives.  On the
@@ -803,8 +803,6 @@ class _Delta2Scan:
         """The report of the space's declared constant on every row: each
         broken row is counted and the first ones are recorded."""
         c = self.space.declared_c
-        if c is None:
-            raise PreconditionError("space declares no doubling constant")
         return _pair_report("delta2_declared", self.space, self.budget, self._S2, self._S, c,
                             lambda r: {"x": self.X[r].tolist(), "c": c}, notes={"c": c})
 

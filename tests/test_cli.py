@@ -423,6 +423,24 @@ def test_samples_flag_overrides_budget(tmp_path, capsys):
     assert rec["budget"]["n_vectors"] == 123
 
 
+@pytest.mark.parametrize("flag,value,budget", [
+    ("--epsilon", "0.3", {"epsilon": 0.3}),
+    ("--t-grid", "1e-3,10,16", {"t_grid": {"min": 1e-3, "max": 10.0, "count": 16}}),
+], ids=["epsilon", "t-grid"])
+def test_budget_flag_writes_the_bytes_of_its_config_field(tmp_path, capsys, flag, value,
+                                                          budget):
+    base = dict(RATIONAL, budget={"n_vectors": 60, "rng_seed": 0})
+    assert cli.main(["check-axioms", "--config", write_config(tmp_path, base),
+                     flag, value]) == 0
+    flagged = capsys.readouterr().out
+    given = dict(base, budget={**base["budget"], **budget})
+    assert cli.main(["check-axioms", "--config",
+                     write_config(tmp_path, given, "given.json")]) == 0
+    assert flagged == capsys.readouterr().out
+    assert cli.main(["check-axioms", "--config", write_config(tmp_path, base)]) == 0
+    assert flagged != capsys.readouterr().out
+
+
 def test_homogeneity_subcommand_uses_declared_exponent(tmp_path, capsys):
     cfg = write_config(tmp_path, HOMOGENEOUS)
     assert cli.main(["check-homogeneous", "--config", cfg]) == 0

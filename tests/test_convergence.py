@@ -125,10 +125,3 @@ def test_value_and_topological_routes_agree(kind, expected):
         mu_v = p.check_mu_convergence(space, seq, t_grid=grid)
         topo_v = p.check_topological_convergence(space, seq)
         assert mu_v.converges == topo_v.converges == expected
-
-
-def test_sequence_config_round_trip():
-    seq = p.SequenceSpec(kind="geometric", base=np.array([1.0, 2.0]),
-                         direction=np.array([0.5, -0.5]), ratio=0.25)
-    again = p.SequenceSpec(**seq.to_config())
-    assert again.to_config() == seq.to_config()

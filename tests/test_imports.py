@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, the package
 reads every private name it defines, and it passes every defaulted
-parameter it defines.
+parameter it defines, but not on every call of a private function.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: each
 module under src/pmtop except the package's __init__ (whose imports are its
@@ -8,7 +8,8 @@ exports) is parsed with ast, and a name bound by an import must be read
 somewhere in the module; a private function or class (one whose name starts
 with one underscore) must be read somewhere in the package, and a defaulted
 parameter must be passed by some call in the package, so no code stays that
-only tests reach.
+only tests reach; a private function's default that every call overrides is
+a required parameter written as an optional one.
 """
 
 import ast
@@ -75,22 +76,28 @@ def test_an_unread_private_definition_is_found():
     assert unread_private_definitions([module, other]) == ["_Dropped", "_unused"]
 
 
-def unpassed_defaults(sources: dict[str, str]) -> list[str]:
-    """The defaulted parameters, as module.function.parameter (a method's
-    function named Class.method), of the functions and methods defined in
-    the sources (module name to source) that no call in them passes, by
-    keyword or by position.  Calls match a definition by name, a class's
-    call its __init__; a method's positions start after self, and a call
-    with *args or **kwargs passes everything."""
+def defaults_and_calls(sources: dict[str, str]) -> list[tuple[str, bool, list]]:
+    """Each defaulted parameter of the functions and methods defined in the
+    sources (module name to source), as (where, private, passes): where is
+    module.function.parameter (a method's function named Class.method),
+    private whether the function's name starts with one underscore, and
+    passes holds, for each call in the sources that matches the definition
+    by name (a class's call its __init__), True where the call passes the
+    parameter, by keyword or by position, False where it leaves it, and None
+    where it has *args or **kwargs, so may do either.  A method's positions
+    start after self."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    positions, keywords, spread = {}, {}, set()
+    calls = {}
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-            name = getattr(node.func, "id", None) or node.func.attr
-            positions[name] = max(positions.get(name, 0), len(node.args))
-            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
-            if None in keywords[name] or any(isinstance(a, ast.Starred) for a in node.args):
-                spread.add(name)
+            calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+
+    def passes(call: ast.Call, arg: str, at: int | None) -> bool | None:
+        keywords = {kw.arg for kw in call.keywords}
+        if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+            return None
+        return arg in keywords or (at is not None and at < len(call.args))
+
     found = []
     for module, tree in trees.items():
         for owner in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
@@ -104,10 +111,26 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
                 defaulted = [(arg, at - method) for at, arg in enumerate(args) if at >= first]
                 defaulted += [(arg, None) for arg, default in zip(fn.args.kwonlyargs,
                                                                    fn.args.kw_defaults) if default]
-                found += [f"{where}.{arg.arg}" for arg, at in defaulted
-                          if name not in spread and arg.arg not in keywords.get(name, ())
-                          and (at is None or at >= positions.get(name, 0))]
-    return sorted(found)
+                private = fn.name.startswith("_") and not fn.name.startswith("__")
+                found += [(f"{where}.{arg.arg}", private,
+                           [passes(call, arg.arg, at) for call in calls.get(name, [])])
+                          for arg, at in defaulted]
+    return found
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters of defaults_and_calls that no call passes,
+    counting a call with *args or **kwargs as passing everything."""
+    return sorted(where for where, _, passes in defaults_and_calls(sources)
+                  if all(p is False for p in passes))
+
+
+def overridden_defaults(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters of private functions and methods that some
+    call passes and every call does, counting a call with *args or **kwargs
+    as one that may leave the default."""
+    return sorted(where for where, private, passes in defaults_and_calls(sources)
+                  if private and passes and all(passes))
 
 
 # Defaulted parameters the package leaves to its users: cli.main's argv
@@ -133,6 +156,24 @@ def test_an_unpassed_defaulted_parameter_is_found():
     other = "from m import h\nh(*[])\n"
     assert unpassed_defaults({"m": module, "other": other}) == [
         "m.K.__init__.x", "m.K.m.z", "m.f.c", "m.f.d"]
+
+
+def test_package_leaves_no_private_default_that_every_call_passes():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert overridden_defaults(sources) == []
+
+
+def test_a_private_default_that_every_call_passes_is_found():
+    module = ("def _f(a, b=1, c=2, *, d=3):\n    pass\n\n\n"
+              "def _g(x=0):\n    pass\n\n\n"
+              "def _unused(u=0):\n    pass\n\n\n"
+              "def public(v=0):\n    pass\n\n\n"
+              "class K:\n    def _m(self, w=0, y=0):\n        pass\n\n\n"
+              "_f(0, 1, d=4)\n_f(0, 2, c=3, d=5)\n_g(1)\n_g(*[])\npublic(1)\n"
+              "K()._m(2)\n")
+    other = "from m import _f\n_f(0, b=3, d=6)\n"
+    assert overridden_defaults({"m": module, "other": other}) == [
+        "m.K._m.w", "m._f.b", "m._f.d"]
 
 
 # The handler that runs no table selection: the registry itself.

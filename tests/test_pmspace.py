@@ -102,6 +102,32 @@ def test_symmetry_break_is_caught():
     assert rep.parts["pm1"].passed and rep.parts["pm2"].passed
 
 
+class _Offset(SigmaFunctional):
+    """rho(x) = sum |x_i| + 1: the zero vector's mu_0 is not 1 on t > 0."""
+
+    def rho(self, X):
+        return np.sum(np.abs(X), axis=-1) + 1.0
+
+    def to_config(self):
+        return {"kind": "test_offset"}
+
+
+@pytest.mark.parametrize("family", ["rational_from", "step_from"])
+def test_pm2_forward_clause_flags_the_zero_vector(family):
+    kernel = {"rational_from": p.pmspace.RationalFrom, "step_from": p.pmspace.StepFrom}[family]
+    sp = p.PMSpace(dim=2, modular_map=kernel(_Offset()))
+    budget = p.SampleBudget(n_vectors=300, n_scalar_pairs=300, rng_seed=0)
+    pm2 = p.check_axioms(sp, budget, ("pm2",)).parts["pm2"]
+    t0 = budget.grid_array()[0]
+    # Every nonzero x has sigma(x) > 1, so no sample is stuck at 1: only the
+    # zero vector, recorded first, breaks PM2.
+    assert (pm2.n_violations, pm2.samples_run) == (1, 301)
+    assert pm2.violations == [{"x": [0.0, 0.0],
+                               "min_mu": t0 / (t0 + 1.0) if family == "rational_from" else 0.0}]
+    run = F.run_registry(sp, budget, predicates=["pm2"])
+    assert run.results["pm2"].outcome == "fail"
+
+
 # -- doubling constant -------------------------------------------------------
 
 
