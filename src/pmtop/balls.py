@@ -32,6 +32,12 @@ WITNESS_BISECTION_STEPS = 60
 # Rejection sampling must keep at least this acceptance rate.
 MIN_ACCEPTANCE = 0.10
 
+# Floats of candidates in a block of lanes of _lane_mu and the probe medians.
+# 100-lane draws, count 1, dims 1-4, both families (2-core Xeon VM, medians
+# of 15 passes): 79 ms at 1,024, 48 at 4,096, 42 at 8,192, 40 at 16,384, 44
+# at 32,768, 49 unblocked; 6,144-24,576 within the quartiles, smaller peaks.
+LANE_BLOCK = 8192
+
 # Bounds on a ball's level and scale, as check_number takes them.
 LEVEL = {"above": 0, "below": 1}
 SCALE = {"above": 0}
@@ -81,22 +87,38 @@ def boundary_band(ball: Ball, Y: np.ndarray, band: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray,
-             Y: np.ndarray) -> np.ndarray:
-    """mu_of_offsets for lanes: the candidates Y[i] against the ball with
-    center centers[i] and scale scales[i]."""
-    off = centers[:, None, :] - Y
-    S = space.sigma(off.reshape(-1, space.dim)).reshape(off.shape[:2])
-    return space.kernel(scales[:, None], S)
+def _lane_blocks(n: int, width: int) -> list[slice]:
+    """n lanes of width floats each, in blocks of about LANE_BLOCK floats."""
+    step = max(1, LANE_BLOCK // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.ndarray,
+             Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, mu): the candidates Y[i] = centers[i] + steps[i] * Z[i] of each
+    lane and mu_of_offsets of each against the ball (centers[i], scales[i]),
+    one block of lanes (_lane_blocks) at a time, so the temporaries stay
+    cache-sized.  A block's centers are repeated row by row, as a center
+    broadcast over rows makes numpy loop over one row's dim coordinates."""
+    Y, m = np.empty(Z.shape), np.empty(Z.shape[:2])
+    for b in _lane_blocks(len(Z), Z[0].size):
+        off = np.repeat(centers[b, None, :], Z.shape[1], axis=1)
+        np.multiply(steps[b, None, None], Z[b], out=Y[b])
+        Y[b] += off
+        off -= Y[b]
+        S = space.sigma(off.reshape(-1, space.dim)).reshape(off.shape[:2])
+        m[b] = space.kernel(scales[b, None], S)
+    return Y, m
 
 
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
                        scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per lane, the scale of the Gaussian proposal around the center that
-    gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for all lanes at
-    once, and is seeded from the closed-form radius when one exists; then
-    each lane doubles or halves its scale until the probe's acceptance lies
-    in [0.2, 0.8], for at most 80 rounds, stopping on its own.
+    gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for
+    all lanes at once, and is seeded from the closed-form radius when
+    oracle_threshold has one; then each lane doubles or halves its scale
+    until the probe's acceptance (_lane_mu) lies in [0.2, 0.8], for at most
+    80 rounds, stopping on its own.  A round where no lane moves ends it.
 
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
@@ -107,30 +129,34 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     s = np.ones(n)
     try:
         thr = oracle_threshold(space, levels, scales)
-        # The median of each lane's 256 sigma values, computed as np.median
-        # computes it (the mean of the two middle values), without its
-        # per-call overhead.
-        mid = np.partition(space.sigma(probes.reshape(-1, dim)).reshape(n, -1),
-                           (127, 128), axis=1)
-        med = (mid[:, 127] + mid[:, 128]) / 2.0
+    except ValueError:  # no closed form: every lane starts at 1
+        pass
+    else:
+        # Each lane's median sigma as np.median computes it (the mean of the two
+        # middle values), without its per-call overhead; np.sort took under
+        # np.partition's time on 1-32 rows of 256.
+        med = np.empty(n)
+        for b in _lane_blocks(n, probes[0].size):
+            mid = np.sort(space.sigma(probes[b].reshape(-1, dim)).reshape(-1, 256), axis=1)
+            med[b] = (mid[:, 127] + mid[:, 128]) / 2.0
         pos = med > 0
         s[pos] = np.maximum(thr[pos] / med[pos], 1e-12)
-    except ValueError:
-        pass
     # The arguments of the lanes still searching, compacted as lanes stop,
     # and each one's scale two rounds back (NaN, equal to none, at first).
     live, c, t, back = np.arange(n), centers, scales, np.full(n, np.nan)
     cut = (1.0 - levels)[:, None] + EPS_STRICT
     for rounds_left in range(79, -1, -1):
         sl = s[live]
-        inside = _lane_mu(space, c, t, c[:, None, :] + sl[:, None, None] * probes) > cut
+        inside = _lane_mu(space, c, t, sl, probes)[1] > cut
         acc = inside.sum(axis=1) / inside.shape[1]
         up, down = acc > 0.8, acc < 0.2
+        if not (moving := up | down).any():
+            break
         new = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
         cycled = new == back
         # An odd number of rounds left ends a cycling lane on its current scale.
         s[live] = np.where(cycled & (rounds_left % 2 == 1), sl, new)
-        going = (up | down) & ~cycled
+        going = moving & ~cycled
         if not going.all():
             if not going.any():
                 break
@@ -151,11 +177,11 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     candidate batch for every lane still short of count, as one standard
     normal array in lane order, keeps the strict members outside the band,
     and halves the scale of each lane still short whose acceptance fell
-    below MIN_ACCEPTANCE.  The draws depend only on which lanes are still
-    live, so the same inputs and stream give the same bits, with no rewind.
-    Returns (rows, ok): rows[i] holds lane i's count members when ok[i]; a
-    lane still short after 200 rounds has starved, with ok[i] False and
-    rows[i] NaN.
+    below MIN_ACCEPTANCE (a round with one lane left places its rows by a
+    slice).  The draws depend only on which lanes are still live, so the same
+    inputs and stream give the same bits, with no rewind.  Returns (rows, ok):
+    rows[i] holds lane i's count members when ok[i]; a lane still short after
+    200 rounds has starved, with ok[i] False and rows[i] NaN.
     """
     centers = np.asarray(centers, dtype=float)
     levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
@@ -165,23 +191,26 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     ok = np.ones(n, dtype=bool)
     batch = max(4 * count, 64)
     # The arguments of the lanes still short, compacted as lanes fill up.
-    live, c, t, cut, got = np.arange(n), centers, scales, (1.0 - levels)[:, None], 0
+    cut = (1.0 - levels)[:, None]
+    live, c, t, strict, got = np.arange(n), centers, scales, cut + EPS_STRICT, np.zeros(n, int)
     for _ in range(200):
-        Z = rng.standard_normal((live.size, batch, dim))
-        Y = c[:, None, :] + s[:, None, None] * Z
-        m = _lane_mu(space, c, t, Y)
-        keep = (m > cut + EPS_STRICT) & ~(np.abs(m - cut) <= band)
-        # Each kept row's place in its lane's output, counted from 1.
-        place = keep.cumsum(axis=1) + got
-        lane, j = np.nonzero(keep & (place <= count))
-        rows[live[lane], place[lane, j] - 1] = Y[lane, j]
-        got = place[:, -1:]
-        short = got[:, 0] < count
+        Y, m = _lane_mu(space, c, t, s, rng.standard_normal((live.size, batch, dim)))
+        keep = (m > strict) & ~(np.abs(m - cut) <= band)
+        kept = keep.sum(axis=1)
+        if live.size == 1:
+            rows[live[0], got[0]:got[0] + kept[0]] = Y[0, keep[0]][:count - got[0]]
+        else:
+            # Each kept row's place in its lane's output, counted from 1.
+            place = keep.cumsum(axis=1) + got[:, None]
+            lane, j = np.nonzero(keep & (place <= count))
+            rows[live[lane], place[lane, j] - 1] = Y[lane, j]
+        got = got + kept
+        short = got < count
         if not short.any():
             break
-        s = np.where(short & (keep.sum(axis=1) / batch < MIN_ACCEPTANCE), s * 0.5, s)
+        s = np.where(short & (kept / batch < MIN_ACCEPTANCE), s * 0.5, s)
         if not short.all():
-            live, c, t, cut, got, s = (a[short] for a in (live, c, t, cut, got, s))
+            live, c, t, cut, strict, got, s = (a[short] for a in (live, c, t, cut, strict, got, s))
     else:
         ok[live] = False
         rows[live] = np.nan

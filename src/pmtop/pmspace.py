@@ -29,6 +29,7 @@ exponent, so the three never collide in code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -113,7 +114,8 @@ def as_vector(x: Any, dim: int | None = None) -> Vector:
 
 
 class SigmaFunctional:
-    """Nonnegative functional on R^n; rho operates on (N, dim) batches."""
+    """Nonnegative functional on R^n; rho operates on (N, dim) batches.  The
+    classical modulars make |X| their terms in place and sum them by _row_sums."""
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -132,7 +134,7 @@ class PPower(SigmaFunctional):
         object.__setattr__(self, "p", float(check_number(self.p, "p", at_least=1)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
-        return _row_sums(np.abs(X) ** self.p)
+        return _row_sums(operator.ipow(np.abs(X), self.p))
 
     def to_config(self) -> dict[str, Any]:
         return {"kind": "p_power", "p": self.p}
@@ -149,8 +151,7 @@ class WeightedAbs(SigmaFunctional):
         object.__setattr__(self, "weights", tuple(map(float, weights)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
-        w = np.asarray(self.weights)
-        return _row_sums(w * np.abs(X))
+        return _row_sums(operator.imul(np.abs(X), self.weights))
 
     def to_config(self) -> dict[str, Any]:
         return {"kind": "weighted_abs", "weights": list(self.weights)}

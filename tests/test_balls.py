@@ -1,10 +1,12 @@
 """Ball membership, the smaller-scale witness, and the sampled ball algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pmtop as p
-from pmtop.balls import boundary_band, contains_many, sample_around
+from pmtop.balls import boundary_band, contains_many, sample_around, sample_member_lanes
 
 BUDGET = p.SampleBudget(n_vectors=400, n_scalar_pairs=400, rng_seed=11)
 
@@ -199,3 +201,21 @@ def test_member_sampler_yields_members_with_usable_acceptance():
     Y = p.sample_members(ball, rng, 500, band=1e-9)
     assert Y.shape == (500, 2)
     assert np.all(contains_many(ball, Y))
+
+
+def test_member_lanes_memory_is_the_probes_and_one_candidate_array():
+    # 100 lanes at dim 4: the probes (0.8 MB) and one candidate array are
+    # whole, while the offsets, their sigma and the kernel go one block of
+    # lanes at a time.  Whole-batch temporaries traced 4.1 MiB here.
+    space = p.rational_space(p.PPower(p=2.0), 4)
+    rng = np.random.default_rng(4)
+    centers, levels = rng.standard_normal((100, 4)), rng.uniform(0.2, 0.9, 100)
+    scales = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 100))
+    tracemalloc.start()
+    try:
+        _, ok = sample_member_lanes(space, centers, levels, scales, rng, 1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak < 2.5 * 2**20, peak / 2**20

@@ -44,7 +44,6 @@ from pmtop.pmspace import (
     StepFrom,
     VerificationError,
     _Delta2Scan,
-    _row_sums,
     sample_convex_weights,
     sample_scalars,
     sample_vectors,
@@ -429,7 +428,58 @@ def test_proposal_scales_fast_forward_lanes_caught_in_a_two_cycle(monkeypatch, m
     got = B._proposal_scales(space, centers, levels, scales, rng)
     assert [float(v).hex() for v in got] == [w[2] for w in want]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert len(calls) < 10
+    assert 1 <= len(calls) < 10
+
+
+def test_proposal_scales_raise_an_error_in_sigma(monkeypatch):
+    # Only oracle_threshold's "no closed form" seeds a lane at 1: an error in
+    # a reference space's sigma while the lanes are seeded is raised.  Sigma
+    # fails on its first call, the probe medians', and works after it.
+    sigma = PMSpace.sigma
+
+    def failing(self, X):
+        monkeypatch.setattr(PMSpace, "sigma", sigma)
+        raise ValueError("sigma failed")
+
+    monkeypatch.setattr(PMSpace, "sigma", failing)
+    with pytest.raises(ValueError, match="sigma failed"):
+        B._proposal_scales(SPACES["rational_from"], np.zeros((3, 2)), np.full(3, 0.5),
+                           np.ones(3), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lane_block", [None, 1], ids=["lane_block", "one_lane_blocks"])
+@pytest.mark.parametrize("family", ["rational_from", "step_from"])
+def test_member_lanes_match_the_reference_at_lane_block_edges(monkeypatch, family,
+                                                                lane_block):
+    # _lane_mu and the probe medians work in blocks of LANE_BLOCK floats: lane
+    # counts on each side of a calibration block (256 * dim floats a lane) and
+    # of a draw block (64 * dim at count 1), and blocks of one lane, give the
+    # reference's scales, rows and generator state.  Band 0.2 sends some
+    # lanes past their first draw round.
+    space = SPACES[family]
+    if lane_block is not None:
+        monkeypatch.setattr(B, "LANE_BLOCK", lane_block)
+    counts = {1, 100}
+    for width in (256 * space.dim, 64 * space.dim):
+        k = max(1, B.LANE_BLOCK // width)
+        counts |= {k - 1, k, k + 1} - {0}
+    draws = random_ball_draws(np.random.default_rng(5), 100, space.dim)
+    for n in sorted(counts):
+        centers, levels, scales = (a[:n] for a in draws)
+        rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = B._proposal_scales(space, centers, levels, scales, rng)
+        probes = rng_ref.standard_normal((n, 256, space.dim))
+        want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
+                for c, a, t, probe in zip(centers, levels, scales, probes)]
+        assert got.tobytes() == np.array(want).tobytes(), n
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        rows, ok = B.sample_member_lanes(space, centers, levels, scales, rng, 1, 0.2)
+        want, want_ok, _ = reference_member_lanes(space, centers, levels, scales, rng_ref,
+                                                  1, 0.2)
+        assert np.array_equal(ok, want_ok), n
+        assert rows[ok].tobytes() == want[ok].tobytes(), n
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.35])
@@ -1939,25 +1989,32 @@ def float_error(f, *args, **kwargs):
 
 
 def test_row_sums_reproduce_numpy_sum_bit_for_bit():
-    # -0.0 is left out: sigma's terms |x|^p and w |x| are never -0.0, and a
-    # row of -0.0 alone sums to the sign of the value numpy starts from, not
-    # to anything the order decides.
-    edges = EDGE_VALUES[(EDGE_VALUES != 0) | ~np.signbit(EDGE_VALUES)]
+    # Both functionals' rho against np.sum over their term matrix, made in
+    # place: below 8 columns numpy adds a row's terms in order, and
+    # _row_sums adds the same columns one at a time; at 8 numpy sums
+    # pairwise, and _row_sums keeps np.sum.
     rng = np.random.default_rng(12)
     for dim in range(1, MAX_DIM + 1):
+        weights = tuple(np.exp(rng.uniform(-3, 3, dim)))
+        functionals = [(P.PPower(p=q), lambda A, q=q: A ** q) for q in (1.0, 1.5, 2.0, 3.0)]
+        functionals.append((P.WeightedAbs(weights), lambda A: np.asarray(weights) * A))
         for lead in [(1,), (3,), (1000,), (5, 256)]:   # 2-D, and the lane shape
             size = lead + (dim,)
-            for A in (rng.standard_normal(size) * np.exp(rng.uniform(-50, 50, size)),
-                      np.abs(rng.standard_normal(size)) ** 2.0,
-                      rng.choice(edges[edges >= 0], size),
-                      rng.choice(edges, size),
-                      np.zeros(size)):
-                # An overflow to inf, or inf - inf, raises in both or in neither.
-                assert float_error(_row_sums, A) == float_error(np.sum, A, axis=-1)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    got, want = _row_sums(A), np.sum(A, axis=-1)
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), (dim, lead)
+            inputs = [rng.standard_normal(size) * np.exp(rng.uniform(-50, 50, size)),
+                      rng.choice(EDGE_VALUES, size),
+                      np.zeros(size),
+                      rng.standard_normal(size[::-1]).T,       # a transposed copy's view
+                      rng.standard_normal(lead + (dim + 2,))[..., 1:dim + 1]]  # a column slice
+            for X in inputs:
+                for sigma, term in functionals:
+                    def want():
+                        return np.sum(term(np.abs(X)), axis=-1)
+                    # An overflow or underflow raises in both or in neither.
+                    assert float_error(sigma.rho, X) == float_error(want)
+                    with np.errstate(all="ignore"):
+                        got, expected = sigma.rho(X), want()
+                    assert got.shape == expected.shape and got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes(), (dim, lead, sigma)
 
 
 def test_broken_mask_matches_row_major_numpy_max_verdicts():
