@@ -37,6 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .distfn import (
+    MAX_STORED_VIOLATIONS,
     CheckReport,
     FieldError,
     SampleBudget,
@@ -66,8 +67,16 @@ REGULARITY_POINTS = 64
 # the doubling inequality and homogeneity): each block is one grid-major
 # (grid, samples) matrix that lives for that block only, so memory does not
 # grow with the samples times the grid, and the doubling search rules a
-# candidate out at the first block holding a sample that breaks it.
+# candidate out at the first block holding a sample that breaks it.  A block
+# of peak windows holds as many values (_pair_gaps).
 DELTA2_CHUNK = 256
+
+# Grid points of the window on which an open rational row of a scaled pair is
+# read first, and the rounding margin that certifies it (_pair_peaks).  On the
+# registry_mutated seed-0 pool no pm3 or doubling row of the default grid
+# failed the certificate.
+PEAK_WINDOW = 4
+PEAK_MARGIN = 2e-15
 
 # Samples per block of pm4, whose blocks are (5, samples) probe matrices.
 # check-axioms at 2e4 samples took 9.1-9.9 ms per call with blocks of 1,024
@@ -551,17 +560,15 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
 def _check_pm3(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                S_x: np.ndarray) -> CheckReport:
     """PM3: symmetry of the modular, max_t |mu_{-x}(t) - mu_x(t)| <= eps, the
-    scaled pair (sigma(-x), sigma(x), 1).  Its open rows are evaluated in
-    blocks of DELTA2_CHUNK reduced along the grid to each row's largest gap,
-    the gaps and records the full (n, grid) matrices would give."""
+    scaled pair (sigma(-x), sigma(x), 1).  Each open row's largest gap is
+    read on a certified window around its peak on a rational kernel, or on
+    the whole grid (_pair_gaps): the gaps and records the full (n, grid)
+    matrices would give."""
     S_neg = space.sigma(-X)
-    grid = budget.grid_array()
-    rows = np.flatnonzero(~_pair_settled(space, grid, S_neg, S_x, 1.0, budget.epsilon))
-    gap = np.empty(rows.size)
-    for b in _blocks(rows.size):
-        values = _pair_values(space, grid, S_neg, S_x, 1.0, rows[b])
-        gap[b] = np.max(_gap(values, True, out=values["rhs"]), axis=0)
-    bad = np.flatnonzero(gap > budget.epsilon)
+    grid, eps = budget.grid_array(), budget.epsilon
+    rows = np.flatnonzero(~_pair_settled(space, grid, S_neg, S_x, 1.0, eps))
+    gap = _pair_gaps(space, grid, S_neg, S_x, 1.0, rows, eps, True)
+    bad = np.flatnonzero(gap > eps)
     return _make_report("pm3", bad, len(X), budget.rng_seed, record=lambda k: {
         "x": X[rows[k]].tolist(), "max_gap": float(gap[k])})
 
@@ -597,8 +604,7 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
                 "rhs": np.minimum(space.kernel(s, S_x[b]), space.kernel(t, S_y))}
 
     return _block_report("pm4", n, block, lambda r: {
-        "x": X[r].tolist(), "y": Y[r].tolist(), "a": float(a[r])}, budget,
-        size=PM4_CHUNK, samples=5 * n)
+        "x": X[r].tolist(), "y": Y[r].tolist(), "a": float(a[r])}, budget, samples=5 * n)
 
 
 def _blocks(n: int, size: int = DELTA2_CHUNK) -> list[slice]:
@@ -620,31 +626,30 @@ def _broken(values: dict[str, np.ndarray], absolute: bool, eps: float) -> np.nda
 
 def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarray]],
                   fields: Callable[[int], dict[str, Any]], budget: SampleBudget, *,
-                  samples: int, absolute: bool = False, size: int = DELTA2_CHUNK,
-                  notes: dict[str, Any] | None = None) -> CheckReport:
+                  samples: int) -> CheckReport:
     """The report, with samples run, of an inequality over n samples taken
-    in blocks of size.  block(b) gives the grid-major values of the samples
-    in slice b, lhs and rhs among them, each (probes, samples) or broadcast
-    to it; a sample breaks it where its largest gap exceeds budget.epsilon.
-    A broken sample r is recorded as fields(r) plus its values at its first
-    largest gap, from its block evaluated once more."""
-    blocks = _blocks(n, size)
+    in blocks of PM4_CHUNK.  block(b) gives the grid-major values of the
+    samples in slice b, lhs and rhs among them, each (probes, samples) or
+    broadcast to it; a sample breaks it where its largest gap exceeds
+    budget.epsilon.  A broken sample r is recorded as fields(r) plus its
+    values at its first largest gap, from its block evaluated once more."""
+    blocks = _blocks(n, PM4_CHUNK)
     rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool)] + [
-        _broken(block(b), absolute, budget.epsilon) for b in blocks]))
+        _broken(block(b), False, budget.epsilon) for b in blocks]))
 
     @lru_cache(maxsize=1)
     def values(k: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         named = block(blocks[k])
-        gap = _gap(named, absolute)
+        gap = _gap(named, False)
         return gap, {key: np.broadcast_to(v, gap.shape) for key, v in named.items()}
 
     def record(r: int) -> dict[str, Any]:
-        gap, named = values(r // size)
-        i = r % size
+        gap, named = values(r // PM4_CHUNK)
+        i = r % PM4_CHUNK
         j = int(np.argmax(gap[:, i]))
         return {**fields(r), **{key: float(v[j, i]) for key, v in named.items()}}
 
-    return _make_report(name, rows, samples, budget.rng_seed, notes, record=record)
+    return _make_report(name, rows, samples, budget.rng_seed, record=record)
 
 
 def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: Any) -> np.ndarray:
@@ -737,26 +742,143 @@ def _pair_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray
 def _pair_values(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
                  rows: np.ndarray) -> dict[str, np.ndarray]:
     """The grid-major t, lhs = kernel(t, u) and rhs = kernel(t/k, v) of a
-    scaled pair's given rows.  Where t/k overflows, v's side is read at the
-    largest float: at inf the rational kernel's inf/inf, a NaN, breaks no eps."""
-    t = grid[:, None]
+    scaled pair's given rows, t the whole grid or, where grid is a (points,
+    rows) array, each row's own points.  Where t/k overflows, v's side is
+    read at the largest float: at inf the rational kernel's inf/inf, a NaN,
+    breaks no eps."""
+    t = grid[:, None] if grid.ndim == 1 else grid
     with np.errstate(over="ignore"):
         q = t / (k if np.ndim(k) == 0 else k[rows])
     np.minimum(q, np.finfo(float).max, out=q)
     return {"t": t, "lhs": space.kernel(t, u[rows]), "rhs": space.kernel(q, v[rows])}
 
 
+def _pair_windowed(space: PMSpace, grid: np.ndarray, eps: float, absolute: bool) -> bool:
+    """Whether _pair_peaks reads a scaled pair's rows on peak windows: on the
+    rational kernel, floored or not, over more grid points than a window
+    holds, and for a signed pair only at eps above PEAK_MARGIN."""
+    base = type(getattr(space.modular_map, "base", space.modular_map))
+    return base is RationalFrom and grid.size > PEAK_WINDOW and (absolute or eps > PEAK_MARGIN)
+
+
+def _pair_peaks(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
+                rows: np.ndarray, eps: float,
+                absolute: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The given rows' largest gaps over the sorted, positive grid, and
+    grid-major t, lhs and rhs of those rows at points whose first largest gap
+    is the row's first over the grid: |rhs - lhs| where absolute, else rhs -
+    lhs.  Where _pair_windowed, each row is read at the PEAK_WINDOW grid
+    points around searchsorted(grid, sqrt(u k v)), with _pair_values'
+    arithmetic, and a row the certificate below does not settle is read on
+    the whole grid, its values at its first largest gap repeated over the
+    window's points; elsewhere every row is read on the whole grid.  A
+    signed row gets the grid's gap and values where it is broken, and the
+    grid's verdict everywhere.
+
+    Shape.  With w = kv (exact), the exact gap t/(t+w) - t/(t+u) is
+    t(u-w)/((t+u)(t+w)), of u - w's sign at every t > 0, and 1/|gap| is
+    t + u + w + uw/t over |u - w|, falling strictly up to t = sqrt(uw) and
+    rising after.  So |gap| is unimodal: non-decreasing up to some p and
+    non-increasing after.  A FlooredMap takes max(s, f) of each base side s,
+    and the sides rise with t.  Where u > w, rhs is above lhs, so the floored
+    gap is 0 while rhs < f, then rhs - f, rising, while lhs < f, and from
+    there on the base gap, which it meets there: unimodal too, and >= 0.
+    Where u < w the same holds with the sides swapped.
+
+    Rounding.  Let the domain be u, v >= 0, t + u and t/k + v finite, and
+    every q = fl(t/k) normal and finite: the grid's ends decide, as q is
+    monotone in t.  There fl(t/fl(t + u)) is within 2.3e-16 of t/(t+u).  q is
+    (t/k)(1+d) with |d| <= 2**-53, so q/(q+v) is t/(t+z) at z = w/(1+d),
+    within |w-z|/(w+z) <= 5.6e-17 of t/(t+w) (_pair_settled's gap bound),
+    and the computed rhs is within 2.3e-16 of q/(q+v).  The subtraction adds
+    1.1e-16, and max(., f) and |.| are 1-Lipschitz.  So every computed gap
+    G(t) is within d = 6.2e-16 of the exact gap g(t).
+
+    Certificate.  Let j be the window's first largest computed gap, and a
+    its first point.  If a is not the grid's first point and fl(G(j) - G(a))
+    > PEAK_MARGIN, then G(j) - G(a) > 2e-15 (1 - 2**-53) > 2d, so g(t_j) >
+    g(t_a).  Then t_a < t_j and t_a lies before the peak p, so every grid
+    point before a, at t_i <= t_a, has g(t_i) <= g(t_a) and G(t_i) <= G(a) +
+    2d < G(j).  Likewise after the window's last point; at a grid end there
+    is nothing outside to bound.  So no grid point outside the window
+    reaches G(j), and the window's largest gap and first argmax are the
+    grid's, bit for bit.  This holds for |gap|, and for a signed gap where
+    u > w.  Where u <= w the signed gap is <= 0 at every t, so every G is at
+    most d < PEAK_MARGIN < eps: the row is not broken on the window or on
+    the grid, whatever the window gives, and only a broken row is recorded.
+    A signed window point with G < -PEAK_MARGIN has g < 0, so u < w, and
+    settles its row too.  A row outside the domain (a NaN or infinite u, v
+    or t/k among them) or without a certificate is read on the whole grid.
+    """
+    if not _pair_windowed(space, grid, eps, absolute):
+        values = _pair_values(space, grid, u, v, k, rows)
+        return np.max(_gap(values, absolute), axis=0), values
+    n, k_r, u_r, v_r = grid.size, (k if np.ndim(k) == 0 else k[rows]), u[rows], v[rows]
+    with np.errstate(all="ignore"):
+        q_lo, q_hi = grid[0] / k_r, grid[-1] / k_r
+        inside = ((u_r >= 0) & (v_r >= 0) & (q_lo >= np.finfo(float).tiny) & (q_hi < np.inf)
+                  & (grid[-1] + u_r < np.inf) & (q_hi + v_r < np.inf))
+        start = np.searchsorted(grid, np.sqrt(u_r * (k_r * v_r))) - PEAK_WINDOW // 2
+    np.clip(start, 0, n - PEAK_WINDOW, out=start)
+    values = _pair_values(space, grid[start + np.arange(PEAK_WINDOW)[:, None]], u, v, k, rows)
+    gap = _gap(values, absolute)
+    top = np.max(gap, axis=0)
+    held = inside & ((start == 0) | (top - gap[0] > PEAK_MARGIN)) & (
+        (start == n - PEAK_WINDOW) | (top - gap[-1] > PEAK_MARGIN))
+    if not absolute:
+        held |= inside & (np.min(gap, axis=0) < -PEAK_MARGIN)
+    fallback = np.flatnonzero(~held)
+    for b in _blocks(fallback.size):
+        cols = fallback[b]
+        full = _pair_values(space, grid, u, v, k, rows[cols])
+        full_gap = _gap(full, absolute)
+        at = np.argmax(full_gap, axis=0), np.arange(cols.size)
+        top[cols] = full_gap[at]
+        for key, value in full.items():
+            values[key][:, cols] = np.broadcast_to(value, full_gap.shape)[at]
+    return top, values
+
+
+def _pair_gaps(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k: Any,
+               rows: np.ndarray, eps: float, absolute: bool) -> np.ndarray:
+    """The given rows' largest gaps (_pair_peaks), in blocks of DELTA2_CHUNK
+    rows on the whole grid, or of as many rows as hold the same number of
+    values on peak windows."""
+    size = DELTA2_CHUNK
+    if _pair_windowed(space, grid, eps, absolute):
+        size = DELTA2_CHUNK * grid.size // PEAK_WINDOW
+    gap = np.empty(rows.size)
+    for b in _blocks(rows.size, size):
+        gap[b] = _pair_peaks(space, grid, u, v, k, rows[b], eps, absolute)[0]
+    return gap
+
+
 def _pair_report(name: str, space: PMSpace, budget: SampleBudget, u: np.ndarray,
                  v: np.ndarray, k: Any, fields: Callable[[int], dict[str, Any]], *,
                  notes: dict[str, Any], absolute: bool = False) -> CheckReport:
-    """The report of a scaled pair over its len(u) rows, by _block_report on
-    the open rows: a settled row holds, so it is neither counted nor
-    recorded.  A broken row r is recorded as fields(r) and its t, lhs, rhs."""
-    grid = budget.grid_array()
-    rows = np.flatnonzero(~_pair_settled(space, grid, u, v, k, budget.epsilon))
-    return _block_report(name, rows.size, lambda b: _pair_values(space, grid, u, v, k, rows[b]),
-                         lambda j: fields(rows[j]), budget, absolute=absolute,
-                         samples=u.size, notes=notes)
+    """The report of a scaled pair over its len(u) rows, from the open rows'
+    largest gaps (_pair_gaps): a settled row holds, so it is neither counted
+    nor recorded.  A broken row r is recorded as fields(r) and its t, lhs and
+    rhs at its first largest gap, read once more by _pair_peaks for the first
+    MAX_STORED_VIOLATIONS broken rows only: on their windows, or on the whole
+    grid where they fall back."""
+    grid, eps = budget.grid_array(), budget.epsilon
+    rows = np.flatnonzero(~_pair_settled(space, grid, u, v, k, eps))
+    bad = rows[_pair_gaps(space, grid, u, v, k, rows, eps, absolute) > eps]
+    kept = bad[:MAX_STORED_VIOLATIONS]
+
+    @lru_cache(maxsize=1)
+    def values() -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        named = _pair_peaks(space, grid, u, v, k, kept, eps, absolute)[1]
+        gap = _gap(named, absolute)
+        return gap, {key: np.broadcast_to(value, gap.shape) for key, value in named.items()}
+
+    def record(i: int) -> dict[str, Any]:
+        gap, named = values()
+        j = int(np.argmax(gap[:, i]))
+        return {**fields(kept[i]), **{key: float(value[j, i]) for key, value in named.items()}}
+
+    return _make_report(name, range(bad.size), u.size, budget.rng_seed, notes, record=record)
 
 
 class _Delta2Scan:
@@ -766,7 +888,8 @@ class _Delta2Scan:
     no row breaks, and declared, the declared constant's report, asked only
     of a space that declares one (the delta2_declared entry's needs); the two
     doubling predicates share one (falsifier.Inputs.delta2).  Only open
-    rows are evaluated, and a row's verdict reads only that row, so every
+    rows are evaluated, a rational row on a certified window around its
+    peak (_pair_peaks), and a row's verdict reads only that row, so every
     verdict and record is the one a full-matrix evaluation gives.  On the
     valid reference instances sigma(2x) is 2**p sigma(x) bit for bit, so no
     row is open at their declared constant c = 2**p.  On a step space
@@ -783,19 +906,20 @@ class _Delta2Scan:
     def smallest(self, candidates: tuple[float, ...]) -> float | None:
         """The smallest candidate c no row breaks, or None; the candidates
         are checked before any is tested.  Each is tested on the rows exact
-        scaling leaves open, in blocks, in row order, up to the first block
-        holding a broken row.  _pair_settled's other clauses would cost every
-        ruled-out candidate a pass over all rows: on the 64 step spaces of
-        the registry_valid seed-0 pool, at 1e4 rows, the interval clause took
-        a call from 0.63 ms to 2.51 ms, as below the declared constant it
-        settles at most a fifth of the rows and the open ones still break."""
+        scaling leaves open, in blocks of DELTA2_CHUNK rows, in row order,
+        up to the first block holding a broken row.  _pair_settled's other
+        clauses would cost every ruled-out candidate a pass over all rows:
+        on the 64 step spaces of the registry_valid seed-0 pool, at 1e4
+        rows, the interval clause took a call from 0.63 ms to 2.51 ms, as
+        below the declared constant it settles at most a fifth of the rows
+        and the open ones still break."""
         check_numbers(candidates, "candidates", above=0)
         eps = self.budget.epsilon
         pair = (self._grid, self._S2, self._S)
 
         def holds(c: float) -> bool:
             rows = np.flatnonzero(~_pair_exact(*pair, c))
-            return not any(_broken(_pair_values(self.space, *pair, c, rows[b]), False, eps).any()
+            return not any((_pair_peaks(self.space, *pair, c, rows[b], eps, False)[0] > eps).any()
                            for b in _blocks(rows.size))
 
         return next((float(c) for c in sorted(candidates) if holds(c)), None)

@@ -19,10 +19,12 @@ fuzz        a derandomized slice of the config fuzz of tests/test_cli.py; its
 records     CLI reports that record violations of every blocked grid check:
             homogeneity at a wrong exponent, a breaking declared doubling
             constant, and break_pm4 over samples that span several pm4 blocks;
-            and check-convergence at a pass on the entry's default grid, an
+            check-convergence at a pass on the entry's default grid, an
             infeasible empty local base, a given grid and n_max, a fail at a
             given grid blind to the offset, and a config error of each of
-            its operation checks
+            its operation checks; and pm3 on break_pm3 and the doubling
+            check on a halved declared constant, each on a grid clustered
+            near 1 and on a 1,024-point grid
 
 A change that moves bytes on purpose regenerates the file and names the
 changed keys: --check ends with a tally of the mismatched keys per group and
@@ -275,14 +277,32 @@ RECORD_CASES = [
                  {"sequence": SEQUENCE, "t_grid": []},
                  {"sequence": SEQUENCE, "n_max": 0},
                  {"sequence": SEQUENCE, "local_base_depth": 1.5})),
+    # Broken scaled pairs, each with a given grid as a fifth element: pm3 on
+    # break_pm3, and the doubling check at half the true constant (4 for
+    # p = 2), as break_delta2_declaration declares it.  On the grid of 20
+    # points within 1e-9 of 1 neighbouring gaps differ by little more than
+    # rounding; the other is the largest grid a budget admits.
+    *((command, inst, op, 2000, grid)
+      for grid in ([1.0 + i * 1e-10 for i in range(-10, 10)],
+                   {"min": 1e-3, "max": 1e3, "count": 1024})
+      for command, inst, op in (
+          ("check-axioms", {"family": "rational_from", "dim": 2,
+                            "modular": {"kind": "p_power", "p": 1.0}},
+           {"mutation": "break_pm3"}),
+          ("check-delta2", {"family": "rational_from", "dim": 2, "declared_c": 2.0,
+                            "modular": {"kind": "p_power", "p": 2.0}}, {}))),
 ]
 
 
 def _records(seed: int) -> Iterator[Entry]:
-    for index, (command, inst, op, n) in enumerate(RECORD_CASES):
+    for index, (command, inst, op, n, *grid) in enumerate(RECORD_CASES):
+        budget = {"n_vectors": n, "n_scalar_pairs": n, "rng_seed": seed}
         cfg = {"instance": inst, "operation": op,
-               "budget": {"n_vectors": n, "n_scalar_pairs": n, "rng_seed": seed}}
-        yield (f"records/{seed}/{index}", f"{command} {json.dumps(op)} {json.dumps(inst)}",
+               "budget": {**budget, "t_grid": grid[0]} if grid else budget}
+        label = f"{command} {json.dumps(op)} {json.dumps(inst)}"
+        if grid:
+            label += f" t_grid={json.dumps(grid[0])[:40]}"
+        yield (f"records/{seed}/{index}", label,
                lambda command=command, cfg=cfg: _run_cli([command], json.dumps(cfg)))
 
 

@@ -866,19 +866,131 @@ def test_step_clause_leaves_open_the_rows_its_proof_does_not_cover():
                                            k_rows, 0.5).any(), (name, kind)
 
 
+def float_bits_equal(x, y):
+    """Elementwise: the same float64 bits, or NaN on both sides."""
+    return (P._float_bits(x) == P._float_bits(y)) | (np.isnan(x) & np.isnan(y))
+
+
+# Twenty grid points within 1e-9 of 1: neighbouring gaps differ by about as
+# much as rounding moves them, so a window's certificate often fails there.
+CLUSTERED_GRID = tuple(1.0 + i * 1e-10 for i in range(-10, 10))
+
+PEAK_GRIDS = {
+    "default": D.default_t_grid(),
+    "clustered": CLUSTERED_GRID,
+    "one-point": (1.0,),
+    "two-points": (0.5, 2.0),
+    # Each point followed by its next float and by a copy of that.
+    "ulp-adjacent-and-duplicate": tuple(itertools.chain.from_iterable(
+        (t, np.nextafter(t, np.inf), np.nextafter(t, np.inf))
+        for t in D.default_t_grid(1e-2, 1e2, 12))),
+    # The last point at MAX_GRID_T: t/k overflows at k = 1e-30.
+    "to-max-grid-t": D.default_t_grid(1e-3, D.MAX_GRID_T, 64),
+}
+
+
+def peak_pairs(space, n, seed):
+    """The scaled pairs (u, v, k, absolute) of pm3, of doubling at the
+    declared constant, half and twice it and two other candidates, at
+    k = 1e-30 (t/k overflows at the grid's top) and at k = 1e300 (t/k
+    subnormal at its bottom), and of homogeneity at beta 1 and 0.5, over n
+    rows; u holds a NaN and an inf, and v too, in rows of their own."""
+    X = sample_vectors(np.random.default_rng(seed), n, space.dim)
+    a = sample_scalars(np.random.default_rng(seed + 1), n)
+    S, S2, S_ax = space.sigma(X), space.sigma(2.0 * X), space.sigma(a[:, None] * X)
+    c = space.declared_c or 2.0
+    pairs = {"pm3": (space.sigma(-X), S, 1.0, True)}
+    for k in (c, c / 2, 2 * c, 1.5, 2 ** 0.25, 1e-30, 1e300):
+        pairs[f"doubling-{k}"] = (S2, S, k, False)
+    for beta in (1.0, 0.5):
+        pairs[f"homogeneity-{beta}"] = (S_ax, S, np.abs(a) ** beta, True)
+    for u, v, k, absolute in pairs.values():
+        u[:2], v[2:4] = (np.nan, np.inf), (np.nan, np.inf)
+    return pairs
+
+
+def peak_spaces():
+    """Valid rational spaces, and each rational mutation at two seeds:
+    break_pm1's FlooredMap among them."""
+    spaces = {f"rational-{name}": p.rational_space(rho, 2, declared_c=c)
+              for name, rho, c in (("weighted", p.WeightedAbs(weights=(0.5, 2.0)), 2.0),
+                                   ("p1", p.PPower(p=1.0), 2.0),
+                                   ("p2", p.PPower(p=2.0), 4.0))}
+    for kind in F.MUTATION_KINDS:
+        if F.MUTATION_FAMILY[kind] == "rational_from":
+            for seed in (0, 3):
+                spaces[f"{kind}-{seed}"] = F.generate_instance(seed, "rational_from", kind)
+    return spaces
+
+
+@pytest.mark.parametrize("name", sorted(peak_spaces()))
+def test_peak_windows_give_the_whole_grids_verdicts_gaps_and_first_argmax(monkeypatch, name):
+    # Every row of every scaled pair, settled or not, read by _pair_gaps and
+    # _pair_peaks against _pair_values on the whole grid: the same verdict
+    # for every row, and for every broken row, and every row of an absolute
+    # pair, the bits of its largest gap; and for every broken row the t, lhs
+    # and rhs at its first argmax.
+    space = peak_spaces()[name]
+    if name == "break_pm1-0":
+        assert type(space.modular_map) is FlooredMap
+    evaluated = {}
+    values = P._pair_values
+
+    def counted(space, grid, u, v, k, rows):
+        key = (grid_name, "window" if grid.ndim == 2 else "grid")
+        evaluated[key] = evaluated.get(key, 0) + np.size(rows)
+        return values(space, grid, u, v, k, rows)
+
+    monkeypatch.setattr(P, "_pair_values", counted)
+    for grid_name, t_grid in PEAK_GRIDS.items():
+        grid = np.asarray(t_grid)
+        for pair_name, (u, v, k, absolute) in peak_pairs(space, 1000, 11).items():
+            every = np.arange(u.size)
+            with np.errstate(all="ignore"):
+                full = values(space, grid, u, v, k, every)
+                gap = P._gap(full, absolute)
+                top, first = np.max(gap, axis=0), np.argmax(gap, axis=0)
+            for eps in (1e-15, 1e-9, 0.5):
+                label = (grid_name, pair_name, eps)
+                got = P._pair_gaps(space, grid, u, v, k, every, eps, absolute)
+                broken = top > eps
+                assert np.array_equal(got > eps, broken), label
+                exact = every if absolute else np.flatnonzero(broken)
+                assert float_bits_equal(got[exact], top[exact]).all(), label
+                rows = np.flatnonzero(broken)
+                peak, named = P._pair_peaks(space, grid, u, v, k, rows, eps, absolute)
+                assert float_bits_equal(peak, top[rows]).all(), label
+                named_gap = P._gap(named, absolute)
+                at = np.argmax(named_gap, axis=0), np.arange(rows.size)
+                for key, value in named.items():
+                    want = np.broadcast_to(full[key], gap.shape)[first[rows], rows]
+                    got_at = np.broadcast_to(value, named_gap.shape)[at]
+                    assert float_bits_equal(got_at, want).all(), (label, key)
+    # Both paths ran on every grid longer than a window, and none on the
+    # grids of one and two points, which are read on the grid.
+    for grid_name, t_grid in PEAK_GRIDS.items():
+        windows = evaluated.get((grid_name, "window"), 0)
+        assert (windows > 0) == (len(t_grid) > P.PEAK_WINDOW), (grid_name, evaluated)
+        assert evaluated[grid_name, "grid"] > 0, (grid_name, evaluated)
+
+
 @pytest.mark.parametrize("mutation", [None, "break_delta2_declaration"])
 def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
         tmp_path, monkeypatch, mutation):
     space = F.generate_instance(0, "rational_from", mutation)
-    evaluated = []
+    evaluated, on_grid = [], []
     values = P._pair_values
 
     def recorded(space, grid, u, v, k, rows):
         # pm3's k = 1 leaves no row of a valid instance open, and
         # homogeneity's k is one number per row, so the calls with one
-        # number k are the doubling scan's.
+        # number k are the doubling scan's.  Every row evaluated goes
+        # through here: a rational row on its peak window (a 2-d grid of
+        # each row's points), and on the whole grid where it falls back.
         if np.ndim(k) == 0:
             evaluated.extend((k, int(r)) for r in rows)
+            if grid.ndim == 1:
+                on_grid.extend((k, int(r)) for r in rows)
         return values(space, grid, u, v, k, rows)
 
     monkeypatch.setattr(P, "_pair_values", recorded)
@@ -889,8 +1001,8 @@ def test_check_delta2_evaluates_no_block_at_a_settled_declared_constant(
                      "--out", str(tmp_path / "report.ndjson")])
     at_declared = {row for c, row in evaluated if c == space.declared_c}
     if mutation is not None:
-        # Every row is open at the declared constant.
-        assert code == 1 and at_declared == set(range(2000))
+        # Every row is open at the declared constant, and read on its window.
+        assert code == 1 and at_declared == set(range(2000)) and not on_grid
         return
     # The candidates below the declared 2 are still ruled out by evaluation.
     assert code == 0 and evaluated and not at_declared
@@ -988,7 +1100,9 @@ def test_blocked_homogeneity_matches_the_full_matrix_reference(monkeypatch, name
 
 def homogeneity_rows_evaluated(monkeypatch, space, beta, budget):
     """The rows check_beta_homogeneous passes to the kernel before it builds
-    its records: each block's two kernel calls take the same rows."""
+    its records: each block's two kernel calls take the same rows, on the
+    rows' peak windows or, for the rows that fall back, on the whole grid,
+    so a row read on both counts twice."""
     sizes, scanned = [], []
     kernel = type(space.modular_map).kernel
     monkeypatch.setattr(type(space.modular_map), "kernel",
@@ -1017,7 +1131,8 @@ def test_homogeneity_evaluates_no_row_of_a_valid_degree_one_rational_space(monke
             assert rows == 0 and rep.passed and rep.samples_run == 5000
             monkeypatch.undo()
     # On a degree-two space at beta = 1 every row is open but the a = 1, -1
-    # and 1 probes, where sigma(a x) is exactly |a| sigma(x).
+    # and 1 probes, where sigma(a x) is exactly |a| sigma(x), and each is
+    # read once, on its peak window: none falls back.
     rows, rep = homogeneity_rows_evaluated(
         monkeypatch, p.rational_space(p.PPower(p=2.0), 3), 1.0, budget)
     assert rows == 5000 - 3 and rep.n_violations == 5000 - 3

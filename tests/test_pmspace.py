@@ -12,6 +12,7 @@ import pytest
 
 import pmtop as p
 import pmtop.falsifier as F
+import pmtop.pmspace as P
 from pmtop import cli
 from pmtop.distfn import MAX_GRID_COUNT
 from pmtop.pmspace import SigmaFunctional, _Delta2Scan, sample_convex_weights
@@ -338,6 +339,45 @@ def test_axiom_check_memory_does_not_grow_with_samples_times_grid(mutation):
         tracemalloc.stop()
     assert not rep.parts[p.MUTATION_TARGETS[mutation]].passed
     assert peak < 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("mutation", ["break_pm3", "break_delta2_declaration"])
+def test_open_rational_rows_cost_a_peak_window_each_not_the_grid(monkeypatch, mutation):
+    # Kernel points, counted at 1e4 rows and 1,024 grid points: every row of
+    # the target's scaled pair is open, and each is read at PEAK_WINDOW grid
+    # points, two kernel values a point, a row that falls back on the whole
+    # grid too, and a recorded row's window once more.  The whole grid would
+    # be 2 * 1,024 values per row.
+    space = p.generate_instance(0, "rational_from", mutation)
+    budget = p.SampleBudget(n_vectors=10_000, n_scalar_pairs=10_000, rng_seed=0,
+                            t_grid=p.default_t_grid(count=MAX_GRID_COUNT))
+    counts = {"points": 0, "open": 0, "fallback": 0}
+    kernel, gaps, values = type(space.modular_map).kernel, P._pair_gaps, P._pair_values
+
+    def counted_kernel(self, T, S):
+        counts["points"] += np.broadcast(T, S).size
+        return kernel(self, T, S)
+
+    def counted_gaps(space, grid, u, v, k, rows, eps, absolute):
+        counts["open"] += rows.size
+        return gaps(space, grid, u, v, k, rows, eps, absolute)
+
+    def counted_values(space, grid, u, v, k, rows):
+        counts["fallback"] += rows.size if grid.ndim == 1 else 0
+        return values(space, grid, u, v, k, rows)
+
+    monkeypatch.setattr(type(space.modular_map), "kernel", counted_kernel)
+    monkeypatch.setattr(P, "_pair_gaps", counted_gaps)
+    monkeypatch.setattr(P, "_pair_values", counted_values)
+    if mutation == "break_pm3":
+        rep = p.check_axioms(space, budget, ("pm3",))
+    else:
+        rep = _Delta2Scan(space, budget).declared()
+    assert counts["open"] == 10_000 and rep.n_violations > 9_900
+    reread = 0 if mutation == "break_pm3" else len(rep.violations)
+    assert counts["points"] <= 2 * (P.PEAK_WINDOW * (counts["open"] + reread)
+                                    + MAX_GRID_COUNT * counts["fallback"]), counts
+    assert counts["fallback"] <= 10, counts
 
 
 def test_axiom_check_memory_at_1e5_samples_is_the_draws_not_pm4_matrices():
