@@ -87,82 +87,118 @@ def boundary_band(ball: Ball, Y: np.ndarray, band: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lane_blocks(n: int, width: int) -> list[slice]:
-    """n lanes of width floats each, in blocks of about LANE_BLOCK floats."""
-    step = max(1, LANE_BLOCK // width)
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
 def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.ndarray,
              Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y, mu): the candidates Y[i] = centers[i] + steps[i] * Z[i] of each
     lane and mu_of_offsets of each against the ball (centers[i], scales[i]),
-    one block of lanes (_lane_blocks) at a time, so the temporaries stay
-    cache-sized.  A block's centers are repeated row by row, as a center
-    broadcast over rows makes numpy loop over one row's dim coordinates."""
+    in blocks of lanes of about LANE_BLOCK floats (_block_mu), so the
+    temporaries stay cache-sized; lanes that fit in one block make no
+    block loop."""
+    step = max(1, LANE_BLOCK // Z[0].size)
+    if len(Z) <= step:
+        return _block_mu(space, centers, scales, steps, Z)
     Y, m = np.empty(Z.shape), np.empty(Z.shape[:2])
-    for b in _lane_blocks(len(Z), Z[0].size):
-        off = np.repeat(centers[b, None, :], Z.shape[1], axis=1)
-        np.multiply(steps[b, None, None], Z[b], out=Y[b])
-        Y[b] += off
-        off -= Y[b]
-        S = space.sigma(off.reshape(-1, space.dim)).reshape(off.shape[:2])
-        m[b] = space.kernel(scales[b, None], S)
+    for i in range(0, len(Z), step):
+        b = slice(i, i + step)
+        m[b] = _block_mu(space, centers[b], scales[b], steps[b], Z[b], Y[b])[1]
     return Y, m
 
 
+def _block_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.ndarray,
+              Z: np.ndarray, Y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """_lane_mu of one block of lanes, its candidates made in Y if given.
+    The centers are repeated row by row, as a center broadcast over rows
+    makes numpy loop over one row's dim coordinates."""
+    off = np.repeat(centers[:, None, :], Z.shape[1], axis=1)
+    Y = np.multiply(steps[:, None, None], Z, out=Y)
+    Y += off
+    off -= Y
+    S = space.sigma(off.reshape(-1, Z.shape[2])).reshape(off.shape[:2])
+    return Y, space.kernel(scales[:, None], S)
+
+
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
-                       scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                     scales: np.ndarray, rng: np.random.Generator, batch: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray | None,
+                                tuple[np.ndarray, np.ndarray] | None]:
     """Per lane, the scale of the Gaussian proposal around the center that
     gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for
-    all lanes at once, and is seeded from the closed-form radius when
-    oracle_threshold has one; then each lane doubles or halves its scale
-    until the probe's acceptance (_lane_mu) lies in [0.2, 0.8], for at most
-    80 rounds, stopping on its own.  A round where no lane moves ends it.
+    all lanes at once, and is seeded from the closed-form radius over its
+    probe's median sigma when oracle_threshold has one, and at 1 otherwise;
+    then each lane doubles or halves its scale until the probe's acceptance
+    (_lane_mu) lies in [0.2, 0.8], for at most 80 rounds, stopping on its
+    own.  A round where no lane moves ends it.
+
+    Where every lane's probe and a first candidate batch of batch rows fit
+    in one LANE_BLOCK, one standard_normal call draws both (the values and
+    stream of two: the calibration reads no stream), and round 1 evaluates
+    them in one _lane_mu pass at the seed scales.  Returns (s, Z, first): Z
+    is those batches' normals, or None; first is that pass's (Y, mu) over
+    them when round 1 moved no lane, so s is the seed, or None.
 
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
     scale two rounds back alternates between the two until round 80: it
     leaves the live lanes with the one of the two that round 80 ends on."""
     n, dim = centers.shape
-    probes = rng.standard_normal((n, 256, dim))
-    s = np.ones(n)
+    fused = batch > 0 and n * (256 + batch) * dim <= LANE_BLOCK
+    if fused:
+        Z = rng.standard_normal((n * (256 + batch), dim))
+        # Lane by lane: each lane's probe rows, then its batch rows.
+        Z = Z.reshape(1, -1, dim) if n == 1 else np.concatenate(
+            (Z[:256 * n].reshape(n, 256, dim), Z[256 * n:].reshape(n, batch, dim)), axis=1)
+    else:
+        Z = rng.standard_normal((n, 256, dim))
+    probes = Z[:, :256]
     try:
         thr = oracle_threshold(space, levels, scales)
     except ValueError:  # no closed form: every lane starts at 1
-        pass
+        s = np.ones(n)
     else:
         # Each lane's median sigma as np.median computes it (the mean of the two
         # middle values), without its per-call overhead; np.sort took under
         # np.partition's time on 1-32 rows of 256.
-        med = np.empty(n)
-        for b in _lane_blocks(n, probes[0].size):
-            mid = np.sort(space.sigma(probes[b].reshape(-1, dim)).reshape(-1, 256), axis=1)
-            med[b] = (mid[:, 127] + mid[:, 128]) / 2.0
-        pos = med > 0
-        s[pos] = np.maximum(thr[pos] / med[pos], 1e-12)
-    # The arguments of the lanes still searching, compacted as lanes stop,
-    # and each one's scale two rounds back (NaN, equal to none, at first).
-    live, c, t, back = np.arange(n), centers, scales, np.full(n, np.nan)
+        step = max(1, LANE_BLOCK // (256 * dim))
+        mid = [np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, 256),
+                       axis=1)[:, 127:129] for i in range(0, n, step)]
+        mid = mid[0] if n <= step else np.concatenate(mid)
+        med = (mid[:, 0] + mid[:, 1]) / 2.0
+        # thr / med where the median is positive, 1 elsewhere, with no divide by 0.
+        s = np.maximum(np.divide(thr, med, out=np.ones(n), where=med > 0), 1e-12)
     cut = (1.0 - levels)[:, None] + EPS_STRICT
+    Y, m = _lane_mu(space, centers, scales, s, Z)
+    inside = m[:, :256] > cut
+    # Round 1's pass over the batches is kept (one block); the probes' goes.
+    Z, first = (Z[:, 256:], (Y[:, 256:], m[:, 256:])) if fused else (None, None)
+    del Y, m
+    # The lanes still searching (None while all are), their arguments and
+    # scales, compacted as lanes stop, and each one's scale two rounds back
+    # (NaN, equal to none, in round 1).
+    live, c, t, sl, back = None, centers, scales, s, np.nan
     for rounds_left in range(79, -1, -1):
-        sl = s[live]
-        inside = _lane_mu(space, c, t, sl, probes)[1] > cut
-        acc = inside.sum(axis=1) / inside.shape[1]
+        if rounds_left < 79:
+            inside = _lane_mu(space, c, t, sl, probes)[1] > cut
+        acc = inside.sum(axis=1) / 256
         up, down = acc > 0.8, acc < 0.2
         if not (moving := up | down).any():
             break
         new = np.where(up, sl * 2.0, np.where(down, sl * 0.5, sl))
         cycled = new == back
         # An odd number of rounds left ends a cycling lane on its current scale.
-        s[live] = np.where(cycled & (rounds_left % 2 == 1), sl, new)
+        new = np.where(cycled & (rounds_left % 2 == 1), sl, new)
         going = moving & ~cycled
+        if live is None:
+            s = new
+        else:
+            s[live] = new
         if not going.all():
             if not going.any():
                 break
-            live, c, t, cut, probes, sl = (a[going] for a in (live, c, t, cut, probes, sl))
-        back = sl
-    return s
+            live = np.flatnonzero(going) if live is None else live[going]
+            c, t, cut, probes, sl, new = (a[going] for a in (c, t, cut, probes, sl, new))
+        back, sl = sl, new
+    # Only the no-move test ends the loop in round 1.
+    return s, Z, first if rounds_left == 79 else None
 
 
 def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
@@ -175,26 +211,32 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     Lane i is the ball (centers[i], levels[i], scales[i]).  After the
     calibration (_proposal_scales), each of at most 200 rounds draws one
     candidate batch for every lane still short of count, as one standard
-    normal array in lane order, keeps the strict members outside the band,
-    and halves the scale of each lane still short whose acceptance fell
-    below MIN_ACCEPTANCE (a round with one lane left places its rows by a
-    slice).  The draws depend only on which lanes are still live, so the same
-    inputs and stream give the same bits, with no rewind.  Returns (rows, ok):
+    normal array in lane order (the first round's comes with the probes
+    where they fit in one LANE_BLOCK, and so may its candidates' mu), keeps
+    the strict members outside the band, and halves the scale of each lane
+    still short whose acceptance fell below MIN_ACCEPTANCE (a round with one
+    lane left places its rows by a slice).  The draws depend only on which
+    lanes are still live, so the same inputs and stream give the same bits,
+    with no rewind.  Returns (rows, ok):
     rows[i] holds lane i's count members when ok[i]; a lane still short after
     200 rounds has starved, with ok[i] False and rows[i] NaN.
     """
     centers = np.asarray(centers, dtype=float)
     levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
     n, dim = centers.shape
-    s = _proposal_scales(space, centers, levels, scales, rng)
+    batch = max(4 * count, 64)
+    s, Z, first = _proposal_scales(space, centers, levels, scales, rng, batch)
     rows = np.empty((n, count, dim))
     ok = np.ones(n, dtype=bool)
-    batch = max(4 * count, 64)
     # The arguments of the lanes still short, compacted as lanes fill up.
     cut = (1.0 - levels)[:, None]
     live, c, t, strict, got = np.arange(n), centers, scales, cut + EPS_STRICT, np.zeros(n, int)
     for _ in range(200):
-        Y, m = _lane_mu(space, c, t, s, rng.standard_normal((live.size, batch, dim)))
+        # The first round's batch may come with the probes, and its (Y, mu) too.
+        if Z is None:
+            Z = rng.standard_normal((live.size, batch, dim))
+        Y, m = first or _lane_mu(space, c, t, s, Z)
+        Z = first = None
         keep = (m > strict) & ~(np.abs(m - cut) <= band)
         kept = keep.sum(axis=1)
         if live.size == 1:
@@ -233,8 +275,8 @@ def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
     """Sample a mixed in/out cloud around the ball for boolean comparisons."""
     s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :],
-                                       np.asarray([ball.level]),
-                                       np.asarray([ball.scale]), rng)[0])
+                                     np.asarray([ball.level]),
+                                     np.asarray([ball.scale]), rng)[0][0])
     out: list[np.ndarray] = []
     got = 0
     for _ in range(200):

@@ -20,9 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from .balls import Ball, contains_many
-from .distfn import (MAX_GRID_COUNT, MAX_GRID_T, FieldError, FieldRecord, check_number,
-                     check_numbers)
+from .balls import Ball
+from .distfn import (EPS_STRICT, MAX_GRID_COUNT, MAX_GRID_T, FieldError, FieldRecord,
+                     check_number, check_numbers)
 from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
 EPS_CONV = 1e-6
@@ -174,9 +174,12 @@ def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
         raise PreconditionError(f"local base of depth {depth} is empty, so the "
                                 "topological criterion is vacuous")
     ns = probe_schedule(n_max)
-    points = seq.values(ns)
-    per_ball = [{"level": b.level, "scale": b.scale,
-                 "n0": settled_from(ns, contains_many(b, points))}
-                for b in local_base(space, seq.candidate_limit, depth)]
+    limit = seq.candidate_limit
+    # Every ball is centered at the limit, so one sigma of the offsets serves
+    # them all, each with contains_many's kernel test on it.
+    S = space.sigma(limit[None, :] - seq.values(ns))
+    per_ball = [{"level": b.level, "scale": b.scale, "n0": settled_from(
+                    ns, space.kernel(np.asarray(b.scale), S) > (1.0 - b.level) + EPS_STRICT)}
+                for b in local_base(space, limit, depth)]
     return TopologicalVerdict(converges=all(r["n0"] is not None for r in per_ball),
                               per_ball=per_ball, n_used=int(ns[-1]))

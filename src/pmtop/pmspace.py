@@ -124,7 +124,7 @@ def as_vector(x: Any, dim: int | None = None) -> Vector:
 
 class SigmaFunctional:
     """Nonnegative functional on R^n; rho operates on (N, dim) batches.  The
-    classical modulars make |X| their terms in place and sum them by _row_sums."""
+    classical modulars sum a row's terms in _row_sums' order."""
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -160,7 +160,20 @@ class WeightedAbs(SigmaFunctional):
         object.__setattr__(self, "weights", tuple(map(float, weights)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
-        return _row_sums(operator.imul(np.abs(X), self.weights))
+        """Below 8 columns, each column's terms |x_j| w_j made as _row_sums
+        adds them: weights broadcast along a row loop over dim.  On a 2-core
+        Xeon VM (10,000 x 2) took 16-22 us against 78-82 and 256 x 7 12
+        against 10.5; one rule at every length, as long batches dominate."""
+        if X.shape[-1] != len(self.weights):
+            raise ValueError(f"rho takes rows of {len(self.weights)} coordinates, "
+                             f"got {X.shape[-1]}")
+        if X.shape[-1] >= 8:
+            return _row_sums(operator.imul(np.abs(X), self.weights))
+        # |x_0| w_0 is never -0.0, so it equals _row_sums' 0.0 + |x_0| w_0.
+        out = operator.imul(np.abs(X[..., 0]), self.weights[0])
+        for j in range(1, X.shape[-1]):
+            out += operator.imul(np.abs(X[..., j]), self.weights[j])
+        return out
 
     def to_config(self) -> dict[str, Any]:
         return {"kind": "weighted_abs", "weights": list(self.weights)}
@@ -596,7 +609,16 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
 
     def block(b: slice) -> dict[str, np.ndarray]:
         S_y = space.sigma(Y[b])
-        S_m = space.sigma(a[b, None] * X[b] + (1.0 - a[b, None]) * Y[b])
+        # a x + (1 - a) y with the weights repeated row by row, filled a column
+        # at a time: broadcast, numpy would loop over a row's dim coordinates.
+        w = np.empty(X[b].shape)
+        for j in range(space.dim):
+            w[:, j] = a[b]
+        mid = w * X[b]
+        np.subtract(1.0, w, out=w)
+        w *= Y[b]
+        mid += w
+        S_m = space.sigma(mid)
         zeros = np.zeros(S_y.size)
         s = np.stack([s_rand[b], zeros, s_rand[b], zeros, S_x[b]])
         t = np.stack([t_rand[b], t_rand[b], zeros, zeros, S_y])

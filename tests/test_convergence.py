@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import pmtop as p
-from pmtop.convergence import probe_schedule
+import pmtop.pmspace as P
+from pmtop.balls import mu_of_offsets
+from pmtop.convergence import SEQUENCE_KINDS, probe_schedule, settled_from
 
 SP1 = p.rational_space(p.PPower(p=1.0), 1, declared_c=2.0)
 STEP = p.step_space(p.WeightedAbs(weights=(1.0,)), 1, declared_c=2.0, declared_beta=1.0)
@@ -125,3 +127,41 @@ def test_value_and_topological_routes_agree(kind, expected):
         mu_v = p.check_mu_convergence(space, seq, t_grid=grid)
         topo_v = p.check_topological_convergence(space, seq)
         assert mu_v.converges == topo_v.converges == expected
+
+
+@pytest.mark.parametrize("kind", SEQUENCE_KINDS)
+def test_local_base_verdicts_are_the_contains_many_loop(kind):
+    # The balls share their center, so one sigma of the offsets serves all
+    # of them: each ball's n0 is the one contains_many gives ball by ball.
+    rho = P.WeightedAbs(weights=(0.7, 1.6))
+    spaces = [SP1, STEP, P.PMSpace(2, P.RationalFrom(rho)), P.PMSpace(2, P.StepFrom(rho)),
+              P.PMSpace(2, P.ClosedStepFrom(rho)),
+              P.PMSpace(2, P.FlooredMap(P.RationalFrom(rho), 0.1))]
+    rng = np.random.default_rng(len(kind))
+    n0s = set()
+    for space in spaces:
+        for offset in (0.0, 0.02):
+            base = rng.standard_normal(space.dim)
+            seq = p.SequenceSpec(kind=kind, base=base,
+                                 direction=0.3 * rng.standard_normal(space.dim),
+                                 ratio=0.5 if kind == "geometric" else None,
+                                 candidate_limit=base + offset)
+            verdict = p.check_topological_convergence(space, seq, depth=12, n_max=5000)
+            ns = probe_schedule(5000)
+            points = seq.values(ns)
+            want = [{"level": b.level, "scale": b.scale,
+                     "n0": settled_from(ns, p.contains_many(b, points))}
+                    for b in p.local_base(space, seq.candidate_limit, 12)]
+            assert verdict.per_ball == want, (space.modular_map.family, offset)
+            n0s |= {r["n0"] for r in want}
+    assert None in n0s and len(n0s) > 1  # some balls are entered and some not
+    # An offset of 0.5 - 1e-13 from the limit at n = 1 puts mu 5e-14 above
+    # the cut of B(x, 1/2, 1/2): inside the EPS_STRICT margin, so not in it.
+    geometric = kind == "geometric"
+    seq = p.SequenceSpec(kind=kind, base=np.zeros(1),
+                         direction=np.array([(0.5 - 1e-13) * (2.0 if geometric else 1.0)]),
+                         ratio=0.5 if geometric else None)
+    ball = p.local_base(SP1, seq.candidate_limit, 2)[0]
+    assert 0 < float(mu_of_offsets(ball, seq.values([1]))[0]) - 0.5 < 1e-12
+    verdict = p.check_topological_convergence(SP1, seq, depth=2, n_max=1)
+    assert verdict.per_ball == [{"level": 0.5, "scale": 0.5, "n0": None}]

@@ -282,6 +282,16 @@ def test_oracle_threshold_refuses_mutated_maps():
         p.oracle_threshold(mutated, 0.5, 1.0)
 
 
+def test_weighted_abs_rho_rejects_rows_of_another_width():
+    # One weight per coordinate: a row of any other width is an error, not a
+    # sum over the columns the weights happen to cover.
+    rho = p.WeightedAbs(weights=(1.0, 2.0, 3.0))
+    for width in (1, 2, 4, 9):
+        with pytest.raises(ValueError, match="rows of 3 coordinates"):
+            rho.rho(np.ones((5, width)))
+    assert rho.rho(np.ones((5, 3))).tolist() == [6.0] * 5
+
+
 def test_space_and_modulars_validate_their_numbers():
     rho = p.PPower(p=1.0)
     cases = [(lambda: p.PPower(p=np.inf), "p"), (lambda: p.PPower(p=True), "p"),
