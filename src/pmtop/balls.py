@@ -118,9 +118,7 @@ def _block_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np
 
 
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
-                     scales: np.ndarray, rng: np.random.Generator, batch: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray | None,
-                                tuple[np.ndarray, np.ndarray] | None]:
+                     scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per lane, the scale of the Gaussian proposal around the center that
     gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for
     all lanes at once, and is seeded from the closed-form radius over its
@@ -129,27 +127,12 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     (_lane_mu) lies in [0.2, 0.8], for at most 80 rounds, stopping on its
     own.  A round where no lane moves ends it.
 
-    Where every lane's probe and a first candidate batch of batch rows fit
-    in one LANE_BLOCK, one standard_normal call draws both (the values and
-    stream of two: the calibration reads no stream), and round 1 evaluates
-    them in one _lane_mu pass at the seed scales.  Returns (s, Z, first): Z
-    is those batches' normals, or None; first is that pass's (Y, mu) over
-    them when round 1 moved no lane, so s is the seed, or None.
-
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
     scale two rounds back alternates between the two until round 80: it
     leaves the live lanes with the one of the two that round 80 ends on."""
     n, dim = centers.shape
-    fused = batch > 0 and n * (256 + batch) * dim <= LANE_BLOCK
-    if fused:
-        Z = rng.standard_normal((n * (256 + batch), dim))
-        # Lane by lane: each lane's probe rows, then its batch rows.
-        Z = Z.reshape(1, -1, dim) if n == 1 else np.concatenate(
-            (Z[:256 * n].reshape(n, 256, dim), Z[256 * n:].reshape(n, batch, dim)), axis=1)
-    else:
-        Z = rng.standard_normal((n, 256, dim))
-    probes = Z[:, :256]
+    probes = rng.standard_normal((n, 256, dim))
     try:
         thr = oracle_threshold(space, levels, scales)
     except ValueError:  # no closed form: every lane starts at 1
@@ -166,18 +149,12 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         # thr / med where the median is positive, 1 elsewhere, with no divide by 0.
         s = np.maximum(np.divide(thr, med, out=np.ones(n), where=med > 0), 1e-12)
     cut = (1.0 - levels)[:, None] + EPS_STRICT
-    Y, m = _lane_mu(space, centers, scales, s, Z)
-    inside = m[:, :256] > cut
-    # Round 1's pass over the batches is kept (one block); the probes' goes.
-    Z, first = (Z[:, 256:], (Y[:, 256:], m[:, 256:])) if fused else (None, None)
-    del Y, m
     # The lanes still searching (None while all are), their arguments and
     # scales, compacted as lanes stop, and each one's scale two rounds back
     # (NaN, equal to none, in round 1).
     live, c, t, sl, back = None, centers, scales, s, np.nan
     for rounds_left in range(79, -1, -1):
-        if rounds_left < 79:
-            inside = _lane_mu(space, c, t, sl, probes)[1] > cut
+        inside = _lane_mu(space, c, t, sl, probes)[1] > cut
         acc = inside.sum(axis=1) / 256
         up, down = acc > 0.8, acc < 0.2
         if not (moving := up | down).any():
@@ -197,27 +174,25 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
             live = np.flatnonzero(going) if live is None else live[going]
             c, t, cut, probes, sl, new = (a[going] for a in (c, t, cut, probes, sl, new))
         back, sl = sl, new
-    # Only the no-move test ends the loop in round 1.
-    return s, Z, first if rounds_left == 79 else None
+    return s
 
 
 def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
                         scales: np.ndarray, rng: np.random.Generator, count: int,
                         band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample count members of each of a batch of balls, re-drawing
-    boundary-band hits.  The one rejection sampler; sample_members is its
-    one-lane call.
+    boundary-band hits.  The one rejection sampler: sample_members settles a
+    one-ball call that its first round settles on its own, with the bits of
+    this one, and runs every other one-ball call here.
 
     Lane i is the ball (centers[i], levels[i], scales[i]).  After the
     calibration (_proposal_scales), each of at most 200 rounds draws one
     candidate batch for every lane still short of count, as one standard
-    normal array in lane order (the first round's comes with the probes
-    where they fit in one LANE_BLOCK, and so may its candidates' mu), keeps
-    the strict members outside the band, and halves the scale of each lane
-    still short whose acceptance fell below MIN_ACCEPTANCE (a round with one
-    lane left places its rows by a slice).  The draws depend only on which
-    lanes are still live, so the same inputs and stream give the same bits,
-    with no rewind.  Returns (rows, ok):
+    normal array in lane order, keeps the strict members outside the band,
+    and halves the scale of each lane still short whose acceptance fell
+    below MIN_ACCEPTANCE.  The draws depend only on which lanes are still
+    live, so the same inputs and stream give the same bits, with no rewind.
+    Returns (rows, ok):
     rows[i] holds lane i's count members when ok[i]; a lane still short after
     200 rounds has starved, with ok[i] False and rows[i] NaN.
     """
@@ -225,27 +200,20 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
     n, dim = centers.shape
     batch = max(4 * count, 64)
-    s, Z, first = _proposal_scales(space, centers, levels, scales, rng, batch)
+    s = _proposal_scales(space, centers, levels, scales, rng)
     rows = np.empty((n, count, dim))
     ok = np.ones(n, dtype=bool)
     # The arguments of the lanes still short, compacted as lanes fill up.
     cut = (1.0 - levels)[:, None]
     live, c, t, strict, got = np.arange(n), centers, scales, cut + EPS_STRICT, np.zeros(n, int)
     for _ in range(200):
-        # The first round's batch may come with the probes, and its (Y, mu) too.
-        if Z is None:
-            Z = rng.standard_normal((live.size, batch, dim))
-        Y, m = first or _lane_mu(space, c, t, s, Z)
-        Z = first = None
+        Y, m = _lane_mu(space, c, t, s, rng.standard_normal((live.size, batch, dim)))
         keep = (m > strict) & ~(np.abs(m - cut) <= band)
         kept = keep.sum(axis=1)
-        if live.size == 1:
-            rows[live[0], got[0]:got[0] + kept[0]] = Y[0, keep[0]][:count - got[0]]
-        else:
-            # Each kept row's place in its lane's output, counted from 1.
-            place = keep.cumsum(axis=1) + got[:, None]
-            lane, j = np.nonzero(keep & (place <= count))
-            rows[live[lane], place[lane, j] - 1] = Y[lane, j]
+        # Each kept row's place in its lane's output, counted from 1.
+        place = keep.cumsum(axis=1) + got[:, None]
+        lane, j = np.nonzero(keep & (place <= count))
+        rows[live[lane], place[lane, j] - 1] = Y[lane, j]
         got = got + kept
         short = got < count
         if not short.any():
@@ -259,10 +227,61 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     return rows, ok
 
 
+def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band: float,
+                         batch: int) -> np.ndarray | None:
+    """Round 1 of sample_member_lanes for one ball whose 256-row probe and
+    batch-row first batch fit in one LANE_BLOCK, its bookkeeping in Python
+    floats: the probe drawn, the seed scale (_proposal_scales' for one
+    lane), the batch drawn after the probe in one array (that call's draws,
+    in its order, so an error in sigma leaves its generator state), one
+    pass over probe and batch at the seed, and the strict members of the
+    batch outside the band.  Returns the first count of them when the
+    probe's acceptance lies in [0.2, 0.8] (the calibration moves nothing)
+    and the batch holds count of them, else None, with the generator past
+    both draws."""
+    space, center, level, scale = ball.space, ball.center, ball.level, ball.scale
+    Z = np.empty((256 + batch, space.dim))
+    rng.standard_normal(out=Z[:256])
+    try:
+        thr = oracle_threshold(space, level, scale)
+    except ValueError:  # no closed form: the scale starts at 1
+        s = 1.0
+    else:
+        lo, hi = np.sort(space.sigma(Z[:256]))[127:129].tolist()
+        med = (lo + hi) / 2.0
+        # thr / med where the median is positive (not 0, not NaN), 1 elsewhere.
+        s = max(thr / med, 1e-12) if med > 0 else 1.0
+    rng.standard_normal(out=Z[256:])
+    # The center repeated row by row, as in _block_mu.
+    off = np.repeat(center[None, :], len(Z), axis=0)
+    Y = np.multiply(s, Z, out=Z)
+    Y += off
+    off -= Y
+    m = space.kernel(scale, space.sigma(off))
+    strict = (1.0 - level) + EPS_STRICT
+    if not 0.2 <= np.count_nonzero(m[:256] > strict) / 256 <= 0.8:
+        return None
+    m = m[256:]
+    rows = Y[256:][(m > strict) & ~(np.abs(m - (1.0 - level)) <= band)][:count]
+    return rows if len(rows) == count else None
+
+
 def sample_members(ball: Ball, rng: np.random.Generator, count: int,
                    band: float = 0.0) -> np.ndarray:
     """Rejection-sample count members of the ball, re-drawing boundary-band
-    hits: sample_member_lanes for one lane."""
+    hits, with the rows and stream of sample_member_lanes' one-lane call.
+    Where the probe and first batch fit in one LANE_BLOCK (so one pass over
+    both keeps to _lane_mu's block size), _first_round_members runs round 1
+    and returns its members when that round settles the call.  Every other call runs
+    sample_member_lanes, from the generator state the call entered with, so
+    rounds 2 and later have one implementation."""
+    batch = max(4 * count, 64)
+    if (256 + batch) * ball.space.dim <= LANE_BLOCK:
+        state = rng.bit_generator.state
+        rows = _first_round_members(ball, rng, count, band, batch)
+        if rows is not None:
+            return rows
+        rng.bit_generator.state = state
     rows, ok = sample_member_lanes(ball.space, ball.center[None, :], [ball.level],
                                    [ball.scale], rng, count, band)
     if not ok[0]:
@@ -276,7 +295,7 @@ def sample_around(ball: Ball, rng: np.random.Generator, count: int,
     """Sample a mixed in/out cloud around the ball for boolean comparisons."""
     s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :],
                                      np.asarray([ball.level]),
-                                     np.asarray([ball.scale]), rng)[0][0])
+                                     np.asarray([ball.scale]), rng)[0])
     out: list[np.ndarray] = []
     got = 0
     for _ in range(200):

@@ -91,10 +91,7 @@ def check_number(value: Any, field: str, *, integer: bool = False, above: Any = 
                          else (int, float, np.integer, np.floating))
               and not isinstance(value, bool)
               and (integer or math.isfinite(value))
-              and (above is None or value > above)
-              and (at_least is None or value >= at_least)
-              and (below is None or value < below)
-              and (at_most is None or value <= at_most))
+              and _within(value, above, at_least, below, at_most))
     except OverflowError:  # an integer too large for a float
         ok = False
     if not ok:
@@ -105,12 +102,29 @@ def check_number(value: Any, field: str, *, integer: bool = False, above: Any = 
     return value
 
 
-def check_numbers(values: Any, field: str, **bounds: Any) -> tuple[Any, ...]:
+def _within(x: Any, above: Any, at_least: Any, below: Any, at_most: Any) -> Any:
+    """Whether the number x lies within check_number's bounds (None for no
+    bound)."""
+    return ((above is None or x > above) and (at_least is None or x >= at_least)
+            and (below is None or x < below) and (at_most is None or x <= at_most))
+
+
+def check_numbers(values: Any, field: str, *, above: Any = None,
+                  at_most: Any = None) -> tuple[Any, ...]:
     """The entries of a non-empty list, tuple or array, each through
-    check_number under the name field[i]; else a FieldError naming field."""
+    check_number under the name field[i]; else a FieldError naming field.
+    A list or tuple of Python floats is first checked in one pass that
+    names no entry (dataclasses.replace on a SampleBudget checks its grid
+    again on every call); only one that fails it goes entry by entry, for
+    the message naming its first bad entry."""
     if not (isinstance(values, (list, tuple, np.ndarray)) and len(values)):
         raise FieldError(f"{field} must be a non-empty list, got {values!r}")
-    return tuple(check_number(v, f"{field}[{i}]", **bounds) for i, v in enumerate(values))
+    if isinstance(values, (list, tuple)) and all(
+            type(v) is float and math.isfinite(v) and _within(v, above, None, None, at_most)
+            for v in values):
+        return tuple(values)
+    return tuple(check_number(v, f"{field}[{i}]", above=above, at_most=at_most)
+                 for i, v in enumerate(values))
 
 
 def default_t_grid(lo: float = GRID_MIN, hi: float = GRID_MAX,
@@ -128,7 +142,9 @@ def default_t_grid(lo: float = GRID_MIN, hi: float = GRID_MAX,
 class SampleBudget:
     """Sampling configuration for every universally quantified check.
 
-    Sampled vectors have standard normal coordinates at scale 1.
+    Sampled vectors have standard normal coordinates at scale 1.  t_grid is
+    a sorted non-empty list of at most MAX_GRID_COUNT numbers in
+    (0, MAX_GRID_T] (check_numbers), kept as a tuple of floats.
     """
 
     n_vectors: int = 1000
@@ -306,18 +322,25 @@ def check_delta_memberships(values: Callable[[np.ndarray], np.ndarray],
 def bisect_lanes(pred, lo, hi, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Bisect all lanes of pred (false at lo, true at hi) at once: a lane's
     hi moves to its midpoint 0.5 * (lo + hi) where pred(mid) holds, its lo
-    where not, and it stops once the midpoint is no longer strictly inside.
-    Returns (lo, hi) after steps steps or once every lane has stopped."""
-    lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi)))
+    where not, and it stops once the midpoint is no longer strictly inside
+    (a NaN midpoint keeps its lane live).  Returns (lo, hi), new arrays,
+    after steps steps or once every lane has stopped.  The steps move
+    copies of lo and hi in place; pred gets a new mid array at every step,
+    which it may keep."""
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     live = np.ones(lo.shape, dtype=bool)
+    mask = np.empty(lo.shape, dtype=bool)
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        live &= ~((mid <= lo) | (mid >= hi))  # float granularity ends a lane
-        if not np.any(live):
+        mid = lo + hi
+        mid *= 0.5
+        # Float granularity ends a lane: live &= ~((mid <= lo) | (mid >= hi)).
+        np.logical_or(np.less_equal(mid, lo, out=mask), mid >= hi, out=mask)
+        np.greater(live, mask, out=live)
+        if not live.any():
             break
         up = pred(mid)
-        hi = np.where(live & up, mid, hi)
-        lo = np.where(live & ~up, mid, lo)
+        np.copyto(hi, mid, where=np.logical_and(live, up, out=mask))
+        np.copyto(lo, mid, where=np.greater(live, up, out=mask))
     return lo, hi
 
 

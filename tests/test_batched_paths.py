@@ -353,6 +353,34 @@ def test_bisect_lanes_stop_on_their_own_at_float_granularity():
     calls.clear()
     assert D.bisect_lanes(pred, 1.0, one_up, 2000) == (1.0, one_up)
     assert calls == []
+    # A NaN midpoint is not "no longer strictly inside": a lane with a NaN
+    # end stays live (its lo turns NaN) and keeps the loop to its step limit.
+    lo, hi = D.bisect_lanes(pred, np.array([np.nan, 0.0]), np.array([1.0, 1.0]), 100)
+    assert np.isnan(lo[0]) and hi[0] == 1.0
+    assert (lo[1], hi[1]) == (np.nextafter(0.3, 0.0), 0.3)
+    assert len(calls) == 100
+
+
+def test_bisect_lanes_give_the_predicate_a_mid_it_may_keep():
+    # Each step's mid is a new array: a predicate that keeps every mid it
+    # was given still holds each step's midpoints at the end, those of a
+    # loop that makes new brackets at every step.  The inputs stay as given.
+    kept = []
+
+    def pred(mid):
+        kept.append(mid)
+        return mid >= 0.3
+
+    lo0, hi0 = np.array([0.0, 0.25, np.nan]), np.array([1.0, 0.5, 1.0])
+    D.bisect_lanes(pred, lo0, hi0, 8)
+    assert len(kept) == 8
+    lo, hi = lo0, hi0
+    for mid in kept:
+        assert mid.tobytes() == (0.5 * (lo + hi)).tobytes()
+        up = mid >= 0.3
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    assert lo0.tobytes() == np.array([0.0, 0.25, np.nan]).tobytes()
+    assert hi0.tolist() == [1.0, 0.5, 1.0]
 
 
 def test_containment_report_reports_escapes_from_any_outer_ball():
@@ -425,7 +453,7 @@ def test_proposal_scales_fast_forward_lanes_caught_in_a_two_cycle(monkeypatch, m
     calls = []
     lane_mu = B._lane_mu
     monkeypatch.setattr(B, "_lane_mu", lambda *a: calls.append(1) or lane_mu(*a))
-    got = B._proposal_scales(space, centers, levels, scales, rng)[0]
+    got = B._proposal_scales(space, centers, levels, scales, rng)
     assert [float(v).hex() for v in got] == [w[2] for w in want]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert 1 <= len(calls) < 10
@@ -467,7 +495,7 @@ def test_member_lanes_match_the_reference_at_lane_block_edges(monkeypatch, famil
     for n in sorted(counts):
         centers, levels, scales = (a[:n] for a in draws)
         rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
-        got = B._proposal_scales(space, centers, levels, scales, rng)[0]
+        got = B._proposal_scales(space, centers, levels, scales, rng)
         probes = rng_ref.standard_normal((n, 256, space.dim))
         want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
                 for c, a, t, probe in zip(centers, levels, scales, probes)]
@@ -480,34 +508,6 @@ def test_member_lanes_match_the_reference_at_lane_block_edges(monkeypatch, famil
         assert np.array_equal(ok, want_ok), n
         assert rows[ok].tobytes() == want[ok].tobytes(), n
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-def test_split_normal_draws_equal_one_joined_draw():
-    # The sampler draws every lane's probe and first batch with one
-    # standard_normal call: the values and the generator state of the two
-    # draws it stands for, probes then batches, on this numpy.
-    for n, batch, dim in [(1, 64, 1), (1, 800, 2), (3, 64, 4), (12, 64, 2), (1, 3840, 2)]:
-        split, joined = np.random.default_rng(n), np.random.default_rng(n)
-        probes = split.standard_normal((n, 256, dim))
-        first = split.standard_normal((n, batch, dim))
-        Z = joined.standard_normal((n * (256 + batch), dim))
-        assert Z.tobytes() == probes.tobytes() + first.tobytes()
-        assert split.bit_generator.state == joined.bit_generator.state
-
-
-def record_first_batches(monkeypatch):
-    """A list that gets, for each _proposal_scales call, whether the first
-    batch was drawn with the probes and whether round 1's pass over it was
-    kept (the calibration moved no lane)."""
-    seen, proposal_scales = [], B._proposal_scales
-
-    def recording(*args):
-        s, Z, first = proposal_scales(*args)
-        seen.append((Z is not None, first is not None))
-        return s, Z, first
-
-    monkeypatch.setattr(B, "_proposal_scales", recording)
-    return seen
 
 
 def lanes_like_the_reference(space, centers, levels, scales, seed, count, band):
@@ -524,51 +524,141 @@ def lanes_like_the_reference(space, centers, levels, scales, seed, count, band):
     return rounds
 
 
+def record_first_rounds(monkeypatch):
+    """A list that gets, for each _first_round_members call, whether it
+    settled its sample_members call (returned rows)."""
+    settled, first_round_members = [], B._first_round_members
+
+    def recording(*args):
+        rows = first_round_members(*args)
+        settled.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(B, "_first_round_members", recording)
+    return settled
+
+
+def record_lane_calls(monkeypatch):
+    """A list that gets an entry for each sample_member_lanes call."""
+    calls, sample_member_lanes = [], B.sample_member_lanes
+
+    def recording(*args):
+        calls.append(args)
+        return sample_member_lanes(*args)
+
+    monkeypatch.setattr(B, "sample_member_lanes", recording)
+    return calls
+
+
 @pytest.mark.parametrize("family", sorted(SPACES))
-def test_first_batch_drawn_with_the_probes_matches_the_references(monkeypatch, family):
-    # One-lane calls at count 1 (a 64-row batch, under the 256-row probe) and
-    # 200 (800 rows, over it): a calibration that moves no lane keeps round
-    # 1's pass over the batch, one that moves discards it, and band 0.2 sends
-    # some lanes on to round 2.  Each call is the scalar reference too.
+def test_first_round_settles_where_the_lane_call_takes_one_round(monkeypatch, family):
+    # One-ball calls at count 1 (a 64-row batch, under the 256-row probe) and
+    # 200 (800 rows, over it), each against the lane call and the scalar
+    # reference; band 0.2 sends some balls on to round 2.  sample_members
+    # settles in its first round exactly where the calibration moves no
+    # scale in its first round and the lane call needs no round 2, and runs
+    # the lane call otherwise.
     space = SPACES[family]
-    seen = record_first_batches(monkeypatch)
+    settled = record_first_rounds(monkeypatch)
+    lane_calls = record_lane_calls(monkeypatch)
     cases = set()
     for count in (1, 200):
         for band in (1e-9, 0.2):
             for seed, ball in enumerate(random_balls(space, np.random.default_rng(count), 12)):
                 rounds = lanes_like_the_reference(space, ball.center[None, :], [ball.level],
                                                   [ball.scale], seed, count, band)
-                rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                try:
-                    want = reference_sample_members(ball, rng_ref, count, band)
-                except VerificationError:
-                    with pytest.raises(VerificationError, match="starved"):
-                        B.sample_members(ball, rng, count, band)
-                else:
-                    assert B.sample_members(ball, rng, count, band).tobytes() == want.tobytes()
-                assert rng.bit_generator.state == rng_ref.bit_generator.state
-                assert seen[-1] == seen[-2] and seen[-1][0]
-                cases.add((seen[-1][1], rounds[0] > 1))
-    # Round 2 is reached and not; the pass is kept on every family, and
-    # discarded where no closed form seeds the lanes at a usable scale.
+                probe = np.random.default_rng(seed).standard_normal((256, space.dim))
+                still = (reference_scale_from_probe(ball, probe, rounds=1)
+                         == reference_scale_from_probe(ball, probe, rounds=0))
+                exits, calls = len(settled), len(lane_calls)
+                sample_members_like_the_reference(ball, seed, count, band)
+                assert len(settled) == exits + 1
+                assert settled[-1] == (still and rounds[0] == 1)
+                assert len(lane_calls) == calls + (not settled[-1])
+                cases.add((still, rounds[0] > 1))
+    # Round 2 is reached and not; the calibration stays put on every family,
+    # and moves where no closed form seeds the scale at a usable value.
     assert {further for _, further in cases} == {False, True}
-    assert {kept for kept, _ in cases} == (
+    assert {still for still, _ in cases} == (
         {True} if family in ("rational_from", "step_from") else {False, True})
 
 
-@pytest.mark.parametrize("family", ["rational_from", "floored"])
-def test_first_batch_joins_the_probes_up_to_a_lane_block(monkeypatch, family):
-    # A lane's probe and first batch are drawn and evaluated together while
-    # every lane's fit in one LANE_BLOCK (8,192 floats): at dim 2, one lane
-    # up to count 960 (4,096 rows) and lanes of count 1 (320 rows) up to 12.
-    # Past the edge the probes and the batches are drawn apart.
+def sample_members_like_the_reference(ball, seed, count, band):
+    """sample_members against reference_sample_members on one stream: the
+    rows or the starvation message, and the generator state after the call."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = reference_sample_members(ball, rng_ref, count, band)
+    except VerificationError as exc:
+        with pytest.raises(VerificationError, match=f"^{re.escape(str(exc))}$"):
+            B.sample_members(ball, rng, count, band)
+    else:
+        got = B.sample_members(ball, rng, count, band)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("band", [0.0, 1e-9, 0.2])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_sample_members_settle_in_the_first_round_like_the_reference(monkeypatch, family,
+                                                                      band):
+    # sample_members settles a call in its first round, or runs the lane path
+    # from the state it entered with: random balls that settle, move the
+    # calibration or reach round 2, balls that starve (a level under
+    # EPS_STRICT leaves no strict member; at band 0.2 a level of 0.15 none
+    # outside the band), a ball whose closed-form seed is held at 1e-12 (a
+    # scale of 1e-13), and counts on each side of the LANE_BLOCK edge: at
+    # dim 2 the probe and first batch of count 960 fill its 8,192 floats.
     space = SPACES[family]
-    seen = record_first_batches(monkeypatch)
-    draws = random_ball_draws(np.random.default_rng(3), 13, space.dim)
-    for n, count, fused in [(1, 960, True), (1, 961, False), (12, 1, True), (13, 1, False),
-                            (2, 1, True)]:
-        lanes_like_the_reference(space, *(a[:n] for a in draws), n, count, 1e-9)
-        assert seen[-1][0] == fused, (n, count)
+    settled = record_first_rounds(monkeypatch)
+    for count in (1, 50, 200):
+        for seed, ball in enumerate(random_balls(space, np.random.default_rng(count), 12)):
+            sample_members_like_the_reference(ball, seed, count, band)
+    for level, scale in ((0.5 * EPS_STRICT, 1.0), (0.15, 1.0), (0.5, 1e-13)):
+        sample_members_like_the_reference(B.Ball(space, np.zeros(2), level, scale), 3, 1, band)
+    ball = random_balls(space, np.random.default_rng(0), 1)[0]
+    for count in (960, 961):
+        exits = len(settled)
+        sample_members_like_the_reference(ball, count, count, band)
+        assert len(settled) == exits + (count == 960)
+    assert set(settled) == {False, True}
+    if family not in ("rational_from", "step_from"):
+        return  # no closed form seeds the scale, so no probe median is taken
+    # The seed from a probe median of 0 or NaN is 1, as is the reference's.
+    # Sigma gives that median on the probe's normals, the call's first 256
+    # normals (the probe of a fall-through, and of the reference, too).
+    sigma = PMSpace.sigma
+    ball = B.Ball(space, np.array([0.3, -0.2]), 0.5, 1.0)
+    for median in (np.zeros_like, lambda S: np.full_like(S, np.nan)):
+        for count in (1, 200):
+            probe = np.random.default_rng(count).standard_normal((256, 2))
+
+            def on_probe(self, X, median=median, probe=probe):
+                S = sigma(self, X)
+                return median(S) if np.array_equal(X, probe) else S
+
+            monkeypatch.setattr(PMSpace, "sigma", on_probe)
+            exits = len(settled)
+            sample_members_like_the_reference(ball, count, count, band)
+            # Seeded at 1, the one-member call settles in its first round.
+            assert len(settled) == exits + 1 and (settled[-1] or count > 1)
+
+    def failing(self, X):
+        monkeypatch.setattr(PMSpace, "sigma", sigma)
+        raise ValueError("sigma failed")
+
+    # An error in sigma's first call, the probe median's, is raised where the
+    # lane path raises it, with the lane path's generator state.
+    states = []
+    for sample in (lambda rng: B.sample_members(ball, rng, 200, band),
+                   lambda rng: B.sample_member_lanes(space, ball.center[None, :], [0.5], [1.0],
+                                                     rng, 200, band)):
+        monkeypatch.setattr(PMSpace, "sigma", failing)
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="sigma failed"):
+            sample(rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.35])

@@ -4,6 +4,7 @@ admissibility, left continuity through the smaller-scale witness, and the
 transition-regularity scan."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,48 @@ def test_budget_validation():
         with pytest.raises(df.FieldError):
             df.default_t_grid(lo, hi, count)
     assert not issubclass(df.FieldError, pm.PreconditionError)
+
+
+def test_budget_grid_outcomes_through_the_constructor_and_replace():
+    # A list or tuple of Python floats is checked in one pass; every other
+    # grid, and one that fails that pass, entry by entry: the same grids and
+    # the same messages either way, through the constructor and replace.
+    for grid, want in (([0.5, 2], (0.5, 2.0)), ((1, np.float64(2.5)), (1.0, 2.5)),
+                       ([0.25, 0.25, 1e290], (0.25, 0.25, 1e290)),
+                       (np.array([1, 3]), (1.0, 3.0))):
+        for make in (lambda g: df.SampleBudget(t_grid=g), lambda g: replace(BUDGET, t_grid=g)):
+            got = make(grid).t_grid
+            assert got == want and all(type(t) is float for t in got)
+    bound = "must be a finite number in (0, 1e+290], got"
+    for grid, message in (([], "t_grid must be a non-empty list, got []"),
+                          ((), "t_grid must be a non-empty list, got ()"),
+                          ([1.0, True], f"t_grid[1] {bound} True"),
+                          ([0.5, float("nan")], f"t_grid[1] {bound} nan"),
+                          ((float("inf"),), f"t_grid[0] {bound} inf"),
+                          ([0.0, 1.0], f"t_grid[0] {bound} 0.0"),
+                          ([1.0, 1e300], f"t_grid[1] {bound} 1e+300"),
+                          ((2.0, 1.0), "t_grid must be sorted and hold at most 1024 numbers"),
+                          ([1.0] * 1025, "t_grid must be sorted and hold at most 1024 numbers")):
+        for make in (lambda g: df.SampleBudget(t_grid=g), lambda g: replace(BUDGET, t_grid=g)):
+            with pytest.raises(df.FieldError, match=f"^{re.escape(message)}$"):
+                make(grid)
+
+
+def test_check_numbers_checks_floats_in_one_pass_with_the_same_outcome():
+    # A list or tuple of Python floats within the bounds comes back as its
+    # own entries; one with a bad entry gets the message naming its first
+    # bad entry, with or without bounds.
+    values = [0.5, 2.0, 1e290]
+    got = df.check_numbers(values, "v", above=0, at_most=1e290)
+    assert got == tuple(values) and all(g is v for g, v in zip(got, values))
+    assert df.check_numbers(tuple(values), "v") == tuple(values)
+    for values, bounds, message in (
+            ([1.0, float("nan"), 0.0], {}, "v[1] must be a finite number in (-inf, inf), got nan"),
+            ((float("-inf"),), {}, "v[0] must be a finite number in (-inf, inf), got -inf"),
+            ([0.5, 0.0], {"above": 0}, "v[1] must be a finite number in (0, inf), got 0.0"),
+            ([2.0, 1.0], {"at_most": 1}, "v[0] must be a finite number in (-inf, 1], got 2.0")):
+        with pytest.raises(df.FieldError, match=f"^{re.escape(message)}$"):
+            df.check_numbers(values, "v", **bounds)
 
 
 def test_check_number_accepts_real_scalars_unchanged():
