@@ -10,12 +10,12 @@ band around the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
-from .distfn import (EPS_STRICT, CheckReport, SampleBudget, _make_report, bisect_lanes,
-                     check_number, check_rng)
+from .distfn import (EPS_STRICT, CheckReport, FieldError, SampleBudget, _make_report,
+                     bisect_lanes, check_number, check_rng)
 from .pmspace import (
     PMSpace,
     PreconditionError,
@@ -41,6 +41,9 @@ LANE_BLOCK = 8192
 # Bounds on a ball's level and scale, as check_number takes them.
 LEVEL = {"above": 0, "below": 1}
 SCALE = {"above": 0}
+
+# The fields each monotonicity check orders, low <= high.
+ORDERED = {"monotone_in_scale": ("scale", "scale2"), "monotone_in_level": ("level", "level2")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +360,8 @@ def smaller_scale_witnesses(space: PMSpace, sigma: np.ndarray, scale: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Ball algebra, checked by sampling.
+# Ball algebra, checked by sampling.  Each check's notes name the level and
+# scale of every ball it tests (scaling_identity's t is its scale).
 # ---------------------------------------------------------------------------
 
 
@@ -371,19 +375,17 @@ def translate_identity(space: PMSpace, x: Vector, level: float, scale: float,
     Y = sample_around(ball_x, rng, budget.n_vectors, band=budget.epsilon)
     lhs = contains_many(ball_x, Y)
     rhs = contains_many(ball_0, Y - x[None, :])
+    notes = {"members": int(np.sum(lhs)), "level": ball_x.level, "scale": ball_x.scale}
     return point_report("translate_identity", lhs == rhs,
-                        {"y": Y, "in_translated": lhs, "in_centered": rhs},
-                        budget.rng_seed, notes={"members": int(np.sum(lhs))})
+                        {"y": Y, "in_translated": lhs, "in_centered": rhs}, budget.rng_seed, notes)
 
 
 def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float,
                      budget: SampleBudget) -> CheckReport:
     """B(0, alpha, t^beta) equals t * B(0, alpha, 1) for a beta-homogeneous
     modular; fails with a precondition note when homogeneity does not hold."""
-    pre_budget = SampleBudget(n_vectors=200, n_scalar_pairs=200,
-                              t_grid=budget.t_grid, epsilon=budget.epsilon,
-                              rng_seed=budget.rng_seed)
-    pre = check_beta_homogeneous(space, exponent, pre_budget)
+    pre = check_beta_homogeneous(space, exponent, replace(budget, n_vectors=200,
+                                                          n_scalar_pairs=200))
     if not pre.passed:
         return replace(pre, name="scaling_identity", violations=pre.violations[:5],
                        notes={"precondition_failed": "beta_homogeneous", "beta": exponent})
@@ -397,7 +399,7 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
     rhs = contains_many(ball_unit, Y / scale)
     return point_report("scaling_identity", lhs == rhs,
                         {"y": Y, "in_scaled": lhs, "in_unit": rhs}, budget.rng_seed,
-                        notes={"beta": exponent, "t": scale})
+                        notes={"beta": exponent, "level": ball_unit.level, "t": scale})
 
 
 def point_report(name: str, held: np.ndarray, points: dict[str, np.ndarray], seed: int,
@@ -408,40 +410,45 @@ def point_report(name: str, held: np.ndarray, points: dict[str, np.ndarray], see
                         record=lambda i: {k: v[i].tolist() for k, v in points.items()})
 
 
-def containment_report(name: str, inner: Ball, outers: Sequence[Ball],
-                       budget: SampleBudget, samples: int) -> CheckReport:
+def containment_report(name: str, inner: Ball, outers: Sequence[Ball], budget: SampleBudget,
+                       samples: int, notes: dict[str, Any] | None = None) -> CheckReport:
     """Sampled check that inner lies in every ball of outers: samples members
     of inner from check_rng(seed, name), outside the epsilon band, and records
     {"y": ...} for each one that escapes some outer ball."""
     rng = check_rng(budget.rng_seed, name)
     Y = sample_members(inner, rng, samples, band=budget.epsilon)
     inside = np.logical_and.reduce([contains_many(outer, Y) for outer in outers])
-    return point_report(name, inside, {"y": Y}, budget.rng_seed)
+    return point_report(name, inside, {"y": Y}, budget.rng_seed, notes)
 
 
-def check_order(low: float, high: Any, field: str) -> Any:
-    """high, checked to be no smaller than low: a monotonicity check compares
-    a ball with one of no smaller level or scale."""
-    return check_number(high, field, at_least=low)
+def check_order(name: str, values: dict[str, Any], defaults: Collection[str] = ()) -> None:
+    """values[low] <= values[high] for name's ORDERED fields, else a FieldError naming
+    high, or low where high is in defaults (at name's default), and a default bound."""
+    low, high = ORDERED[name]
+    field, other, bound = (low, high, "at_most") if high in defaults else (high, low, "at_least")
+    try:
+        check_number(values[field], field, **{bound: values[other]})
+    except FieldError as exc:
+        whose = f" ({other} {values[other]} is the default of {name})" if other in defaults else ""
+        raise FieldError(f"{exc}{whose}") from None
 
 
 def monotone_in_scale(space: PMSpace, level: float, scale: float, scale2: float,
                       budget: SampleBudget) -> CheckReport:
     """Sampled subset check B(0, alpha, t) within B(0, alpha, t2), t <= t2."""
-    check_order(scale, scale2, "scale2")
-    return containment_report("monotone_in_scale", Ball(space, space.zero(), level, scale),
-                              [Ball(space, space.zero(), level, scale2)], budget,
-                              budget.n_vectors)
+    check_order("monotone_in_scale", {"scale": scale, "scale2": scale2})
+    inner, outer = (Ball(space, space.zero(), level, t) for t in (scale, scale2))
+    return containment_report("monotone_in_scale", inner, [outer], budget, budget.n_vectors,
+                              {"level": inner.level, "scale": inner.scale, "scale2": outer.scale})
 
 
 def monotone_in_level(space: PMSpace, level: float, level2: float, scale: float,
                       budget: SampleBudget) -> CheckReport:
     """Sampled subset check B(0, a, t) within B(0, a2, t), a <= a2."""
-    check_order(level, level2, "level2")
-    return containment_report("monotone_in_level",
-                              Ball(space, space.zero(), level, scale),
-                              [Ball(space, space.zero(), level2, scale)], budget,
-                              budget.n_vectors)
+    check_order("monotone_in_level", {"level": level, "level2": level2})
+    inner, outer = (Ball(space, space.zero(), a, scale) for a in (level, level2))
+    return containment_report("monotone_in_level", inner, [outer], budget, budget.n_vectors,
+                              {"level": inner.level, "level2": outer.level, "scale": inner.scale})
 
 
 def _require_centered(ball: Ball, subject: str = "check applies to balls") -> None:
@@ -457,7 +464,8 @@ def is_balanced_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     lam = rng.uniform(-1.0, 1.0, len(Y))
     lam[: min(3, len(lam))] = [0.0, 1.0, -1.0][: min(3, len(lam))]
     inside = contains_many(ball, lam[:, None] * Y)
-    return point_report("balanced", inside, {"y": Y, "lambda": lam}, budget.rng_seed)
+    return point_report("balanced", inside, {"y": Y, "lambda": lam}, budget.rng_seed,
+                        {"level": ball.level, "scale": ball.scale})
 
 
 def is_convex_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
@@ -470,5 +478,5 @@ def is_convex_sampled(ball: Ball, budget: SampleBudget) -> CheckReport:
     B[: min(2, n)] = A[: min(2, n)]  # degenerate chords x = y
     lam = rng.uniform(0.0, 1.0, len(A))
     mids = lam[:, None] * A + (1.0 - lam)[:, None] * B
-    return point_report("convex", contains_many(ball, mids),
-                        {"x": A, "y": B, "lambda": lam}, budget.rng_seed)
+    return point_report("convex", contains_many(ball, mids), {"x": A, "y": B, "lambda": lam},
+                        budget.rng_seed, {"level": ball.level, "scale": ball.scale})

@@ -28,9 +28,40 @@ Config schema (unknown fields are rejected at every level):
       "budget":   {"n_vectors": 1000, "n_scalar_pairs": 1000,
                     "t_grid": [..] | {"min": 1e-3, "max": 1e3, "count": 64},
                     "epsilon": 1e-9, "rng_seed": 0},
-      "operation": { ... subcommand-specific parameters ... },
+      "operation": { ... the subcommand's fields, below ... },
       "out": "report.ndjson"
     }
+
+Operation fields, each optional but check-convergence's sequence.  A field
+left out takes its table entry's default, written once in falsifier.py (a
+ball's in BALLS, a drawn one in PREDICATES) or in the constant named here;
+the handlers below check only the fields a config gives:
+
+    check-axioms        mutation (default none): a falsifier.MUTATION_KINDS name
+    check-delta2        candidates: numbers > 0 (default, or [], the
+                        pmspace.DELTA2_CANDIDATES)
+    check-homogeneous   beta in (0, 1] (default instance.declared_beta)
+    check-regularity    no fields
+    ball-identities     level and level2 in (0, 1), scale and scale2 > 0, each
+                        read by the checks that take it (default: each check's
+                        own, in BALLS); level <= level2 and scale <= scale2 for
+                        the values a monotonicity check reads, given or default
+    witness-refine      outer: {center, level, scale} and z (default its
+                        center); without an outer both are searched for on the
+                        seed's stream, and a given z goes unused
+    witness-separate    variant: "doubling" (default) or "homogeneous"; x and
+                        y (default: drawn on the seed's stream; the homogeneous
+                        variant reads no y)
+    witness-continuity  target: {center, level, scale} (default: its ball in
+                        BALLS, centred at 0); scalar (default: drawn on the
+                        seed's stream, as PREDICATES says)
+    check-convergence   sequence: {kind, base, direction, ratio,
+                        candidate_limit}, kind a convergence.SEQUENCE_KINDS name;
+                        t_grid (default: the entry's, by kernel kind); n_max
+                        (default convergence.N_MAX); local_base_depth (default
+                        convergence.LOCAL_BASE_DEPTH)
+    falsify             mutation (default none); predicates: a non-empty list
+                        of falsifier.PREDICATE_NAMES (default all of them)
 """
 
 from __future__ import annotations
@@ -223,12 +254,10 @@ def _h_check_axioms(space, budget, cfg):
 
 def _h_check_delta2(space, budget, cfg):
     op = _operation(cfg, {"candidates"}, "check-delta2")
-    candidates = op.get("candidates", [])  # an empty list asks for the default ones
-    if candidates != []:
+    if op.get("candidates", []) != []:  # an empty list asks for the default ones
         with _fields("operation"):
-            check_numbers(candidates, "candidates", above=0)
-    return _selection(space, budget, ["delta2_declared", "delta2_estimate"],
-                      candidates=candidates)
+            check_numbers(op["candidates"], "candidates", above=0)
+    return _selection(space, budget, ["delta2_declared", "delta2_estimate"], **op)
 
 
 def _h_check_homogeneous(space, budget, cfg):
@@ -246,26 +275,24 @@ def _h_check_regularity(space, budget, cfg):
 
 
 def _h_ball_identities(space, budget, cfg):
-    op = _operation(cfg, {"level", "scale", "level2", "scale2"}, "ball-identities")
+    bounds = {"level": _balls.LEVEL, "scale": _balls.SCALE, "level2": _balls.LEVEL,
+              "scale2": _balls.SCALE}
+    op = _operation(cfg, set(bounds), "ball-identities")
     with _fields("operation"):
-        values = {key: float(check_number(op.get(key, default), key, **bounds))
-                  for key, default, bounds in (("level", 0.4, _balls.LEVEL),
-                                               ("scale", 1.0, _balls.SCALE),
-                                               ("level2", 0.7, _balls.LEVEL),
-                                               ("scale2", 2.0, _balls.SCALE))}
-        _balls.check_order(values["level"], values["level2"], "level2")
-        _balls.check_order(values["scale"], values["scale2"], "scale2")
+        given = {key: float(check_number(op[key], key, **bounds[key])) for key in bounds
+                 if key in op}
+        # An order compares the values its check reads: a field the operation
+        # leaves out is the check's default (falsifier.BALLS).
+        for check in _balls.ORDERED:
+            _balls.check_order(check, {**_fals.BALLS[check], **given}, set(bounds) - set(given))
     return _selection(space, budget, ("translate_identity", "monotone_in_scale",
                                       "monotone_in_level", "scaling_identity",
-                                      "balanced", "convex"), **values)
+                                      "balanced", "convex"), **given)
 
 
 def _h_witness_refine(space, budget, cfg):
     op = _operation(cfg, {"outer", "z"}, "witness-refine")
-    given = {}
-    if "outer" in op:
-        outer = _ball_from(op["outer"], space, "operation.outer")
-        given = {"outer": outer, "z": outer.center}
+    given = {"outer": _ball_from(op["outer"], space, "operation.outer")} if "outer" in op else {}
     z = _points(op, ["z"], space)  # validated even where no outer reads it
     return _selection(space, budget, ["refine_ball"], **({**given, **z} if given else {}))
 
@@ -288,8 +315,9 @@ def _h_witness_continuity(space, budget, cfg):
     given = {}
     if "target" in op:
         given["target"] = _ball_from(op["target"], space, "operation.target")
-    with _fields("operation"):
-        given["scalar"] = float(check_number(op.get("scalar", 2.0), "scalar"))
+    if "scalar" in op:  # else the entry draws one
+        with _fields("operation"):
+            given["scalar"] = float(check_number(op["scalar"], "scalar"))
     return _selection(space, budget, ["addition_continuity", "scalar_continuity"], **given)
 
 
@@ -308,14 +336,11 @@ def _h_check_convergence(space, budget, cfg):
         typed = {k: _vector(v, k, space) for k, v in seq_cfg.items()
                  if k in ("base", "direction", "candidate_limit")}
         seq = _conv.SequenceSpec(**{**seq_cfg, **typed})
-    with _fields("operation"):
-        depth = _conv.base_depth(op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH))
-        # Without a given grid the entry's kernel-kind default applies.
-        given = {"t_grid": _conv.scale_grid(op["t_grid"])} if "t_grid" in op else {}
-        n_max = op.get("n_max", _conv.N_MAX)
-        _conv.probe_schedule(n_max)  # checks n_max
-    return _selection(space, budget, ["convergence_equiv"], sequence=seq, **given,
-                      n_max=n_max, local_base_depth=depth)
+    with _fields("operation"):  # the entry's defaults fill in the values not given
+        given = {key: check(op[key]) for key, check in (
+            ("local_base_depth", _conv.base_depth), ("t_grid", _conv.scale_grid),
+            ("n_max", _conv.probe_limit)) if key in op}
+    return _selection(space, budget, ["convergence_equiv"], sequence=seq, **given)
 
 
 def _h_falsify(space, budget, cfg):

@@ -101,9 +101,14 @@ def base_depth(depth: Any) -> int:
                         at_most=MAX_LOCAL_BASE_DEPTH)
 
 
+def probe_limit(n_max: Any) -> int:
+    """n_max, checked: a FieldError naming it unless it is an integer in [1, MAX_N_MAX]."""
+    return check_number(n_max, "n_max", integer=True, at_least=1, at_most=MAX_N_MAX)
+
+
 def probe_schedule(n_max: int) -> np.ndarray:
     """Geometric index schedule 1, 2, 4, ... capped by and including n_max."""
-    check_number(n_max, "n_max", integer=True, at_least=1, at_most=MAX_N_MAX)
+    probe_limit(n_max)
     ns = [1]
     while ns[-1] * 2 <= n_max:
         ns.append(ns[-1] * 2)

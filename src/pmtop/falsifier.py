@@ -61,6 +61,7 @@ from .pmspace import (
     VerificationError,
     WeightedAbs,
     _Delta2Scan,
+    _kernel_class,
     check_axioms,
     check_beta_homogeneous,
     check_space_regularity,
@@ -268,13 +269,6 @@ def _guard(fn: Callable[[], PredicateResult]) -> PredicateResult:
                                record={"reason": f"unexpected error: {exc!r}"})
 
 
-def _kernel_kind(space: PMSpace) -> str:
-    m = space.modular_map
-    if isinstance(m, FlooredMap):
-        m = m.base
-    return "step" if isinstance(m, (StepFrom, ClosedStepFrom)) else "rational"
-
-
 def _rescale_to_sigma(space: PMSpace, v: np.ndarray, target: float) -> np.ndarray:
     """Scale v so that sigma(scale * v) is roughly the target: double the
     scale until it reaches the target, then bisect down to its infimum."""
@@ -389,9 +383,10 @@ class Inputs:
     """What the selected predicates (names) read.  Axiom and declaration
     checks run at budget, ball checks and witnesses at small, witnesses with
     witness_samples evidence samples.  A value in op overrides the default
-    of its name, which is still drawn from rng, so the stream stays put.
-    The axiom report is computed once, on first use, for the selected
-    axioms, and one delta2 scan serves both doubling predicates."""
+    of its name: a point's is still drawn from rng, so the stream stays put,
+    and a ball's is written in BALLS.  The axiom report is computed once, on
+    first use, for the selected axioms, and one delta2 scan serves both
+    doubling predicates."""
 
     space: PMSpace
     budget: SampleBudget
@@ -404,6 +399,13 @@ class Inputs:
     def point(self, key: str) -> np.ndarray:
         return self.op.get(key, self.rng.standard_normal(self.space.dim))
 
+    def ball(self, name: str) -> dict[str, float]:
+        """Entry name's ball parameters, by the names of BALLS[name]."""
+        return {key: self.op.get(key, default) for key, default in BALLS[name].items()}
+
+    def centred_ball(self, name: str) -> _balls.Ball:
+        return _balls.Ball(self.space, self.space.zero(), **self.ball(name))
+
     @cached_property
     def axioms(self) -> CheckReport:
         return check_axioms(self.space, self.budget,
@@ -412,11 +414,6 @@ class Inputs:
     @cached_property
     def delta2(self) -> _Delta2Scan:
         return _Delta2Scan(self.space, self.budget)
-
-
-def _centred_ball(inp: Inputs) -> _balls.Ball:
-    return _balls.Ball(inp.space, inp.space.zero(), inp.op.get("level", 0.5),
-                       inp.op.get("scale", 1.0))
 
 
 def _membership(inp: Inputs) -> PredicateResult:
@@ -441,8 +438,8 @@ def _delta2_estimate(inp: Inputs) -> PredicateResult:
 
 
 def _refine(inp: Inputs) -> _topo.RefinementWitness:
-    # Unlike a drawn default, the input search is skipped when an outer ball is given.
-    outer, z = ((inp.op["outer"], inp.op["z"]) if "outer" in inp.op
+    # Unlike a drawn default, the input search is skipped given an outer ball (z: its center).
+    outer, z = ((inp.op["outer"], inp.op.get("z", inp.op["outer"].center)) if "outer" in inp.op
                 else _feasible_refinement_input(inp.space, inp.rng))
     return _topo.refine_ball(inp.space, outer, z, inp.small, samples=inp.witness_samples)
 
@@ -490,8 +487,8 @@ def _convergence_equiv(inp: Inputs) -> PredicateResult:
         cases = [(_conv.SequenceSpec(kind=kind, base=space.zero(), direction=v), expect)
                  for kind, expect in (("harmonic", True), ("constant_offset", False))]
         rational_grid = (0.5, 5.0, 50.0, 500.0)
-    grid = op.get("t_grid", (0.1, 1.0, 10.0, 100.0) if _kernel_kind(space) == "step"
-                  else rational_grid)
+    step = issubclass(_kernel_class(space), (StepFrom, ClosedStepFrom))
+    grid = op.get("t_grid", (0.1, 1.0, 10.0, 100.0) if step else rational_grid)
     n_max = op.get("n_max", _conv.N_MAX)
     depth = op.get("local_base_depth", _conv.LOCAL_BASE_DEPTH)
     rows, ok = [], True
@@ -504,11 +501,22 @@ def _convergence_equiv(inp: Inputs) -> PredicateResult:
     return PredicateResult(outcome="pass" if ok else "fail", record={"cases": rows})
 
 
+# The default balls of the entries that read one (Inputs.ball), keyed by their checks'
+# parameters (scaling_identity's t by scale2); a continuity witness's is its target.
+BALLS: dict[str, dict[str, float]] = {
+    **{name: {"level": 0.5, "scale": 1.0} for name in (
+        "translate_identity", "balanced", "convex", "addition_continuity",
+        "scalar_continuity")},
+    "monotone_in_scale": {"level": 0.5, "scale": 0.7, "scale2": 1.9},
+    "monotone_in_level": {"level": 0.3, "level2": 0.6, "scale": 1.3},
+    "scaling_identity": {"level": 0.5, "scale2": 1.7},
+}
+
 # The registry: (name, the declaration it needs, builder).  The order is the
 # report contract: builders draw from the inputs' stream in this order, and
 # every selection reports in it.  A parameter is the operation's value if
-# given, else the default written here.  Builders look module globals up when
-# they run, so a rebinding (a tracer, a test double) is seen.
+# given, else the default written here or in BALLS.  Builders look module
+# globals up when they run, so a rebinding (a tracer, a test double) is seen.
 PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
     *((name, None, lambda inp, name=name: inp.axioms.parts[name]) for name in AXIOMS),
     ("delta_membership", None, _membership),
@@ -518,21 +526,18 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
      lambda inp: check_beta_homogeneous(inp.space, inp.space.declared_beta, inp.budget)),
     ("regularity", None, lambda inp: check_space_regularity(inp.space, inp.budget)),
     ("translate_identity", None, lambda inp: _balls.translate_identity(
-        inp.space, inp.point("x"), inp.op.get("level", 0.5), inp.op.get("scale", 1.0),
-        inp.small)),
+        inp.space, inp.point("x"), budget=inp.small, **inp.ball("translate_identity"))),
     ("monotone_in_scale", None, lambda inp: _balls.monotone_in_scale(
-        inp.space, inp.op.get("level", 0.5), inp.op.get("scale", 0.7),
-        inp.op.get("scale2", 1.9), inp.small)),
+        inp.space, budget=inp.small, **inp.ball("monotone_in_scale"))),
     ("monotone_in_level", None, lambda inp: _balls.monotone_in_level(
-        inp.space, inp.op.get("level", 0.3), inp.op.get("level2", 0.6),
-        inp.op.get("scale", 1.3), inp.small)),
+        inp.space, budget=inp.small, **inp.ball("monotone_in_level"))),
     ("scaling_identity", "declared_beta", lambda inp: _balls.scaling_identity(
-        inp.space, inp.space.declared_beta, inp.op.get("level", 0.5),
-        inp.op.get("scale2", 1.7), inp.small)),
+        inp.space, inp.space.declared_beta, inp.ball("scaling_identity")["level"],
+        inp.ball("scaling_identity")["scale2"], inp.small)),
     ("balanced", "declared_beta",
-     lambda inp: _balls.is_balanced_sampled(_centred_ball(inp), inp.small)),
+     lambda inp: _balls.is_balanced_sampled(inp.centred_ball("balanced"), inp.small)),
     ("convex", "declared_beta",
-     lambda inp: _balls.is_convex_sampled(_centred_ball(inp), inp.small)),
+     lambda inp: _balls.is_convex_sampled(inp.centred_ball("convex"), inp.small)),
     ("scale_witness_random", None,
      lambda inp: _random_scale_witnesses(inp.space, inp.budget, 100)),
     ("scale_witness_boundary", None,
@@ -547,10 +552,10 @@ PREDICATES: tuple[tuple[str, str | None, Callable[[Inputs], Any]], ...] = (
      lambda inp: _topo.homogeneous_separation_witness(inp.space, inp.point("x"), inp.small,
                                                       samples=inp.witness_samples)),
     ("addition_continuity", "declared_beta", lambda inp: _topo.addition_continuity_witness(
-        inp.space, inp.op.get("target", _centred_ball(inp)), inp.small,
-        samples=inp.witness_samples)),
+        inp.space, inp.op.get("target", inp.centred_ball("addition_continuity")),
+        inp.small, samples=inp.witness_samples)),
     ("scalar_continuity", "declared_beta", lambda inp: _topo.scalar_continuity_witness(
-        inp.space, inp.op.get("target", _centred_ball(inp)),
+        inp.space, inp.op.get("target", inp.centred_ball("scalar_continuity")),
         inp.op.get("scalar", float(inp.rng.uniform(-2.0, 2.0))), inp.small,
         samples=inp.witness_samples)),
     ("convergence_equiv", None, _convergence_equiv),

@@ -347,6 +347,11 @@ class FlooredMap(ModularMap):
         return cfg
 
 
+def _kernel_class(space: PMSpace) -> type[ModularMap]:
+    """The map class whose kernel the checks reason about: a FlooredMap's base's."""
+    return type(getattr(space.modular_map, "base", space.modular_map))
+
+
 _FAMILIES = {"rational_from": RationalFrom, "step_from": StepFrom,
              "step_closed_from": ClosedStepFrom}
 
@@ -607,26 +612,30 @@ def _check_pm4(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     s_rand = grid[rng.integers(0, grid.size, n)]
     t_rand = grid[rng.integers(0, grid.size, n)]
 
-    def block(b: slice) -> dict[str, np.ndarray]:
-        S_y = space.sigma(Y[b])
+    def values(r: slice | np.ndarray) -> dict[str, np.ndarray]:
+        S_y = space.sigma(Y[r])
         # a x + (1 - a) y with the weights repeated row by row, filled a column
         # at a time: broadcast, numpy would loop over a row's dim coordinates.
-        w = np.empty(X[b].shape)
+        w = np.empty(X[r].shape)
         for j in range(space.dim):
-            w[:, j] = a[b]
-        mid = w * X[b]
+            w[:, j] = a[r]
+        mid = w * X[r]
         np.subtract(1.0, w, out=w)
-        w *= Y[b]
+        w *= Y[r]
         mid += w
         S_m = space.sigma(mid)
         zeros = np.zeros(S_y.size)
-        s = np.stack([s_rand[b], zeros, s_rand[b], zeros, S_x[b]])
-        t = np.stack([t_rand[b], t_rand[b], zeros, zeros, S_y])
+        s = np.stack([s_rand[r], zeros, s_rand[r], zeros, S_x[r]])
+        t = np.stack([t_rand[r], t_rand[r], zeros, zeros, S_y])
         return {"s": s, "t": t, "lhs": space.kernel(s + t, S_m),
-                "rhs": np.minimum(space.kernel(s, S_x[b]), space.kernel(t, S_y))}
+                "rhs": np.minimum(space.kernel(s, S_x[r]), space.kernel(t, S_y))}
 
-    return _block_report("pm4", n, block, lambda r: {
-        "x": X[r].tolist(), "y": Y[r].tolist(), "a": float(a[r])}, budget, samples=5 * n)
+    broken = np.empty(n, dtype=bool)  # whether a sample's largest gap exceeds eps
+    for b in _blocks(n, PM4_CHUNK):
+        broken[b] = np.max(_gap(values(b), False, in_place=True), axis=0) > budget.epsilon
+    return _gap_report("pm4", np.flatnonzero(broken), 5 * n, values,
+                       lambda r: {"x": X[r].tolist(), "y": Y[r].tolist(), "a": float(a[r])},
+                       budget, False, None)
 
 
 def _blocks(n: int, size: int = DELTA2_CHUNK) -> list[slice]:
@@ -635,43 +644,34 @@ def _blocks(n: int, size: int = DELTA2_CHUNK) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
-def _gap(values: dict[str, np.ndarray], absolute: bool, out=None) -> np.ndarray:
-    """rhs - lhs of a block's values, or |rhs - lhs| where absolute."""
-    gap = np.subtract(values["rhs"], values["lhs"], out=out)
+def _gap(values: dict[str, np.ndarray], absolute: bool, in_place: bool = False) -> np.ndarray:
+    """rhs - lhs of a block's values, or |rhs - lhs| where absolute, taken in
+    place of rhs where in_place."""
+    gap = np.subtract(values["rhs"], values["lhs"], out=values["rhs"] if in_place else None)
     return np.abs(gap, out=gap) if absolute else gap
 
 
-def _broken(values: dict[str, np.ndarray], absolute: bool, eps: float) -> np.ndarray:
-    """The samples of a block whose largest gap, taken in place of rhs, exceeds eps."""
-    return np.max(_gap(values, absolute, out=values["rhs"]), axis=0) > eps
-
-
-def _block_report(name: str, n: int, block: Callable[[slice], dict[str, np.ndarray]],
-                  fields: Callable[[int], dict[str, Any]], budget: SampleBudget, *,
-                  samples: int) -> CheckReport:
-    """The report, with samples run, of an inequality over n samples taken
-    in blocks of PM4_CHUNK.  block(b) gives the grid-major values of the
-    samples in slice b, lhs and rhs among them, each (probes, samples) or
-    broadcast to it; a sample breaks it where its largest gap exceeds
-    budget.epsilon.  A broken sample r is recorded as fields(r) plus its
-    values at its first largest gap, from its block evaluated once more."""
-    blocks = _blocks(n, PM4_CHUNK)
-    rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool)] + [
-        _broken(block(b), False, budget.epsilon) for b in blocks]))
+def _gap_report(name: str, bad: np.ndarray, samples: int, read: Callable[..., dict],
+                fields: Callable[[int], dict[str, Any]], budget: SampleBudget,
+                absolute: bool, notes: dict[str, Any] | None) -> CheckReport:
+    """The report, with samples run, of an inequality broken at the rows bad:
+    it counts them and records the first MAX_STORED_VIOLATIONS, kept, each
+    row r as fields(r) and its values at its first largest gap, from one more
+    read(kept) of their grid-major values (lhs and rhs among them)."""
+    kept = bad[:MAX_STORED_VIOLATIONS]
 
     @lru_cache(maxsize=1)
-    def values(k: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        named = block(blocks[k])
-        gap = _gap(named, False)
-        return gap, {key: np.broadcast_to(v, gap.shape) for key, v in named.items()}
+    def values() -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        named = read(kept)
+        gap = _gap(named, absolute)
+        return gap, {key: np.broadcast_to(value, gap.shape) for key, value in named.items()}
 
-    def record(r: int) -> dict[str, Any]:
-        gap, named = values(r // PM4_CHUNK)
-        i = r % PM4_CHUNK
+    def record(i: int) -> dict[str, Any]:
+        gap, named = values()
         j = int(np.argmax(gap[:, i]))
-        return {**fields(r), **{key: float(v[j, i]) for key, v in named.items()}}
+        return {**fields(kept[i]), **{key: float(value[j, i]) for key, value in named.items()}}
 
-    return _make_report(name, rows, samples, budget.rng_seed, record=record)
+    return _make_report(name, range(bad.size), samples, budget.rng_seed, notes, record=record)
 
 
 def _scaled_exactly(x: np.ndarray, y: np.ndarray, c: Any) -> np.ndarray:
@@ -741,7 +741,7 @@ def _pair_settled(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray
     a NaN, k = 0 or an overflowing t/k leaves the row open.
     """
     settled = _pair_exact(grid, u, v, k) if np.ndim(k) == 0 else np.zeros(u.shape, dtype=bool)
-    base = type(getattr(space.modular_map, "base", space.modular_map))
+    base = _kernel_class(space)
     if base not in (RationalFrom, StepFrom, ClosedStepFrom) or settled.all():
         return settled
     tiny = np.finfo(float).tiny
@@ -779,7 +779,7 @@ def _pair_windowed(space: PMSpace, grid: np.ndarray, eps: float, absolute: bool)
     """Whether _pair_peaks reads a scaled pair's rows on peak windows: on the
     rational kernel, floored or not, over more grid points than a window
     holds, and for a signed pair only at eps above PEAK_MARGIN."""
-    base = type(getattr(space.modular_map, "base", space.modular_map))
+    base = _kernel_class(space)
     return base is RationalFrom and grid.size > PEAK_WINDOW and (absolute or eps > PEAK_MARGIN)
 
 
@@ -878,29 +878,16 @@ def _pair_gaps(space: PMSpace, grid: np.ndarray, u: np.ndarray, v: np.ndarray, k
 def _pair_report(name: str, space: PMSpace, budget: SampleBudget, u: np.ndarray,
                  v: np.ndarray, k: Any, fields: Callable[[int], dict[str, Any]], *,
                  notes: dict[str, Any], absolute: bool = False) -> CheckReport:
-    """The report of a scaled pair over its len(u) rows, from the open rows'
-    largest gaps (_pair_gaps): a settled row holds, so it is neither counted
-    nor recorded.  A broken row r is recorded as fields(r) and its t, lhs and
-    rhs at its first largest gap, read once more by _pair_peaks for the first
-    MAX_STORED_VIOLATIONS broken rows only: on their windows, or on the whole
-    grid where they fall back."""
+    """The report (_gap_report) of a scaled pair over its len(u) rows, from
+    the open rows' largest gaps (_pair_gaps): a settled row holds, so it is
+    neither counted nor recorded.  The kept rows are read once more by
+    _pair_peaks: on their windows, or on the whole grid where they fall back."""
     grid, eps = budget.grid_array(), budget.epsilon
     rows = np.flatnonzero(~_pair_settled(space, grid, u, v, k, eps))
     bad = rows[_pair_gaps(space, grid, u, v, k, rows, eps, absolute) > eps]
-    kept = bad[:MAX_STORED_VIOLATIONS]
-
-    @lru_cache(maxsize=1)
-    def values() -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        named = _pair_peaks(space, grid, u, v, k, kept, eps, absolute)[1]
-        gap = _gap(named, absolute)
-        return gap, {key: np.broadcast_to(value, gap.shape) for key, value in named.items()}
-
-    def record(i: int) -> dict[str, Any]:
-        gap, named = values()
-        j = int(np.argmax(gap[:, i]))
-        return {**fields(kept[i]), **{key: float(value[j, i]) for key, value in named.items()}}
-
-    return _make_report(name, range(bad.size), u.size, budget.rng_seed, notes, record=record)
+    return _gap_report(name, bad, u.size,
+                       lambda kept: _pair_peaks(space, grid, u, v, k, kept, eps, absolute)[1],
+                       fields, budget, absolute, notes)
 
 
 class _Delta2Scan:

@@ -913,7 +913,7 @@ def pair_values_with_settled_rows_checked(space, grid, u, v, k, label):
     one_k = np.ndim(k) == 0
     if one_k:
         assert np.array_equal(P._pair_exact(grid, u, v, k), exact), label
-    step = type(getattr(space.modular_map, "base", space.modular_map)) in STEP_BASES
+    step = P._kernel_class(space) in STEP_BASES
     for eps in (1e-15, 4e-15, 1e-9, 0.5):
         settled = P._pair_settled(space, grid, u, v, k, eps)
         assert np.all(gap[:, settled] <= eps), (label, eps)
@@ -937,7 +937,7 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
     a[6:8] = [0.0, 1e-307]   # k = 0, and at beta = 1 a t/k that overflows
     S_ax = space.sigma(a[:, None] * X)
     grids = {"default": D.default_t_grid()}
-    step = type(getattr(space.modular_map, "base", space.modular_map)) in STEP_BASES
+    step = P._kernel_class(space) in STEP_BASES
     if name.endswith("-weighted") or name == "break_left_continuity":
         # t/2 subnormal and exact, so c = 2 still settles rows; and t/2
         # rounded to 0, so no row is settled at c = 2.
@@ -964,10 +964,11 @@ def test_delta2_scan_masks_equal_the_evaluated_block_masks(name):
         S2 = scan._S2
         for c in SCAN_CANDIDATES + (space.declared_c,):
             full = pair_values_with_settled_rows_checked(space, grid, S2, S, c, (grid_name, c))
-            want = P._broken(full, False, eps)
+            want = np.max(P._gap(full, False), axis=0) > eps
             rows = np.flatnonzero(~P._pair_exact(grid, S2, S, c))
             got = np.zeros(1500, dtype=bool)
-            got[rows] = P._broken(P._pair_values(space, grid, S2, S, c, rows), False, eps)
+            got[rows] = np.max(P._gap(P._pair_values(space, grid, S2, S, c, rows), False),
+                               axis=0) > eps
             assert np.array_equal(got, want), (grid_name, c)
             assert scan.smallest((c,)) == (None if want.any() else c)
         assert scan.declared().n_violations == want.sum()   # want: the declared c's
@@ -2313,9 +2314,9 @@ def test_row_sums_reproduce_numpy_sum_bit_for_bit():
                     assert got.tobytes() == expected.tobytes(), (dim, lead, sigma)
 
 
-def test_broken_mask_matches_row_major_numpy_max_verdicts():
-    # The grid-major mask takes the gap in place of rhs and reduces along
-    # the grid: the verdicts of np.max over each row of the row-major gap,
+def test_gap_in_place_gives_row_major_numpy_max_verdicts():
+    # pm4 takes each block's gap in place of rhs and reduces it along the
+    # probes: the verdicts of np.max over each row of the row-major gap,
     # with NaN rows never broken, for the signed and the absolute gap.
     rng = np.random.default_rng(13)
     rows = [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan],
@@ -2334,7 +2335,7 @@ def test_broken_mask_matches_row_major_numpy_max_verdicts():
                 gap = np.abs(A - lhs) if absolute else A - lhs
                 for eps in (1e-12, 1e-9, 0.5):
                     values = {"lhs": lhs.T.copy(), "rhs": A.T.copy()}
-                    got = P._broken(values, absolute, eps)
+                    got = np.max(P._gap(values, absolute, in_place=True), axis=0) > eps
                     assert got.shape == (len(A),) and got.dtype == bool
                     assert np.array_equal(got, np.max(gap, axis=1) > eps)
                     # The gap was taken in place of rhs.

@@ -168,6 +168,8 @@ def test_every_subcommand_runs_on_a_grid_that_ends_at_the_bound(tmp_path, capsys
     ("witness-separate", {"variant": "homogeneous", "y": [1.0, 2.0, 3.0]}),
     # A scale above the bound every grid keeps.
     ("check-convergence", {"sequence": SEQUENCE, "t_grid": [1.0, MAX_GRID_T * 1.01]}),
+    # A level above monotone_in_level's default level2.
+    ("ball-identities", {"level": 0.65}),
 ])
 def test_malformed_operation_value_is_a_config_error(tmp_path, capsys, command,
                                                      operation):
@@ -469,6 +471,71 @@ def test_starved_member_sampler_makes_ball_checks_infeasible(tmp_path, capsys):
         assert verdicts[name]["verdict"] == "infeasible"
         assert "member sampler starved" in verdicts[name]["reason"]
     assert verdicts["translate_identity"]["verdict"] == "pass"
+
+
+BALL_CHECKS = ("translate_identity", "monotone_in_scale", "monotone_in_level",
+               "scaling_identity", "balanced", "convex")
+
+
+@pytest.mark.parametrize("name", BALL_CHECKS)
+def test_falsify_and_ball_identities_record_the_tables_balls(tmp_path, capsys, name):
+    # With no operation values both entry points test a check's default balls,
+    # written once in falsifier.BALLS, and both records name them: every
+    # level and scale, scaling_identity's scale2 as its t.
+    want = {("t" if key == "scale2" and name == "scaling_identity" else key): value
+            for key, value in F.BALLS[name].items()}
+    named = []
+    for command, op in (("falsify", {"predicates": [name]}), ("ball-identities", {})):
+        cfg = dict(json.loads(json.dumps(HOMOGENEOUS)), operation=op)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        (rec,) = [rec for rec in map(json.loads, capsys.readouterr().out.splitlines())
+                  if rec["check"] == name]
+        named.append({key: rec["notes"][key] for key in want})
+    assert named == [want, want]
+
+
+def test_falsify_and_witness_continuity_build_on_the_tables_target(tmp_path, capsys):
+    # Without a target both entry points take the table's default one, so the
+    # addition witness names the same balls; without a scalar, witness-continuity
+    # draws it from U(-2, 2) as the first draw of the seed's stream.
+    names = ["addition_continuity", "scalar_continuity"]
+    records = {}
+    for command, op in (("falsify", {"predicates": names}), ("witness-continuity", {})):
+        cfg = dict(json.loads(json.dumps(HOMOGENEOUS)), operation=op)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        records[command] = {rec["check"]: rec
+                            for rec in map(json.loads, capsys.readouterr().out.splitlines())}
+    target = F.BALLS["addition_continuity"]
+    assert F.BALLS["scalar_continuity"] == target
+    for by_check in records.values():
+        assert by_check["addition_continuity"]["ball_a"]["level"] == target["level"] / 2
+        assert by_check["scalar_continuity"]["ball"]["level"] == target["level"] / 2
+    assert (records["falsify"]["addition_continuity"]["ball_a"]
+            == records["witness-continuity"]["addition_continuity"]["ball_a"])
+    scalar = records["witness-continuity"]["scalar_continuity"]["scalar_center"]
+    rng = np.random.default_rng(HOMOGENEOUS["budget"]["rng_seed"])
+    assert -2.0 < scalar < 2.0 and scalar == float(rng.uniform(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("op, code, error", [
+    ({"scale2": 0.8}, 0, ""),
+    ({"level": 0.65}, 3, "error: operation.level must be a finite number in (-inf, 0.6], "
+                         "got 0.65 (level2 0.6 is the default of monotone_in_level)\n"),
+    ({"level2": 0.2}, 3, "error: operation.level2 must be a finite number in [0.3, inf), "
+                         "got 0.2 (level 0.3 is the default of monotone_in_level)\n"),
+    ({"scale": 1.95}, 3, "error: operation.scale must be a finite number in (-inf, 1.9], "
+                         "got 1.95 (scale2 1.9 is the default of monotone_in_scale)\n"),
+    ({"level": 0.8, "level2": 0.7}, 3,
+     "error: operation.level2 must be a finite number in [0.8, inf), got 0.7\n"),
+])
+def test_ball_identities_orders_the_values_its_checks_read(tmp_path, capsys, op, code,
+                                                           error):
+    # A monotonicity check compares the values it reads: a field the config
+    # leaves out is the check's default, and an error names the given field
+    # and the default it was compared with.
+    cfg = dict(json.loads(json.dumps(HOMOGENEOUS)), operation=op)
+    assert cli.main(["ball-identities", "--config", write_config(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err == error
 
 
 def test_witness_refine_subcommand_with_explicit_input(tmp_path, capsys):
