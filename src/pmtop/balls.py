@@ -2,9 +2,9 @@
 
 B(x, alpha, t) = { y : mu_{x-y}(t) > 1 - alpha } with level alpha in (0,1)
 and scale t > 0.  Membership at the exact decision boundary is not
-decidable in floating point, so contains() demands a strict margin of
-EPS_STRICT and the samplers re-draw points that land inside the epsilon
-band around the boundary.
+decidable in floating point, so the one membership rule (strict_mask)
+demands a strict margin of EPS_STRICT and the samplers re-draw points in
+the epsilon band around the boundary (band_mask).
 """
 
 from __future__ import annotations
@@ -70,8 +70,19 @@ def mu_of_offsets(ball: Ball, Y: np.ndarray) -> np.ndarray:
     return ball.space.kernel(np.asarray(ball.scale, dtype=float), S)
 
 
+def strict_mask(mu: Any, level: Any, margin: float = EPS_STRICT) -> Any:
+    """The membership rule on mu values, mu > (1 - level) + EPS_STRICT; at the
+    budget's epsilon as margin, the doubling chain's test (topology)."""
+    return mu > (1.0 - level) + margin
+
+
+def band_mask(mu: Any, level: Any, band: float) -> Any:
+    """The undecided band on mu values: |mu - (1 - level)| <= band."""
+    return np.abs(mu - (1.0 - level)) <= band
+
+
 def contains_many(ball: Ball, Y: np.ndarray) -> np.ndarray:
-    return mu_of_offsets(ball, Y) > (1.0 - ball.level) + EPS_STRICT
+    return strict_mask(mu_of_offsets(ball, Y), ball.level)
 
 
 def contains(ball: Ball, y: Vector) -> bool:
@@ -82,7 +93,7 @@ def contains(ball: Ball, y: Vector) -> bool:
 
 def boundary_band(ball: Ball, Y: np.ndarray, band: float) -> np.ndarray:
     """Mask of candidates within the undecidable band around the boundary."""
-    return np.abs(mu_of_offsets(ball, Y) - (1.0 - ball.level)) <= band
+    return band_mask(mu_of_offsets(ball, Y), ball.level, band)
 
 
 # ---------------------------------------------------------------------------
@@ -94,30 +105,20 @@ def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.
              Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y, mu): the candidates Y[i] = centers[i] + steps[i] * Z[i] of each
     lane and mu_of_offsets of each against the ball (centers[i], scales[i]),
-    in blocks of lanes of about LANE_BLOCK floats (_block_mu), so the
-    temporaries stay cache-sized; lanes that fit in one block make no
-    block loop."""
+    in blocks of lanes of about LANE_BLOCK floats, so the temporaries stay
+    cache-sized.  A block repeats its centers row by row, as a center
+    broadcast over rows makes numpy loop over one row's dim coordinates."""
     step = max(1, LANE_BLOCK // Z[0].size)
-    if len(Z) <= step:
-        return _block_mu(space, centers, scales, steps, Z)
     Y, m = np.empty(Z.shape), np.empty(Z.shape[:2])
     for i in range(0, len(Z), step):
         b = slice(i, i + step)
-        m[b] = _block_mu(space, centers[b], scales[b], steps[b], Z[b], Y[b])[1]
+        off = np.repeat(centers[b, None, :], Z.shape[1], axis=1)
+        y = np.multiply(steps[b, None, None], Z[b], out=Y[b])
+        y += off
+        off -= y
+        S = space.sigma(off.reshape(-1, Z.shape[2])).reshape(off.shape[:2])
+        m[b] = space.kernel(scales[b, None], S)
     return Y, m
-
-
-def _block_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.ndarray,
-              Z: np.ndarray, Y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """_lane_mu of one block of lanes, its candidates made in Y if given.
-    The centers are repeated row by row, as a center broadcast over rows
-    makes numpy loop over one row's dim coordinates."""
-    off = np.repeat(centers[:, None, :], Z.shape[1], axis=1)
-    Y = np.multiply(steps[:, None, None], Z, out=Y)
-    Y += off
-    off -= Y
-    S = space.sigma(off.reshape(-1, Z.shape[2])).reshape(off.shape[:2])
-    return Y, space.kernel(scales[:, None], S)
 
 
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
@@ -126,9 +127,9 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for
     all lanes at once, and is seeded from the closed-form radius over its
     probe's median sigma when oracle_threshold has one, and at 1 otherwise;
-    then each lane doubles or halves its scale until the probe's acceptance
-    (_lane_mu) lies in [0.2, 0.8], for at most 80 rounds, stopping on its
-    own.  A round where no lane moves ends it.
+    then each lane doubles or halves its scale until the share of strict
+    members (_lane_mu, strict_mask) in its probe lies in [0.2, 0.8], for at
+    most 80 rounds, stopping on its own.  A round where no lane moves ends it.
 
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
@@ -145,19 +146,17 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         # middle values), without its per-call overhead; np.sort took under
         # np.partition's time on 1-32 rows of 256.
         step = max(1, LANE_BLOCK // (256 * dim))
-        mid = [np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, 256),
-                       axis=1)[:, 127:129] for i in range(0, n, step)]
-        mid = mid[0] if n <= step else np.concatenate(mid)
+        mid = np.concatenate([
+            np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, 256),
+                    axis=1)[:, 127:129] for i in range(0, n, step)])
         med = (mid[:, 0] + mid[:, 1]) / 2.0
         # thr / med where the median is positive, 1 elsewhere, with no divide by 0.
         s = np.maximum(np.divide(thr, med, out=np.ones(n), where=med > 0), 1e-12)
-    cut = (1.0 - levels)[:, None] + EPS_STRICT
-    # The lanes still searching (None while all are), their arguments and
-    # scales, compacted as lanes stop, and each one's scale two rounds back
-    # (NaN, equal to none, in round 1).
-    live, c, t, sl, back = None, centers, scales, s, np.nan
+    # The lanes still searching, their arguments and scales, compacted as lanes
+    # stop, and each one's scale two rounds back (NaN, equal to none, in round 1).
+    live, c, lv, t, sl, back = np.arange(n), centers, levels[:, None], scales, s.copy(), np.nan
     for rounds_left in range(79, -1, -1):
-        inside = _lane_mu(space, c, t, sl, probes)[1] > cut
+        inside = strict_mask(_lane_mu(space, c, t, sl, probes)[1], lv)
         acc = inside.sum(axis=1) / 256
         up, down = acc > 0.8, acc < 0.2
         if not (moving := up | down).any():
@@ -167,15 +166,11 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         # An odd number of rounds left ends a cycling lane on its current scale.
         new = np.where(cycled & (rounds_left % 2 == 1), sl, new)
         going = moving & ~cycled
-        if live is None:
-            s = new
-        else:
-            s[live] = new
+        s[live] = new
         if not going.all():
             if not going.any():
                 break
-            live = np.flatnonzero(going) if live is None else live[going]
-            c, t, cut, probes, sl, new = (a[going] for a in (c, t, cut, probes, sl, new))
+            live, c, lv, t, probes, sl, new = (a[going] for a in (live, c, lv, t, probes, sl, new))
         back, sl = sl, new
     return s
 
@@ -207,11 +202,10 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     rows = np.empty((n, count, dim))
     ok = np.ones(n, dtype=bool)
     # The arguments of the lanes still short, compacted as lanes fill up.
-    cut = (1.0 - levels)[:, None]
-    live, c, t, strict, got = np.arange(n), centers, scales, cut + EPS_STRICT, np.zeros(n, int)
+    live, c, lv, t, got = np.arange(n), centers, levels[:, None], scales, np.zeros(n, int)
     for _ in range(200):
         Y, m = _lane_mu(space, c, t, s, rng.standard_normal((live.size, batch, dim)))
-        keep = (m > strict) & ~(np.abs(m - cut) <= band)
+        keep = strict_mask(m, lv) & ~band_mask(m, lv, band)
         kept = keep.sum(axis=1)
         # Each kept row's place in its lane's output, counted from 1.
         place = keep.cumsum(axis=1) + got[:, None]
@@ -223,7 +217,7 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
             break
         s = np.where(short & (kept / batch < MIN_ACCEPTANCE), s * 0.5, s)
         if not short.all():
-            live, c, t, cut, strict, got, s = (a[short] for a in (live, c, t, cut, strict, got, s))
+            live, c, lv, t, got, s = (a[short] for a in (live, c, lv, t, got, s))
     else:
         ok[live] = False
         rows[live] = np.nan
@@ -255,17 +249,16 @@ def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band:
         # thr / med where the median is positive (not 0, not NaN), 1 elsewhere.
         s = max(thr / med, 1e-12) if med > 0 else 1.0
     rng.standard_normal(out=Z[256:])
-    # The center repeated row by row, as in _block_mu.
+    # The center repeated row by row, as in _lane_mu.
     off = np.repeat(center[None, :], len(Z), axis=0)
     Y = np.multiply(s, Z, out=Z)
     Y += off
     off -= Y
     m = space.kernel(scale, space.sigma(off))
-    strict = (1.0 - level) + EPS_STRICT
-    if not 0.2 <= np.count_nonzero(m[:256] > strict) / 256 <= 0.8:
+    inside = strict_mask(m, level)
+    if not 0.2 <= np.count_nonzero(inside[:256]) / 256 <= 0.8:
         return None
-    m = m[256:]
-    rows = Y[256:][(m > strict) & ~(np.abs(m - (1.0 - level)) <= band)][:count]
+    rows = Y[256:][inside[256:] & ~band_mask(m[256:], level, band)][:count]
     return rows if len(rows) == count else None
 
 
@@ -296,13 +289,11 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
 def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
     """Sample a mixed in/out cloud around the ball for boolean comparisons."""
-    s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :],
-                                     np.asarray([ball.level]),
+    s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :], np.asarray([ball.level]),
                                      np.asarray([ball.scale]), rng)[0])
     out: list[np.ndarray] = []
-    got = 0
+    got, batch = 0, max(2 * count, 64)
     for _ in range(200):
-        batch = max(2 * count, 64)
         Y = ball.center[None, :] + s * rng.standard_normal((batch, ball.space.dim))
         kept = Y[~boundary_band(ball, Y, band)]
         out.append(kept)
@@ -337,9 +328,9 @@ def smaller_scale_witnesses(space: PMSpace, sigma: np.ndarray, scale: np.ndarray
     """
     sigma, scale, level = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (sigma, scale, level)))
-    cut = 1.0 - level
-    if not np.all(space.kernel(scale, sigma) > cut + EPS_STRICT):
+    if not strict_mask(space.kernel(scale, sigma), level).all():
         raise PreconditionError("witness requires a ball member")
+    cut = 1.0 - level
     _, hi = bisect_lanes(lambda mid: space.kernel(mid, sigma) > cut, 0.0, scale,
                          WITNESS_BISECTION_STEPS)
     t_star = 0.5 * (hi + scale)

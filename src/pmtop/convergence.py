@@ -20,8 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from .balls import Ball
-from .distfn import (EPS_STRICT, MAX_GRID_COUNT, MAX_GRID_T, FieldError, FieldRecord,
+from .balls import Ball, strict_mask
+from .distfn import (MAX_GRID_COUNT, MAX_GRID_T, FieldError, FieldRecord,
                      check_number, check_numbers)
 from .pmspace import PMSpace, PreconditionError, Vector, as_vector
 
@@ -181,10 +181,10 @@ def check_topological_convergence(space: PMSpace, seq: SequenceSpec,
     ns = probe_schedule(n_max)
     limit = seq.candidate_limit
     # Every ball is centered at the limit, so one sigma of the offsets serves
-    # them all, each with contains_many's kernel test on it.
+    # them all, each with the membership rule on it.
     S = space.sigma(limit[None, :] - seq.values(ns))
     per_ball = [{"level": b.level, "scale": b.scale, "n0": settled_from(
-                    ns, space.kernel(np.asarray(b.scale), S) > (1.0 - b.level) + EPS_STRICT)}
+                    ns, strict_mask(space.kernel(np.asarray(b.scale), S), b.level))}
                 for b in local_base(space, limit, depth)]
     return TopologicalVerdict(converges=all(r["n0"] is not None for r in per_ball),
                               per_ball=per_ball, n_used=int(ns[-1]))

@@ -45,7 +45,7 @@ import numpy as np
 from . import balls as _balls
 from . import convergence as _conv
 from . import topology as _topo
-from .distfn import EPS_STRICT, CheckReport, SampleBudget, canonical_line, check_rng
+from .distfn import CheckReport, SampleBudget, canonical_line, check_rng
 from .pmspace import (
     AXIOMS,
     DELTA2_CANDIDATES,
@@ -321,7 +321,7 @@ def _boundary_pairs(space: PMSpace, budget: SampleBudget, count: int) -> Predica
     eligible = sigmas > 1e-9
     X, sigmas, levels = X[eligible], sigmas[eligible], levels[eligible]
     # The ball's scale is the offset's sigma: sigma(x - 0) is sigma(x).
-    inside = space.kernel(sigmas, sigmas) > (1.0 - levels) + EPS_STRICT
+    inside = _balls.strict_mask(space.kernel(sigmas, sigmas), levels)
     xs, sigmas, levels = X[inside], sigmas[inside], levels[inside]
     return _scale_witness_result(space, xs, np.zeros_like(xs), sigmas, sigmas, levels,
                                  {"eligible": len(xs), "trials": count})
@@ -349,29 +349,22 @@ def _random_scale_witnesses(space: PMSpace, budget: SampleBudget,
                                  {"pairs": len(xs)})
 
 
-def _chain_feasible(space: PMSpace, ball: _balls.Ball, Z: np.ndarray) -> np.ndarray:
-    """Which rows z of Z lie in ball = B(x, alpha, t) and clear the doubling
-    chain's mu_(x-z)(t/c) > 1 - alpha with a safety margin of 1e-6."""
-    return (_balls.contains_many(ball, Z)
-            & (_topo.chain_anchor(space, ball, Z) > 1.0 - ball.level + 1e-6))
-
-
-def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator,
+def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator, eps: float,
                                reason: str = "no feasible refinement input found",
                                ) -> tuple[_balls.Ball, np.ndarray]:
-    """Random (outer, z) that is _chain_feasible.  Raises PreconditionError,
-    through chain_anchor, without a declared doubling constant and
+    """Random (outer, z) that refine_ball takes at a budget's epsilon eps, by
+    its own test (topology.chain_feasible).  Raises PreconditionError, through
+    chain_anchor, without a declared doubling constant and
     InfeasibleConstruction with reason when the search finds no input.  An
     outer ball's 50 z are tested as one draw; a hit at row k rewinds the
-    stream and redraws k + 1 rows, leaving it where 50 single draws stopping
-    at the hit leave it."""
+    stream and redraws k + 1 rows, as 50 single draws stopping at the hit."""
     for _ in range(200):
         x = rng.standard_normal(space.dim)
         level = float(rng.uniform(0.3, 0.7))
         scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
         outer = _balls.Ball(space, x, level, scale)
         state = rng.bit_generator.state
-        ok = _chain_feasible(space, outer, x + 0.3 * rng.standard_normal((50, space.dim)))
+        ok = _topo.chain_feasible(space, outer, x + 0.3 * rng.standard_normal((50, space.dim)), eps)
         if ok.any():
             rng.bit_generator.state = state
             return outer, x + 0.3 * rng.standard_normal((np.argmax(ok) + 1, space.dim))[-1]
@@ -440,7 +433,7 @@ def _delta2_estimate(inp: Inputs) -> PredicateResult:
 def _refine(inp: Inputs) -> _topo.RefinementWitness:
     # Unlike a drawn default, the input search is skipped given an outer ball (z: its center).
     outer, z = ((inp.op["outer"], inp.op.get("z", inp.op["outer"].center)) if "outer" in inp.op
-                else _feasible_refinement_input(inp.space, inp.rng))
+                else _feasible_refinement_input(inp.space, inp.rng, inp.small.epsilon))
     return _topo.refine_ball(inp.space, outer, z, inp.small, samples=inp.witness_samples)
 
 
@@ -455,12 +448,12 @@ def _local_base(inp: Inputs) -> PredicateResult:
 
 
 def _intersection(inp: Inputs) -> _topo.Witness:
-    space, rng = inp.space, inp.rng
+    space, rng, eps = inp.space, inp.rng, inp.small.epsilon
     reason = "no feasible intersection input"
-    outer, z = _feasible_refinement_input(space, rng, reason=reason)
+    outer, z = _feasible_refinement_input(space, rng, eps, reason=reason)
     other = _balls.Ball(space, z + 0.05 * rng.standard_normal(space.dim),
                         min(outer.level * 1.2, 0.9), outer.scale * 1.3)
-    if not _chain_feasible(space, other, z[None, :])[0]:
+    if not _topo.chain_feasible(space, other, z[None, :], eps)[0]:
         raise InfeasibleConstruction(reason)
     return _topo.basis_intersection_witness(space, outer, other, z, inp.small,
                                             samples=inp.witness_samples)

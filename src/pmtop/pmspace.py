@@ -110,7 +110,7 @@ def as_vector(x: Any, dim: int | None = None) -> Vector:
         raise ValueError(f"vectors must be one-dimensional, got shape {v.shape}")
     if not (1 <= v.size <= MAX_DIM):
         raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")

@@ -38,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distfn import CheckReport, FieldRecord, SampleBudget, check_rng
+from .distfn import CheckReport, FieldRecord, SampleBudget, check_number, check_rng
 from .balls import (Ball, _require_centered, contains, contains_many,
-                    containment_report, point_report, sample_members)
+                    containment_report, point_report, sample_members, strict_mask)
 from .pmspace import (
     InfeasibleConstruction,
     PMSpace,
@@ -57,8 +57,11 @@ WITNESS_SAMPLES = 200
 SCALAR_FLOOR = 1e-6
 
 
+@dataclass(frozen=True, eq=False)
 class Witness(FieldRecord):
     """A witness records its fields and holds when its sampled evidence does."""
+
+    evidence: CheckReport
 
     @property
     def passed(self) -> bool:
@@ -72,7 +75,6 @@ class RefinementWitness(Witness):
     mu_at_split: float    # mu_{x-z}(t*/c), certified above 1 - level
     slack: float          # level s with  mu_at_split ^ member_level > 1-s > 1-alpha
     member_level: float   # the inner ball's membership level parameter
-    evidence: CheckReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +84,6 @@ class SeparationWitness(Witness):
     sep_scale: float      # the scale t0 at which the points separate
     chosen_level: float   # level parameter picked from its feasible interval
     variant: str          # "doubling" or "homogeneous"
-    evidence: CheckReport
 
     def __post_init__(self) -> None:
         if self.ball_a.level != self.ball_b.level or self.ball_a.scale != self.ball_b.scale:
@@ -93,7 +94,6 @@ class SeparationWitness(Witness):
 class AdditionContinuityWitness(Witness):
     ball_a: Ball
     ball_b: Ball
-    evidence: CheckReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,6 @@ class ScalarContinuityWitness(Witness):
     ball: Ball
     scalar_center: float
     scalar_window: float
-    evidence: CheckReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +108,6 @@ class IntersectionWitness(Witness):
     ball: Ball
     left: RefinementWitness
     right: RefinementWitness
-    evidence: CheckReport
 
 
 def _require_c(space: PMSpace) -> float:
@@ -129,6 +127,17 @@ def chain_anchor(space: PMSpace, outer: Ball, Z: np.ndarray) -> np.ndarray:
     chain certifies an inner ball around z only where this clears 1 - alpha."""
     return space.kernel(np.asarray(outer.scale / _require_c(space)),
                         space.sigma(outer.center - Z))
+
+
+def chain_feasible(space: PMSpace, outer: Ball, Z: np.ndarray, eps: float) -> np.ndarray:
+    """Which rows z of Z refine_ball takes inside outer = B(x, alpha, t) at a
+    budget's epsilon eps: strict members whose chain_anchor clears 1 - alpha by eps."""
+    return contains_many(outer, Z) & strict_mask(chain_anchor(space, outer, Z), outer.level, eps)
+
+
+def _evidence_samples(samples: int) -> None:
+    """Each constructor's first step: no witness certifies on no evidence."""
+    check_number(samples, "samples", integer=True, at_least=1)
 
 
 def _parameter(name: str, compute: Callable[[], float]) -> float:
@@ -168,10 +177,11 @@ def refine_ball(space: PMSpace, outer: Ball, z: Vector, budget: SampleBudget,
     Needs a scale split t* in (0, t) with mu_{x-z}(t*/c) > 1 - alpha; the
     chain then bounds mu_{x-y}(t) below by
     mu_{x-z}(t*/c) ^ mu_{z-y}((t-t*)/c) for every member y of the inner
-    ball B(z, alpha/2, (t-t*)/c).  The requirement is strictly stronger
-    than plain membership of z whenever c > 1, so interior points close
-    to the boundary are honestly reported as infeasible.
+    ball B(z, alpha/2, (t-t*)/c).  z must pass chain_feasible's test at the
+    budget's epsilon, strictly stronger than membership whenever c > 1, so
+    interior points close to the boundary are reported as infeasible.
     """
+    _evidence_samples(samples)
     c = _require_c(space)
     z = as_vector(z, space.dim)
     if not contains(outer, z):
@@ -185,7 +195,7 @@ def refine_ball(space: PMSpace, outer: Ball, z: Vector, budget: SampleBudget,
         return kernel1(tau / c, sig)
 
     anchor = mu(t)
-    if not anchor > cut + budget.epsilon:
+    if not strict_mask(anchor, alpha, budget.epsilon):
         raise InfeasibleConstruction(
             f"mu_(x-z)(t/c) = {anchor} fails to clear 1 - alpha = {cut}: "
             "the doubling chain cannot certify any inner ball here "
@@ -218,6 +228,7 @@ def local_base_containment(space: PMSpace, x: Vector, outer: Ball,
                            samples: int = WITNESS_SAMPLES) -> int:
     """Least n with 1/n < min(scale, level); B(x, 1/n, 1/n) then sits in
     the outer ball, which is verified on samples."""
+    _evidence_samples(samples)
     x = as_vector(x, space.dim)
     if np.any(outer.center != x):
         raise PreconditionError("outer ball must be centered at x")
@@ -284,6 +295,7 @@ def separation_witness(space: PMSpace, x: Vector, y: Vector,
     takes the level parameter as the midpoint of (mu_{x-y}(t0), 1) and
     returns the two balls at scale t0 / 2 / c: t0 / (2c) where 2c does not overflow.
     """
+    _evidence_samples(samples)
     c = _require_c(space)
     x = as_vector(x, space.dim)
     y = as_vector(y, space.dim)
@@ -312,6 +324,7 @@ def homogeneous_separation_witness(space: PMSpace, x: Vector,
     level is the midpoint of (0, 1 - mu_x(t0)) and both balls live at
     scale t0 / 2^(beta+1).
     """
+    _evidence_samples(samples)
     beta = _require_beta(space)
     x = as_vector(x, space.dim)
     if not np.any(x != 0.0):
@@ -340,6 +353,7 @@ def addition_continuity_witness(space: PMSpace, target: Ball,
     below alpha and scales strictly below the t / 2^(beta+1) bound that
     the homogeneity estimate for sums requires.
     """
+    _evidence_samples(samples)
     beta = _require_beta(space)
     _require_centered(target, "target ball must be")
     b = Ball(space, space.zero(), target.level / 2.0,
@@ -365,6 +379,7 @@ def scalar_continuity_witness(space: PMSpace, target: Ball, scalar: float,
     window radius is (t / (2 t1))^(1/beta).  Tiny |scalar| only loosens
     the required bound, so the floor never invalidates the witness.
     """
+    _evidence_samples(samples)
     beta = _require_beta(space)
     _require_centered(target, "target ball must be")
     m = max(abs(scalar), SCALAR_FLOOR)
@@ -392,6 +407,7 @@ def basis_intersection_witness(space: PMSpace, ball_a: Ball, ball_b: Ball,
     levels and scales; monotonicity in level and scale puts the combined
     ball inside both refinements.
     """
+    _evidence_samples(samples)
     y = as_vector(y, space.dim)
     left = refine_ball(space, ball_a, y, budget, samples=samples)
     right = refine_ball(space, ball_b, y, budget, samples=samples)

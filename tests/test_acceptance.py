@@ -117,7 +117,7 @@ def test_criterion_5_witness_constructions():
             dim = 1 + (i % 2)
 
             space = doubling[dim]
-            got = F._feasible_refinement_input(space, rng)
+            got = F._feasible_refinement_input(space, rng, budget.epsilon)
             assert got is not None
             outer, z = got
             check(p.refine_ball(space, outer, z, budget, samples=samples))

@@ -1976,9 +1976,11 @@ def test_chain_anchor_is_the_hand_formula():
             assert P._float_bits(got).tolist() == P._float_bits(want).tolist()
 
 
-def reference_feasible_refinement_input(space, rng, reason="no feasible refinement input found"):
+def reference_feasible_refinement_input(space, rng, eps,
+                                        reason="no feasible refinement input found"):
     """The refinement-input search one candidate at a time, each a scalar
-    membership test and a scalar doubling-chain anchor."""
+    membership test and a scalar doubling-chain anchor that must clear
+    1 - level by eps, refine_ball's test at a budget of epsilon eps."""
     c = T._require_c(space)
     for _ in range(200):
         x = rng.standard_normal(space.dim)
@@ -1988,15 +1990,15 @@ def reference_feasible_refinement_input(space, rng, reason="no feasible refineme
         for _ in range(50):
             z = x + 0.3 * rng.standard_normal(space.dim)
             anchor = float(space.kernel(np.asarray(scale / c), space.sigma1(x - z)))
-            if B.contains(outer, z) and anchor > 1.0 - level + 1e-6:
+            if B.contains(outer, z) and anchor > 1.0 - level + eps:
                 return outer, z
     raise p.InfeasibleConstruction(reason)
 
 
-def refinement_search(search, space, rng):
+def refinement_search(search, space, rng, eps):
     """The search's (outer, z) bits, or its error, and the stream state after it."""
     try:
-        outer, z = search(space, rng)
+        outer, z = search(space, rng, eps)
         got = (outer.to_config(), P._float_bits(z).tolist())
     except p.InfeasibleConstruction as exc:
         got = str(exc)
@@ -2005,18 +2007,23 @@ def refinement_search(search, space, rng):
 
 def test_refinement_input_search_replays_the_one_candidate_stream():
     # The criterion-5 spaces, the generated ones, and each at declared
-    # constants that make the search hit at once (0.5), late or never (1e6).
+    # constants that make the search hit at once (0.5), late or never (1e6),
+    # at the default epsilon and at a wide one, where the anchor must clear
+    # 1 - level by 0.3.
     spaces = [p.rational_space(p.PPower(p=1.0), d, declared_c=2.0) for d in (1, 2)]
     spaces += anchor_spaces()[1:]
     infeasible = 0
     for i, space in enumerate(spaces):
         for c in (space.declared_c, 1.01, 0.5) + ((1e6,) if i < 2 else ()):
             space_c = replace(space, declared_c=c)
-            ref, got = np.random.default_rng(i), np.random.default_rng(i)
-            for _ in range(1 if c == 1e6 else 4):
-                want = refinement_search(reference_feasible_refinement_input, space_c, ref)
-                assert refinement_search(F._feasible_refinement_input, space_c, got) == want
-                infeasible += isinstance(want[0], str)
+            for eps in (p.SampleBudget().epsilon, 0.3):
+                ref, got = np.random.default_rng(i), np.random.default_rng(i)
+                for _ in range(1 if c == 1e6 else 4):
+                    want = refinement_search(reference_feasible_refinement_input, space_c,
+                                             ref, eps)
+                    assert refinement_search(F._feasible_refinement_input, space_c,
+                                             got, eps) == want
+                    infeasible += isinstance(want[0], str)
     assert infeasible >= 2
 
 

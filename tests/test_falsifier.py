@@ -309,6 +309,22 @@ def test_refinement_predicates_without_a_feasible_input_are_infeasible():
                                "reason": "no feasible intersection input"}}
 
 
+@pytest.mark.parametrize("epsilon", [0.05, 0.3])
+def test_a_searched_refinement_input_is_never_refused_by_the_doubling_chain(epsilon):
+    # The input search applies refine_ball's own test at the budget's
+    # epsilon, so refine_ball never files an input it found as one the
+    # chain cannot certify, nor basis_intersection its two balls.
+    refused = []
+    for seed in range(40):
+        family = "rational_from" if seed % 2 == 0 else "step_from"
+        run = p.run_registry(F.generate_instance(seed, family, None),
+                             p.SampleBudget(n_vectors=200, epsilon=epsilon, rng_seed=seed),
+                             predicates=["refine_ball", "basis_intersection"])
+        refused += [(seed, name) for name, r in run.results.items()
+                    if "doubling chain cannot certify" in r.record.get("reason", "")]
+    assert refused == []
+
+
 def test_missing_declarations_make_exactly_the_dependent_predicates_infeasible():
     inst = replace(F.generate_instance(2, "rational_from", None),
                    declared_c=None, declared_beta=None)

@@ -225,3 +225,43 @@ def test_basis_intersection_witness():
     rng = np.random.default_rng(3)
     members = sample_members(w.ball, rng, 200, band=1e-9)
     assert np.all(contains_many(a, members) & contains_many(b, members))
+
+
+# -- evidence samples ---------------------------------------------------------
+
+
+def witness_calls(samples):
+    """Each constructor on inputs where it succeeds, at the given samples."""
+    outer = p.Ball(SP1, np.zeros(1), 0.5, 1.0)
+    target = p.Ball(WAB, np.zeros(1), 0.5, 1.0)
+    a, b = p.Ball(SP2, np.zeros(2), 0.5, 1.0), p.Ball(SP2, np.array([0.1, 0.0]), 0.6, 1.2)
+    return {
+        "refine_ball": lambda: p.refine_ball(SP1, outer, np.array([0.4]), BUDGET, samples),
+        "local_base_containment": lambda: p.local_base_containment(
+            SP1, np.zeros(1), outer, BUDGET, samples),
+        "separation_witness": lambda: p.separation_witness(
+            SP1, np.zeros(1), np.ones(1), BUDGET, samples),
+        "homogeneous_separation_witness": lambda: p.homogeneous_separation_witness(
+            WAB, np.ones(1), BUDGET, samples),
+        "addition_continuity_witness": lambda: p.addition_continuity_witness(
+            WAB, target, BUDGET, samples),
+        "scalar_continuity_witness": lambda: p.scalar_continuity_witness(
+            WAB, target, 1.5, BUDGET, samples),
+        "basis_intersection_witness": lambda: p.basis_intersection_witness(
+            SP2, a, b, np.array([0.05, 0.05]), BUDGET, samples),
+    }
+
+
+@pytest.mark.parametrize("name", list(witness_calls(1)))
+def test_witness_rejects_fewer_than_one_evidence_sample(name):
+    # At 0 a witness would certify on no evidence; -1 and a float are no count.
+    for samples in (0, -1, 1.0):
+        with pytest.raises(p.FieldError, match="^samples must be an integer"):
+            witness_calls(samples)[name]()
+    # One sample is enough to construct and check: local_base_containment
+    # returns its index, 3 for min(level, scale) = 0.5.
+    got = witness_calls(1)[name]()
+    if name == "local_base_containment":
+        assert got == 3
+    else:
+        assert got.evidence.passed and got.evidence.samples_run >= 1
