@@ -32,6 +32,13 @@ WITNESS_BISECTION_STEPS = 60
 # Rejection sampling must keep at least this acceptance rate.
 MIN_ACCEPTANCE = 0.10
 
+# The calibration probe's size (_probe_rows).  At 32 rows the acceptance
+# estimate's standard error is about 0.09 at acceptance 0.5, so the [0.2, 0.8]
+# window spans +-3.4 of them, and the draw rounds still halve a scale whose
+# acceptance falls below MIN_ACCEPTANCE.
+PROBE_ROWS = 256
+PROBE_ROWS_PER_MEMBER = 32
+
 # Floats of candidates in a block of lanes of _lane_mu and the probe medians.
 # 100-lane draws, count 1, dims 1-4, both families (2-core Xeon VM, medians
 # of 15 passes): 79 ms at 1,024, 48 at 4,096, 42 at 8,192, 40 at 16,384, 44
@@ -121,22 +128,35 @@ def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.
     return Y, m
 
 
+def _probe_rows(count: int) -> int:
+    """The rows of the calibration probe of a call asking count members:
+    PROBE_ROWS_PER_MEMBER each, at most PROBE_ROWS (an even number, so the
+    probe's median is the mean of its two _middle_rows)."""
+    return min(PROBE_ROWS, PROBE_ROWS_PER_MEMBER * count)
+
+
+def _middle_rows(rows: int) -> slice:
+    """The two middle rows of a sorted probe of rows rows."""
+    return slice(rows // 2 - 1, rows // 2 + 1)
+
+
 def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
-                     scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                     scales: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Per lane, the scale of the Gaussian proposal around the center that
-    gives a usable acceptance rate.  Each lane gets a 256-row probe, drawn for
-    all lanes at once, and is seeded from the closed-form radius over its
-    probe's median sigma when oracle_threshold has one, and at 1 otherwise;
-    then each lane doubles or halves its scale until the share of strict
-    members (_lane_mu, strict_mask) in its probe lies in [0.2, 0.8], for at
-    most 80 rounds, stopping on its own.  A round where no lane moves ends it.
+    gives a usable acceptance rate.  Each lane gets a probe of rows rows
+    (_probe_rows of a member call's count), drawn for all lanes at once, and
+    is seeded from the closed-form radius over its probe's median sigma when
+    oracle_threshold has one, and at 1 otherwise; then each lane doubles or
+    halves its scale until the share of strict members (_lane_mu,
+    strict_mask) in its probe lies in [0.2, 0.8], for at most 80 rounds,
+    stopping on its own.  A round where no lane moves ends it.
 
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
     scale two rounds back alternates between the two until round 80: it
     leaves the live lanes with the one of the two that round 80 ends on."""
     n, dim = centers.shape
-    probes = rng.standard_normal((n, 256, dim))
+    probes = rng.standard_normal((n, rows, dim))
     try:
         thr = oracle_threshold(space, levels, scales)
     except ValueError:  # no closed form: every lane starts at 1
@@ -144,11 +164,11 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     else:
         # Each lane's median sigma as np.median computes it (the mean of the two
         # middle values), without its per-call overhead; np.sort took under
-        # np.partition's time on 1-32 rows of 256.
-        step = max(1, LANE_BLOCK // (256 * dim))
+        # np.partition's time on 1-32 lanes of PROBE_ROWS rows.
+        step = max(1, LANE_BLOCK // (rows * dim))
         mid = np.concatenate([
-            np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, 256),
-                    axis=1)[:, 127:129] for i in range(0, n, step)])
+            np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, rows),
+                    axis=1)[:, _middle_rows(rows)] for i in range(0, n, step)])
         med = (mid[:, 0] + mid[:, 1]) / 2.0
         # thr / med where the median is positive, 1 elsewhere, with no divide by 0.
         s = np.maximum(np.divide(thr, med, out=np.ones(n), where=med > 0), 1e-12)
@@ -157,7 +177,7 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     live, c, lv, t, sl, back = np.arange(n), centers, levels[:, None], scales, s.copy(), np.nan
     for rounds_left in range(79, -1, -1):
         inside = strict_mask(_lane_mu(space, c, t, sl, probes)[1], lv)
-        acc = inside.sum(axis=1) / 256
+        acc = inside.sum(axis=1) / rows
         up, down = acc > 0.8, acc < 0.2
         if not (moving := up | down).any():
             break
@@ -198,7 +218,7 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
     n, dim = centers.shape
     batch = max(4 * count, 64)
-    s = _proposal_scales(space, centers, levels, scales, rng)
+    s = _proposal_scales(space, centers, levels, scales, rng, _probe_rows(count))
     rows = np.empty((n, count, dim))
     ok = np.ones(n, dtype=bool)
     # The arguments of the lanes still short, compacted as lanes fill up.
@@ -225,30 +245,30 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
 
 
 def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band: float,
-                         batch: int) -> np.ndarray | None:
-    """Round 1 of sample_member_lanes for one ball whose 256-row probe and
-    batch-row first batch fit in one LANE_BLOCK, its bookkeeping in Python
-    floats: the probe drawn, the seed scale (_proposal_scales' for one
-    lane), the batch drawn after the probe in one array (that call's draws,
-    in its order, so an error in sigma leaves its generator state), one
-    pass over probe and batch at the seed, and the strict members of the
-    batch outside the band.  Returns the first count of them when the
-    probe's acceptance lies in [0.2, 0.8] (the calibration moves nothing)
-    and the batch holds count of them, else None, with the generator past
-    both draws."""
+                         probe: int, batch: int) -> np.ndarray | None:
+    """Round 1 of sample_member_lanes for one ball whose calibration probe of
+    probe = _probe_rows(count) rows and first batch of batch rows fit in one
+    LANE_BLOCK, its bookkeeping in Python floats: the probe drawn, the seed
+    scale (_proposal_scales' for one lane), the batch drawn after the probe
+    in one array (that call's draws, in its order, so an error in sigma
+    leaves its generator state), one pass over probe and batch at the seed,
+    and the strict members of the batch outside the band.  Returns the first
+    count of them when the probe's acceptance lies in [0.2, 0.8] (the
+    calibration moves nothing) and the batch holds count of them, else None,
+    with the generator past both draws."""
     space, center, level, scale = ball.space, ball.center, ball.level, ball.scale
-    Z = np.empty((256 + batch, space.dim))
-    rng.standard_normal(out=Z[:256])
+    Z = np.empty((probe + batch, space.dim))
+    rng.standard_normal(out=Z[:probe])
     try:
         thr = oracle_threshold(space, level, scale)
     except ValueError:  # no closed form: the scale starts at 1
         s = 1.0
     else:
-        lo, hi = np.sort(space.sigma(Z[:256]))[127:129].tolist()
+        lo, hi = np.sort(space.sigma(Z[:probe]))[_middle_rows(probe)].tolist()
         med = (lo + hi) / 2.0
         # thr / med where the median is positive (not 0, not NaN), 1 elsewhere.
         s = max(thr / med, 1e-12) if med > 0 else 1.0
-    rng.standard_normal(out=Z[256:])
+    rng.standard_normal(out=Z[probe:])
     # The center repeated row by row, as in _lane_mu.
     off = np.repeat(center[None, :], len(Z), axis=0)
     Y = np.multiply(s, Z, out=Z)
@@ -256,9 +276,9 @@ def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band:
     off -= Y
     m = space.kernel(scale, space.sigma(off))
     inside = strict_mask(m, level)
-    if not 0.2 <= np.count_nonzero(inside[:256]) / 256 <= 0.8:
+    if not 0.2 <= np.count_nonzero(inside[:probe]) / probe <= 0.8:
         return None
-    rows = Y[256:][inside[256:] & ~band_mask(m[256:], level, band)][:count]
+    rows = Y[probe:][inside[probe:] & ~band_mask(m[probe:], level, band)][:count]
     return rows if len(rows) == count else None
 
 
@@ -266,15 +286,16 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
                    band: float = 0.0) -> np.ndarray:
     """Rejection-sample count members of the ball, re-drawing boundary-band
     hits, with the rows and stream of sample_member_lanes' one-lane call.
-    Where the probe and first batch fit in one LANE_BLOCK (so one pass over
-    both keeps to _lane_mu's block size), _first_round_members runs round 1
-    and returns its members when that round settles the call.  Every other call runs
-    sample_member_lanes, from the generator state the call entered with, so
-    rounds 2 and later have one implementation."""
-    batch = max(4 * count, 64)
-    if (256 + batch) * ball.space.dim <= LANE_BLOCK:
+    Where the calibration probe (_probe_rows(count) rows) and first batch
+    fit in one LANE_BLOCK (so one pass over both keeps to _lane_mu's block
+    size), _first_round_members runs round 1 and returns its members when
+    that round settles the call.  Every other call runs sample_member_lanes,
+    from the generator state the call entered with, so rounds 2 and later
+    have one implementation."""
+    probe, batch = _probe_rows(count), max(4 * count, 64)
+    if (probe + batch) * ball.space.dim <= LANE_BLOCK:
         state = rng.bit_generator.state
-        rows = _first_round_members(ball, rng, count, band, batch)
+        rows = _first_round_members(ball, rng, count, band, probe, batch)
         if rows is not None:
             return rows
         rng.bit_generator.state = state
@@ -288,9 +309,11 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
 
 def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
-    """Sample a mixed in/out cloud around the ball for boolean comparisons."""
+    """Sample a mixed in/out cloud around the ball for boolean comparisons,
+    at twice the calibrated scale of a PROBE_ROWS probe (the cloud asks for
+    points, not members)."""
     s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :], np.asarray([ball.level]),
-                                     np.asarray([ball.scale]), rng)[0])
+                                     np.asarray([ball.scale]), rng, PROBE_ROWS)[0])
     out: list[np.ndarray] = []
     got, batch = 0, max(2 * count, 64)
     for _ in range(200):

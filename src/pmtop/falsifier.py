@@ -271,12 +271,18 @@ def _guard(fn: Callable[[], PredicateResult]) -> PredicateResult:
 
 def _rescale_to_sigma(space: PMSpace, v: np.ndarray, target: float) -> np.ndarray:
     """Scale v so that sigma(scale * v) is roughly the target: double the
-    scale until it reaches the target, then bisect down to its infimum."""
-    hi = 1.0
+    scale until it reaches the target, then bisect down to its infimum.
+    Raises InfeasibleConstruction when 60 doublings leave it short."""
+    hi, reached = 1.0, space.sigma1(v)
     for _ in range(60):
-        if space.sigma1(hi * v) >= target:
+        if reached >= target:
             break
         hi *= 2.0
+        reached = space.sigma1(hi * v)
+    if not reached >= target:
+        raise InfeasibleConstruction(
+            f"sigma of the drawn direction reached {reached} after 60 doublings, "
+            f"short of the target {target}")
     return _topo._bisect_infimum(lambda s: space.sigma1(s * v) >= target, hi) * v
 
 

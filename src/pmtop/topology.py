@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .distfn import CheckReport, FieldRecord, SampleBudget, check_number, check_rng
-from .balls import (Ball, _require_centered, contains, contains_many,
+from .balls import (Ball, _require_centered, contains_many,
                     containment_report, point_report, sample_members, strict_mask)
 from .pmspace import (
     InfeasibleConstruction,
@@ -122,17 +122,24 @@ def _require_beta(space: PMSpace) -> float:
     return space.declared_beta
 
 
+def _anchor_of(space: PMSpace, outer: Ball, S: np.ndarray) -> np.ndarray:
+    """chain_anchor of the rows z whose offsets x - z have sigma S."""
+    return space.kernel(np.asarray(outer.scale / _require_c(space)), S)
+
+
 def chain_anchor(space: PMSpace, outer: Ball, Z: np.ndarray) -> np.ndarray:
     """mu_(x-z)(t/c) for each row z of Z and outer = B(x, alpha, t): the doubling
     chain certifies an inner ball around z only where this clears 1 - alpha."""
-    return space.kernel(np.asarray(outer.scale / _require_c(space)),
-                        space.sigma(outer.center - Z))
+    return _anchor_of(space, outer, space.sigma(outer.center - Z))
 
 
 def chain_feasible(space: PMSpace, outer: Ball, Z: np.ndarray, eps: float) -> np.ndarray:
     """Which rows z of Z refine_ball takes inside outer = B(x, alpha, t) at a
-    budget's epsilon eps: strict members whose chain_anchor clears 1 - alpha by eps."""
-    return contains_many(outer, Z) & strict_mask(chain_anchor(space, outer, Z), outer.level, eps)
+    budget's epsilon eps: strict members whose chain_anchor clears 1 - alpha by
+    eps, both read from one sigma of the offsets x - z."""
+    S = space.sigma(outer.center - Z)
+    member = strict_mask(space.kernel(np.asarray(outer.scale), S), outer.level)
+    return member & strict_mask(_anchor_of(space, outer, S), outer.level, eps)
 
 
 def _evidence_samples(samples: int) -> None:
@@ -184,12 +191,12 @@ def refine_ball(space: PMSpace, outer: Ball, z: Vector, budget: SampleBudget,
     _evidence_samples(samples)
     c = _require_c(space)
     z = as_vector(z, space.dim)
-    if not contains(outer, z):
-        raise PreconditionError("refinement point must lie inside the outer ball")
     alpha, t = outer.level, outer.scale
     sig = space.sigma1(outer.center - z)
-    cut = 1.0 - alpha
     kernel1 = space.modular_map.kernel1
+    if not strict_mask(kernel1(t, sig), alpha):   # contains(outer, z), on this sigma
+        raise PreconditionError("refinement point must lie inside the outer ball")
+    cut = 1.0 - alpha
 
     def mu(tau: float) -> float:   # mu_(x-z)(tau/c), the chain's bound at split tau
         return kernel1(tau / c, sig)

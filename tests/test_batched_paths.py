@@ -119,6 +119,12 @@ def reference_witnesses(space, sigma, scale, level):
     return np.asarray(t_star, dtype=float), reasons
 
 
+def reference_probe_rows(count):
+    """The calibration probe's rows for a call asking count members, written
+    here apart from balls so the references stay independent of it."""
+    return min(256, 32 * count)
+
+
 def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8, rounds=80):
     """The scalar calibration of the member sampler, on a given probe."""
     s = 1.0
@@ -140,8 +146,9 @@ def reference_scale_from_probe(ball, probe, lo=0.2, hi=0.8, rounds=80):
     return s
 
 
-def reference_calibrated_scale(ball, rng):
-    return reference_scale_from_probe(ball, rng.standard_normal((256, ball.space.dim)))
+def reference_calibrated_scale(ball, rng, count):
+    probe = rng.standard_normal((reference_probe_rows(count), ball.space.dim))
+    return reference_scale_from_probe(ball, probe)
 
 
 def reference_batch(ball, Y, band):
@@ -156,7 +163,7 @@ def reference_batch(ball, Y, band):
 def reference_sample_members(ball, rng, count, band=0.0):
     """The scalar rejection sampler sample_members ran before it became a
     batch of one lane."""
-    s = reference_calibrated_scale(ball, rng)
+    s = reference_calibrated_scale(ball, rng, count)
     out = []
     got = 0
     for _ in range(200):
@@ -181,7 +188,7 @@ def reference_member_lanes(space, centers, levels, scales, rng, count, band=0.0)
     scalar round.  Returns (rows, ok, rounds)."""
     balls = [B.Ball(space, c, float(a), float(t))
              for c, a, t in zip(centers, levels, scales)]
-    probes = rng.standard_normal((len(balls), 256, space.dim))
+    probes = rng.standard_normal((len(balls), reference_probe_rows(count), space.dim))
     s = [reference_scale_from_probe(b, probe) for b, probe in zip(balls, probes)]
     out = [[] for _ in balls]
     got = [0] * len(balls)
@@ -408,10 +415,11 @@ def random_balls(space, rng, count=40):
 @pytest.mark.parametrize("band", [0.0, 1e-9, 0.2])
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_member_lanes_match_sample_members(family, band):
-    # The one-lane call is the scalar sampler, bit for bit and draw for draw.
+    # The one-lane call is the scalar sampler, bit for bit and draw for draw;
+    # counts 7 and 8 sit on each side of the largest probe (224 and 256 rows).
     space = SPACES[family]
     balls = random_balls(space, np.random.default_rng(len(family)))
-    for count in (1, 50, 200):
+    for count in (1, 7, 8, 50, 200):
         for seed, ball in enumerate(balls):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             try:
@@ -424,7 +432,7 @@ def test_member_lanes_match_sample_members(family, band):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == rng_ref.bit_generator.state
     # A batch of lanes is the round-major reference on one stream.
-    for count in (1, 50):
+    for count in (1, 7, 8, 50):
         rng, rng_ref = np.random.default_rng(count), np.random.default_rng(count)
         args = (space, np.array([b.center for b in balls]), [b.level for b in balls],
                 [b.scale for b in balls])
@@ -440,23 +448,26 @@ def test_member_lanes_match_sample_members(family, band):
 def test_proposal_scales_fast_forward_lanes_caught_in_a_two_cycle(monkeypatch, make):
     # With p = 2 in dim 4, doubling a scale quarters the radius in sigma-space,
     # which can step over the [0.2, 0.8] acceptance window each way: such a
-    # lane alternates between two scales for all 80 rounds of the reference.
+    # lane alternates between two scales for all 80 rounds of the reference,
+    # on the one-member probe (32 rows) and on the largest (256).
     space = make(p.PPower(p=2.0), 4)
     centers, levels, scales = random_ball_draws(np.random.default_rng(4), 100, 4)
-    rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
-    probes = rng_ref.standard_normal((100, 256, 4))
     balls = [B.Ball(space, c, a, t) for c, a, t in zip(centers, levels, scales)]
-    want = [[reference_scale_from_probe(b, probe, rounds=k).hex() for k in (78, 79, 80)]
-            for b, probe in zip(balls, probes)]
-    cycling = [w[0] == w[2] != w[1] for w in want]
-    assert sum(cycling) >= 5
     calls = []
     lane_mu = B._lane_mu
     monkeypatch.setattr(B, "_lane_mu", lambda *a: calls.append(1) or lane_mu(*a))
-    got = B._proposal_scales(space, centers, levels, scales, rng)
-    assert [float(v).hex() for v in got] == [w[2] for w in want]
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert 1 <= len(calls) < 10
+    for rows in (32, 256):
+        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        probes = rng_ref.standard_normal((100, rows, 4))
+        want = [[reference_scale_from_probe(b, probe, rounds=k).hex() for k in (78, 79, 80)]
+                for b, probe in zip(balls, probes)]
+        cycling = [w[0] == w[2] != w[1] for w in want]
+        assert sum(cycling) >= 5
+        calls.clear()
+        got = B._proposal_scales(space, centers, levels, scales, rng, rows)
+        assert [float(v).hex() for v in got] == [w[2] for w in want]
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert 1 <= len(calls) < 10
 
 
 def test_proposal_scales_raise_an_error_in_sigma(monkeypatch):
@@ -472,7 +483,7 @@ def test_proposal_scales_raise_an_error_in_sigma(monkeypatch):
     monkeypatch.setattr(PMSpace, "sigma", failing)
     with pytest.raises(ValueError, match="sigma failed"):
         B._proposal_scales(SPACES["rational_from"], np.zeros((3, 2)), np.full(3, 0.5),
-                           np.ones(3), np.random.default_rng(0))
+                           np.ones(3), np.random.default_rng(0), 256)
 
 
 @pytest.mark.parametrize("lane_block", [None, 1], ids=["lane_block", "one_lane_blocks"])
@@ -480,27 +491,29 @@ def test_proposal_scales_raise_an_error_in_sigma(monkeypatch):
 def test_member_lanes_match_the_reference_at_lane_block_edges(monkeypatch, family,
                                                                 lane_block):
     # _lane_mu and the probe medians work in blocks of LANE_BLOCK floats: lane
-    # counts on each side of a calibration block (256 * dim floats a lane) and
-    # of a draw block (64 * dim at count 1), and blocks of one lane, give the
-    # reference's scales, rows and generator state.  Band 0.2 sends some
-    # lanes past their first draw round.
+    # counts on each side of a calibration block (32 * dim floats a lane on
+    # count 1's probe, 256 * dim on the largest) and of a draw block (64 * dim
+    # at count 1), and blocks of one lane, give the reference's scales, rows
+    # and generator state.  Band 0.2 sends some lanes past their first draw
+    # round.
     space = SPACES[family]
     if lane_block is not None:
         monkeypatch.setattr(B, "LANE_BLOCK", lane_block)
     counts = {1, 100}
-    for width in (256 * space.dim, 64 * space.dim):
+    for width in (32 * space.dim, 256 * space.dim, 64 * space.dim):
         k = max(1, B.LANE_BLOCK // width)
         counts |= {k - 1, k, k + 1} - {0}
-    draws = random_ball_draws(np.random.default_rng(5), 100, space.dim)
+    draws = random_ball_draws(np.random.default_rng(5), max(counts), space.dim)
     for n in sorted(counts):
         centers, levels, scales = (a[:n] for a in draws)
-        rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
-        got = B._proposal_scales(space, centers, levels, scales, rng)
-        probes = rng_ref.standard_normal((n, 256, space.dim))
-        want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
-                for c, a, t, probe in zip(centers, levels, scales, probes)]
-        assert got.tobytes() == np.array(want).tobytes(), n
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        for rows in (32, 256):
+            rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+            got = B._proposal_scales(space, centers, levels, scales, rng, rows)
+            probes = rng_ref.standard_normal((n, rows, space.dim))
+            want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
+                    for c, a, t, probe in zip(centers, levels, scales, probes)]
+            assert got.tobytes() == np.array(want).tobytes(), (n, rows)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
         rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
         rows, ok = B.sample_member_lanes(space, centers, levels, scales, rng, 1, 0.2)
         want, want_ok, _ = reference_member_lanes(space, centers, levels, scales, rng_ref,
@@ -552,9 +565,9 @@ def record_lane_calls(monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(SPACES))
 def test_first_round_settles_where_the_lane_call_takes_one_round(monkeypatch, family):
-    # One-ball calls at count 1 (a 64-row batch, under the 256-row probe) and
-    # 200 (800 rows, over it), each against the lane call and the scalar
-    # reference; band 0.2 sends some balls on to round 2.  sample_members
+    # One-ball calls at count 1 (a 32-row probe and a 64-row batch) and 200
+    # (a 256-row probe and an 800-row batch), each against the lane call and
+    # the scalar reference; band 0.2 sends some balls on to round 2.  sample_members
     # settles in its first round exactly where the calibration moves no
     # scale in its first round and the lane call needs no round 2, and runs
     # the lane call otherwise.
@@ -567,7 +580,8 @@ def test_first_round_settles_where_the_lane_call_takes_one_round(monkeypatch, fa
             for seed, ball in enumerate(random_balls(space, np.random.default_rng(count), 12)):
                 rounds = lanes_like_the_reference(space, ball.center[None, :], [ball.level],
                                                   [ball.scale], seed, count, band)
-                probe = np.random.default_rng(seed).standard_normal((256, space.dim))
+                probe = np.random.default_rng(seed).standard_normal(
+                    (reference_probe_rows(count), space.dim))
                 still = (reference_scale_from_probe(ball, probe, rounds=1)
                          == reference_scale_from_probe(ball, probe, rounds=0))
                 exits, calls = len(settled), len(lane_calls)
@@ -625,13 +639,13 @@ def test_sample_members_settle_in_the_first_round_like_the_reference(monkeypatch
     if family not in ("rational_from", "step_from"):
         return  # no closed form seeds the scale, so no probe median is taken
     # The seed from a probe median of 0 or NaN is 1, as is the reference's.
-    # Sigma gives that median on the probe's normals, the call's first 256
-    # normals (the probe of a fall-through, and of the reference, too).
+    # Sigma gives that median on the probe's normals, the call's first rows
+    # (the probe of a fall-through, and of the reference, too).
     sigma = PMSpace.sigma
     ball = B.Ball(space, np.array([0.3, -0.2]), 0.5, 1.0)
     for median in (np.zeros_like, lambda S: np.full_like(S, np.nan)):
         for count in (1, 200):
-            probe = np.random.default_rng(count).standard_normal((256, 2))
+            probe = np.random.default_rng(count).standard_normal((reference_probe_rows(count), 2))
 
             def on_probe(self, X, median=median, probe=probe):
                 S = sigma(self, X)
@@ -2030,7 +2044,9 @@ def test_refinement_input_search_replays_the_one_candidate_stream():
 def reference_refinement(space, outer, z, epsilon):
     """refine_ball's split, bound at the split, slack and inner ball, with mu
     read from the array kernel at a 0-d t; or the name of the bound that
-    makes it infeasible."""
+    makes it infeasible, or "member" where z is no member of outer."""
+    if not B.contains(outer, z):
+        return "member"
     c = space.declared_c
     alpha, t = outer.level, outer.scale
     sig = space.sigma1(outer.center - z)
@@ -2061,8 +2077,9 @@ INFEASIBLE_REFINEMENTS = {"anchor": "fails to clear", "granularity": "float gran
 
 def test_refine_ball_matches_the_array_kernel_reference(monkeypatch):
     # Every family, the floored maps, every mutation, and declared constants
-    # that make most inputs feasible (1.01) or none (1e6).  The step space
-    # with z at sigma just below t/c has no interior split.
+    # that make most inputs feasible (1.01) or none (1e6), at points z in
+    # and out of the outer ball.  The step space with z at sigma just below
+    # t/c has no interior split.
     rho = p.PPower(p=1.0)
     spaces = anchor_spaces() + [
         PMSpace(dim=2, modular_map=ClosedStepFrom(rho), declared_c=2.0),
@@ -2079,11 +2096,10 @@ def test_refine_ball_matches_the_array_kernel_reference(monkeypatch):
                 x = rng.standard_normal(space.dim)
                 outer = p.Ball(space_c, x, float(rng.uniform(0.3, 0.7)),
                                float(rng.uniform(0.5, 2.0)))
-                z = x + 0.3 * rng.standard_normal(space.dim)
-                if B.contains(outer, z):
-                    inputs.append((space_c, outer, z))
-    # Without its sampled evidence, refine_ball evaluates the array kernel
-    # once: the membership test of z.
+                inputs.append((space_c, outer, x + 0.3 * rng.standard_normal(space.dim)))
+    # Without its sampled evidence, refine_ball evaluates no array kernel: the
+    # membership test of z reads kernel1 on the one sigma of x - z, as the
+    # anchor and the bisection do.
     monkeypatch.setattr(T, "containment_report", lambda *args: None)
     shapes = []
     kernel = p.PMSpace.kernel
@@ -2104,10 +2120,12 @@ def test_refine_ball_matches_the_array_kernel_reference(monkeypatch):
                    w.inner.to_config())
         except p.InfeasibleConstruction as exc:
             got = next(k for k, text in INFEASIBLE_REFINEMENTS.items() if text in str(exc))
+        except p.PreconditionError:
+            got = "member"
         assert got == want
-        assert len(shapes) == 1
+        assert shapes == []
         outcomes.add(want if isinstance(want, str) else "feasible")
-    assert outcomes == {"feasible", "anchor", "granularity"}
+    assert outcomes == {"feasible", "anchor", "granularity", "member"}
 
 
 def test_convergence_verdict_records_and_suffix_rule_match_the_references():

@@ -368,3 +368,36 @@ def test_a_true_doubling_constant_too_large_to_double_raises_no_false_alarm():
     run = p.run_registry(space, p.SampleBudget(n_vectors=2000, n_scalar_pairs=2000))
     assert run.failures() == []
     assert run.results["separation"].outcome == "pass"
+
+
+def test_random_scale_witnesses_on_one_member_probes_neither_starve_nor_alarm():
+    # Each trial draws one member, so its calibration probe is the smallest
+    # one: no trial starves on a valid instance or on any mutation, and no
+    # valid instance fails.
+    budget = p.SampleBudget(n_vectors=2000, n_scalar_pairs=2000)
+    runs = [(None, F.generate_instance(seed, family, None), seed)
+            for family in ("rational_from", "step_from") for seed in range(100)]
+    runs += [(mutation, F.generate_instance(seed, F.MUTATION_FAMILY[mutation], mutation), seed)
+             for mutation in p.MUTATION_KINDS for seed in range(20)]
+    for mutation, inst, seed in runs:
+        run = p.run_registry(inst, replace(budget, rng_seed=seed),
+                             predicates=["scale_witness_random"])
+        result = run.results["scale_witness_random"]
+        assert result.record["pairs"] == 100, (mutation, seed, result.record)
+        if mutation is None:
+            assert result.outcome == "pass", (seed, result.record)
+
+
+def test_a_direction_whose_sigma_cannot_reach_its_target_is_infeasible():
+    # At weights 1e-20, 60 doublings of a unit-scale direction leave sigma
+    # near 0.02, short of the drawn cases' 0.3: the cases cannot be built, so
+    # the entry is infeasible, not a disagreement of the criteria.
+    space = p.step_space(p.WeightedAbs(weights=(1e-20, 1e-20)), 2)
+    with pytest.raises(p.InfeasibleConstruction, match=r"reached 0\.0\d+ .* target 0\.3$"):
+        F._rescale_to_sigma(space, np.array([0.7, -0.4]), 0.3)
+    run = p.run_registry(space, BUDGET, predicates=["convergence_equiv"])
+    result = run.results["convergence_equiv"]
+    assert result.outcome == "infeasible" and "short of the target 0.3" in result.record["reason"]
+    # At weight 1 the rescaled direction reaches its target.
+    unit = p.step_space(p.WeightedAbs(weights=(1.0, 1.0)), 2)
+    assert unit.sigma1(F._rescale_to_sigma(unit, np.array([0.7, -0.4]) * 1e-15, 0.3)) >= 0.3
