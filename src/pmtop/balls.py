@@ -29,8 +29,10 @@ from .pmspace import (
 # Bisection depth for scale witnesses; resolution is scale * 2**-60.
 WITNESS_BISECTION_STEPS = 60
 
-# Rejection sampling must keep at least this acceptance rate.
+# Rejection sampling must keep at least this acceptance rate; a sampler that
+# is still short after MAX_DRAW_ROUNDS draw rounds has starved.
 MIN_ACCEPTANCE = 0.10
+MAX_DRAW_ROUNDS = 200
 
 # The calibration probe's size (_probe_rows).  At 32 rows the acceptance
 # estimate's standard error is about 0.09 at acceptance 0.5, so the [0.2, 0.8]
@@ -79,7 +81,10 @@ def mu_of_offsets(ball: Ball, Y: np.ndarray) -> np.ndarray:
 
 def strict_mask(mu: Any, level: Any, margin: float = EPS_STRICT) -> Any:
     """The membership rule on mu values, mu > (1 - level) + EPS_STRICT; at the
-    budget's epsilon as margin, the doubling chain's test (topology)."""
+    budget's epsilon as margin, the doubling chain's test (topology).  Every
+    membership decision reads it: contains_many, the samplers, the
+    precondition of smaller_scale_witnesses, the falsifier's boundary pairs
+    and the topological convergence criterion."""
     return mu > (1.0 - level) + margin
 
 
@@ -204,15 +209,16 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     this one, and runs every other one-ball call here.
 
     Lane i is the ball (centers[i], levels[i], scales[i]).  After the
-    calibration (_proposal_scales), each of at most 200 rounds draws one
-    candidate batch for every lane still short of count, as one standard
-    normal array in lane order, keeps the strict members outside the band,
-    and halves the scale of each lane still short whose acceptance fell
-    below MIN_ACCEPTANCE.  The draws depend only on which lanes are still
-    live, so the same inputs and stream give the same bits, with no rewind.
+    calibration (_proposal_scales), each of at most MAX_DRAW_ROUNDS rounds
+    draws one candidate batch for every lane still short of count, as one
+    standard normal array in lane order, keeps the strict members outside
+    the band, and halves the scale of each lane still short whose
+    acceptance fell below MIN_ACCEPTANCE.  The draws depend only on which
+    lanes are still live, so the same inputs and stream give the same bits,
+    with no rewind.
     Returns (rows, ok):
     rows[i] holds lane i's count members when ok[i]; a lane still short after
-    200 rounds has starved, with ok[i] False and rows[i] NaN.
+    MAX_DRAW_ROUNDS rounds has starved, with ok[i] False and rows[i] NaN.
     """
     centers = np.asarray(centers, dtype=float)
     levels, scales = np.asarray(levels, dtype=float), np.asarray(scales, dtype=float)
@@ -223,7 +229,7 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
     ok = np.ones(n, dtype=bool)
     # The arguments of the lanes still short, compacted as lanes fill up.
     live, c, lv, t, got = np.arange(n), centers, levels[:, None], scales, np.zeros(n, int)
-    for _ in range(200):
+    for _ in range(MAX_DRAW_ROUNDS):
         Y, m = _lane_mu(space, c, t, s, rng.standard_normal((live.size, batch, dim)))
         keep = strict_mask(m, lv) & ~band_mask(m, lv, band)
         kept = keep.sum(axis=1)
@@ -291,7 +297,8 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
     size), _first_round_members runs round 1 and returns its members when
     that round settles the call.  Every other call runs sample_member_lanes,
     from the generator state the call entered with, so rounds 2 and later
-    have one implementation."""
+    have one implementation.  The exit settles every one-ball call of the
+    benchmark's witness_batch workload and most of registry_valid's."""
     probe, batch = _probe_rows(count), max(4 * count, 64)
     if (probe + batch) * ball.space.dim <= LANE_BLOCK:
         state = rng.bit_generator.state
@@ -311,12 +318,13 @@ def sample_around(ball: Ball, rng: np.random.Generator, count: int,
                   band: float = 0.0) -> np.ndarray:
     """Sample a mixed in/out cloud around the ball for boolean comparisons,
     at twice the calibrated scale of a PROBE_ROWS probe (the cloud asks for
-    points, not members)."""
+    points, not members).  A cloud still short of count after
+    MAX_DRAW_ROUNDS rounds has starved: VerificationError."""
     s = 2.0 * float(_proposal_scales(ball.space, ball.center[None, :], np.asarray([ball.level]),
                                      np.asarray([ball.scale]), rng, PROBE_ROWS)[0])
     out: list[np.ndarray] = []
     got, batch = 0, max(2 * count, 64)
-    for _ in range(200):
+    for _ in range(MAX_DRAW_ROUNDS):
         Y = ball.center[None, :] + s * rng.standard_normal((batch, ball.space.dim))
         kept = Y[~boundary_band(ball, Y, band)]
         out.append(kept)
@@ -419,16 +427,20 @@ def scaling_identity(space: PMSpace, exponent: float, level: float, scale: float
 def point_report(name: str, held: np.ndarray, points: dict[str, np.ndarray], seed: int,
                  notes: dict[str, Any] | None = None) -> CheckReport:
     """Report of a sampled check over len(held) points: each point i where
-    held[i] is false is recorded as {key: points[key][i]} for every key."""
+    held[i] is false is recorded as {key: points[key][i]} for every key.  The
+    one evidence-record builder: the ball identities, the balanced and convex
+    probes, containment_report and the witnesses' evidence use it."""
     return _make_report(name, np.flatnonzero(~held), len(held), seed, notes=notes,
                         record=lambda i: {k: v[i].tolist() for k, v in points.items()})
 
 
 def containment_report(name: str, inner: Ball, outers: Sequence[Ball], budget: SampleBudget,
                        samples: int, notes: dict[str, Any] | None = None) -> CheckReport:
-    """Sampled check that inner lies in every ball of outers: samples members
-    of inner from check_rng(seed, name), outside the epsilon band, and records
-    {"y": ...} for each one that escapes some outer ball."""
+    """The one sampled subset check, that inner lies in every ball of outers
+    (the monotonicity checks, refinement, the local base and basis
+    intersection use it): samples members of inner from check_rng(seed,
+    name), outside the epsilon band, and records {"y": ...} for each one
+    that escapes some outer ball."""
     rng = check_rng(budget.rng_seed, name)
     Y = sample_members(inner, rng, samples, band=budget.epsilon)
     inside = np.logical_and.reduce([contains_many(outer, Y) for outer in outers])

@@ -62,6 +62,22 @@ the handlers below check only the fields a config gives:
                         convergence.LOCAL_BASE_DEPTH)
     falsify             mutation (default none); predicates: a non-empty list
                         of falsifier.PREDICATE_NAMES (default all of them)
+
+So ball-identities {} and falsify with predicates [name] test a check at
+the same balls, and both records name them in notes.
+
+Every number is checked where it is owned, through distfn.check_number:
+by the budget, space, modular, ball and sequence models, by a handler (the
+doubling candidates and beta) and by convergence (t_grid, n_max and
+local_base_depth, for the handler and the checks alike).  A bool, a string,
+a non-finite number or a value out of range exits 3 with a message naming
+its path, such as budget.t_grid[0] or operation.outer.scale.  The bounds:
+sample counts up to distfn.MAX_SAMPLES, grids of up to
+distfn.MAX_GRID_COUNT points of at most distfn.MAX_GRID_T, levels in
+(0, 1), n_max up to convergence.MAX_N_MAX and local_base_depth up to
+convergence.MAX_LOCAL_BASE_DEPTH.  This module checks only what is about
+the config file: unknown and missing fields, the t_grid object form and
+the field paths.
 """
 
 from __future__ import annotations
@@ -380,9 +396,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parse_args leaves it as it is."""
+    """The CLI's parser, built once per process: parse_args leaves it as it is.
+    Its --help ends with this module's docstring, the config schema."""
     parser = _Parser(prog="pmtop",
-                     description="Probabilistic modular space checks and witnesses")
+                     description="Probabilistic modular space checks and witnesses",
+                     epilog=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} group")

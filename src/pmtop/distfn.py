@@ -55,7 +55,8 @@ GRID_MAX = 1e3
 GRID_COUNT = 64
 NEGATIVE_PROBES = (-1.0, -1e-3)
 
-# How far the inf/sup limit confirmation may extend past the grid ends.
+# How far the inf/sup limit confirmation may extend past the grid ends, and
+# pm2's re-probe below the grid (pmspace._check_pm2).
 LIMIT_EXTENSION_DECADES = 12
 
 # Cap on stored violation records; the true count is reported separately.
@@ -237,9 +238,9 @@ def canonical_line(record: dict[str, Any]) -> str:
 def _make_report(name: str, flagged: Any, samples: int, seed: int,
                  notes: dict[str, Any] | None = None, *,
                  record: Callable[[Any], dict[str, Any]]) -> CheckReport:
-    """The report rule: a report over the flagged samples, given in order,
-    keeps the records record builds for the first MAX_STORED_VIOLATIONS and
-    counts all of them."""
+    """The report rule, which every check's report goes through: a report
+    over the flagged samples, given in order, keeps the records record
+    builds for the first MAX_STORED_VIOLATIONS and counts all of them."""
     violations = [record(i) for i in flagged[:MAX_STORED_VIOLATIONS]]
     return CheckReport(name=name, violations=violations, samples_run=samples, seed=seed,
                        n_violations=len(flagged), notes=notes or {})

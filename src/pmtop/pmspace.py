@@ -37,6 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .distfn import (
+    LIMIT_EXTENSION_DECADES,
     MAX_STORED_VIOLATIONS,
     CheckReport,
     FieldError,
@@ -143,6 +144,7 @@ class PPower(SigmaFunctional):
         object.__setattr__(self, "p", float(check_number(self.p, "p", at_least=1)))
 
     def rho(self, X: np.ndarray) -> np.ndarray:
+        """The terms |x_i|^p made in place in one (N, dim) temporary."""
         return _row_sums(operator.ipow(np.abs(X), self.p))
 
     def to_config(self) -> dict[str, Any]:
@@ -248,7 +250,8 @@ class ModularMap:
 
     kernel1(t, s) is the scalar entry point: for floats t and s, s >= 0 or
     NaN, it returns as a float the bits kernel(t, s) holds, computed with
-    the same IEEE operations on Python floats, without numpy's dispatch.
+    the same IEEE operations on Python floats, without numpy's dispatch
+    (topology.refine_ball's bisection reads it).
     """
 
     family: str = ""
@@ -543,9 +546,10 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     """PM2 forward: the zero vector's distribution is exactly 1 on t > 0.
     PM2 reverse: no sampled nonzero x may sit at 1 across the whole grid.
 
-    A sample stuck at 1 on the grid is re-probed up to twelve decades
-    below the grid before it counts: a small x drops to 0 down there,
-    while a genuine zero-identification defect stays at 1 everywhere.
+    A sample stuck at 1 on the grid is re-probed at each of the
+    LIMIT_EXTENSION_DECADES decades below the grid before it counts: a
+    small x drops to 0 down there, while a genuine zero-identification
+    defect stays at 1 everywhere.
 
     A row is stuck only if it is at 1 at every grid point, so the kernel
     is evaluated at the first grid point for every sample, and over the
@@ -557,7 +561,7 @@ def _check_pm2(space: PMSpace, budget: SampleBudget, X: np.ndarray,
     """
     eps = budget.epsilon
     grid = budget.grid_array()
-    ext = grid[0] * np.power(10.0, -np.arange(1.0, 13.0))
+    ext = grid[0] * np.power(10.0, -np.arange(1.0, LIMIT_EXTENSION_DECADES + 1.0))
     scales = np.concatenate([grid, ext])[:, None]
     mu0 = space.mu_matrix(space.zero()[None, :], grid)[0]
     rows = np.flatnonzero(np.any(X != 0.0, axis=1)
