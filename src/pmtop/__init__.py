@@ -57,7 +57,6 @@ from .convergence import (
     TopologicalVerdict,
     check_mu_convergence,
     check_topological_convergence,
-    local_base,
 )
 from .falsifier import (
     MUTATION_KINDS,

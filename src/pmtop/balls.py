@@ -41,11 +41,11 @@ MAX_DRAW_ROUNDS = 200
 PROBE_ROWS = 256
 PROBE_ROWS_PER_MEMBER = 32
 
-# Floats of candidates in a block of lanes of _lane_mu and the probe medians.
-# 100-lane draws, count 1, dims 1-4, both families (2-core Xeon VM, medians
-# of 15 passes): 79 ms at 1,024, 48 at 4,096, 42 at 8,192, 40 at 16,384, 44
-# at 32,768, 49 unblocked; 6,144-24,576 within the quartiles, smaller peaks.
-LANE_BLOCK = 8192
+# The most floats of calibration probe and first batch, (probe + batch) *
+# dim, for which sample_members tries _first_round_members (at dim 2, calls
+# of up to 960 members): a larger call goes straight to sample_member_lanes,
+# so a first round that does not settle never repeats a large pass.
+FIRST_ROUND_FLOATS = 8192
 
 # Bounds on a ball's level and scale, as check_number takes them.
 LEVEL = {"above": 0, "below": 1}
@@ -72,11 +72,21 @@ class Ball:
                 "scale": self.scale}
 
 
+def _offset_mu(space: PMSpace, C: np.ndarray, Y: np.ndarray, scales: Any) -> np.ndarray:
+    """mu_{C[..., i, :] - Y[..., i, :]}(scales) over the rows of Y, C holding
+    each row's center (the center repeated row by row, as a center broadcast
+    over rows makes numpy loop over one row's dim coordinates), which it
+    overwrites with the offsets.  The one evaluation of mu over offsets from
+    a center: mu_of_offsets, _lane_mu and _first_round_members use it."""
+    C -= Y
+    return space.kernel(scales, space.sigma(C.reshape(-1, C.shape[-1])).reshape(C.shape[:-1]))
+
+
 def mu_of_offsets(ball: Ball, Y: np.ndarray) -> np.ndarray:
     """mu_{center - Y[i]}(scale) for a batch of candidate points."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    S = ball.space.sigma(ball.center[None, :] - Y)
-    return ball.space.kernel(np.asarray(ball.scale, dtype=float), S)
+    return _offset_mu(ball.space, ball.center[None, :].repeat(len(Y), axis=0), Y,
+                      np.asarray(ball.scale, dtype=float))
 
 
 def strict_mask(mu: Any, level: Any, margin: float = EPS_STRICT) -> Any:
@@ -117,20 +127,11 @@ def _lane_mu(space: PMSpace, centers: np.ndarray, scales: np.ndarray, steps: np.
              Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y, mu): the candidates Y[i] = centers[i] + steps[i] * Z[i] of each
     lane and mu_of_offsets of each against the ball (centers[i], scales[i]),
-    in blocks of lanes of about LANE_BLOCK floats, so the temporaries stay
-    cache-sized.  A block repeats its centers row by row, as a center
-    broadcast over rows makes numpy loop over one row's dim coordinates."""
-    step = max(1, LANE_BLOCK // Z[0].size)
-    Y, m = np.empty(Z.shape), np.empty(Z.shape[:2])
-    for i in range(0, len(Z), step):
-        b = slice(i, i + step)
-        off = np.repeat(centers[b, None, :], Z.shape[1], axis=1)
-        y = np.multiply(steps[b, None, None], Z[b], out=Y[b])
-        y += off
-        off -= y
-        S = space.sigma(off.reshape(-1, Z.shape[2])).reshape(off.shape[:2])
-        m[b] = space.kernel(scales[b, None], S)
-    return Y, m
+    every lane in one pass (_offset_mu)."""
+    C = centers[:, None, :].repeat(Z.shape[1], axis=1)
+    Y = steps[:, None, None] * Z
+    Y += C
+    return Y, _offset_mu(space, C, Y, scales[:, None])
 
 
 def _probe_rows(count: int) -> int:
@@ -149,12 +150,12 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
                      scales: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Per lane, the scale of the Gaussian proposal around the center that
     gives a usable acceptance rate.  Each lane gets a probe of rows rows
-    (_probe_rows of a member call's count), drawn for all lanes at once, and
-    is seeded from the closed-form radius over its probe's median sigma when
-    oracle_threshold has one, and at 1 otherwise; then each lane doubles or
-    halves its scale until the share of strict members (_lane_mu,
-    strict_mask) in its probe lies in [0.2, 0.8], for at most 80 rounds,
-    stopping on its own.  A round where no lane moves ends it.
+    (_probe_rows of a member call's count), drawn and evaluated for all lanes
+    at once, and is seeded from the closed-form radius over its probe's
+    median sigma when oracle_threshold has one, and at 1 otherwise; then
+    each lane doubles or halves its scale until the share of strict members
+    (_lane_mu, strict_mask) in its probe lies in [0.2, 0.8], for at most 80
+    rounds, stopping on its own.  A round where no lane moves ends it.
 
     A lane's next scale reads only its current one (its probe, center,
     scale and cut are fixed), so a lane whose new scale has the bits of its
@@ -170,10 +171,8 @@ def _proposal_scales(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
         # Each lane's median sigma as np.median computes it (the mean of the two
         # middle values), without its per-call overhead; np.sort took under
         # np.partition's time on 1-32 lanes of PROBE_ROWS rows.
-        step = max(1, LANE_BLOCK // (rows * dim))
-        mid = np.concatenate([
-            np.sort(space.sigma(probes[i:i + step].reshape(-1, dim)).reshape(-1, rows),
-                    axis=1)[:, _middle_rows(rows)] for i in range(0, n, step)])
+        mid = np.sort(space.sigma(probes.reshape(-1, dim)).reshape(n, rows),
+                      axis=1)[:, _middle_rows(rows)]
         med = (mid[:, 0] + mid[:, 1]) / 2.0
         # thr / med where the median is positive, 1 elsewhere, with no divide by 0.
         s = np.maximum(np.divide(thr, med, out=np.ones(n), where=med > 0), 1e-12)
@@ -252,16 +251,16 @@ def sample_member_lanes(space: PMSpace, centers: np.ndarray, levels: np.ndarray,
 
 def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band: float,
                          probe: int, batch: int) -> np.ndarray | None:
-    """Round 1 of sample_member_lanes for one ball whose calibration probe of
-    probe = _probe_rows(count) rows and first batch of batch rows fit in one
-    LANE_BLOCK, its bookkeeping in Python floats: the probe drawn, the seed
-    scale (_proposal_scales' for one lane), the batch drawn after the probe
-    in one array (that call's draws, in its order, so an error in sigma
-    leaves its generator state), one pass over probe and batch at the seed,
-    and the strict members of the batch outside the band.  Returns the first
-    count of them when the probe's acceptance lies in [0.2, 0.8] (the
-    calibration moves nothing) and the batch holds count of them, else None,
-    with the generator past both draws."""
+    """Round 1 of sample_member_lanes for one ball, with a calibration probe
+    of probe = _probe_rows(count) rows and a first batch of batch rows, its
+    bookkeeping in Python floats: the probe drawn, the seed scale
+    (_proposal_scales' for one lane), the batch drawn after the probe in one
+    array (that call's draws, in its order, so an error in sigma leaves its
+    generator state), one pass over probe and batch at the seed
+    (_offset_mu), and the strict members of the batch outside the band.
+    Returns the first count of them when the probe's acceptance lies in
+    [0.2, 0.8] (the calibration moves nothing) and the batch holds count of
+    them, else None, with the generator past both draws."""
     space, center, level, scale = ball.space, ball.center, ball.level, ball.scale
     Z = np.empty((probe + batch, space.dim))
     rng.standard_normal(out=Z[:probe])
@@ -275,12 +274,10 @@ def _first_round_members(ball: Ball, rng: np.random.Generator, count: int, band:
         # thr / med where the median is positive (not 0, not NaN), 1 elsewhere.
         s = max(thr / med, 1e-12) if med > 0 else 1.0
     rng.standard_normal(out=Z[probe:])
-    # The center repeated row by row, as in _lane_mu.
-    off = np.repeat(center[None, :], len(Z), axis=0)
+    C = center[None, :].repeat(len(Z), axis=0)
     Y = np.multiply(s, Z, out=Z)
-    Y += off
-    off -= Y
-    m = space.kernel(scale, space.sigma(off))
+    Y += C
+    m = _offset_mu(space, C, Y, scale)
     inside = strict_mask(m, level)
     if not 0.2 <= np.count_nonzero(inside[:probe]) / probe <= 0.8:
         return None
@@ -293,14 +290,14 @@ def sample_members(ball: Ball, rng: np.random.Generator, count: int,
     """Rejection-sample count members of the ball, re-drawing boundary-band
     hits, with the rows and stream of sample_member_lanes' one-lane call.
     Where the calibration probe (_probe_rows(count) rows) and first batch
-    fit in one LANE_BLOCK (so one pass over both keeps to _lane_mu's block
-    size), _first_round_members runs round 1 and returns its members when
-    that round settles the call.  Every other call runs sample_member_lanes,
-    from the generator state the call entered with, so rounds 2 and later
-    have one implementation.  The exit settles every one-ball call of the
-    benchmark's witness_batch workload and most of registry_valid's."""
+    hold at most FIRST_ROUND_FLOATS floats, _first_round_members runs round
+    1 and returns its members when that round settles the call.  Every
+    other call runs sample_member_lanes, from the generator state the call
+    entered with, so rounds 2 and later have one implementation.  The exit
+    settles every one-ball call of the benchmark's witness_batch workload
+    and most of registry_valid's."""
     probe, batch = _probe_rows(count), max(4 * count, 64)
-    if (probe + batch) * ball.space.dim <= LANE_BLOCK:
+    if (probe + batch) * ball.space.dim <= FIRST_ROUND_FLOATS:
         state = rng.bit_generator.state
         rows = _first_round_members(ball, rng, count, band, probe, batch)
         if rows is not None:

@@ -360,7 +360,7 @@ def _feasible_refinement_input(space: PMSpace, rng: np.random.Generator, eps: fl
                                ) -> tuple[_balls.Ball, np.ndarray]:
     """Random (outer, z) that refine_ball takes at a budget's epsilon eps, by
     its own test (topology.chain_feasible).  Raises PreconditionError, through
-    chain_anchor, without a declared doubling constant and
+    chain_feasible, without a declared doubling constant and
     InfeasibleConstruction with reason when the search finds no input.  An
     outer ball's 50 z are tested as one draw; a hit at row k rewinds the
     stream and redraws k + 1 rows, as 50 single draws stopping at the hit.

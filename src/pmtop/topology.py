@@ -122,24 +122,15 @@ def _require_beta(space: PMSpace) -> float:
     return space.declared_beta
 
 
-def _anchor_of(space: PMSpace, outer: Ball, S: np.ndarray) -> np.ndarray:
-    """chain_anchor of the rows z whose offsets x - z have sigma S."""
-    return space.kernel(np.asarray(outer.scale / _require_c(space)), S)
-
-
-def chain_anchor(space: PMSpace, outer: Ball, Z: np.ndarray) -> np.ndarray:
-    """mu_(x-z)(t/c) for each row z of Z and outer = B(x, alpha, t): the doubling
-    chain certifies an inner ball around z only where this clears 1 - alpha."""
-    return _anchor_of(space, outer, space.sigma(outer.center - Z))
-
-
 def chain_feasible(space: PMSpace, outer: Ball, Z: np.ndarray, eps: float) -> np.ndarray:
     """Which rows z of Z refine_ball takes inside outer = B(x, alpha, t) at a
-    budget's epsilon eps: strict members whose chain_anchor clears 1 - alpha by
-    eps, both read from one sigma of the offsets x - z."""
+    budget's epsilon eps: strict members whose doubling-chain anchor
+    mu_(x-z)(t/c) clears 1 - alpha by eps, both read from one sigma of the
+    offsets x - z.  PreconditionError without a declared doubling constant."""
     S = space.sigma(outer.center - Z)
     member = strict_mask(space.kernel(np.asarray(outer.scale), S), outer.level)
-    return member & strict_mask(_anchor_of(space, outer, S), outer.level, eps)
+    anchor = space.kernel(np.asarray(outer.scale / _require_c(space)), S)
+    return member & strict_mask(anchor, outer.level, eps)
 
 
 def _evidence_samples(samples: int) -> None:

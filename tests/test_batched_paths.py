@@ -486,41 +486,49 @@ def test_proposal_scales_raise_an_error_in_sigma(monkeypatch):
                            np.ones(3), np.random.default_rng(0), 256)
 
 
-@pytest.mark.parametrize("lane_block", [None, 1], ids=["lane_block", "one_lane_blocks"])
+def scales_like_the_reference(space, centers, levels, scales, seed, rows):
+    """_proposal_scales against reference_scale_from_probe lane by lane on
+    one stream: the scales' bits and the generator state after the call."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = B._proposal_scales(space, centers, levels, scales, rng, rows)
+    probes = rng_ref.standard_normal((len(centers), rows, space.dim))
+    want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
+            for c, a, t, probe in zip(centers, levels, scales, probes)]
+    assert got.tobytes() == np.array(want).tobytes(), (len(centers), rows)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 @pytest.mark.parametrize("family", ["rational_from", "step_from"])
-def test_member_lanes_match_the_reference_at_lane_block_edges(monkeypatch, family,
-                                                                lane_block):
-    # _lane_mu and the probe medians work in blocks of LANE_BLOCK floats: lane
-    # counts on each side of a calibration block (32 * dim floats a lane on
-    # count 1's probe, 256 * dim on the largest) and of a draw block (64 * dim
-    # at count 1), and blocks of one lane, give the reference's scales, rows
-    # and generator state.  Band 0.2 sends some lanes past their first draw
-    # round.
+def test_member_lanes_match_the_reference_at_lane_block_edges(family):
+    # Every lane is evaluated in one pass.  The lane counts sit on each side
+    # of where blocks of 8,192 floats would split a dim-2 call: the
+    # calibration at 32 * dim floats a lane on count 1's probe and 256 * dim
+    # on the largest, and the draws at 64 * dim.  Each gives the reference's
+    # scales, rows and generator state; band 0.2 sends some lanes past their
+    # first draw round.
     space = SPACES[family]
-    if lane_block is not None:
-        monkeypatch.setattr(B, "LANE_BLOCK", lane_block)
-    counts = {1, 100}
-    for width in (32 * space.dim, 256 * space.dim, 64 * space.dim):
-        k = max(1, B.LANE_BLOCK // width)
-        counts |= {k - 1, k, k + 1} - {0}
+    counts = (1, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129)
     draws = random_ball_draws(np.random.default_rng(5), max(counts), space.dim)
-    for n in sorted(counts):
+    for n in counts:
         centers, levels, scales = (a[:n] for a in draws)
         for rows in (32, 256):
-            rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
-            got = B._proposal_scales(space, centers, levels, scales, rng, rows)
-            probes = rng_ref.standard_normal((n, rows, space.dim))
-            want = [reference_scale_from_probe(B.Ball(space, c, a, t), probe)
-                    for c, a, t, probe in zip(centers, levels, scales, probes)]
-            assert got.tobytes() == np.array(want).tobytes(), (n, rows)
-            assert rng.bit_generator.state == rng_ref.bit_generator.state
-        rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
-        rows, ok = B.sample_member_lanes(space, centers, levels, scales, rng, 1, 0.2)
-        want, want_ok, _ = reference_member_lanes(space, centers, levels, scales, rng_ref,
-                                                  1, 0.2)
-        assert np.array_equal(ok, want_ok), n
-        assert rows[ok].tobytes() == want[ok].tobytes(), n
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+            scales_like_the_reference(space, centers, levels, scales, n, rows)
+        lanes_like_the_reference(space, centers, levels, scales, n, 1, 0.2)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4, 8])
+def test_member_lanes_match_the_reference_at_other_dims(dim):
+    # 100 lanes, the scale-witness draw's call, at dims other than SPACES'
+    # 2: on both families, the reference's scales on both probes, and its
+    # rows and generator state at count 1 with band 0.2.
+    rho = p.WeightedAbs(weights=tuple(np.linspace(0.5, 2.0, dim)))
+    draws = random_ball_draws(np.random.default_rng(dim), 100, dim)
+    later = False
+    for space in (PMSpace(dim, RationalFrom(rho)), p.step_space(p.PPower(p=2.0), dim)):
+        for rows in (32, 256):
+            scales_like_the_reference(space, *draws, dim, rows)
+        later |= bool(np.any(lanes_like_the_reference(space, *draws, dim, 1, 0.2) > 1))
+    assert later
 
 
 def lanes_like_the_reference(space, centers, levels, scales, seed, count, band):
@@ -621,8 +629,8 @@ def test_sample_members_settle_in_the_first_round_like_the_reference(monkeypatch
     # calibration or reach round 2, balls that starve (a level under
     # EPS_STRICT leaves no strict member; at band 0.2 a level of 0.15 none
     # outside the band), a ball whose closed-form seed is held at 1e-12 (a
-    # scale of 1e-13), and counts on each side of the LANE_BLOCK edge: at
-    # dim 2 the probe and first batch of count 960 fill its 8,192 floats.
+    # scale of 1e-13), and counts on each side of the FIRST_ROUND_FLOATS
+    # edge: at dim 2 the probe and first batch of count 960 fill its floats.
     space = SPACES[family]
     settled = record_first_rounds(monkeypatch)
     for count in (1, 50, 200):
@@ -631,6 +639,7 @@ def test_sample_members_settle_in_the_first_round_like_the_reference(monkeypatch
     for level, scale in ((0.5 * EPS_STRICT, 1.0), (0.15, 1.0), (0.5, 1e-13)):
         sample_members_like_the_reference(B.Ball(space, np.zeros(2), level, scale), 3, 1, band)
     ball = random_balls(space, np.random.default_rng(0), 1)[0]
+    assert (reference_probe_rows(960) + 4 * 960) * 2 == B.FIRST_ROUND_FLOATS
     for count in (960, 961):
         exits = len(settled)
         sample_members_like_the_reference(ball, count, count, band)
@@ -1976,18 +1985,34 @@ def anchor_spaces():
                for kind in F.MUTATION_KINDS for seed in range(2)])
 
 
-def test_chain_anchor_is_the_hand_formula():
+def test_chain_feasible_is_the_hand_formula():
+    # Row by row, chain_feasible is strict membership in the outer ball and
+    # the doubling-chain anchor mu_(x-z)(t/c) clearing 1 - level by eps, both
+    # read from the scalar sigma1 of the offset x - z.
     rng = np.random.default_rng(5)
+    seen = set()
     for space in anchor_spaces():
         for rows in (1, 7, 50):
-            outer = p.Ball(space, rng.standard_normal(space.dim), 0.5,
+            outer = p.Ball(space, rng.standard_normal(space.dim), float(rng.uniform(0.3, 0.7)),
                            float(rng.uniform(0.5, 2.0)))
             Z = outer.center + 0.3 * rng.standard_normal((rows, space.dim))
-            got = T.chain_anchor(space, outer, Z)
-            want = [float(space.kernel(np.asarray(outer.scale / space.declared_c),
-                                       space.sigma1(outer.center - z))) for z in Z]
-            assert got.shape == (rows,)
-            assert P._float_bits(got).tolist() == P._float_bits(want).tolist()
+            for eps in (EPS_STRICT, 0.05, 0.3):
+                got = T.chain_feasible(space, outer, Z, eps)
+                want = []
+                for z in Z:
+                    sig = space.sigma1(outer.center - z)
+                    mu, anchor = (float(space.kernel(np.asarray(t), sig))
+                                  for t in (outer.scale, outer.scale / space.declared_c))
+                    cut = 1.0 - outer.level
+                    want.append(mu > cut + EPS_STRICT and anchor > cut + eps)
+                assert got.shape == (rows,) and got.tolist() == want
+                seen |= {(m, f) for m, f in zip(B.contains_many(outer, Z), want)}
+    # Members the chain refuses, members it takes, and rows outside the ball.
+    assert seen == {(True, True), (True, False), (False, False)}
+    undeclared = p.rational_space(p.PPower(p=2.0), 2)
+    with pytest.raises(p.PreconditionError, match="doubling constant"):
+        T.chain_feasible(undeclared, p.Ball(undeclared, np.zeros(2), 0.5, 1.0),
+                         np.zeros((1, 2)), EPS_STRICT)
 
 
 def reference_feasible_refinement_input(space, rng, eps,

@@ -129,10 +129,16 @@ def test_value_and_topological_routes_agree(kind, expected):
         assert mu_v.converges == topo_v.converges == expected
 
 
+def local_base(space, x, depth):
+    """The countable base {B(x, 1/k, 1/k)} truncated at the given depth."""
+    return [p.Ball(space, x, 1.0 / k, 1.0 / k) for k in range(2, depth + 1)]
+
+
 @pytest.mark.parametrize("kind", SEQUENCE_KINDS)
 def test_local_base_verdicts_are_the_contains_many_loop(kind):
     # The balls share their center, so one sigma of the offsets serves all
-    # of them: each ball's n0 is the one contains_many gives ball by ball.
+    # of them: each ball's n0 is the one contains_many gives ball by ball,
+    # for the balls B(x, 1/k, 1/k), k = 2..depth, built here.
     rho = P.WeightedAbs(weights=(0.7, 1.6))
     spaces = [SP1, STEP, P.PMSpace(2, P.RationalFrom(rho)), P.PMSpace(2, P.StepFrom(rho)),
               P.PMSpace(2, P.ClosedStepFrom(rho)),
@@ -151,7 +157,7 @@ def test_local_base_verdicts_are_the_contains_many_loop(kind):
             points = seq.values(ns)
             want = [{"level": b.level, "scale": b.scale,
                      "n0": settled_from(ns, p.contains_many(b, points))}
-                    for b in p.local_base(space, seq.candidate_limit, 12)]
+                    for b in local_base(space, seq.candidate_limit, 12)]
             assert verdict.per_ball == want, (space.modular_map.family, offset)
             n0s |= {r["n0"] for r in want}
     assert None in n0s and len(n0s) > 1  # some balls are entered and some not
@@ -161,7 +167,7 @@ def test_local_base_verdicts_are_the_contains_many_loop(kind):
     seq = p.SequenceSpec(kind=kind, base=np.zeros(1),
                          direction=np.array([(0.5 - 1e-13) * (2.0 if geometric else 1.0)]),
                          ratio=0.5 if geometric else None)
-    ball = p.local_base(SP1, seq.candidate_limit, 2)[0]
+    ball = local_base(SP1, seq.candidate_limit, 2)[0]
     assert 0 < float(mu_of_offsets(ball, seq.values([1]))[0]) - 0.5 < 1e-12
     verdict = p.check_topological_convergence(SP1, seq, depth=2, n_max=1)
     assert verdict.per_ball == [{"level": 0.5, "scale": 0.5, "n0": None}]
